@@ -1,117 +1,38 @@
 """Bayesian estimation and predictive density estimation for the binomial
 distribution with a restricted probability parameter, plus numerical
-dominance certification of truncated versus untruncated beta priors."""
+dominance certification of truncated versus untruncated beta priors.
 
-from .binom import (
-    BinomialSetup,
-    LossValue,
-    PriorSpec,
-    binom_pmf,
-    entropy_loss,
-    kl_binomial,
-)
+The package root exports the descriptors, the two tables, the typed
+numerical errors and the top-level entry points; everything else is
+reached through its module.
+"""
+
+from .binom import BinomialSetup, PriorSpec
 from .dominance import (
     BoundUndefinedError,
-    DominanceReport,
-    cor41_conditions,
     dominance_threshold_n1,
     exhaustive_dominance_check,
-    max_risk_diff_symmetric_n1,
-    max_risk_diff_symmetric_n1_generic,
-    smallpbar_sufficient_conditions,
-    standardized_risk_difference,
-    thm32_bound,
-    thm33_necessary,
-    thm34_necessary,
-    thm41_conditions,
 )
-from .estimators import (
-    A_term,
-    EstimateTable,
-    posterior_mean,
-    posterior_mean_two_sided,
-    posterior_mean_unrestricted,
-    posterior_mean_upper_truncated,
-)
-from .incbeta import (
-    IntegralParams,
-    OddsTriple,
-    SingularBoundError,
-    bracket_term,
-    eval_I,
-    eval_I_two_sided,
-    eval_J,
-    inc_beta_lower,
-)
-from .poisson import (
-    PoissonConfig,
-    PoissonLimitReport,
-    limit_convergence_report,
-    poisson_entropy_risk,
-    poisson_posterior_mean,
-    poisson_predictive,
-)
-from .predictive import PredictiveTable, bayes_predictive, plug_in_density
-from .risk import (
-    RiskCurve,
-    bayes_predictive_tables,
-    connection_sum,
-    mc_risk,
-    point_risk,
-    predictive_kl_risk,
-    verify_log_jensen_bound,
-    verify_second_derivative_identity,
-)
+from .estimators import EstimateTable, posterior_mean
+from .incbeta import SingularBoundError
+from .poisson import PoissonConfig, limit_convergence_report
+from .predictive import PredictiveTable, bayes_predictive
+from .risk import connection_sum, point_risk, predictive_kl_risk
 
 __all__ = [
-    "A_term",
     "BinomialSetup",
     "BoundUndefinedError",
-    "DominanceReport",
     "EstimateTable",
-    "IntegralParams",
-    "LossValue",
-    "OddsTriple",
     "PoissonConfig",
-    "PoissonLimitReport",
     "PredictiveTable",
     "PriorSpec",
-    "RiskCurve",
     "SingularBoundError",
     "bayes_predictive",
-    "bayes_predictive_tables",
-    "binom_pmf",
-    "bracket_term",
     "connection_sum",
-    "cor41_conditions",
     "dominance_threshold_n1",
-    "entropy_loss",
-    "eval_I",
-    "eval_I_two_sided",
-    "eval_J",
     "exhaustive_dominance_check",
-    "inc_beta_lower",
-    "kl_binomial",
     "limit_convergence_report",
-    "max_risk_diff_symmetric_n1",
-    "max_risk_diff_symmetric_n1_generic",
-    "mc_risk",
-    "plug_in_density",
     "point_risk",
-    "poisson_entropy_risk",
-    "poisson_posterior_mean",
-    "poisson_predictive",
     "posterior_mean",
-    "posterior_mean_two_sided",
-    "posterior_mean_unrestricted",
-    "posterior_mean_upper_truncated",
     "predictive_kl_risk",
-    "smallpbar_sufficient_conditions",
-    "standardized_risk_difference",
-    "thm32_bound",
-    "thm33_necessary",
-    "thm34_necessary",
-    "thm41_conditions",
-    "verify_log_jensen_bound",
-    "verify_second_derivative_identity",
 ]

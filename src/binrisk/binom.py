@@ -1,7 +1,8 @@
-"""Binomial model primitives: pmf, entropy loss, KL between binomial laws.
+"""Binomial model primitives: pmf and entropy loss.
 
 Also holds the two descriptor dataclasses shared across the package:
-the trial-count setup and the (possibly truncated) beta prior.
+the trial-count setup and the (possibly truncated) beta prior, and the
+count and shape checks that guard every entry point taking raw values.
 """
 
 from __future__ import annotations
@@ -13,6 +14,19 @@ from functools import lru_cache
 from scipy.special import gammaln
 
 
+def _check_count(name: str, value: int, lo: int = 1, hi: int | None = None) -> None:
+    """value must be an integer >= lo, and <= hi when hi is given."""
+    if not isinstance(value, int) or value < lo or (hi is not None and value > hi):
+        span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be an integer {span}, got {value}")
+
+
+def _check_shape(*shape: float) -> None:
+    """Beta exponents must lie in (0, inf); NaN fails the test too."""
+    if not all(0.0 < v < math.inf for v in shape):
+        raise ValueError(f"shape parameters must be finite and positive, got {shape}")
+
+
 @dataclass(frozen=True)
 class BinomialSetup:
     """Current and future trial counts."""
@@ -21,10 +35,8 @@ class BinomialSetup:
     l: int = 1
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"n must be an integer >= 1, got {self.n}")
-        if not isinstance(self.l, int) or self.l < 1:
-            raise ValueError(f"l must be an integer >= 1, got {self.l}")
+        _check_count("n", self.n)
+        _check_count("l", self.l)
 
 
 @dataclass(frozen=True)
@@ -43,8 +55,7 @@ class PriorSpec:
     p_lo: float | None = None
 
     def __post_init__(self) -> None:
-        if self.a <= 0.0 or self.b <= 0.0:
-            raise ValueError(f"a and b must be positive, got ({self.a}, {self.b})")
+        _check_shape(self.a, self.b)
         if self.p_lo is not None and self.p_bar is None:
             raise ValueError("a lower bound requires an upper bound")
         if self.p_bar is not None and not 0.0 < self.p_bar < 1.0:
@@ -67,20 +78,6 @@ class PriorSpec:
         lo = self.p_lo if self.p_lo is not None else 0.0
         hi = self.p_bar if self.p_bar is not None else 1.0
         return lo, hi
-
-
-@dataclass(frozen=True)
-class LossValue:
-    """Entropy loss in nats; zero exactly when the estimate hits the truth."""
-
-    value: float
-
-    def __post_init__(self) -> None:
-        if self.value < 0.0 or not math.isfinite(self.value):
-            raise ValueError(f"loss must be finite and nonnegative, got {self.value}")
-
-    def __float__(self) -> float:
-        return self.value
 
 
 @lru_cache(maxsize=256)
@@ -113,7 +110,7 @@ def binom_pmf(x: int, n: int, p: float) -> float:
     )
 
 
-def entropy_loss(d: float, p: float) -> LossValue:
+def entropy_loss(d: float, p: float) -> float:
     """p log(p/d) + (1-p) log((1-p)/(1-d)); p may sit at 0 or 1."""
     if not 0.0 < d < 1.0:
         raise ValueError(f"estimate d must be in (0, 1), got {d}")
@@ -125,13 +122,5 @@ def entropy_loss(d: float, p: float) -> LossValue:
     if p < 1.0:
         total += (1.0 - p) * (math.log1p(-p) - math.log1p(-d))
     # tiny negative values are pure rounding: the loss is a KL divergence
-    return LossValue(max(total, 0.0))
+    return max(total, 0.0)
 
-
-def kl_binomial(l: int, p: float, q: float) -> float:
-    """KL divergence from Bin(l, p) to Bin(l, q); equals l * entropy_loss(q, p)."""
-    if not isinstance(l, int) or l < 1:
-        raise ValueError(f"l must be an integer >= 1, got {l}")
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0, 1), got {p}")
-    return l * entropy_loss(q, p).value

@@ -20,7 +20,7 @@ from .dominance import (
     dominance_threshold_n1,
     exhaustive_dominance_check,
     max_risk_diff_symmetric_n1,
-    standardized_risk_difference,
+    p_grid,
     thm32_bound,
 )
 from .estimators import EstimateTable
@@ -89,12 +89,8 @@ def _cmd_risk_curve(args: argparse.Namespace) -> int:
     setup = BinomialSetup(n=args.n)
     unres = EstimateTable.build(setup, PriorSpec(a=args.a, b=args.b))
     trunc = EstimateTable.build(setup, prior)
-    lo = args.p_lo if args.p_lo is not None else args.p_bar / args.grid
-    grid = [
-        lo + (args.p_bar - lo) * i / (args.grid - 1) for i in range(args.grid - 1)
-    ] + [args.p_bar]
     rows = []
-    for p in grid:
+    for p in p_grid(args.p_bar, args.p_lo, args.grid):
         bound: float | None
         if args.p_lo is None:
             try:

@@ -11,10 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .binom import BinomialSetup, PriorSpec, binom_pmf
+from .binom import BinomialSetup, PriorSpec, _check_count, _check_shape, binom_pmf
 from .estimators import EstimateTable
 from .incbeta import eval_I, eval_J, log_beta_measure, log_eval_I
-from .risk import compensated_sum, point_risk
+from .risk import point_risk
 
 GRID_SLACK = 1e-12
 NOISE_CEILING = 1e-9
@@ -24,17 +24,20 @@ class BoundUndefinedError(ArithmeticError):
     """The log argument of the risk-difference bound is nonpositive."""
 
 
-def _check_config(n: int, a: float, b: float) -> None:
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n}")
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError(f"a and b must be positive, got ({a}, {b})")
+def p_grid(p_bar: float, p_lo: float | None, size: int) -> list[float]:
+    """Uniform grid of size points on the restriction, ending exactly at p_bar.
+
+    Without a lower bound the grid starts at p_bar / size, since the
+    support is open at 0.
+    """
+    _check_count("grid size", size, lo=2)
+    lo = p_bar / size if p_lo is None else p_lo
+    return [lo + (p_bar - lo) * i / (size - 1) for i in range(size - 1)] + [p_bar]
 
 
 def thm32_bound(p: float, n: int, a: float, b: float, p_bar: float) -> float:
     """Upper bound on the standardized risk difference (truncated minus
     untruncated) in the upper-restriction case."""
-    _check_config(n, a, b)
     if not 0.0 < p <= p_bar:
         raise ValueError(f"p must be in (0, p_bar], got p={p}, p_bar={p_bar}")
     j = eval_J(p, n, a, b, p_bar)
@@ -49,18 +52,11 @@ def thm32_bound(p: float, n: int, a: float, b: float, p_bar: float) -> float:
     )
 
 
-def risk_difference_upper(p: float, n: int, a: float, b: float, p_bar: float) -> float:
-    """Exact risk difference: truncated-to-(0, p_bar] minus untruncated."""
-    setup = BinomialSetup(n=n)
-    trunc = EstimateTable.build(setup, PriorSpec(a=a, b=b, p_bar=p_bar))
-    unres = EstimateTable.build(setup, PriorSpec(a=a, b=b))
-    return point_risk(trunc, p) - point_risk(unres, p)
-
-
-def risk_difference_interval(
-    p: float, n: int, a: float, b: float, p_lo: float, p_bar: float
+def risk_difference(
+    p: float, n: int, a: float, b: float, p_bar: float, p_lo: float | None = None
 ) -> float:
-    """Exact risk difference: truncated-to-[p_lo, p_bar] minus untruncated."""
+    """Exact risk difference: truncated to (0, p_bar], or to [p_lo, p_bar]
+    when p_lo is given, minus untruncated."""
     setup = BinomialSetup(n=n)
     trunc = EstimateTable.build(
         setup, PriorSpec(a=a, b=b, p_bar=p_bar, p_lo=p_lo)
@@ -73,16 +69,13 @@ def standardized_risk_difference(
     p: float, n: int, a: float, b: float, p_bar: float
 ) -> float:
     """Exact risk difference divided by J(p) E_p[1/I(X+a, n+a+b+1, p_bar)]."""
-    _check_config(n, a, b)
     if not 0.0 < p <= p_bar:
         raise ValueError(f"p must be in (0, p_bar], got p={p}, p_bar={p_bar}")
-    delta = risk_difference_upper(p, n, a, b, p_bar)
+    delta = risk_difference(p, n, a, b, p_bar)
     gamma = n + a + b + 1.0
-    mean_inv_i = compensated_sum(
-        [
-            binom_pmf(x, n, p) * math.exp(-log_eval_I(x + a, gamma, p_bar))
-            for x in range(n + 1)
-        ]
+    mean_inv_i = math.fsum(
+        binom_pmf(x, n, p) * math.exp(-log_eval_I(x + a, gamma, p_bar))
+        for x in range(n + 1)
     )
     denom = eval_J(p, n, a, b, p_bar) * mean_inv_i
     assert denom > 0.0
@@ -112,7 +105,8 @@ def smallpbar_sufficient_conditions(
     p_bar <= 1/n. An undefined log argument means the bound chain does
     not apply, which we report as the condition not holding.
     """
-    _check_config(n, a, b)
+    _check_count("n", n)
+    _check_shape(a, b)
     s = n + a + b
     j0 = eval_I(a, n + a + b + 1.0, p_bar)
     j_bar = _j_at_p_bar(n, a, b, p_bar)
@@ -135,13 +129,15 @@ def smallpbar_sufficient_conditions(
 
 def thm33_necessary(n: int, a: float, b: float, p_bar: float) -> bool:
     """Necessary for domination in the upper case: p_bar < (n+a)/(n+a+b)."""
-    _check_config(n, a, b)
+    _check_count("n", n)
+    _check_shape(a, b)
     return p_bar < (n + a) / (n + a + b)
 
 
 def thm34_necessary(n: int, a: float, p_bar: float) -> bool:
     """Necessary condition for domination in the upper case with b = 1."""
-    _check_config(n, a, 1.0)
+    _check_count("n", n)
+    _check_shape(a)
     lhs = p_bar * math.log1p((1.0 - p_bar) * (a + 1.0) / (p_bar * (n + a + 1.0)))
     rhs = (1.0 - p_bar) * math.log(
         (n + a + 1.0) * (1.0 - p_bar ** (n + 1)) / ((n + 1.0) * (1.0 - p_bar))
@@ -154,7 +150,8 @@ def thm41_conditions(
 ) -> tuple[bool, bool]:
     """Sufficient pair for interval-restriction domination; both true
     certifies that the interval-truncated estimator dominates."""
-    _check_config(n, a, b)
+    _check_count("n", n)
+    _check_shape(a, b)
     if not 0.0 < p_lo < p_bar < 1.0:
         raise ValueError(f"need 0 < p_lo < p_bar < 1, got ({p_lo}, {p_bar})")
     c1 = p_bar <= (a + 1.0) / (n + a + b + 1.0)
@@ -168,8 +165,7 @@ def thm41_conditions(
 
 def cor41_conditions(a: float, c_lo: float, c_bar: float) -> bool:
     """Large-n domination regime for p_lo = c_lo/n, p_bar = c_bar/n."""
-    if a <= 0.0:
-        raise ValueError(f"a must be positive, got {a}")
+    _check_shape(a)
     if not 0.0 < c_lo < c_bar:
         raise ValueError(f"need 0 < c_lo < c_bar, got ({c_lo}, {c_bar})")
     if c_bar >= a + 1.0:
@@ -185,8 +181,7 @@ def _check_symmetric_p_bar(p_bar: float) -> None:
 def max_risk_diff_symmetric_n1_generic(a: float, p_bar: float) -> float:
     """Maximum risk difference for n = 1, b = a, p_lo = 1 - p_bar, via the
     beta-measure integrals."""
-    if a <= 0.0:
-        raise ValueError(f"a must be positive, got {a}")
+    _check_shape(a)
     _check_symmetric_p_bar(p_bar)
     p_lo = 1.0 - p_bar
     m1 = log_beta_measure(a + 1.0, a, p_lo, p_bar)
@@ -257,8 +252,7 @@ def dominance_threshold_n1(
     Bisection from an initial bracket [0.5 + 1e-4, 1 - 1e-4], shrinking
     inward if either end fails to bracket a sign change.
     """
-    if a <= 0.0:
-        raise ValueError(f"a must be positive, got {a}")
+    _check_shape(a)
     lo, hi = 0.5 + 1e-4, 1.0 - 1e-4
     f_lo = max_risk_diff_symmetric_n1(a, lo)
     f_hi = max_risk_diff_symmetric_n1(a, hi)
@@ -319,27 +313,11 @@ def exhaustive_dominance_check(
     'dominated_somewhere' when the worst difference clears the numerical
     noise ceiling of 1e-9; anything in between is 'inconclusive'.
     """
-    _check_config(n, a, b)
-    if grid_size < 2:
-        raise ValueError(f"grid_size must be >= 2, got {grid_size}")
-    if p_lo is None:
-        lo = p_bar / grid_size  # open at 0
-        restriction = "upper"
-    else:
-        if not 0.0 < p_lo < p_bar < 1.0:
-            raise ValueError(f"need 0 < p_lo < p_bar < 1, got ({p_lo}, {p_bar})")
-        lo = p_lo
-        restriction = "interval"
-    grid = [
-        lo + (p_bar - lo) * i / (grid_size - 1) for i in range(grid_size - 1)
-    ]
-    grid.append(p_bar)  # the closed upper endpoint, exactly
-
     setup = BinomialSetup(n=n)
+    prior = PriorSpec(a=a, b=b, p_bar=p_bar, p_lo=p_lo)
+    grid = p_grid(p_bar, p_lo, grid_size)
     unres = EstimateTable.build(setup, PriorSpec(a=a, b=b))
-    trunc = EstimateTable.build(
-        setup, PriorSpec(a=a, b=b, p_bar=p_bar, p_lo=p_lo)
-    )
+    trunc = EstimateTable.build(setup, prior)
     diffs = tuple(
         point_risk(trunc, p) - point_risk(unres, p) for p in grid
     )
@@ -362,7 +340,7 @@ def exhaustive_dominance_check(
     }
     bound_curve: tuple[float | None, ...] | None = None
     std_curve: tuple[float, ...] | None = None
-    if restriction == "upper":
+    if prior.restriction == "upper":
         cond_general, _ = smallpbar_sufficient_conditions(n, a, b, p_bar)
         flags["smallpbar_sufficient"] = cond_general
         bounds: list[float | None] = []
@@ -384,7 +362,7 @@ def exhaustive_dominance_check(
         n=n,
         a=a,
         b=b,
-        restriction=restriction,
+        restriction=prior.restriction,
         p_lo=p_lo,
         p_bar=p_bar,
         p_grid=tuple(grid),

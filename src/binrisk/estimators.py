@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .binom import BinomialSetup, PriorSpec
+from .binom import BinomialSetup, PriorSpec, _check_count, _check_shape
 from .incbeta import (
     bracket_term,
     eval_I_two_sided,
@@ -20,18 +20,11 @@ from .incbeta import (
 )
 
 
-def _check_x(x: int, n: int) -> None:
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n}")
-    if not isinstance(x, int) or x < 0 or x > n:
-        raise ValueError(f"x must be an integer in [0, {n}], got {x}")
-
-
 def posterior_mean_unrestricted(x: int, n: int, a: float, b: float) -> float:
     """(x + a) / (n + a + b), the Beta(x+a, n-x+b) posterior mean."""
-    _check_x(x, n)
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError(f"a and b must be positive, got ({a}, {b})")
+    _check_count("n", n)
+    _check_count("x", x, 0, n)
+    _check_shape(a, b)
     return (x + a) / (n + a + b)
 
 
@@ -39,11 +32,9 @@ def posterior_mean_upper_truncated(
     x: int, n: int, a: float, b: float, p_bar: float
 ) -> float:
     """Posterior mean under the prior truncated to (0, p_bar]."""
-    _check_x(x, n)
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError(f"a and b must be positive, got ({a}, {b})")
+    mean = posterior_mean_unrestricted(x, n, a, b)
     correction = math.exp(-log_eval_I(x + a, n + a + b, p_bar)) / (n + a + b)
-    return posterior_mean_unrestricted(x, n, a, b) - correction
+    return mean - correction
 
 
 def A_term(
@@ -51,9 +42,9 @@ def A_term(
 ) -> float:
     """The interval-truncation correction A(X); zero exactly at the
     symmetry point and of either sign in general."""
-    _check_x(x, n)
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError(f"a and b must be positive, got ({a}, {b})")
+    _check_count("n", n)
+    _check_count("x", x, 0, n)
+    _check_shape(a, b)
     numer = bracket_term(x + a, n + a + b, p_lo, p_bar)
     if numer == 0.0:
         return 0.0

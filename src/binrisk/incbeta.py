@@ -21,9 +21,10 @@ never underflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from scipy.special import betaln
+
+from .binom import _check_count, _check_shape, binom_pmf
 
 _CF_TOL = 1e-14
 _CF_MAX_ITER = 500
@@ -89,9 +90,13 @@ def log_inc_beta_lower(alpha: float, beta: float, x: float) -> float:
     whichever tail converges; the upper tail goes through the complete
     beta with a log-space subtraction.
     """
-    if alpha <= 0.0 or beta <= 0.0:
-        raise ValueError(f"alpha and beta must be positive, got ({alpha}, {beta})")
-    if x < 0.0 or x > 1.0:
+    # written so that NaN fails: a NaN exponent or x would otherwise send
+    # the upper-tail branch into endless recursion
+    if not (0.0 < alpha < math.inf and 0.0 < beta < math.inf):
+        raise ValueError(
+            f"alpha and beta must be finite and positive, got ({alpha}, {beta})"
+        )
+    if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must be in [0, 1], got {x}")
     if x == 0.0:
         return -math.inf
@@ -109,11 +114,6 @@ def log_inc_beta_lower(alpha: float, beta: float, x: float) -> float:
         # cancellation but is bounded by machine epsilon relatively
         return log_complete + math.log(2.220446049250313e-16)
     return log_complete + math.log(-math.expm1(diff))
-
-
-def inc_beta_lower(alpha: float, beta: float, x: float) -> float:
-    """int_0^x t^(alpha-1) (1-t)^(beta-1) dt; x = 1 gives the complete beta."""
-    return math.exp(log_inc_beta_lower(alpha, beta, x))
 
 
 def log_beta_measure(alpha: float, beta: float, lo: float, hi: float) -> float:
@@ -175,15 +175,7 @@ def log_eval_I_two_sided(alpha: float, gamma: float, p_lo: float, p_bar: float) 
         raise ValueError(f"need gamma > alpha > 0, got alpha={alpha}, gamma={gamma}")
     _check_interval(p_lo, p_bar)
     log_r_bar = math.log(p_bar) - math.log1p(-p_bar)
-    log_lower = log_inc_beta_lower(alpha, gamma - alpha, p_lo)
-    log_upper = log_inc_beta_lower(alpha, gamma - alpha, p_bar)
-    diff = log_lower - log_upper
-    if diff >= 0.0:
-        raise ArithmeticError(
-            f"two-sided integral lost to cancellation at "
-            f"(alpha={alpha}, gamma={gamma}, p_lo={p_lo}, p_bar={p_bar})"
-        )
-    log_num = log_upper + math.log(-math.expm1(diff))
+    log_num = log_beta_measure(alpha, gamma - alpha, p_lo, p_bar)
     return log_num - alpha * log_r_bar - gamma * math.log1p(-p_bar)
 
 
@@ -203,30 +195,17 @@ def eval_J(p: float, n: int, a: float, b: float, p_bar: float) -> float:
     Since {1 - p (1-t)}^n is the binomial generating function E_p[t^X],
     J(p) is the exact finite mixture sum_x Bin(x; n, p) I(x+a, n+a+b+1, p_bar).
     """
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError(f"a and b must be positive, got ({a}, {b})")
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n}")
+    _check_shape(a, b)
+    _check_count("n", n)
     if not 0.0 <= p < 1.0:
         raise ValueError(f"p must be in [0, 1), got {p}")
     _check_p_bar(p_bar)
     gamma = n + a + b + 1.0
     if p == 0.0:
         return eval_I(a, gamma, p_bar)
-    # local import avoids a cycle: binom only needs pure pmf machinery
-    from .binom import binom_pmf
-
-    total = 0.0
-    comp = 0.0
-    terms = sorted(
-        (binom_pmf(x, n, p) * eval_I(x + a, gamma, p_bar) for x in range(n + 1))
+    return math.fsum(
+        binom_pmf(x, n, p) * eval_I(x + a, gamma, p_bar) for x in range(n + 1)
     )
-    for term in terms:  # Kahan accumulation, smallest first
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
 
 
 def bracket_term(alpha: float, gamma: float, p_lo: float, p_bar: float) -> float:
@@ -236,8 +215,7 @@ def bracket_term(alpha: float, gamma: float, p_lo: float, p_bar: float) -> float
     evaluated as 1 - exp(...) with a clean zero when the two endpoint
     values agree to within 1e-14 relatively.
     """
-    if alpha <= 0.0 or gamma <= 0.0:
-        raise ValueError(f"alpha and gamma must be positive, got ({alpha}, {gamma})")
+    _check_shape(alpha, gamma)
     _check_interval(p_lo, p_bar)
     log_lower = alpha * (math.log(p_lo) - math.log(p_bar)) + (gamma - alpha) * (
         math.log1p(-p_lo) - math.log1p(-p_bar)
@@ -246,52 +224,3 @@ def bracket_term(alpha: float, gamma: float, p_lo: float, p_bar: float) -> float
         return 0.0
     return -math.expm1(log_lower)
 
-
-@dataclass(frozen=True)
-class IntegralParams:
-    """Parameters of the I family; gamma > alpha > 0, optional lower cut."""
-
-    alpha: float
-    gamma: float
-    p_bar: float
-    p_lo: float | None = None
-
-    def __post_init__(self) -> None:
-        if not self.gamma > self.alpha > 0.0:
-            raise ValueError(
-                f"need gamma > alpha > 0, got alpha={self.alpha}, gamma={self.gamma}"
-            )
-        if not 0.0 < self.p_bar < 1.0:
-            raise ValueError(f"p_bar must be in (0, 1), got {self.p_bar}")
-        if self.p_lo is not None and not 0.0 < self.p_lo < self.p_bar:
-            raise ValueError(
-                f"need 0 < p_lo < p_bar, got p_lo={self.p_lo}, p_bar={self.p_bar}"
-            )
-
-    def value(self) -> float:
-        if self.p_lo is None:
-            return eval_I(self.alpha, self.gamma, self.p_bar)
-        return eval_I_two_sided(self.alpha, self.gamma, self.p_lo, self.p_bar)
-
-
-@dataclass(frozen=True)
-class OddsTriple:
-    """Odds of the restriction endpoints and their ratio rho < 1."""
-
-    r_lo: float
-    r_bar: float
-
-    @property
-    def rho(self) -> float:
-        return self.r_lo / self.r_bar
-
-    @classmethod
-    def from_interval(cls, p_lo: float, p_bar: float) -> "OddsTriple":
-        _check_interval(p_lo, p_bar)
-        return cls(r_lo=p_lo / (1.0 - p_lo), r_bar=p_bar / (1.0 - p_bar))
-
-    def __post_init__(self) -> None:
-        if self.r_lo <= 0.0 or self.r_bar <= 0.0:
-            raise ValueError("odds must be positive")
-        if self.r_lo >= self.r_bar:
-            raise ValueError("need r_lo < r_bar (rho < 1)")

@@ -19,7 +19,7 @@ from scipy.special import gammainc, gammaln
 from .binom import BinomialSetup, PriorSpec
 from .estimators import EstimateTable, posterior_mean
 from .predictive import bayes_predictive
-from .risk import compensated_sum, point_risk
+from .risk import point_risk
 
 _TAIL_MASS = 1e-15
 
@@ -115,7 +115,7 @@ def poisson_entropy_risk(config: PoissonConfig, lam: float) -> float:
         k += 1
         if k > 100000:
             raise ArithmeticError("Poisson tail failed to close")
-    return compensated_sum(terms)
+    return math.fsum(terms)
 
 
 @dataclass(frozen=True)

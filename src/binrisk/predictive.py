@@ -10,17 +10,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .binom import BinomialSetup, PriorSpec, binom_pmf, log_binom_coeff
+from .binom import BinomialSetup, PriorSpec, _check_count, binom_pmf, log_binom_coeff
 from .incbeta import log_beta_measure
 
 
 def bayes_predictive(y: int, x: int, setup: BinomialSetup, prior: PriorSpec) -> float:
     """Posterior expectation of Bin(y | l, p) given X = x."""
     n, l = setup.n, setup.l
-    if not isinstance(x, int) or x < 0 or x > n:
-        raise ValueError(f"x must be an integer in [0, {n}], got {x}")
-    if not isinstance(y, int) or y < 0 or y > l:
-        raise ValueError(f"y must be an integer in [0, {l}], got {y}")
+    _check_count("x", x, 0, n)
+    _check_count("y", y, 0, l)
     lo, hi = prior.support
     log_num = log_beta_measure(y + x + prior.a, l - y + n - x + prior.b, lo, hi)
     log_den = log_beta_measure(x + prior.a, n - x + prior.b, lo, hi)

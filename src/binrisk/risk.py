@@ -1,16 +1,15 @@
-"""Exact risk evaluation under entropy loss and KL, plus numeric lemma checks.
+"""Exact risk evaluation under entropy loss and KL.
 
 The sample space is finite, so every risk here is an exact sum over
 outcomes; a seeded Monte Carlo estimator is kept only as an independent
-cross-check. Sums are accumulated smallest-term-first with Kahan
-compensation so that 1e-9 comparisons downstream are meaningful.
+cross-check. Sums go through math.fsum, which rounds correctly, so that
+1e-9 comparisons downstream are meaningful.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -19,28 +18,14 @@ from .estimators import EstimateTable
 from .predictive import PredictiveTable
 
 
-def compensated_sum(terms: Sequence[float]) -> float:
-    """Kahan-compensated sum over terms sorted by ascending magnitude."""
-    total = 0.0
-    comp = 0.0
-    for term in sorted(terms, key=abs):
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
-
-
 def point_risk(estimates: EstimateTable, p: float) -> float:
     """Exact entropy-loss risk sum_x Bin(x; n, p) L(delta(x), p)."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
     n = estimates.setup.n
-    terms = [
-        binom_pmf(x, n, p) * entropy_loss(estimates[x], p).value
-        for x in range(n + 1)
-    ]
-    return compensated_sum(terms)
+    return math.fsum(
+        binom_pmf(x, n, p) * entropy_loss(estimates[x], p) for x in range(n + 1)
+    )
 
 
 def predictive_kl_risk(
@@ -67,7 +52,7 @@ def predictive_kl_risk(
             if fhat <= 0.0:
                 raise ValueError(f"estimated mass at (x={x}, y={y}) is not positive")
             terms.append(wx * fy * (math.log(fy) - math.log(fhat)))
-    return compensated_sum(terms)
+    return math.fsum(terms)
 
 
 def bayes_predictive_tables(
@@ -85,12 +70,13 @@ def connection_sum(p: float, n: int, l: int, prior: PriorSpec) -> float:
     Equals the exact KL risk of the l-step Bayesian predictive density
     under the same prior.
     """
-    total = 0.0
-    for i in range(l):
-        setup = BinomialSetup(n=n + i)
-        table = EstimateTable.build(setup, prior)
-        total += point_risk(table, p)
-    return total
+    BinomialSetup(n=n, l=l)  # rejects l < 1, which would sum nothing
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"p must be in (0, 1), got {p}")
+    return math.fsum(
+        point_risk(EstimateTable.build(BinomialSetup(n=n + i), prior), p)
+        for i in range(l)
+    )
 
 
 def mc_risk(
@@ -106,9 +92,7 @@ def mc_risk(
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
     n = estimates.setup.n
-    losses = np.array(
-        [entropy_loss(estimates[x], p).value for x in range(n + 1)]
-    )
+    losses = np.array([entropy_loss(estimates[x], p) for x in range(n + 1)])
     rng = np.random.default_rng(seed)
     draws = rng.binomial(n, p, size=sample_count)
     counts = np.bincount(draws, minlength=n + 1)
@@ -121,73 +105,3 @@ def mc_risk(
     )
     return estimate, math.sqrt(variance / sample_count)
 
-
-def verify_second_derivative_identity(
-    phi: Sequence[float], n: int, p: float, step: float = 1e-4
-) -> tuple[float, float]:
-    """Second derivative of p E_p[phi(X)] two ways.
-
-    lhs: central second finite difference with the given step.
-    rhs: the exact expectation (1/p) E[X {(X+1)phi(X) - 2X phi(X-1)
-         + (X-1) phi(X-2)}].
-    """
-    if len(phi) != n + 1:
-        raise ValueError(f"phi must have one value per x = 0..{n}")
-    if step <= 0.0:
-        raise ValueError(f"step must be positive, got {step}")
-    if not (p - 2.0 * step > 0.0 and p + 2.0 * step < 1.0):
-        raise ValueError(f"finite-difference stencil leaves (0, 1) at p={p}")
-
-    def g(q: float) -> float:
-        return q * compensated_sum(
-            [binom_pmf(x, n, q) * phi[x] for x in range(n + 1)]
-        )
-
-    lhs = (g(p + step) - 2.0 * g(p) + g(p - step)) / step**2
-    terms = []
-    for x in range(n + 1):
-        inner = (x + 1) * phi[x]
-        if x >= 1:
-            inner -= 2 * x * phi[x - 1]
-        if x >= 2:
-            inner += (x - 1) * phi[x - 2]
-        terms.append(binom_pmf(x, n, p) * x * inner)
-    rhs = compensated_sum(terms) / p
-    return lhs, rhs
-
-
-def verify_log_jensen_bound(
-    weights: Mapping[float, float]
-) -> tuple[float, float]:
-    """E[log(1-T)] vs log(1-mu) - var/2 for a discrete T on (0, 1)."""
-    points = list(weights.keys())
-    probs = list(weights.values())
-    if any(not 0.0 < t < 1.0 for t in points):
-        raise ValueError("support points must lie strictly inside (0, 1)")
-    if any(w < 0.0 for w in probs) or abs(math.fsum(probs) - 1.0) > 1e-12:
-        raise ValueError("weights must be a probability vector")
-    mu = math.fsum(w * t for t, w in weights.items())
-    var = math.fsum(w * (t - mu) ** 2 for t, w in weights.items())
-    if var <= 0.0:
-        raise ValueError("the distribution must have positive variance")
-    lhs = math.fsum(w * math.log1p(-t) for t, w in weights.items())
-    rhs = math.log1p(-mu) - var / 2.0
-    return lhs, rhs
-
-
-@dataclass(frozen=True)
-class RiskCurve:
-    """Per-estimator exact risk values on a strictly increasing p grid."""
-
-    p_grid: tuple[float, ...]
-    values: dict[str, tuple[float, ...]]
-    meta: dict[str, object] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if any(b <= a for a, b in zip(self.p_grid, self.p_grid[1:])):
-            raise ValueError("p grid must be strictly increasing")
-        for name, vals in self.values.items():
-            if len(vals) != len(self.p_grid):
-                raise ValueError(f"curve {name!r} does not match the grid")
-            if any(v < 0.0 or not math.isfinite(v) for v in vals):
-                raise ValueError(f"curve {name!r} has invalid risk values")

@@ -3,14 +3,19 @@
 Every truncated-posterior quantity in the package is computed through
 incomplete-beta identities; the oracles here integrate the defining
 expressions directly with adaptive quadrature (substituting t = u^(1/alpha)
-to tame the endpoint singularity when alpha < 1).
+to tame the endpoint singularity when alpha < 1). The two lemma checkers
+at the end evaluate both sides of an identity or inequality the paper's
+proofs rely on.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Sequence
 
 from scipy.integrate import quad
+
+from binrisk.binom import binom_pmf
 
 QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-13, limit=200)
 
@@ -106,3 +111,54 @@ def entropy_loss_direct(d: float, p: float) -> float:
     if p < 1.0:
         total += (1.0 - p) * math.log((1.0 - p) / (1.0 - d))
     return total
+
+
+def verify_second_derivative_identity(
+    phi: Sequence[float], n: int, p: float, step: float = 1e-4
+) -> tuple[float, float]:
+    """Second derivative of p E_p[phi(X)] two ways.
+
+    lhs: central second finite difference with the given step.
+    rhs: the exact expectation (1/p) E[X {(X+1)phi(X) - 2X phi(X-1)
+         + (X-1) phi(X-2)}].
+    """
+    if len(phi) != n + 1:
+        raise ValueError(f"phi must have one value per x = 0..{n}")
+    if step <= 0.0:
+        raise ValueError(f"step must be positive, got {step}")
+    if not (p - 2.0 * step > 0.0 and p + 2.0 * step < 1.0):
+        raise ValueError(f"finite-difference stencil leaves (0, 1) at p={p}")
+
+    def g(q: float) -> float:
+        return q * math.fsum(binom_pmf(x, n, q) * phi[x] for x in range(n + 1))
+
+    lhs = (g(p + step) - 2.0 * g(p) + g(p - step)) / step**2
+    terms = []
+    for x in range(n + 1):
+        inner = (x + 1) * phi[x]
+        if x >= 1:
+            inner -= 2 * x * phi[x - 1]
+        if x >= 2:
+            inner += (x - 1) * phi[x - 2]
+        terms.append(binom_pmf(x, n, p) * x * inner)
+    rhs = math.fsum(terms) / p
+    return lhs, rhs
+
+
+def verify_log_jensen_bound(
+    weights: Mapping[float, float]
+) -> tuple[float, float]:
+    """E[log(1-T)] vs log(1-mu) - var/2 for a discrete T on (0, 1)."""
+    points = list(weights.keys())
+    probs = list(weights.values())
+    if any(not 0.0 < t < 1.0 for t in points):
+        raise ValueError("support points must lie strictly inside (0, 1)")
+    if any(w < 0.0 for w in probs) or abs(math.fsum(probs) - 1.0) > 1e-12:
+        raise ValueError("weights must be a probability vector")
+    mu = math.fsum(w * t for t, w in weights.items())
+    var = math.fsum(w * (t - mu) ** 2 for t, w in weights.items())
+    if var <= 0.0:
+        raise ValueError("the distribution must have positive variance")
+    lhs = math.fsum(w * math.log1p(-t) for t, w in weights.items())
+    rhs = math.log1p(-mu) - var / 2.0
+    return lhs, rhs

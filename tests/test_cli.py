@@ -143,6 +143,18 @@ class TestExitStatuses:
         assert code == EXIT_VALIDATION
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["risk-curve", "dominance"])
+    @pytest.mark.parametrize("grid", ["0", "1", "-3"])
+    def test_grid_below_two_is_a_validation_error(self, command, grid, capsys):
+        code = main([command, "--n", "3", "--p-bar", "0.3", "--grid", grid])
+        assert code == EXIT_VALIDATION
+        assert "grid size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("a", ["nan", "inf"])
+    def test_non_finite_shape_is_a_validation_error(self, a, capsys):
+        assert main(["threshold", "--a", a]) == EXIT_VALIDATION
+        assert "error" in capsys.readouterr().err
+
     def test_numerical_failure_near_singular_bound(self, capsys):
         code = main(["estimate", "--n", "3", "--p-bar", "0.9999999999999"])
         assert code == EXIT_NUMERICAL

@@ -10,8 +10,7 @@ from binrisk.dominance import (
     exhaustive_dominance_check,
     max_risk_diff_symmetric_n1,
     max_risk_diff_symmetric_n1_generic,
-    risk_difference_interval,
-    risk_difference_upper,
+    risk_difference,
     smallpbar_sufficient_conditions,
     standardized_risk_difference,
     thm32_bound,
@@ -33,7 +32,7 @@ class TestNecessaryConditions:
         # must be strictly positive
         for n, a, b in [(1, 1.0, 1.0), (3, 0.5, 2.0)]:
             pb = (n + a) / (n + a + b) + 0.01
-            assert risk_difference_upper(pb, n, a, b, pb) > 0.0
+            assert risk_difference(pb, n, a, b, pb) > 0.0
 
     def test_thm34_small_bound_true(self):
         assert thm34_necessary(3, 1.0, 0.01) is True
@@ -95,11 +94,11 @@ class TestBound:
     def test_standardized_sign_matches_exact_difference(self):
         p, n, a, b, pb = 0.1, 5, 1.0, 1.0, 0.2
         std = standardized_risk_difference(p, n, a, b, pb)
-        raw = risk_difference_upper(p, n, a, b, pb)
+        raw = risk_difference(p, n, a, b, pb)
         assert (std < 0.0) == (raw < 0.0)
 
     def test_wide_bound_makes_difference_vanish(self):
-        assert abs(risk_difference_upper(0.3, 2, 1.0, 1.0, 1.0 - 1e-6)) < 1e-4
+        assert abs(risk_difference(0.3, 2, 1.0, 1.0, 1.0 - 1e-6)) < 1e-4
 
     def test_domain_error_p_outside(self):
         with pytest.raises(ValueError):
@@ -132,7 +131,7 @@ class TestSymmetricMaxDifference:
             pl = 1.0 - pb
             grid = [pl + (pb - pl) * i / 256 for i in range(257)]
             worst = max(
-                risk_difference_interval(p, 1, a, a, pl, pb) for p in grid
+                risk_difference(p, 1, a, a, pb, p_lo=pl) for p in grid
             )
             assert worst == pytest.approx(
                 max_risk_diff_symmetric_n1(a, pb), abs=1e-9

@@ -8,16 +8,14 @@ from binrisk.binom import BinomialSetup, PriorSpec, binom_pmf, entropy_loss
 from binrisk.estimators import EstimateTable
 from binrisk.predictive import plug_in_density
 from binrisk.risk import (
-    RiskCurve,
     bayes_predictive_tables,
-    compensated_sum,
     connection_sum,
     mc_risk,
     point_risk,
     predictive_kl_risk,
-    verify_log_jensen_bound,
-    verify_second_derivative_identity,
 )
+
+from conftest import verify_log_jensen_bound, verify_second_derivative_identity
 
 
 class TestPointRisk:
@@ -32,9 +30,9 @@ class TestPointRisk:
     def test_two_term_oracle(self):
         # n=1, a=b=1 posterior means are 1/3 and 2/3
         table = EstimateTable.build(BinomialSetup(n=1), PriorSpec(a=1.0, b=1.0))
-        expected = 0.5 * entropy_loss(1.0 / 3.0, 0.5).value + 0.5 * entropy_loss(
+        expected = 0.5 * entropy_loss(1.0 / 3.0, 0.5) + 0.5 * entropy_loss(
             2.0 / 3.0, 0.5
-        ).value
+        )
         assert point_risk(table, 0.5) == pytest.approx(expected, rel=1e-13)
 
     def test_domain_error(self):
@@ -106,6 +104,12 @@ class TestConnectionSum:
         table = EstimateTable.build(BinomialSetup(n=3), prior)
         assert direct == pytest.approx(point_risk(table, 0.3), abs=1e-12)
 
+    @pytest.mark.parametrize("p,n,l", [(0.3, 5, 0), (7.0, 5, -2)])
+    def test_rejects_invalid_arguments(self, p, n, l):
+        # an empty step range or a p outside (0, 1) used to give 0.0
+        with pytest.raises(ValueError):
+            connection_sum(p, n, l, PriorSpec(a=1.0, b=1.0))
+
 
 class TestMonteCarlo:
     def test_deterministic_given_seed(self):
@@ -173,24 +177,3 @@ class TestLogJensenBound:
         with pytest.raises(ValueError):
             verify_log_jensen_bound({0.3: 1.0})  # zero variance
 
-
-class TestHelpers:
-    def test_compensated_sum_matches_fsum(self):
-        # many small terms whose naive left-to-right sum drifts
-        terms = [0.1] * 10_000 + [1e-12] * 1_000
-        assert compensated_sum(terms) == pytest.approx(
-            math.fsum(terms), rel=1e-15
-        )
-
-    def test_compensated_sum_order_insensitive(self):
-        terms = [3.5, -1.25, 1e-8, 7.0, -2.75]
-        assert compensated_sum(terms) == compensated_sum(terms[::-1])
-
-    def test_risk_curve_validation(self):
-        RiskCurve(p_grid=(0.1, 0.2), values={"a": (0.0, 1.0)})
-        with pytest.raises(ValueError):
-            RiskCurve(p_grid=(0.2, 0.1), values={})
-        with pytest.raises(ValueError):
-            RiskCurve(p_grid=(0.1, 0.2), values={"a": (0.0,)})
-        with pytest.raises(ValueError):
-            RiskCurve(p_grid=(0.1, 0.2), values={"a": (-1.0, 0.0)})
