@@ -11,8 +11,9 @@ Outputs (default directory: figure_data/):
     bounds in (1/2, 1), with the dominance-threshold root in the header
     comment line.
 
-Everything is produced through the command-line interface so the files are
-byte-for-byte reproducible with the documented column contract.
+The risk curves go through the command-line interface (risk-curve), so they
+follow its documented column contract; the threshold curves call
+binrisk.dominance directly. Both are byte-for-byte reproducible.
 """
 
 from __future__ import annotations

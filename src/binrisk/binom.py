@@ -22,7 +22,7 @@ def _check_count(name: str, value: int, lo: int = 1, hi: int | None = None) -> N
 
 
 def _check_shape(*shape: float) -> None:
-    """Beta exponents must lie in (0, inf); NaN fails the test too."""
+    """Beta exponents and Poisson parameters must lie in (0, inf); NaN fails too."""
     if not all(0.0 < v < math.inf for v in shape):
         raise ValueError(f"shape parameters must be finite and positive, got {shape}")
 
@@ -108,6 +108,11 @@ def binom_pmf(x: int, n: int, p: float) -> float:
     return math.exp(
         log_binom_coeff(x, n) + x * math.log(p) + (n - x) * math.log1p(-p)
     )
+
+
+def _expectation(row: list[float], n: int, p: float) -> float:
+    """E_p[row[X]] for X ~ Bin(n, p), correctly rounded."""
+    return math.fsum(binom_pmf(x, n, p) * row[x] for x in range(n + 1))
 
 
 def entropy_loss(d: float, p: float) -> float:

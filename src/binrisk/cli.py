@@ -13,15 +13,14 @@ import argparse
 import csv
 import sys
 from collections.abc import Iterable, Sequence
+from itertools import repeat
 
-from .binom import BinomialSetup, PriorSpec
+from .binom import BinomialSetup, PriorSpec, _check_count
 from .dominance import (
-    BoundUndefinedError,
+    DominanceReport,
     dominance_threshold_n1,
     exhaustive_dominance_check,
     max_risk_diff_symmetric_n1,
-    p_grid,
-    thm32_bound,
 )
 from .estimators import EstimateTable
 from .poisson import PoissonConfig, limit_convergence_report
@@ -82,40 +81,32 @@ def _cmd_predictive(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_risk_curve(args: argparse.Namespace) -> int:
+def _dominance_report(args: argparse.Namespace) -> DominanceReport:
+    """The one grid pass behind both risk-curve and dominance."""
     if args.p_bar is None:
-        raise ValueError("risk-curve requires --p-bar")
-    prior = _prior_from_args(args)
-    setup = BinomialSetup(n=args.n)
-    unres = EstimateTable.build(setup, PriorSpec(a=args.a, b=args.b))
-    trunc = EstimateTable.build(setup, prior)
-    rows = []
-    for p in p_grid(args.p_bar, args.p_lo, args.grid):
-        bound: float | None
-        if args.p_lo is None:
-            try:
-                bound = thm32_bound(p, args.n, args.a, args.b, args.p_bar)
-            except BoundUndefinedError:
-                bound = None
-        else:
-            bound = None
-        rows.append(
-            (p, point_risk(unres, p), point_risk(trunc, p), bound)
-        )
+        raise ValueError(f"{args.command} requires --p-bar")
+    return exhaustive_dominance_check(
+        args.n, args.a, args.b, args.p_bar, p_lo=args.p_lo, grid_size=args.grid
+    )
+
+
+def _cmd_risk_curve(args: argparse.Namespace) -> int:
+    report = _dominance_report(args)
     _write_csv(
         args.out,
         ["p", "risk_unrestricted", "risk_truncated", "thm32_bound"],
-        rows,
+        zip(
+            report.p_grid,
+            report.risk_unrestricted,
+            report.risk_truncated,
+            report.thm32_bound_curve or repeat(None),
+        ),
     )
     return EXIT_OK
 
 
 def _cmd_dominance(args: argparse.Namespace) -> int:
-    if args.p_bar is None:
-        raise ValueError("dominance requires --p-bar")
-    report = exhaustive_dominance_check(
-        args.n, args.a, args.b, args.p_bar, p_lo=args.p_lo, grid_size=args.grid
-    )
+    report = _dominance_report(args)
     for name, flag in sorted(report.condition_flags.items()):
         print(f"{name}: {'n/a' if flag is None else flag}")
     print(f"verdict: {report.grid_verdict}")
@@ -124,28 +115,21 @@ def _cmd_dominance(args: argparse.Namespace) -> int:
         f"(risk difference {_fmt(report.worst_difference)})"
     )
     if args.out is not None:
-        rows = []
-        for i, p in enumerate(report.p_grid):
-            bound = (
-                report.thm32_bound_curve[i]
-                if report.thm32_bound_curve is not None
-                else None
-            )
-            std = (
-                report.standardized_diff_curve[i]
-                if report.standardized_diff_curve is not None
-                else None
-            )
-            rows.append((p, report.risk_difference[i], std, bound))
         _write_csv(
             args.out,
             ["p", "risk_difference", "standardized_difference", "thm32_bound"],
-            rows,
+            zip(
+                report.p_grid,
+                report.risk_difference,
+                report.standardized_diff_curve or repeat(None),
+                report.thm32_bound_curve or repeat(None),
+            ),
         )
     return EXIT_OK
 
 
 def _cmd_threshold(args: argparse.Namespace) -> int:
+    _check_count("grid size", args.grid, lo=2)
     root = dominance_threshold_n1(args.a)
     grid = [
         0.5 + (0.5 - 1e-4) * (i + 1) / args.grid for i in range(args.grid - 1)

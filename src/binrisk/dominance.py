@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .binom import BinomialSetup, PriorSpec, _check_count, _check_shape, binom_pmf
+from .binom import BinomialSetup, PriorSpec, _check_count, _check_shape, _expectation
 from .estimators import EstimateTable
-from .incbeta import eval_I, eval_J, log_beta_measure, log_eval_I
+from .incbeta import _j_rows, eval_I, log_beta_measure
 from .risk import point_risk
 
 GRID_SLACK = 1e-12
@@ -35,21 +35,33 @@ def p_grid(p_bar: float, p_lo: float | None, size: int) -> list[float]:
     return [lo + (p_bar - lo) * i / (size - 1) for i in range(size - 1)] + [p_bar]
 
 
+def _upper_curves(
+    n: int, a: float, b: float, p_bar: float, grid: list[float]
+) -> tuple[tuple[float, ...], tuple[float | None, ...]]:
+    """The standardizer J(p) E_p[1/I(X+a, n+a+b+1, p_bar)] of the risk
+    difference and the Thm 3.2 bound (None where its log argument is
+    nonpositive) at each p of grid, from rows built once for all p."""
+    i_row, inv_row = _j_rows(n, a, b, p_bar)
+    s = n + a + b
+    scales, bounds = [], []
+    for p in grid:
+        if not 0.0 < p <= p_bar:
+            raise ValueError(f"p must be in (0, p_bar], got p={p}, p_bar={p_bar}")
+        j = _expectation(i_row, n, p)
+        scales.append(j * _expectation(inv_row, n, p))
+        arg = 1.0 - 1.0 / ((1.0 - p_bar) * s * j)
+        gain = p * math.log1p((1.0 + 1.0 / j) / (p_bar * s))
+        bounds.append((1.0 - p) * math.log(arg) + gain if arg > 0.0 else None)
+    return tuple(scales), tuple(bounds)
+
+
 def thm32_bound(p: float, n: int, a: float, b: float, p_bar: float) -> float:
     """Upper bound on the standardized risk difference (truncated minus
     untruncated) in the upper-restriction case."""
-    if not 0.0 < p <= p_bar:
-        raise ValueError(f"p must be in (0, p_bar], got p={p}, p_bar={p_bar}")
-    j = eval_J(p, n, a, b, p_bar)
-    s = n + a + b
-    arg = 1.0 - 1.0 / ((1.0 - p_bar) * s * j)
-    if arg <= 0.0:
-        raise BoundUndefinedError(
-            f"bound undefined at p={p}: log argument {arg} <= 0"
-        )
-    return (1.0 - p) * math.log(arg) + p * math.log1p(
-        (1.0 + 1.0 / j) / (p_bar * s)
-    )
+    bound = _upper_curves(n, a, b, p_bar, [p])[1][0]
+    if bound is None:
+        raise BoundUndefinedError(f"bound undefined at p={p}: log argument <= 0")
+    return bound
 
 
 def risk_difference(
@@ -69,17 +81,8 @@ def standardized_risk_difference(
     p: float, n: int, a: float, b: float, p_bar: float
 ) -> float:
     """Exact risk difference divided by J(p) E_p[1/I(X+a, n+a+b+1, p_bar)]."""
-    if not 0.0 < p <= p_bar:
-        raise ValueError(f"p must be in (0, p_bar], got p={p}, p_bar={p_bar}")
-    delta = risk_difference(p, n, a, b, p_bar)
-    gamma = n + a + b + 1.0
-    mean_inv_i = math.fsum(
-        binom_pmf(x, n, p) * math.exp(-log_eval_I(x + a, gamma, p_bar))
-        for x in range(n + 1)
-    )
-    denom = eval_J(p, n, a, b, p_bar) * mean_inv_i
-    assert denom > 0.0
-    return delta / denom
+    scale = _upper_curves(n, a, b, p_bar, [p])[0][0]
+    return risk_difference(p, n, a, b, p_bar) / scale
 
 
 def _j_at_p_bar(n: int, a: float, b: float, p_bar: float) -> float:
@@ -290,6 +293,8 @@ class DominanceReport:
     p_lo: float | None
     p_bar: float
     p_grid: tuple[float, ...]
+    risk_unrestricted: tuple[float, ...]
+    risk_truncated: tuple[float, ...]
     risk_difference: tuple[float, ...]
     thm32_bound_curve: tuple[float | None, ...] | None
     standardized_diff_curve: tuple[float, ...] | None
@@ -318,9 +323,9 @@ def exhaustive_dominance_check(
     grid = p_grid(p_bar, p_lo, grid_size)
     unres = EstimateTable.build(setup, PriorSpec(a=a, b=b))
     trunc = EstimateTable.build(setup, prior)
-    diffs = tuple(
-        point_risk(trunc, p) - point_risk(unres, p) for p in grid
-    )
+    risk_unres = tuple(point_risk(unres, p) for p in grid)
+    risk_trunc = tuple(point_risk(trunc, p) for p in grid)
+    diffs = tuple(t - u for t, u in zip(risk_trunc, risk_unres))
 
     worst_idx = max(range(len(grid)), key=lambda i: diffs[i])
     worst = diffs[worst_idx]
@@ -343,16 +348,8 @@ def exhaustive_dominance_check(
     if prior.restriction == "upper":
         cond_general, _ = smallpbar_sufficient_conditions(n, a, b, p_bar)
         flags["smallpbar_sufficient"] = cond_general
-        bounds: list[float | None] = []
-        for p in grid:
-            try:
-                bounds.append(thm32_bound(p, n, a, b, p_bar))
-            except BoundUndefinedError:
-                bounds.append(None)
-        bound_curve = tuple(bounds)
-        std_curve = tuple(
-            standardized_risk_difference(p, n, a, b, p_bar) for p in grid
-        )
+        scales, bound_curve = _upper_curves(n, a, b, p_bar, grid)
+        std_curve = tuple(d / scale for d, scale in zip(diffs, scales))
     else:
         c1, c2 = thm41_conditions(n, a, b, p_lo, p_bar)
         flags["thm41_c1"] = c1
@@ -366,6 +363,8 @@ def exhaustive_dominance_check(
         p_lo=p_lo,
         p_bar=p_bar,
         p_grid=tuple(grid),
+        risk_unrestricted=risk_unres,
+        risk_truncated=risk_trunc,
         risk_difference=diffs,
         thm32_bound_curve=bound_curve,
         standardized_diff_curve=std_curve,

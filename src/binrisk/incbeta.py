@@ -24,7 +24,7 @@ import math
 
 from scipy.special import betaln
 
-from .binom import _check_count, _check_shape, binom_pmf
+from .binom import _check_count, _check_shape, _expectation
 
 _CF_TOL = 1e-14
 _CF_MAX_ITER = 500
@@ -153,14 +153,19 @@ def log_eval_I(alpha: float, gamma: float, p_bar: float) -> float:
     )
 
 
-def eval_I(alpha: float, gamma: float, p_bar: float) -> float:
-    """I(alpha, gamma, p_bar) = int_0^1 t^(alpha-1) / {1 - p_bar (1-t)}^gamma dt."""
+def _exp_I(log_value: float, *args: float) -> float:
+    """exp of log I(*args), with overflow reported as a singular bound."""
     try:
-        return math.exp(log_eval_I(alpha, gamma, p_bar))
+        return math.exp(log_value)
     except OverflowError as exc:
         raise SingularBoundError(
-            f"I({alpha}, {gamma}, {p_bar}) overflows double precision"
+            f"I({', '.join(map(str, args))}) overflows double precision"
         ) from exc
+
+
+def eval_I(alpha: float, gamma: float, p_bar: float) -> float:
+    """I(alpha, gamma, p_bar) = int_0^1 t^(alpha-1) / {1 - p_bar (1-t)}^gamma dt."""
+    return _exp_I(log_eval_I(alpha, gamma, p_bar), alpha, gamma, p_bar)
 
 
 def _check_interval(p_lo: float, p_bar: float) -> None:
@@ -181,12 +186,8 @@ def log_eval_I_two_sided(alpha: float, gamma: float, p_lo: float, p_bar: float) 
 
 def eval_I_two_sided(alpha: float, gamma: float, p_lo: float, p_bar: float) -> float:
     """I(alpha, gamma, p_lo, p_bar) = int_rho^1 t^(alpha-1) / {1 - p_bar (1-t)}^gamma dt."""
-    try:
-        return math.exp(log_eval_I_two_sided(alpha, gamma, p_lo, p_bar))
-    except OverflowError as exc:
-        raise SingularBoundError(
-            f"I({alpha}, {gamma}, {p_lo}, {p_bar}) overflows double precision"
-        ) from exc
+    log_value = log_eval_I_two_sided(alpha, gamma, p_lo, p_bar)
+    return _exp_I(log_value, alpha, gamma, p_lo, p_bar)
 
 
 def eval_J(p: float, n: int, a: float, b: float, p_bar: float) -> float:
@@ -195,17 +196,21 @@ def eval_J(p: float, n: int, a: float, b: float, p_bar: float) -> float:
     Since {1 - p (1-t)}^n is the binomial generating function E_p[t^X],
     J(p) is the exact finite mixture sum_x Bin(x; n, p) I(x+a, n+a+b+1, p_bar).
     """
-    _check_shape(a, b)
-    _check_count("n", n)
     if not 0.0 <= p < 1.0:
         raise ValueError(f"p must be in [0, 1), got {p}")
+    return _expectation(_j_rows(n, a, b, p_bar)[0], n, p)
+
+
+def _j_rows(n: int, a: float, b: float, p_bar: float) -> tuple[list[float], list[float]]:
+    """I(x+a, n+a+b+1, p_bar) and exp(-log I) for x = 0..n: the rows whose
+    binomial expectations are J(p) and E_p[1/I]; neither depends on p."""
+    _check_shape(a, b)
+    _check_count("n", n)
     _check_p_bar(p_bar)
     gamma = n + a + b + 1.0
-    if p == 0.0:
-        return eval_I(a, gamma, p_bar)
-    return math.fsum(
-        binom_pmf(x, n, p) * eval_I(x + a, gamma, p_bar) for x in range(n + 1)
-    )
+    log_i = [log_eval_I(x + a, gamma, p_bar) for x in range(n + 1)]
+    i_row = [_exp_I(v, x + a, gamma, p_bar) for x, v in enumerate(log_i)]
+    return i_row, [math.exp(-v) for v in log_i]
 
 
 def bracket_term(alpha: float, gamma: float, p_lo: float, p_bar: float) -> float:

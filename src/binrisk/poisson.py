@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from scipy.special import gammainc, gammaln
 
-from .binom import BinomialSetup, PriorSpec
+from .binom import BinomialSetup, PriorSpec, _check_shape
 from .estimators import EstimateTable, posterior_mean
 from .predictive import bayes_predictive
 from .risk import point_risk
@@ -34,10 +34,9 @@ class PoissonConfig:
     lambda_bar: float | None = None
 
     def __post_init__(self) -> None:
-        if self.r <= 0.0 or self.s <= 0.0 or self.a <= 0.0:
-            raise ValueError("r, s, and a must be positive")
-        if self.lambda_bar is not None and self.lambda_bar <= 0.0:
-            raise ValueError(f"lambda_bar must be positive, got {self.lambda_bar}")
+        _check_shape(self.r, self.s, self.a)
+        if self.lambda_bar is not None:
+            _check_shape(self.lambda_bar)
 
 
 def _log_lower_gamma(alpha: float, z: float) -> float:

@@ -13,7 +13,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .binom import BinomialSetup, PriorSpec, binom_pmf, entropy_loss
+from .binom import BinomialSetup, PriorSpec, _expectation, binom_pmf, entropy_loss
 from .estimators import EstimateTable
 from .predictive import PredictiveTable
 
@@ -22,10 +22,8 @@ def point_risk(estimates: EstimateTable, p: float) -> float:
     """Exact entropy-loss risk sum_x Bin(x; n, p) L(delta(x), p)."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
-    n = estimates.setup.n
-    return math.fsum(
-        binom_pmf(x, n, p) * entropy_loss(estimates[x], p) for x in range(n + 1)
-    )
+    losses = [entropy_loss(d, p) for d in estimates.values]
+    return _expectation(losses, estimates.setup.n, p)
 
 
 def predictive_kl_risk(

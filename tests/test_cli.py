@@ -111,6 +111,24 @@ class TestDominance:
         assert "thm41_c1: False" in text
 
 
+class TestCurvePathsAgree:
+    @pytest.mark.parametrize(
+        "flags",
+        [["--n", "5", "--p-bar", "0.3"],
+         ["--n", "9", "--a", "0.5", "--b", "3", "--p-bar", "0.4"]],
+    )
+    def test_risk_curve_and_dominance_share_one_curve(self, tmp_path, flags):
+        curve, dom = tmp_path / "curve.csv", tmp_path / "dom.csv"
+        grid = ["--grid", "64"]
+        assert main(["risk-curve", *flags, *grid, "--out", str(curve)]) == EXIT_OK
+        assert main(["dominance", *flags, *grid, "--out", str(dom)]) == EXIT_OK
+        _, curve_rows = read_csv(curve)
+        _, dom_rows = read_csv(dom)
+        assert [(r[0], r[3]) for r in curve_rows] == [(r[0], r[3]) for r in dom_rows]
+        for (_, unres, trunc, _), (_, diff, _, _) in zip(curve_rows, dom_rows):
+            assert float(trunc) - float(unres) == float(diff)
+
+
 class TestThreshold:
     def test_root_reported(self, capsys):
         code = main(["threshold", "--a", "1", "--grid", "8"])
@@ -143,16 +161,23 @@ class TestExitStatuses:
         assert code == EXIT_VALIDATION
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["risk-curve", "dominance"])
+    @pytest.mark.parametrize("command", ["risk-curve", "dominance", "threshold"])
     @pytest.mark.parametrize("grid", ["0", "1", "-3"])
     def test_grid_below_two_is_a_validation_error(self, command, grid, capsys):
-        code = main([command, "--n", "3", "--p-bar", "0.3", "--grid", grid])
+        flags = ["--a", "1"] if command == "threshold" else ["--n", "3", "--p-bar", "0.3"]
+        code = main([command, *flags, "--grid", grid])
         assert code == EXIT_VALIDATION
         assert "grid size" in capsys.readouterr().err
 
     @pytest.mark.parametrize("a", ["nan", "inf"])
     def test_non_finite_shape_is_a_validation_error(self, a, capsys):
         assert main(["threshold", "--a", a]) == EXIT_VALIDATION
+        assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--r", "--s", "--a", "--lambda-bar"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_poisson_flag_is_a_validation_error(self, flag, value, capsys):
+        assert main(["poisson-limit", flag, value, "--k-grid", "10"]) == EXIT_VALIDATION
         assert "error" in capsys.readouterr().err
 
     def test_numerical_failure_near_singular_bound(self, capsys):

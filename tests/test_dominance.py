@@ -18,6 +18,7 @@ from binrisk.dominance import (
     thm34_necessary,
     thm41_conditions,
 )
+from binrisk import estimators, incbeta
 from binrisk.incbeta import eval_J
 
 
@@ -194,3 +195,35 @@ class TestExhaustiveCheck:
     def test_grid_size_validation(self):
         with pytest.raises(ValueError):
             exhaustive_dominance_check(1, 1.0, 1.0, 0.3, grid_size=1)
+
+    @pytest.mark.parametrize(
+        "n, a, b, pb", [(5, 1.0, 1.0, 0.3), (9, 0.5, 3.0, 0.4), (1, 2.0, 1.0, 0.6)]
+    )
+    def test_curves_equal_scalar_functions_bit_for_bit(self, n, a, b, pb):
+        report = exhaustive_dominance_check(n, a, b, pb, grid_size=64)
+        for i, p in enumerate(report.p_grid):
+            assert report.thm32_bound_curve[i] == thm32_bound(p, n, a, b, pb)
+            assert report.standardized_diff_curve[i] == standardized_risk_difference(
+                p, n, a, b, pb
+            )
+            assert report.risk_difference[i] == risk_difference(p, n, a, b, pb)
+            assert report.risk_difference[i] == (
+                report.risk_truncated[i] - report.risk_unrestricted[i]
+            )
+
+    def test_kernel_calls_do_not_grow_with_the_grid(self, monkeypatch):
+        kernel = incbeta.log_inc_beta_lower
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(incbeta, "log_inc_beta_lower", counting)
+        counts = []
+        for grid_size in (16, 512):
+            estimators._build_table.cache_clear()
+            calls.clear()
+            exhaustive_dominance_check(5, 1.0, 1.0, 0.3, grid_size=grid_size)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0

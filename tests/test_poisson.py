@@ -45,6 +45,11 @@ class TestPosteriorMean:
             PoissonConfig(r=0.0)
         with pytest.raises(ValueError):
             PoissonConfig(r=1.0, lambda_bar=-1.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            for kwargs in ({"r": bad}, {"r": 1.0, "s": bad}, {"r": 1.0, "a": bad},
+                           {"r": 1.0, "lambda_bar": bad}):
+                with pytest.raises(ValueError):
+                    PoissonConfig(**kwargs)
 
 
 class TestPredictive:
