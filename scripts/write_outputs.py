@@ -1,0 +1,140 @@
+#!/usr/bin/env python3
+"""Write every reviewed output of this checkout into one directory, and
+compare two such directories value by value.
+
+    python scripts/write_outputs.py OUT_DIR [--against OTHER_DIR]
+
+OUT_DIR receives the 14 figure CSVs of scripts/make_figure_data.py under
+figures/ and, for each command in COMMANDS, its stdout, stderr and exit
+status (cmdNN.stdout, cmdNN.stderr, cmdNN.exit), the CSV it writes through
+--out F (cmdNN.csv) and the command line itself (cmdNN.cmd). Everything runs
+in fresh interpreters against the src/ next to this script, so a copy of the
+script placed in another checkout writes that checkout's outputs.
+
+With --against, each file that differs from its namesake in OTHER_DIR is
+listed with the number of changed values and the largest relative change
+(values are the tokens between commas, blanks, brackets and colons); a
+change in a non-numeric token reads as an infinite relative change. The
+exit status is 1 when any file differs or exists on one side only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import math
+import os
+import pathlib
+import re
+import shlex
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# "F" stands for the CSV path of --out.
+COMMANDS = (
+    "dominance --n 5 --p-bar 0.3 --grid 128 --out F",
+    "dominance --n 3 --p-lo 0.2 --p-bar 0.6 --grid 64",
+    "risk-curve --n 30 --a 0.5 --b 3 --p-bar 0.45",
+    "risk-curve --n 4 --a 2 --p-lo 0.1 --p-bar 0.5 --grid 64",
+    "estimate --n 50 --p-bar 0.2 --p 0.1 --mc-samples 100",
+    "predictive --n 6 --l 4 --x 2 --p-lo 0.1 --p-bar 0.4",
+    "poisson-limit --lambda-bar 1 --k-grid 10 100 1000",
+    "threshold --a 2",
+    "risk-curve --n 10000 --p-bar 0.3 --grid 8",
+)
+
+_TOKEN = re.compile(r"[^\s,()\[\]:=;]+")
+
+
+def _run(argv: list[str]) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env
+    )
+
+
+def write_outputs(out_dir: pathlib.Path) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    figures = _run(
+        [str(ROOT / "scripts" / "make_figure_data.py"), "--outdir", str(out_dir / "figures")]
+    )
+    if figures.returncode != 0:
+        raise SystemExit(f"make_figure_data.py failed:\n{figures.stderr}")
+    for i, command in enumerate(COMMANDS, start=1):
+        stem = out_dir / f"cmd{i:02d}"
+        csv_path = str(stem.with_suffix(".csv"))
+        argv = [csv_path if arg == "F" else arg for arg in shlex.split(command)]
+        result = _run(["-m", "binrisk", *argv])
+        stem.with_suffix(".cmd").write_text(f"binrisk {command}\n")
+        stem.with_suffix(".stdout").write_text(result.stdout)
+        stem.with_suffix(".stderr").write_text(result.stderr)
+        stem.with_suffix(".exit").write_text(f"{result.returncode}\n")
+
+
+def compare_values(ours: str, theirs: str) -> tuple[int, int, float] | None:
+    """(changed, total, largest relative change) over the value tokens, or
+    None when the two texts do not hold the same number of values."""
+    a, b = _TOKEN.findall(ours), _TOKEN.findall(theirs)
+    if len(a) != len(b):
+        return None
+    changed, worst = 0, 0.0
+    for u, v in zip(a, b):
+        if u == v:
+            continue
+        changed += 1
+        try:
+            x, y = float(u), float(v)
+        except ValueError:
+            worst = math.inf
+            continue
+        scale = max(abs(x), abs(y))
+        rel = abs(x - y) / scale if scale else 0.0
+        worst = max(worst, rel if rel == rel else math.inf)
+    return changed, len(a), worst
+
+
+def report(out_dir: pathlib.Path, other_dir: pathlib.Path) -> int:
+    def files(root: pathlib.Path) -> set[pathlib.Path]:
+        return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
+
+    ours, theirs = files(out_dir), files(other_dir)
+    differing = 0
+    for rel in sorted(ours | theirs):
+        if rel not in theirs or rel not in ours:
+            side = out_dir if rel in ours else other_dir
+            print(f"{rel}: only in {side}")
+            differing += 1
+            continue
+        mine, other = (out_dir / rel).read_text(), (other_dir / rel).read_text()
+        if mine == other:
+            continue
+        differing += 1
+        values = compare_values(mine, other)
+        if values is None:
+            print(f"{rel}: the number of values differs")
+        else:
+            changed, total, worst = values
+            print(f"{rel}: {changed} of {total} values changed, "
+                  f"largest relative change {worst:.2g}")
+    total = len(ours | theirs)
+    print(f"{total - differing} of {total} files identical")
+    return 1 if differing else 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    parser.add_argument("out_dir", type=pathlib.Path)
+    parser.add_argument("--against", type=pathlib.Path, default=None)
+    args = parser.parse_args(argv)
+    write_outputs(args.out_dir)
+    return 0 if args.against is None else report(args.out_dir, args.against)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

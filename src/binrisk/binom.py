@@ -1,4 +1,4 @@
-"""Binomial model primitives: pmf and entropy loss.
+"""Binomial model primitives: pmf rows and entropy-loss rows.
 
 Also holds the two descriptor dataclasses shared across the package:
 the trial-count setup and the (possibly truncated) beta prior, and the
@@ -8,6 +8,7 @@ count and shape checks that guard every entry point taking raw values.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -21,10 +22,11 @@ def _check_count(name: str, value: int, lo: int = 1, hi: int | None = None) -> N
         raise ValueError(f"{name} must be an integer {span}, got {value}")
 
 
-def _check_shape(*shape: float) -> None:
+def _check_shape(**shape: float) -> None:
     """Beta exponents and Poisson parameters must lie in (0, inf); NaN fails too."""
-    if not all(0.0 < v < math.inf for v in shape):
-        raise ValueError(f"shape parameters must be finite and positive, got {shape}")
+    for name, value in shape.items():
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -55,7 +57,7 @@ class PriorSpec:
     p_lo: float | None = None
 
     def __post_init__(self) -> None:
-        _check_shape(self.a, self.b)
+        _check_shape(a=self.a, b=self.b)
         if self.p_lo is not None and self.p_bar is None:
             raise ValueError("a lower bound requires an upper bound")
         if self.p_bar is not None and not 0.0 < self.p_bar < 1.0:
@@ -82,50 +84,47 @@ class PriorSpec:
 
 @lru_cache(maxsize=256)
 def _log_binom_coeffs(n: int) -> tuple[float, ...]:
+    """log C(n, x) for x = 0..n, cached per n since risk sums revisit every x."""
     lg = gammaln(n + 1)
     return tuple(
         float(lg - gammaln(x + 1) - gammaln(n - x + 1)) for x in range(n + 1)
     )
 
 
-def log_binom_coeff(x: int, n: int) -> float:
-    """log C(n, x), cached per n since risk sums revisit every x."""
-    return _log_binom_coeffs(n)[x]
-
-
-def binom_pmf(x: int, n: int, p: float) -> float:
-    """C(n,x) p^x (1-p)^(n-x), in log space, with 0^0 := 1 at the endpoints."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n}")
-    if not isinstance(x, int) or x < 0 or x > n:
-        raise ValueError(f"x must be an integer in [0, {n}], got {x}")
+def _check_p(p: float) -> None:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
-    if p == 0.0:
-        return 1.0 if x == 0 else 0.0
-    if p == 1.0:
-        return 1.0 if x == n else 0.0
-    return math.exp(
-        log_binom_coeff(x, n) + x * math.log(p) + (n - x) * math.log1p(-p)
-    )
 
 
-def _expectation(row: list[float], n: int, p: float) -> float:
-    """E_p[row[X]] for X ~ Bin(n, p), correctly rounded."""
-    return math.fsum(binom_pmf(x, n, p) * row[x] for x in range(n + 1))
+def pmf_row(n: int, p: float) -> list[float]:
+    """C(n,x) p^x (1-p)^(n-x) for x = 0..n, in log space, with 0^0 := 1."""
+    _check_count("n", n)
+    _check_p(p)
+    if p in (0.0, 1.0):  # all mass at x = n p
+        return [1.0 if x == n * p else 0.0 for x in range(n + 1)]
+    log_p, log_q = math.log(p), math.log1p(-p)
+    return [
+        math.exp(c + x * log_p + (n - x) * log_q)
+        for x, c in enumerate(_log_binom_coeffs(n))
+    ]
 
 
-def entropy_loss(d: float, p: float) -> float:
-    """p log(p/d) + (1-p) log((1-p)/(1-d)); p may sit at 0 or 1."""
-    if not 0.0 < d < 1.0:
-        raise ValueError(f"estimate d must be in (0, 1), got {d}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    total = 0.0
-    if p > 0.0:
-        total += p * (math.log(p) - math.log(d))
-    if p < 1.0:
-        total += (1.0 - p) * (math.log1p(-p) - math.log1p(-d))
+def _expectation(weights: Sequence[float], values: Sequence[float]) -> float:
+    """sum_x weights[x] values[x], correctly rounded."""
+    return math.fsum(w * v for w, v in zip(weights, values, strict=True))
+
+
+def entropy_losses(ds: Sequence[float], p: float) -> list[float]:
+    """p log(p/d) + (1-p) log((1-p)/(1-d)) for each d; p may sit at 0 or 1."""
+    _check_p(p)
+    for d in ds:
+        if not 0.0 < d < 1.0:
+            raise ValueError(f"estimate d must be in (0, 1), got {d}")
+    # 0 log 0 := 0, so an endpoint p drops its term
+    log_p = math.log(p) if p > 0.0 else 0.0
+    log_q = math.log1p(-p) if p < 1.0 else 0.0
     # tiny negative values are pure rounding: the loss is a KL divergence
-    return max(total, 0.0)
-
+    return [
+        max(p * (log_p - math.log(d)) + (1.0 - p) * (log_q - math.log1p(-d)), 0.0)
+        for d in ds
+    ]

@@ -57,10 +57,12 @@ def _prior_from_args(args: argparse.Namespace) -> PriorSpec:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
+    if args.mc_samples and args.p is None:
+        raise ValueError("--mc-samples requires --p")
     prior = _prior_from_args(args)
     table = EstimateTable.build(BinomialSetup(n=args.n), prior)
     rows = [(x, table[x]) for x in range(args.n + 1)]
-    if args.mc_samples and args.p is not None:
+    if args.mc_samples:
         est, se = mc_risk(table, args.p, args.mc_samples, args.seed)
         exact = point_risk(table, args.p)
         print(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .binom import BinomialSetup, PriorSpec, _check_count, _check_shape, _expectation
+from .binom import BinomialSetup, PriorSpec, _check_count, _check_shape, _expectation, pmf_row
 from .estimators import EstimateTable
 from .incbeta import _j_rows, eval_I, log_beta_measure
 from .risk import point_risk
@@ -47,8 +47,9 @@ def _upper_curves(
     for p in grid:
         if not 0.0 < p <= p_bar:
             raise ValueError(f"p must be in (0, p_bar], got p={p}, p_bar={p_bar}")
-        j = _expectation(i_row, n, p)
-        scales.append(j * _expectation(inv_row, n, p))
+        w = pmf_row(n, p)
+        j = _expectation(w, i_row)
+        scales.append(j * _expectation(w, inv_row))
         arg = 1.0 - 1.0 / ((1.0 - p_bar) * s * j)
         gain = p * math.log1p((1.0 + 1.0 / j) / (p_bar * s))
         bounds.append((1.0 - p) * math.log(arg) + gain if arg > 0.0 else None)
@@ -109,7 +110,7 @@ def smallpbar_sufficient_conditions(
     not apply, which we report as the condition not holding.
     """
     _check_count("n", n)
-    _check_shape(a, b)
+    _check_shape(a=a, b=b)
     s = n + a + b
     j0 = eval_I(a, n + a + b + 1.0, p_bar)
     j_bar = _j_at_p_bar(n, a, b, p_bar)
@@ -133,14 +134,14 @@ def smallpbar_sufficient_conditions(
 def thm33_necessary(n: int, a: float, b: float, p_bar: float) -> bool:
     """Necessary for domination in the upper case: p_bar < (n+a)/(n+a+b)."""
     _check_count("n", n)
-    _check_shape(a, b)
+    _check_shape(a=a, b=b)
     return p_bar < (n + a) / (n + a + b)
 
 
 def thm34_necessary(n: int, a: float, p_bar: float) -> bool:
     """Necessary condition for domination in the upper case with b = 1."""
     _check_count("n", n)
-    _check_shape(a)
+    _check_shape(a=a)
     lhs = p_bar * math.log1p((1.0 - p_bar) * (a + 1.0) / (p_bar * (n + a + 1.0)))
     rhs = (1.0 - p_bar) * math.log(
         (n + a + 1.0) * (1.0 - p_bar ** (n + 1)) / ((n + 1.0) * (1.0 - p_bar))
@@ -154,7 +155,7 @@ def thm41_conditions(
     """Sufficient pair for interval-restriction domination; both true
     certifies that the interval-truncated estimator dominates."""
     _check_count("n", n)
-    _check_shape(a, b)
+    _check_shape(a=a, b=b)
     if not 0.0 < p_lo < p_bar < 1.0:
         raise ValueError(f"need 0 < p_lo < p_bar < 1, got ({p_lo}, {p_bar})")
     c1 = p_bar <= (a + 1.0) / (n + a + b + 1.0)
@@ -168,7 +169,7 @@ def thm41_conditions(
 
 def cor41_conditions(a: float, c_lo: float, c_bar: float) -> bool:
     """Large-n domination regime for p_lo = c_lo/n, p_bar = c_bar/n."""
-    _check_shape(a)
+    _check_shape(a=a)
     if not 0.0 < c_lo < c_bar:
         raise ValueError(f"need 0 < c_lo < c_bar, got ({c_lo}, {c_bar})")
     if c_bar >= a + 1.0:
@@ -184,7 +185,7 @@ def _check_symmetric_p_bar(p_bar: float) -> None:
 def max_risk_diff_symmetric_n1_generic(a: float, p_bar: float) -> float:
     """Maximum risk difference for n = 1, b = a, p_lo = 1 - p_bar, via the
     beta-measure integrals."""
-    _check_shape(a)
+    _check_shape(a=a)
     _check_symmetric_p_bar(p_bar)
     p_lo = 1.0 - p_bar
     m1 = log_beta_measure(a + 1.0, a, p_lo, p_bar)
@@ -255,7 +256,7 @@ def dominance_threshold_n1(
     Bisection from an initial bracket [0.5 + 1e-4, 1 - 1e-4], shrinking
     inward if either end fails to bracket a sign change.
     """
-    _check_shape(a)
+    _check_shape(a=a)
     lo, hi = 0.5 + 1e-4, 1.0 - 1e-4
     f_lo = max_risk_diff_symmetric_n1(a, lo)
     f_hi = max_risk_diff_symmetric_n1(a, hi)

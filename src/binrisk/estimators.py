@@ -24,7 +24,7 @@ def posterior_mean_unrestricted(x: int, n: int, a: float, b: float) -> float:
     """(x + a) / (n + a + b), the Beta(x+a, n-x+b) posterior mean."""
     _check_count("n", n)
     _check_count("x", x, 0, n)
-    _check_shape(a, b)
+    _check_shape(a=a, b=b)
     return (x + a) / (n + a + b)
 
 
@@ -44,7 +44,7 @@ def A_term(
     symmetry point and of either sign in general."""
     _check_count("n", n)
     _check_count("x", x, 0, n)
-    _check_shape(a, b)
+    _check_shape(a=a, b=b)
     numer = bracket_term(x + a, n + a + b, p_lo, p_bar)
     if numer == 0.0:
         return 0.0

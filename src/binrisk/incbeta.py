@@ -24,7 +24,7 @@ import math
 
 from scipy.special import betaln
 
-from .binom import _check_count, _check_shape, _expectation
+from .binom import _check_count, _check_shape, _expectation, pmf_row
 
 _CF_TOL = 1e-14
 _CF_MAX_ITER = 500
@@ -198,13 +198,13 @@ def eval_J(p: float, n: int, a: float, b: float, p_bar: float) -> float:
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"p must be in [0, 1), got {p}")
-    return _expectation(_j_rows(n, a, b, p_bar)[0], n, p)
+    return _expectation(pmf_row(n, p), _j_rows(n, a, b, p_bar)[0])
 
 
 def _j_rows(n: int, a: float, b: float, p_bar: float) -> tuple[list[float], list[float]]:
     """I(x+a, n+a+b+1, p_bar) and exp(-log I) for x = 0..n: the rows whose
     binomial expectations are J(p) and E_p[1/I]; neither depends on p."""
-    _check_shape(a, b)
+    _check_shape(a=a, b=b)
     _check_count("n", n)
     _check_p_bar(p_bar)
     gamma = n + a + b + 1.0
@@ -220,7 +220,7 @@ def bracket_term(alpha: float, gamma: float, p_lo: float, p_bar: float) -> float
     evaluated as 1 - exp(...) with a clean zero when the two endpoint
     values agree to within 1e-14 relatively.
     """
-    _check_shape(alpha, gamma)
+    _check_shape(alpha=alpha, gamma=gamma)
     _check_interval(p_lo, p_bar)
     log_lower = alpha * (math.log(p_lo) - math.log(p_bar)) + (gamma - alpha) * (
         math.log1p(-p_lo) - math.log1p(-p_bar)

@@ -34,9 +34,9 @@ class PoissonConfig:
     lambda_bar: float | None = None
 
     def __post_init__(self) -> None:
-        _check_shape(self.r, self.s, self.a)
+        _check_shape(r=self.r, s=self.s, a=self.a)
         if self.lambda_bar is not None:
-            _check_shape(self.lambda_bar)
+            _check_shape(lambda_bar=self.lambda_bar)
 
 
 def _log_lower_gamma(alpha: float, z: float) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .binom import BinomialSetup, PriorSpec, _check_count, binom_pmf, log_binom_coeff
+from .binom import BinomialSetup, PriorSpec, _check_count, _log_binom_coeffs, pmf_row
 from .incbeta import log_beta_measure
 
 
@@ -22,14 +22,15 @@ def bayes_predictive(y: int, x: int, setup: BinomialSetup, prior: PriorSpec) -> 
     lo, hi = prior.support
     log_num = log_beta_measure(y + x + prior.a, l - y + n - x + prior.b, lo, hi)
     log_den = log_beta_measure(x + prior.a, n - x + prior.b, lo, hi)
-    return math.exp(log_binom_coeff(y, l) + log_num - log_den)
+    return math.exp(_log_binom_coeffs(l)[y] + log_num - log_den)
 
 
 def plug_in_density(y: int, l: int, d: float) -> float:
     """Bin(y | l, d) at a point estimate d of p."""
     if not 0.0 < d < 1.0:
         raise ValueError(f"plug-in estimate d must be in (0, 1), got {d}")
-    return binom_pmf(y, l, d)
+    _check_count("y", y, 0, l)
+    return pmf_row(l, d)[y]
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .binom import BinomialSetup, PriorSpec, _expectation, binom_pmf, entropy_loss
+from .binom import BinomialSetup, PriorSpec, _expectation, entropy_losses, pmf_row
 from .estimators import EstimateTable
 from .predictive import PredictiveTable
 
@@ -22,8 +22,9 @@ def point_risk(estimates: EstimateTable, p: float) -> float:
     """Exact entropy-loss risk sum_x Bin(x; n, p) L(delta(x), p)."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
-    losses = [entropy_loss(d, p) for d in estimates.values]
-    return _expectation(losses, estimates.setup.n, p)
+    return _expectation(
+        pmf_row(estimates.setup.n, p), entropy_losses(estimates.values, p)
+    )
 
 
 def predictive_kl_risk(
@@ -38,15 +39,14 @@ def predictive_kl_risk(
     n, l = setup.n, setup.l
     if len(tables) != n + 1:
         raise ValueError(f"need a table for every x = 0..{n}")
+    if any(len(table) != l + 1 for table in tables):
+        raise ValueError(f"need a mass for every y = 0..{l} in every table")
+    f = pmf_row(l, p)
     terms = []
-    for x in range(n + 1):
-        wx = binom_pmf(x, n, p)
-        table = tables[x]
-        for y in range(l + 1):
-            fy = binom_pmf(y, l, p)
+    for x, (wx, table) in enumerate(zip(pmf_row(n, p), tables)):
+        for y, (fy, fhat) in enumerate(zip(f, table)):
             if fy == 0.0:
                 continue
-            fhat = table[y]
             if fhat <= 0.0:
                 raise ValueError(f"estimated mass at (x={x}, y={y}) is not positive")
             terms.append(wx * fy * (math.log(fy) - math.log(fhat)))
@@ -90,7 +90,7 @@ def mc_risk(
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
     n = estimates.setup.n
-    losses = np.array([entropy_loss(estimates[x], p) for x in range(n + 1)])
+    losses = np.array(entropy_losses(estimates.values, p))
     rng = np.random.default_rng(seed)
     draws = rng.binomial(n, p, size=sample_count)
     counts = np.bincount(draws, minlength=n + 1)

@@ -15,7 +15,7 @@ from collections.abc import Mapping, Sequence
 
 from scipy.integrate import quad
 
-from binrisk.binom import binom_pmf
+from binrisk.binom import pmf_row
 
 QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-13, limit=200)
 
@@ -130,9 +130,10 @@ def verify_second_derivative_identity(
         raise ValueError(f"finite-difference stencil leaves (0, 1) at p={p}")
 
     def g(q: float) -> float:
-        return q * math.fsum(binom_pmf(x, n, q) * phi[x] for x in range(n + 1))
+        return q * math.fsum(w * v for w, v in zip(pmf_row(n, q), phi))
 
     lhs = (g(p + step) - 2.0 * g(p) + g(p - step)) / step**2
+    weights = pmf_row(n, p)
     terms = []
     for x in range(n + 1):
         inner = (x + 1) * phi[x]
@@ -140,7 +141,7 @@ def verify_second_derivative_identity(
             inner -= 2 * x * phi[x - 1]
         if x >= 2:
             inner += (x - 1) * phi[x - 2]
-        terms.append(binom_pmf(x, n, p) * x * inner)
+        terms.append(weights[x] * x * inner)
     rhs = math.fsum(terms) / p
     return lhs, rhs
 

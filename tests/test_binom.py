@@ -1,4 +1,4 @@
-"""Binomial primitives: pmf, entropy loss, KL divergence, descriptors."""
+"""Binomial primitives: pmf rows, entropy-loss rows, KL divergence, descriptors."""
 
 import math
 
@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 from binrisk.binom import (
     BinomialSetup,
     PriorSpec,
-    binom_pmf,
-    entropy_loss,
-    log_binom_coeff,
+    _log_binom_coeffs,
+    entropy_losses,
+    pmf_row,
 )
 
 from conftest import entropy_loss_direct
@@ -18,19 +18,17 @@ from conftest import entropy_loss_direct
 
 def kl_binomial(l, p, q):
     """KL divergence from Bin(l, p) to Bin(l, q) by the factorization
-    l * entropy_loss(q, p)."""
-    return l * entropy_loss(q, p)
+    l times the entropy loss of the estimate q at p."""
+    return l * entropy_losses([q], p)[0]
 
 
 class TestBinomPmf:
     def test_degenerate_endpoints(self):
-        assert binom_pmf(0, 3, 0.0) == 1.0
-        assert binom_pmf(1, 3, 0.0) == 0.0
-        assert binom_pmf(3, 3, 1.0) == 1.0
-        assert binom_pmf(2, 3, 1.0) == 0.0
+        assert pmf_row(3, 0.0) == [1.0, 0.0, 0.0, 0.0]
+        assert pmf_row(3, 1.0) == [0.0, 0.0, 0.0, 1.0]
 
     def test_simple_value(self):
-        assert binom_pmf(1, 2, 0.5) == pytest.approx(0.5, rel=1e-14)
+        assert pmf_row(2, 0.5)[1] == pytest.approx(0.5, rel=1e-14)
 
     def test_direct_product_oracle(self):
         # C(9,3) 0.3^3 0.7^6 multiplied out factor by factor
@@ -39,48 +37,60 @@ class TestBinomPmf:
             expected *= 0.3
         for _ in range(6):
             expected *= 0.7
-        assert binom_pmf(3, 9, 0.3) == pytest.approx(expected, rel=1e-13)
+        assert pmf_row(9, 0.3)[3] == pytest.approx(expected, rel=1e-13)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            binom_pmf(4, 3, 0.5)
+            pmf_row(0, 0.5)
         with pytest.raises(ValueError):
-            binom_pmf(0, 3, 1.5)
+            pmf_row(3, 1.5)
 
     @settings(max_examples=80, deadline=None)
     @given(n=st.integers(1, 50), p=st.floats(0.001, 0.999))
     def test_normalization(self, n, p):
-        total = math.fsum(binom_pmf(x, n, p) for x in range(n + 1))
+        total = math.fsum(pmf_row(n, p))
         assert total == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("n, p", [(1, 0.5), (9, 0.3), (60, 0.017)])
+    def test_row_is_the_per_term_formula_bit_for_bit(self, n, p):
+        # the per-term scalar the row replaced, kept as the reference
+        c = _log_binom_coeffs(n)
+        expected = [
+            math.exp(c[x] + x * math.log(p) + (n - x) * math.log1p(-p))
+            for x in range(n + 1)
+        ]
+        assert pmf_row(n, p) == expected
+
     def test_log_coeff_cached_values(self):
-        assert math.exp(log_binom_coeff(3, 9)) == pytest.approx(84.0, rel=1e-12)
-        assert log_binom_coeff(0, 5) == pytest.approx(0.0, abs=1e-12)
+        assert math.exp(_log_binom_coeffs(9)[3]) == pytest.approx(84.0, rel=1e-12)
+        assert _log_binom_coeffs(5)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestEntropyLoss:
     def test_zero_at_truth(self):
-        assert entropy_loss(0.3, 0.3) == 0.0
+        assert entropy_losses([0.3], 0.3) == [0.0]
 
     def test_endpoint_p_zero(self):
-        assert entropy_loss(0.5, 0.0) == pytest.approx(
+        assert entropy_losses([0.5], 0.0)[0] == pytest.approx(
             math.log(2.0), rel=1e-14
         )
 
     def test_direct_arithmetic(self):
         expected = 0.4 * math.log(2.0) + 0.6 * math.log(0.75)
-        assert entropy_loss(0.2, 0.4) == pytest.approx(expected, rel=1e-13)
+        assert entropy_losses([0.2], 0.4)[0] == pytest.approx(expected, rel=1e-13)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            entropy_loss(0.0, 0.5)
+            entropy_losses([0.5, 0.0], 0.5)
         with pytest.raises(ValueError):
-            entropy_loss(1.0, 0.5)
+            entropy_losses([1.0], 0.5)
+        with pytest.raises(ValueError):
+            entropy_losses([0.5], 1.5)
 
     @settings(max_examples=80, deadline=None)
     @given(d=st.floats(0.001, 0.999), p=st.floats(0.0, 1.0))
     def test_nonnegative_and_matches_direct(self, d, p):
-        lv = entropy_loss(d, p)
+        lv = entropy_losses([d], p)[0]
         assert lv >= 0.0
         assert lv == pytest.approx(
             max(entropy_loss_direct(d, p), 0.0), abs=1e-13
@@ -89,7 +99,7 @@ class TestEntropyLoss:
     def test_convex_in_estimate(self):
         p = 0.35
         grid = [0.05 + 0.9 * i / 100 for i in range(101)]
-        vals = [entropy_loss(d, p) for d in grid]
+        vals = entropy_losses(grid, p)
         for i in range(1, len(vals) - 1):
             assert vals[i + 1] - 2.0 * vals[i] + vals[i - 1] >= -1e-12
 
@@ -100,12 +110,12 @@ class TestKlBinomial:
 
     def test_single_trial_identity(self):
         assert kl_binomial(1, 0.2, 0.4) == pytest.approx(
-            entropy_loss(0.4, 0.2), rel=1e-15
+            entropy_losses([0.4], 0.2)[0], rel=1e-15
         )
 
     def test_scales_linearly(self):
         assert kl_binomial(3, 0.2, 0.4) == pytest.approx(
-            3.0 * entropy_loss(0.4, 0.2), rel=1e-15
+            3.0 * entropy_losses([0.4], 0.2)[0], rel=1e-15
         )
 
     @pytest.mark.parametrize("l", [1, 2, 3, 5, 10])
@@ -113,11 +123,8 @@ class TestKlBinomial:
     def test_matches_brute_force_outcome_sum(self, l, p, q):
         # factorization check: the l-trial KL equals the exact sum over outcomes
         brute = math.fsum(
-            binom_pmf(y, l, p)
-            * (
-                math.log(binom_pmf(y, l, p)) - math.log(binom_pmf(y, l, q))
-            )
-            for y in range(l + 1)
+            fp * (math.log(fp) - math.log(fq))
+            for fp, fq in zip(pmf_row(l, p), pmf_row(l, q))
         )
         assert kl_binomial(l, p, q) == pytest.approx(brute, rel=1e-10, abs=1e-14)
 

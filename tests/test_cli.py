@@ -172,13 +172,20 @@ class TestExitStatuses:
     @pytest.mark.parametrize("a", ["nan", "inf"])
     def test_non_finite_shape_is_a_validation_error(self, a, capsys):
         assert main(["threshold", "--a", a]) == EXIT_VALIDATION
-        assert "error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: a must be finite and positive, got {a}" in err
 
     @pytest.mark.parametrize("flag", ["--r", "--s", "--a", "--lambda-bar"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_poisson_flag_is_a_validation_error(self, flag, value, capsys):
         assert main(["poisson-limit", flag, value, "--k-grid", "10"]) == EXIT_VALIDATION
-        assert "error" in capsys.readouterr().err
+        name = flag[2:].replace("-", "_")
+        err = capsys.readouterr().err
+        assert f"error: {name} must be finite and positive, got {value}" in err
+
+    def test_mc_samples_without_p_is_a_validation_error(self, capsys):
+        assert main(["estimate", "--n", "3", "--mc-samples", "10"]) == EXIT_VALIDATION
+        assert "error: --mc-samples requires --p" in capsys.readouterr().err
 
     def test_numerical_failure_near_singular_bound(self, capsys):
         code = main(["estimate", "--n", "3", "--p-bar", "0.9999999999999"])

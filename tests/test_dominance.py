@@ -18,8 +18,11 @@ from binrisk.dominance import (
     thm34_necessary,
     thm41_conditions,
 )
-from binrisk import estimators, incbeta
+from binrisk import binom, dominance, estimators, incbeta, predictive, risk
+from binrisk.binom import BinomialSetup, PriorSpec
+from binrisk.estimators import EstimateTable
 from binrisk.incbeta import eval_J
+from binrisk.risk import point_risk
 
 
 class TestNecessaryConditions:
@@ -227,3 +230,38 @@ class TestExhaustiveCheck:
             exhaustive_dominance_check(5, 1.0, 1.0, 0.3, grid_size=grid_size)
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
+
+    @pytest.fixture
+    def rows_built(self, monkeypatch):
+        """Counts of pmf and loss rows built, wherever they are imported."""
+        built = {"pmf_row": 0, "entropy_losses": 0}
+
+        def counting(name, row):
+            def wrapper(*args):
+                built[name] += 1
+                return row(*args)
+
+            return wrapper
+
+        for module in (binom, dominance, incbeta, predictive, risk):
+            for name in built:
+                if hasattr(module, name):
+                    monkeypatch.setattr(
+                        module, name, counting(name, getattr(module, name))
+                    )
+        return built
+
+    @pytest.mark.parametrize("n", [1, 7, 60])
+    def test_point_risk_builds_one_pmf_row_and_one_loss_row(self, rows_built, n):
+        table = EstimateTable.build(BinomialSetup(n=n), PriorSpec(a=1.0, b=1.0))
+        point_risk(table, 0.3)
+        assert rows_built == {"pmf_row": 1, "entropy_losses": 1}
+
+    def test_pmf_rows_per_grid_point_do_not_grow_with_n(self, rows_built):
+        grid_size = 16
+        counts = []
+        for n in (2, 40):
+            rows_built["pmf_row"] = 0
+            exhaustive_dominance_check(n, 1.0, 1.0, 0.3, grid_size=grid_size)
+            counts.append(rows_built["pmf_row"])
+        assert counts[0] == counts[1] <= 3 * grid_size

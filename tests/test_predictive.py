@@ -5,7 +5,7 @@ import math
 import pytest
 from scipy.special import betaln
 
-from binrisk.binom import BinomialSetup, PriorSpec, binom_pmf
+from binrisk.binom import BinomialSetup, PriorSpec, pmf_row
 from binrisk.estimators import posterior_mean
 from binrisk.predictive import PredictiveTable, bayes_predictive, plug_in_density
 
@@ -88,7 +88,7 @@ class TestBayesPredictive:
         prior = PriorSpec(a=1.0, b=1.0)
         table = [bayes_predictive(y, 1, setup, prior) for y in range(3)]
         d = 1.0 - math.sqrt(table[0])  # the d that fits y = 0
-        assert abs(binom_pmf(1, 2, d) - table[1]) > 1e-3
+        assert abs(pmf_row(2, d)[1] - table[1]) > 1e-3
 
     def test_domain_errors(self):
         setup = BinomialSetup(n=2, l=2)
@@ -111,6 +111,8 @@ class TestPlugIn:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             plug_in_density(0, 1, 0.0)
+        with pytest.raises(ValueError):
+            plug_in_density(2, 1, 0.5)  # y = l + 1
 
 
 class TestPredictiveTable:

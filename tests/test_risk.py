@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from binrisk.binom import BinomialSetup, PriorSpec, binom_pmf, entropy_loss
+from binrisk.binom import BinomialSetup, PriorSpec, entropy_losses, pmf_row
 from binrisk.estimators import EstimateTable
 from binrisk.predictive import plug_in_density
 from binrisk.risk import (
@@ -30,9 +30,8 @@ class TestPointRisk:
     def test_two_term_oracle(self):
         # n=1, a=b=1 posterior means are 1/3 and 2/3
         table = EstimateTable.build(BinomialSetup(n=1), PriorSpec(a=1.0, b=1.0))
-        expected = 0.5 * entropy_loss(1.0 / 3.0, 0.5) + 0.5 * entropy_loss(
-            2.0 / 3.0, 0.5
-        )
+        lo, hi = entropy_losses([1.0 / 3.0, 2.0 / 3.0], 0.5)
+        expected = 0.5 * lo + 0.5 * hi
         assert point_risk(table, 0.5) == pytest.approx(expected, rel=1e-13)
 
     def test_domain_error(self):
@@ -45,15 +44,21 @@ class TestPredictiveKlRisk:
     def test_truth_gives_zero(self):
         setup = BinomialSetup(n=2, l=3)
         p = 0.3
-        tables = [
-            [binom_pmf(y, 3, p) for y in range(4)] for _ in range(3)
-        ]
+        tables = [pmf_row(3, p) for _ in range(3)]
         assert abs(predictive_kl_risk(tables, p, setup)) < 1e-15
 
     def test_rejects_zero_mass(self):
         setup = BinomialSetup(n=1, l=1)
         with pytest.raises(ValueError):
             predictive_kl_risk([[0.0, 1.0], [0.5, 0.5]], 0.5, setup)
+
+    @pytest.mark.parametrize("odd", [[0.25, 0.5, 0.25, 0.7], [0.25, 0.75]])
+    def test_rejects_table_of_wrong_length(self, odd):
+        # one mass too many used to be ignored, one too few an IndexError
+        setup = BinomialSetup(n=2, l=2)
+        proper = [0.25, 0.5, 0.25]
+        with pytest.raises(ValueError, match="every y"):
+            predictive_kl_risk([proper, odd, proper], 0.5, setup)
 
     @pytest.mark.parametrize("l", [1, 2, 4])
     @pytest.mark.parametrize("p", [0.1, 0.45, 0.8])
