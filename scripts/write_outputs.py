@@ -42,6 +42,8 @@ COMMANDS = (
     "poisson-limit --lambda-bar 1 --k-grid 10 100 1000",
     "threshold --a 2",
     "risk-curve --n 10000 --p-bar 0.3 --grid 8",
+    "estimate --n 65 --p-lo 0.4 --p-bar 0.6",
+    "poisson-limit --lam nan",
 )
 
 _TOKEN = re.compile(r"[^\s,()\[\]:=;]+")

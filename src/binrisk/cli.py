@@ -174,9 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, *, need_n: bool = True) -> None:
-        if need_n:
-            p.add_argument("--n", type=int, required=True, help="current trial count")
+    def add_common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--n", type=int, required=True, help="current trial count")
         p.add_argument("--a", type=float, default=1.0, help="beta exponent on p")
         p.add_argument("--b", type=float, default=1.0, help="beta exponent on 1-p")
         p.add_argument("--p-bar", type=float, default=None, help="upper restriction")

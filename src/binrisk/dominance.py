@@ -18,6 +18,8 @@ from .risk import point_risk
 
 GRID_SLACK = 1e-12
 NOISE_CEILING = 1e-9
+THRESHOLD_TOL = 1e-6
+THRESHOLD_MAX_ITER = 200
 
 
 class BoundUndefinedError(ArithmeticError):
@@ -86,20 +88,6 @@ def standardized_risk_difference(
     return risk_difference(p, n, a, b, p_bar) / scale
 
 
-def _j_at_p_bar(n: int, a: float, b: float, p_bar: float) -> float:
-    """J(p_bar) = I(a, a+b+1, p_bar), with the closed forms for b = 1 and
-    a = b = 1/2 used when available."""
-    if b == 1.0:
-        return (1.0 + (1.0 - p_bar) * a) / ((1.0 - p_bar) ** 2 * a * (a + 1.0))
-    if a == 0.5 and b == 0.5:
-        return (
-            1.0
-            + math.atan(math.sqrt(p_bar / (1.0 - p_bar)))
-            / math.sqrt(p_bar * (1.0 - p_bar))
-        ) / (1.0 - p_bar)
-    return eval_I(a, a + b + 1.0, p_bar)
-
-
 def smallpbar_sufficient_conditions(
     n: int, a: float, b: float, p_bar: float
 ) -> tuple[bool, bool]:
@@ -113,7 +101,7 @@ def smallpbar_sufficient_conditions(
     _check_shape(a=a, b=b)
     s = n + a + b
     j0 = eval_I(a, n + a + b + 1.0, p_bar)
-    j_bar = _j_at_p_bar(n, a, b, p_bar)
+    j_bar = eval_I(a, a + b + 1.0, p_bar)
     log_gain = math.log1p((1.0 + 1.0 / j_bar) / (p_bar * s))
     arg = 1.0 - 1.0 / ((1.0 - p_bar) * s * j0)
     if arg <= 0.0:
@@ -247,9 +235,7 @@ def max_risk_diff_symmetric_n1(a: float, p_bar: float) -> float:
     return max_risk_diff_symmetric_n1_generic(a, p_bar)
 
 
-def dominance_threshold_n1(
-    a: float, tol: float = 1e-6, max_iter: int = 200
-) -> float:
+def dominance_threshold_n1(a: float) -> float:
     """Root of the n = 1 symmetric maximum risk difference on (1/2, 1).
 
     Below the root the truncated estimator dominates; above it does not.
@@ -271,14 +257,14 @@ def dominance_threshold_n1(
         raise ArithmeticError(
             f"no sign change bracketed on (1/2, 1) for a={a}"
         )
-    for _ in range(max_iter):
+    for _ in range(THRESHOLD_MAX_ITER):
         mid = 0.5 * (lo + hi)
         f_mid = max_risk_diff_symmetric_n1(a, mid)
         if f_lo * f_mid <= 0.0:
             hi = mid
         else:
             lo, f_lo = mid, f_mid
-        if hi - lo < tol:
+        if hi - lo < THRESHOLD_TOL:
             break
     return 0.5 * (lo + hi)
 

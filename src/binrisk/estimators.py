@@ -1,9 +1,10 @@
 """Posterior-mean estimators under untruncated and truncated beta priors.
 
-The truncated means are never computed by raw quadrature: the upper
-truncation goes through the correction 1 / {(n+a+b) I(X+a, n+a+b, p_bar)}
-and the interval truncation through A(X) = bracket / I_two_sided, both
-of which are incomplete-beta evaluations in log space.
+Every estimate is (x+a)/(n+a+b) minus a correction c/(n+a+b): c is 0
+without truncation, 1/I(X+a, n+a+b, p_bar) under an upper bound and
+A(X) = bracket / I_two_sided on an interval, both incomplete-beta
+evaluations in log space, never raw quadrature. The table over x = 0..n
+is the primitive; posterior_mean reads one entry of it.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .binom import BinomialSetup, PriorSpec, _check_count, _check_shape
+from .binom import BinomialSetup, PriorSpec, _check_count
 from .incbeta import (
     bracket_term,
     eval_I_two_sided,
@@ -20,55 +21,11 @@ from .incbeta import (
 )
 
 
-def posterior_mean_unrestricted(x: int, n: int, a: float, b: float) -> float:
-    """(x + a) / (n + a + b), the Beta(x+a, n-x+b) posterior mean."""
-    _check_count("n", n)
-    _check_count("x", x, 0, n)
-    _check_shape(a=a, b=b)
-    return (x + a) / (n + a + b)
-
-
-def posterior_mean_upper_truncated(
-    x: int, n: int, a: float, b: float, p_bar: float
-) -> float:
-    """Posterior mean under the prior truncated to (0, p_bar]."""
-    mean = posterior_mean_unrestricted(x, n, a, b)
-    correction = math.exp(-log_eval_I(x + a, n + a + b, p_bar)) / (n + a + b)
-    return mean - correction
-
-
-def A_term(
-    x: int, n: int, a: float, b: float, p_lo: float, p_bar: float
-) -> float:
-    """The interval-truncation correction A(X); zero exactly at the
-    symmetry point and of either sign in general."""
-    _check_count("n", n)
-    _check_count("x", x, 0, n)
-    _check_shape(a=a, b=b)
-    numer = bracket_term(x + a, n + a + b, p_lo, p_bar)
-    if numer == 0.0:
-        return 0.0
-    return numer / eval_I_two_sided(x + a, n + a + b, p_lo, p_bar)
-
-
-def posterior_mean_two_sided(
-    x: int, n: int, a: float, b: float, p_lo: float, p_bar: float
-) -> float:
-    """Posterior mean under the prior truncated to [p_lo, p_bar]."""
-    return posterior_mean_unrestricted(x, n, a, b) - A_term(
-        x, n, a, b, p_lo, p_bar
-    ) / (n + a + b)
-
-
 def posterior_mean(x: int, prior: PriorSpec, n: int) -> float:
-    """Dispatch on the prior's restriction mode."""
-    if prior.restriction == "none":
-        return posterior_mean_unrestricted(x, n, prior.a, prior.b)
-    if prior.restriction == "upper":
-        return posterior_mean_upper_truncated(x, n, prior.a, prior.b, prior.p_bar)
-    return posterior_mean_two_sided(
-        x, n, prior.a, prior.b, prior.p_lo, prior.p_bar
-    )
+    """The Bayes estimate at X = x: one entry of the table for (n, prior)."""
+    setup = BinomialSetup(n=n)
+    _check_count("x", x, 0, n)
+    return EstimateTable.build(setup, prior)[x]
 
 
 @dataclass(frozen=True)
@@ -97,8 +54,25 @@ class EstimateTable:
                 raise ValueError(f"estimate {v} outside the restriction [{lo}, {hi}]")
 
 
+def _correction(x: int, s: float, prior: PriorSpec) -> float:
+    """c(x) with s = n+a+b; A(x) is zero exactly at the symmetry point of
+    an interval and of either sign in general."""
+    if prior.restriction == "none":
+        return 0.0
+    if prior.restriction == "upper":
+        return math.exp(-log_eval_I(x + prior.a, s, prior.p_bar))
+    numer = bracket_term(x + prior.a, s, prior.p_lo, prior.p_bar)
+    if numer == 0.0:
+        return 0.0
+    return numer / eval_I_two_sided(x + prior.a, s, prior.p_lo, prior.p_bar)
+
+
 @lru_cache(maxsize=4096)
 def _build_table(setup: BinomialSetup, prior: PriorSpec) -> EstimateTable:
     # grid sweeps rebuild the same table for every p; cache per config
-    values = tuple(posterior_mean(x, prior, setup.n) for x in range(setup.n + 1))
+    s = setup.n + prior.a + prior.b
+    values = tuple(
+        (x + prior.a) / s - _correction(x, s, prior) / s
+        for x in range(setup.n + 1)
+    )
     return EstimateTable(setup=setup, prior=prior, values=values)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 from scipy.special import gammainc, gammaln
 
-from .binom import BinomialSetup, PriorSpec, _check_shape
-from .estimators import EstimateTable, posterior_mean
+from .binom import BinomialSetup, PriorSpec, _check_count, _check_shape
+from .estimators import EstimateTable
 from .predictive import bayes_predictive
 from .risk import point_risk
 
@@ -58,8 +58,7 @@ def _log_gamma_moment(alpha: float, rate: float, lambda_bar: float | None) -> fl
 
 def poisson_posterior_mean(x_tilde: int, config: PoissonConfig) -> float:
     """Posterior mean of the rate under the (truncated) power prior."""
-    if not isinstance(x_tilde, int) or x_tilde < 0:
-        raise ValueError(f"x_tilde must be a nonnegative integer, got {x_tilde}")
+    _check_count("x_tilde", x_tilde, 0)
     alpha = x_tilde + config.a
     if config.lambda_bar is None:
         return alpha / config.r
@@ -71,10 +70,8 @@ def poisson_posterior_mean(x_tilde: int, config: PoissonConfig) -> float:
 
 def poisson_predictive(y_tilde: int, x_tilde: int, config: PoissonConfig) -> float:
     """Posterior expectation of Po(y_tilde | s lambda) given x_tilde."""
-    if not isinstance(y_tilde, int) or y_tilde < 0:
-        raise ValueError(f"y_tilde must be a nonnegative integer, got {y_tilde}")
-    if not isinstance(x_tilde, int) or x_tilde < 0:
-        raise ValueError(f"x_tilde must be a nonnegative integer, got {x_tilde}")
+    _check_count("y_tilde", y_tilde, 0)
+    _check_count("x_tilde", x_tilde, 0)
     alpha = x_tilde + config.a
     log_num = _log_gamma_moment(
         y_tilde + alpha, config.r + config.s, config.lambda_bar
@@ -95,8 +92,7 @@ def _poisson_pmf(k: int, mean: float) -> float:
 def poisson_entropy_risk(config: PoissonConfig, lam: float) -> float:
     """Exact E[lhat - lambda - lambda log(lhat/lambda)], tail-truncated at
     cumulative mass 1 - 1e-15."""
-    if lam <= 0.0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    _check_shape(lam=lam)
     if config.lambda_bar is not None and lam > config.lambda_bar:
         raise ValueError(
             f"lambda={lam} outside the truncated support (0, {config.lambda_bar}]"
@@ -174,8 +170,9 @@ def limit_convergence_report(
         prior = induced_binomial_prior(config, K)
         setup = BinomialSetup(n=n, l=l)
 
-        p_hat = posterior_mean(x_tilde, prior, n)
-        est_errors.append(abs(n * p_hat / config.r - lam_hat))
+        _check_count("x", x_tilde, 0, n)
+        table = EstimateTable.build(BinomialSetup(n=n), prior)
+        est_errors.append(abs(n * table[x_tilde] / config.r - lam_hat))
 
         # sup over the y range where either side still carries mass
         sup_err = 0.0
@@ -191,7 +188,6 @@ def limit_convergence_report(
                 break
         pred_errors.append(sup_err)
 
-        table = EstimateTable.build(BinomialSetup(n=n), prior)
         risk_errors.append(
             abs(n / config.r * point_risk(table, p) - risk_target)
         )

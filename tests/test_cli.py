@@ -175,7 +175,7 @@ class TestExitStatuses:
         err = capsys.readouterr().err
         assert f"error: a must be finite and positive, got {a}" in err
 
-    @pytest.mark.parametrize("flag", ["--r", "--s", "--a", "--lambda-bar"])
+    @pytest.mark.parametrize("flag", ["--r", "--s", "--a", "--lambda-bar", "--lam"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_poisson_flag_is_a_validation_error(self, flag, value, capsys):
         assert main(["poisson-limit", flag, value, "--k-grid", "10"]) == EXIT_VALIDATION

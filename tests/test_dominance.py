@@ -161,6 +161,13 @@ class TestThreshold:
         with pytest.raises(ValueError):
             dominance_threshold_n1(0.0)
 
+    def test_jeffreys_root_matches_independent_oracle(self):
+        # root of the a = 1/2 maximum risk difference found by mpmath at 40
+        # digits; the bisection stops once its bracket is narrower than
+        # 1e-6, so the returned midpoint lies within 1e-6 of the root
+        oracle = 0.78008584820426251473332528259343
+        assert abs(dominance_threshold_n1(0.5) - oracle) < 1e-6
+
 
 class TestExhaustiveCheck:
     def test_small_upper_bound_dominates(self):

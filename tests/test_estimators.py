@@ -3,15 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from binrisk import estimators
 from binrisk.binom import BinomialSetup, PriorSpec
-from binrisk.estimators import (
-    A_term,
-    EstimateTable,
-    posterior_mean,
-    posterior_mean_two_sided,
-    posterior_mean_unrestricted,
-    posterior_mean_upper_truncated,
-)
+from binrisk.estimators import EstimateTable, posterior_mean
 from binrisk.incbeta import eval_I
 
 from conftest import quad_posterior_mean
@@ -21,39 +15,39 @@ A_B_GRID = [0.5, 1.0, 2.0]
 
 class TestUnrestricted:
     def test_examples(self):
-        assert posterior_mean_unrestricted(1, 2, 1.0, 1.0) == pytest.approx(0.5)
-        assert posterior_mean_unrestricted(0, 1, 0.5, 0.5) == pytest.approx(0.25)
-        assert posterior_mean_unrestricted(9, 9, 1.0, 1.0) == pytest.approx(
+        assert posterior_mean(1, PriorSpec(1.0, 1.0), 2) == pytest.approx(0.5)
+        assert posterior_mean(0, PriorSpec(0.5, 0.5), 1) == pytest.approx(0.25)
+        assert posterior_mean(9, PriorSpec(1.0, 1.0), 9) == pytest.approx(
             10.0 / 11.0
         )
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            posterior_mean_unrestricted(3, 2, 1.0, 1.0)
+            posterior_mean(3, PriorSpec(1.0, 1.0), 2)
         with pytest.raises(ValueError):
-            posterior_mean_unrestricted(0, 1, -1.0, 1.0)
+            posterior_mean(0, PriorSpec(-1.0, 1.0), 1)
 
 
 class TestUpperTruncated:
     def test_wide_bound_recovers_unrestricted(self):
-        loose = posterior_mean_upper_truncated(2, 5, 1.0, 1.0, 1.0 - 1e-6)
+        loose = posterior_mean(2, PriorSpec(1.0, 1.0, p_bar=1.0 - 1e-6), 5)
         assert loose == pytest.approx(
-            posterior_mean_unrestricted(2, 5, 1.0, 1.0), abs=1e-4
+            posterior_mean(2, PriorSpec(1.0, 1.0), 5), abs=1e-4
         )
 
     def test_tiny_bound_forces_zero(self):
-        assert posterior_mean_upper_truncated(2, 5, 1.0, 1.0, 1e-6) < 1e-6
+        assert posterior_mean(2, PriorSpec(1.0, 1.0, p_bar=1e-6), 5) < 1e-6
 
     def test_exact_rational_value(self):
         # x=0, n=1, a=b=1, p_bar=1/2: ratio of polynomial integrals = 2/9
-        assert posterior_mean_upper_truncated(0, 1, 1.0, 1.0, 0.5) == pytest.approx(
+        assert posterior_mean(0, PriorSpec(1.0, 1.0, p_bar=0.5), 1) == pytest.approx(
             2.0 / 9.0, rel=1e-12
         )
 
     def test_stays_inside_restriction(self):
         for pb in (0.1, 0.4, 0.8):
             for x in range(6):
-                v = posterior_mean_upper_truncated(x, 5, 1.0, 2.0, pb)
+                v = posterior_mean(x, PriorSpec(1.0, 2.0, p_bar=pb), 5)
                 assert 0.0 < v < pb
 
     @pytest.mark.parametrize("a", A_B_GRID)
@@ -63,8 +57,8 @@ class TestUpperTruncated:
         n, pb = 6, 0.35
         for x in range(n + 1):
             i_val = eval_I(x + a, n + a + b, pb)
-            trunc = posterior_mean_upper_truncated(x, n, a, b, pb)
-            unres = posterior_mean_unrestricted(x, n, a, b)
+            trunc = posterior_mean(x, PriorSpec(a, b, p_bar=pb), n)
+            unres = posterior_mean(x, PriorSpec(a, b), n)
             assert trunc / unres == pytest.approx(
                 1.0 - 1.0 / ((x + a) * i_val), rel=1e-10
             )
@@ -74,51 +68,56 @@ class TestUpperTruncated:
 
 
 class TestATerm:
+    """The interval correction A(x) = (x+a) - (n+a+b) posterior_mean."""
+
     def test_symmetric_midpoint_zero(self):
-        assert A_term(1, 2, 1.0, 1.0, 0.3, 0.7) == 0.0
+        # A = 0 exactly, so the estimate is (x+a)/(n+a+b) = 1/2 exactly
+        assert posterior_mean(1, PriorSpec(1.0, 1.0, p_bar=0.7, p_lo=0.3), 2) == 0.5
 
     def test_sign_follows_half(self):
-        assert A_term(0, 2, 1.0, 1.0, 0.3, 0.7) < 0.0
-        assert A_term(2, 2, 1.0, 1.0, 0.3, 0.7) > 0.0
+        prior = PriorSpec(1.0, 1.0, p_bar=0.7, p_lo=0.3)
+        assert posterior_mean(0, prior, 2) > 0.25
+        assert posterior_mean(2, prior, 2) < 0.75
 
     def test_polynomial_oracle(self):
         # x=0, n=1, a=b=1: [p(1-p)^2] from 0.25 to 0.5 over int of (1-p)
         num = 0.5 * 0.25 - 0.25 * 0.5625
         den = (0.5 - 0.5**2 / 2.0) - (0.25 - 0.25**2 / 2.0)
-        assert A_term(0, 1, 1.0, 1.0, 0.25, 0.5) == pytest.approx(
-            num / den, rel=1e-12
+        prior = PriorSpec(1.0, 1.0, p_bar=0.5, p_lo=0.25)
+        assert posterior_mean(0, prior, 1) == pytest.approx(
+            (1.0 - num / den) / 3.0, rel=1e-12
         )
 
     def test_small_lower_bound_matches_upper_correction(self):
         # with the lower cut removed, A/(n+a+b) is the one-sided correction
         x, n, a, b, pb = 1, 3, 1.0, 1.0, 0.4
-        a_val = A_term(x, n, a, b, 1e-12, pb)
-        expected = 1.0 / eval_I(x + a, n + a + b, pb)
-        assert a_val == pytest.approx(expected, rel=1e-9)
+        value = posterior_mean(x, PriorSpec(a, b, p_bar=pb, p_lo=1e-12), n)
+        expected = (x + a - 1.0 / eval_I(x + a, n + a + b, pb)) / (n + a + b)
+        assert value == pytest.approx(expected, rel=1e-9)
 
 
 class TestTwoSided:
     def test_symmetric_center(self):
-        assert posterior_mean_two_sided(1, 2, 1.0, 1.0, 0.3, 0.7) == pytest.approx(
-            0.5, abs=1e-14
-        )
-        assert posterior_mean_two_sided(2, 4, 0.7, 0.7, 0.2, 0.8) == pytest.approx(
-            0.5, abs=1e-14
-        )
+        assert posterior_mean(
+            1, PriorSpec(1.0, 1.0, p_bar=0.7, p_lo=0.3), 2
+        ) == pytest.approx(0.5, abs=1e-14)
+        assert posterior_mean(
+            2, PriorSpec(0.7, 0.7, p_bar=0.8, p_lo=0.2), 4
+        ) == pytest.approx(0.5, abs=1e-14)
 
     def test_small_lower_bound_recovers_upper_truncated(self):
-        two = posterior_mean_two_sided(1, 3, 1.0, 1.0, 1e-12, 0.4)
-        one = posterior_mean_upper_truncated(1, 3, 1.0, 1.0, 0.4)
+        two = posterior_mean(1, PriorSpec(1.0, 1.0, p_bar=0.4, p_lo=1e-12), 3)
+        one = posterior_mean(1, PriorSpec(1.0, 1.0, p_bar=0.4), 3)
         assert two == pytest.approx(one, rel=1e-10)
 
     def test_quadrature_value(self):
-        assert posterior_mean_two_sided(
-            1, 1, 1.0, 1.0, 0.25, 0.75
+        assert posterior_mean(
+            1, PriorSpec(1.0, 1.0, p_bar=0.75, p_lo=0.25), 1
         ) == pytest.approx(quad_posterior_mean(1, 1, 1.0, 1.0, 0.25, 0.75), rel=1e-10)
 
     def test_stays_inside_restriction(self):
         for x in range(5):
-            v = posterior_mean_two_sided(x, 4, 2.0, 0.5, 0.15, 0.45)
+            v = posterior_mean(x, PriorSpec(2.0, 0.5, p_bar=0.45, p_lo=0.15), 4)
             assert 0.15 < v < 0.45
 
 
@@ -184,3 +183,18 @@ class TestEstimateTable:
             EstimateTable(setup=setup, prior=prior, values=(0.1, 0.5))
         with pytest.raises(ValueError):
             EstimateTable(setup=setup, prior=prior, values=(0.1,))
+
+    def test_scalar_reads_the_validated_table(self):
+        # the correction form gives 0.352 at x = 0, outside [0.4, 0.6]; the
+        # table rejects it, and with it every x of the table
+        prior = PriorSpec(1.0, 1.0, p_lo=0.4, p_bar=0.6)
+        for x in (0, 30):
+            with pytest.raises(ValueError, match="outside the restriction"):
+                posterior_mean(x, prior, 65)
+
+    def test_scalar_calls_build_one_table(self):
+        prior = PriorSpec(a=1.3, b=0.7, p_bar=0.45, p_lo=0.05)
+        before = estimators._build_table.cache_info().misses
+        values = [posterior_mean(x, prior, 20) for x in range(21)]
+        assert estimators._build_table.cache_info().misses == before + 1
+        assert tuple(values) == EstimateTable.build(BinomialSetup(n=20), prior).values

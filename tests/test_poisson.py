@@ -76,6 +76,13 @@ class TestPredictive:
                 closed, rel=1e-12
             )
 
+    def test_domain_errors_name_the_count(self):
+        cfg = PoissonConfig(r=1.0)
+        with pytest.raises(ValueError, match="y_tilde must be an integer >= 0"):
+            poisson_predictive(-1, 0, cfg)
+        with pytest.raises(ValueError, match="x_tilde must be an integer >= 0"):
+            poisson_predictive(0, 1.0, cfg)
+
     def test_tiny_future_exposure_concentrates_at_zero(self):
         cfg = PoissonConfig(r=1.0, s=1e-8, a=1.0)
         assert poisson_predictive(0, 2, cfg) == pytest.approx(1.0, abs=1e-6)
@@ -104,6 +111,11 @@ class TestEntropyRisk:
         with pytest.raises(ValueError):
             poisson_entropy_risk(cfg, 1.5)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_rate_that_is_not_finite_and_positive(self, lam):
+        with pytest.raises(ValueError, match="lam must be finite and positive"):
+            poisson_entropy_risk(PoissonConfig(r=1.0), lam)
+
 
 class TestLimitCorrespondence:
     def test_induced_prior_has_unit_second_exponent(self):
@@ -124,6 +136,12 @@ class TestLimitCorrespondence:
         assert report.monotone_decay()
         assert report.estimator_errors[-1] < 1e-3
         assert report.risk_errors[-1] < 1e-3
+
+    def test_rejects_count_above_the_trial_count(self):
+        # K = 10 gives n = 10 trials, so x_tilde = 11 is not observable
+        cfg = PoissonConfig(r=1.0, a=1.0, lambda_bar=1.0)
+        with pytest.raises(ValueError, match=r"x must be an integer in \[0, 10\], got 11"):
+            limit_convergence_report([10.0], 0.5, cfg, 11)
 
     def test_rejects_unsorted_grid(self):
         cfg = PoissonConfig(r=1.0, a=1.0)
