@@ -70,30 +70,35 @@ class TestUpperTruncated:
 class TestATerm:
     """The interval correction A(x) = (x+a) - (n+a+b) posterior_mean."""
 
+    @staticmethod
+    def a_term(x, n, a, b, lo, hi):
+        # undoing the estimate's last steps costs a few ulps, far below
+        # every tolerance here
+        return (x + a) - (n + a + b) * posterior_mean(
+            x, PriorSpec(a, b, p_bar=hi, p_lo=lo), n
+        )
+
     def test_symmetric_midpoint_zero(self):
-        # A = 0 exactly, so the estimate is (x+a)/(n+a+b) = 1/2 exactly
-        assert posterior_mean(1, PriorSpec(1.0, 1.0, p_bar=0.7, p_lo=0.3), 2) == 0.5
+        assert self.a_term(1, 2, 1.0, 1.0, 0.3, 0.7) == 0.0
 
     def test_sign_follows_half(self):
-        prior = PriorSpec(1.0, 1.0, p_bar=0.7, p_lo=0.3)
-        assert posterior_mean(0, prior, 2) > 0.25
-        assert posterior_mean(2, prior, 2) < 0.75
+        assert self.a_term(0, 2, 1.0, 1.0, 0.3, 0.7) < 0.0
+        assert self.a_term(2, 2, 1.0, 1.0, 0.3, 0.7) > 0.0
 
     def test_polynomial_oracle(self):
         # x=0, n=1, a=b=1: [p(1-p)^2] from 0.25 to 0.5 over int of (1-p)
         num = 0.5 * 0.25 - 0.25 * 0.5625
         den = (0.5 - 0.5**2 / 2.0) - (0.25 - 0.25**2 / 2.0)
-        prior = PriorSpec(1.0, 1.0, p_bar=0.5, p_lo=0.25)
-        assert posterior_mean(0, prior, 1) == pytest.approx(
-            (1.0 - num / den) / 3.0, rel=1e-12
+        assert self.a_term(0, 1, 1.0, 1.0, 0.25, 0.5) == pytest.approx(
+            num / den, rel=1e-12
         )
 
     def test_small_lower_bound_matches_upper_correction(self):
         # with the lower cut removed, A/(n+a+b) is the one-sided correction
         x, n, a, b, pb = 1, 3, 1.0, 1.0, 0.4
-        value = posterior_mean(x, PriorSpec(a, b, p_bar=pb, p_lo=1e-12), n)
-        expected = (x + a - 1.0 / eval_I(x + a, n + a + b, pb)) / (n + a + b)
-        assert value == pytest.approx(expected, rel=1e-9)
+        a_val = self.a_term(x, n, a, b, 1e-12, pb)
+        expected = 1.0 / eval_I(x + a, n + a + b, pb)
+        assert a_val == pytest.approx(expected, rel=1e-9)
 
 
 class TestTwoSided:
@@ -194,7 +199,7 @@ class TestEstimateTable:
 
     def test_scalar_calls_build_one_table(self):
         prior = PriorSpec(a=1.3, b=0.7, p_bar=0.45, p_lo=0.05)
-        before = estimators._build_table.cache_info().misses
+        estimators._build_table.cache_clear()
         values = [posterior_mean(x, prior, 20) for x in range(21)]
-        assert estimators._build_table.cache_info().misses == before + 1
+        assert estimators._build_table.cache_info().misses == 1
         assert tuple(values) == EstimateTable.build(BinomialSetup(n=20), prior).values
