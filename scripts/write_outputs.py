@@ -44,6 +44,7 @@ COMMANDS = (
     "risk-curve --n 10000 --p-bar 0.3 --grid 8",
     "estimate --n 65 --p-lo 0.4 --p-bar 0.6",
     "poisson-limit --lam nan",
+    "threshold --a 200",
 )
 
 _TOKEN = re.compile(r"[^\s,()\[\]:=;]+")

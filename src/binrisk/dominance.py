@@ -13,13 +13,12 @@ from dataclasses import dataclass, field
 
 from .binom import BinomialSetup, PriorSpec, _check_count, _check_shape, _expectation, pmf_row
 from .estimators import EstimateTable
-from .incbeta import _j_rows, eval_I, log_beta_measure
+from .incbeta import _exp_I, eval_I, log_beta_measure, log_eval_I
 from .risk import point_risk
 
 GRID_SLACK = 1e-12
 NOISE_CEILING = 1e-9
 THRESHOLD_TOL = 1e-6
-THRESHOLD_MAX_ITER = 200
 
 
 class BoundUndefinedError(ArithmeticError):
@@ -35,6 +34,17 @@ def p_grid(p_bar: float, p_lo: float | None, size: int) -> list[float]:
     _check_count("grid size", size, lo=2)
     lo = p_bar / size if p_lo is None else p_lo
     return [lo + (p_bar - lo) * i / (size - 1) for i in range(size - 1)] + [p_bar]
+
+
+def _j_rows(n: int, a: float, b: float, p_bar: float) -> tuple[list[float], list[float]]:
+    """I(x+a, n+a+b+1, p_bar) and exp(-log I) for x = 0..n: the rows whose
+    binomial expectations are J(p) and E_p[1/I]; neither depends on p."""
+    _check_shape(a=a, b=b)
+    _check_count("n", n)
+    gamma = n + a + b + 1.0
+    log_i = [log_eval_I(x + a, gamma, p_bar) for x in range(n + 1)]
+    i_row = [_exp_I(v, x + a, gamma, p_bar) for x, v in enumerate(log_i)]
+    return i_row, [math.exp(-v) for v in log_i]
 
 
 def _upper_curves(
@@ -239,33 +249,25 @@ def dominance_threshold_n1(a: float) -> float:
     """Root of the n = 1 symmetric maximum risk difference on (1/2, 1).
 
     Below the root the truncated estimator dominates; above it does not.
-    Bisection from an initial bracket [0.5 + 1e-4, 1 - 1e-4], shrinking
-    inward if either end fails to bracket a sign change.
+    Bisection on the bracket [0.5 + 1e-4, 1 - 1e-4]; when its ends do not
+    differ in sign (for large a the value at the upper end is rounding
+    noise) no root is claimed.
     """
     _check_shape(a=a)
     lo, hi = 0.5 + 1e-4, 1.0 - 1e-4
     f_lo = max_risk_diff_symmetric_n1(a, lo)
     f_hi = max_risk_diff_symmetric_n1(a, hi)
-    shrink = 0
-    while f_lo * f_hi > 0.0 and shrink < 20:
-        lo = 0.5 + (lo - 0.5) / 2.0
-        hi = 1.0 - (1.0 - hi) / 2.0
-        f_lo = max_risk_diff_symmetric_n1(a, lo)
-        f_hi = max_risk_diff_symmetric_n1(a, hi)
-        shrink += 1
     if f_lo * f_hi > 0.0:
         raise ArithmeticError(
             f"no sign change bracketed on (1/2, 1) for a={a}"
         )
-    for _ in range(THRESHOLD_MAX_ITER):
+    while hi - lo >= THRESHOLD_TOL:
         mid = 0.5 * (lo + hi)
         f_mid = max_risk_diff_symmetric_n1(a, mid)
         if f_lo * f_mid <= 0.0:
             hi = mid
         else:
             lo, f_lo = mid, f_mid
-        if hi - lo < THRESHOLD_TOL:
-            break
     return 0.5 * (lo + hi)
 
 

@@ -7,9 +7,12 @@ risk bounds) reduces to integrals of the form
     I(alpha, gamma, p_lo, p_bar)  = int_rho^1 t^(alpha-1) / {1 - p_bar (1-t)}^gamma dt
 
 with rho = r_lo / r_bar the ratio of odds, plus the bracket term
-[t^alpha / {1 - p_bar (1-t)}^gamma]_rho^1.  All of these are incomplete
-beta integrals after the substitution p = r_bar * t / (1 + r_bar * t),
-so the only primitive needed is log of the unnormalized incomplete beta
+[t^alpha / {1 - p_bar (1-t)}^gamma]_rho^1.  After the substitution
+p = r_bar * t / (1 + r_bar * t), I is the beta measure
+M(alpha, gamma - alpha) of [p_lo, p_bar] rescaled ([0, p_bar] without
+p_lo), so one function, log_eval_I with an optional p_lo, computes both.
+log_beta_measure is the only caller of the kernel, the log of the
+unnormalized incomplete beta
 
     B(x; a, b) = int_0^x t^(a-1) (1-t)^(b-1) dt,
 
@@ -24,7 +27,7 @@ import math
 
 from scipy.special import betaln
 
-from .binom import _check_count, _check_shape, _expectation, pmf_row
+from .binom import _check_shape
 
 _CF_TOL = 1e-14
 _CF_MAX_ITER = 500
@@ -139,15 +142,27 @@ def _check_p_bar(p_bar: float) -> None:
         raise SingularBoundError(f"p_bar={p_bar} is within 1e-12 of 1; I diverges")
 
 
-def log_eval_I(alpha: float, gamma: float, p_bar: float) -> float:
-    """log I(alpha, gamma, p_bar) for gamma > alpha > 0."""
+def _check_interval(p_lo: float, p_bar: float) -> None:
+    if not 0.0 < p_lo < p_bar:
+        raise ValueError(f"need 0 < p_lo < p_bar, got p_lo={p_lo}, p_bar={p_bar}")
+    _check_p_bar(p_bar)
+
+
+def log_eval_I(
+    alpha: float, gamma: float, p_bar: float, p_lo: float | None = None
+) -> float:
+    """log I(alpha, gamma, p_bar), or log I(alpha, gamma, p_lo, p_bar) when
+    p_lo is given, for gamma > alpha > 0."""
     if not gamma > alpha > 0.0:
         raise ValueError(f"need gamma > alpha > 0, got alpha={alpha}, gamma={gamma}")
-    _check_p_bar(p_bar)
-    # I = B(p_bar; alpha, gamma - alpha) / {r_bar^alpha (1 - p_bar)^gamma}
+    if p_lo is None:
+        _check_p_bar(p_bar)
+    else:
+        _check_interval(p_lo, p_bar)
+    # I = M(alpha, gamma - alpha) on [p_lo, p_bar] / {r_bar^alpha (1 - p_bar)^gamma}
     log_r_bar = math.log(p_bar) - math.log1p(-p_bar)
     return (
-        log_inc_beta_lower(alpha, gamma - alpha, p_bar)
+        log_beta_measure(alpha, gamma - alpha, 0.0 if p_lo is None else p_lo, p_bar)
         - alpha * log_r_bar
         - gamma * math.log1p(-p_bar)
     )
@@ -168,49 +183,9 @@ def eval_I(alpha: float, gamma: float, p_bar: float) -> float:
     return _exp_I(log_eval_I(alpha, gamma, p_bar), alpha, gamma, p_bar)
 
 
-def _check_interval(p_lo: float, p_bar: float) -> None:
-    if not 0.0 < p_lo < p_bar:
-        raise ValueError(f"need 0 < p_lo < p_bar, got p_lo={p_lo}, p_bar={p_bar}")
-    _check_p_bar(p_bar)
-
-
-def log_eval_I_two_sided(alpha: float, gamma: float, p_lo: float, p_bar: float) -> float:
-    """log of the two-sided integral int_rho^1, rho = odds ratio p_lo vs p_bar."""
-    if not gamma > alpha > 0.0:
-        raise ValueError(f"need gamma > alpha > 0, got alpha={alpha}, gamma={gamma}")
-    _check_interval(p_lo, p_bar)
-    log_r_bar = math.log(p_bar) - math.log1p(-p_bar)
-    log_num = log_beta_measure(alpha, gamma - alpha, p_lo, p_bar)
-    return log_num - alpha * log_r_bar - gamma * math.log1p(-p_bar)
-
-
 def eval_I_two_sided(alpha: float, gamma: float, p_lo: float, p_bar: float) -> float:
     """I(alpha, gamma, p_lo, p_bar) = int_rho^1 t^(alpha-1) / {1 - p_bar (1-t)}^gamma dt."""
-    log_value = log_eval_I_two_sided(alpha, gamma, p_lo, p_bar)
-    return _exp_I(log_value, alpha, gamma, p_lo, p_bar)
-
-
-def eval_J(p: float, n: int, a: float, b: float, p_bar: float) -> float:
-    """J(p) = int_0^1 t^(a-1) {1 - p (1-t)}^n / {1 - p_bar (1-t)}^(n+a+b+1) dt.
-
-    Since {1 - p (1-t)}^n is the binomial generating function E_p[t^X],
-    J(p) is the exact finite mixture sum_x Bin(x; n, p) I(x+a, n+a+b+1, p_bar).
-    """
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"p must be in [0, 1), got {p}")
-    return _expectation(pmf_row(n, p), _j_rows(n, a, b, p_bar)[0])
-
-
-def _j_rows(n: int, a: float, b: float, p_bar: float) -> tuple[list[float], list[float]]:
-    """I(x+a, n+a+b+1, p_bar) and exp(-log I) for x = 0..n: the rows whose
-    binomial expectations are J(p) and E_p[1/I]; neither depends on p."""
-    _check_shape(a=a, b=b)
-    _check_count("n", n)
-    _check_p_bar(p_bar)
-    gamma = n + a + b + 1.0
-    log_i = [log_eval_I(x + a, gamma, p_bar) for x in range(n + 1)]
-    i_row = [_exp_I(v, x + a, gamma, p_bar) for x, v in enumerate(log_i)]
-    return i_row, [math.exp(-v) for v in log_i]
+    return _exp_I(log_eval_I(alpha, gamma, p_bar, p_lo), alpha, gamma, p_lo, p_bar)
 
 
 def bracket_term(alpha: float, gamma: float, p_lo: float, p_bar: float) -> float:

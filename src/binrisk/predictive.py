@@ -29,6 +29,7 @@ def plug_in_density(y: int, l: int, d: float) -> float:
     """Bin(y | l, d) at a point estimate d of p."""
     if not 0.0 < d < 1.0:
         raise ValueError(f"plug-in estimate d must be in (0, 1), got {d}")
+    _check_count("l", l)
     _check_count("y", y, 0, l)
     return pmf_row(l, d)[y]
 

@@ -3,9 +3,10 @@
 Every truncated-posterior quantity in the package is computed through
 incomplete-beta identities; the oracles here integrate the defining
 expressions directly with adaptive quadrature (substituting t = u^(1/alpha)
-to tame the endpoint singularity when alpha < 1). The two lemma checkers
-at the end evaluate both sides of an identity or inequality the paper's
-proofs rely on.
+to tame the endpoint singularity when alpha < 1). eval_J is the exception:
+it assembles J(p) from the library's own I row, so that tests can check
+that row against the J oracle. The two lemma checkers at the end evaluate
+both sides of an identity or inequality the paper's proofs rely on.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from collections.abc import Mapping, Sequence
 from scipy.integrate import quad
 
 from binrisk.binom import pmf_row
+from binrisk.dominance import _j_rows
 
 QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-13, limit=200)
 
@@ -79,6 +81,18 @@ def quad_J(p: float, n: int, a: float, b: float, p_bar: float) -> float:
         **QUAD_OPTS,
     )
     return val
+
+
+def eval_J(p: float, n: int, a: float, b: float, p_bar: float) -> float:
+    """J(p) = int_0^1 t^(a-1) {1 - p (1-t)}^n / {1 - p_bar (1-t)}^(n+a+b+1) dt.
+
+    Since {1 - p (1-t)}^n is the binomial generating function E_p[t^X],
+    J(p) is the exact finite mixture sum_x Bin(x; n, p) I(x+a, n+a+b+1, p_bar),
+    read here from the I row the Thm 3.2 bound uses.
+    """
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"p must be in [0, 1), got {p}")
+    return math.fsum(w * v for w, v in zip(pmf_row(n, p), _j_rows(n, a, b, p_bar)[0]))
 
 
 def quad_beta_measure(alpha: float, beta: float, lo: float, hi: float) -> float:

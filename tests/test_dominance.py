@@ -21,8 +21,9 @@ from binrisk.dominance import (
 from binrisk import binom, dominance, estimators, incbeta, predictive, risk
 from binrisk.binom import BinomialSetup, PriorSpec
 from binrisk.estimators import EstimateTable
-from binrisk.incbeta import eval_J
 from binrisk.risk import point_risk
+
+from conftest import eval_J
 
 
 class TestNecessaryConditions:
@@ -167,6 +168,17 @@ class TestThreshold:
         # 1e-6, so the returned midpoint lies within 1e-6 of the root
         oracle = 0.78008584820426251473332528259343
         assert abs(dominance_threshold_n1(0.5) - oracle) < 1e-6
+
+    @pytest.mark.parametrize("a", [146.36, 200.0])
+    def test_no_root_when_the_upper_end_is_rounding_noise(self, a):
+        # the sign change lies in (0.5001, 0.6), while the value at the
+        # bracket's upper end 1 - 1e-4 is rounding noise of either sign;
+        # walking the bracket into that noise returned 0.697 and 0.854
+        assert max_risk_diff_symmetric_n1(a, 0.5001) < 0.0
+        assert max_risk_diff_symmetric_n1(a, 0.6) > 0.0
+        assert abs(max_risk_diff_symmetric_n1(a, 1.0 - 1e-4)) < 1e-12
+        with pytest.raises(ArithmeticError, match="no sign change"):
+            dominance_threshold_n1(a)
 
 
 class TestExhaustiveCheck:

@@ -113,6 +113,9 @@ class TestPlugIn:
             plug_in_density(0, 1, 0.0)
         with pytest.raises(ValueError):
             plug_in_density(2, 1, 0.5)  # y = l + 1
+        for trials in (0, 1.5):
+            with pytest.raises(ValueError, match="l must"):
+                plug_in_density(0, trials, 0.5)
 
 
 class TestPredictiveTable:
