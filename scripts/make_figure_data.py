@@ -7,9 +7,9 @@ Outputs (default directory: figure_data/):
     posterior-mean estimators plus the standardized risk-difference upper
     bound, on a 512-point grid over (0, pb].
   - max_risk_diff_a{a}.csv for a in {1.0, 0.5}: the maximum risk difference
-    of the symmetric-interval estimator for a single trial, over upper
-    bounds in (1/2, 1), with the dominance-threshold root in the header
-    comment line.
+    of the symmetric-interval estimator for a single trial at 200 upper
+    bounds from 0.5001 to 0.9999 (binrisk.dominance.threshold_scan), with
+    the dominance-threshold root in the header comment line.
 
 The risk curves go through the command-line interface (risk-curve), so they
 follow its documented column contract; the threshold curves call
@@ -23,7 +23,7 @@ import pathlib
 import sys
 
 from binrisk.cli import main as cli_main
-from binrisk.dominance import dominance_threshold_n1, max_risk_diff_symmetric_n1
+from binrisk.dominance import threshold_scan
 
 
 def write_risk_curves(outdir: pathlib.Path, grid: int) -> None:
@@ -47,14 +47,12 @@ def write_risk_curves(outdir: pathlib.Path, grid: int) -> None:
 
 def write_threshold_curves(outdir: pathlib.Path, points: int) -> None:
     for a in (1.0, 0.5):
-        root = dominance_threshold_n1(a)
+        grid, values, root = threshold_scan(a, points)
         out = outdir / f"max_risk_diff_a{a}.csv"
         with open(out, "w", newline="") as handle:
             handle.write(f"# dominance threshold root: {root:.17g}\n")
             handle.write("p_bar,max_risk_difference\n")
-            for i in range(1, points):
-                pb = 0.5 + 0.5 * i / points
-                value = max_risk_diff_symmetric_n1(a, pb)
+            for pb, value in zip(grid, values):
                 handle.write(f"{pb:.17g},{value:.17g}\n")
         print(f"wrote {out} (root {root:.6f})")
 

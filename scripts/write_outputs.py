@@ -45,6 +45,9 @@ COMMANDS = (
     "estimate --n 65 --p-lo 0.4 --p-bar 0.6",
     "poisson-limit --lam nan",
     "threshold --a 200",
+    "threshold --a 20",
+    "threshold --a 30000",
+    "threshold --a 2 --grid 8",
 )
 
 _TOKEN = re.compile(r"[^\s,()\[\]:=;]+")

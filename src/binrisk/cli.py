@@ -15,13 +15,8 @@ import sys
 from collections.abc import Iterable, Sequence
 from itertools import repeat
 
-from .binom import BinomialSetup, PriorSpec, _check_count
-from .dominance import (
-    DominanceReport,
-    dominance_threshold_n1,
-    exhaustive_dominance_check,
-    max_risk_diff_symmetric_n1,
-)
+from .binom import BinomialSetup, PriorSpec
+from .dominance import DominanceReport, exhaustive_dominance_check, threshold_scan
 from .estimators import EstimateTable
 from .poisson import PoissonConfig, limit_convergence_report
 from .predictive import PredictiveTable
@@ -131,13 +126,9 @@ def _cmd_dominance(args: argparse.Namespace) -> int:
 
 
 def _cmd_threshold(args: argparse.Namespace) -> int:
-    _check_count("grid size", args.grid, lo=2)
-    root = dominance_threshold_n1(args.a)
-    grid = [
-        0.5 + (0.5 - 1e-4) * (i + 1) / args.grid for i in range(args.grid - 1)
-    ]
-    for p_bar in grid:
-        print(f"p_bar={_fmt(p_bar)} max_risk_diff={_fmt(max_risk_diff_symmetric_n1(args.a, p_bar))}")
+    grid, values, root = threshold_scan(args.a, args.grid)
+    for p_bar, value in zip(grid, values):
+        print(f"p_bar={_fmt(p_bar)} max_risk_diff={_fmt(value)}")
     print(f"threshold: {_fmt(root)}")
     return EXIT_OK
 

@@ -245,30 +245,31 @@ def max_risk_diff_symmetric_n1(a: float, p_bar: float) -> float:
     return max_risk_diff_symmetric_n1_generic(a, p_bar)
 
 
-def dominance_threshold_n1(a: float) -> float:
-    """Root of the n = 1 symmetric maximum risk difference on (1/2, 1).
-
-    Below the root the truncated estimator dominates; above it does not.
-    Bisection on the bracket [0.5 + 1e-4, 1 - 1e-4]; when its ends do not
-    differ in sign (for large a the value at the upper end is rounding
-    noise) no root is claimed.
-    """
+def threshold_scan(a: float, size: int = 50) -> tuple[tuple[float, ...], tuple[float, ...], float]:
+    """max_risk_diff_symmetric_n1 at size points p_bar from 0.5 + 1e-4 to
+    1 - 1e-4, and its root, below which the truncated estimator dominates:
+    one needs a negative first value and a later non-negative one, and the
+    bisection reads no value past that first turn (rounding noise of either
+    sign for large a), taking the signs of the scan points around it there."""
+    grid = p_grid(1.0 - 1e-4, 0.5 + 1e-4, size)
     _check_shape(a=a)
-    lo, hi = 0.5 + 1e-4, 1.0 - 1e-4
-    f_lo = max_risk_diff_symmetric_n1(a, lo)
-    f_hi = max_risk_diff_symmetric_n1(a, hi)
-    if f_lo * f_hi > 0.0:
-        raise ArithmeticError(
-            f"no sign change bracketed on (1/2, 1) for a={a}"
-        )
+    values = tuple(max_risk_diff_symmetric_n1(a, pb) for pb in grid)
+    turn = next((i for i, v in enumerate(values) if v >= 0.0), None)
+    if not values[0] < 0.0 or turn is None:
+        raise ArithmeticError(f"no sign change bracketed on (1/2, 1) for a={a}")
+    lo, hi = grid[0], grid[-1]
     while hi - lo >= THRESHOLD_TOL:
         mid = 0.5 * (lo + hi)
-        f_mid = max_risk_diff_symmetric_n1(a, mid)
-        if f_lo * f_mid <= 0.0:
-            hi = mid
+        if mid <= grid[turn - 1] or (mid < grid[turn] and max_risk_diff_symmetric_n1(a, mid) < 0.0):
+            lo = mid
         else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+            hi = mid
+    return tuple(grid), values, 0.5 * (lo + hi)
+
+
+def dominance_threshold_n1(a: float) -> float:
+    """Root of the n = 1 symmetric maximum risk difference on (1/2, 1)."""
+    return threshold_scan(a)[2]
 
 
 @dataclass(frozen=True)

@@ -104,12 +104,12 @@ def log_inc_beta_lower(alpha: float, beta: float, x: float) -> float:
     if x == 0.0:
         return -math.inf
     if x == 1.0:
-        return betaln(alpha, beta)
+        return float(betaln(alpha, beta))
     if x <= alpha / (alpha + beta):
         cf = _betacf(alpha, beta, x)
         return alpha * math.log(x) + beta * math.log1p(-x) - math.log(alpha) + math.log(cf)
     # upper tail: B(x; a, b) = B(a, b) - B(1-x; b, a)
-    log_complete = betaln(alpha, beta)
+    log_complete = float(betaln(alpha, beta))
     log_tail = log_inc_beta_lower(beta, alpha, 1.0 - x)
     diff = log_tail - log_complete
     if diff >= 0.0:

@@ -8,21 +8,30 @@ incomplete-beta differences, handled in log space.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .binom import BinomialSetup, PriorSpec, _check_count, _log_binom_coeffs, pmf_row
 from .incbeta import log_beta_measure
 
 
+def _masses(ys: Iterable[int], x: int, setup: BinomialSetup, prior: PriorSpec) -> list[float]:
+    """Predictive masses at each y of ys given X = x, over one denominator."""
+    n, l, a, b = setup.n, setup.l, prior.a, prior.b
+    _check_count("x", x, 0, n)
+    lo, hi = prior.support
+    log_den = log_beta_measure(x + a, n - x + b, lo, hi)
+    log_coeffs = _log_binom_coeffs(l)
+    return [
+        math.exp(log_coeffs[y] + log_beta_measure(y + x + a, l - y + n - x + b, lo, hi) - log_den)
+        for y in ys
+    ]
+
+
 def bayes_predictive(y: int, x: int, setup: BinomialSetup, prior: PriorSpec) -> float:
     """Posterior expectation of Bin(y | l, p) given X = x."""
-    n, l = setup.n, setup.l
-    _check_count("x", x, 0, n)
-    _check_count("y", y, 0, l)
-    lo, hi = prior.support
-    log_num = log_beta_measure(y + x + prior.a, l - y + n - x + prior.b, lo, hi)
-    log_den = log_beta_measure(x + prior.a, n - x + prior.b, lo, hi)
-    return math.exp(_log_binom_coeffs(l)[y] + log_num - log_den)
+    _check_count("y", y, 0, setup.l)
+    return _masses((y,), x, setup, prior)[0]
 
 
 def plug_in_density(y: int, l: int, d: float) -> float:
@@ -45,9 +54,7 @@ class PredictiveTable:
 
     @classmethod
     def build(cls, setup: BinomialSetup, prior: PriorSpec, x: int) -> "PredictiveTable":
-        density = tuple(
-            bayes_predictive(y, x, setup, prior) for y in range(setup.l + 1)
-        )
+        density = tuple(_masses(range(setup.l + 1), x, setup, prior))
         return cls(setup=setup, prior=prior, x=x, density=density)
 
     def __getitem__(self, y: int) -> float:

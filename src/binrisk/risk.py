@@ -18,10 +18,14 @@ from .estimators import EstimateTable
 from .predictive import PredictiveTable
 
 
-def point_risk(estimates: EstimateTable, p: float) -> float:
-    """Exact entropy-loss risk sum_x Bin(x; n, p) L(delta(x), p)."""
+def _check_p(p: float) -> None:
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
+
+
+def point_risk(estimates: EstimateTable, p: float) -> float:
+    """Exact entropy-loss risk sum_x Bin(x; n, p) L(delta(x), p)."""
+    _check_p(p)
     return _expectation(
         pmf_row(estimates.setup.n, p), entropy_losses(estimates.values, p)
     )
@@ -34,8 +38,7 @@ def predictive_kl_risk(
 
     tables[x][y] is the estimated mass of Y = y after observing X = x.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0, 1), got {p}")
+    _check_p(p)
     n, l = setup.n, setup.l
     if len(tables) != n + 1:
         raise ValueError(f"need a table for every x = 0..{n}")
@@ -69,8 +72,7 @@ def connection_sum(p: float, n: int, l: int, prior: PriorSpec) -> float:
     under the same prior.
     """
     BinomialSetup(n=n, l=l)  # rejects l < 1, which would sum nothing
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0, 1), got {p}")
+    _check_p(p)
     return math.fsum(
         point_risk(EstimateTable.build(BinomialSetup(n=n + i), prior), p)
         for i in range(l)
@@ -87,8 +89,7 @@ def mc_risk(
     """
     if sample_count < 1:
         raise ValueError(f"sample_count must be >= 1, got {sample_count}")
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0, 1), got {p}")
+    _check_p(p)
     n = estimates.setup.n
     losses = np.array(entropy_losses(estimates.values, p))
     rng = np.random.default_rng(seed)

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from binrisk.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
+from binrisk.dominance import threshold_scan
 
 
 def read_csv(path):
@@ -137,6 +138,18 @@ class TestThreshold:
         root = float(text.strip().splitlines()[-1].split()[-1])
         assert 0.7 < root < 0.75
 
+    def test_rows_are_the_scan_and_the_root_ignores_its_size(self, capsys):
+        roots = set()
+        for grid in (8, 50):
+            assert main(["threshold", "--a", "1", "--grid", str(grid)]) == EXIT_OK
+            *rows, last = capsys.readouterr().out.splitlines()
+            p_bars, values, _ = threshold_scan(1.0, grid)
+            assert rows == [
+                f"p_bar={p:.17g} max_risk_diff={v:.17g}" for p, v in zip(p_bars, values)
+            ]
+            roots.add(last)
+        assert len(roots) == 1 and roots.pop().startswith("threshold: ")
+
 
 class TestPoissonLimit:
     def test_error_table(self, tmp_path, capsys):
@@ -186,6 +199,10 @@ class TestExitStatuses:
     def test_mc_samples_without_p_is_a_validation_error(self, capsys):
         assert main(["estimate", "--n", "3", "--mc-samples", "10"]) == EXIT_VALIDATION
         assert "error: --mc-samples requires --p" in capsys.readouterr().err
+
+    def test_threshold_without_a_sign_change_is_a_numerical_failure(self, capsys):
+        assert main(["threshold", "--a", "30000"]) == EXIT_NUMERICAL
+        assert "numerical failure: no sign change" in capsys.readouterr().err
 
     def test_numerical_failure_near_singular_bound(self, capsys):
         code = main(["estimate", "--n", "3", "--p-bar", "0.9999999999999"])

@@ -1,7 +1,9 @@
 """Dominance conditions, risk-difference bounds, thresholds, grid verdicts."""
 
 import math
+import time
 
+import mpmath
 import pytest
 
 from binrisk.dominance import (
@@ -146,6 +148,11 @@ class TestSymmetricMaxDifference:
         with pytest.raises(ValueError):
             max_risk_diff_symmetric_n1(1.0, 0.4)
 
+    def test_integral_path_returns_a_python_float(self):
+        # the closed forms return float; the integral path did not, since
+        # scipy's betaln returns numpy.float64
+        assert type(max_risk_diff_symmetric_n1(200.0, 0.6)) is float
+
 
 class TestThreshold:
     def test_root_is_a_sign_change(self):
@@ -170,15 +177,52 @@ class TestThreshold:
         assert abs(dominance_threshold_n1(0.5) - oracle) < 1e-6
 
     @pytest.mark.parametrize("a", [146.36, 200.0])
-    def test_no_root_when_the_upper_end_is_rounding_noise(self, a):
+    def test_root_found_when_the_upper_end_is_rounding_noise(self, a):
         # the sign change lies in (0.5001, 0.6), while the value at the
-        # bracket's upper end 1 - 1e-4 is rounding noise of either sign;
-        # walking the bracket into that noise returned 0.697 and 0.854
+        # scan's upper end 1 - 1e-4 is rounding noise of either sign; the
+        # bisection brackets the scan's first sign change, not its ends
         assert max_risk_diff_symmetric_n1(a, 0.5001) < 0.0
         assert max_risk_diff_symmetric_n1(a, 0.6) > 0.0
         assert abs(max_risk_diff_symmetric_n1(a, 1.0 - 1e-4)) < 1e-12
+        root = dominance_threshold_n1(a)
+        assert 0.5001 < root < 0.6
+        assert max_risk_diff_symmetric_n1(a, root - 1e-4) < 0.0
+        assert max_risk_diff_symmetric_n1(a, root + 1e-4) > 0.0
+
+    @pytest.mark.parametrize("a", [3e4, 1e5])
+    def test_no_root_when_the_scan_shows_no_sign_change(self, a):
+        # the computed values are rounding noise from the scan's first point
+        # on (+2.2e-10 and +4.8e-10 at 0.5001, where 40-digit mpmath gives
+        # -1.4e-10 and -1.2e-11); the noise's zero crossings near 0.887 and
+        # 0.854, which the fixed bracket returned, are no root
         with pytest.raises(ArithmeticError, match="no sign change"):
             dominance_threshold_n1(a)
+
+    @pytest.mark.parametrize("a", [20.0, 200.0])
+    def test_root_matches_mpmath_oracle(self, a):
+        # for n = 1 the risk difference is quadratic in p,
+        # B + 2p(1-p)(A - B) with A, B the log ratios of the untruncated to
+        # the truncated estimate (and of its complement) at x = 0, so its
+        # maximum over [1 - p_bar, p_bar] lies at p_bar or at 1/2
+        start = time.perf_counter()
+        with mpmath.workdps(40):
+            s = mpmath.mpf(a)
+            unres, half = s / (1 + 2 * s), mpmath.mpf(1) / 2
+
+            def max_diff(p_bar):
+                p_lo = 1 - p_bar
+                trunc = mpmath.betainc(s + 1, s + 1, p_lo, p_bar) / mpmath.betainc(
+                    s, s + 1, p_lo, p_bar
+                )
+                r0 = mpmath.log(unres / trunc)
+                r1 = mpmath.log((1 - unres) / (1 - trunc))
+                return max(r1 + 2 * p * (1 - p) * (r0 - r1) for p in (p_bar, half))
+
+            oracle = mpmath.findroot(
+                max_diff, (mpmath.mpf("0.5001"), mpmath.mpf("0.6")), solver="anderson"
+            )
+        assert abs(dominance_threshold_n1(a) - float(oracle)) < 1e-6
+        assert time.perf_counter() - start < 2.0
 
 
 class TestExhaustiveCheck:

@@ -43,6 +43,11 @@ class TestIncBetaLower:
     def test_zero_endpoint(self):
         assert math.exp(log_inc_beta_lower(2.0, 3.0, 0.0)) == 0.0
 
+    # x = 0, the continued fraction (x <= 0.4), its upper tail, the complete beta
+    @pytest.mark.parametrize("x", [0.0, 0.2, 0.9, 1.0])
+    def test_returns_a_python_float(self, x):
+        assert type(log_inc_beta_lower(2.0, 3.0, x)) is float
+
     @pytest.mark.parametrize("alpha,beta,x", [(0.7, 1.3, 0.2), (3.0, 0.4, 0.9)])
     def test_matches_quadrature(self, alpha, beta, x):
         assert math.exp(log_inc_beta_lower(alpha, beta, x)) == pytest.approx(

@@ -5,8 +5,10 @@ import math
 import pytest
 from scipy.special import betaln
 
+from binrisk import predictive
 from binrisk.binom import BinomialSetup, PriorSpec, pmf_row
 from binrisk.estimators import posterior_mean
+from binrisk.incbeta import log_beta_measure
 from binrisk.predictive import PredictiveTable, bayes_predictive, plug_in_density
 
 from conftest import quad_beta_measure
@@ -126,6 +128,20 @@ class TestPredictiveTable:
         assert len(table.density) == 4
         assert math.fsum(table.density) == pytest.approx(1.0, abs=1e-12)
         assert table[0] > 0.0
+
+    def test_one_denominator_per_table(self, monkeypatch):
+        # one measure per y for the numerators and one shared denominator
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return log_beta_measure(*args)
+
+        monkeypatch.setattr(predictive, "log_beta_measure", counting)
+        setup, prior = BinomialSetup(n=4, l=5), PriorSpec(a=2.0, b=1.0, p_lo=0.2, p_bar=0.7)
+        table = PredictiveTable.build(setup, prior, 3)
+        assert len(calls) == setup.l + 2
+        assert table.density == tuple(bayes_predictive(y, 3, setup, prior) for y in range(6))
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
