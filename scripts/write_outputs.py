@@ -48,6 +48,9 @@ COMMANDS = (
     "threshold --a 20",
     "threshold --a 30000",
     "threshold --a 2 --grid 8",
+    "risk-curve --n 2000 --p-bar 0.3 --grid 16",
+    "dominance --n 500 --p-lo 0.05 --p-bar 0.5 --grid 16",
+    "estimate --n 5000 --p-bar 0.2 --p 0.01",
 )
 
 _TOKEN = re.compile(r"[^\s,()\[\]:=;]+")

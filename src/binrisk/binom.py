@@ -1,4 +1,4 @@
-"""Binomial model primitives: pmf rows and entropy-loss rows.
+"""Binomial model primitives: pmf windows and rows, and entropy-loss rows.
 
 Also holds the two descriptor dataclasses shared across the package:
 the trial-count setup and the (possibly truncated) beta prior, and the
@@ -96,22 +96,86 @@ def _check_p(p: float) -> None:
         raise ValueError(f"p must be in [0, 1], got {p}")
 
 
-def pmf_row(n: int, p: float) -> list[float]:
-    """C(n,x) p^x (1-p)^(n-x) for x = 0..n, in log space, with 0^0 := 1."""
+# math.exp is exactly 0.0 below about -745.13. Past the first exponent
+# under this cutoff, 1 below -745.2, the log pmf only falls, and the
+# rounding of the computed exponents, far below 1, cannot lift one back
+_EXP_CUTOFF = -746.2
+
+
+def _window_edge(
+    n: int, coeffs: Sequence[float], log_p: float, log_q: float, mode: int, end: int
+) -> int:
+    """The last x from mode toward end (0 or n) whose pmf exponent is not
+    under _EXP_CUTOFF, by bisection: the log pmf is unimodal, so along the
+    way the test flips once."""
+    inner, outer, x = mode, end, end
+    while True:
+        if coeffs[x] + x * log_p + (n - x) * log_q >= _EXP_CUTOFF:
+            inner = x
+        else:
+            outer = x
+        if abs(outer - inner) <= 1:
+            return inner
+        x = (inner + outer) // 2
+
+
+@lru_cache(maxsize=8)
+def pmf_window(n: int, p: float) -> tuple[int, tuple[float, ...]]:
+    """(start, terms): C(n,x) p^x (1-p)^(n-x) at x = start, start+1, ..., in
+    log space, with 0^0 := 1; the pmf at every other x is exactly 0.0.
+
+    The log pmf is unimodal, so the window runs from the mode out to the
+    last exponent not under _EXP_CUTOFF on either side.
+    """
     _check_count("n", n)
     _check_p(p)
     if p in (0.0, 1.0):  # all mass at x = n p
-        return [1.0 if x == n * p else 0.0 for x in range(n + 1)]
+        return round(n * p), (1.0,)
+    coeffs = _log_binom_coeffs(n)
     log_p, log_q = math.log(p), math.log1p(-p)
-    return [
-        math.exp(c + x * log_p + (n - x) * log_q)
-        for x, c in enumerate(_log_binom_coeffs(n))
-    ]
+    mode = min(int((n + 1) * p), n)
+    start = _window_edge(n, coeffs, log_p, log_q, mode, 0)
+    stop = _window_edge(n, coeffs, log_p, log_q, mode, n) + 1
+    return start, tuple(
+        [math.exp(coeffs[x] + x * log_p + (n - x) * log_q) for x in range(start, stop)]
+    )
+
+
+def pmf_row(n: int, p: float) -> list[float]:
+    """The pmf at x = 0..n: pmf_window padded with its zeros."""
+    start, terms = pmf_window(n, p)
+    row = [0.0] * (n + 1)
+    row[start : start + len(terms)] = terms
+    return row
 
 
 def _expectation(weights: Sequence[float], values: Sequence[float]) -> float:
-    """sum_x weights[x] values[x], correctly rounded."""
-    return math.fsum(w * v for w, v in zip(weights, values, strict=True))
+    """sum_x weights[x] values[x], correctly rounded.
+
+    The terms go to fsum in decreasing order: its result does not depend
+    on their order, but its time does, and small terms first leave it many
+    partial sums to carry through the large ones.
+    """
+    terms = [w * v for w, v in zip(weights, values, strict=True)]
+    return math.fsum(sorted(terms, reverse=True))
+
+
+def _log_rows(ds: Sequence[float]) -> tuple[list[float], list[float]]:
+    """log d and log(1-d) for each d: the p-free half of entropy_losses."""
+    return [math.log(d) for d in ds], [math.log1p(-d) for d in ds]
+
+
+def _losses(log_ds: Sequence[float], log_es: Sequence[float], p: float) -> list[float]:
+    """p log(p/d) + (1-p) log((1-p)/(1-d)) from log d and log_e = log(1-d)."""
+    # 0 log 0 := 0, so an endpoint p drops its term
+    log_p = math.log(p) if p > 0.0 else 0.0
+    log_q = math.log1p(-p) if p < 1.0 else 0.0
+    q = 1.0 - p
+    # tiny negative values are pure rounding: the loss is a KL divergence
+    return [
+        max(p * (log_p - log_d) + q * (log_q - log_e), 0.0)
+        for log_d, log_e in zip(log_ds, log_es)
+    ]
 
 
 def entropy_losses(ds: Sequence[float], p: float) -> list[float]:
@@ -120,11 +184,4 @@ def entropy_losses(ds: Sequence[float], p: float) -> list[float]:
     for d in ds:
         if not 0.0 < d < 1.0:
             raise ValueError(f"estimate d must be in (0, 1), got {d}")
-    # 0 log 0 := 0, so an endpoint p drops its term
-    log_p = math.log(p) if p > 0.0 else 0.0
-    log_q = math.log1p(-p) if p < 1.0 else 0.0
-    # tiny negative values are pure rounding: the loss is a KL divergence
-    return [
-        max(p * (log_p - math.log(d)) + (1.0 - p) * (log_q - math.log1p(-d)), 0.0)
-        for d in ds
-    ]
+    return _losses(*_log_rows(ds), p)

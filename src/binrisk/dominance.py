@@ -9,9 +9,10 @@ resolution, not a symbolic proof.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .binom import BinomialSetup, PriorSpec, _check_count, _check_shape, _expectation, pmf_row
+from .binom import BinomialSetup, PriorSpec, _check_count, _check_shape, _expectation, pmf_window
 from .estimators import EstimateTable
 from .incbeta import _exp_I, eval_I, log_beta_measure, log_eval_I
 from .risk import point_risk
@@ -49,29 +50,29 @@ def _j_rows(n: int, a: float, b: float, p_bar: float) -> tuple[list[float], list
 
 def _upper_curves(
     n: int, a: float, b: float, p_bar: float, grid: list[float]
-) -> tuple[tuple[float, ...], tuple[float | None, ...]]:
-    """The standardizer J(p) E_p[1/I(X+a, n+a+b+1, p_bar)] of the risk
-    difference and the Thm 3.2 bound (None where its log argument is
-    nonpositive) at each p of grid, from rows built once for all p."""
+) -> Iterator[tuple[float, float | None]]:
+    """Yields, for each p of grid, the standardizer J(p) E_p[1/I(X+a,
+    n+a+b+1, p_bar)] of the risk difference and the Thm 3.2 bound (None
+    where its log argument is nonpositive), from rows built once for all p
+    and the pmf window of p."""
     i_row, inv_row = _j_rows(n, a, b, p_bar)
     s = n + a + b
-    scales, bounds = [], []
     for p in grid:
         if not 0.0 < p <= p_bar:
             raise ValueError(f"p must be in (0, p_bar], got p={p}, p_bar={p_bar}")
-        w = pmf_row(n, p)
-        j = _expectation(w, i_row)
-        scales.append(j * _expectation(w, inv_row))
+        start, w = pmf_window(n, p)
+        stop = start + len(w)
+        j = _expectation(w, i_row[start:stop])
         arg = 1.0 - 1.0 / ((1.0 - p_bar) * s * j)
         gain = p * math.log1p((1.0 + 1.0 / j) / (p_bar * s))
-        bounds.append((1.0 - p) * math.log(arg) + gain if arg > 0.0 else None)
-    return tuple(scales), tuple(bounds)
+        bound = (1.0 - p) * math.log(arg) + gain if arg > 0.0 else None
+        yield j * _expectation(w, inv_row[start:stop]), bound
 
 
 def thm32_bound(p: float, n: int, a: float, b: float, p_bar: float) -> float:
     """Upper bound on the standardized risk difference (truncated minus
     untruncated) in the upper-restriction case."""
-    bound = _upper_curves(n, a, b, p_bar, [p])[1][0]
+    _, bound = next(_upper_curves(n, a, b, p_bar, [p]))
     if bound is None:
         raise BoundUndefinedError(f"bound undefined at p={p}: log argument <= 0")
     return bound
@@ -94,7 +95,7 @@ def standardized_risk_difference(
     p: float, n: int, a: float, b: float, p_bar: float
 ) -> float:
     """Exact risk difference divided by J(p) E_p[1/I(X+a, n+a+b+1, p_bar)]."""
-    scale = _upper_curves(n, a, b, p_bar, [p])[0][0]
+    scale, _ = next(_upper_curves(n, a, b, p_bar, [p]))
     return risk_difference(p, n, a, b, p_bar) / scale
 
 
@@ -313,8 +314,29 @@ def exhaustive_dominance_check(
     grid = p_grid(p_bar, p_lo, grid_size)
     unres = EstimateTable.build(setup, PriorSpec(a=a, b=b))
     trunc = EstimateTable.build(setup, prior)
-    risk_unres = tuple(point_risk(unres, p) for p in grid)
-    risk_trunc = tuple(point_risk(trunc, p) for p in grid)
+
+    flags: dict[str, bool | None] = {
+        "thm33_necessary": thm33_necessary(n, a, b, p_bar),
+        "thm34_necessary": thm34_necessary(n, a, p_bar) if b == 1.0 else None,
+        "thm41_c1": None,
+        "thm41_c2": None,
+        "smallpbar_sufficient": None,
+    }
+    if prior.restriction == "upper":
+        cond_general, _ = smallpbar_sufficient_conditions(n, a, b, p_bar)
+        flags["smallpbar_sufficient"] = cond_general
+        curves = _upper_curves(n, a, b, p_bar, grid)
+    else:
+        c1, c2 = thm41_conditions(n, a, b, p_lo, p_bar)
+        flags["thm41_c1"] = c1
+        flags["thm41_c2"] = c2
+        curves = [(None, None)] * len(grid)
+    # one pass over p, so both risks and the curves read one pmf window
+    rows = [
+        (point_risk(unres, p), point_risk(trunc, p), *curve)
+        for p, curve in zip(grid, curves)
+    ]
+    risk_unres, risk_trunc, scales, bounds = (tuple(col) for col in zip(*rows))
     diffs = tuple(t - u for t, u in zip(risk_trunc, risk_unres))
 
     worst_idx = max(range(len(grid)), key=lambda i: diffs[i])
@@ -326,24 +348,11 @@ def exhaustive_dominance_check(
     else:
         verdict = "inconclusive"
 
-    flags: dict[str, bool | None] = {
-        "thm33_necessary": thm33_necessary(n, a, b, p_bar),
-        "thm34_necessary": thm34_necessary(n, a, p_bar) if b == 1.0 else None,
-        "thm41_c1": None,
-        "thm41_c2": None,
-        "smallpbar_sufficient": None,
-    }
     bound_curve: tuple[float | None, ...] | None = None
     std_curve: tuple[float, ...] | None = None
     if prior.restriction == "upper":
-        cond_general, _ = smallpbar_sufficient_conditions(n, a, b, p_bar)
-        flags["smallpbar_sufficient"] = cond_general
-        scales, bound_curve = _upper_curves(n, a, b, p_bar, grid)
+        bound_curve = bounds
         std_curve = tuple(d / scale for d, scale in zip(diffs, scales))
-    else:
-        c1, c2 = thm41_conditions(n, a, b, p_lo, p_bar)
-        flags["thm41_c1"] = c1
-        flags["thm41_c2"] = c2
 
     return DominanceReport(
         n=n,

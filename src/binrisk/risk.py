@@ -4,16 +4,30 @@ The sample space is finite, so every risk here is an exact sum over
 outcomes; a seeded Monte Carlo estimator is kept only as an independent
 cross-check. Sums go through math.fsum, which rounds correctly, so that
 1e-9 comparisons downstream are meaningful.
+
+point_risk sums over the pmf window of (n, p) only: outside it every pmf
+term is exactly 0.0 and every loss finite, so each dropped product is
++0.0 and the correctly rounded sum is the same. Its loss row is built
+from log d and log(1-d), which do not depend on p and are kept for the
+last few tables.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from functools import lru_cache
 
-import numpy as np
-
-from .binom import BinomialSetup, PriorSpec, _expectation, entropy_losses, pmf_row
+from .binom import (
+    BinomialSetup,
+    PriorSpec,
+    _expectation,
+    _log_rows,
+    _losses,
+    entropy_losses,
+    pmf_row,
+    pmf_window,
+)
 from .estimators import EstimateTable
 from .predictive import PredictiveTable
 
@@ -23,12 +37,49 @@ def _check_p(p: float) -> None:
         raise ValueError(f"p must be in (0, 1), got {p}")
 
 
+class _Same:
+    """A cache key that hashes and compares by the identity of what it holds;
+    a cache keeps the key, so the id cannot pass to another object."""
+
+    __slots__ = ("held",)
+
+    def __init__(self, held: object) -> None:
+        self.held = held
+
+    def __hash__(self) -> int:
+        return id(self.held)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Same) and self.held is other.held
+
+
+@lru_cache(maxsize=8)
+def _small_table_logs(values: _Same) -> tuple[list[float], list[float]]:
+    return _log_rows(values.held)
+
+
+@lru_cache(maxsize=2)
+def _large_table_logs(values: _Same) -> tuple[list[float], list[float]]:
+    return _log_rows(values.held)
+
+
+def _table_logs(values: tuple[float, ...]) -> tuple[list[float], list[float]]:
+    """log d and log(1-d) over one table's estimates, which do not depend
+    on p. A kept table costs two rows of n + 1 floats, so up to 8 tables of
+    at most 256 estimates are kept (a connection sum reads l tables at each
+    p), but only 2 larger ones (a risk curve reads a pair)."""
+    cache = _small_table_logs if len(values) <= 256 else _large_table_logs
+    return cache(_Same(values))
+
+
 def point_risk(estimates: EstimateTable, p: float) -> float:
-    """Exact entropy-loss risk sum_x Bin(x; n, p) L(delta(x), p)."""
+    """Exact entropy-loss risk sum_x Bin(x; n, p) L(delta(x), p), over the
+    x where the pmf is not exactly 0.0."""
     _check_p(p)
-    return _expectation(
-        pmf_row(estimates.setup.n, p), entropy_losses(estimates.values, p)
-    )
+    start, weights = pmf_window(estimates.setup.n, p)
+    stop = start + len(weights)
+    log_ds, log_es = _table_logs(estimates.values)
+    return _expectation(weights, _losses(log_ds[start:stop], log_es[start:stop], p))
 
 
 def predictive_kl_risk(
@@ -90,6 +141,8 @@ def mc_risk(
     if sample_count < 1:
         raise ValueError(f"sample_count must be >= 1, got {sample_count}")
     _check_p(p)
+    import numpy as np  # only the sampler needs it; the exact sums do not
+
     n = estimates.setup.n
     losses = np.array(entropy_losses(estimates.values, p))
     rng = np.random.default_rng(seed)

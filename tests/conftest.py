@@ -5,8 +5,10 @@ incomplete-beta identities; the oracles here integrate the defining
 expressions directly with adaptive quadrature (substituting t = u^(1/alpha)
 to tame the endpoint singularity when alpha < 1). eval_J is the exception:
 it assembles J(p) from the library's own I row, so that tests can check
-that row against the J oracle. The two lemma checkers at the end evaluate
-both sides of an identity or inequality the paper's proofs rely on.
+that row against the J oracle. The full-row sums evaluate every risk sum
+over all x = 0..n, zero pmf terms included, as references the windowed
+library sums must equal bit for bit. The two lemma checkers at the end
+evaluate both sides of an identity or inequality the paper's proofs rely on.
 """
 
 from __future__ import annotations
@@ -16,8 +18,15 @@ from collections.abc import Mapping, Sequence
 
 from scipy.integrate import quad
 
-from binrisk.binom import pmf_row
-from binrisk.dominance import _j_rows
+from binrisk.binom import (
+    BinomialSetup,
+    PriorSpec,
+    _log_binom_coeffs,
+    entropy_losses,
+    pmf_row,
+)
+from binrisk.dominance import _j_rows, p_grid
+from binrisk.estimators import EstimateTable
 
 QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-13, limit=200)
 
@@ -93,6 +102,61 @@ def eval_J(p: float, n: int, a: float, b: float, p_bar: float) -> float:
     if not 0.0 <= p < 1.0:
         raise ValueError(f"p must be in [0, 1), got {p}")
     return math.fsum(w * v for w, v in zip(pmf_row(n, p), _j_rows(n, a, b, p_bar)[0]))
+
+
+def full_pmf_row(n: int, p: float) -> list[float]:
+    """The pmf at every x = 0..n by the library's per-term expression, with
+    no window: the terms that underflow come out as 0.0 here."""
+    log_p, log_q = math.log(p), math.log1p(-p)
+    return [
+        math.exp(c + x * log_p + (n - x) * log_q)
+        for x, c in enumerate(_log_binom_coeffs(n))
+    ]
+
+
+def full_row_risk(estimates: EstimateTable, p: float) -> float:
+    """sum over every x = 0..n of pmf times entropy loss, correctly rounded."""
+    pmf = full_pmf_row(estimates.setup.n, p)
+    losses = entropy_losses(estimates.values, p)
+    return math.fsum(w * v for w, v in zip(pmf, losses, strict=True))
+
+
+def full_row_dominance(
+    n: int, a: float, b: float, p_bar: float, p_lo: float | None, grid_size: int
+) -> dict:
+    """The fields of exhaustive_dominance_check's report that its sums feed,
+    from full-row risks, J(p) and E_p[1/I] sums and the Thm 3.2 bound."""
+    setup = BinomialSetup(n=n)
+    unres = EstimateTable.build(setup, PriorSpec(a=a, b=b))
+    trunc = EstimateTable.build(setup, PriorSpec(a=a, b=b, p_bar=p_bar, p_lo=p_lo))
+    grid = tuple(p_grid(p_bar, p_lo, grid_size))
+    risk_unres = tuple(full_row_risk(unres, p) for p in grid)
+    risk_trunc = tuple(full_row_risk(trunc, p) for p in grid)
+    diffs = tuple(t - u for t, u in zip(risk_trunc, risk_unres))
+    worst = max(range(grid_size), key=lambda i: diffs[i])
+    fields = dict(
+        p_grid=grid,
+        risk_unrestricted=risk_unres,
+        risk_truncated=risk_trunc,
+        risk_difference=diffs,
+        thm32_bound_curve=None,
+        standardized_diff_curve=None,
+        worst_p=grid[worst],
+        worst_difference=diffs[worst],
+    )
+    if p_lo is None:
+        i_row, inv_row = _j_rows(n, a, b, p_bar)
+        s = n + a + b
+        bounds, std = [], []
+        for p, diff in zip(grid, diffs):
+            pmf = full_pmf_row(n, p)
+            j = math.fsum(w * v for w, v in zip(pmf, i_row))
+            std.append(diff / (j * math.fsum(w * v for w, v in zip(pmf, inv_row))))
+            arg = 1.0 - 1.0 / ((1.0 - p_bar) * s * j)
+            gain = p * math.log1p((1.0 + 1.0 / j) / (p_bar * s))
+            bounds.append((1.0 - p) * math.log(arg) + gain if arg > 0.0 else None)
+        fields.update(thm32_bound_curve=tuple(bounds), standardized_diff_curve=tuple(std))
+    return fields
 
 
 def quad_beta_measure(alpha: float, beta: float, lo: float, hi: float) -> float:

@@ -8,12 +8,14 @@ from hypothesis import given, settings, strategies as st
 from binrisk.binom import (
     BinomialSetup,
     PriorSpec,
+    _expectation,
     _log_binom_coeffs,
     entropy_losses,
     pmf_row,
+    pmf_window,
 )
 
-from conftest import entropy_loss_direct
+from conftest import entropy_loss_direct, full_pmf_row
 
 
 def kl_binomial(l, p, q):
@@ -51,15 +53,49 @@ class TestBinomPmf:
         total = math.fsum(pmf_row(n, p))
         assert total == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("n, p", [(1, 0.5), (9, 0.3), (60, 0.017)])
+    @pytest.mark.parametrize(
+        "n, p",
+        [
+            (1, 0.5),
+            (9, 0.3),
+            (60, 0.017),
+            (2000, 1e-3),
+            (10_000, 1e-12),
+            (10_000, 1.0 - 1e-12),
+            (10_000, 0.3 / 512),
+            (10_000, 0.5),
+            (10_000, 1e-300),
+            (300, 5e-324),
+        ],
+    )
     def test_row_is_the_per_term_formula_bit_for_bit(self, n, p):
-        # the per-term scalar the row replaced, kept as the reference
-        c = _log_binom_coeffs(n)
-        expected = [
-            math.exp(c[x] + x * math.log(p) + (n - x) * math.log1p(-p))
-            for x in range(n + 1)
-        ]
-        assert pmf_row(n, p) == expected
+        # the per-term scalar over every x, kept as the reference: the
+        # window may leave out only terms that are exactly 0.0
+        assert pmf_row(n, p) == full_pmf_row(n, p)
+
+    @pytest.mark.parametrize("p, at_start", [(1e-12, True), (1.0 - 1e-12, False)])
+    def test_window_reaches_a_mode_at_either_end(self, p, at_start):
+        # the mode is x = 0 for p = 1e-12 and x = n for p = 1 - 1e-12
+        n = 10_000
+        start, terms = pmf_window(n, p)
+        if at_start:
+            assert start == 0 and terms[0] == max(terms) > 0.99
+        else:
+            assert start + len(terms) == n + 1 and terms[-1] == max(terms) > 0.99
+
+    def test_window_skips_the_underflowed_terms(self):
+        # at n = 1e4 and p = 0.5 the terms beyond about 40 standard
+        # deviations of the mode are exactly 0.0
+        start, terms = pmf_window(10_000, 0.5)
+        assert start > 0 and start + len(terms) < 10_001
+        assert len(terms) < 4_000
+
+    def test_window_is_cached_per_n_and_p(self):
+        pmf_window.cache_clear()
+        pmf_row(40, 0.2)
+        pmf_row(40, 0.2)
+        pmf_window(40, 0.3)
+        assert pmf_window.cache_info()[:2] == (1, 2)
 
     def test_log_coeff_cached_values(self):
         assert math.exp(_log_binom_coeffs(9)[3]) == pytest.approx(84.0, rel=1e-12)
@@ -87,6 +123,21 @@ class TestEntropyLoss:
         with pytest.raises(ValueError):
             entropy_losses([0.5], 1.5)
 
+    @pytest.mark.parametrize("d", [0.0, 1.0, -0.2, 1.2, math.nan])
+    def test_every_estimate_is_checked(self, d):
+        with pytest.raises(ValueError, match="estimate d must be in"):
+            entropy_losses([0.3, d, 0.6], 0.5)
+
+    def test_row_is_the_per_term_formula_bit_for_bit(self):
+        # log d and log(1-d) are taken first, then combined as before
+        ds, p = [1e-9, 0.013, 0.3, 0.5, 0.77, 1.0 - 1e-9], 0.27
+        log_p, log_q = math.log(p), math.log1p(-p)
+        expected = [
+            max(p * (log_p - math.log(d)) + (1.0 - p) * (log_q - math.log1p(-d)), 0.0)
+            for d in ds
+        ]
+        assert entropy_losses(ds, p) == expected
+
     @settings(max_examples=80, deadline=None)
     @given(d=st.floats(0.001, 0.999), p=st.floats(0.0, 1.0))
     def test_nonnegative_and_matches_direct(self, d, p):
@@ -102,6 +153,25 @@ class TestEntropyLoss:
         vals = entropy_losses(grid, p)
         for i in range(1, len(vals) - 1):
             assert vals[i + 1] - 2.0 * vals[i] + vals[i - 1] >= -1e-12
+
+
+class TestExpectation:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(-1070, 0)
+            ),
+            max_size=60,
+        )
+    )
+    def test_largest_first_is_the_in_order_sum(self, terms):
+        # fsum rounds the exact sum once, so the order it gets the terms in
+        # cannot change its result; the terms span the whole exponent range
+        weights = [math.ldexp(w, e) for w, _, e in terms]
+        values = [v for _, v, _ in terms]
+        in_order = math.fsum(w * v for w, v in zip(weights, values))
+        assert _expectation(weights, values) == in_order
 
 
 class TestKlBinomial:

@@ -20,12 +20,12 @@ from binrisk.dominance import (
     thm34_necessary,
     thm41_conditions,
 )
-from binrisk import binom, dominance, estimators, incbeta, predictive, risk
+from binrisk import binom, estimators, incbeta, risk
 from binrisk.binom import BinomialSetup, PriorSpec
 from binrisk.estimators import EstimateTable
 from binrisk.risk import point_risk
 
-from conftest import eval_J
+from conftest import eval_J, full_row_dominance
 
 
 class TestNecessaryConditions:
@@ -296,35 +296,72 @@ class TestExhaustiveCheck:
 
     @pytest.fixture
     def rows_built(self, monkeypatch):
-        """Counts of pmf and loss rows built, wherever they are imported."""
-        built = {"pmf_row": 0, "entropy_losses": 0}
+        """Counts of pmf windows built (misses of their cold cache) and of
+        loss rows built, wherever the loss row is imported."""
+        binom.pmf_window.cache_clear()
+        losses = binom._losses
+        loss_rows = [0]
 
-        def counting(name, row):
-            def wrapper(*args):
-                built[name] += 1
-                return row(*args)
+        def counting(*args):
+            loss_rows[0] += 1
+            return losses(*args)
 
-            return wrapper
+        for module in (binom, risk):
+            monkeypatch.setattr(module, "_losses", counting)
 
-        for module in (binom, dominance, incbeta, predictive, risk):
-            for name in built:
-                if hasattr(module, name):
-                    monkeypatch.setattr(
-                        module, name, counting(name, getattr(module, name))
-                    )
-        return built
+        def counts():
+            return {"pmf": binom.pmf_window.cache_info().misses, "loss": loss_rows[0]}
+
+        return counts
 
     @pytest.mark.parametrize("n", [1, 7, 60])
     def test_point_risk_builds_one_pmf_row_and_one_loss_row(self, rows_built, n):
+        # the pmf row is one window of it, the loss row spans that window
         table = EstimateTable.build(BinomialSetup(n=n), PriorSpec(a=1.0, b=1.0))
         point_risk(table, 0.3)
-        assert rows_built == {"pmf_row": 1, "entropy_losses": 1}
+        assert rows_built() == {"pmf": 1, "loss": 1}
 
     def test_pmf_rows_per_grid_point_do_not_grow_with_n(self, rows_built):
         grid_size = 16
         counts = []
         for n in (2, 40):
-            rows_built["pmf_row"] = 0
+            binom.pmf_window.cache_clear()
             exhaustive_dominance_check(n, 1.0, 1.0, 0.3, grid_size=grid_size)
-            counts.append(rows_built["pmf_row"])
-        assert counts[0] == counts[1] <= 3 * grid_size
+            counts.append(rows_built()["pmf"])
+        assert counts[0] == counts[1] == grid_size
+
+    @pytest.mark.parametrize("p_lo", [None, 0.1])
+    def test_one_pmf_window_per_grid_point(self, rows_built, p_lo):
+        # both risks and, in the upper case, J(p) and E_p[1/I] read the
+        # one window built for each p
+        exhaustive_dominance_check(n=5, a=1.0, b=1.0, p_bar=0.3, p_lo=p_lo, grid_size=64)
+        assert rows_built()["pmf"] == 64
+
+    @pytest.mark.parametrize("p_lo", [None, 0.05])
+    def test_report_equals_the_full_row_sums(self, p_lo):
+        # the windows drop only pmf terms that are exactly 0.0
+        n, a, b, p_bar = 300, 0.5, 2.0, 0.3
+        report = exhaustive_dominance_check(n, a, b, p_bar, p_lo=p_lo, grid_size=64)
+        expected = full_row_dominance(n, a, b, p_bar, p_lo, 64)
+        for name, value in expected.items():
+            assert getattr(report, name) == value, name
+        upper = p_lo is None
+        c1, c2 = (None, None) if upper else thm41_conditions(n, a, b, p_lo, p_bar)
+        assert report.condition_flags == {
+            "thm33_necessary": thm33_necessary(n, a, b, p_bar),
+            "thm34_necessary": None,
+            "thm41_c1": c1,
+            "thm41_c2": c2,
+            "smallpbar_sufficient": (
+                smallpbar_sufficient_conditions(n, a, b, p_bar)[0] if upper else None
+            ),
+        }
+        worst = expected["worst_difference"]
+        assert report.grid_verdict == (
+            "dominates" if worst <= 1e-12
+            else "dominated_somewhere" if worst > 1e-9
+            else "inconclusive"
+        )
+        assert (report.n, report.a, report.b, report.restriction, report.p_lo, report.p_bar) == (
+            n, a, b, "upper" if upper else "interval", p_lo, p_bar
+        )

@@ -15,7 +15,15 @@ from binrisk.risk import (
     predictive_kl_risk,
 )
 
-from conftest import verify_log_jensen_bound, verify_second_derivative_identity
+from conftest import (
+    full_row_risk,
+    verify_log_jensen_bound,
+    verify_second_derivative_identity,
+)
+
+# p where the pmf's mode is x = 0 and x = n, and the ends of the default
+# 512-point grid on (0, 0.3]
+EDGE_PS = (1e-12, 1.0 - 1e-12, 0.3 / 512, 0.3, 0.5)
 
 
 class TestPointRisk:
@@ -39,6 +47,34 @@ class TestPointRisk:
         with pytest.raises(ValueError):
             point_risk(table, 0.0)
 
+    @pytest.mark.parametrize("p", [1.0, -0.1, 1.5, math.nan])
+    def test_rejects_p_outside_the_open_interval(self, p):
+        table = EstimateTable.build(BinomialSetup(n=300), PriorSpec(a=1.0, b=1.0))
+        with pytest.raises(ValueError, match="p must be in"):
+            point_risk(table, p)
+
+    @pytest.mark.parametrize("p", EDGE_PS)
+    @pytest.mark.parametrize("n", [1, 2, 33, 300, 10_000])
+    def test_window_sum_equals_the_full_row_sum(self, n, p):
+        # the window drops only pmf terms that are exactly 0.0
+        priors = [PriorSpec(a=1.0, b=1.0), PriorSpec(a=0.5, b=3.0, p_bar=0.3)]
+        if n <= 33:
+            priors.append(PriorSpec(a=2.0, b=1.0, p_bar=0.5, p_lo=0.05))
+        for prior in priors:
+            table = EstimateTable.build(BinomialSetup(n=n), prior)
+            risk, expected = point_risk(table, p), full_row_risk(table, p)
+            assert risk == expected
+            assert math.copysign(1.0, risk) == math.copysign(1.0, expected)
+
+    def test_hand_made_table_is_not_served_a_built_tables_logs(self):
+        # both tables share (setup, prior); their log rows must not
+        setup, prior = BinomialSetup(n=1), PriorSpec(a=1.0, b=1.0)
+        built = EstimateTable.build(setup, prior)
+        hand = EstimateTable(setup=setup, prior=prior, values=(0.5, 0.5))
+        assert point_risk(built, 0.5) > 0.0
+        assert point_risk(hand, 0.5) == 0.0
+        assert point_risk(built, 0.5) == full_row_risk(built, 0.5)
+
 
 class TestPredictiveKlRisk:
     def test_truth_gives_zero(self):
@@ -51,6 +87,15 @@ class TestPredictiveKlRisk:
         setup = BinomialSetup(n=1, l=1)
         with pytest.raises(ValueError):
             predictive_kl_risk([[0.0, 1.0], [0.5, 0.5]], 0.5, setup)
+
+    def test_rejects_zero_mass_where_the_pmf_underflows(self):
+        # Bin(2000; 2000, 1e-3) is exactly 0.0, yet the bad table is an error
+        n, p = 2000, 1e-3
+        setup = BinomialSetup(n=n, l=1)
+        tables = [[0.5, 0.5] for _ in range(n)] + [[0.0, 1.0]]
+        assert pmf_row(n, p)[n] == 0.0
+        with pytest.raises(ValueError, match=r"\(x=2000, y=0\) is not positive"):
+            predictive_kl_risk(tables, p, setup)
 
     @pytest.mark.parametrize("odd", [[0.25, 0.5, 0.25, 0.7], [0.25, 0.75]])
     def test_rejects_table_of_wrong_length(self, odd):
