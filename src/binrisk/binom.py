@@ -12,7 +12,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
-from scipy.special import gammaln
+from .special import log_beta
 
 
 def _check_count(name: str, value: int, lo: int = 1, hi: int | None = None) -> None:
@@ -84,11 +84,10 @@ class PriorSpec:
 
 @lru_cache(maxsize=256)
 def _log_binom_coeffs(n: int) -> tuple[float, ...]:
-    """log C(n, x) for x = 0..n, cached per n since risk sums revisit every x."""
-    lg = gammaln(n + 1)
-    return tuple(
-        float(lg - gammaln(x + 1) - gammaln(n - x + 1)) for x in range(n + 1)
-    )
+    """log C(n, x) = -log(n+1) - log B(x+1, n-x+1) for x = 0..n, cached per
+    n since risk sums revisit every x."""
+    log_n1 = math.log(n + 1)
+    return tuple(-log_n1 - log_beta(x + 1, n - x + 1) for x in range(n + 1))
 
 
 def _check_p(p: float) -> None:

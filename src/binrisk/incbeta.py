@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import math
 
-from scipy.special import betaln
-
 from .binom import _check_shape
+from .special import log_beta
 
 _CF_TOL = 1e-14
 _CF_MAX_ITER = 500
@@ -104,12 +103,12 @@ def log_inc_beta_lower(alpha: float, beta: float, x: float) -> float:
     if x == 0.0:
         return -math.inf
     if x == 1.0:
-        return float(betaln(alpha, beta))
+        return log_beta(alpha, beta)
     if x <= alpha / (alpha + beta):
         cf = _betacf(alpha, beta, x)
         return alpha * math.log(x) + beta * math.log1p(-x) - math.log(alpha) + math.log(cf)
     # upper tail: B(x; a, b) = B(a, b) - B(1-x; b, a)
-    log_complete = float(betaln(alpha, beta))
+    log_complete = log_beta(alpha, beta)
     log_tail = log_inc_beta_lower(beta, alpha, 1.0 - x)
     diff = log_tail - log_complete
     if diff >= 0.0:

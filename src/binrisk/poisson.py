@@ -14,14 +14,15 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from scipy.special import gammainc, gammaln
-
 from .binom import BinomialSetup, PriorSpec, _check_count, _check_shape
 from .estimators import EstimateTable, posterior_mean
 from .predictive import bayes_predictive
 from .risk import point_risk
 
 _TAIL_MASS = 1e-15
+_GAMMA_TOL = 2.220446049250313e-16
+_GAMMA_MAX_ITER = 100000
+_FPMIN = 1e-300
 
 
 @dataclass(frozen=True)
@@ -40,19 +41,59 @@ class PoissonConfig:
 
 
 def _log_lower_gamma(alpha: float, z: float) -> float:
-    """log of the unnormalized lower incomplete gamma int_0^z t^(a-1) e^-t dt."""
-    reg = gammainc(alpha, z)
-    if reg <= 0.0:
+    """log of the unnormalized lower incomplete gamma int_0^z t^(a-1) e^-t dt.
+
+    Below z = alpha + 1 its series converges fast; above, the continued
+    fraction for the upper tail does (modified Lentz), and the lower part
+    is the complement (Numerical Recipes, 2nd ed., section 6.2).
+    """
+    if not z > 0.0:
         raise ArithmeticError(
             f"lower incomplete gamma underflows at (alpha={alpha}, z={z})"
         )
-    return float(gammaln(alpha) + math.log(reg))
+    log_front = alpha * math.log(z) - z
+    if z < alpha + 1.0:
+        # sum_k z^k / (alpha (alpha+1) ... (alpha+k))
+        term = total = 1.0 / alpha
+        shape = alpha
+        for _ in range(_GAMMA_MAX_ITER):
+            shape += 1.0
+            term *= z / shape
+            total += term
+            if term < total * _GAMMA_TOL:
+                return log_front + math.log(total)
+    else:
+        # upper tail e^-z z^alpha / (z+1-alpha- 1(1-alpha)/(z+3-alpha- ...))
+        b = z + 1.0 - alpha
+        c = 1.0 / _FPMIN
+        d = 1.0 / b
+        h = d
+        for i in range(1, _GAMMA_MAX_ITER + 1):
+            an = -i * (i - alpha)
+            b += 2.0
+            d = an * d + b
+            if abs(d) < _FPMIN:
+                d = _FPMIN
+            c = b + an / c
+            if abs(c) < _FPMIN:
+                c = _FPMIN
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
+            if abs(delta - 1.0) <= _GAMMA_TOL:
+                log_complete = math.lgamma(alpha)
+                return log_complete + math.log1p(
+                    -math.exp(log_front + math.log(h) - log_complete)
+                )
+    raise ArithmeticError(
+        f"incomplete gamma did not converge (alpha={alpha}, z={z})"
+    )
 
 
 def _log_gamma_moment(alpha: float, rate: float, lambda_bar: float | None) -> float:
     """log of int lambda^(alpha-1) e^(-rate lambda) dlambda over the support."""
     if lambda_bar is None:
-        return float(gammaln(alpha)) - alpha * math.log(rate)
+        return math.lgamma(alpha) - alpha * math.log(rate)
     return _log_lower_gamma(alpha, rate * lambda_bar) - alpha * math.log(rate)
 
 
@@ -79,14 +120,14 @@ def poisson_predictive(y_tilde: int, x_tilde: int, config: PoissonConfig) -> flo
     log_den = _log_gamma_moment(alpha, config.r, config.lambda_bar)
     return math.exp(
         y_tilde * math.log(config.s)
-        - float(gammaln(y_tilde + 1))
+        - math.lgamma(y_tilde + 1)
         + log_num
         - log_den
     )
 
 
 def _poisson_pmf(k: int, mean: float) -> float:
-    return math.exp(k * math.log(mean) - mean - float(gammaln(k + 1)))
+    return math.exp(k * math.log(mean) - mean - math.lgamma(k + 1))
 
 
 def poisson_entropy_risk(config: PoissonConfig, lam: float) -> float:

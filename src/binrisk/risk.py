@@ -5,11 +5,12 @@ outcomes; a seeded Monte Carlo estimator is kept only as an independent
 cross-check. Sums go through math.fsum, which rounds correctly, so that
 1e-9 comparisons downstream are meaningful.
 
-point_risk sums over the pmf window of (n, p) only: outside it every pmf
-term is exactly 0.0 and every loss finite, so each dropped product is
-+0.0 and the correctly rounded sum is the same. Its loss row is built
-from log d and log(1-d), which do not depend on p and are kept for the
-last few tables.
+point_risk and predictive_kl_risk sum over the pmf window of (n, p) only:
+outside it every pmf term is exactly 0.0 and every loss finite, so each
+dropped product is a zero and the correctly rounded sum is the same. The
+loss row of point_risk is built from log d and log(1-d), which do not
+depend on p and are kept for the last few tables; predictive_kl_risk
+takes log f(y) once per y.
 """
 
 from __future__ import annotations
@@ -96,15 +97,21 @@ def predictive_kl_risk(
     if any(len(table) != l + 1 for table in tables):
         raise ValueError(f"need a mass for every y = 0..{l} in every table")
     f = pmf_row(l, p)
-    terms = []
-    for x, (wx, table) in enumerate(zip(pmf_row(n, p), tables)):
-        for y, (fy, fhat) in enumerate(zip(f, table)):
-            if fy == 0.0:
-                continue
-            if fhat <= 0.0:
+    ys = [(y, fy, math.log(fy)) for y, fy in enumerate(f) if fy != 0.0]
+    # every estimated mass the risk would read is checked, also where the
+    # pmf of x is exactly 0.0 and its terms are left out of the sum
+    for x, table in enumerate(tables):
+        for y, _, _ in ys:
+            if table[y] <= 0.0:
                 raise ValueError(f"estimated mass at (x={x}, y={y}) is not positive")
-            terms.append(wx * fy * (math.log(fy) - math.log(fhat)))
-    return math.fsum(terms)
+    start, weights = pmf_window(n, p)
+    return math.fsum(
+        [
+            wx * fy * (log_fy - math.log(table[y]))
+            for wx, table in zip(weights, tables[start:])
+            for y, fy, log_fy in ys
+        ]
+    )
 
 
 def bayes_predictive_tables(

@@ -7,7 +7,8 @@ to tame the endpoint singularity when alpha < 1). eval_J is the exception:
 it assembles J(p) from the library's own I row, so that tests can check
 that row against the J oracle. The full-row sums evaluate every risk sum
 over all x = 0..n, zero pmf terms included, as references the windowed
-library sums must equal bit for bit. The two lemma checkers at the end
+library sums must equal bit for bit; full_row_kl_risk does the same for
+the predictive KL risk over every (x, y). The two lemma checkers at the end
 evaluate both sides of an identity or inequality the paper's proofs rely on.
 """
 
@@ -119,6 +120,20 @@ def full_row_risk(estimates: EstimateTable, p: float) -> float:
     pmf = full_pmf_row(estimates.setup.n, p)
     losses = entropy_losses(estimates.values, p)
     return math.fsum(w * v for w, v in zip(pmf, losses, strict=True))
+
+
+def full_row_kl_risk(
+    tables: Sequence[Sequence[float]], p: float, setup: BinomialSetup
+) -> float:
+    """sum over every (x, y) of Bin(x; n, p) Bin(y; l, p) log(f(y)/fhat),
+    zero pmf weights of x included, correctly rounded."""
+    f = full_pmf_row(setup.l, p)
+    return math.fsum(
+        wx * fy * (math.log(fy) - math.log(fhat))
+        for wx, table in zip(full_pmf_row(setup.n, p), tables, strict=True)
+        for fy, fhat in zip(f, table, strict=True)
+        if fy != 0.0
+    )
 
 
 def full_row_dominance(

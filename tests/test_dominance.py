@@ -4,6 +4,7 @@ import math
 import time
 
 import mpmath
+import numpy
 import pytest
 
 from binrisk.dominance import (
@@ -149,8 +150,8 @@ class TestSymmetricMaxDifference:
             max_risk_diff_symmetric_n1(1.0, 0.4)
 
     def test_integral_path_returns_a_python_float(self):
-        # the closed forms return float; the integral path did not, since
-        # scipy's betaln returns numpy.float64
+        # the closed forms return float, and so must the integral path; its
+        # complete beta once came from a library that returns numpy.float64
         assert type(max_risk_diff_symmetric_n1(200.0, 0.6)) is float
 
 
@@ -223,6 +224,63 @@ class TestThreshold:
             )
         assert abs(dominance_threshold_n1(a) - float(oracle)) < 1e-6
         assert time.perf_counter() - start < 2.0
+
+
+def _quadrature_threshold(a: float) -> float:
+    """Root in (0.5001, 0.51) of the n = 1 symmetric maximum risk difference,
+    with the truncated mean a ratio of mpmath.quad integrals at 30 digits
+    (mpmath.betainc does not converge for a >= 3e4)."""
+    with mpmath.workdps(30):
+        s = mpmath.mpf(a)
+        half = mpmath.mpf(1) / 2
+        unres = s / (1 + 2 * s)
+
+        def scaled_measure(al, be, lo, hi):
+            # int_lo^hi t^(al-1) (1-t)^(be-1) dt times 2^(al+be-2)
+            return mpmath.quad(lambda t: (2 * t) ** (al - 1) * (2 - 2 * t) ** (be - 1), [lo, half, hi])
+
+        def max_diff(p_bar):
+            p_lo = 1 - p_bar
+            trunc = scaled_measure(s + 1, s + 1, p_lo, p_bar) / scaled_measure(s, s + 1, p_lo, p_bar) / 2
+            r0 = mpmath.log(unres / trunc)
+            r1 = mpmath.log((1 - unres) / (1 - trunc))
+            return max(r1 + 2 * p * (1 - p) * (r0 - r1) for p in (p_bar, half))
+
+        return float(
+            mpmath.findroot(max_diff, (mpmath.mpf("0.5001"), mpmath.mpf("0.51")), solver="anderson")
+        )
+
+
+class TestThresholdRoundingBound:
+    """For large a the values near the root shrink while their rounding
+    error grows with the log measures, so a root is returned only where the
+    values a bisection tolerance either side of it clear their bound."""
+
+    @pytest.mark.parametrize("a", [1e3, 3e3, 6.7e3, 8e3, 1e4, 3e4])
+    def test_root_matches_quadrature_oracle_or_raises(self, a):
+        oracle = _quadrature_threshold(a)
+        try:
+            root = dominance_threshold_n1(a)
+        except ArithmeticError as exc:
+            assert "rounding bound" in str(exc)
+        else:
+            assert abs(root - oracle) < 1e-6
+
+    @pytest.mark.parametrize(
+        "a, root", [(146.36, 0.5224294549942017), (200.0, 0.519195885658264)]
+    )
+    def test_roots_found_before_the_bound_stay(self, a, root):
+        assert abs(dominance_threshold_n1(a) - root) < 1e-6
+
+    def test_logspace_roots_up_to_a_thousand_stay_resolved(self):
+        # every a of numpy.logspace(-3, 4, 141) up to 1e3 had a root before
+        # the rounding bound; each still has one, with a sign change within
+        # THRESHOLD_TOL of it
+        for a in numpy.logspace(-3, 3, 121):
+            a = float(a)
+            root = dominance_threshold_n1(a)
+            assert max_risk_diff_symmetric_n1(a, root - 1e-6) < 0.0, a
+            assert max_risk_diff_symmetric_n1(a, root + 1e-6) > 0.0, a
 
 
 class TestExhaustiveCheck:

@@ -16,6 +16,7 @@ from binrisk.risk import (
 )
 
 from conftest import (
+    full_row_kl_risk,
     full_row_risk,
     verify_log_jensen_bound,
     verify_second_derivative_identity,
@@ -96,6 +97,24 @@ class TestPredictiveKlRisk:
         assert pmf_row(n, p)[n] == 0.0
         with pytest.raises(ValueError, match=r"\(x=2000, y=0\) is not positive"):
             predictive_kl_risk(tables, p, setup)
+
+    @pytest.mark.parametrize("p", (1e-3, *EDGE_PS))
+    @pytest.mark.parametrize("n, l", [(1, 1), (8, 5), (300, 2), (2000, 3)])
+    def test_window_sum_equals_the_full_row_sum(self, n, l, p):
+        # the window drops only x whose pmf weight is exactly 0.0
+        setup = BinomialSetup(n=n, l=l)
+        priors = [PriorSpec(a=0.5, b=3.0, p_bar=0.3)]
+        if n <= 8:
+            priors.append(PriorSpec(a=2.0, b=1.0, p_bar=0.5, p_lo=0.05))
+        for prior in priors:
+            table = EstimateTable.build(BinomialSetup(n=n), prior)
+            plug = [[plug_in_density(y, l, d) for y in range(l + 1)] for d in table.values]
+            cases = [plug]
+            if n <= 8:
+                cases.append([t.density for t in bayes_predictive_tables(setup, prior)])
+            for tables in cases:
+                risk = predictive_kl_risk(tables, p, setup)
+                assert risk == full_row_kl_risk(tables, p, setup)
 
     @pytest.mark.parametrize("odd", [[0.25, 0.5, 0.25, 0.7], [0.25, 0.75]])
     def test_rejects_table_of_wrong_length(self, odd):

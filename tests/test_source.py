@@ -1,6 +1,9 @@
 """Checks on the library source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).parents[1] / "src" / "binrisk").glob("*.py"))
@@ -38,3 +41,48 @@ def test_kernel_is_called_only_by_the_beta_measure():
                 ):
                     callers.add((path.name, owner))
     assert callers == {("incbeta.py", kernel), ("incbeta.py", "log_beta_measure")}
+
+
+def _imports(module: str) -> set[tuple[str, str]]:
+    """(file, top-level statement) of every import of module or its
+    submodules anywhere in the library, function bodies included."""
+    found = set()
+    for path in SOURCES:
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            owner = getattr(stmt, "name", f"line {stmt.lineno}")
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(name.split(".")[0] == module for name in names):
+                    found.add((path.name, owner))
+    return found
+
+
+def test_no_module_imports_scipy():
+    # the special functions are the library's own (binrisk.special and the
+    # incomplete gamma in binrisk.poisson); scipy serves only the tests
+    assert _imports("scipy") == set()
+
+
+def test_numpy_is_imported_only_by_the_sampler():
+    assert _imports("numpy") == {("risk.py", "mc_risk")}
+
+
+def test_cli_import_loads_neither_scipy_nor_numpy():
+    # start-up is most of a short CLI run; a fresh interpreter shows what
+    # importing the CLI pulls in
+    src = Path(__file__).parents[1] / "src"
+    code = (
+        "import sys, binrisk.cli; "
+        "print(sorted({'scipy', 'numpy'} & {m.split('.')[0] for m in sys.modules}))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
