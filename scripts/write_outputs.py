@@ -51,6 +51,9 @@ COMMANDS = (
     "risk-curve --n 2000 --p-bar 0.3 --grid 16",
     "dominance --n 500 --p-lo 0.05 --p-bar 0.5 --grid 16",
     "estimate --n 5000 --p-bar 0.2 --p 0.01",
+    "risk-curve --n 900 --a 0.5 --b 3 --p-bar 0.5 --grid 64",
+    "risk-curve --n 300 --p-lo 0.1 --p-bar 0.3 --grid 64",
+    "estimate --n 3000 --a 0.5 --b 3 --p-bar 0.5 --p 0.3 --mc-samples 100",
 )
 
 _TOKEN = re.compile(r"[^\s,()\[\]:=;]+")

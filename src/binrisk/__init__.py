@@ -14,13 +14,14 @@ from .dominance import (
     exhaustive_dominance_check,
 )
 from .estimators import EstimateTable, posterior_mean
-from .incbeta import SingularBoundError
+from .incbeta import BracketOverflowError, SingularBoundError
 from .poisson import PoissonConfig, limit_convergence_report
 from .predictive import PredictiveTable, bayes_predictive
 from .risk import connection_sum, point_risk, predictive_kl_risk
 
 __all__ = [
     "BinomialSetup",
+    "BracketOverflowError",
     "BoundUndefinedError",
     "EstimateTable",
     "PoissonConfig",

@@ -1,4 +1,7 @@
-"""Binomial model primitives: pmf windows and rows, and entropy-loss rows.
+"""Binomial model primitives: pmf windows and rows, and weighted loss terms.
+
+_losses builds the terms w L(d, p) of a risk sum, each pmf weight times its
+entropy loss, in one pass; entropy_losses is its unit-weight case.
 
 Also holds the two descriptor dataclasses shared across the package:
 the trial-count setup and the (possibly truncated) beta prior, and the
@@ -151,12 +154,13 @@ def pmf_row(n: int, p: float) -> list[float]:
 def _expectation(weights: Sequence[float], values: Sequence[float]) -> float:
     """sum_x weights[x] values[x], correctly rounded.
 
-    The terms go to fsum in decreasing order: its result does not depend
-    on their order, but its time does, and small terms first leave it many
-    partial sums to carry through the large ones.
+    The terms, sorted in place, go to fsum in decreasing order: its result
+    does not depend on their order, but its time does, and small terms
+    first leave it many partial sums to carry through the large ones.
     """
     terms = [w * v for w, v in zip(weights, values, strict=True)]
-    return math.fsum(sorted(terms, reverse=True))
+    terms.sort(reverse=True)
+    return math.fsum(terms)
 
 
 def _log_rows(ds: Sequence[float]) -> tuple[list[float], list[float]]:
@@ -164,16 +168,20 @@ def _log_rows(ds: Sequence[float]) -> tuple[list[float], list[float]]:
     return [math.log(d) for d in ds], [math.log1p(-d) for d in ds]
 
 
-def _losses(log_ds: Sequence[float], log_es: Sequence[float], p: float) -> list[float]:
-    """p log(p/d) + (1-p) log((1-p)/(1-d)) from log d and log_e = log(1-d)."""
+def _losses(
+    weights: Sequence[float], log_ds: Sequence[float], log_es: Sequence[float], p: float
+) -> list[float]:
+    """The terms w L(d, p) of a risk sum, L = p log(p/d) + (1-p) log((1-p)/(1-d)),
+    in one pass over the weights w and log d, log_e = log(1-d) of each d."""
     # 0 log 0 := 0, so an endpoint p drops its term
     log_p = math.log(p) if p > 0.0 else 0.0
     log_q = math.log1p(-p) if p < 1.0 else 0.0
     q = 1.0 - p
-    # tiny negative values are pure rounding: the loss is a KL divergence
+    # tiny negative losses are pure rounding: the loss is a KL divergence.
+    # The clamp is max(v, 0.0) for every float v, -0.0 and NaN included
     return [
-        max(p * (log_p - log_d) + q * (log_q - log_e), 0.0)
-        for log_d, log_e in zip(log_ds, log_es)
+        w * (0.0 if (v := p * (log_p - log_d) + q * (log_q - log_e)) < 0.0 else v)
+        for w, log_d, log_e in zip(weights, log_ds, log_es)
     ]
 
 
@@ -183,4 +191,4 @@ def entropy_losses(ds: Sequence[float], p: float) -> list[float]:
     for d in ds:
         if not 0.0 < d < 1.0:
             raise ValueError(f"estimate d must be in (0, 1), got {d}")
-    return _losses(*_log_rows(ds), p)
+    return _losses([1.0] * len(ds), *_log_rows(ds), p)  # w * 1.0 is w

@@ -134,24 +134,12 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
 
 
 def _cmd_poisson_limit(args: argparse.Namespace) -> int:
-    config = PoissonConfig(
-        r=args.r, s=args.s, a=args.a, lambda_bar=args.lambda_bar
-    )
-    report = limit_convergence_report(
-        args.k_grid, args.lam, config, args.x_tilde
-    )
-    rows = list(
-        zip(
-            report.K_grid,
-            report.estimator_errors,
-            report.predictive_errors,
-            report.risk_errors,
-        )
-    )
+    config = PoissonConfig(r=args.r, s=args.s, a=args.a, lambda_bar=args.lambda_bar)
+    report = limit_convergence_report(args.k_grid, args.lam, config, args.x_tilde)
     _write_csv(
         args.out,
         ["K", "estimator_error", "predictive_error", "risk_error"],
-        rows,
+        zip(report.K_grid, report.estimator_errors, report.predictive_errors, report.risk_errors),
     )
     print(f"# monotone decay: {report.monotone_decay()}", file=sys.stderr)
     return EXIT_OK

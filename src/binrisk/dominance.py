@@ -123,12 +123,7 @@ def smallpbar_sufficient_conditions(
     j_bar = eval_I(a, a + b + 1.0, p_bar)
     log_gain = math.log1p((1.0 + 1.0 / j_bar) / (p_bar * s))
     arg = 1.0 - 1.0 / ((1.0 - p_bar) * s * j0)
-    if arg <= 0.0:
-        cond_general = False
-    else:
-        cond_general = (
-            math.log(arg) + p_bar / (1.0 - p_bar) * log_gain < 0.0
-        )
+    cond_general = arg > 0.0 and math.log(arg) + p_bar / (1.0 - p_bar) * log_gain < 0.0
     cond_small = (
         p_bar <= 1.0 / n
         and -1.0 / ((1.0 - p_bar) * s)
@@ -364,6 +359,7 @@ def exhaustive_dominance_check(
     grid = p_grid(p_bar, p_lo, grid_size)
     unres = EstimateTable.build(setup, PriorSpec(a=a, b=b))
     trunc = EstimateTable.build(setup, prior)
+    upper = prior.restriction == "upper"
 
     flags: dict[str, bool | None] = {
         "thm33_necessary": thm33_necessary(n, a, b, p_bar),
@@ -372,7 +368,7 @@ def exhaustive_dominance_check(
         "thm41_c2": None,
         "smallpbar_sufficient": None,
     }
-    if prior.restriction == "upper":
+    if upper:
         cond_general, _ = smallpbar_sufficient_conditions(n, a, b, p_bar)
         flags["smallpbar_sufficient"] = cond_general
         curves = _upper_curves(n, a, b, p_bar, grid)
@@ -398,12 +394,6 @@ def exhaustive_dominance_check(
     else:
         verdict = "inconclusive"
 
-    bound_curve: tuple[float | None, ...] | None = None
-    std_curve: tuple[float, ...] | None = None
-    if prior.restriction == "upper":
-        bound_curve = bounds
-        std_curve = tuple(d / scale for d, scale in zip(diffs, scales))
-
     return DominanceReport(
         n=n,
         a=a,
@@ -415,8 +405,8 @@ def exhaustive_dominance_check(
         risk_unrestricted=risk_unres,
         risk_truncated=risk_trunc,
         risk_difference=diffs,
-        thm32_bound_curve=bound_curve,
-        standardized_diff_curve=std_curve,
+        thm32_bound_curve=bounds if upper else None,
+        standardized_diff_curve=tuple(d / c for d, c in zip(diffs, scales)) if upper else None,
         condition_flags=flags,
         grid_verdict=verdict,
         worst_p=grid[worst_idx],

@@ -41,6 +41,10 @@ class SingularBoundError(OverflowError):
     """Raised when p_bar is too close to 1 for I to be representable."""
 
 
+class BracketOverflowError(ArithmeticError):
+    """Raised when the bracket term of an interval prior is not representable."""
+
+
 def _betacf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta, modified Lentz iteration.
 
@@ -201,5 +205,11 @@ def bracket_term(alpha: float, gamma: float, p_lo: float, p_bar: float) -> float
     )
     if abs(log_lower) < 1e-14:
         return 0.0
-    return -math.expm1(log_lower)
+    try:
+        return -math.expm1(log_lower)
+    except OverflowError as exc:
+        raise BracketOverflowError(
+            f"bracket term 1 - exp({log_lower}) overflows double precision "
+            f"(alpha={alpha}, gamma={gamma}, interval [{p_lo}, {p_bar}])"
+        ) from exc
 

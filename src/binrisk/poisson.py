@@ -164,14 +164,9 @@ class PoissonLimitReport:
     risk_errors: tuple[float, ...]
 
     def monotone_decay(self) -> bool:
-        def decreasing(errs: tuple[float, ...]) -> bool:
-            return all(b < a for a, b in zip(errs, errs[1:]))
-
-        return (
-            decreasing(self.estimator_errors)
-            and decreasing(self.predictive_errors)
-            and decreasing(self.risk_errors)
-        )
+        """Every error sequence strictly decreasing over the K grid."""
+        errors = (self.estimator_errors, self.predictive_errors, self.risk_errors)
+        return all(b < a for errs in errors for a, b in zip(errs, errs[1:]))
 
 
 def induced_binomial_prior(config: PoissonConfig, K: float) -> PriorSpec:

@@ -8,9 +8,9 @@ cross-check. Sums go through math.fsum, which rounds correctly, so that
 point_risk and predictive_kl_risk sum over the pmf window of (n, p) only:
 outside it every pmf term is exactly 0.0 and every loss finite, so each
 dropped product is a zero and the correctly rounded sum is the same. The
-loss row of point_risk is built from log d and log(1-d), which do not
-depend on p and are kept for the last few tables; predictive_kl_risk
-takes log f(y) once per y.
+terms Bin(x; n, p) L(d(x), p) of point_risk come from one pass over log d
+and log(1-d), which do not depend on p and are kept for the last few
+tables; predictive_kl_risk takes log f(y) once per y.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from functools import lru_cache
 from .binom import (
     BinomialSetup,
     PriorSpec,
-    _expectation,
     _log_rows,
     _losses,
     entropy_losses,
@@ -80,7 +79,9 @@ def point_risk(estimates: EstimateTable, p: float) -> float:
     start, weights = pmf_window(estimates.setup.n, p)
     stop = start + len(weights)
     log_ds, log_es = _table_logs(estimates.values)
-    return _expectation(weights, _losses(log_ds[start:stop], log_es[start:stop], p))
+    terms = _losses(weights, log_ds[start:stop], log_es[start:stop], p)
+    terms.sort(reverse=True)  # largest first, as in _expectation
+    return math.fsum(terms)
 
 
 def predictive_kl_risk(

@@ -209,6 +209,13 @@ class TestExitStatuses:
         assert code == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_bracket_overflow_is_a_named_numerical_failure(self, capsys):
+        code = main(["estimate", "--n", "2000", "--p-lo", "0.05", "--p-bar", "0.5"])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: bracket term")
+        assert "alpha=1.0, gamma=2002.0" in err and "[0.05, 0.5]" in err
+
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "est.csv"
         result = subprocess.run(

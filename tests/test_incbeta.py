@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import betainc, betaln
 
 from binrisk.incbeta import (
+    BracketOverflowError,
     SingularBoundError,
     bracket_term,
     eval_I,
@@ -267,6 +268,17 @@ class TestBracketTerm:
         # gamma = n + 2a with alpha = x + a: sign follows x - n/2
         assert bracket_term(1.5, 4.0, 0.3, 0.7) < 0.0
         assert bracket_term(2.5, 4.0, 0.3, 0.7) > 0.0
+
+    def test_overflow_is_a_typed_error_naming_its_arguments(self):
+        # the x = 0 entry of the n = 2000 table on [0.05, 0.5]: the endpoint
+        # ratio is exp(1282.05), past the double range
+        with pytest.raises(BracketOverflowError) as info:
+            bracket_term(1.0, 2002.0, 0.05, 0.5)
+        assert isinstance(info.value, ArithmeticError)
+        assert not isinstance(info.value, (OverflowError, SingularBoundError))
+        message = str(info.value)
+        for part in ("bracket term", "alpha=1.0", "gamma=2002.0", "[0.05, 0.5]"):
+            assert part in message
 
 
 class TestTwoSidedRatioIdentities:

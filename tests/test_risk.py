@@ -16,6 +16,7 @@ from binrisk.risk import (
 )
 
 from conftest import (
+    full_pmf_row,
     full_row_kl_risk,
     full_row_risk,
     verify_log_jensen_bound,
@@ -66,6 +67,41 @@ class TestPointRisk:
             risk, expected = point_risk(table, p), full_row_risk(table, p)
             assert risk == expected
             assert math.copysign(1.0, risk) == math.copysign(1.0, expected)
+
+    # p, with the signs of the unclamped losses at d one ulp below and one
+    # ulp above p (at d = p the loss is exactly 0.0): each d off p by an ulp
+    # has a true loss under 1e-31, which rounds to either sign or to 0.0
+    @pytest.mark.parametrize(
+        "p,below,above",
+        [
+            (0.3, -1, 1),
+            (0.9, 1, -1),
+            (6 / 2003, -1, -1),
+            (122 / 2003, 0, -1),
+            (123 / 2003, -1, 0),
+            (0.5, 0, 0),
+        ],
+    )
+    def test_clamp_is_max_bit_for_bit(self, p, below, above):
+        ds = [math.nextafter(p, 0.0), p, math.nextafter(p, 1.0)]
+        log_p, log_q = math.log(p), math.log1p(-p)
+        raw = [
+            p * (log_p - math.log(d)) + (1.0 - p) * (log_q - math.log1p(-d)) for d in ds
+        ]
+        signs = [(v > 0.0) - (v < 0.0) for v in raw]
+        assert signs == [below, 0, above]
+        clamped = [max(v, 0.0) for v in raw]
+        # float.hex tells -0.0 from 0.0, so these compare sign bits too
+        assert [v.hex() for v in entropy_losses(ds, p)] == [v.hex() for v in clamped]
+        table = EstimateTable(
+            setup=BinomialSetup(n=2), prior=PriorSpec(a=1.0, b=1.0), values=tuple(ds)
+        )
+        risk = point_risk(table, p)
+        expected = math.fsum(w * v for w, v in zip(full_pmf_row(2, p), clamped))
+        assert risk.hex() == full_row_risk(table, p).hex() == expected.hex()
+        assert risk >= 0.0 and math.copysign(1.0, risk) == 1.0
+        if max(signs) < 1:
+            assert risk == 0.0
 
     def test_hand_made_table_is_not_served_a_built_tables_logs(self):
         # both tables share (setup, prior); their log rows must not
