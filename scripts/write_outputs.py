@@ -54,6 +54,8 @@ COMMANDS = (
     "risk-curve --n 900 --a 0.5 --b 3 --p-bar 0.5 --grid 64",
     "risk-curve --n 300 --p-lo 0.1 --p-bar 0.3 --grid 64",
     "estimate --n 3000 --a 0.5 --b 3 --p-bar 0.5 --p 0.3 --mc-samples 100",
+    "estimate --n 100000 --a 0.5 --b 3 --p-bar 0.5 --p 0.3 --mc-samples 100 --out F",
+    "estimate --n 20000 --p-bar 0.05 --p 0.001 --mc-samples 100 --out F",
 )
 
 _TOKEN = re.compile(r"[^\s,()\[\]:=;]+")

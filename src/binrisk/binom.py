@@ -1,7 +1,11 @@
 """Binomial model primitives: pmf windows and rows, and weighted loss terms.
 
-_losses builds the terms w L(d, p) of a risk sum, each pmf weight times its
-entropy loss, in one pass; entropy_losses is its unit-weight case.
+pmf_windows(n, p) holds, in one cache entry, the exact window of (n, p),
+every x whose pmf is not exactly 0.0, and its core window, the x within
+e^-100 of the pmf peak, with a bound on the sum of the terms the core
+leaves out; each term is exponentiated once. _losses builds the terms
+w L(d, p) of a risk sum, each pmf weight times its entropy loss, in one
+pass; entropy_losses is its unit-weight case.
 
 Also holds the two descriptor dataclasses shared across the package:
 the trial-count setup and the (possibly truncated) beta prior, and the
@@ -103,16 +107,21 @@ def _check_p(p: float) -> None:
 # rounding of the computed exponents, far below 1, cannot lift one back
 _EXP_CUTOFF = -746.2
 
+# The core window keeps the x whose pmf exponent lies within _DEPTH of the
+# exponent at the mode: about 14 standard deviations either side, where
+# the exact window runs to about 38
+_DEPTH = 100.0
+
 
 def _window_edge(
-    n: int, coeffs: Sequence[float], log_p: float, log_q: float, mode: int, end: int
+    n: int, coeffs: Sequence[float], log_p: float, log_q: float, mode: int, end: int, floor: float
 ) -> int:
-    """The last x from mode toward end (0 or n) whose pmf exponent is not
-    under _EXP_CUTOFF, by bisection: the log pmf is unimodal, so along the
-    way the test flips once."""
+    """The last x from mode toward end whose pmf exponent is not under
+    floor, by bisection: the log pmf is unimodal, so along the way the test
+    flips once."""
     inner, outer, x = mode, end, end
     while True:
-        if coeffs[x] + x * log_p + (n - x) * log_q >= _EXP_CUTOFF:
+        if coeffs[x] + x * log_p + (n - x) * log_q >= floor:
             inner = x
         else:
             outer = x
@@ -121,31 +130,72 @@ def _window_edge(
         x = (inner + outer) // 2
 
 
-@lru_cache(maxsize=8)
-def pmf_window(n: int, p: float) -> tuple[int, tuple[float, ...]]:
-    """(start, terms): C(n,x) p^x (1-p)^(n-x) at x = start, start+1, ..., in
-    log space, with 0^0 := 1; the pmf at every other x is exactly 0.0.
+class PmfWindows:
+    """The two pmf windows of one (n, p), which share their terms; built by
+    pmf_windows.
 
-    The log pmf is unimodal, so the window runs from the mode out to the
-    last exponent not under _EXP_CUTOFF on either side.
+    exact() holds C(n,x) p^x (1-p)^(n-x), in log space with 0^0 := 1,
+    wherever it is not exactly 0.0: the log pmf is unimodal, so the window
+    runs from the mode out to the last exponent not under _EXP_CUTOFF on
+    either side. core is the part of it whose exponents lie within _DEPTH
+    of the exponent at the mode, and tail bounds the sum of the terms that
+    core leaves out of exact() (0.0 when it leaves none): each lies under
+    e^(peak - _DEPTH + 1), where the 1 covers the rounding of the computed
+    exponents, far below 1. Each window is a pair (start, terms) for
+    x = start, start+1, ...; core is built with the entry, and exact()
+    extends it on its first call, so no term is exponentiated twice.
     """
+
+    __slots__ = ("core", "tail", "_exact", "_rest")
+
+    def exact(self) -> tuple[int, tuple[float, ...]]:
+        if self._exact is None:
+            n, coeffs, log_p, log_q, start, stop = self._rest
+            core_start, core = self.core
+            left, right = [
+                tuple([math.exp(coeffs[x] + x * log_p + (n - x) * log_q) for x in span])
+                for span in (range(start, core_start), range(core_start + len(core), stop))
+            ]
+            self._exact = start, left + core + right
+        return self._exact
+
+
+@lru_cache(maxsize=8)
+def pmf_windows(n: int, p: float) -> PmfWindows:
+    """The windows of (n, p), built once for every sum at that p."""
     _check_count("n", n)
     _check_p(p)
+    windows = PmfWindows()
     if p in (0.0, 1.0):  # all mass at x = n p
-        return round(n * p), (1.0,)
+        windows.core = windows._exact = (round(n * p), (1.0,))
+        windows.tail = 0.0
+        return windows
     coeffs = _log_binom_coeffs(n)
     log_p, log_q = math.log(p), math.log1p(-p)
     mode = min(int((n + 1) * p), n)
-    start = _window_edge(n, coeffs, log_p, log_q, mode, 0)
-    stop = _window_edge(n, coeffs, log_p, log_q, mode, n) + 1
-    return start, tuple(
-        [math.exp(coeffs[x] + x * log_p + (n - x) * log_q) for x in range(start, stop)]
+    floor = coeffs[mode] + mode * log_p + (n - mode) * log_q - _DEPTH
+    if coeffs[0] + n * log_q >= floor and coeffs[n] + n * log_p >= floor:
+        start, stop = core_start, core_stop = 0, n + 1  # the whole row
+    else:
+        start = _window_edge(n, coeffs, log_p, log_q, mode, 0, _EXP_CUTOFF)
+        stop = _window_edge(n, coeffs, log_p, log_q, mode, n, _EXP_CUTOFF) + 1
+        core_start = _window_edge(n, coeffs, log_p, log_q, mode, start, floor)
+        core_stop = _window_edge(n, coeffs, log_p, log_q, mode, stop - 1, floor) + 1
+    windows.core = core_start, tuple(
+        [math.exp(coeffs[x] + x * log_p + (n - x) * log_q) for x in range(core_start, core_stop)]
     )
+    dropped = core_start - start + stop - core_stop
+    windows.tail = dropped * math.exp(floor + 1.0)
+    if dropped:
+        windows._exact, windows._rest = None, (n, coeffs, log_p, log_q, start, stop)
+    else:
+        windows._exact = windows.core
+    return windows
 
 
 def pmf_row(n: int, p: float) -> list[float]:
-    """The pmf at x = 0..n: pmf_window padded with its zeros."""
-    start, terms = pmf_window(n, p)
+    """The pmf at x = 0..n: the exact window padded with its zeros."""
+    start, terms = pmf_windows(n, p).exact()
     row = [0.0] * (n + 1)
     row[start : start + len(terms)] = terms
     return row

@@ -57,14 +57,12 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     prior = _prior_from_args(args)
     table = EstimateTable.build(BinomialSetup(n=args.n), prior)
     rows = [(x, table[x]) for x in range(args.n + 1)]
-    if args.mc_samples:
-        est, se = mc_risk(table, args.p, args.mc_samples, args.seed)
-        exact = point_risk(table, args.p)
-        print(
-            f"# exact risk at p={_fmt(args.p)}: {_fmt(exact)}; "
-            f"mc ({args.mc_samples} draws, seed {args.seed}): "
-            f"{_fmt(est)} +/- {_fmt(se)}"
-        )
+    if args.p is not None:
+        mc = ""
+        if args.mc_samples:
+            est, se = mc_risk(table, args.p, args.mc_samples, args.seed)
+            mc = f"; mc ({args.mc_samples} draws, seed {args.seed}): {_fmt(est)} +/- {_fmt(se)}"
+        print(f"# exact risk at p={_fmt(args.p)}: {_fmt(point_risk(table, args.p))}{mc}")
     _write_csv(args.out, ["x", "estimate"], rows)
     return EXIT_OK
 
@@ -220,7 +218,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ArithmeticError, OverflowError) as exc:
+    except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -12,7 +12,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .binom import BinomialSetup, PriorSpec, _check_count, _check_shape, _expectation, pmf_window
+from .binom import BinomialSetup, PriorSpec, _check_count, _check_shape, _expectation, pmf_windows
 from .estimators import EstimateTable
 from .incbeta import _exp_I, eval_I, log_beta_measure, log_eval_I
 from .risk import point_risk
@@ -68,7 +68,7 @@ def _upper_curves(
     for p in grid:
         if not 0.0 < p <= p_bar:
             raise ValueError(f"p must be in (0, p_bar], got p={p}, p_bar={p_bar}")
-        start, w = pmf_window(n, p)
+        start, w = pmf_windows(n, p).exact()
         stop = start + len(w)
         j = _expectation(w, i_row[start:stop])
         arg = 1.0 - 1.0 / ((1.0 - p_bar) * s * j)

@@ -5,11 +5,14 @@ outcomes; a seeded Monte Carlo estimator is kept only as an independent
 cross-check. Sums go through math.fsum, which rounds correctly, so that
 1e-9 comparisons downstream are meaningful.
 
-point_risk and predictive_kl_risk sum over the pmf window of (n, p) only:
-outside it every pmf term is exactly 0.0 and every loss finite, so each
-dropped product is a zero and the correctly rounded sum is the same. The
-terms Bin(x; n, p) L(d(x), p) of point_risk come from one pass over log d
-and log(1-d), which do not depend on p and are kept for the last few
+predictive_kl_risk sums over the exact pmf window of (n, p) only: outside
+it every pmf term is exactly 0.0 and every loss finite, so each dropped
+product is a zero and the correctly rounded sum is the same. point_risk
+sums over the core window, the x within e^-100 of the pmf peak, and
+certifies that the terms it leaves out cannot change the rounded sum;
+where the certificate fails it sums the exact window. Its terms
+Bin(x; n, p) L(d(x), p) come from one pass over log d and log(1-d), which
+do not depend on p and are kept, with their minima, for the last few
 tables; predictive_kl_risk takes log f(y) once per y.
 """
 
@@ -26,7 +29,7 @@ from .binom import (
     _losses,
     entropy_losses,
     pmf_row,
-    pmf_window,
+    pmf_windows,
 )
 from .estimators import EstimateTable
 from .predictive import PredictiveTable
@@ -53,35 +56,64 @@ class _Same:
         return isinstance(other, _Same) and self.held is other.held
 
 
-@lru_cache(maxsize=8)
-def _small_table_logs(values: _Same) -> tuple[list[float], list[float]]:
-    return _log_rows(values.held)
+def _logs_and_minima(values: _Same) -> tuple[list[float], list[float], float, float]:
+    log_ds, log_es = _log_rows(values.held)
+    return log_ds, log_es, min(log_ds), min(log_es)
 
 
-@lru_cache(maxsize=2)
-def _large_table_logs(values: _Same) -> tuple[list[float], list[float]]:
-    return _log_rows(values.held)
+_small_table_logs = lru_cache(maxsize=8)(_logs_and_minima)
+_large_table_logs = lru_cache(maxsize=2)(_logs_and_minima)
 
 
-def _table_logs(values: tuple[float, ...]) -> tuple[list[float], list[float]]:
-    """log d and log(1-d) over one table's estimates, which do not depend
-    on p. A kept table costs two rows of n + 1 floats, so up to 8 tables of
-    at most 256 estimates are kept (a connection sum reads l tables at each
-    p), but only 2 larger ones (a risk curve reads a pair)."""
+def _table_logs(values: tuple[float, ...]) -> tuple[list[float], list[float], float, float]:
+    """log d and log(1-d) over one table's estimates, and their minima, which
+    do not depend on p. A kept table costs two rows of n + 1 floats, so up to
+    8 tables of at most 256 estimates are kept (a connection sum reads l
+    tables at each p), but only 2 larger ones (a risk curve reads a pair)."""
     cache = _small_table_logs if len(values) <= 256 else _large_table_logs
     return cache(_Same(values))
 
 
+def _dropped_bound(tail: float, p: float, min_log_d: float, min_log_e: float) -> float:
+    """An upper bound on the sum of the terms w L that the core window leaves
+    out, given tail >= the sum of their weights w.
+
+    worst is the loss expression of binom._losses at the smallest log d and
+    log(1-d): IEEE rounding is monotone, so no computed loss exceeds it. It
+    is at least KL(p, d) >= 0 up to rounding, so 2 worst + 1 covers the
+    clamp and the rounding of each product and of this bound.
+    """
+    q = 1.0 - p
+    worst = p * (math.log(p) - min_log_d) + q * (math.log1p(-p) - min_log_e)
+    return tail * (2.0 * worst + 1.0)
+
+
 def point_risk(estimates: EstimateTable, p: float) -> float:
-    """Exact entropy-loss risk sum_x Bin(x; n, p) L(delta(x), p), over the
-    x where the pmf is not exactly 0.0."""
+    """Exact entropy-loss risk sum_x Bin(x; n, p) L(delta(x), p), correctly
+    rounded over every x = 0..n.
+
+    It sums the core window of (n, p) and certifies that the terms left out
+    cannot change the rounded sum: their sum lies in [0, bound] for the
+    bound of _dropped_bound, fsum rounds correctly and rounding is
+    monotone, so fsum(terms) == fsum(terms + [bound]) proves that the full
+    sum rounds to the same float. Where that check fails, the sum runs over
+    the exact window.
+    """
     _check_p(p)
-    start, weights = pmf_window(estimates.setup.n, p)
+    windows = pmf_windows(estimates.setup.n, p)
+    log_ds, log_es, min_log_d, min_log_e = _table_logs(estimates.values)
+    start, weights = windows.core
     stop = start + len(weights)
-    log_ds, log_es = _table_logs(estimates.values)
     terms = _losses(weights, log_ds[start:stop], log_es[start:stop], p)
     terms.sort(reverse=True)  # largest first, as in _expectation
-    return math.fsum(terms)
+    risk = math.fsum(terms)
+    if windows.tail:
+        terms.append(_dropped_bound(windows.tail, p, min_log_d, min_log_e))
+        if math.fsum(terms) != risk:
+            start, weights = windows.exact()
+            stop = start + len(weights)
+            return math.fsum(_losses(weights, log_ds[start:stop], log_es[start:stop], p))
+    return risk
 
 
 def predictive_kl_risk(
@@ -105,7 +137,7 @@ def predictive_kl_risk(
         for y, _, _ in ys:
             if table[y] <= 0.0:
                 raise ValueError(f"estimated mass at (x={x}, y={y}) is not positive")
-    start, weights = pmf_window(n, p)
+    start, weights = pmf_windows(n, p).exact()
     return math.fsum(
         [
             wx * fy * (log_fy - math.log(table[y]))

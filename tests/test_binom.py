@@ -12,7 +12,7 @@ from binrisk.binom import (
     _log_binom_coeffs,
     entropy_losses,
     pmf_row,
-    pmf_window,
+    pmf_windows,
 )
 
 from conftest import entropy_loss_direct, full_pmf_row
@@ -77,7 +77,7 @@ class TestBinomPmf:
     def test_window_reaches_a_mode_at_either_end(self, p, at_start):
         # the mode is x = 0 for p = 1e-12 and x = n for p = 1 - 1e-12
         n = 10_000
-        start, terms = pmf_window(n, p)
+        start, terms = pmf_windows(n, p).exact()
         if at_start:
             assert start == 0 and terms[0] == max(terms) > 0.99
         else:
@@ -86,16 +86,16 @@ class TestBinomPmf:
     def test_window_skips_the_underflowed_terms(self):
         # at n = 1e4 and p = 0.5 the terms beyond about 40 standard
         # deviations of the mode are exactly 0.0
-        start, terms = pmf_window(10_000, 0.5)
+        start, terms = pmf_windows(10_000, 0.5).exact()
         assert start > 0 and start + len(terms) < 10_001
         assert len(terms) < 4_000
 
     def test_window_is_cached_per_n_and_p(self):
-        pmf_window.cache_clear()
+        pmf_windows.cache_clear()
         pmf_row(40, 0.2)
         pmf_row(40, 0.2)
-        pmf_window(40, 0.3)
-        assert pmf_window.cache_info()[:2] == (1, 2)
+        pmf_windows(40, 0.3)
+        assert pmf_windows.cache_info()[:2] == (1, 2)
 
     def test_log_coeff_cached_values(self):
         assert math.exp(_log_binom_coeffs(9)[3]) == pytest.approx(84.0, rel=1e-12)

@@ -7,8 +7,11 @@ import sys
 
 import pytest
 
+from binrisk.binom import BinomialSetup, PriorSpec
 from binrisk.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from binrisk.dominance import threshold_scan
+from binrisk.estimators import EstimateTable
+from binrisk.risk import point_risk
 
 
 def read_csv(path):
@@ -49,6 +52,15 @@ class TestEstimate:
         captured = capsys.readouterr().out
         assert "exact risk" in captured and "seed 9" in captured
 
+
+    def test_p_alone_prints_the_exact_risk(self, capsys):
+        # --p used to be read only together with --mc-samples
+        assert main(["estimate", "--n", "3", "--p-bar", "0.2", "--p", "0.1"]) == EXIT_OK
+        table = EstimateTable.build(BinomialSetup(n=3), PriorSpec(a=1.0, b=1.0, p_bar=0.2))
+        risk = point_risk(table, 0.1)
+        assert capsys.readouterr().out.splitlines()[0] == (
+            f"# exact risk at p=0.10000000000000001: {risk:.17g}"
+        )
 
 class TestPredictive:
     def test_masses_sum_to_one(self, tmp_path):
@@ -199,6 +211,12 @@ class TestExitStatuses:
     def test_mc_samples_without_p_is_a_validation_error(self, capsys):
         assert main(["estimate", "--n", "3", "--mc-samples", "10"]) == EXIT_VALIDATION
         assert "error: --mc-samples requires --p" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p", ["1.5", "0", "nan"])
+    def test_p_outside_the_open_interval_is_a_validation_error(self, p, capsys):
+        code = main(["estimate", "--n", "3", "--p-bar", "0.2", "--p", p])
+        assert code == EXIT_VALIDATION
+        assert f"error: p must be in (0, 1), got {p}" in capsys.readouterr().err
 
     def test_threshold_without_a_sign_change_is_a_numerical_failure(self, capsys):
         assert main(["threshold", "--a", "30000"]) == EXIT_NUMERICAL

@@ -356,7 +356,7 @@ class TestExhaustiveCheck:
     def rows_built(self, monkeypatch):
         """Counts of pmf windows built (misses of their cold cache) and of
         loss rows built, wherever the loss row is imported."""
-        binom.pmf_window.cache_clear()
+        binom.pmf_windows.cache_clear()
         losses = binom._losses
         loss_rows = [0]
 
@@ -368,7 +368,7 @@ class TestExhaustiveCheck:
             monkeypatch.setattr(module, "_losses", counting)
 
         def counts():
-            return {"pmf": binom.pmf_window.cache_info().misses, "loss": loss_rows[0]}
+            return {"pmf": binom.pmf_windows.cache_info().misses, "loss": loss_rows[0]}
 
         return counts
 
@@ -383,7 +383,7 @@ class TestExhaustiveCheck:
         grid_size = 16
         counts = []
         for n in (2, 40):
-            binom.pmf_window.cache_clear()
+            binom.pmf_windows.cache_clear()
             exhaustive_dominance_check(n, 1.0, 1.0, 0.3, grid_size=grid_size)
             counts.append(rows_built()["pmf"])
         assert counts[0] == counts[1] == grid_size

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from binrisk.binom import BinomialSetup, PriorSpec, entropy_losses, pmf_row
+import binrisk.risk as risk_module
+from binrisk.binom import BinomialSetup, PriorSpec, entropy_losses, pmf_row, pmf_windows
 from binrisk.estimators import EstimateTable
 from binrisk.predictive import plug_in_density
 from binrisk.risk import (
@@ -58,7 +59,9 @@ class TestPointRisk:
     @pytest.mark.parametrize("p", EDGE_PS)
     @pytest.mark.parametrize("n", [1, 2, 33, 300, 10_000])
     def test_window_sum_equals_the_full_row_sum(self, n, p):
-        # the window drops only pmf terms that are exactly 0.0
+        # the core window also drops nonzero pmf terms, more than e^-100
+        # below the peak; the certificate, or the exact-window sum where it
+        # fails, keeps the sum that of the full row
         priors = [PriorSpec(a=1.0, b=1.0), PriorSpec(a=0.5, b=3.0, p_bar=0.3)]
         if n <= 33:
             priors.append(PriorSpec(a=2.0, b=1.0, p_bar=0.5, p_lo=0.05))
@@ -112,6 +115,78 @@ class TestPointRisk:
         assert point_risk(hand, 0.5) == 0.0
         assert point_risk(built, 0.5) == full_row_risk(built, 0.5)
 
+
+
+class TestCoreWindowCertificate:
+    # p near 0 and near 1 besides EDGE_PS: at n >= 1e3 the core window
+    # drops terms at each of them
+    PS = (*EDGE_PS, 1e-300, 1e-6, 1.0 - 1e-6)
+
+    @pytest.mark.parametrize("p", PS)
+    @pytest.mark.parametrize("n", [1_000, 10_000, 100_000])
+    def test_core_sum_equals_the_full_row_sum(self, n, p):
+        priors = [PriorSpec(a=1.0, b=1.0), PriorSpec(a=0.5, b=3.0, p_bar=0.3)]
+        if n == 1_000:  # above it the interval tables fail to build
+            priors.append(PriorSpec(a=2.0, b=1.0, p_bar=0.5, p_lo=0.01))
+        assert pmf_windows(n, p).tail > 0.0
+        for prior in priors:
+            table = EstimateTable.build(BinomialSetup(n=n), prior)
+            risk, expected = point_risk(table, p), full_row_risk(table, p)
+            assert risk.hex() == expected.hex()  # the sign bit too
+
+    def test_failed_certificate_falls_back_to_the_exact_window(self, monkeypatch):
+        n, p = 10_000, 0.3
+        table = EstimateTable.build(BinomialSetup(n=n), PriorSpec(a=1.0, b=1.0))
+        rows = []
+        losses = risk_module._losses
+
+        def counting(weights, *rest):
+            rows.append(len(weights))
+            return losses(weights, *rest)
+
+        monkeypatch.setattr(risk_module, "_losses", counting)
+        expected = full_row_risk(table, p)
+        assert point_risk(table, p) == expected
+        assert rows == [1_294]  # the certificate held on the core row
+        monkeypatch.setattr(risk_module, "_dropped_bound", lambda *args: 1.0)
+        assert point_risk(table, p) == expected
+        assert rows == [1_294, 1_294, 3_480]
+
+    def test_zero_core_sum_is_never_certified(self):
+        # d = p on the core window and 0.5 off it: the core terms are all
+        # 0.0, the full sum is positive, and only the exact window gives it
+        n, p = 1_000, 0.3
+        core_start, core = pmf_windows(n, p).core
+        core_stop = core_start + len(core)
+        values = tuple(p if core_start <= x < core_stop else 0.5 for x in range(n + 1))
+        table = EstimateTable(
+            setup=BinomialSetup(n=n), prior=PriorSpec(a=1.0, b=1.0), values=values
+        )
+        risk = point_risk(table, p)
+        assert 0.0 < risk == full_row_risk(table, p)
+
+    def test_core_window_holds_the_x_within_100_of_the_peak(self):
+        # the log pmf by lgamma, apart from the library's log C(n, x): the
+        # x nearest the core's edge is 0.015 inside it
+        n, p = 10_000, 0.3
+        log_p, log_q, log_n = math.log(p), math.log1p(-p), math.lgamma(n + 1)
+        log_pmf = [
+            log_n - math.lgamma(x + 1) - math.lgamma(n - x + 1) + x * log_p + (n - x) * log_q
+            for x in range(n + 1)
+        ]
+        peak = max(log_pmf)
+        pmf_windows.cache_clear()
+        windows = pmf_windows(n, p)
+        core_start, core = windows.core
+        start, exact = windows.exact()
+        assert len(core) == sum(v >= peak - 100.0 for v in log_pmf) == 1_294
+        # the exact window also holds 4 exponents in [-746.2, -745.13),
+        # where exp is already 0.0
+        assert len(exact) == 3_480
+        assert sum(w != 0.0 for w in exact) == sum(w != 0.0 for w in full_pmf_row(n, p))
+        # the exact window extends the core: each term is exponentiated once
+        held = exact[core_start - start : core_start - start + len(core)]
+        assert all(a is b for a, b in zip(held, core, strict=True))
 
 class TestPredictiveKlRisk:
     def test_truth_gives_zero(self):
