@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .binom import BinomialSetup, PriorSpec, _check_count, _check_shape, _expectation, pmf_windows
 from .estimators import EstimateTable
-from .incbeta import _exp_I, eval_I, log_beta_measure, log_eval_I
+from .incbeta import SingularBoundError, eval_I, inverse_I_row, log_beta_measure
 from .risk import point_risk
 from .special import log_beta
 
@@ -46,14 +46,18 @@ def p_grid(p_bar: float, p_lo: float | None, size: int) -> list[float]:
 
 
 def _j_rows(n: int, a: float, b: float, p_bar: float) -> tuple[list[float], list[float]]:
-    """I(x+a, n+a+b+1, p_bar) and exp(-log I) for x = 0..n: the rows whose
-    binomial expectations are J(p) and E_p[1/I]; neither depends on p."""
+    """I(x+a, n+a+b+1, p_bar) and its inverse for x = 0..n, from
+    inverse_I_row: the rows whose binomial expectations are J(p) and
+    E_p[1/I]; neither depends on p. An I that overflows is a singular bound."""
     _check_shape(a=a, b=b)
     _check_count("n", n)
     gamma = n + a + b + 1.0
-    log_i = [log_eval_I(x + a, gamma, p_bar) for x in range(n + 1)]
-    i_row = [_exp_I(v, x + a, gamma, p_bar) for x, v in enumerate(log_i)]
-    return i_row, [math.exp(-v) for v in log_i]
+    inv_row = inverse_I_row(a, gamma, p_bar, n)
+    i_row = [1.0 / c if c else math.inf for c in inv_row]
+    if math.inf in i_row:
+        x = i_row.index(math.inf)
+        raise SingularBoundError(f"I({x + a}, {gamma}, {p_bar}) overflows double precision")
+    return i_row, inv_row
 
 
 def _upper_curves(

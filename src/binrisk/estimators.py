@@ -1,24 +1,20 @@
 """Posterior-mean estimators under untruncated and truncated beta priors.
 
-Every estimate is (x+a)/(n+a+b) minus a correction c/(n+a+b): c is 0
-without truncation, 1/I(X+a, n+a+b, p_bar) under an upper bound and
-A(X) = bracket / I_two_sided on an interval, both incomplete-beta
-evaluations in log space, never raw quadrature. The table over x = 0..n
-is the primitive; posterior_mean reads one entry of it.
+Every estimate is (x+a)/s minus a correction c(x)/s, s = n+a+b: c is 0
+without truncation, 1/I(x+a, s, p_bar) under an upper bound and
+A(x) = bracket / I_two_sided on an interval, never raw quadrature. The
+upper row of c takes one kernel call (inverse_I_row), and its x < n
+entries are read in a form that subtracts nothing. The table over
+x = 0..n is the primitive; posterior_mean reads one entry of it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .binom import BinomialSetup, PriorSpec, _check_count
-from .incbeta import (
-    bracket_term,
-    eval_I_two_sided,
-    log_eval_I,
-)
+from .incbeta import bracket_term, eval_I_two_sided, inverse_I_row
 
 
 def posterior_mean(x: int, prior: PriorSpec, n: int) -> float:
@@ -55,24 +51,39 @@ class EstimateTable:
 
 
 def _correction(x: int, s: float, prior: PriorSpec) -> float:
-    """c(x) with s = n+a+b; A(x) is zero exactly at the symmetry point of
-    an interval and of either sign in general."""
-    if prior.restriction == "none":
-        return 0.0
-    if prior.restriction == "upper":
-        return math.exp(-log_eval_I(x + prior.a, s, prior.p_bar))
+    """The interval correction A(x) with s = n+a+b: zero exactly at the
+    symmetry point of the interval and of either sign in general."""
     numer = bracket_term(x + prior.a, s, prior.p_lo, prior.p_bar)
     if numer == 0.0:
         return 0.0
     return numer / eval_I_two_sided(x + prior.a, s, prior.p_lo, prior.p_bar)
 
 
+def _upper_estimates(n: int, a: float, b: float, p_bar: float) -> list[float]:
+    """The upper-truncated estimates from c = 1/I(x+a, s, p_bar): for x < n
+    the recurrence turns (x+a)/s - c(x)/s into (x+a)/s times
+    p_bar (k + c') / (c' + k p_bar), k = n-x+b-1 and c' = c(x+1), which
+    subtracts nothing and is exactly 1.0 where c' underflows to 0.0, as the
+    correction form gives there; x = n keeps the correction form."""
+    s = n + a + b
+    c = inverse_I_row(a, s, p_bar, n)
+    values = []
+    for x in range(n):
+        k, c1 = n - x - 1 + b, c[x + 1]
+        values.append((x + a) / s * (p_bar * (k + c1) / (c1 + k * p_bar)))
+    values.append((n + a) / s - c[n] / s)
+    return values
+
+
 @lru_cache(maxsize=4096)
 def _build_table(setup: BinomialSetup, prior: PriorSpec) -> EstimateTable:
     # grid sweeps rebuild the same table for every p; cache per config
-    s = setup.n + prior.a + prior.b
-    values = tuple(
-        (x + prior.a) / s - _correction(x, s, prior) / s
-        for x in range(setup.n + 1)
-    )
-    return EstimateTable(setup=setup, prior=prior, values=values)
+    n, a = setup.n, prior.a
+    s = n + a + prior.b
+    if prior.restriction == "none":
+        values = [(x + a) / s for x in range(n + 1)]
+    elif prior.restriction == "upper":
+        values = _upper_estimates(n, a, prior.b, prior.p_bar)
+    else:
+        values = [(x + a) / s - _correction(x, s, prior) / s for x in range(n + 1)]
+    return EstimateTable(setup=setup, prior=prior, values=tuple(values))

@@ -17,8 +17,9 @@ unnormalized incomplete beta
     B(x; a, b) = int_0^x t^(a-1) (1-t)^(b-1) dt,
 
 computed here by a continued fraction (modified Lentz) entirely in log
-space so that large exponents (n up to ~1e4 in the Poisson-limit sweeps)
-never underflow.
+space so that large exponents (n up to ~1e5 in the Poisson-limit sweeps)
+never underflow. The row 1/I(x+a, gamma, p_bar) over x = 0..m
+(inverse_I_row) takes one kernel call and a backward recurrence.
 """
 
 from __future__ import annotations
@@ -169,6 +170,22 @@ def log_eval_I(
         - alpha * log_r_bar
         - gamma * math.log1p(-p_bar)
     )
+
+
+def inverse_I_row(a: float, gamma: float, p_bar: float, m: int) -> list[float]:
+    """c = 1/I(x+a, gamma, p_bar) for x = 0..m (gamma > m+a): one kernel
+    call at x = m, then the contiguous relation (DLMF 8.17(iv))
+    alpha (1-p_bar) I(alpha) = 1 + (gamma-alpha-1) p_bar I(alpha+1), run
+    backward on c. Its terms are positive, and it shrinks the relative
+    error carried from c(x+1) by (gamma-alpha-1) p_bar / {c(x+1) +
+    (gamma-alpha-1) p_bar} <= 1; a c that underflows to 0.0 stays there."""
+    c = math.exp(-log_eval_I(m + a, gamma, p_bar))
+    row = [c] * (m + 1)
+    q = 1.0 - p_bar
+    for x in range(m - 1, -1, -1):
+        alpha = x + a
+        c = row[x] = alpha * q * c / (c + (gamma - alpha - 1.0) * p_bar)
+    return row
 
 
 def _exp_I(log_value: float, *args: float) -> float:

@@ -11,7 +11,7 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .binom import BinomialSetup, PriorSpec, _check_count, _log_binom_coeffs, pmf_row
+from .binom import BinomialSetup, PriorSpec, _check_count, _log_binom_coeffs, pmf_windows
 from .incbeta import log_beta_measure
 
 
@@ -40,7 +40,8 @@ def plug_in_density(y: int, l: int, d: float) -> float:
         raise ValueError(f"plug-in estimate d must be in (0, 1), got {d}")
     _check_count("l", l)
     _check_count("y", y, 0, l)
-    return pmf_row(l, d)[y]
+    start, terms = pmf_windows(l, d).exact()
+    return terms[y - start] if 0 <= y - start < len(terms) else 0.0
 
 
 @dataclass(frozen=True)

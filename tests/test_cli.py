@@ -2,6 +2,7 @@
 
 import csv
 import math
+import os
 import subprocess
 import sys
 
@@ -177,6 +178,17 @@ class TestPoissonLimit:
         assert len(rows) == 2
         assert "monotone decay: True" in capsys.readouterr().err
 
+    def test_upper_tables_at_k_1e5_stay_inside_the_restriction(self, capsys):
+        # at K = 1e5 the correction form put an estimate at 1.0000008852539821e-05,
+        # above p_bar = 1e-5
+        code = main(
+            ["poisson-limit", "--lambda-bar", "1", "--k-grid", "10", "100", "1000",
+             "10000", "100000"]
+        )
+        captured = capsys.readouterr()
+        assert code == EXIT_OK, captured.err
+        assert "# monotone decay: True" in captured.err
+
 
 class TestExitStatuses:
     def test_validation_error(self, capsys):
@@ -227,6 +239,12 @@ class TestExitStatuses:
         assert code == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_j_overflow_is_a_named_numerical_failure(self, capsys):
+        code = main(["risk-curve", "--n", "10000", "--p-bar", "0.3", "--grid", "8"])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "I(1.0, 10003.0, 0.3) overflows double precision" in err
+
     def test_bracket_overflow_is_a_named_numerical_failure(self, capsys):
         code = main(["estimate", "--n", "2000", "--p-lo", "0.05", "--p-bar", "0.5"])
         assert code == EXIT_NUMERICAL
@@ -235,12 +253,14 @@ class TestExitStatuses:
         assert "alpha=1.0, gamma=2002.0" in err and "[0.05, 0.5]" in err
 
     def test_module_entry_point(self, tmp_path):
+        # the child sees this interpreter's path, where pytest put src/
         out = tmp_path / "est.csv"
         result = subprocess.run(
             [sys.executable, "-m", "binrisk", "estimate", "--n", "2",
              "--out", str(out)],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         )
         assert result.returncode == 0
         assert out.exists()

@@ -1,12 +1,16 @@
 """Posterior-mean estimators under the three restriction modes."""
 
+import math
+
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from binrisk import estimators
+from binrisk import estimators, incbeta
 from binrisk.binom import BinomialSetup, PriorSpec
+from binrisk.dominance import _j_rows
 from binrisk.estimators import EstimateTable, posterior_mean
-from binrisk.incbeta import eval_I
+from binrisk.incbeta import eval_I, inverse_I_row, log_eval_I
 
 from conftest import quad_posterior_mean
 
@@ -203,3 +207,99 @@ class TestEstimateTable:
         values = [posterior_mean(x, prior, 20) for x in range(21)]
         assert estimators._build_table.cache_info().misses == 1
         assert tuple(values) == EstimateTable.build(BinomialSetup(n=20), prior).values
+
+
+ROW_NS = [1, 2, 5, 12, 32, 300, 1000, 3000]
+ROW_P_BARS = [1e-5, 0.05, 0.3, 0.6, 0.95, 0.999]
+ROW_SHAPES = [(1.0, 1.0), (0.5, 3.0), (2.0, 0.5)]
+# 50 digits agree with 40 + n/20 digits to 1e-47 at every point sampled here
+ROW_DPS = 50
+
+
+def _row_case(n, p_bar):
+    """The (a, b) of one sweep point, cycling over ROW_SHAPES, and the x < n
+    it samples: both ends, the middle and the count nearest n p_bar."""
+    a, b = ROW_SHAPES[(ROW_NS.index(n) + ROW_P_BARS.index(p_bar)) % len(ROW_SHAPES)]
+    return a, b, sorted({0, n // 2, int(p_bar * n), n - 1})
+
+
+class TestUpperRows:
+    """The upper-truncated table and the J rows, both read from one row of
+    1/I built by a kernel call at x = n and a backward recurrence."""
+
+    @pytest.mark.parametrize("p_bar", ROW_P_BARS)
+    @pytest.mark.parametrize("n", ROW_NS)
+    def test_table_matches_mpmath(self, n, p_bar):
+        a, b, xs = _row_case(n, p_bar)
+        table = EstimateTable.build(BinomialSetup(n=n), PriorSpec(a, b, p_bar=p_bar))
+        with mpmath.workdps(ROW_DPS):
+            for x in xs:
+                alpha, beta = mpmath.mpf(x) + a, mpmath.mpf(n - x) + b
+                exact = mpmath.betainc(alpha + 1, beta, 0, p_bar) / mpmath.betainc(
+                    alpha, beta, 0, p_bar
+                )
+                assert abs(table[x] / exact - 1) < 1e-14, x
+        # x = n has no c(n+1) to read and keeps the correction form
+        s = n + a + b
+        assert table[n] == (n + a) / s - math.exp(-log_eval_I(n + a, s, p_bar)) / s
+
+    @pytest.mark.parametrize("p_bar", ROW_P_BARS)
+    @pytest.mark.parametrize("n", ROW_NS)
+    def test_j_rows_match_mpmath(self, n, p_bar):
+        a, b, xs = _row_case(n, p_bar)
+        gamma = n + a + b + 1.0
+        inv_row = inverse_I_row(a, gamma, p_bar, n)
+        with mpmath.workdps(ROW_DPS):
+            q = 1 - mpmath.mpf(p_bar)
+            for x in xs:
+                alpha = mpmath.mpf(x) + a
+                exact = mpmath.betainc(alpha, gamma - alpha, 0, p_bar) * (q / p_bar) ** alpha / q**gamma
+                if exact < 1e300:
+                    assert abs(1.0 / inv_row[x] / exact - 1) < 1e-12, x
+        # the anchor is the kernel's own value
+        assert inv_row[n] == math.exp(-log_eval_I(n + a, gamma, p_bar))
+        try:
+            i_row, inv = _j_rows(n, a, b, p_bar)
+        except incbeta.SingularBoundError:
+            assert min(inv_row) < 1e-300
+        else:
+            assert inv == inv_row
+            assert i_row == [1.0 / c for c in inv_row]
+
+    def test_underflowed_row_gives_the_untruncated_estimate(self):
+        n, a, b, p_bar = 3000, 1.0, 1.0, 0.95
+        s = n + a + b
+        c = inverse_I_row(a, s, p_bar, n)
+        table = EstimateTable.build(BinomialSetup(n=n), PriorSpec(a, b, p_bar=p_bar))
+        under = [x for x in range(n) if c[x + 1] == 0.0]
+        assert under
+        assert all(table[x] == (x + a) / s for x in under)
+
+    def test_rows_take_one_kernel_call_at_any_n(self, monkeypatch):
+        kernel = incbeta.log_inc_beta_lower
+        calls = [0]
+
+        def counting(*args):
+            calls[0] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(incbeta, "log_inc_beta_lower", counting)
+        counts = []
+        for n in (10, 1000):
+            estimators._build_table.cache_clear()
+            calls[0] = 0
+            EstimateTable.build(BinomialSetup(n=n), PriorSpec(1.0, 1.0, p_bar=0.3))
+            table_calls, calls[0] = calls[0], 0
+            _j_rows(n, 1.0, 1.0, 0.3)
+            counts.append((table_calls, calls[0]))
+        # the anchor at x = n lies in the kernel's lower-tail branch
+        assert counts == [(1, 1), (1, 1)]
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("lambda_bar", [0.75, 1.5, 2.0])
+    def test_poisson_scale_tables_at_n_1e5_build(self, lambda_bar, a):
+        # the correction form put an estimate above p_bar in every one
+        n = 100_000
+        prior = PriorSpec(a, 1.0, p_bar=lambda_bar / n)
+        table = EstimateTable.build(BinomialSetup(n=n), prior)
+        assert all(0.0 < v <= prior.p_bar for v in table.values)

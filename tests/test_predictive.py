@@ -110,6 +110,15 @@ class TestPlugIn:
         total = math.fsum(plug_in_density(y, 6, 0.37) for y in range(7))
         assert total == pytest.approx(1.0, abs=1e-13)
 
+    @pytest.mark.parametrize("l, d", [(1, 0.5), (6, 0.37), (40, 1e-3), (3000, 0.3), (3000, 1e-6)])
+    def test_every_mass_is_the_pmf_row_entry_bit_for_bit(self, l, d):
+        # at l = 3000 the window of d leaves exact zeros on one or both sides
+        row = pmf_row(l, d)
+        masses = [plug_in_density(y, l, d) for y in range(l + 1)]
+        assert [m.hex() for m in masses] == [v.hex() for v in row]
+        if l == 3000:
+            assert 0.0 in masses
+
     def test_domain_error(self):
         with pytest.raises(ValueError):
             plug_in_density(0, 1, 0.0)
