@@ -56,6 +56,9 @@ COMMANDS = (
     "estimate --n 3000 --a 0.5 --b 3 --p-bar 0.5 --p 0.3 --mc-samples 100",
     "estimate --n 100000 --a 0.5 --b 3 --p-bar 0.5 --p 0.3 --mc-samples 100 --out F",
     "estimate --n 20000 --p-bar 0.05 --p 0.001 --mc-samples 100 --out F",
+    "threshold --a 2000",
+    "threshold --a 10000000",
+    "estimate --n 1 --a 200 --b 200 --p-lo 0.0001 --p-bar 0.9999",
 )
 
 _TOKEN = re.compile(r"[^\s,()\[\]:=;]+")

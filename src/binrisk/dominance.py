@@ -13,21 +13,13 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .binom import BinomialSetup, PriorSpec, _check_count, _check_shape, _expectation, pmf_windows
-from .estimators import EstimateTable
-from .incbeta import SingularBoundError, eval_I, inverse_I_row, log_beta_measure
+from .estimators import EstimateTable, _correction
+from .incbeta import SingularBoundError, eval_I, inverse_I_row
 from .risk import point_risk
-from .special import log_beta
 
 GRID_SLACK = 1e-12
 NOISE_CEILING = 1e-9
 THRESHOLD_TOL = 1e-6
-# the rounding bound of the symmetric n = 1 integral path, in units of
-# eps (|m| + 1) B/M summed over its four log measures m = log M (B the
-# complete beta): against 50-digit mpmath quadrature at 132 points (a from
-# 0.3 to 1e5, p_bar from 0.50001 to 0.9999) the error stayed under 0.36
-# units, so 4 units leave a factor of 11
-_ROUNDING_UNITS = 4.0
-_EPS = 2.220446049250313e-16
 
 
 class BoundUndefinedError(ArithmeticError):
@@ -188,32 +180,17 @@ def _check_symmetric_p_bar(p_bar: float) -> None:
         raise ValueError(f"p_bar must be in (1/2, 1), got {p_bar}")
 
 
-def _generic_with_bound(a: float, p_bar: float) -> tuple[float, float]:
-    """max_risk_diff_symmetric_n1_generic and a bound on its rounding error.
-
-    Each log measure log M carries a few eps |log M| from its complete beta
-    and tails, and its subtraction of the lower endpoint's tail multiplies
-    that by up to B/M, which grows as the interval narrows around the
-    posterior mass; the value is a weighted difference of the four.
-    """
+def max_risk_diff_symmetric_n1_generic(a: float, p_bar: float) -> float:
+    """Maximum risk difference for n = 1, b = a, p_lo = 1 - p_bar, from the
+    log ratios t_x = -log1p(-c(x)/(x+a)) of the untruncated to the truncated
+    estimate at x = 0, 1, with c the interval correction; no log measures of
+    size about a are subtracted."""
     _check_shape(a=a)
     _check_symmetric_p_bar(p_bar)
     p_lo = 1.0 - p_bar
-    shapes = ((a + 1.0, a), (a + 2.0, a), (a, a + 1.0), (a + 1.0, a + 1.0))
-    m1, m2, m3, m4 = logs = [log_beta_measure(al, be, p_lo, p_bar) for al, be in shapes]
-    term1 = math.log((1.0 + a) / (1.0 + 2.0 * a)) + m1 - m2
-    term2 = math.log(a / (1.0 + 2.0 * a)) + m3 - m4
-    value = (p_lo**2 + p_bar**2) * term1 + 2.0 * p_lo * p_bar * term2
-    bound = _ROUNDING_UNITS * _EPS * math.fsum(
-        (abs(m) + 1.0) * math.exp(log_beta(al, be) - m) for m, (al, be) in zip(logs, shapes)
-    )
-    return value, bound
-
-
-def max_risk_diff_symmetric_n1_generic(a: float, p_bar: float) -> float:
-    """Maximum risk difference for n = 1, b = a, p_lo = 1 - p_bar, via the
-    beta-measure integrals."""
-    return _generic_with_bound(a, p_bar)[0]
+    prior = PriorSpec(a=a, b=a, p_lo=p_lo, p_bar=p_bar)
+    t0, t1 = (-math.log1p(-_correction(x, 1.0 + 2.0 * a, prior) / (x + a)) for x in (0, 1))
+    return (p_lo**2 + p_bar**2) * t1 + 2.0 * p_lo * p_bar * t0
 
 
 def _max_risk_diff_uniform(p_bar: float) -> float:
@@ -249,56 +226,40 @@ def _max_risk_diff_jeffreys(p_bar: float) -> float:
     ) * math.log1p(2.0 * ratio)
 
 
-def _symmetric_n1_with_bound(a: float, p_bar: float) -> tuple[float, float]:
-    """max_risk_diff_symmetric_n1 and a bound on its rounding error; the
-    closed forms subtract no large logs, so only their sign is read."""
-    if a == 1.0:
-        _check_symmetric_p_bar(p_bar)
-        return _max_risk_diff_uniform(p_bar), 0.0
-    if a == 0.5:
-        _check_symmetric_p_bar(p_bar)
-        return _max_risk_diff_jeffreys(p_bar), 0.0
-    return _generic_with_bound(a, p_bar)
-
-
 def max_risk_diff_symmetric_n1(a: float, p_bar: float) -> float:
     """Maximum risk difference for n = 1, b = a, symmetric interval.
 
     Negative means the interval-truncated estimator dominates everywhere
     on [1 - p_bar, p_bar]. The uniform (a = 1) and Jeffreys (a = 1/2)
-    priors use their closed forms; anything else goes through the
-    integral path.
+    priors use their closed forms; any other a goes through
+    max_risk_diff_symmetric_n1_generic.
     """
-    return _symmetric_n1_with_bound(a, p_bar)[0]
+    if a == 1.0:
+        _check_symmetric_p_bar(p_bar)
+        return _max_risk_diff_uniform(p_bar)
+    if a == 0.5:
+        _check_symmetric_p_bar(p_bar)
+        return _max_risk_diff_jeffreys(p_bar)
+    return max_risk_diff_symmetric_n1_generic(a, p_bar)
 
 
 def threshold_scan(a: float, size: int = 50) -> tuple[tuple[float, ...], tuple[float, ...], float]:
     """max_risk_diff_symmetric_n1 at size points p_bar from 0.5 + 1e-4 to
     1 - 1e-4, and its root, below which the truncated estimator dominates.
 
-    A root is claimed only where the values clear their rounding bound: the
-    first scan value below it, and the scan values on both sides of the
-    first sign change, beyond it, the negative one below and the other
-    above. The bisection reads no value past that turn (rounding noise of
-    either sign for large a) and takes the signs of the scan points around
-    it there. Its midpoint is claimed only if the values THRESHOLD_TOL
-    below and above it also clear their bounds with opposite signs, so a
-    sign change lies within THRESHOLD_TOL of it.
+    A root is claimed only at the scan's first sign change, from a negative
+    first value. The bisection runs between the scan's ends but evaluates
+    only inside that sign change and takes the signs of the scan points
+    around it elsewhere. Its midpoint is returned only if the values
+    THRESHOLD_TOL below and above it are negative and positive, so a sign
+    change lies within THRESHOLD_TOL of it.
     """
     grid = p_grid(1.0 - 1e-4, 0.5 + 1e-4, size)
     _check_shape(a=a)
-    scan = [_symmetric_n1_with_bound(a, pb) for pb in grid]
-    values = tuple(v for v, _ in scan)
+    values = tuple(max_risk_diff_symmetric_n1(a, pb) for pb in grid)
     turn = next((i for i, v in enumerate(values) if v >= 0.0), None)
-    if (
-        turn is None
-        or not values[0] < -scan[0][1]
-        or not values[turn - 1] < -scan[turn - 1][1]
-        or not values[turn] > scan[turn][1]
-    ):
-        raise ArithmeticError(
-            f"no sign change bracketed on (1/2, 1) above the rounding bound for a={a}"
-        )
+    if not turn:  # no sign change, or a nonnegative first value
+        raise ArithmeticError(f"no sign change bracketed on (1/2, 1) for a={a}")
     lo, hi = grid[0], grid[-1]
     while hi - lo >= THRESHOLD_TOL:
         mid = 0.5 * (lo + hi)
@@ -307,12 +268,12 @@ def threshold_scan(a: float, size: int = 50) -> tuple[tuple[float, ...], tuple[f
         else:
             hi = mid
     root = 0.5 * (lo + hi)
-    below, below_bound = _symmetric_n1_with_bound(a, root - THRESHOLD_TOL)
-    above, above_bound = _symmetric_n1_with_bound(a, root + THRESHOLD_TOL)
-    if not (below < -below_bound and above > above_bound):
+    below = max_risk_diff_symmetric_n1(a, root - THRESHOLD_TOL)
+    above = max_risk_diff_symmetric_n1(a, root + THRESHOLD_TOL)
+    if not (below < 0.0 < above):
         raise ArithmeticError(
             f"root near {root} for a={a} not resolved to {THRESHOLD_TOL}: the "
-            f"values {below} and {above} around it do not clear their rounding bounds"
+            f"values {below} and {above} around it do not change sign"
         )
     return tuple(grid), values, root
 

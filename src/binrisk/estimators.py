@@ -10,11 +10,12 @@ x = 0..n is the primitive; posterior_mean reads one entry of it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .binom import BinomialSetup, PriorSpec, _check_count
-from .incbeta import bracket_term, eval_I_two_sided, inverse_I_row
+from .incbeta import bracket_term, inverse_I_row, log_eval_I
 
 
 def posterior_mean(x: int, prior: PriorSpec, n: int) -> float:
@@ -52,11 +53,13 @@ class EstimateTable:
 
 def _correction(x: int, s: float, prior: PriorSpec) -> float:
     """The interval correction A(x) with s = n+a+b: zero exactly at the
-    symmetry point of the interval and of either sign in general."""
+    symmetry point of the interval and of either sign in general. I enters
+    as exp(-log I), so an I beyond double range gives a correction that
+    underflows towards 0.0 instead of raising."""
     numer = bracket_term(x + prior.a, s, prior.p_lo, prior.p_bar)
     if numer == 0.0:
         return 0.0
-    return numer / eval_I_two_sided(x + prior.a, s, prior.p_lo, prior.p_bar)
+    return numer * math.exp(-log_eval_I(x + prior.a, s, prior.p_bar, prior.p_lo))
 
 
 def _upper_estimates(n: int, a: float, b: float, p_bar: float) -> list[float]:

@@ -63,6 +63,19 @@ class TestEstimate:
             f"# exact risk at p=0.10000000000000001: {risk:.17g}"
         )
 
+    def test_interval_table_where_I_overflows(self, capsys):
+        # I(200, 401, 1e-4, 0.9999) exceeds double range; its inverse
+        # underflows, so the corrections vanish and the estimates are the
+        # untruncated ones
+        argv = ["estimate", "--n", "1", "--a", "200", "--b", "200",
+                "--p-lo", "0.0001", "--p-bar", "0.9999"]
+        assert main(argv) == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[0] == "x,estimate"
+        for row, expected in zip(rows[1:], (200.0 / 401.0, 201.0 / 401.0), strict=True):
+            assert abs(float(row.split(",")[1]) - expected) <= math.ulp(expected)
+
+
 class TestPredictive:
     def test_masses_sum_to_one(self, tmp_path):
         out = tmp_path / "pred.csv"
@@ -231,7 +244,8 @@ class TestExitStatuses:
         assert f"error: p must be in (0, 1), got {p}" in capsys.readouterr().err
 
     def test_threshold_without_a_sign_change_is_a_numerical_failure(self, capsys):
-        assert main(["threshold", "--a", "30000"]) == EXIT_NUMERICAL
+        # the root of a = 1e7 lies below the scan's first point 0.5001
+        assert main(["threshold", "--a", "10000000"]) == EXIT_NUMERICAL
         assert "numerical failure: no sign change" in capsys.readouterr().err
 
     def test_numerical_failure_near_singular_bound(self, capsys):

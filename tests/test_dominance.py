@@ -149,6 +149,24 @@ class TestSymmetricMaxDifference:
         with pytest.raises(ValueError):
             max_risk_diff_symmetric_n1(1.0, 0.4)
 
+    @pytest.mark.parametrize(
+        "a, p_bar", [(10.0, 0.99), (20.0, 0.9), (200.0, 0.7), (1000.0, 0.55)]
+    )
+    def test_generic_matches_mpmath_betainc(self, a, p_bar):
+        # the log ratios of the untruncated to the truncated estimate, with
+        # the truncated one a ratio of mpmath beta measures at 80 + a digits,
+        # so the oracle keeps its accuracy as the measures shrink with a
+        with mpmath.workdps(int(80 + a)):
+            s, pb = mpmath.mpf(a), mpmath.mpf(p_bar)
+            pl = 1 - pb
+            unres = s / (1 + 2 * s)
+            trunc = mpmath.betainc(s + 1, s + 1, pl, pb) / mpmath.betainc(s, s + 1, pl, pb)
+            r0 = mpmath.log(unres / trunc)
+            r1 = mpmath.log((1 - unres) / (1 - trunc))
+            oracle = float((pl**2 + pb**2) * r1 + 2 * pl * pb * r0)
+        value = max_risk_diff_symmetric_n1_generic(a, p_bar)
+        assert value == pytest.approx(oracle, rel=1e-11, abs=0.0)
+
     def test_integral_path_returns_a_python_float(self):
         # the closed forms return float, and so must the integral path; its
         # complete beta once came from a library that returns numpy.float64
@@ -180,8 +198,8 @@ class TestThreshold:
     @pytest.mark.parametrize("a", [146.36, 200.0])
     def test_root_found_when_the_upper_end_is_rounding_noise(self, a):
         # the sign change lies in (0.5001, 0.6), while the value at the
-        # scan's upper end 1 - 1e-4 is rounding noise of either sign; the
-        # bisection brackets the scan's first sign change, not its ends
+        # scan's upper end 1 - 1e-4 is below 1e-12; the bisection brackets
+        # the scan's first sign change, not its ends
         assert max_risk_diff_symmetric_n1(a, 0.5001) < 0.0
         assert max_risk_diff_symmetric_n1(a, 0.6) > 0.0
         assert abs(max_risk_diff_symmetric_n1(a, 1.0 - 1e-4)) < 1e-12
@@ -191,11 +209,17 @@ class TestThreshold:
         assert max_risk_diff_symmetric_n1(a, root + 1e-4) > 0.0
 
     @pytest.mark.parametrize("a", [3e4, 1e5])
+    def test_large_a_root_matches_quadrature_oracle(self, a):
+        # the values once came from four log measures of size about 5.5a,
+        # whose rounding noise (+2.2e-10 and +4.8e-10 at 0.5001, where the
+        # true values are -1.4e-10 and -1.2e-11) hid the sign change here
+        assert abs(dominance_threshold_n1(a) - _quadrature_threshold(a)) < 1e-6
+
+    @pytest.mark.parametrize("a", [1e7])
     def test_no_root_when_the_scan_shows_no_sign_change(self, a):
-        # the computed values are rounding noise from the scan's first point
-        # on (+2.2e-10 and +4.8e-10 at 0.5001, where 40-digit mpmath gives
-        # -1.4e-10 and -1.2e-11); the noise's zero crossings near 0.887 and
-        # 0.854, which the fixed bracket returned, are no root
+        # the root lies below the scan's first point: 40-digit mpmath
+        # quadrature gives +3.4e-16 at 0.5001 and +1.8e-15 at 0.5002
+        assert max_risk_diff_symmetric_n1(a, 0.5001) > 0.0
         with pytest.raises(ArithmeticError, match="no sign change"):
             dominance_threshold_n1(a)
 
@@ -252,9 +276,9 @@ def _quadrature_threshold(a: float) -> float:
 
 
 class TestThresholdRoundingBound:
-    """For large a the values near the root shrink while their rounding
-    error grows with the log measures, so a root is returned only where the
-    values a bisection tolerance either side of it clear their bound."""
+    """For large a the values near the root shrink to a few 1e-12; read
+    from the interval corrections they keep their sign, so the roots stay
+    resolved to a bisection tolerance."""
 
     @pytest.mark.parametrize("a", [1e3, 3e3, 6.7e3, 8e3, 1e4, 3e4])
     def test_root_matches_quadrature_oracle_or_raises(self, a):
@@ -277,6 +301,15 @@ class TestThresholdRoundingBound:
         # the rounding bound; each still has one, with a sign change within
         # THRESHOLD_TOL of it
         for a in numpy.logspace(-3, 3, 121):
+            a = float(a)
+            root = dominance_threshold_n1(a)
+            assert max_risk_diff_symmetric_n1(a, root - 1e-6) < 0.0, a
+            assert max_risk_diff_symmetric_n1(a, root + 1e-6) > 0.0, a
+
+    def test_logspace_roots_up_to_1e5_are_resolved(self):
+        # a rounding bound on a difference of log measures once made every
+        # a from about 1,259 on raise, although the roots exist
+        for a in numpy.logspace(-3, 5, 161):
             a = float(a)
             root = dominance_threshold_n1(a)
             assert max_risk_diff_symmetric_n1(a, root - 1e-6) < 0.0, a
