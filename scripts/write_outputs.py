@@ -59,6 +59,8 @@ COMMANDS = (
     "threshold --a 2000",
     "threshold --a 10000000",
     "estimate --n 1 --a 200 --b 200 --p-lo 0.0001 --p-bar 0.9999",
+    "estimate --n 100000 --p-bar 0.3 --p 0.29",
+    "estimate --n 100000 --a 2 --b 2 --p 0.5",
 )
 
 _TOKEN = re.compile(r"[^\s,()\[\]:=;]+")

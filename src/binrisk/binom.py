@@ -2,7 +2,7 @@
 
 pmf_windows(n, p) holds, in one cache entry, the exact window of (n, p),
 every x whose pmf is not exactly 0.0, and its core window, the x within
-e^-100 of the pmf peak, with a bound on the sum of the terms the core
+e^-64 of the pmf peak, with a bound on the sum of the terms the core
 leaves out; each term is exponentiated once. _losses builds the terms
 w L(d, p) of a risk sum, each pmf weight times its entropy loss, in one
 pass; entropy_losses is its unit-weight case.
@@ -18,8 +18,9 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count
 
-from .special import log_beta
+from .special import _log_beta_with, _stirling_error
 
 
 def _check_count(name: str, value: int, lo: int = 1, hi: int | None = None) -> None:
@@ -92,9 +93,12 @@ class PriorSpec:
 @lru_cache(maxsize=256)
 def _log_binom_coeffs(n: int) -> tuple[float, ...]:
     """log C(n, x) = -log(n+1) - log B(x+1, n-x+1) for x = 0..n, cached per
-    n since risk sums revisit every x."""
+    n since risk sums revisit every x; every log B reads one delta(1..n+2) row."""
     log_n1 = math.log(n + 1)
-    return tuple(-log_n1 - log_beta(x + 1, n - x + 1) for x in range(n + 1))
+    d = [_stirling_error(k) for k in range(1, n + 3)]  # delta(1), ..., delta(n+2)
+    return tuple(
+        -log_n1 - _log_beta_with(x + 1, n - x + 1, d[x], d[n - x], d[-1]) for x in range(n + 1)
+    )
 
 
 def _check_p(p: float) -> None:
@@ -108,17 +112,15 @@ def _check_p(p: float) -> None:
 _EXP_CUTOFF = -746.2
 
 # The core window keeps the x whose pmf exponent lies within _DEPTH of the
-# exponent at the mode: about 14 standard deviations either side, where
-# the exact window runs to about 38
-_DEPTH = 100.0
+# mode's: about ±11 standard deviations, where the exact window runs to ±38
+_DEPTH = 64.0
 
 
-def _window_edge(
-    n: int, coeffs: Sequence[float], log_p: float, log_q: float, mode: int, end: int, floor: float
-) -> int:
+def _window_edge(row: tuple, mode: int, end: int, floor: float) -> int:
     """The last x from mode toward end whose pmf exponent is not under
     floor, by bisection: the log pmf is unimodal, so along the way the test
-    flips once."""
+    flips once. row is (n, coeffs, log_p, log_q), as for _exp_terms."""
+    n, coeffs, log_p, log_q = row
     inner, outer, x = mode, end, end
     while True:
         if coeffs[x] + x * log_p + (n - x) * log_q >= floor:
@@ -128,6 +130,14 @@ def _window_edge(
         if abs(outer - inner) <= 1:
             return inner
         x = (inner + outer) // 2
+
+
+def _exp_terms(row: tuple, start: int, stop: int) -> tuple[float, ...]:
+    """exp(coeffs[x] + x log_p + (n-x) log_q), x = start..stop-1, for row =
+    (n, coeffs, log_p, log_q); x and n-x are floats, exact below 2^53."""
+    n, coeffs, log_p, log_q = row
+    m, terms = float(n), zip(coeffs[start:stop], count(float(start)))
+    return tuple([math.exp(c + x * log_p + (m - x) * log_q) for c, x in terms])
 
 
 class PmfWindows:
@@ -150,12 +160,10 @@ class PmfWindows:
 
     def exact(self) -> tuple[int, tuple[float, ...]]:
         if self._exact is None:
-            n, coeffs, log_p, log_q, start, stop = self._rest
+            row, start, stop = self._rest
             core_start, core = self.core
-            left, right = [
-                tuple([math.exp(coeffs[x] + x * log_p + (n - x) * log_q) for x in span])
-                for span in (range(start, core_start), range(core_start + len(core), stop))
-            ]
+            left = _exp_terms(row, start, core_start)
+            right = _exp_terms(row, core_start + len(core), stop)
             self._exact = start, left + core + right
         return self._exact
 
@@ -172,24 +180,20 @@ def pmf_windows(n: int, p: float) -> PmfWindows:
         return windows
     coeffs = _log_binom_coeffs(n)
     log_p, log_q = math.log(p), math.log1p(-p)
+    row = n, coeffs, log_p, log_q
     mode = min(int((n + 1) * p), n)
     floor = coeffs[mode] + mode * log_p + (n - mode) * log_q - _DEPTH
     if coeffs[0] + n * log_q >= floor and coeffs[n] + n * log_p >= floor:
         start, stop = core_start, core_stop = 0, n + 1  # the whole row
     else:
-        start = _window_edge(n, coeffs, log_p, log_q, mode, 0, _EXP_CUTOFF)
-        stop = _window_edge(n, coeffs, log_p, log_q, mode, n, _EXP_CUTOFF) + 1
-        core_start = _window_edge(n, coeffs, log_p, log_q, mode, start, floor)
-        core_stop = _window_edge(n, coeffs, log_p, log_q, mode, stop - 1, floor) + 1
-    windows.core = core_start, tuple(
-        [math.exp(coeffs[x] + x * log_p + (n - x) * log_q) for x in range(core_start, core_stop)]
-    )
+        start = _window_edge(row, mode, 0, _EXP_CUTOFF)
+        stop = _window_edge(row, mode, n, _EXP_CUTOFF) + 1
+        core_start = _window_edge(row, mode, start, floor)
+        core_stop = _window_edge(row, mode, stop - 1, floor) + 1
+    windows.core = core_start, _exp_terms(row, core_start, core_stop)
     dropped = core_start - start + stop - core_stop
     windows.tail = dropped * math.exp(floor + 1.0)
-    if dropped:
-        windows._exact, windows._rest = None, (n, coeffs, log_p, log_q, start, stop)
-    else:
-        windows._exact = windows.core
+    windows._exact, windows._rest = (None, (row, start, stop)) if dropped else (windows.core, None)
     return windows
 
 

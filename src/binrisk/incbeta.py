@@ -188,24 +188,15 @@ def inverse_I_row(a: float, gamma: float, p_bar: float, m: int) -> list[float]:
     return row
 
 
-def _exp_I(log_value: float, *args: float) -> float:
-    """exp of log I(*args), with overflow reported as a singular bound."""
+def eval_I(alpha: float, gamma: float, p_bar: float) -> float:
+    """I(alpha, gamma, p_bar) = int_0^1 t^(alpha-1) / {1 - p_bar (1-t)}^gamma dt,
+    with overflow reported as a singular bound."""
+    log_value = log_eval_I(alpha, gamma, p_bar)
     try:
         return math.exp(log_value)
     except OverflowError as exc:
-        raise SingularBoundError(
-            f"I({', '.join(map(str, args))}) overflows double precision"
-        ) from exc
-
-
-def eval_I(alpha: float, gamma: float, p_bar: float) -> float:
-    """I(alpha, gamma, p_bar) = int_0^1 t^(alpha-1) / {1 - p_bar (1-t)}^gamma dt."""
-    return _exp_I(log_eval_I(alpha, gamma, p_bar), alpha, gamma, p_bar)
-
-
-def eval_I_two_sided(alpha: float, gamma: float, p_lo: float, p_bar: float) -> float:
-    """I(alpha, gamma, p_lo, p_bar) = int_rho^1 t^(alpha-1) / {1 - p_bar (1-t)}^gamma dt."""
-    return _exp_I(log_eval_I(alpha, gamma, p_bar, p_lo), alpha, gamma, p_lo, p_bar)
+        message = f"I({alpha}, {gamma}, {p_bar}) overflows double precision"
+        raise SingularBoundError(message) from exc
 
 
 def bracket_term(alpha: float, gamma: float, p_lo: float, p_bar: float) -> float:

@@ -8,7 +8,7 @@ cross-check. Sums go through math.fsum, which rounds correctly, so that
 predictive_kl_risk sums over the exact pmf window of (n, p) only: outside
 it every pmf term is exactly 0.0 and every loss finite, so each dropped
 product is a zero and the correctly rounded sum is the same. point_risk
-sums over the core window, the x within e^-100 of the pmf peak, and
+sums over the core window, the x within e^-64 of the pmf peak, and
 certifies that the terms it leaves out cannot change the rounded sum;
 where the certificate fails it sums the exact window. Its terms
 Bin(x; n, p) L(d(x), p) come from one pass over log d and log(1-d), which

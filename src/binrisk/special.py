@@ -43,6 +43,11 @@ def log_beta(a: float, b: float) -> float:
     """log B(a, b) = log int_0^1 t^(a-1) (1-t)^(b-1) dt for a, b > 0."""
     if not (0.0 < a < math.inf and 0.0 < b < math.inf):
         raise ValueError(f"a and b must be finite and positive, got ({a}, {b})")
+    return _log_beta_with(a, b, _stirling_error(a), _stirling_error(b), _stirling_error(a + b))
+
+
+def _log_beta_with(a: float, b: float, delta_a: float, delta_b: float, delta_s: float) -> float:
+    """log B(a, b) from delta(a), delta(b) and delta(a + b), unchecked."""
     small, large = (a, b) if a <= b else (b, a)
     s = a + b
     ratio = small / s
@@ -51,7 +56,7 @@ def log_beta(a: float, b: float) -> float:
         - 0.5 * math.log(s)
         + (small - 0.5) * math.log(ratio)
         + (large - 0.5) * math.log1p(-ratio)
-        + _stirling_error(a)
-        + _stirling_error(b)
-        - _stirling_error(s)
+        + delta_a
+        + delta_b
+        - delta_s
     )

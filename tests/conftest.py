@@ -3,9 +3,12 @@
 Every truncated-posterior quantity in the package is computed through
 incomplete-beta identities; the oracles here integrate the defining
 expressions directly with adaptive quadrature (substituting t = u^(1/alpha)
-to tame the endpoint singularity when alpha < 1). eval_J is the exception:
-it assembles J(p) from the library's own I row, so that tests can check
-that row against the J oracle. The full-row sums evaluate every risk sum
+to tame the endpoint singularity when alpha < 1). eval_J and
+eval_I_two_sided are the exceptions: eval_J assembles J(p) from the
+library's own I row, so that tests can check that row against the J
+oracle, and eval_I_two_sided exponentiates the library's two-sided log I,
+which the kernel tests and criterion 04 check against quadrature and the
+bracket identities. The full-row sums evaluate every risk sum
 over all x = 0..n, zero pmf terms included, as references the windowed
 library sums must equal bit for bit; full_row_kl_risk does the same for
 the predictive KL risk over every (x, y). The two lemma checkers at the end
@@ -28,6 +31,7 @@ from binrisk.binom import (
 )
 from binrisk.dominance import _j_rows, p_grid
 from binrisk.estimators import EstimateTable
+from binrisk.incbeta import log_eval_I
 
 QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-13, limit=200)
 
@@ -103,6 +107,11 @@ def eval_J(p: float, n: int, a: float, b: float, p_bar: float) -> float:
     if not 0.0 <= p < 1.0:
         raise ValueError(f"p must be in [0, 1), got {p}")
     return math.fsum(w * v for w, v in zip(pmf_row(n, p), _j_rows(n, a, b, p_bar)[0]))
+
+
+def eval_I_two_sided(alpha: float, gamma: float, p_lo: float, p_bar: float) -> float:
+    """I(alpha, gamma, p_lo, p_bar) = int_rho^1 t^(alpha-1) / {1 - p_bar (1-t)}^gamma dt."""
+    return math.exp(log_eval_I(alpha, gamma, p_bar, p_lo))
 
 
 def full_pmf_row(n: int, p: float) -> list[float]:

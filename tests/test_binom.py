@@ -14,6 +14,7 @@ from binrisk.binom import (
     pmf_row,
     pmf_windows,
 )
+from binrisk.special import log_beta
 
 from conftest import entropy_loss_direct, full_pmf_row
 
@@ -100,6 +101,40 @@ class TestBinomPmf:
     def test_log_coeff_cached_values(self):
         assert math.exp(_log_binom_coeffs(9)[3]) == pytest.approx(84.0, rel=1e-12)
         assert _log_binom_coeffs(5)[0] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 8, 9, 10, 11, 300, 3000, 100_000])
+    def test_log_coeff_row_is_log_beta_bit_for_bit(self, n):
+        # the row shares one delta per argument; log_beta takes its own
+        # three. Stirling's series serves the arguments from 10 on, so the
+        # x of n = 1e5 reach both branches of delta
+        xs = range(n + 1) if n <= 3000 else (0, 9, 10, n // 2, n - 1, n)
+        row = _log_binom_coeffs(n)
+        expected = [(-math.log(n + 1) - log_beta(x + 1, n - x + 1)).hex() for x in xs]
+        assert [row[x].hex() for x in xs] == expected
+
+    @pytest.mark.parametrize(
+        "n, p",
+        [
+            (9, 0.3),
+            (300, 1e-300),
+            (1_000, 0.3),
+            (10_000, 1e-6),
+            (10_000, 0.5),
+            (100_000, 1.0 - 1e-6),
+        ],
+    )
+    def test_window_terms_are_the_per_term_formula_bit_for_bit(self, n, p):
+        # the windows count x and n - x as floats; each exponent must be the
+        # one the int arithmetic gives
+        coeffs, log_p, log_q = _log_binom_coeffs(n), math.log(p), math.log1p(-p)
+        windows = pmf_windows(n, p)
+        for start, terms in (windows.core, windows.exact()):
+            expected = [
+                math.exp(coeffs[x] + x * log_p + (n - x) * log_q)
+                for x in range(start, start + len(terms))
+            ]
+            assert [t.hex() for t in terms] == [t.hex() for t in expected]
+        assert windows.tail == 0.0 or len(windows.core[1]) < len(windows.exact()[1])
 
 
 class TestEntropyLoss:

@@ -11,12 +11,18 @@ from binrisk.incbeta import (
     SingularBoundError,
     bracket_term,
     eval_I,
-    eval_I_two_sided,
     log_beta_measure,
     log_inc_beta_lower,
 )
 
-from conftest import eval_J, quad_I, quad_I_two_sided, quad_J, quad_inc_beta
+from conftest import (
+    eval_I_two_sided,
+    eval_J,
+    quad_I,
+    quad_I_two_sided,
+    quad_J,
+    quad_inc_beta,
+)
 
 P_BAR_GRID = [0.1 * k for k in range(1, 10)]
 ALPHA_GRID = [0.5, 1.0, 2.5]

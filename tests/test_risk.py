@@ -59,7 +59,7 @@ class TestPointRisk:
     @pytest.mark.parametrize("p", EDGE_PS)
     @pytest.mark.parametrize("n", [1, 2, 33, 300, 10_000])
     def test_window_sum_equals_the_full_row_sum(self, n, p):
-        # the core window also drops nonzero pmf terms, more than e^-100
+        # the core window also drops nonzero pmf terms, more than e^-64
         # below the peak; the certificate, or the exact-window sum where it
         # fails, keeps the sum that of the full row
         priors = [PriorSpec(a=1.0, b=1.0), PriorSpec(a=0.5, b=3.0, p_bar=0.3)]
@@ -147,10 +147,37 @@ class TestCoreWindowCertificate:
         monkeypatch.setattr(risk_module, "_losses", counting)
         expected = full_row_risk(table, p)
         assert point_risk(table, p) == expected
-        assert rows == [1_294]  # the certificate held on the core row
+        assert rows == [1_036]  # the certificate held on the core row
         monkeypatch.setattr(risk_module, "_dropped_bound", lambda *args: 1.0)
         assert point_risk(table, p) == expected
-        assert rows == [1_294, 1_294, 3_480]
+        assert rows == [1_036, 1_036, 3_480]
+
+    # 21 p from 1e-300 to 1 - 1e-12, EDGE_PS among them
+    DEPTH_PS = sorted(
+        {*PS, 1e-100, 1e-4, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.29, 0.4, 0.7, 0.9, 0.999, 1.0 - 1e-4}
+    )
+
+    @pytest.mark.parametrize("n", [300, 1_000, 10_000, 100_000])
+    def test_certificate_holds_at_the_core_depth(self, n, monkeypatch):
+        # each point risk sums its core row once and certifies it, with no
+        # exact-window fallback, and is still the full row's sum. At n = 1e5
+        # every other p (both ends kept) keeps the full-row sums under 3 s
+        ps = self.DEPTH_PS if n < 100_000 else self.DEPTH_PS[::2]
+        rows = []
+        losses = risk_module._losses
+
+        def counting(weights, *rest):
+            rows.append(len(weights))
+            return losses(weights, *rest)
+
+        monkeypatch.setattr(risk_module, "_losses", counting)
+        for prior in (PriorSpec(a=1.0, b=1.0), PriorSpec(a=0.5, b=3.0, p_bar=0.3)):
+            table = EstimateTable.build(BinomialSetup(n=n), prior)
+            for p in ps:
+                rows.clear()
+                risk = point_risk(table, p)
+                assert rows == [len(pmf_windows(n, p).core[1])]
+                assert risk.hex() == full_row_risk(table, p).hex()
 
     def test_zero_core_sum_is_never_certified(self):
         # d = p on the core window and 0.5 off it: the core terms are all
@@ -165,9 +192,9 @@ class TestCoreWindowCertificate:
         risk = point_risk(table, p)
         assert 0.0 < risk == full_row_risk(table, p)
 
-    def test_core_window_holds_the_x_within_100_of_the_peak(self):
+    def test_core_window_holds_the_x_within_64_of_the_peak(self):
         # the log pmf by lgamma, apart from the library's log C(n, x): the
-        # x nearest the core's edge is 0.015 inside it
+        # x nearest the core's edge is 0.05 inside it
         n, p = 10_000, 0.3
         log_p, log_q, log_n = math.log(p), math.log1p(-p), math.lgamma(n + 1)
         log_pmf = [
@@ -179,7 +206,7 @@ class TestCoreWindowCertificate:
         windows = pmf_windows(n, p)
         core_start, core = windows.core
         start, exact = windows.exact()
-        assert len(core) == sum(v >= peak - 100.0 for v in log_pmf) == 1_294
+        assert len(core) == sum(v >= peak - 64.0 for v in log_pmf) == 1_036
         # the exact window also holds 4 exponents in [-746.2, -745.13),
         # where exp is already 0.0
         assert len(exact) == 3_480
