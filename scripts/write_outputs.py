@@ -61,6 +61,10 @@ COMMANDS = (
     "estimate --n 1 --a 200 --b 200 --p-lo 0.0001 --p-bar 0.9999",
     "estimate --n 100000 --p-bar 0.3 --p 0.29",
     "estimate --n 100000 --a 2 --b 2 --p 0.5",
+    "risk-curve --n 63 --a 3 --b 0.5 --p-bar 0.02",
+    "dominance --n 64 --a 0.5 --b 2 --p-bar 0.5 --out F",
+    "risk-curve --n 60 --p-bar 1e-6 --grid 64",
+    "dominance --n 40 --a 2 --b 3 --p-lo 0.1 --p-bar 0.3 --out F",
 )
 
 _TOKEN = re.compile(r"[^\s,()\[\]:=;]+")

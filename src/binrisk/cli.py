@@ -13,6 +13,7 @@ import argparse
 import csv
 import sys
 from collections.abc import Iterable, Sequence
+from functools import cache
 from itertools import repeat
 
 from .binom import BinomialSetup, PriorSpec
@@ -32,13 +33,15 @@ def _fmt(value: float | None) -> str:
 
 
 def _write_csv(out: str | None, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+    cells = [
+        [f"{v:.17g}" if isinstance(v, float) else "" if v is None else str(v) for v in row]
+        for row in rows
+    ]
+
     def dump(handle) -> None:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [_fmt(v) if isinstance(v, float) or v is None else str(v) for v in row]
-            )
+        writer.writerows(cells)
 
     if out is None:
         dump(sys.stdout)
@@ -202,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--k-grid",
         type=float,
         nargs="+",
-        default=[10.0, 100.0, 1000.0, 10000.0],
+        default=(10.0, 100.0, 1000.0, 10000.0),
     )
     p_po.add_argument("--out", type=str, default=None)
     p_po.set_defaults(func=_cmd_poisson_limit)
@@ -210,9 +213,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of main, built once per process: a parse leaves it as it
+    was, since every default is immutable."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -4,6 +4,11 @@
 the restriction's upper endpoint): the risks themselves are exact, so
 each grid value is trustworthy, but the verdict is a statement at grid
 resolution, not a symbolic proof.
+
+The grid pass of exhaustive_dominance_check goes by rows of x while
+n + 1 <= _BLOCK (_row_pass: the grid in blocks of _BLOCK points, each
+p's whole row summed by fsum) and by one pmf window per p above that,
+where the core window skips most of the row; both give the same floats.
 """
 
 from __future__ import annotations
@@ -12,7 +17,16 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .binom import BinomialSetup, PriorSpec, _check_count, _check_shape, _expectation, pmf_windows
+from .binom import (
+    BinomialSetup,
+    PriorSpec,
+    _check_count,
+    _check_shape,
+    _expectation,
+    _log_binom_coeffs,
+    _log_rows,
+    pmf_windows,
+)
 from .estimators import EstimateTable, _correction
 from .incbeta import SingularBoundError, eval_I, inverse_I_row
 from .risk import point_risk
@@ -20,6 +34,9 @@ from .risk import point_risk
 GRID_SLACK = 1e-12
 NOISE_CEILING = 1e-9
 THRESHOLD_TOL = 1e-6
+
+# Grid points per block of the row pass, which runs for n + 1 <= _BLOCK
+_BLOCK = 64
 
 
 class BoundUndefinedError(ArithmeticError):
@@ -52,6 +69,18 @@ def _j_rows(n: int, a: float, b: float, p_bar: float) -> tuple[list[float], list
     return i_row, inv_row
 
 
+def _curve_point(
+    p: float, j: float, e: float, p_bar: float, s: float
+) -> tuple[float, float | None]:
+    """The standardizer J(p) E_p[1/I] and the Thm 3.2 bound (None where its
+    log argument is nonpositive) at p, from the sums j = J(p) and e = E_p[1/I];
+    s = n + a + b."""
+    arg = 1.0 - 1.0 / ((1.0 - p_bar) * s * j)
+    gain = p * math.log1p((1.0 + 1.0 / j) / (p_bar * s))
+    bound = (1.0 - p) * math.log(arg) + gain if arg > 0.0 else None
+    return j * e, bound
+
+
 def _upper_curves(
     n: int, a: float, b: float, p_bar: float, grid: list[float]
 ) -> Iterator[tuple[float, float | None]]:
@@ -67,10 +96,48 @@ def _upper_curves(
         start, w = pmf_windows(n, p).exact()
         stop = start + len(w)
         j = _expectation(w, i_row[start:stop])
-        arg = 1.0 - 1.0 / ((1.0 - p_bar) * s * j)
-        gain = p * math.log1p((1.0 + 1.0 / j) / (p_bar * s))
-        bound = (1.0 - p) * math.log(arg) + gain if arg > 0.0 else None
-        yield j * _expectation(w, inv_row[start:stop]), bound
+        yield _curve_point(p, j, _expectation(w, inv_row[start:stop]), p_bar, s)
+
+
+def _row_pass(
+    n: int,
+    tables: tuple[EstimateTable, ...],
+    value_rows: tuple[list[float], ...],
+    grid: list[float],
+) -> Iterator[tuple[float, ...]]:
+    """Yields, for each p of grid, each table's risk and then each value
+    row's expectation, every one a correctly rounded sum over x = 0..n.
+
+    The grid goes in blocks of _BLOCK points. For each x, one comprehension
+    over the block forms the pmf terms, by the expression of
+    binom._exp_terms, and one more per table and per value row forms the
+    weighted terms, the loss as in binom._losses; each p then sums its
+    column of the block's rows. The terms are the windowed sums' terms,
+    and the rest are exactly 0.0 (pmf terms outside the exact window times
+    finite values), so each sum is the windowed one.
+    """
+    coeffs = _log_binom_coeffs(n)
+    m = float(n)
+    logs = [_log_rows(table.values) for table in tables]
+    for lo in range(0, len(grid), _BLOCK):
+        block = [(p, 1.0 - p, math.log(p), math.log1p(-p)) for p in grid[lo : lo + _BLOCK]]
+        risk_terms = [[] for _ in tables]
+        value_terms = [[] for _ in value_rows]
+        for x, c in enumerate(coeffs):
+            fx = float(x)
+            ws = [math.exp(c + fx * log_p + (m - fx) * log_q) for _, _, log_p, log_q in block]
+            for (log_ds, log_es), terms in zip(logs, risk_terms):
+                log_d, log_e = log_ds[x], log_es[x]
+                terms.append(
+                    [
+                        w * (0.0 if (v := p * (log_p - log_d) + q * (log_q - log_e)) < 0.0 else v)
+                        for w, (p, q, log_p, log_q) in zip(ws, block)
+                    ]
+                )
+            for values, terms in zip(value_rows, value_terms):
+                value = values[x]
+                terms.append([w * value for w in ws])
+        yield from zip(*(map(math.fsum, zip(*terms)) for terms in risk_terms + value_terms))
 
 
 def thm32_bound(p: float, n: int, a: float, b: float, p_bar: float) -> float:
@@ -336,17 +403,24 @@ def exhaustive_dominance_check(
     if upper:
         cond_general, _ = smallpbar_sufficient_conditions(n, a, b, p_bar)
         flags["smallpbar_sufficient"] = cond_general
-        curves = _upper_curves(n, a, b, p_bar, grid)
     else:
         c1, c2 = thm41_conditions(n, a, b, p_lo, p_bar)
         flags["thm41_c1"] = c1
         flags["thm41_c2"] = c2
-        curves = [(None, None)] * len(grid)
-    # one pass over p, so both risks and the curves read one pmf window
-    rows = [
-        (point_risk(unres, p), point_risk(trunc, p), *curve)
-        for p, curve in zip(grid, curves)
-    ]
+    if n + 1 <= _BLOCK:
+        s = n + a + b
+        value_rows = _j_rows(n, a, b, p_bar) if upper else ()
+        rows = [
+            (r_u, r_t, *(_curve_point(p, *js, p_bar, s) if upper else (None, None)))
+            for p, (r_u, r_t, *js) in zip(grid, _row_pass(n, (unres, trunc), value_rows, grid))
+        ]
+    else:
+        curves = _upper_curves(n, a, b, p_bar, grid) if upper else [(None, None)] * len(grid)
+        # one pass over p, so both risks and the curves read one pmf window
+        rows = [
+            (point_risk(unres, p), point_risk(trunc, p), *curve)
+            for p, curve in zip(grid, curves)
+        ]
     risk_unres, risk_trunc, scales, bounds = (tuple(col) for col in zip(*rows))
     diffs = tuple(t - u for t, u in zip(risk_trunc, risk_unres))
 

@@ -203,6 +203,35 @@ class TestPoissonLimit:
         assert "# monotone decay: True" in captured.err
 
 
+class TestParserReuse:
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (["poisson-limit", "--k-grid", "10", "100", "--lambda-bar", "1"], ["poisson-limit"]),
+            (["dominance", "--n", "4", "--p-lo", "0.1", "--p-bar", "0.5", "--grid", "8"],
+             ["dominance", "--n", "4", "--p-bar", "0.5", "--grid", "8"]),
+        ],
+    )
+    def test_consecutive_calls_write_what_fresh_runs_write(self, tmp_path, capsys, first, second):
+        # main parses with one parser per process, so a call must leave
+        # nothing in it for the next: the second call sees the defaults
+        written = []
+        for i, argv in enumerate((first, second)):
+            out = tmp_path / f"main{i}.csv"
+            assert main([*argv, "--out", str(out)]) == EXIT_OK
+            written.append((capsys.readouterr().out, out.read_bytes()))
+        for i, argv in enumerate((first, second)):
+            out = tmp_path / f"fresh{i}.csv"
+            result = subprocess.run(
+                [sys.executable, "-m", "binrisk", *argv, "--out", str(out)],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            )
+            assert result.returncode == 0
+            assert (result.stdout, out.read_bytes()) == written[i]
+
+
 class TestExitStatuses:
     def test_validation_error(self, capsys):
         code = main(

@@ -354,16 +354,35 @@ class TestExhaustiveCheck:
             exhaustive_dominance_check(1, 1.0, 1.0, 0.3, grid_size=1)
 
     @pytest.mark.parametrize(
-        "n, a, b, pb", [(5, 1.0, 1.0, 0.3), (9, 0.5, 3.0, 0.4), (1, 2.0, 1.0, 0.6)]
+        "n, a, b, pb, p_lo, grid_size",
+        [
+            pytest.param(5, 1.0, 1.0, 0.3, None, 64, id="5-1.0-1.0-0.3"),
+            pytest.param(9, 0.5, 3.0, 0.4, None, 64, id="9-0.5-3.0-0.4"),
+            pytest.param(1, 2.0, 1.0, 0.6, None, 64, id="1-2.0-1.0-0.6"),
+            # both routes of the grid pass: the row pass up to n = 63, one
+            # pmf window per p from n = 64; p_bar down to 1e-6, grid 2
+            (1, 0.5, 0.5, 1e-6, None, 2),
+            (17, 2.0, 0.5, 0.02, None, 64),
+            (63, 3.0, 0.5, 0.2, None, 33),
+            (64, 0.5, 2.0, 0.5, None, 16),
+            (63, 1.0, 1.0, 1e-6, None, 64),
+            (1, 1.0, 1.0, 1e-6, 5e-7, 2),
+            (17, 1.0, 3.0, 0.4, 0.1, 64),
+            (63, 2.0, 3.0, 0.3, 0.1, 2),
+            (64, 0.5, 0.5, 1e-6, 2e-7, 16),
+        ],
     )
-    def test_curves_equal_scalar_functions_bit_for_bit(self, n, a, b, pb):
-        report = exhaustive_dominance_check(n, a, b, pb, grid_size=64)
+    def test_curves_equal_scalar_functions_bit_for_bit(self, n, a, b, pb, p_lo, grid_size):
+        report = exhaustive_dominance_check(n, a, b, pb, p_lo=p_lo, grid_size=grid_size)
+        if p_lo is not None:
+            assert report.thm32_bound_curve is report.standardized_diff_curve is None
         for i, p in enumerate(report.p_grid):
-            assert report.thm32_bound_curve[i] == thm32_bound(p, n, a, b, pb)
-            assert report.standardized_diff_curve[i] == standardized_risk_difference(
-                p, n, a, b, pb
-            )
-            assert report.risk_difference[i] == risk_difference(p, n, a, b, pb)
+            if p_lo is None:
+                assert report.thm32_bound_curve[i] == thm32_bound(p, n, a, b, pb)
+                assert report.standardized_diff_curve[i] == standardized_risk_difference(
+                    p, n, a, b, pb
+                )
+            assert report.risk_difference[i] == risk_difference(p, n, a, b, pb, p_lo)
             assert report.risk_difference[i] == (
                 report.risk_truncated[i] - report.risk_unrestricted[i]
             )
@@ -413,9 +432,10 @@ class TestExhaustiveCheck:
         assert rows_built() == {"pmf": 1, "loss": 1}
 
     def test_pmf_rows_per_grid_point_do_not_grow_with_n(self, rows_built):
+        # from n = 64 on the grid pass reads one pmf window per p
         grid_size = 16
         counts = []
-        for n in (2, 40):
+        for n in (70, 400):
             binom.pmf_windows.cache_clear()
             exhaustive_dominance_check(n, 1.0, 1.0, 0.3, grid_size=grid_size)
             counts.append(rows_built()["pmf"])
@@ -425,22 +445,51 @@ class TestExhaustiveCheck:
     def test_one_pmf_window_per_grid_point(self, rows_built, p_lo):
         # both risks and, in the upper case, J(p) and E_p[1/I] read the
         # one window built for each p
-        exhaustive_dominance_check(n=5, a=1.0, b=1.0, p_bar=0.3, p_lo=p_lo, grid_size=64)
+        exhaustive_dominance_check(n=70, a=1.0, b=1.0, p_bar=0.3, p_lo=p_lo, grid_size=64)
         assert rows_built()["pmf"] == 64
 
-    @pytest.mark.parametrize("p_lo", [None, 0.05])
-    def test_report_equals_the_full_row_sums(self, p_lo):
-        # the windows drop only pmf terms that are exactly 0.0
-        n, a, b, p_bar = 300, 0.5, 2.0, 0.3
-        report = exhaustive_dominance_check(n, a, b, p_bar, p_lo=p_lo, grid_size=64)
-        expected = full_row_dominance(n, a, b, p_bar, p_lo, 64)
+    @pytest.mark.parametrize("p_lo", [None, 0.1])
+    def test_row_pass_reads_one_coefficient_row_per_configuration(self, rows_built, p_lo):
+        # up to n = 63 the grid pass builds no pmf window and no loss row:
+        # it forms every term from the one row of log C(n, x)
+        binom._log_binom_coeffs.cache_clear()
+        for n in (1, 17, 63):
+            exhaustive_dominance_check(n, 1.0, 1.0, 0.3, p_lo=p_lo, grid_size=100)
+        info = binom._log_binom_coeffs.cache_info()
+        assert (info.misses, info.hits) == (3, 0)
+        assert rows_built() == {"pmf": 0, "loss": 0}
+
+    @pytest.mark.parametrize(
+        "n, a, b, p_bar, p_lo, grid_size",
+        [
+            pytest.param(300, 0.5, 2.0, 0.3, None, 64, id="None"),
+            pytest.param(300, 0.5, 2.0, 0.3, 0.05, 64, id="0.05"),
+            (1, 0.5, 2.0, 0.3, None, 2),
+            (17, 2.0, 1.0, 1e-6, None, 64),
+            (63, 1.0, 1.0, 0.02, None, 100),
+            (63, 3.0, 0.5, 1e-6, None, 2),
+            (64, 0.5, 0.5, 0.5, None, 64),
+            (1, 1.0, 1.0, 1e-6, 5e-7, 64),
+            (17, 0.5, 2.0, 0.3, 0.05, 2),
+            (63, 2.0, 3.0, 0.3, 0.1, 100),
+            (64, 1.0, 1.0, 1e-6, 2e-7, 64),
+            # p_lo sits 1.2e-8 under the estimate 1/4 at x = 0, where the
+            # loss rounds below 0.0 and only its clamp keeps the sum
+            (2, 1.0, 1.0, 0.3, 0.249999997, 2),
+        ],
+    )
+    def test_report_equals_the_full_row_sums(self, n, a, b, p_bar, p_lo, grid_size):
+        # the windows drop only pmf terms that are exactly 0.0, and the row
+        # pass keeps them
+        report = exhaustive_dominance_check(n, a, b, p_bar, p_lo=p_lo, grid_size=grid_size)
+        expected = full_row_dominance(n, a, b, p_bar, p_lo, grid_size)
         for name, value in expected.items():
             assert getattr(report, name) == value, name
         upper = p_lo is None
         c1, c2 = (None, None) if upper else thm41_conditions(n, a, b, p_lo, p_bar)
         assert report.condition_flags == {
             "thm33_necessary": thm33_necessary(n, a, b, p_bar),
-            "thm34_necessary": None,
+            "thm34_necessary": thm34_necessary(n, a, p_bar) if b == 1.0 else None,
             "thm41_c1": c1,
             "thm41_c2": c2,
             "smallpbar_sufficient": (
