@@ -1,0 +1,89 @@
+#!/usr/bin/env python3
+"""Summarize the paired benchmark runs of a BENCH_*.json file.
+
+    python scripts/bench_compare.py BENCH_FILE
+
+BENCH_FILE holds a list of "runs", each one run of perfbench/run.py with its
+"side" ("parent" or "change"), "workload", "seed", "pair" (runs with the
+same workload, seed and pair form one pair), the end-to-end "metrics" and
+the output digests. For each workload and end-to-end metric of
+BENCHMARK.json, this prints each side's median and quartiles, the change
+over the parent at the median, and the pairs in which the change is better
+(ties count for neither side). Each workload's digests are listed as equal
+when every run of both sides wrote the same ones.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SIDES = ("parent", "change")
+
+
+def _quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def _wins(runs: list[dict], metric: str, higher: bool) -> tuple[int, int]:
+    """(pairs the change wins, pairs with both sides) for one metric."""
+    pairs = defaultdict(dict)
+    for run in runs:
+        pairs[run["seed"], run["pair"]][run["side"]] = run["metrics"][metric]
+    both = [p for p in pairs.values() if len(p) == 2]
+    won = sum((p["change"] > p["parent"]) if higher else (p["change"] < p["parent"]) for p in both)
+    return won, len(both)
+
+
+def report(bench: dict, metrics: list[dict]) -> list[str]:
+    by_workload = defaultdict(list)
+    for run in bench["runs"]:
+        by_workload[run["workload"]].append(run)
+    lines = []
+    for workload, runs in by_workload.items():
+        seeds = sorted({run["seed"] for run in runs})
+        lines.append(f"{workload} (seeds {', '.join(map(str, seeds))})")
+        lines.append(
+            f"  {'metric':<12} {'parent median [q1, q3]':>30} {'change median [q1, q3]':>30}"
+            f" {'change':>8} {'won':>6}"
+        )
+        for spec in metrics:
+            name, higher = spec["name"], spec["better"] == "higher"
+            cells = []
+            for side in SIDES:
+                q1, median, q3 = _quartiles([r["metrics"][name] for r in runs if r["side"] == side])
+                cells.append((median, f"{median:.4g} [{q1:.4g}, {q3:.4g}]"))
+            (parent, parent_text), (change, change_text) = cells
+            delta = f"{change / parent - 1.0:+.1%}" if parent else "n/a"
+            won, paired = _wins(runs, name, higher)
+            lines.append(
+                f"  {name:<12} {parent_text:>30} {change_text:>30} {delta:>8} {won:>3}/{paired}"
+            )
+        for digest in ("values_sha256", "csv_sha256"):
+            per_seed = defaultdict(set)
+            for run in runs:
+                per_seed[run["seed"]].add(run[digest])
+            equal = all(len(found) == 1 for found in per_seed.values())
+            lines.append(f"  {digest}: {'equal on every run' if equal else 'DIFFER'}")
+    return lines
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("bench", type=Path, help="a BENCH_*.json file of paired runs")
+    args = parser.parse_args(argv)
+    bench = json.loads(args.bench.read_text())
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    print("\n".join(report(bench, metrics)))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

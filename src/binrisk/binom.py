@@ -3,9 +3,12 @@
 pmf_windows(n, p) holds, in one cache entry, the exact window of (n, p),
 every x whose pmf is not exactly 0.0, and its core window, the x within
 e^-64 of the pmf peak, with a bound on the sum of the terms the core
-leaves out; each term is exponentiated once. _losses builds the terms
-w L(d, p) of a risk sum, each pmf weight times its entropy loss, in one
-pass; entropy_losses is its unit-weight case.
+leaves out; each term is exponentiated once. Entries sit in two caches by
+row length: up to 1,024 short rows, which sweeps revisit at the same few
+p, and 8 long ones. The windows take n and p as checked; pmf_row, the
+public view, checks them. _losses builds the terms w L(d, p) of a risk
+sum, each pmf weight times its entropy loss, in one pass; entropy_losses
+is its unit-weight case.
 
 Also holds the two descriptor dataclasses shared across the package:
 the trial-count setup and the (possibly truncated) beta prior, and the
@@ -94,10 +97,11 @@ class PriorSpec:
 def _log_binom_coeffs(n: int) -> tuple[float, ...]:
     """log C(n, x) = -log(n+1) - log B(x+1, n-x+1) for x = 0..n, cached per
     n since risk sums revisit every x; every log B reads one delta(1..n+2) row."""
-    log_n1 = math.log(n + 1)
+    log_n1, log_s = math.log(n + 1), math.log(n + 2)
     d = [_stirling_error(k) for k in range(1, n + 3)]  # delta(1), ..., delta(n+2)
     return tuple(
-        -log_n1 - _log_beta_with(x + 1, n - x + 1, d[x], d[n - x], d[-1]) for x in range(n + 1)
+        -log_n1 - _log_beta_with(x + 1, n - x + 1, log_s, d[x], d[n - x], d[-1])
+        for x in range(n + 1)
     )
 
 
@@ -164,15 +168,12 @@ class PmfWindows:
             core_start, core = self.core
             left = _exp_terms(row, start, core_start)
             right = _exp_terms(row, core_start + len(core), stop)
-            self._exact = start, left + core + right
+            self._exact, self._rest = (start, left + core + right), None
         return self._exact
 
 
-@lru_cache(maxsize=8)
-def pmf_windows(n: int, p: float) -> PmfWindows:
-    """The windows of (n, p), built once for every sum at that p."""
-    _check_count("n", n)
-    _check_p(p)
+def _build_windows(n: int, p: float) -> PmfWindows:
+    """The windows of (n, p) for n >= 1 and 0 <= p <= 1, unchecked."""
     windows = PmfWindows()
     if p in (0.0, 1.0):  # all mass at x = n p
         windows.core = windows._exact = (round(n * p), (1.0,))
@@ -192,13 +193,31 @@ def pmf_windows(n: int, p: float) -> PmfWindows:
         core_stop = _window_edge(row, mode, stop - 1, floor) + 1
     windows.core = core_start, _exp_terms(row, core_start, core_stop)
     dropped = core_start - start + stop - core_stop
-    windows.tail = dropped * math.exp(floor + 1.0)
+    windows.tail = dropped * math.exp(floor + 1.0) if dropped else 0.0
     windows._exact, windows._rest = (None, (row, start, stop)) if dropped else (windows.core, None)
     return windows
 
 
+# Sweeps revisit the same few p at many small n (n + l - 1 <= 12 in the
+# predictive acceptance sweep). A row of at most _SHORT_ROW terms takes at
+# most about 970 bytes with both windows, its key and its cache link
+# (tracemalloc, n = 12), so its cache holds at most 1 MB; a long row takes
+# about 32 bytes a term, 0.4 MB at n = 1e5, so only 8 of them are kept.
+_SHORT_ROW = 13
+_short_windows = lru_cache(maxsize=1024)(_build_windows)
+_long_windows = lru_cache(maxsize=8)(_build_windows)
+
+
+def pmf_windows(n: int, p: float) -> PmfWindows:
+    """The windows of (n, p), built once for every sum at that p. n >= 1 and
+    0 <= p <= 1 are not checked: the callers have checked them."""
+    return (_short_windows if n < _SHORT_ROW else _long_windows)(n, p)
+
+
 def pmf_row(n: int, p: float) -> list[float]:
     """The pmf at x = 0..n: the exact window padded with its zeros."""
+    _check_count("n", n)
+    _check_p(p)
     start, terms = pmf_windows(n, p).exact()
     row = [0.0] * (n + 1)
     row[start : start + len(terms)] = terms

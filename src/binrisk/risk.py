@@ -13,7 +13,9 @@ certifies that the terms it leaves out cannot change the rounded sum;
 where the certificate fails it sums the exact window. Its terms
 Bin(x; n, p) L(d(x), p) come from one pass over log d and log(1-d), which
 do not depend on p and are kept, with their minima, for the last few
-tables; predictive_kl_risk takes log f(y) once per y.
+tables; predictive_kl_risk takes log f(y) once per y. connection_sum
+resolves its l tables and their log rows once per (n, l, prior), so each
+p costs only the l sums.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .binom import (
     _log_rows,
     _losses,
     entropy_losses,
-    pmf_row,
     pmf_windows,
 )
 from .estimators import EstimateTable
@@ -61,6 +62,7 @@ def _logs_and_minima(values: _Same) -> tuple[list[float], list[float], float, fl
     return log_ds, log_es, min(log_ds), min(log_es)
 
 
+_SMALL_TABLE = 256
 _small_table_logs = lru_cache(maxsize=8)(_logs_and_minima)
 _large_table_logs = lru_cache(maxsize=2)(_logs_and_minima)
 
@@ -68,9 +70,9 @@ _large_table_logs = lru_cache(maxsize=2)(_logs_and_minima)
 def _table_logs(values: tuple[float, ...]) -> tuple[list[float], list[float], float, float]:
     """log d and log(1-d) over one table's estimates, and their minima, which
     do not depend on p. A kept table costs two rows of n + 1 floats, so up to
-    8 tables of at most 256 estimates are kept (a connection sum reads l
-    tables at each p), but only 2 larger ones (a risk curve reads a pair)."""
-    cache = _small_table_logs if len(values) <= 256 else _large_table_logs
+    8 tables of at most _SMALL_TABLE estimates are kept, but only 2 larger
+    ones (a risk curve reads a pair)."""
+    cache = _small_table_logs if len(values) <= _SMALL_TABLE else _large_table_logs
     return cache(_Same(values))
 
 
@@ -100,8 +102,14 @@ def point_risk(estimates: EstimateTable, p: float) -> float:
     the exact window.
     """
     _check_p(p)
-    windows = pmf_windows(estimates.setup.n, p)
-    log_ds, log_es, min_log_d, min_log_e = _table_logs(estimates.values)
+    return _risk_sum(estimates.setup.n, _table_logs(estimates.values), p)
+
+
+def _risk_sum(n: int, logs: tuple, p: float) -> float:
+    """point_risk at a checked p of the table of n + 1 estimates whose
+    _table_logs are logs."""
+    windows = pmf_windows(n, p)
+    log_ds, log_es, min_log_d, min_log_e = logs
     start, weights = windows.core
     stop = start + len(weights)
     terms = _losses(weights, log_ds[start:stop], log_es[start:stop], p)
@@ -129,14 +137,17 @@ def predictive_kl_risk(
         raise ValueError(f"need a table for every x = 0..{n}")
     if any(len(table) != l + 1 for table in tables):
         raise ValueError(f"need a mass for every y = 0..{l} in every table")
-    f = pmf_row(l, p)
-    ys = [(y, fy, math.log(fy)) for y, fy in enumerate(f) if fy != 0.0]
+    f_start, f = pmf_windows(l, p).exact()
+    ys = [(y, fy, math.log(fy)) for y, fy in enumerate(f, f_start) if fy != 0.0]
     # every estimated mass the risk would read is checked, also where the
-    # pmf of x is exactly 0.0 and its terms are left out of the sum
+    # pmf of x is exactly 0.0 and its terms are left out of the sum. min is
+    # NaN or the least of the other masses, so a table that passes it holds
+    # no mass <= 0.0; one that fails it is searched for the first such y
     for x, table in enumerate(tables):
-        for y, _, _ in ys:
-            if table[y] <= 0.0:
-                raise ValueError(f"estimated mass at (x={x}, y={y}) is not positive")
+        if not min(table) > 0.0:
+            for y, _, _ in ys:
+                if table[y] <= 0.0:
+                    raise ValueError(f"estimated mass at (x={x}, y={y}) is not positive")
     start, weights = pmf_windows(n, p).exact()
     return math.fsum(
         [
@@ -165,9 +176,24 @@ def connection_sum(p: float, n: int, l: int, prior: PriorSpec) -> float:
     BinomialSetup(n=n, l=l)  # rejects l < 1, which would sum nothing
     _check_p(p)
     return math.fsum(
-        point_risk(EstimateTable.build(BinomialSetup(n=n + i), prior), p)
-        for i in range(l)
+        _risk_sum(m, logs or _table_logs(values), p)
+        for m, values, logs in _connection_tables(n, l, prior)
     )
+
+
+@lru_cache(maxsize=4)
+def _connection_tables(n: int, l: int, prior: PriorSpec) -> tuple[tuple, ...]:
+    """(m, estimates, their _table_logs) for m = n..n+l-1, resolved once for
+    every p. The logs of a table of more than _SMALL_TABLE estimates are None
+    and are read through _table_logs at each p. An entry builds no rows, but
+    keeps alive the two log rows of each of its small tables, twice the
+    floats of the estimates the table cache holds for the configuration."""
+    resolved = []
+    for m in range(n, n + l):
+        values = EstimateTable.build(BinomialSetup(n=m), prior).values
+        logs = _table_logs(values) if len(values) <= _SMALL_TABLE else None
+        resolved.append((m, values, logs))
+    return tuple(resolved)  # shared by every caller, so immutable
 
 
 def mc_risk(

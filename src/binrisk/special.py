@@ -43,17 +43,23 @@ def log_beta(a: float, b: float) -> float:
     """log B(a, b) = log int_0^1 t^(a-1) (1-t)^(b-1) dt for a, b > 0."""
     if not (0.0 < a < math.inf and 0.0 < b < math.inf):
         raise ValueError(f"a and b must be finite and positive, got ({a}, {b})")
-    return _log_beta_with(a, b, _stirling_error(a), _stirling_error(b), _stirling_error(a + b))
+    s = a + b
+    return _log_beta_with(
+        a, b, math.log(s), _stirling_error(a), _stirling_error(b), _stirling_error(s)
+    )
 
 
-def _log_beta_with(a: float, b: float, delta_a: float, delta_b: float, delta_s: float) -> float:
-    """log B(a, b) from delta(a), delta(b) and delta(a + b), unchecked."""
+def _log_beta_with(
+    a: float, b: float, log_s: float, delta_a: float, delta_b: float, delta_s: float
+) -> float:
+    """log B(a, b) from log_s = log(a + b), delta(a), delta(b) and
+    delta(a + b), unchecked; a row of log B over one a + b takes log_s once."""
     small, large = (a, b) if a <= b else (b, a)
     s = a + b
     ratio = small / s
     return (
         _HALF_LOG_2PI
-        - 0.5 * math.log(s)
+        - 0.5 * log_s
         + (small - 0.5) * math.log(ratio)
         + (large - 0.5) * math.log1p(-ratio)
         + delta_a

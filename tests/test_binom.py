@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from binrisk import binom
 from binrisk.binom import (
     BinomialSetup,
     PriorSpec,
@@ -92,11 +93,12 @@ class TestBinomPmf:
         assert len(terms) < 4_000
 
     def test_window_is_cached_per_n_and_p(self):
-        pmf_windows.cache_clear()
+        # a row of n + 1 = 41 terms is long: it goes to the long-row cache
+        binom._long_windows.cache_clear()
         pmf_row(40, 0.2)
         pmf_row(40, 0.2)
         pmf_windows(40, 0.3)
-        assert pmf_windows.cache_info()[:2] == (1, 2)
+        assert binom._long_windows.cache_info()[:2] == (1, 2)
 
     def test_log_coeff_cached_values(self):
         assert math.exp(_log_binom_coeffs(9)[3]) == pytest.approx(84.0, rel=1e-12)

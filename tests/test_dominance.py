@@ -28,6 +28,13 @@ from binrisk.risk import point_risk
 
 from conftest import eval_J, full_row_dominance
 
+WINDOW_CACHES = (binom._short_windows, binom._long_windows)
+
+
+def clear_windows():
+    for cache in WINDOW_CACHES:
+        cache.cache_clear()
+
 
 class TestNecessaryConditions:
     def test_thm33_examples(self):
@@ -406,9 +413,10 @@ class TestExhaustiveCheck:
 
     @pytest.fixture
     def rows_built(self, monkeypatch):
-        """Counts of pmf windows built (misses of their cold cache) and of
-        loss rows built, wherever the loss row is imported."""
-        binom.pmf_windows.cache_clear()
+        """Counts of pmf windows built (misses of their cold caches, one for
+        short rows and one for long ones) and of loss rows built, wherever
+        the loss row is imported."""
+        clear_windows()
         losses = binom._losses
         loss_rows = [0]
 
@@ -420,7 +428,8 @@ class TestExhaustiveCheck:
             monkeypatch.setattr(module, "_losses", counting)
 
         def counts():
-            return {"pmf": binom.pmf_windows.cache_info().misses, "loss": loss_rows[0]}
+            misses = sum(c.cache_info().misses for c in WINDOW_CACHES)
+            return {"pmf": misses, "loss": loss_rows[0]}
 
         return counts
 
@@ -436,7 +445,7 @@ class TestExhaustiveCheck:
         grid_size = 16
         counts = []
         for n in (70, 400):
-            binom.pmf_windows.cache_clear()
+            clear_windows()
             exhaustive_dominance_check(n, 1.0, 1.0, 0.3, grid_size=grid_size)
             counts.append(rows_built()["pmf"])
         assert counts[0] == counts[1] == grid_size

@@ -5,6 +5,7 @@ import math
 import pytest
 
 import binrisk.risk as risk_module
+from binrisk import binom
 from binrisk.binom import BinomialSetup, PriorSpec, entropy_losses, pmf_row, pmf_windows
 from binrisk.estimators import EstimateTable
 from binrisk.predictive import plug_in_density
@@ -202,7 +203,7 @@ class TestCoreWindowCertificate:
             for x in range(n + 1)
         ]
         peak = max(log_pmf)
-        pmf_windows.cache_clear()
+        binom._long_windows.cache_clear()
         windows = pmf_windows(n, p)
         core_start, core = windows.core
         start, exact = windows.exact()
@@ -214,6 +215,21 @@ class TestCoreWindowCertificate:
         # the exact window extends the core: each term is exponentiated once
         held = exact[core_start - start : core_start - start + len(core)]
         assert all(a is b for a, b in zip(held, core, strict=True))
+
+
+class TestWindowCaches:
+    def test_large_n_leaves_the_short_row_cache_empty(self):
+        # a risk curve at large n fills the long-row cache only, which keeps
+        # at most 8 windows
+        for cache in (binom._short_windows, binom._long_windows):
+            cache.cache_clear()
+        table = EstimateTable.build(BinomialSetup(n=3000), PriorSpec(a=1.0, b=1.0))
+        for k in range(1, 101):
+            point_risk(table, k / 101)
+        assert binom._short_windows.cache_info().currsize == 0
+        long_rows = binom._long_windows.cache_info()
+        assert long_rows.misses == 100 and long_rows.currsize <= 8
+
 
 class TestPredictiveKlRisk:
     def test_truth_gives_zero(self):
@@ -235,6 +251,26 @@ class TestPredictiveKlRisk:
         assert pmf_row(n, p)[n] == 0.0
         with pytest.raises(ValueError, match=r"\(x=2000, y=0\) is not positive"):
             predictive_kl_risk(tables, p, setup)
+
+    @pytest.mark.parametrize(
+        "masses, y",
+        [((math.nan, -0.5, 1.5), 1), ((-0.5, math.nan, 1.5), 0), ((0.5, math.nan, -0.5), 2)],
+        ids=["nan-first", "negative-first", "nan-between"],
+    )
+    def test_names_the_first_bad_mass_next_to_a_nan(self, masses, y):
+        # min of a table that starts with NaN is NaN, and NaN is skipped
+        # elsewhere: either way the table fails the fast test and is searched
+        setup = BinomialSetup(n=1, l=2)
+        tables = [(0.25, 0.5, 0.25), masses]
+        with pytest.raises(ValueError, match=rf"\(x=1, y={y}\) is not positive"):
+            predictive_kl_risk(tables, 0.3, setup)
+
+    def test_a_nan_mass_alone_is_not_an_error(self):
+        # NaN <= 0.0 is false, so a NaN mass passes the check and the risk
+        # it enters is NaN
+        setup = BinomialSetup(n=1, l=2)
+        tables = [(0.25, 0.5, 0.25), (0.25, math.nan, 0.25)]
+        assert math.isnan(predictive_kl_risk(tables, 0.3, setup))
 
     @pytest.mark.parametrize("p", (1e-3, *EDGE_PS))
     @pytest.mark.parametrize("n, l", [(1, 1), (8, 5), (300, 2), (2000, 3)])
@@ -310,6 +346,28 @@ class TestConnectionSum:
         direct = predictive_kl_risk([t.density for t in tables], 0.3, setup)
         table = EstimateTable.build(BinomialSetup(n=3), prior)
         assert direct == pytest.approx(point_risk(table, 0.3), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "prior",
+        [
+            PriorSpec(a=1.0, b=1.0),
+            PriorSpec(a=0.5, b=2.0, p_bar=0.4),
+            PriorSpec(a=2.0, b=3.0, p_bar=0.5, p_lo=0.05),
+        ],
+        ids=["none", "upper", "interval"],
+    )
+    @pytest.mark.parametrize("l", [1, 3, 5])
+    @pytest.mark.parametrize("n", [1, 8, 255, 256, 300])
+    def test_is_the_sum_of_point_risks_bit_for_bit(self, n, l, prior):
+        # the l tables are resolved once per configuration; from n = 255 on
+        # they run from 256 estimates, the last size whose logs are kept
+        # with the configuration, to larger ones read at each p
+        for p in (1e-3, 0.03, 0.2, 0.45):
+            point_risks = [
+                point_risk(EstimateTable.build(BinomialSetup(n=n + i), prior), p)
+                for i in range(l)
+            ]
+            assert connection_sum(p, n, l, prior) == math.fsum(point_risks)
 
     @pytest.mark.parametrize("p,n,l", [(0.3, 5, 0), (7.0, 5, -2)])
     def test_rejects_invalid_arguments(self, p, n, l):

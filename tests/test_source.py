@@ -43,6 +43,23 @@ def test_kernel_is_called_only_by_the_beta_measure():
     assert callers == {("incbeta.py", kernel), ("incbeta.py", "log_beta_measure")}
 
 
+def test_window_builder_checks_nothing():
+    # n and p are checked at the public entry points; the pmf windows are
+    # built on every cache miss of a sweep and take them as checked
+    tree = ast.parse((SOURCES[0].parent / "binom.py").read_text())
+    builder = {"pmf_windows", "_build_windows", "_window_edge", "_exp_terms", "PmfWindows"}
+    defined = {getattr(stmt, "name", None) for stmt in tree.body}
+    assert builder <= defined
+    checks = [
+        f"{stmt.name}:{node.lineno}"
+        for stmt in tree.body
+        if getattr(stmt, "name", None) in builder
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", "").startswith("_check")
+    ]
+    assert checks == []
+
+
 def _imports(module: str) -> set[tuple[str, str]]:
     """(file, top-level statement) of every import of module or its
     submodules anywhere in the library, function bodies included."""
