@@ -24,7 +24,6 @@ from .binom import (
     _check_shape,
     _expectation,
     _log_binom_coeffs,
-    _log_rows,
     pmf_windows,
 )
 from .estimators import EstimateTable, _correction
@@ -118,7 +117,7 @@ def _row_pass(
     """
     coeffs = _log_binom_coeffs(n)
     m = float(n)
-    logs = [_log_rows(table.values) for table in tables]
+    logs = [table._logs[:2] for table in tables]
     for lo in range(0, len(grid), _BLOCK):
         block = [(p, 1.0 - p, math.log(p), math.log1p(-p)) for p in grid[lo : lo + _BLOCK]]
         risk_terms = [[] for _ in tables]

@@ -5,16 +5,19 @@ without truncation, 1/I(x+a, s, p_bar) under an upper bound and
 A(x) = bracket / I_two_sided on an interval, never raw quadrature. The
 upper row of c takes one kernel call (inverse_I_row), and its x < n
 entries are read in a form that subtracts nothing. The table over
-x = 0..n is the primitive; posterior_mean reads one entry of it.
+x = 0..n is the primitive; posterior_mean reads one entry of it. A table
+carries the p-free rows log d and log(1-d) every risk sum reads, built on
+the first sum, and this module alone decides how long a table, and so its
+rows, is kept.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .binom import BinomialSetup, PriorSpec, _check_count
+from .binom import BinomialSetup, PriorSpec, _check_count, _log_rows
 from .incbeta import bracket_term, inverse_I_row, log_eval_I
 
 
@@ -35,10 +38,19 @@ class EstimateTable:
 
     @classmethod
     def build(cls, setup: BinomialSetup, prior: PriorSpec) -> "EstimateTable":
-        return _build_table(setup, prior)
+        cache = _build_table if setup.n + 1 <= _SMALL_TABLE else _build_large_table
+        return cache(setup, prior)
 
     def __getitem__(self, x: int) -> float:
         return self.values[x]
+
+    @cached_property
+    def _logs(self) -> tuple[list[float], list[float], float, float]:
+        """log d and log(1-d) over the estimates, and their minima: they do
+        not depend on p, so the first risk sum builds them for every later
+        one. Not a field, so ==, hash and repr ignore them."""
+        log_ds, log_es = _log_rows(self.values)
+        return log_ds, log_es, min(log_ds), min(log_es)
 
     def __post_init__(self) -> None:
         if len(self.values) != self.setup.n + 1:
@@ -78,9 +90,7 @@ def _upper_estimates(n: int, a: float, b: float, p_bar: float) -> list[float]:
     return values
 
 
-@lru_cache(maxsize=4096)
-def _build_table(setup: BinomialSetup, prior: PriorSpec) -> EstimateTable:
-    # grid sweeps rebuild the same table for every p; cache per config
+def _estimate_table(setup: BinomialSetup, prior: PriorSpec) -> EstimateTable:
     n, a = setup.n, prior.a
     s = n + a + prior.b
     if prior.restriction == "none":
@@ -90,3 +100,14 @@ def _build_table(setup: BinomialSetup, prior: PriorSpec) -> EstimateTable:
     else:
         values = [(x + a) / s - _correction(x, s, prior) / s for x in range(n + 1)]
     return EstimateTable(setup=setup, prior=prior, values=tuple(values))
+
+
+# Grid sweeps rebuild the same table for every p, so tables are cached per
+# (n, prior). A summed table also holds its two log rows, twice the floats
+# of its estimates. With one LRU of 4096, a benchmark risk-large-n pass
+# keeps all 60 tables it sums (n up to 3000, 80,368 estimates) with their
+# rows, and its peak RSS rose from 24.5 to 32.6 MB; so only tables of at
+# most _SMALL_TABLE estimates go to that LRU, and 8 longer ones are kept.
+_SMALL_TABLE = 256
+_build_table = lru_cache(maxsize=4096)(_estimate_table)
+_build_large_table = lru_cache(maxsize=8)(_estimate_table)

@@ -15,7 +15,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .binom import BinomialSetup, PriorSpec, _check_count, _check_shape
-from .estimators import EstimateTable, posterior_mean
+from .estimators import EstimateTable
 from .predictive import bayes_predictive
 from .risk import point_risk
 
@@ -206,8 +206,9 @@ def limit_convergence_report(
         prior = induced_binomial_prior(config, K)
         setup = BinomialSetup(n=n, l=l)
 
-        p_hat = posterior_mean(x_tilde, prior, n)
-        est_errors.append(abs(n * p_hat / config.r - lam_hat))
+        _check_count("x", x_tilde, 0, n)  # the check of posterior_mean
+        table = EstimateTable.build(BinomialSetup(n=n), prior)
+        est_errors.append(abs(n * table[x_tilde] / config.r - lam_hat))
 
         # sup over the y range where either side still carries mass
         sup_err = 0.0
@@ -223,7 +224,6 @@ def limit_convergence_report(
                 break
         pred_errors.append(sup_err)
 
-        table = EstimateTable.build(BinomialSetup(n=n), prior)
         risk_errors.append(
             abs(n / config.r * point_risk(table, p) - risk_target)
         )

@@ -64,9 +64,10 @@ class PredictiveTable:
     def __post_init__(self) -> None:
         if len(self.density) != self.setup.l + 1:
             raise ValueError("need one mass per y = 0..l")
-        if any(v <= 0.0 for v in self.density):
+        # written so that a NaN mass or sum fails them
+        if not all(v > 0.0 for v in self.density):
             raise ValueError("predictive masses must be strictly positive")
-        if abs(math.fsum(self.density) - 1.0) > 1e-12:
+        if not abs(math.fsum(self.density) - 1.0) <= 1e-12:
             raise ValueError(
                 f"predictive density sums to {math.fsum(self.density)!r}, not 1"
             )

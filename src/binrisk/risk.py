@@ -12,10 +12,10 @@ sums over the core window, the x within e^-64 of the pmf peak, and
 certifies that the terms it leaves out cannot change the rounded sum;
 where the certificate fails it sums the exact window. Its terms
 Bin(x; n, p) L(d(x), p) come from one pass over log d and log(1-d), which
-do not depend on p and are kept, with their minima, for the last few
-tables; predictive_kl_risk takes log f(y) once per y. connection_sum
-resolves its l tables and their log rows once per (n, l, prior), so each
-p costs only the l sums.
+do not depend on p and live on the estimate table with their minima, so
+they are kept as long as estimators keeps the table; predictive_kl_risk
+takes log f(y) once per y. connection_sum resolves its l tables once per
+(n, l, prior), so each p costs only the l sums.
 """
 
 from __future__ import annotations
@@ -24,14 +24,7 @@ import math
 from collections.abc import Sequence
 from functools import lru_cache
 
-from .binom import (
-    BinomialSetup,
-    PriorSpec,
-    _log_rows,
-    _losses,
-    entropy_losses,
-    pmf_windows,
-)
+from .binom import BinomialSetup, PriorSpec, _losses, entropy_losses, pmf_windows
 from .estimators import EstimateTable
 from .predictive import PredictiveTable
 
@@ -39,41 +32,6 @@ from .predictive import PredictiveTable
 def _check_p(p: float) -> None:
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
-
-
-class _Same:
-    """A cache key that hashes and compares by the identity of what it holds;
-    a cache keeps the key, so the id cannot pass to another object."""
-
-    __slots__ = ("held",)
-
-    def __init__(self, held: object) -> None:
-        self.held = held
-
-    def __hash__(self) -> int:
-        return id(self.held)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Same) and self.held is other.held
-
-
-def _logs_and_minima(values: _Same) -> tuple[list[float], list[float], float, float]:
-    log_ds, log_es = _log_rows(values.held)
-    return log_ds, log_es, min(log_ds), min(log_es)
-
-
-_SMALL_TABLE = 256
-_small_table_logs = lru_cache(maxsize=8)(_logs_and_minima)
-_large_table_logs = lru_cache(maxsize=2)(_logs_and_minima)
-
-
-def _table_logs(values: tuple[float, ...]) -> tuple[list[float], list[float], float, float]:
-    """log d and log(1-d) over one table's estimates, and their minima, which
-    do not depend on p. A kept table costs two rows of n + 1 floats, so up to
-    8 tables of at most _SMALL_TABLE estimates are kept, but only 2 larger
-    ones (a risk curve reads a pair)."""
-    cache = _small_table_logs if len(values) <= _SMALL_TABLE else _large_table_logs
-    return cache(_Same(values))
 
 
 def _dropped_bound(tail: float, p: float, min_log_d: float, min_log_e: float) -> float:
@@ -102,14 +60,13 @@ def point_risk(estimates: EstimateTable, p: float) -> float:
     the exact window.
     """
     _check_p(p)
-    return _risk_sum(estimates.setup.n, _table_logs(estimates.values), p)
+    return _risk_sum(estimates, p)
 
 
-def _risk_sum(n: int, logs: tuple, p: float) -> float:
-    """point_risk at a checked p of the table of n + 1 estimates whose
-    _table_logs are logs."""
-    windows = pmf_windows(n, p)
-    log_ds, log_es, min_log_d, min_log_e = logs
+def _risk_sum(estimates: EstimateTable, p: float) -> float:
+    """point_risk at a checked p."""
+    windows = pmf_windows(estimates.setup.n, p)
+    log_ds, log_es, min_log_d, min_log_e = estimates._logs
     start, weights = windows.core
     stop = start + len(weights)
     terms = _losses(weights, log_ds[start:stop], log_es[start:stop], p)
@@ -175,25 +132,15 @@ def connection_sum(p: float, n: int, l: int, prior: PriorSpec) -> float:
     """
     BinomialSetup(n=n, l=l)  # rejects l < 1, which would sum nothing
     _check_p(p)
-    return math.fsum(
-        _risk_sum(m, logs or _table_logs(values), p)
-        for m, values, logs in _connection_tables(n, l, prior)
-    )
+    return math.fsum(_risk_sum(table, p) for table in _connection_tables(n, l, prior))
 
 
 @lru_cache(maxsize=4)
-def _connection_tables(n: int, l: int, prior: PriorSpec) -> tuple[tuple, ...]:
-    """(m, estimates, their _table_logs) for m = n..n+l-1, resolved once for
-    every p. The logs of a table of more than _SMALL_TABLE estimates are None
-    and are read through _table_logs at each p. An entry builds no rows, but
-    keeps alive the two log rows of each of its small tables, twice the
-    floats of the estimates the table cache holds for the configuration."""
-    resolved = []
-    for m in range(n, n + l):
-        values = EstimateTable.build(BinomialSetup(n=m), prior).values
-        logs = _table_logs(values) if len(values) <= _SMALL_TABLE else None
-        resolved.append((m, values, logs))
-    return tuple(resolved)  # shared by every caller, so immutable
+def _connection_tables(n: int, l: int, prior: PriorSpec) -> tuple[EstimateTable, ...]:
+    """The estimate tables for m = n..n+l-1, resolved once for every p: the
+    benchmark's predictive sweep sums 25 p per configuration, and a pass
+    took 13% longer when each p built its setups and read the table cache."""
+    return tuple(EstimateTable.build(BinomialSetup(n=m), prior) for m in range(n, n + l))
 
 
 def mc_risk(

@@ -405,7 +405,8 @@ class TestExhaustiveCheck:
         monkeypatch.setattr(incbeta, "log_inc_beta_lower", counting)
         counts = []
         for grid_size in (16, 512):
-            estimators._build_table.cache_clear()
+            for cache in (estimators._build_table, estimators._build_large_table):
+                cache.cache_clear()
             calls.clear()
             exhaustive_dominance_check(5, 1.0, 1.0, 0.3, grid_size=grid_size)
             counts.append(len(calls))

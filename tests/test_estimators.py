@@ -7,14 +7,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from binrisk import estimators, incbeta
-from binrisk.binom import BinomialSetup, PriorSpec
+from binrisk.binom import BinomialSetup, PriorSpec, _log_rows
 from binrisk.dominance import _j_rows
 from binrisk.estimators import EstimateTable, posterior_mean
 from binrisk.incbeta import eval_I, inverse_I_row, log_eval_I
+from binrisk.risk import point_risk
 
 from conftest import quad_posterior_mean
 
 A_B_GRID = [0.5, 1.0, 2.0]
+TABLE_CACHES = (estimators._build_table, estimators._build_large_table)
+
+
+def clear_tables():
+    for cache in TABLE_CACHES:
+        cache.cache_clear()
 
 
 class TestUnrestricted:
@@ -203,10 +210,72 @@ class TestEstimateTable:
 
     def test_scalar_calls_build_one_table(self):
         prior = PriorSpec(a=1.3, b=0.7, p_bar=0.45, p_lo=0.05)
-        estimators._build_table.cache_clear()
+        clear_tables()
         values = [posterior_mean(x, prior, 20) for x in range(21)]
         assert estimators._build_table.cache_info().misses == 1
         assert tuple(values) == EstimateTable.build(BinomialSetup(n=20), prior).values
+
+
+class TestTableRows:
+    """Each table carries the p-free log rows of its risk sums, and the
+    estimators module alone decides how long a table is kept."""
+
+    def test_rows_are_built_once_per_table(self, monkeypatch):
+        calls = []
+
+        def counting(ds):
+            calls.append(ds)
+            return _log_rows(ds)
+
+        monkeypatch.setattr(estimators, "_log_rows", counting)
+        setup, prior = BinomialSetup(n=300), PriorSpec(a=1.5, b=2.0, p_bar=0.4)
+        values = EstimateTable.build(setup, prior).values
+        table = EstimateTable(setup=setup, prior=prior, values=values)
+        for k in range(1, 10):
+            point_risk(table, k / 10)
+        assert len(calls) == 1 and calls[0] is values
+        log_ds, log_es = _log_rows(values)
+        assert table._logs == (log_ds, log_es, min(log_ds), min(log_es))
+
+    def test_rows_leave_equality_hash_and_repr_alone(self):
+        setup, prior = BinomialSetup(n=12), PriorSpec(a=1.0, b=1.0, p_lo=0.1, p_bar=0.7)
+        table = EstimateTable.build(setup, prior)
+        point_risk(table, 0.3)
+        assert "_logs" in vars(table)
+        fresh = EstimateTable(setup, prior, table.values)
+        assert "_logs" not in vars(fresh)
+        assert table == fresh and hash(table) == hash(fresh)
+        assert repr(table) == repr(fresh)
+
+    @pytest.mark.parametrize("n", [1, 40, 255, 256, 3000])
+    def test_hand_built_copy_gives_the_same_risk(self, n):
+        prior = PriorSpec(a=0.5, b=3.0, p_bar=0.45)
+        built = EstimateTable.build(BinomialSetup(n=n), prior)
+        copy = EstimateTable(setup=BinomialSetup(n=n), prior=prior, values=built.values)
+        for p in (1e-9, 0.01, 0.3, 0.45, 0.9):
+            assert point_risk(copy, p).hex() == point_risk(built, p).hex()
+
+    def test_only_tables_of_at_most_256_estimates_go_to_the_4096_cache(self):
+        clear_tables()
+        prior = PriorSpec(a=1.0, b=1.0)
+        EstimateTable.build(BinomialSetup(n=255), prior)
+        assert estimators._build_table.cache_info().currsize == 1
+        assert estimators._build_large_table.cache_info().currsize == 0
+        EstimateTable.build(BinomialSetup(n=256), prior)
+        assert estimators._build_table.cache_info().currsize == 1
+        assert estimators._build_large_table.cache_info().currsize == 1
+
+    def test_at_most_8_long_tables_are_kept(self):
+        clear_tables()
+        setup = BinomialSetup(n=300)
+        priors = [PriorSpec(a=1.0 + k / 10, b=1.0) for k in range(20)]
+        for prior in priors:
+            point_risk(EstimateTable.build(setup, prior), 0.2)
+        long_tables = estimators._build_large_table.cache_info()
+        assert long_tables.misses == 20 and long_tables.currsize <= 8
+        assert estimators._build_table.cache_info().currsize == 0
+        # the first table was dropped with its rows and is built again
+        assert "_logs" not in vars(EstimateTable.build(setup, priors[0]))
 
 
 ROW_NS = [1, 2, 5, 12, 32, 300, 1000, 3000]
@@ -286,7 +355,7 @@ class TestUpperRows:
         monkeypatch.setattr(incbeta, "log_inc_beta_lower", counting)
         counts = []
         for n in (10, 1000):
-            estimators._build_table.cache_clear()
+            clear_tables()
             calls[0] = 0
             EstimateTable.build(BinomialSetup(n=n), PriorSpec(1.0, 1.0, p_bar=0.3))
             table_calls, calls[0] = calls[0], 0

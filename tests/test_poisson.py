@@ -5,6 +5,7 @@ import math
 import pytest
 from scipy.special import gammaln
 
+from binrisk.estimators import EstimateTable
 from binrisk.poisson import (
     PoissonConfig,
     induced_binomial_prior,
@@ -142,6 +143,20 @@ class TestLimitCorrespondence:
         cfg = PoissonConfig(r=1.0, a=1.0, lambda_bar=1.0)
         with pytest.raises(ValueError, match=r"x must be an integer in \[0, 10\], got 11"):
             limit_convergence_report([10.0], 0.5, cfg, 11)
+
+    def test_builds_one_table_per_scale(self, monkeypatch):
+        # the estimate and the risk read the same table
+        build = EstimateTable.build.__func__
+        calls = []
+
+        def counting(cls, setup, prior):
+            calls.append(setup.n)
+            return build(cls, setup, prior)
+
+        monkeypatch.setattr(EstimateTable, "build", classmethod(counting))
+        cfg = PoissonConfig(r=1.0, s=1.0, a=1.0, lambda_bar=1.0)
+        limit_convergence_report([10.0, 300.0], 0.5, cfg, 3)
+        assert calls == [10, 300]
 
     def test_rejects_unsorted_grid(self):
         cfg = PoissonConfig(r=1.0, a=1.0)

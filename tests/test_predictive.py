@@ -169,3 +169,11 @@ class TestPredictiveTable:
                 x=0,
                 density=(0.0, 1.0),
             )
+
+    @pytest.mark.parametrize("density", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)])
+    def test_rejects_nan_mass(self, density):
+        # every comparison with NaN is False, so only a check that must pass rejects it
+        with pytest.raises(ValueError, match="strictly positive"):
+            PredictiveTable(
+                setup=BinomialSetup(n=2, l=1), prior=PriorSpec(1.0, 1.0), x=0, density=density
+            )
