@@ -54,11 +54,9 @@ def p_grid(p_bar: float, p_lo: float | None, size: int) -> list[float]:
 
 
 def _j_rows(n: int, a: float, b: float, p_bar: float) -> tuple[list[float], list[float]]:
-    """I(x+a, n+a+b+1, p_bar) and its inverse for x = 0..n, from
-    inverse_I_row: the rows whose binomial expectations are J(p) and
+    """I(x+a, n+a+b+1, p_bar) and its inverse for x = 0..n, a, b and n checked,
+    from inverse_I_row: the rows whose binomial expectations are J(p) and
     E_p[1/I]; neither depends on p. An I that overflows is a singular bound."""
-    _check_shape(a=a, b=b)
-    _check_count("n", n)
     gamma = n + a + b + 1.0
     inv_row = inverse_I_row(a, gamma, p_bar, n)
     i_row = [1.0 / c if c else math.inf for c in inv_row]
@@ -142,6 +140,8 @@ def _row_pass(
 def thm32_bound(p: float, n: int, a: float, b: float, p_bar: float) -> float:
     """Upper bound on the standardized risk difference (truncated minus
     untruncated) in the upper-restriction case."""
+    _check_shape(a=a, b=b)
+    _check_count("n", n)
     _, bound = next(_upper_curves(n, a, b, p_bar, [p]))
     if bound is None:
         raise BoundUndefinedError(f"bound undefined at p={p}: log argument <= 0")
@@ -165,6 +165,8 @@ def standardized_risk_difference(
     p: float, n: int, a: float, b: float, p_bar: float
 ) -> float:
     """Exact risk difference divided by J(p) E_p[1/I(X+a, n+a+b+1, p_bar)]."""
+    _check_shape(a=a, b=b)
+    _check_count("n", n)
     scale, _ = next(_upper_curves(n, a, b, p_bar, [p]))
     return risk_difference(p, n, a, b, p_bar) / scale
 

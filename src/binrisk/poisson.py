@@ -212,15 +212,11 @@ def limit_convergence_report(
 
         # sup over the y range where either side still carries mass
         sup_err = 0.0
-        y = 0
-        while True:
+        for y in range(l + 1):
             binom_mass = bayes_predictive(y, x_tilde, setup, prior)
             pois_mass = poisson_predictive(y, x_tilde, config)
             sup_err = max(sup_err, abs(binom_mass - pois_mass))
             if y >= 5 and binom_mass < _TAIL_MASS and pois_mass < _TAIL_MASS:
-                break
-            y += 1
-            if y > l:
                 break
         pred_errors.append(sup_err)
 

@@ -13,9 +13,11 @@ certifies that the terms it leaves out cannot change the rounded sum;
 where the certificate fails it sums the exact window. Its terms
 Bin(x; n, p) L(d(x), p) come from one pass over log d and log(1-d), which
 do not depend on p and live on the estimate table with their minima, so
-they are kept as long as estimators keeps the table; predictive_kl_risk
-takes log f(y) once per y. connection_sum resolves its l tables once per
-(n, l, prior), so each p costs only the l sums.
+they are kept as long as estimators keeps the table. predictive_kl_risk
+takes the log rows of the predictive masses, and checks their shape, once
+per set of tables, keyed on the masses. connection_sum resolves its l
+tables once per (n, l, prior) when all are small, so each p costs only
+the l sums.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from collections.abc import Sequence
 from functools import lru_cache
 
 from .binom import BinomialSetup, PriorSpec, _losses, entropy_losses, pmf_windows
-from .estimators import EstimateTable
+from .estimators import _SMALL_TABLE, EstimateTable
 from .predictive import PredictiveTable
 
 
@@ -86,33 +88,52 @@ def predictive_kl_risk(
 ) -> float:
     """Exact KL risk of a predictive density given per-x mass tables.
 
-    tables[x][y] is the estimated mass of Y = y after observing X = x.
+    tables[x][y] is the estimated mass of Y = y after observing X = x. The
+    log rows of the masses do not depend on p; they are taken once per set
+    of tables, keyed on the masses themselves, so a table changed in place
+    is read afresh.
     """
     _check_p(p)
     n, l = setup.n, setup.l
     if len(tables) != n + 1:
         raise ValueError(f"need a table for every x = 0..{n}")
-    if any(len(table) != l + 1 for table in tables):
-        raise ValueError(f"need a mass for every y = 0..{l} in every table")
+    # the key is built from a sized list: tuples built from an iterator are
+    # resized, and CPython's free lists kept thousands of them alive
+    log_rows, needs_search = _mass_logs(tuple([tuple(table) for table in tables]), l)
     f_start, f = pmf_windows(l, p).exact()
     ys = [(y, fy, math.log(fy)) for y, fy in enumerate(f, f_start) if fy != 0.0]
     # every estimated mass the risk would read is checked, also where the
-    # pmf of x is exactly 0.0 and its terms are left out of the sum. min is
-    # NaN or the least of the other masses, so a table that passes it holds
-    # no mass <= 0.0; one that fails it is searched for the first such y
-    for x, table in enumerate(tables):
-        if not min(table) > 0.0:
-            for y, _, _ in ys:
-                if table[y] <= 0.0:
-                    raise ValueError(f"estimated mass at (x={x}, y={y}) is not positive")
+    # pmf of x is exactly 0.0 and its terms are left out of the sum
+    if needs_search:
+        for x, table in enumerate(tables):
+            if not min(table) > 0.0:
+                for y, _, _ in ys:
+                    if table[y] <= 0.0:
+                        raise ValueError(f"estimated mass at (x={x}, y={y}) is not positive")
     start, weights = pmf_windows(n, p).exact()
     return math.fsum(
         [
-            wx * fy * (log_fy - math.log(table[y]))
-            for wx, table in zip(weights, tables[start:])
+            wx * fy * (log_fy - logs[y])
+            for wx, logs in zip(weights, log_rows[start:])
             for y, fy, log_fy in ys
         ]
     )
+
+
+@lru_cache(maxsize=2)
+def _mass_logs(
+    tables: tuple[tuple[float, ...], ...], l: int
+) -> tuple[list[list[float]], bool]:
+    """log of every mass, NaN for a mass that is not positive, and whether a
+    table fails min(table) > 0.0 and must be searched at each p. min is NaN
+    or the least of the other masses, so a table that passes holds no mass
+    <= 0.0; a NaN row entry is read only where it is a NaN mass, as the
+    search raises first at any mass <= 0.0 the sum would read. A sweep over
+    p alternates the Bayes and the plug-in set, hence 2 entries."""
+    if any(len(table) != l + 1 for table in tables):
+        raise ValueError(f"need a mass for every y = 0..{l} in every table")
+    logs = [[math.log(v) if v > 0.0 else math.nan for v in table] for table in tables]
+    return logs, not all(min(table) > 0.0 for table in tables)
 
 
 def bayes_predictive_tables(
@@ -132,13 +153,14 @@ def connection_sum(p: float, n: int, l: int, prior: PriorSpec) -> float:
     """
     BinomialSetup(n=n, l=l)  # rejects l < 1, which would sum nothing
     _check_p(p)
-    return math.fsum(_risk_sum(table, p) for table in _connection_tables(n, l, prior))
+    resolve = _connection_tables if n + l <= _SMALL_TABLE else _connection_tables.__wrapped__
+    return math.fsum(_risk_sum(table, p) for table in resolve(n, l, prior))
 
 
 @lru_cache(maxsize=4)
 def _connection_tables(n: int, l: int, prior: PriorSpec) -> tuple[EstimateTable, ...]:
-    """The estimate tables for m = n..n+l-1, resolved once for every p: the
-    benchmark's predictive sweep sums 25 p per configuration, and a pass
+    """The estimate tables for m = n..n+l-1, kept for every p when all are
+    small, as in estimators: a predictive sweep of 25 p per configuration
     took 13% longer when each p built its setups and read the table cache."""
     return tuple(EstimateTable.build(BinomialSetup(n=m), prior) for m in range(n, n + l))
 

@@ -119,6 +119,37 @@ class TestBound:
         with pytest.raises(ValueError):
             thm32_bound(0.5, 1, 1.0, 1.0, 0.4)
 
+    @pytest.mark.parametrize("entry", [thm32_bound, standardized_risk_difference])
+    @pytest.mark.parametrize(
+        "args, error, message",
+        [
+            ((0.1, 3, 0.0, 1.0, 0.5), ValueError, "a must be finite and positive, got 0.0"),
+            ((0.1, 3, math.nan, 1.0, 0.5), ValueError, "a must be finite and positive, got nan"),
+            ((0.1, 3, 1.0, -1.0, 0.5), ValueError, "b must be finite and positive, got -1.0"),
+            ((0.1, 0, 1.0, 1.0, 0.5), ValueError, "n must be an integer >= 1, got 0"),
+            ((0.1, 2.0, 1.0, 1.0, 0.5), ValueError, "n must be an integer >= 1, got 2.0"),
+            ((0.1, 3, 1.0, 1.0, 0.0), ValueError, "p_bar must be in (0, 1), got 0.0"),
+            ((0.1, 3, 1.0, 1.0, 1.0), ValueError, "p_bar must be in (0, 1), got 1.0"),
+            (
+                (0.1, 3, 1.0, 1.0, 1.0 - 1e-13),
+                incbeta.SingularBoundError,
+                "p_bar=0.9999999999999 is within 1e-12 of 1; I diverges",
+            ),
+            ((0.6, 3, 1.0, 1.0, 0.5), ValueError, "p must be in (0, p_bar], got p=0.6, p_bar=0.5"),
+            ((0.0, 3, 1.0, 1.0, 0.5), ValueError, "p must be in (0, p_bar], got p=0.0, p_bar=0.5"),
+            # several bad arguments: shape, then n, then p_bar, then p
+            ((7.0, 0, 0.0, 1.0, 2.0), ValueError, "a must be finite and positive, got 0.0"),
+            ((7.0, 0, 1.0, 1.0, 2.0), ValueError, "n must be an integer >= 1, got 0"),
+            ((7.0, 3, 1.0, 1.0, 2.0), ValueError, "p_bar must be in (0, 1), got 2.0"),
+        ],
+    )
+    def test_public_entries_check_their_arguments(self, entry, args, error, message):
+        # the J rows take a, b and n as checked, so each one-point entry
+        # checks them itself, in the order the rows' callers always had
+        with pytest.raises(error) as caught:
+            entry(*args)
+        assert type(caught.value) is error and str(caught.value) == message
+
     def test_odds_weighted_j_monotone_for_small_bound(self):
         # {p/(1-p)} J(p) is nondecreasing on (0, p_bar] when p_bar <= 1/n
         for n, a, b, pb in [(2, 1.0, 1.0, 0.4), (5, 0.5, 2.0, 0.2)]:

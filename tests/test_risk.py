@@ -1,5 +1,6 @@
 """Exact risks, the predictive-to-point connection, MC oracle, lemma checks."""
 
+import gc
 import math
 
 import pytest
@@ -313,6 +314,74 @@ class TestPredictiveKlRisk:
         )
 
 
+class TestMassLogRows:
+    """predictive_kl_risk takes the log rows of a table set once, keyed on
+    the masses, and each p sums over them."""
+
+    PRIORS = [
+        PriorSpec(a=1.0, b=1.0),
+        PriorSpec(a=0.5, b=2.0, p_bar=0.4),
+        PriorSpec(a=2.0, b=3.0, p_bar=0.5, p_lo=0.05),
+    ]
+
+    @staticmethod
+    def sets(setup, prior):
+        est = EstimateTable.build(BinomialSetup(n=setup.n), prior)
+        plug = [[plug_in_density(y, setup.l, d) for y in range(setup.l + 1)] for d in est.values]
+        return [t.density for t in bayes_predictive_tables(setup, prior)], plug
+
+    def test_a_table_changed_in_place_is_read_afresh(self):
+        setup = BinomialSetup(n=3, l=2)
+        _, plug = self.sets(setup, PriorSpec(a=1.0, b=1.0))
+        before = predictive_kl_risk(plug, 0.3, setup)
+        plug[1][:] = [0.2, 0.5, 0.3]
+        after = predictive_kl_risk(plug, 0.3, setup)
+        risk_module._mass_logs.cache_clear()
+        assert after == predictive_kl_risk(plug, 0.3, setup) != before
+        assert after == full_row_kl_risk(plug, 0.3, setup)
+
+    def test_one_table_set_is_logged_once_for_every_p(self):
+        setup = BinomialSetup(n=6, l=3)
+        tables, _ = self.sets(setup, PriorSpec(a=1.0, b=1.0, p_bar=0.5))
+        risk_module._mass_logs.cache_clear()
+        for k in range(1, 26):
+            predictive_kl_risk(tables, 0.5 * k / 25, setup)
+        assert risk_module._mass_logs.cache_info().misses == 1
+
+    @pytest.mark.parametrize("prior", PRIORS, ids=["none", "upper", "interval"])
+    @pytest.mark.parametrize("n, l", [(1, 1), (5, 3), (40, 2)])
+    def test_repeated_calls_equal_the_full_row_sum(self, n, l, prior):
+        # the two sets alternate at each p, as in a sweep, so the cached
+        # rows are read at every p but the first
+        setup = BinomialSetup(n=n, l=l)
+        bayes, plug = self.sets(setup, prior)
+        for p in (0.01, 0.05, 0.2, 0.35, 0.4):
+            for tables in (bayes, plug):
+                assert predictive_kl_risk(tables, p, setup) == full_row_kl_risk(tables, p, setup)
+
+    def test_bad_tables_fail_at_every_p(self):
+        setup = BinomialSetup(n=1, l=2)
+        zero = [(0.25, 0.5, 0.25), (0.5, 0.0, 0.5)]
+        nan = [(0.25, 0.5, 0.25), (0.25, math.nan, 0.25)]
+        short = [(0.25, 0.5, 0.25), (0.5, 0.5)]
+        for p in (0.3, 0.6):
+            with pytest.raises(ValueError, match=r"\(x=1, y=1\) is not positive"):
+                predictive_kl_risk(zero, p, setup)
+            assert math.isnan(predictive_kl_risk(nan, p, setup))
+            with pytest.raises(ValueError, match="every y"):
+                predictive_kl_risk(short, p, setup)
+
+    def test_a_zero_mass_outside_the_window_is_never_read(self):
+        # Bin(2; 2, p) is 0.0 in double precision at these p, so y = 2 is
+        # outside the window of f and its zero mass is neither an error nor
+        # summed
+        setup = BinomialSetup(n=1, l=2)
+        tables = [(0.5, 0.5, 0.0), (0.5, 0.5, 0.0)]
+        assert pmf_row(2, 1e-200)[2] == 0.0
+        for p in (1e-200, 1e-250):
+            assert predictive_kl_risk(tables, p, setup) == full_row_kl_risk(tables, p, setup)
+
+
 class TestConnectionSum:
     def test_single_step_is_point_risk(self):
         prior = PriorSpec(a=1.0, b=1.0)
@@ -368,6 +437,18 @@ class TestConnectionSum:
                 for i in range(l)
             ]
             assert connection_sum(p, n, l, prior) == math.fsum(point_risks)
+
+    def test_keeps_only_small_configurations(self):
+        # configurations with a table of more than 256 estimates are not
+        # kept here, so at most the 8 large tables estimators keeps stay alive
+        for a in (0.5, 1.0, 1.5, 2.0):
+            connection_sum(0.3, 3000, 10, PriorSpec(a=a, b=1.0, p_bar=0.5))
+        gc.collect()
+        large = [
+            obj for obj in gc.get_objects()
+            if isinstance(obj, EstimateTable) and len(obj.values) > 256
+        ]
+        assert len(large) <= 8
 
     @pytest.mark.parametrize("p,n,l", [(0.3, 5, 0), (7.0, 5, -2)])
     def test_rejects_invalid_arguments(self, p, n, l):

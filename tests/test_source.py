@@ -43,21 +43,34 @@ def test_kernel_is_called_only_by_the_beta_measure():
     assert callers == {("incbeta.py", kernel), ("incbeta.py", "log_beta_measure")}
 
 
-def test_window_builder_checks_nothing():
-    # n and p are checked at the public entry points; the pmf windows are
-    # built on every cache miss of a sweep and take them as checked
-    tree = ast.parse((SOURCES[0].parent / "binom.py").read_text())
-    builder = {"pmf_windows", "_build_windows", "_window_edge", "_exp_terms", "PmfWindows"}
+def _check_calls(module: str, builder: set[str]) -> list[str]:
+    """The _check_* calls inside the top-level definitions of module named in builder."""
+    tree = ast.parse((SOURCES[0].parent / module).read_text())
     defined = {getattr(stmt, "name", None) for stmt in tree.body}
     assert builder <= defined
-    checks = [
+    return [
         f"{stmt.name}:{node.lineno}"
         for stmt in tree.body
         if getattr(stmt, "name", None) in builder
         for node in ast.walk(stmt)
         if isinstance(node, ast.Call) and getattr(node.func, "id", "").startswith("_check")
     ]
-    assert checks == []
+
+
+def test_window_builder_checks_nothing():
+    # n and p are checked at the public entry points; the pmf windows are
+    # built on every cache miss of a sweep and take them as checked
+    builder = {"pmf_windows", "_build_windows", "_window_edge", "_exp_terms", "PmfWindows"}
+    assert _check_calls("binom.py", builder) == []
+
+
+def test_p_free_row_builders_check_nothing():
+    # a, b and n reach the J rows checked, by PriorSpec and BinomialSetup in
+    # the grid pass and by the public bound functions at one p; the mass
+    # tables' log rows are built once per table set, after the per-p entry
+    # has checked p and the table count
+    assert _check_calls("dominance.py", {"_j_rows", "_upper_curves", "_row_pass"}) == []
+    assert _check_calls("risk.py", {"_mass_logs"}) == []
 
 
 def _imports(module: str) -> set[tuple[str, str]]:
