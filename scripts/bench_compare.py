@@ -6,11 +6,11 @@
 BENCH_FILE holds a list of "runs", each one run of perfbench/run.py with its
 "side" ("parent" or "change"), "workload", "seed", "pair" (runs with the
 same workload, seed and pair form one pair), the end-to-end "metrics" and
-the output digests. For each workload and end-to-end metric of
-BENCHMARK.json, this prints each side's median and quartiles, the change
-over the parent at the median, and the pairs in which the change is better
-(ties count for neither side). Each workload's digests are listed as equal
-when every run of both sides wrote the same ones.
+the output digests. For each workload and seed, and each end-to-end
+metric of BENCHMARK.json, this prints each side's median and quartiles, the
+change over the parent at the median, and the pairs in which the change is
+better (ties count for neither side). The digests are listed as equal when
+every run of both sides wrote the same ones.
 """
 
 from __future__ import annotations
@@ -45,11 +45,10 @@ def _wins(runs: list[dict], metric: str, higher: bool) -> tuple[int, int]:
 def report(bench: dict, metrics: list[dict]) -> list[str]:
     by_workload = defaultdict(list)
     for run in bench["runs"]:
-        by_workload[run["workload"]].append(run)
+        by_workload[run["workload"], run["seed"]].append(run)
     lines = []
-    for workload, runs in by_workload.items():
-        seeds = sorted({run["seed"] for run in runs})
-        lines.append(f"{workload} (seeds {', '.join(map(str, seeds))})")
+    for (workload, seed), runs in by_workload.items():
+        lines.append(f"{workload} (seed {seed})")
         lines.append(
             f"  {'metric':<12} {'parent median [q1, q3]':>30} {'change median [q1, q3]':>30}"
             f" {'change':>8} {'won':>6}"
@@ -67,10 +66,7 @@ def report(bench: dict, metrics: list[dict]) -> list[str]:
                 f"  {name:<12} {parent_text:>30} {change_text:>30} {delta:>8} {won:>3}/{paired}"
             )
         for digest in ("values_sha256", "csv_sha256"):
-            per_seed = defaultdict(set)
-            for run in runs:
-                per_seed[run["seed"]].add(run[digest])
-            equal = all(len(found) == 1 for found in per_seed.values())
+            equal = len({run[digest] for run in runs}) == 1
             lines.append(f"  {digest}: {'equal on every run' if equal else 'DIFFER'}")
     return lines
 

@@ -65,6 +65,9 @@ COMMANDS = (
     "dominance --n 64 --a 0.5 --b 2 --p-bar 0.5 --out F",
     "risk-curve --n 60 --p-bar 1e-6 --grid 64",
     "dominance --n 40 --a 2 --b 3 --p-lo 0.1 --p-bar 0.3 --out F",
+    "predictive --n 40 --l 12 --x 40 --p-bar 0.3",
+    "predictive --n 8 --l 5 --x 0 --a 0.5 --b 2",
+    "predictive --n 60 --l 4 --x 0 --p-lo 0.4 --p-bar 0.6",
 )
 
 _TOKEN = re.compile(r"[^\s,()\[\]:=;]+")

@@ -27,8 +27,10 @@ from .special import _log_beta_with, _stirling_error
 
 
 def _check_count(name: str, value: int, lo: int = 1, hi: int | None = None) -> None:
-    """value must be an integer >= lo, and <= hi when hi is given."""
-    if not isinstance(value, int) or value < lo or (hi is not None and value > hi):
+    """value must be an integer >= lo, and <= hi when hi is given; a bool,
+    though an int subclass, is not a count."""
+    is_int = isinstance(value, int) and not isinstance(value, bool)
+    if not is_int or value < lo or (hi is not None and value > hi):
         span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
         raise ValueError(f"{name} must be an integer {span}, got {value}")
 

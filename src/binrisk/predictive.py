@@ -1,8 +1,14 @@
 """Bayesian predictive densities and plug-in densities for the future count.
 
-The predictive mass at y is C(l,y) times a ratio of beta measures over
-the prior's support; truncated supports turn both integrals into
-incomplete-beta differences, handled in log space.
+The predictive mass at y given X = x is C(l,y) M(x+y+a, n+l-x-y+b) /
+M(x+a, n-x+b), a ratio of beta measures over the prior's support, which
+truncation turns into incomplete-beta differences, handled in log space.
+The numerator depends only on k = x + y, so the n + 1 tables of a
+configuration take (n+l+1) + (n+1) measures, one row over k and one
+denominator per x, where one table takes l + 2 and one mass 2. The row is
+filled in first-use order and each table is validated before any measure
+that only the next one needs, so a failing configuration raises what
+building the tables one by one raises.
 """
 
 from __future__ import annotations
@@ -15,23 +21,33 @@ from .binom import BinomialSetup, PriorSpec, _check_count, _log_binom_coeffs, pm
 from .incbeta import log_beta_measure
 
 
-def _masses(ys: Iterable[int], x: int, setup: BinomialSetup, prior: PriorSpec) -> list[float]:
-    """Predictive masses at each y of ys given X = x, over one denominator."""
+def _masses(
+    ys: Iterable[int], x: int, setup: BinomialSetup, prior: PriorSpec, log_num: dict[int, float]
+) -> list[float]:
+    """Predictive masses at each y of ys given X = x, over one denominator.
+
+    log_num maps k = x + y to log M(k+a, n+l-k+b); a numerator it lacks is
+    evaluated, after the denominator, and stored in it. x and y are taken
+    as checked.
+    """
     n, l, a, b = setup.n, setup.l, prior.a, prior.b
-    _check_count("x", x, 0, n)
     lo, hi = prior.support
     log_den = log_beta_measure(x + a, n - x + b, lo, hi)
     log_coeffs = _log_binom_coeffs(l)
-    return [
-        math.exp(log_coeffs[y] + log_beta_measure(y + x + a, l - y + n - x + b, lo, hi) - log_den)
-        for y in ys
-    ]
+    masses = []
+    for y in ys:
+        k = x + y
+        if k not in log_num:
+            log_num[k] = log_beta_measure(k + a, n + l - k + b, lo, hi)
+        masses.append(math.exp(log_coeffs[y] + log_num[k] - log_den))
+    return masses
 
 
 def bayes_predictive(y: int, x: int, setup: BinomialSetup, prior: PriorSpec) -> float:
     """Posterior expectation of Bin(y | l, p) given X = x."""
     _check_count("y", y, 0, setup.l)
-    return _masses((y,), x, setup, prior)[0]
+    _check_count("x", x, 0, setup.n)
+    return _masses((y,), x, setup, prior, {})[0]
 
 
 def plug_in_density(y: int, l: int, d: float) -> float:
@@ -55,7 +71,8 @@ class PredictiveTable:
 
     @classmethod
     def build(cls, setup: BinomialSetup, prior: PriorSpec, x: int) -> "PredictiveTable":
-        density = tuple(_masses(range(setup.l + 1), x, setup, prior))
+        _check_count("x", x, 0, setup.n)
+        density = tuple(_masses(range(setup.l + 1), x, setup, prior, {}))
         return cls(setup=setup, prior=prior, x=x, density=density)
 
     def __getitem__(self, y: int) -> float:
@@ -71,3 +88,13 @@ class PredictiveTable:
             raise ValueError(
                 f"predictive density sums to {math.fsum(self.density)!r}, not 1"
             )
+
+
+def _tables(setup: BinomialSetup, prior: PriorSpec) -> list[PredictiveTable]:
+    """The tables for x = 0..n over one numerator row, each built and
+    validated before any measure that only the next one needs."""
+    ys, log_num = range(setup.l + 1), {}
+    return [
+        PredictiveTable(setup, prior, x, tuple(_masses(ys, x, setup, prior, log_num)))
+        for x in range(setup.n + 1)
+    ]

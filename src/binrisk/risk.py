@@ -28,7 +28,7 @@ from functools import lru_cache
 
 from .binom import BinomialSetup, PriorSpec, _losses, entropy_losses, pmf_windows
 from .estimators import _SMALL_TABLE, EstimateTable
-from .predictive import PredictiveTable
+from .predictive import PredictiveTable, _tables
 
 
 def _check_p(p: float) -> None:
@@ -140,9 +140,7 @@ def bayes_predictive_tables(
     setup: BinomialSetup, prior: PriorSpec
 ) -> list[PredictiveTable]:
     """Bayesian predictive tables for every observable x."""
-    return [
-        PredictiveTable.build(setup, prior, x) for x in range(setup.n + 1)
-    ]
+    return _tables(setup, prior)
 
 
 def connection_sum(p: float, n: int, l: int, prior: PriorSpec) -> float:

@@ -244,6 +244,12 @@ class TestDescriptors:
         with pytest.raises(ValueError):
             BinomialSetup(n=1, l=0)
 
+    @pytest.mark.parametrize("n, l", [(True, 1), (3, True), (False, 1)])
+    def test_setup_rejects_bool_counts(self, n, l):
+        # bool is an int subclass; True used to build the n = 1 table
+        with pytest.raises(ValueError, match="must be an integer >= 1, got (True|False)"):
+            BinomialSetup(n=n, l=l)
+
     def test_prior_modes(self):
         assert PriorSpec(a=1.0, b=1.0).restriction == "none"
         assert PriorSpec(a=1.0, b=1.0, p_bar=0.3).restriction == "upper"

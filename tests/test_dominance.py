@@ -141,6 +141,8 @@ class TestBound:
             ((7.0, 0, 0.0, 1.0, 2.0), ValueError, "a must be finite and positive, got 0.0"),
             ((7.0, 0, 1.0, 1.0, 2.0), ValueError, "n must be an integer >= 1, got 0"),
             ((7.0, 3, 1.0, 1.0, 2.0), ValueError, "p_bar must be in (0, 1), got 2.0"),
+            # bool is an int subclass, but True is no count
+            ((0.1, True, 1.0, 1.0, 0.5), ValueError, "n must be an integer >= 1, got True"),
         ],
     )
     def test_public_entries_check_their_arguments(self, entry, args, error, message):

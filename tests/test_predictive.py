@@ -7,9 +7,11 @@ from scipy.special import betaln
 
 from binrisk import predictive
 from binrisk.binom import BinomialSetup, PriorSpec, pmf_row
+from binrisk.cli import EXIT_VALIDATION, main
 from binrisk.estimators import posterior_mean
 from binrisk.incbeta import log_beta_measure
 from binrisk.predictive import PredictiveTable, bayes_predictive, plug_in_density
+from binrisk.risk import bayes_predictive_tables
 
 from conftest import quad_beta_measure
 
@@ -100,6 +102,37 @@ class TestBayesPredictive:
         with pytest.raises(ValueError):
             bayes_predictive(1, 3, setup, prior)
 
+    @pytest.mark.parametrize("y, x", [(True, 1), (1, True), (False, 0)])
+    def test_bool_counts_are_rejected(self, y, x):
+        # bool is an int subclass, but True is no count: it used to give
+        # the y = 1 mass, 0.4 here
+        with pytest.raises(ValueError, match="must be an integer"):
+            bayes_predictive(y, x, BinomialSetup(3, 2), PriorSpec(1, 1))
+
+
+class TestValidationAtTheBoundary:
+    # the mass helper checks nothing; each public entry checks x and y
+    setup, prior = BinomialSetup(n=3, l=2), PriorSpec(a=1.0, b=1.0, p_bar=0.4)
+
+    @pytest.mark.parametrize("x", [-1, 4, 9, 1.5, True])
+    def test_bad_x_raises_the_same_error_at_each_entry(self, x):
+        message = f"x must be an integer in [0, 3], got {x}"
+        for entry in (
+            lambda: bayes_predictive(0, x, self.setup, self.prior),
+            lambda: PredictiveTable.build(self.setup, self.prior, x),
+        ):
+            with pytest.raises(ValueError) as caught:
+                entry()
+            assert type(caught.value) is ValueError and str(caught.value) == message
+
+    def test_bad_x_on_the_command_line_is_a_validation_error(self, capsys):
+        assert main(["predictive", "--x", "9", "--n", "3"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: x must be an integer in [0, 3], got 9\n"
+
+    def test_y_is_checked_before_x(self):
+        with pytest.raises(ValueError, match="y must be an integer in \\[0, 2\\], got 3"):
+            bayes_predictive(3, 9, self.setup, self.prior)
+
 
 class TestPlugIn:
     def test_examples(self):
@@ -177,3 +210,173 @@ class TestPredictiveTable:
             PredictiveTable(
                 setup=BinomialSetup(n=2, l=1), prior=PriorSpec(1.0, 1.0), x=0, density=density
             )
+
+
+PRIOR_MODES = [
+    lambda a, b: PriorSpec(a, b),
+    lambda a, b: PriorSpec(a, b, p_bar=0.3),
+    lambda a, b: PriorSpec(a, b, p_bar=0.4, p_lo=0.1),
+]
+
+
+class TestTableSet:
+    @pytest.mark.parametrize("mode", PRIOR_MODES, ids=["none", "upper", "interval"])
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("b", [0.5, 1.0, 2.0])
+    def test_every_table_is_its_one_point_masses_bit_for_bit(self, mode, a, b):
+        # the set reads one numerator row; each one-point call evaluates
+        # its own two measures, with the same float arguments
+        prior = mode(a, b)
+        for n in range(1, 13):
+            for l in range(1, 7):
+                setup = BinomialSetup(n=n, l=l)
+                for x, table in enumerate(bayes_predictive_tables(setup, prior)):
+                    masses = tuple(bayes_predictive(y, x, setup, prior) for y in range(l + 1))
+                    assert [v.hex() for v in table.density] == [v.hex() for v in masses]
+                    assert table.x == x
+
+    @pytest.mark.parametrize("n, l", [(1, 1), (4, 5), (8, 3), (12, 6)])
+    @pytest.mark.parametrize("mode", PRIOR_MODES, ids=["none", "upper", "interval"])
+    def test_one_measure_per_numerator_and_per_denominator(self, monkeypatch, mode, n, l):
+        # (n + l + 1) numerators M(k+a, n+l-k+b) and n + 1 denominators,
+        # where building the tables one by one takes (n + 1)(l + 2)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return log_beta_measure(*args)
+
+        monkeypatch.setattr(predictive, "log_beta_measure", counting)
+        prior = mode(2.0, 0.5)
+        bayes_predictive_tables(BinomialSetup(n=n, l=l), prior)
+        assert len(calls) == (n + l + 1) + (n + 1)
+        assert len(set(calls)) == len(calls)
+
+    @pytest.mark.parametrize(
+        "n, l, p_lo, p_bar, a, error, message",
+        [
+            (30, 4, 0.4, 0.6, 0.5, ValueError,
+             "predictive density sums to 0.9999999994617518, not 1"),
+            (30, 4, 0.4, 0.6, 1.0, ValueError,
+             "predictive density sums to 0.9999999983232396, not 1"),
+            (30, 4, 0.4, 0.6, 2.0, ValueError,
+             "predictive density sums to 0.9999999997396402, not 1"),
+            (30, 10, 0.4, 0.6, 0.5, ValueError,
+             "predictive density sums to 1.0000000041357338, not 1"),
+            (30, 10, 0.4, 0.6, 1.0, ValueError,
+             "predictive density sums to 1.0000000005862981, not 1"),
+            (30, 10, 0.4, 0.6, 2.0, ValueError,
+             "predictive density sums to 0.9999999998791823, not 1"),
+            (60, 4, 0.4, 0.6, 0.5, ValueError,
+             "predictive density sums to 0.9967630606534537, not 1"),
+            (60, 4, 0.4, 0.6, 1.0, ValueError,
+             "predictive density sums to 0.9931561270142124, not 1"),
+            (60, 4, 0.4, 0.6, 2.0, ValueError,
+             "predictive density sums to 1.0013427502503642, not 1"),
+            (60, 4, 0.2, 0.8, 0.5, ValueError,
+             "predictive density sums to 0.9999999997591813, not 1"),
+            (60, 4, 0.2, 0.8, 1.0, ValueError,
+             "predictive density sums to 0.9999999998571375, not 1"),
+            (60, 4, 0.2, 0.8, 2.0, ValueError,
+             "predictive density sums to 1.0000000000010647, not 1"),
+            (60, 10, 0.4, 0.6, 0.5, ArithmeticError,
+             "beta measure lost to cancellation on [0.4, 0.6] (alpha=0.5, beta=71.0)"),
+            (60, 10, 0.4, 0.6, 1.0, ArithmeticError,
+             "beta measure lost to cancellation on [0.4, 0.6] (alpha=1.0, beta=71.0)"),
+            (60, 10, 0.4, 0.6, 2.0, ValueError,
+             "predictive density sums to 1.0008259289482042, not 1"),
+            (60, 10, 0.2, 0.8, 0.5, ValueError,
+             "predictive density sums to 0.9999999992251952, not 1"),
+            (60, 10, 0.2, 0.8, 1.0, ValueError,
+             "predictive density sums to 0.9999999997248664, not 1"),
+            (60, 10, 0.2, 0.8, 2.0, ValueError,
+             "predictive density sums to 1.000000000027006, not 1"),
+            (80, 4, 0.4, 0.6, 0.5, ArithmeticError,
+             "beta measure lost to cancellation on [0.4, 0.6] (alpha=0.5, beta=81.0)"),
+            (80, 4, 0.4, 0.6, 1.0, ArithmeticError,
+             "beta measure lost to cancellation on [0.4, 0.6] (alpha=1.0, beta=81.0)"),
+            (80, 4, 0.4, 0.6, 2.0, ArithmeticError,
+             "beta measure lost to cancellation on [0.4, 0.6] (alpha=2.0, beta=81.0)"),
+            (80, 4, 0.2, 0.8, 0.5, ValueError,
+             "predictive density sums to 1.000000007368513, not 1"),
+            (80, 4, 0.2, 0.8, 1.0, ValueError,
+             "predictive density sums to 0.9999999686488972, not 1"),
+            (80, 4, 0.2, 0.8, 2.0, ValueError,
+             "predictive density sums to 1.0000000011024857, not 1"),
+            (80, 4, 0.1, 0.3, 0.5, ValueError,
+             "predictive density sums to 0.9999999999974684, not 1"),
+            (80, 4, 0.1, 0.3, 1.0, ValueError,
+             "predictive density sums to 0.999999999998765, not 1"),
+            (80, 10, 0.4, 0.6, 0.5, ArithmeticError,
+             "beta measure lost to cancellation on [0.4, 0.6] (alpha=0.5, beta=81.0)"),
+            (80, 10, 0.4, 0.6, 1.0, ArithmeticError,
+             "beta measure lost to cancellation on [0.4, 0.6] (alpha=1.0, beta=81.0)"),
+            (80, 10, 0.4, 0.6, 2.0, ArithmeticError,
+             "beta measure lost to cancellation on [0.4, 0.6] (alpha=2.0, beta=81.0)"),
+            (80, 10, 0.2, 0.8, 0.5, ValueError,
+             "predictive density sums to 0.9999999251008682, not 1"),
+            (80, 10, 0.2, 0.8, 1.0, ValueError,
+             "predictive density sums to 0.9999999974513001, not 1"),
+            (80, 10, 0.2, 0.8, 2.0, ValueError,
+             "predictive density sums to 1.0000000042059765, not 1"),
+            (80, 10, 0.1, 0.3, 2.0, ValueError,
+             "predictive density sums to 0.9999999999986641, not 1"),
+            (200, 4, 0.4, 0.6, 0.5, ArithmeticError,
+             "beta measure lost to cancellation on [0.4, 0.6] (alpha=0.5, beta=201.0)"),
+            (200, 4, 0.4, 0.6, 1.0, ArithmeticError,
+             "beta measure lost to cancellation on [0.4, 0.6] (alpha=1.0, beta=201.0)"),
+            (200, 4, 0.4, 0.6, 2.0, ArithmeticError,
+             "beta measure lost to cancellation on [0.4, 0.6] (alpha=2.0, beta=201.0)"),
+            (200, 4, 0.2, 0.8, 0.5, ArithmeticError,
+             "beta measure lost to cancellation on [0.2, 0.8] (alpha=0.5, beta=201.0)"),
+            (200, 4, 0.2, 0.8, 1.0, ArithmeticError,
+             "beta measure lost to cancellation on [0.2, 0.8] (alpha=1.0, beta=201.0)"),
+            (200, 4, 0.2, 0.8, 2.0, ArithmeticError,
+             "beta measure lost to cancellation on [0.2, 0.8] (alpha=2.0, beta=201.0)"),
+            (200, 4, 0.1, 0.3, 0.5, ValueError,
+             "predictive density sums to 1.000003365907977, not 1"),
+            (200, 4, 0.1, 0.3, 1.0, ValueError,
+             "predictive density sums to 1.0000006511809334, not 1"),
+            (200, 4, 0.1, 0.3, 2.0, ValueError,
+             "predictive density sums to 0.9999999078844601, not 1"),
+            (200, 4, 0.05, 0.5, 0.5, ValueError,
+             "predictive density sums to 0.9999999999904908, not 1"),
+            (200, 4, 0.05, 0.5, 1.0, ValueError,
+             "predictive density sums to 0.9999999999929867, not 1"),
+            (200, 4, 0.05, 0.5, 2.0, ValueError,
+             "predictive density sums to 0.9999999999970517, not 1"),
+            (200, 10, 0.4, 0.6, 0.5, ArithmeticError,
+             "beta measure lost to cancellation on [0.4, 0.6] (alpha=0.5, beta=201.0)"),
+            (200, 10, 0.4, 0.6, 1.0, ArithmeticError,
+             "beta measure lost to cancellation on [0.4, 0.6] (alpha=1.0, beta=201.0)"),
+            (200, 10, 0.4, 0.6, 2.0, ArithmeticError,
+             "beta measure lost to cancellation on [0.4, 0.6] (alpha=2.0, beta=201.0)"),
+            (200, 10, 0.2, 0.8, 0.5, ArithmeticError,
+             "beta measure lost to cancellation on [0.2, 0.8] (alpha=0.5, beta=201.0)"),
+            (200, 10, 0.2, 0.8, 1.0, ArithmeticError,
+             "beta measure lost to cancellation on [0.2, 0.8] (alpha=1.0, beta=201.0)"),
+            (200, 10, 0.2, 0.8, 2.0, ArithmeticError,
+             "beta measure lost to cancellation on [0.2, 0.8] (alpha=2.0, beta=201.0)"),
+            (200, 10, 0.1, 0.3, 0.5, ValueError,
+             "predictive density sums to 1.0000000377873048, not 1"),
+            (200, 10, 0.1, 0.3, 1.0, ValueError,
+             "predictive density sums to 1.0000007721832693, not 1"),
+            (200, 10, 0.1, 0.3, 2.0, ValueError,
+             "predictive density sums to 0.999999970362004, not 1"),
+            (200, 10, 0.05, 0.5, 0.5, ValueError,
+             "predictive density sums to 1.0000000000013083, not 1"),
+            (200, 10, 0.05, 0.5, 1.0, ValueError,
+             "predictive density sums to 0.999999999987876, not 1"),
+            (200, 10, 0.05, 0.5, 2.0, ValueError,
+             "predictive density sums to 0.9999999999987559, not 1"),
+        ],
+    )
+    def test_failing_configurations_raise_what_they_raised_table_by_table(
+        self, n, l, p_lo, p_bar, a, error, message
+    ):
+        # literals from building the tables one by one; the row is filled in
+        # first use order and each table is validated before the next one's
+        # measures, so the first failure is the same one
+        with pytest.raises(error) as caught:
+            bayes_predictive_tables(BinomialSetup(n=n, l=l), PriorSpec(a, 1.0, p_bar, p_lo))
+        assert type(caught.value) is error and str(caught.value) == message

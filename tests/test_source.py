@@ -68,9 +68,12 @@ def test_p_free_row_builders_check_nothing():
     # a, b and n reach the J rows checked, by PriorSpec and BinomialSetup in
     # the grid pass and by the public bound functions at one p; the mass
     # tables' log rows are built once per table set, after the per-p entry
-    # has checked p and the table count
+    # has checked p and the table count; the predictive masses take x and y
+    # as checked by bayes_predictive and PredictiveTable.build, and the
+    # table set makes its own x = 0..n
     assert _check_calls("dominance.py", {"_j_rows", "_upper_curves", "_row_pass"}) == []
     assert _check_calls("risk.py", {"_mass_logs"}) == []
+    assert _check_calls("predictive.py", {"_masses", "_tables"}) == []
 
 
 def _imports(module: str) -> set[tuple[str, str]]:
