@@ -1,14 +1,14 @@
-"""Binomial model primitives: pmf windows and rows, and weighted loss terms.
+"""Binomial model primitives: pmf windows and weighted loss terms.
 
 pmf_windows(n, p) holds, in one cache entry, the exact window of (n, p),
 every x whose pmf is not exactly 0.0, and its core window, the x within
 e^-64 of the pmf peak, with a bound on the sum of the terms the core
 leaves out; each term is exponentiated once. Entries sit in two caches by
 row length: up to 1,024 short rows, which sweeps revisit at the same few
-p, and 8 long ones. The windows take n and p as checked; pmf_row, the
-public view, checks them. _losses builds the terms w L(d, p) of a risk
-sum, each pmf weight times its entropy loss, in one pass; entropy_losses
-is its unit-weight case.
+p, and 8 long ones. _losses builds the terms w L(d, p) of a risk sum,
+each pmf weight times its entropy loss, in one pass. Both take n >= 1 and
+p in (0, 1) as checked: every entry point that takes p checks it once,
+with risk._check_p.
 
 Also holds the two descriptor dataclasses shared across the package:
 the trial-count setup and the (possibly truncated) beta prior, and the
@@ -107,11 +107,6 @@ def _log_binom_coeffs(n: int) -> tuple[float, ...]:
     )
 
 
-def _check_p(p: float) -> None:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-
-
 # math.exp is exactly 0.0 below about -745.13. Past the first exponent
 # under this cutoff, 1 below -745.2, the log pmf only falls, and the
 # rounding of the computed exponents, far below 1, cannot lift one back
@@ -150,8 +145,8 @@ class PmfWindows:
     """The two pmf windows of one (n, p), which share their terms; built by
     pmf_windows.
 
-    exact() holds C(n,x) p^x (1-p)^(n-x), in log space with 0^0 := 1,
-    wherever it is not exactly 0.0: the log pmf is unimodal, so the window
+    exact() holds C(n,x) p^x (1-p)^(n-x), in log space, wherever it is
+    not exactly 0.0: the log pmf is unimodal, so the window
     runs from the mode out to the last exponent not under _EXP_CUTOFF on
     either side. core is the part of it whose exponents lie within _DEPTH
     of the exponent at the mode, and tail bounds the sum of the terms that
@@ -175,12 +170,8 @@ class PmfWindows:
 
 
 def _build_windows(n: int, p: float) -> PmfWindows:
-    """The windows of (n, p) for n >= 1 and 0 <= p <= 1, unchecked."""
+    """The windows of (n, p) for n >= 1 and 0 < p < 1, unchecked."""
     windows = PmfWindows()
-    if p in (0.0, 1.0):  # all mass at x = n p
-        windows.core = windows._exact = (round(n * p), (1.0,))
-        windows.tail = 0.0
-        return windows
     coeffs = _log_binom_coeffs(n)
     log_p, log_q = math.log(p), math.log1p(-p)
     row = n, coeffs, log_p, log_q
@@ -212,18 +203,8 @@ _long_windows = lru_cache(maxsize=8)(_build_windows)
 
 def pmf_windows(n: int, p: float) -> PmfWindows:
     """The windows of (n, p), built once for every sum at that p. n >= 1 and
-    0 <= p <= 1 are not checked: the callers have checked them."""
+    0 < p < 1 are not checked: the callers have checked them."""
     return (_short_windows if n < _SHORT_ROW else _long_windows)(n, p)
-
-
-def pmf_row(n: int, p: float) -> list[float]:
-    """The pmf at x = 0..n: the exact window padded with its zeros."""
-    _check_count("n", n)
-    _check_p(p)
-    start, terms = pmf_windows(n, p).exact()
-    row = [0.0] * (n + 1)
-    row[start : start + len(terms)] = terms
-    return row
 
 
 def _expectation(weights: Sequence[float], values: Sequence[float]) -> float:
@@ -238,20 +219,12 @@ def _expectation(weights: Sequence[float], values: Sequence[float]) -> float:
     return math.fsum(terms)
 
 
-def _log_rows(ds: Sequence[float]) -> tuple[list[float], list[float]]:
-    """log d and log(1-d) for each d: the p-free half of entropy_losses."""
-    return [math.log(d) for d in ds], [math.log1p(-d) for d in ds]
-
-
 def _losses(
     weights: Sequence[float], log_ds: Sequence[float], log_es: Sequence[float], p: float
 ) -> list[float]:
     """The terms w L(d, p) of a risk sum, L = p log(p/d) + (1-p) log((1-p)/(1-d)),
     in one pass over the weights w and log d, log_e = log(1-d) of each d."""
-    # 0 log 0 := 0, so an endpoint p drops its term
-    log_p = math.log(p) if p > 0.0 else 0.0
-    log_q = math.log1p(-p) if p < 1.0 else 0.0
-    q = 1.0 - p
+    log_p, log_q, q = math.log(p), math.log1p(-p), 1.0 - p
     # tiny negative losses are pure rounding: the loss is a KL divergence.
     # The clamp is max(v, 0.0) for every float v, -0.0 and NaN included
     return [
@@ -259,11 +232,3 @@ def _losses(
         for w, log_d, log_e in zip(weights, log_ds, log_es)
     ]
 
-
-def entropy_losses(ds: Sequence[float], p: float) -> list[float]:
-    """p log(p/d) + (1-p) log((1-p)/(1-d)) for each d; p may sit at 0 or 1."""
-    _check_p(p)
-    for d in ds:
-        if not 0.0 < d < 1.0:
-            raise ValueError(f"estimate d must be in (0, 1), got {d}")
-    return _losses([1.0] * len(ds), *_log_rows(ds), p)  # w * 1.0 is w

@@ -28,7 +28,7 @@ from .binom import (
 )
 from .estimators import EstimateTable, _correction
 from .incbeta import SingularBoundError, eval_I, inverse_I_row
-from .risk import point_risk
+from .risk import _check_p, _risk_sum
 
 GRID_SLACK = 1e-12
 NOISE_CEILING = 1e-9
@@ -158,7 +158,8 @@ def risk_difference(
         setup, PriorSpec(a=a, b=b, p_bar=p_bar, p_lo=p_lo)
     )
     unres = EstimateTable.build(setup, PriorSpec(a=a, b=b))
-    return point_risk(trunc, p) - point_risk(unres, p)
+    _check_p(p)
+    return _risk_sum(trunc, p) - _risk_sum(unres, p)
 
 
 def standardized_risk_difference(
@@ -417,9 +418,10 @@ def exhaustive_dominance_check(
         ]
     else:
         curves = _upper_curves(n, a, b, p_bar, grid) if upper else [(None, None)] * len(grid)
-        # one pass over p, so both risks and the curves read one pmf window
+        # one pass over p, so both risks and the curves read one pmf window;
+        # p_grid keeps every p on the restriction, inside (0, 1)
         rows = [
-            (point_risk(unres, p), point_risk(trunc, p), *curve)
+            (_risk_sum(unres, p), _risk_sum(trunc, p), *curve)
             for p, curve in zip(grid, curves)
         ]
     risk_unres, risk_trunc, scales, bounds = (tuple(col) for col in zip(*rows))

@@ -6,9 +6,9 @@ A(x) = bracket / I_two_sided on an interval, never raw quadrature. The
 upper row of c takes one kernel call (inverse_I_row), and its x < n
 entries are read in a form that subtracts nothing. The table over
 x = 0..n is the primitive; posterior_mean reads one entry of it. A table
-carries the p-free rows log d and log(1-d) every risk sum reads, built on
-the first sum, and this module alone decides how long a table, and so its
-rows, is kept.
+carries the p-free rows log d and log(1-d), which every risk sum at a p in
+(0, 1) reads, built on the first sum; this module alone decides how long a
+table, and so its rows, is kept.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .binom import BinomialSetup, PriorSpec, _check_count, _log_rows
+from .binom import BinomialSetup, PriorSpec, _check_count
 from .incbeta import bracket_term, inverse_I_row, log_eval_I
 
 
@@ -49,7 +49,8 @@ class EstimateTable:
         """log d and log(1-d) over the estimates, and their minima: they do
         not depend on p, so the first risk sum builds them for every later
         one. Not a field, so ==, hash and repr ignore them."""
-        log_ds, log_es = _log_rows(self.values)
+        log_ds = [math.log(d) for d in self.values]
+        log_es = [math.log1p(-d) for d in self.values]
         return log_ds, log_es, min(log_ds), min(log_es)
 
     def __post_init__(self) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .binom import BinomialSetup, PriorSpec, _check_count, _check_shape
 from .estimators import EstimateTable
 from .predictive import bayes_predictive
-from .risk import point_risk
+from .risk import _risk_sum
 
 _TAIL_MASS = 1e-15
 _GAMMA_TOL = 2.220446049250313e-16
@@ -221,7 +221,7 @@ def limit_convergence_report(
         pred_errors.append(sup_err)
 
         risk_errors.append(
-            abs(n / config.r * point_risk(table, p) - risk_target)
+            abs(n / config.r * _risk_sum(table, p) - risk_target)
         )
 
     return PoissonLimitReport(

@@ -17,7 +17,9 @@ they are kept as long as estimators keeps the table. predictive_kl_risk
 takes the log rows of the predictive masses, and checks their shape, once
 per set of tables, keyed on the masses. connection_sum resolves its l
 tables once per (n, l, prior) when all are small, so each p costs only
-the l sums.
+the l sums. Every risk takes p in (0, 1): _check_p, the library's one
+check of p, runs once per public call, and the sums below it take p as
+checked.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import math
 from collections.abc import Sequence
 from functools import lru_cache
 
-from .binom import BinomialSetup, PriorSpec, _losses, entropy_losses, pmf_windows
+from .binom import BinomialSetup, PriorSpec, _check_count, _losses, pmf_windows
 from .estimators import _SMALL_TABLE, EstimateTable
 from .predictive import PredictiveTable, _tables
 
@@ -99,17 +101,15 @@ def predictive_kl_risk(
         raise ValueError(f"need a table for every x = 0..{n}")
     # the key is built from a sized list: tuples built from an iterator are
     # resized, and CPython's free lists kept thousands of them alive
-    log_rows, needs_search = _mass_logs(tuple([tuple(table) for table in tables]), l)
+    log_rows, bad_xs = _mass_logs(tuple([tuple(table) for table in tables]), l)
     f_start, f = pmf_windows(l, p).exact()
     ys = [(y, fy, math.log(fy)) for y, fy in enumerate(f, f_start) if fy != 0.0]
     # every estimated mass the risk would read is checked, also where the
     # pmf of x is exactly 0.0 and its terms are left out of the sum
-    if needs_search:
-        for x, table in enumerate(tables):
-            if not min(table) > 0.0:
-                for y, _, _ in ys:
-                    if table[y] <= 0.0:
-                        raise ValueError(f"estimated mass at (x={x}, y={y}) is not positive")
+    for x in bad_xs:
+        for y, _, _ in ys:
+            if not 0.0 < tables[x][y] < math.inf:
+                raise ValueError(f"estimated mass at (x={x}, y={y}) is not positive and finite")
     start, weights = pmf_windows(n, p).exact()
     return math.fsum(
         [
@@ -123,17 +123,18 @@ def predictive_kl_risk(
 @lru_cache(maxsize=2)
 def _mass_logs(
     tables: tuple[tuple[float, ...], ...], l: int
-) -> tuple[list[list[float]], bool]:
-    """log of every mass, NaN for a mass that is not positive, and whether a
-    table fails min(table) > 0.0 and must be searched at each p. min is NaN
-    or the least of the other masses, so a table that passes holds no mass
-    <= 0.0; a NaN row entry is read only where it is a NaN mass, as the
-    search raises first at any mass <= 0.0 the sum would read. A sweep over
-    p alternates the Bayes and the plug-in set, hence 2 entries."""
+) -> tuple[list[list[float]], list[int]]:
+    """log of every mass, NaN for a mass that is not positive, and the x,
+    in order, of the tables with a mass outside (0, inf), which must be
+    searched at each p: the log of a mass in (0, inf) is finite and under
+    746 in size, so a row of logs sums to a finite value exactly when its
+    table has no such mass. The search raises at any such mass the sum
+    would read, so no non-finite log is summed. A sweep over p alternates
+    the Bayes and the plug-in set, hence 2 entries."""
     if any(len(table) != l + 1 for table in tables):
         raise ValueError(f"need a mass for every y = 0..{l} in every table")
     logs = [[math.log(v) if v > 0.0 else math.nan for v in table] for table in tables]
-    return logs, not all(min(table) > 0.0 for table in tables)
+    return logs, [x for x, row in enumerate(logs) if not math.isfinite(sum(row))]
 
 
 def bayes_predictive_tables(
@@ -149,7 +150,8 @@ def connection_sum(p: float, n: int, l: int, prior: PriorSpec) -> float:
     Equals the exact KL risk of the l-step Bayesian predictive density
     under the same prior.
     """
-    BinomialSetup(n=n, l=l)  # rejects l < 1, which would sum nothing
+    _check_count("n", n)
+    _check_count("l", l)  # l < 1 would sum nothing
     _check_p(p)
     resolve = _connection_tables if n + l <= _SMALL_TABLE else _connection_tables.__wrapped__
     return math.fsum(_risk_sum(table, p) for table in resolve(n, l, prior))
@@ -169,15 +171,15 @@ def mc_risk(
     """Monte Carlo estimate of point_risk with its standard error.
 
     Deterministic given the seed; sample_count = 1 reports an infinite
-    standard error.
+    standard error. Its losses are the terms of point_risk at unit weight.
     """
-    if sample_count < 1:
-        raise ValueError(f"sample_count must be >= 1, got {sample_count}")
+    _check_count("sample_count", sample_count)
     _check_p(p)
+    _check_count("seed", seed, 0)
     import numpy as np  # only the sampler needs it; the exact sums do not
 
     n = estimates.setup.n
-    losses = np.array(entropy_losses(estimates.values, p))
+    losses = np.array(_losses([1.0] * (n + 1), *estimates._logs[:2], p))  # w * 1.0 is w
     rng = np.random.default_rng(seed)
     draws = rng.binomial(n, p, size=sample_count)
     counts = np.bincount(draws, minlength=n + 1)

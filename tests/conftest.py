@@ -8,11 +8,14 @@ eval_I_two_sided are the exceptions: eval_J assembles J(p) from the
 library's own I row, so that tests can check that row against the J
 oracle, and eval_I_two_sided exponentiates the library's two-sided log I,
 which the kernel tests and criterion 04 check against quadrature and the
-bracket identities. The full-row sums evaluate every risk sum
-over all x = 0..n, zero pmf terms included, as references the windowed
-library sums must equal bit for bit; full_row_kl_risk does the same for
-the predictive KL risk over every (x, y). The two lemma checkers at the end
-evaluate both sides of an identity or inequality the paper's proofs rely on.
+bracket identities. window_row and unit_losses are not oracles either:
+they read the library's pmf window, padded to x = 0..n, and its loss row
+at unit weight, for tests that need either whole. The full-row sums
+evaluate every risk sum over all x = 0..n, zero pmf terms included, as
+references the windowed library sums must equal bit for bit;
+full_row_kl_risk does the same for the predictive KL risk over every
+(x, y). The two lemma checkers at the end evaluate both sides of an
+identity or inequality the paper's proofs rely on.
 """
 
 from __future__ import annotations
@@ -22,13 +25,7 @@ from collections.abc import Mapping, Sequence
 
 from scipy.integrate import quad
 
-from binrisk.binom import (
-    BinomialSetup,
-    PriorSpec,
-    _log_binom_coeffs,
-    entropy_losses,
-    pmf_row,
-)
+from binrisk.binom import BinomialSetup, PriorSpec, _log_binom_coeffs, _losses, pmf_windows
 from binrisk.dominance import _j_rows, p_grid
 from binrisk.estimators import EstimateTable
 from binrisk.incbeta import log_eval_I
@@ -102,16 +99,31 @@ def eval_J(p: float, n: int, a: float, b: float, p_bar: float) -> float:
 
     Since {1 - p (1-t)}^n is the binomial generating function E_p[t^X],
     J(p) is the exact finite mixture sum_x Bin(x; n, p) I(x+a, n+a+b+1, p_bar),
-    read here from the I row the Thm 3.2 bound uses.
+    read here from the I row the Thm 3.2 bound uses. At p = 0 all of the
+    mass sits at x = 0.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"p must be in [0, 1), got {p}")
-    return math.fsum(w * v for w, v in zip(pmf_row(n, p), _j_rows(n, a, b, p_bar)[0]))
+    weights = [1.0] + [0.0] * n if p == 0.0 else window_row(n, p)
+    return math.fsum(w * v for w, v in zip(weights, _j_rows(n, a, b, p_bar)[0]))
 
 
 def eval_I_two_sided(alpha: float, gamma: float, p_lo: float, p_bar: float) -> float:
     """I(alpha, gamma, p_lo, p_bar) = int_rho^1 t^(alpha-1) / {1 - p_bar (1-t)}^gamma dt."""
     return math.exp(log_eval_I(alpha, gamma, p_bar, p_lo))
+
+
+def window_row(n: int, p: float) -> list[float]:
+    """The exact pmf window of (n, p) padded with its zeros to x = 0..n."""
+    start, terms = pmf_windows(n, p).exact()
+    row = [0.0] * (n + 1)
+    row[start : start + len(terms)] = terms
+    return row
+
+
+def unit_losses(ds: Sequence[float], p: float) -> list[float]:
+    """The entropy losses L(d, p) of the risk sums, one per d, at unit weight."""
+    return _losses([1.0] * len(ds), [math.log(d) for d in ds], [math.log1p(-d) for d in ds], p)
 
 
 def full_pmf_row(n: int, p: float) -> list[float]:
@@ -127,7 +139,7 @@ def full_pmf_row(n: int, p: float) -> list[float]:
 def full_row_risk(estimates: EstimateTable, p: float) -> float:
     """sum over every x = 0..n of pmf times entropy loss, correctly rounded."""
     pmf = full_pmf_row(estimates.setup.n, p)
-    losses = entropy_losses(estimates.values, p)
+    losses = unit_losses(estimates.values, p)
     return math.fsum(w * v for w, v in zip(pmf, losses, strict=True))
 
 
@@ -232,10 +244,10 @@ def verify_second_derivative_identity(
         raise ValueError(f"finite-difference stencil leaves (0, 1) at p={p}")
 
     def g(q: float) -> float:
-        return q * math.fsum(w * v for w, v in zip(pmf_row(n, q), phi))
+        return q * math.fsum(w * v for w, v in zip(window_row(n, q), phi))
 
     lhs = (g(p + step) - 2.0 * g(p) + g(p - step)) / step**2
-    weights = pmf_row(n, p)
+    weights = window_row(n, p)
     terms = []
     for x in range(n + 1):
         inner = (x + 1) * phi[x]

@@ -1,4 +1,4 @@
-"""Binomial primitives: pmf rows, entropy-loss rows, KL divergence, descriptors."""
+"""Binomial primitives: pmf windows, entropy-loss rows, KL divergence, descriptors."""
 
 import math
 
@@ -11,28 +11,23 @@ from binrisk.binom import (
     PriorSpec,
     _expectation,
     _log_binom_coeffs,
-    entropy_losses,
-    pmf_row,
     pmf_windows,
 )
+from binrisk.estimators import EstimateTable
 from binrisk.special import log_beta
 
-from conftest import entropy_loss_direct, full_pmf_row
+from conftest import entropy_loss_direct, full_pmf_row, unit_losses, window_row
 
 
 def kl_binomial(l, p, q):
     """KL divergence from Bin(l, p) to Bin(l, q) by the factorization
     l times the entropy loss of the estimate q at p."""
-    return l * entropy_losses([q], p)[0]
+    return l * unit_losses([q], p)[0]
 
 
 class TestBinomPmf:
-    def test_degenerate_endpoints(self):
-        assert pmf_row(3, 0.0) == [1.0, 0.0, 0.0, 0.0]
-        assert pmf_row(3, 1.0) == [0.0, 0.0, 0.0, 1.0]
-
     def test_simple_value(self):
-        assert pmf_row(2, 0.5)[1] == pytest.approx(0.5, rel=1e-14)
+        assert window_row(2, 0.5)[1] == pytest.approx(0.5, rel=1e-14)
 
     def test_direct_product_oracle(self):
         # C(9,3) 0.3^3 0.7^6 multiplied out factor by factor
@@ -41,18 +36,12 @@ class TestBinomPmf:
             expected *= 0.3
         for _ in range(6):
             expected *= 0.7
-        assert pmf_row(9, 0.3)[3] == pytest.approx(expected, rel=1e-13)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            pmf_row(0, 0.5)
-        with pytest.raises(ValueError):
-            pmf_row(3, 1.5)
+        assert window_row(9, 0.3)[3] == pytest.approx(expected, rel=1e-13)
 
     @settings(max_examples=80, deadline=None)
     @given(n=st.integers(1, 50), p=st.floats(0.001, 0.999))
     def test_normalization(self, n, p):
-        total = math.fsum(pmf_row(n, p))
+        total = math.fsum(window_row(n, p))
         assert total == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize(
@@ -73,7 +62,7 @@ class TestBinomPmf:
     def test_row_is_the_per_term_formula_bit_for_bit(self, n, p):
         # the per-term scalar over every x, kept as the reference: the
         # window may leave out only terms that are exactly 0.0
-        assert pmf_row(n, p) == full_pmf_row(n, p)
+        assert window_row(n, p) == full_pmf_row(n, p)
 
     @pytest.mark.parametrize("p, at_start", [(1e-12, True), (1.0 - 1e-12, False)])
     def test_window_reaches_a_mode_at_either_end(self, p, at_start):
@@ -95,8 +84,8 @@ class TestBinomPmf:
     def test_window_is_cached_per_n_and_p(self):
         # a row of n + 1 = 41 terms is long: it goes to the long-row cache
         binom._long_windows.cache_clear()
-        pmf_row(40, 0.2)
-        pmf_row(40, 0.2)
+        pmf_windows(40, 0.2)
+        pmf_windows(40, 0.2)
         pmf_windows(40, 0.3)
         assert binom._long_windows.cache_info()[:2] == (1, 2)
 
@@ -141,29 +130,18 @@ class TestBinomPmf:
 
 class TestEntropyLoss:
     def test_zero_at_truth(self):
-        assert entropy_losses([0.3], 0.3) == [0.0]
-
-    def test_endpoint_p_zero(self):
-        assert entropy_losses([0.5], 0.0)[0] == pytest.approx(
-            math.log(2.0), rel=1e-14
-        )
+        assert unit_losses([0.3], 0.3) == [0.0]
 
     def test_direct_arithmetic(self):
         expected = 0.4 * math.log(2.0) + 0.6 * math.log(0.75)
-        assert entropy_losses([0.2], 0.4)[0] == pytest.approx(expected, rel=1e-13)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            entropy_losses([0.5, 0.0], 0.5)
-        with pytest.raises(ValueError):
-            entropy_losses([1.0], 0.5)
-        with pytest.raises(ValueError):
-            entropy_losses([0.5], 1.5)
+        assert unit_losses([0.2], 0.4)[0] == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize("d", [0.0, 1.0, -0.2, 1.2, math.nan])
     def test_every_estimate_is_checked(self, d):
-        with pytest.raises(ValueError, match="estimate d must be in"):
-            entropy_losses([0.3, d, 0.6], 0.5)
+        # the loss rows take the log of every estimate of a table, and a
+        # table checks each of them
+        with pytest.raises(ValueError, match=r"outside \(0, 1\)"):
+            EstimateTable(BinomialSetup(n=2), PriorSpec(a=1.0, b=1.0), (0.3, d, 0.6))
 
     def test_row_is_the_per_term_formula_bit_for_bit(self):
         # log d and log(1-d) are taken first, then combined as before
@@ -173,12 +151,12 @@ class TestEntropyLoss:
             max(p * (log_p - math.log(d)) + (1.0 - p) * (log_q - math.log1p(-d)), 0.0)
             for d in ds
         ]
-        assert entropy_losses(ds, p) == expected
+        assert unit_losses(ds, p) == expected
 
     @settings(max_examples=80, deadline=None)
-    @given(d=st.floats(0.001, 0.999), p=st.floats(0.0, 1.0))
+    @given(d=st.floats(0.001, 0.999), p=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
     def test_nonnegative_and_matches_direct(self, d, p):
-        lv = entropy_losses([d], p)[0]
+        lv = unit_losses([d], p)[0]
         assert lv >= 0.0
         assert lv == pytest.approx(
             max(entropy_loss_direct(d, p), 0.0), abs=1e-13
@@ -187,7 +165,7 @@ class TestEntropyLoss:
     def test_convex_in_estimate(self):
         p = 0.35
         grid = [0.05 + 0.9 * i / 100 for i in range(101)]
-        vals = entropy_losses(grid, p)
+        vals = unit_losses(grid, p)
         for i in range(1, len(vals) - 1):
             assert vals[i + 1] - 2.0 * vals[i] + vals[i - 1] >= -1e-12
 
@@ -217,12 +195,12 @@ class TestKlBinomial:
 
     def test_single_trial_identity(self):
         assert kl_binomial(1, 0.2, 0.4) == pytest.approx(
-            entropy_losses([0.4], 0.2)[0], rel=1e-15
+            unit_losses([0.4], 0.2)[0], rel=1e-15
         )
 
     def test_scales_linearly(self):
         assert kl_binomial(3, 0.2, 0.4) == pytest.approx(
-            3.0 * entropy_losses([0.4], 0.2)[0], rel=1e-15
+            3.0 * unit_losses([0.4], 0.2)[0], rel=1e-15
         )
 
     @pytest.mark.parametrize("l", [1, 2, 3, 5, 10])
@@ -231,7 +209,7 @@ class TestKlBinomial:
         # factorization check: the l-trial KL equals the exact sum over outcomes
         brute = math.fsum(
             fp * (math.log(fp) - math.log(fq))
-            for fp, fq in zip(pmf_row(l, p), pmf_row(l, q))
+            for fp, fq in zip(window_row(l, p), window_row(l, q))
         )
         assert kl_binomial(l, p, q) == pytest.approx(brute, rel=1e-10, abs=1e-14)
 

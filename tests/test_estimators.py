@@ -1,13 +1,14 @@
 """Posterior-mean estimators under the three restriction modes."""
 
 import math
+from functools import cached_property
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from binrisk import estimators, incbeta
-from binrisk.binom import BinomialSetup, PriorSpec, _log_rows
+from binrisk.binom import BinomialSetup, PriorSpec
 from binrisk.dominance import _j_rows
 from binrisk.estimators import EstimateTable, posterior_mean
 from binrisk.incbeta import eval_I, inverse_I_row, log_eval_I
@@ -222,19 +223,22 @@ class TestTableRows:
 
     def test_rows_are_built_once_per_table(self, monkeypatch):
         calls = []
+        build = EstimateTable.__dict__["_logs"].func
 
-        def counting(ds):
-            calls.append(ds)
-            return _log_rows(ds)
+        def counting(table):
+            calls.append(table.values)
+            return build(table)
 
-        monkeypatch.setattr(estimators, "_log_rows", counting)
+        rows = cached_property(counting)
+        rows.__set_name__(EstimateTable, "_logs")
+        monkeypatch.setattr(EstimateTable, "_logs", rows)
         setup, prior = BinomialSetup(n=300), PriorSpec(a=1.5, b=2.0, p_bar=0.4)
         values = EstimateTable.build(setup, prior).values
         table = EstimateTable(setup=setup, prior=prior, values=values)
         for k in range(1, 10):
             point_risk(table, k / 10)
         assert len(calls) == 1 and calls[0] is values
-        log_ds, log_es = _log_rows(values)
+        log_ds, log_es = [math.log(d) for d in values], [math.log1p(-d) for d in values]
         assert table._logs == (log_ds, log_es, min(log_ds), min(log_es))
 
     def test_rows_leave_equality_hash_and_repr_alone(self):

@@ -6,14 +6,14 @@ import pytest
 from scipy.special import betaln
 
 from binrisk import predictive
-from binrisk.binom import BinomialSetup, PriorSpec, pmf_row
+from binrisk.binom import BinomialSetup, PriorSpec
 from binrisk.cli import EXIT_VALIDATION, main
 from binrisk.estimators import posterior_mean
 from binrisk.incbeta import log_beta_measure
 from binrisk.predictive import PredictiveTable, bayes_predictive, plug_in_density
 from binrisk.risk import bayes_predictive_tables
 
-from conftest import quad_beta_measure
+from conftest import quad_beta_measure, window_row
 
 
 class TestBayesPredictive:
@@ -92,7 +92,7 @@ class TestBayesPredictive:
         prior = PriorSpec(a=1.0, b=1.0)
         table = [bayes_predictive(y, 1, setup, prior) for y in range(3)]
         d = 1.0 - math.sqrt(table[0])  # the d that fits y = 0
-        assert abs(pmf_row(2, d)[1] - table[1]) > 1e-3
+        assert abs(window_row(2, d)[1] - table[1]) > 1e-3
 
     def test_domain_errors(self):
         setup = BinomialSetup(n=2, l=2)
@@ -146,7 +146,7 @@ class TestPlugIn:
     @pytest.mark.parametrize("l, d", [(1, 0.5), (6, 0.37), (40, 1e-3), (3000, 0.3), (3000, 1e-6)])
     def test_every_mass_is_the_pmf_row_entry_bit_for_bit(self, l, d):
         # at l = 3000 the window of d leaves exact zeros on one or both sides
-        row = pmf_row(l, d)
+        row = window_row(l, d)
         masses = [plug_in_density(y, l, d) for y in range(l + 1)]
         assert [m.hex() for m in masses] == [v.hex() for v in row]
         if l == 3000:

@@ -7,7 +7,7 @@ import pytest
 
 import binrisk.risk as risk_module
 from binrisk import binom
-from binrisk.binom import BinomialSetup, PriorSpec, entropy_losses, pmf_row, pmf_windows
+from binrisk.binom import BinomialSetup, PriorSpec, pmf_windows
 from binrisk.estimators import EstimateTable
 from binrisk.predictive import plug_in_density
 from binrisk.risk import (
@@ -22,8 +22,10 @@ from conftest import (
     full_pmf_row,
     full_row_kl_risk,
     full_row_risk,
+    unit_losses,
     verify_log_jensen_bound,
     verify_second_derivative_identity,
+    window_row,
 )
 
 # p where the pmf's mode is x = 0 and x = n, and the ends of the default
@@ -43,7 +45,7 @@ class TestPointRisk:
     def test_two_term_oracle(self):
         # n=1, a=b=1 posterior means are 1/3 and 2/3
         table = EstimateTable.build(BinomialSetup(n=1), PriorSpec(a=1.0, b=1.0))
-        lo, hi = entropy_losses([1.0 / 3.0, 2.0 / 3.0], 0.5)
+        lo, hi = unit_losses([1.0 / 3.0, 2.0 / 3.0], 0.5)
         expected = 0.5 * lo + 0.5 * hi
         assert point_risk(table, 0.5) == pytest.approx(expected, rel=1e-13)
 
@@ -97,7 +99,7 @@ class TestPointRisk:
         assert signs == [below, 0, above]
         clamped = [max(v, 0.0) for v in raw]
         # float.hex tells -0.0 from 0.0, so these compare sign bits too
-        assert [v.hex() for v in entropy_losses(ds, p)] == [v.hex() for v in clamped]
+        assert [v.hex() for v in unit_losses(ds, p)] == [v.hex() for v in clamped]
         table = EstimateTable(
             setup=BinomialSetup(n=2), prior=PriorSpec(a=1.0, b=1.0), values=tuple(ds)
         )
@@ -236,7 +238,7 @@ class TestPredictiveKlRisk:
     def test_truth_gives_zero(self):
         setup = BinomialSetup(n=2, l=3)
         p = 0.3
-        tables = [pmf_row(3, p) for _ in range(3)]
+        tables = [window_row(3, p) for _ in range(3)]
         assert abs(predictive_kl_risk(tables, p, setup)) < 1e-15
 
     def test_rejects_zero_mass(self):
@@ -249,29 +251,41 @@ class TestPredictiveKlRisk:
         n, p = 2000, 1e-3
         setup = BinomialSetup(n=n, l=1)
         tables = [[0.5, 0.5] for _ in range(n)] + [[0.0, 1.0]]
-        assert pmf_row(n, p)[n] == 0.0
+        assert window_row(n, p)[n] == 0.0
         with pytest.raises(ValueError, match=r"\(x=2000, y=0\) is not positive"):
             predictive_kl_risk(tables, p, setup)
 
     @pytest.mark.parametrize(
         "masses, y",
-        [((math.nan, -0.5, 1.5), 1), ((-0.5, math.nan, 1.5), 0), ((0.5, math.nan, -0.5), 2)],
+        [((math.nan, -0.5, 1.5), 0), ((-0.5, math.nan, 1.5), 0), ((0.5, math.nan, -0.5), 1)],
         ids=["nan-first", "negative-first", "nan-between"],
     )
     def test_names_the_first_bad_mass_next_to_a_nan(self, masses, y):
-        # min of a table that starts with NaN is NaN, and NaN is skipped
-        # elsewhere: either way the table fails the fast test and is searched
+        # a NaN mass is as bad as one <= 0.0, wherever it sits in its table
         setup = BinomialSetup(n=1, l=2)
         tables = [(0.25, 0.5, 0.25), masses]
-        with pytest.raises(ValueError, match=rf"\(x=1, y={y}\) is not positive"):
+        with pytest.raises(ValueError, match=rf"\(x=1, y={y}\) is not positive and finite"):
             predictive_kl_risk(tables, 0.3, setup)
 
-    def test_a_nan_mass_alone_is_not_an_error(self):
-        # NaN <= 0.0 is false, so a NaN mass passes the check and the risk
-        # it enters is NaN
+    def test_a_nan_mass_alone_is_an_error(self):
+        # NaN <= 0.0 is false, yet a NaN mass is not a mass: the risk it
+        # entered used to be NaN
         setup = BinomialSetup(n=1, l=2)
         tables = [(0.25, 0.5, 0.25), (0.25, math.nan, 0.25)]
-        assert math.isnan(predictive_kl_risk(tables, 0.3, setup))
+        with pytest.raises(ValueError, match=r"\(x=1, y=1\) is not positive and finite"):
+            predictive_kl_risk(tables, 0.3, setup)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    @pytest.mark.parametrize("x", [1, 2])
+    def test_an_infinite_mass_is_an_error(self, bad, x):
+        # an infinite mass used to give a risk of -inf, or slip past as
+        # positive; it is named at the first (x, y) the sum reads
+        setup = BinomialSetup(n=2, l=1)
+        tables = [(0.5, 0.5), (0.5, 0.5), (0.3, 0.7)]
+        tables[x] = (0.5, bad) if x == 1 else (bad, 0.7)
+        y = 1 if x == 1 else 0
+        with pytest.raises(ValueError, match=rf"\(x={x}, y={y}\) is not positive and finite"):
+            predictive_kl_risk(tables, 0.3, setup)
 
     @pytest.mark.parametrize("p", (1e-3, *EDGE_PS))
     @pytest.mark.parametrize("n, l", [(1, 1), (8, 5), (300, 2), (2000, 3)])
@@ -367,7 +381,8 @@ class TestMassLogRows:
         for p in (0.3, 0.6):
             with pytest.raises(ValueError, match=r"\(x=1, y=1\) is not positive"):
                 predictive_kl_risk(zero, p, setup)
-            assert math.isnan(predictive_kl_risk(nan, p, setup))
+            with pytest.raises(ValueError, match=r"\(x=1, y=1\) is not positive and finite"):
+                predictive_kl_risk(nan, p, setup)
             with pytest.raises(ValueError, match="every y"):
                 predictive_kl_risk(short, p, setup)
 
@@ -377,7 +392,7 @@ class TestMassLogRows:
         # summed
         setup = BinomialSetup(n=1, l=2)
         tables = [(0.5, 0.5, 0.0), (0.5, 0.5, 0.0)]
-        assert pmf_row(2, 1e-200)[2] == 0.0
+        assert window_row(2, 1e-200)[2] == 0.0
         for p in (1e-200, 1e-250):
             assert predictive_kl_risk(tables, p, setup) == full_row_kl_risk(tables, p, setup)
 
@@ -481,6 +496,42 @@ class TestMonteCarlo:
         table = EstimateTable.build(BinomialSetup(n=1), PriorSpec(a=1.0, b=1.0))
         est, se = mc_risk(table, 0.5, 10**6, seed=123)
         assert abs(est - point_risk(table, 0.5)) < 4.0 * se
+
+    @pytest.mark.parametrize(
+        "n, prior, p, draws, seed, expected",
+        [
+            (
+                50, PriorSpec(a=1.0, b=1.0, p_bar=0.2), 0.1, 1000, 7,
+                ("0x1.72dc8585966b4p-8", "0x1.16be268465407p-12"),
+            ),
+            (
+                3000, PriorSpec(a=0.5, b=3.0, p_bar=0.5), 0.3, 100, 0,
+                ("0x1.88c212949755ap-13", "0x1.9d940c0dae928p-16"),
+            ),
+            (
+                5, PriorSpec(a=2.0, b=1.0, p_bar=0.5, p_lo=0.05), 0.45, 1, 3,
+                ("0x1.5fe085ffe479ep-5", "inf"),
+            ),
+        ],
+    )
+    def test_seeded_values_are_pinned_bit_for_bit(self, n, prior, p, draws, seed, expected):
+        # the values entropy_losses gave the sampler before its loss row
+        # came from the table's log rows
+        table = EstimateTable.build(BinomialSetup(n=n), prior)
+        est, se = mc_risk(table, p, draws, seed)
+        assert (est.hex(), "inf" if se == math.inf else se.hex()) == expected
+
+    @pytest.mark.parametrize(
+        "draws, seed, name",
+        [(2.5, 1, "sample_count"), (True, 1, "sample_count"), (0, 1, "sample_count"),
+         (10, True, "seed"), (10, 2.5, "seed"), (10, -1, "seed")],
+    )
+    def test_counts_must_be_integers(self, draws, seed, name):
+        # a float or bool count used to reach numpy, which raised TypeError
+        # or took True as the seed 1
+        table = EstimateTable.build(BinomialSetup(n=5), PriorSpec(a=1.0, b=1.0))
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            mc_risk(table, 0.3, draws, seed)
 
 
 class TestSecondDerivativeIdentity:

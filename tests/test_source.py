@@ -76,6 +76,34 @@ def test_p_free_row_builders_check_nothing():
     assert _check_calls("predictive.py", {"_masses", "_tables"}) == []
 
 
+def test_p_is_checked_in_one_place():
+    # every risk takes p in (0, 1), checked once per public call by
+    # risk._check_p; the risk sum, the window builder and the loss row take
+    # it as checked, with no branch for p outside that range
+    owners = [
+        path.name
+        for path in SOURCES
+        for stmt in ast.parse(path.read_text()).body
+        if getattr(stmt, "name", None) == "_check_p"
+    ]
+    assert owners == ["risk.py"]
+    found = []
+    for module, names in (("risk.py", {"_risk_sum"}), ("binom.py", {"_build_windows", "_losses"})):
+        tree = ast.parse((SOURCES[0].parent / module).read_text())
+        assert names <= {getattr(stmt, "name", None) for stmt in tree.body}
+        found += [
+            f"{stmt.name}:{node.lineno}"
+            for stmt in tree.body
+            if getattr(stmt, "name", None) in names
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Compare)
+            and any(getattr(side, "id", None) == "p" for side in (node.left, *node.comparators))
+        ]
+    assert found == []
+    assert _check_calls("risk.py", {"_risk_sum"}) == []
+    assert _check_calls("binom.py", {"_losses"}) == []
+
+
 def _imports(module: str) -> set[tuple[str, str]]:
     """(file, top-level statement) of every import of module or its
     submodules anywhere in the library, function bodies included."""
