@@ -27,7 +27,7 @@ from .binom import (
     pmf_windows,
 )
 from .estimators import EstimateTable, _correction
-from .incbeta import SingularBoundError, eval_I, inverse_I_row
+from .incbeta import SingularBoundError, inverse_I_row, log_eval_I
 from .risk import _check_p, _risk_sum
 
 GRID_SLACK = 1e-12
@@ -153,12 +153,12 @@ def risk_difference(
 ) -> float:
     """Exact risk difference: truncated to (0, p_bar], or to [p_lo, p_bar]
     when p_lo is given, minus untruncated."""
+    _check_p(p)
     setup = BinomialSetup(n=n)
     trunc = EstimateTable.build(
         setup, PriorSpec(a=a, b=b, p_bar=p_bar, p_lo=p_lo)
     )
     unres = EstimateTable.build(setup, PriorSpec(a=a, b=b))
-    _check_p(p)
     return _risk_sum(trunc, p) - _risk_sum(unres, p)
 
 
@@ -179,22 +179,19 @@ def smallpbar_sufficient_conditions(
 
     The first is general; the second is the sharper variant valid when
     p_bar <= 1/n. An undefined log argument means the bound chain does
-    not apply, which we report as the condition not holding.
+    not apply, which we report as the condition not holding. I enters
+    only as c = exp(-log I), 0.0 where I overflows, and the second
+    condition is multiplied through by c_bar rather than divided by it.
     """
     _check_count("n", n)
     _check_shape(a=a, b=b)
     s = n + a + b
-    j0 = eval_I(a, n + a + b + 1.0, p_bar)
-    j_bar = eval_I(a, a + b + 1.0, p_bar)
-    log_gain = math.log1p((1.0 + 1.0 / j_bar) / (p_bar * s))
-    arg = 1.0 - 1.0 / ((1.0 - p_bar) * s * j0)
+    c0 = math.exp(-log_eval_I(a, n + a + b + 1.0, p_bar))
+    c_bar = math.exp(-log_eval_I(a, a + b + 1.0, p_bar))
+    log_gain = math.log1p((1.0 + c_bar) / (p_bar * s))
+    arg = 1.0 - c0 / ((1.0 - p_bar) * s)
     cond_general = arg > 0.0 and math.log(arg) + p_bar / (1.0 - p_bar) * log_gain < 0.0
-    cond_small = (
-        p_bar <= 1.0 / n
-        and -1.0 / ((1.0 - p_bar) * s)
-        + p_bar / (1.0 - p_bar) * j_bar * log_gain
-        < 0.0
-    )
+    cond_small = p_bar <= 1.0 / n and p_bar * s * log_gain < c_bar
     return cond_general, cond_small
 
 

@@ -6,9 +6,9 @@ A(x) = bracket / I_two_sided on an interval, never raw quadrature. The
 upper row of c takes one kernel call (inverse_I_row), and its x < n
 entries are read in a form that subtracts nothing. The table over
 x = 0..n is the primitive; posterior_mean reads one entry of it. A table
-carries the p-free rows log d and log(1-d), which every risk sum at a p in
-(0, 1) reads, built on the first sum; this module alone decides how long a
-table, and so its rows, is kept.
+carries the p-free rows log d and log(1-d) and the ceiling of its losses,
+which every risk sum at a p in (0, 1) reads, built on the first sum; this
+module alone decides how long a table, and so its rows, is kept.
 """
 
 from __future__ import annotations
@@ -45,13 +45,17 @@ class EstimateTable:
         return self.values[x]
 
     @cached_property
-    def _logs(self) -> tuple[list[float], list[float], float, float]:
-        """log d and log(1-d) over the estimates, and their minima: they do
-        not depend on p, so the first risk sum builds them for every later
-        one. Not a field, so ==, hash and repr ignore them."""
+    def _logs(self) -> tuple[list[float], list[float], float]:
+        """log d and log(1-d) over the estimates, and the ceiling
+        max(-min log d, -min log(1-d)) of their losses: they do not depend on
+        p, so the first risk sum builds them for every later one. Not a
+        field, so ==, hash and repr ignore them. log p and log(1-p) round to
+        at most 0.0 and IEEE rounding is monotone, so at any p in (0, 1) no
+        loss that binom._losses computes from these rows exceeds the ceiling
+        by more than a few ulps."""
         log_ds = [math.log(d) for d in self.values]
         log_es = [math.log1p(-d) for d in self.values]
-        return log_ds, log_es, min(log_ds), min(log_es)
+        return log_ds, log_es, max(-min(log_ds), -min(log_es))
 
     def __post_init__(self) -> None:
         if len(self.values) != self.setup.n + 1:

@@ -188,17 +188,6 @@ def inverse_I_row(a: float, gamma: float, p_bar: float, m: int) -> list[float]:
     return row
 
 
-def eval_I(alpha: float, gamma: float, p_bar: float) -> float:
-    """I(alpha, gamma, p_bar) = int_0^1 t^(alpha-1) / {1 - p_bar (1-t)}^gamma dt,
-    with overflow reported as a singular bound."""
-    log_value = log_eval_I(alpha, gamma, p_bar)
-    try:
-        return math.exp(log_value)
-    except OverflowError as exc:
-        message = f"I({alpha}, {gamma}, {p_bar}) overflows double precision"
-        raise SingularBoundError(message) from exc
-
-
 def bracket_term(alpha: float, gamma: float, p_lo: float, p_bar: float) -> float:
     """[t^alpha / {1 - p_bar (1-t)}^gamma]_rho^1; sign can be anything.
 

@@ -90,9 +90,9 @@ class PredictiveTable:
             )
 
 
-def _tables(setup: BinomialSetup, prior: PriorSpec) -> list[PredictiveTable]:
-    """The tables for x = 0..n over one numerator row, each built and
-    validated before any measure that only the next one needs."""
+def bayes_predictive_tables(setup: BinomialSetup, prior: PriorSpec) -> list[PredictiveTable]:
+    """Bayesian predictive tables for x = 0..n over one numerator row, each
+    built and validated before any measure that only the next one needs."""
     ys, log_num = range(setup.l + 1), {}
     return [
         PredictiveTable(setup, prior, x, tuple(_masses(ys, x, setup, prior, log_num)))

@@ -12,14 +12,14 @@ sums over the core window, the x within e^-64 of the pmf peak, and
 certifies that the terms it leaves out cannot change the rounded sum;
 where the certificate fails it sums the exact window. Its terms
 Bin(x; n, p) L(d(x), p) come from one pass over log d and log(1-d), which
-do not depend on p and live on the estimate table with their minima, so
-they are kept as long as estimators keeps the table. predictive_kl_risk
-takes the log rows of the predictive masses, and checks their shape, once
-per set of tables, keyed on the masses. connection_sum resolves its l
-tables once per (n, l, prior) when all are small, so each p costs only
-the l sums. Every risk takes p in (0, 1): _check_p, the library's one
-check of p, runs once per public call, and the sums below it take p as
-checked.
+do not depend on p and live on the estimate table with the ceiling of its
+losses, so they are kept as long as estimators keeps the table.
+predictive_kl_risk takes the log rows of the predictive masses, and checks
+their shape, once per set of tables, keyed on the masses. connection_sum
+resolves its l tables once per (n, l, prior) when all are small, so each p
+costs only the l sums. Every risk takes p in (0, 1): _check_p, the
+library's one check of p, runs once per public call, and the sums below
+it take p as checked.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from functools import lru_cache
 
 from .binom import BinomialSetup, PriorSpec, _check_count, _losses, pmf_windows
 from .estimators import _SMALL_TABLE, EstimateTable
-from .predictive import PredictiveTable, _tables
+from .predictive import bayes_predictive_tables  # noqa: F401  (re-exported)
 
 
 def _check_p(p: float) -> None:
@@ -38,30 +38,18 @@ def _check_p(p: float) -> None:
         raise ValueError(f"p must be in (0, 1), got {p}")
 
 
-def _dropped_bound(tail: float, p: float, min_log_d: float, min_log_e: float) -> float:
-    """An upper bound on the sum of the terms w L that the core window leaves
-    out, given tail >= the sum of their weights w.
-
-    worst is the loss expression of binom._losses at the smallest log d and
-    log(1-d): IEEE rounding is monotone, so no computed loss exceeds it. It
-    is at least KL(p, d) >= 0 up to rounding, so 2 worst + 1 covers the
-    clamp and the rounding of each product and of this bound.
-    """
-    q = 1.0 - p
-    worst = p * (math.log(p) - min_log_d) + q * (math.log1p(-p) - min_log_e)
-    return tail * (2.0 * worst + 1.0)
-
-
 def point_risk(estimates: EstimateTable, p: float) -> float:
     """Exact entropy-loss risk sum_x Bin(x; n, p) L(delta(x), p), correctly
     rounded over every x = 0..n.
 
     It sums the core window of (n, p) and certifies that the terms left out
-    cannot change the rounded sum: their sum lies in [0, bound] for the
-    bound of _dropped_bound, fsum rounds correctly and rounding is
-    monotone, so fsum(terms) == fsum(terms + [bound]) proves that the full
-    sum rounds to the same float. Where that check fails, the sum runs over
-    the exact window.
+    cannot change the rounded sum: their weights sum to at most the
+    window's tail and no loss exceeds the table's ceiling by more than a few
+    ulps (EstimateTable._logs), so their sum lies in [0, bound] for bound =
+    tail (2 ceiling + 1), which leaves room for every rounding on the way.
+    fsum rounds correctly and rounding is monotone, so fsum(terms) ==
+    fsum(terms + [bound]) proves that the full sum rounds to the same float.
+    Where that check fails, the sum runs over the exact window.
     """
     _check_p(p)
     return _risk_sum(estimates, p)
@@ -70,14 +58,14 @@ def point_risk(estimates: EstimateTable, p: float) -> float:
 def _risk_sum(estimates: EstimateTable, p: float) -> float:
     """point_risk at a checked p."""
     windows = pmf_windows(estimates.setup.n, p)
-    log_ds, log_es, min_log_d, min_log_e = estimates._logs
+    log_ds, log_es, ceiling = estimates._logs
     start, weights = windows.core
     stop = start + len(weights)
     terms = _losses(weights, log_ds[start:stop], log_es[start:stop], p)
     terms.sort(reverse=True)  # largest first, as in _expectation
     risk = math.fsum(terms)
     if windows.tail:
-        terms.append(_dropped_bound(windows.tail, p, min_log_d, min_log_e))
+        terms.append(windows.tail * (2.0 * ceiling + 1.0))
         if math.fsum(terms) != risk:
             start, weights = windows.exact()
             stop = start + len(weights)
@@ -135,13 +123,6 @@ def _mass_logs(
         raise ValueError(f"need a mass for every y = 0..{l} in every table")
     logs = [[math.log(v) if v > 0.0 else math.nan for v in table] for table in tables]
     return logs, [x for x, row in enumerate(logs) if not math.isfinite(sum(row))]
-
-
-def bayes_predictive_tables(
-    setup: BinomialSetup, prior: PriorSpec
-) -> list[PredictiveTable]:
-    """Bayesian predictive tables for every observable x."""
-    return _tables(setup, prior)
 
 
 def connection_sum(p: float, n: int, l: int, prior: PriorSpec) -> float:

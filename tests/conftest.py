@@ -3,14 +3,15 @@
 Every truncated-posterior quantity in the package is computed through
 incomplete-beta identities; the oracles here integrate the defining
 expressions directly with adaptive quadrature (substituting t = u^(1/alpha)
-to tame the endpoint singularity when alpha < 1). eval_J and
+to tame the endpoint singularity when alpha < 1). eval_J, eval_I and
 eval_I_two_sided are the exceptions: eval_J assembles J(p) from the
 library's own I row, so that tests can check that row against the J
-oracle, and eval_I_two_sided exponentiates the library's two-sided log I,
-which the kernel tests and criterion 04 check against quadrature and the
-bracket identities. window_row and unit_losses are not oracles either:
-they read the library's pmf window, padded to x = 0..n, and its loss row
-at unit weight, for tests that need either whole. The full-row sums
+oracle, and eval_I and eval_I_two_sided exponentiate the library's upper
+and two-sided log I, which the kernel tests and the acceptance criteria
+check against quadrature, closed forms and the contiguous relations.
+window_row and unit_losses are not oracles either: they read the
+library's pmf window, padded to x = 0..n, and its loss row at unit
+weight, for tests that need either whole. The full-row sums
 evaluate every risk sum over all x = 0..n, zero pmf terms included, as
 references the windowed library sums must equal bit for bit;
 full_row_kl_risk does the same for the predictive KL risk over every
@@ -28,7 +29,7 @@ from scipy.integrate import quad
 from binrisk.binom import BinomialSetup, PriorSpec, _log_binom_coeffs, _losses, pmf_windows
 from binrisk.dominance import _j_rows, p_grid
 from binrisk.estimators import EstimateTable
-from binrisk.incbeta import log_eval_I
+from binrisk.incbeta import SingularBoundError, log_eval_I
 
 QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-13, limit=200)
 
@@ -106,6 +107,17 @@ def eval_J(p: float, n: int, a: float, b: float, p_bar: float) -> float:
         raise ValueError(f"p must be in [0, 1), got {p}")
     weights = [1.0] + [0.0] * n if p == 0.0 else window_row(n, p)
     return math.fsum(w * v for w, v in zip(weights, _j_rows(n, a, b, p_bar)[0]))
+
+
+def eval_I(alpha: float, gamma: float, p_bar: float) -> float:
+    """I(alpha, gamma, p_bar) = int_0^1 t^(alpha-1) / {1 - p_bar (1-t)}^gamma dt,
+    with overflow reported as a singular bound."""
+    log_value = log_eval_I(alpha, gamma, p_bar)
+    try:
+        return math.exp(log_value)
+    except OverflowError as exc:
+        message = f"I({alpha}, {gamma}, {p_bar}) overflows double precision"
+        raise SingularBoundError(message) from exc
 
 
 def eval_I_two_sided(alpha: float, gamma: float, p_lo: float, p_bar: float) -> float:

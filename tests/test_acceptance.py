@@ -24,7 +24,7 @@ from binrisk.dominance import (
     thm41_conditions,
 )
 from binrisk.estimators import EstimateTable, posterior_mean
-from binrisk.incbeta import bracket_term, eval_I
+from binrisk.incbeta import bracket_term
 from binrisk.poisson import PoissonConfig, limit_convergence_report
 from binrisk.predictive import plug_in_density
 from binrisk.risk import (
@@ -37,6 +37,7 @@ from binrisk.risk import (
 from binrisk.cli import main as cli_main
 
 from conftest import (
+    eval_I,
     eval_I_two_sided,
     quad_beta_measure,
     quad_posterior_mean,

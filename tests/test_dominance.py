@@ -73,6 +73,12 @@ class TestSufficientConditions:
         assert cond_general is True
         assert cond_small is True
 
+    @pytest.mark.parametrize("n, a, b, p_bar", [(4000, 1.0, 1.0, 0.3), (1, 1.0, 400.0, 0.999)])
+    def test_an_i_beyond_double_range_fails_them_without_error(self, n, a, b, p_bar):
+        # I(a, n+a+b+1, p_bar) and I(a, a+b+1, p_bar) overflow here in
+        # turn; the conditions read only their inverses, which are 0.0
+        assert smallpbar_sufficient_conditions(n, a, b, p_bar) == (False, False)
+
     def test_small_variant_requires_pbar_below_inverse_n(self):
         _, cond_small = smallpbar_sufficient_conditions(5, 1.0, 1.0, 0.5)
         assert cond_small is False  # 0.5 > 1/5
@@ -111,6 +117,14 @@ class TestBound:
         std = standardized_risk_difference(p, n, a, b, pb)
         raw = risk_difference(p, n, a, b, pb)
         assert (std < 0.0) == (raw < 0.0)
+
+    def test_risk_difference_checks_p_before_it_builds_tables(self):
+        caches = (estimators._build_table, estimators._build_large_table)
+        misses = [cache.cache_info().misses for cache in caches]
+        for n in (100_000, 0):  # p is reported before any other bad argument
+            with pytest.raises(ValueError, match=r"^p must be in \(0, 1\), got 1.5$"):
+                risk_difference(1.5, n, 1.0, 1.0, 0.3)
+        assert [cache.cache_info().misses for cache in caches] == misses
 
     def test_wide_bound_makes_difference_vanish(self):
         assert abs(risk_difference(0.3, 2, 1.0, 1.0, 1.0 - 1e-6)) < 1e-4

@@ -7,14 +7,14 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from binrisk import estimators, incbeta
+from binrisk import binom, estimators, incbeta
 from binrisk.binom import BinomialSetup, PriorSpec
 from binrisk.dominance import _j_rows
 from binrisk.estimators import EstimateTable, posterior_mean
-from binrisk.incbeta import eval_I, inverse_I_row, log_eval_I
+from binrisk.incbeta import inverse_I_row, log_eval_I
 from binrisk.risk import point_risk
 
-from conftest import quad_posterior_mean
+from conftest import eval_I, quad_posterior_mean
 
 A_B_GRID = [0.5, 1.0, 2.0]
 TABLE_CACHES = (estimators._build_table, estimators._build_large_table)
@@ -239,7 +239,31 @@ class TestTableRows:
             point_risk(table, k / 10)
         assert len(calls) == 1 and calls[0] is values
         log_ds, log_es = [math.log(d) for d in values], [math.log1p(-d) for d in values]
-        assert table._logs == (log_ds, log_es, min(log_ds), min(log_es))
+        assert table._logs == (log_ds, log_es, max(-min(log_ds), -min(log_es)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        mode=st.sampled_from(["none", "upper", "interval"]),
+        n=st.integers(1, 12),
+        a=st.floats(0.3, 5.0),
+        b=st.floats(0.3, 5.0),
+        pb=st.floats(1e-6, 0.99),
+        frac=st.floats(0.05, 0.9),
+        p=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_no_loss_exceeds_the_ceiling(self, mode, n, a, b, pb, frac, p):
+        # the certificate of the risk sums bounds each loss the core window
+        # leaves out by 2 ceiling + 1; rounding keeps every loss within a
+        # few ulps of the ceiling itself
+        prior = {
+            "none": PriorSpec(a, b),
+            "upper": PriorSpec(a, b, p_bar=pb),
+            "interval": PriorSpec(a, b, p_bar=pb, p_lo=frac * pb),
+        }[mode]
+        log_ds, log_es, ceiling = EstimateTable.build(BinomialSetup(n=n), prior)._logs
+        losses = binom._losses([1.0] * (n + 1), log_ds, log_es, p)
+        assert max(losses) <= 2.0 * ceiling + 1.0
+        assert max(losses) <= ceiling * (1.0 + 2.0**-50)
 
     def test_rows_leave_equality_hash_and_repr_alone(self):
         setup, prior = BinomialSetup(n=12), PriorSpec(a=1.0, b=1.0, p_lo=0.1, p_bar=0.7)

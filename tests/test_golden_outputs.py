@@ -35,6 +35,10 @@ COMMANDS = (
     "estimate --n 50 --p-bar 0.2 --p 0.1 --mc-samples 100 --out F",
     "threshold --a 2",
     "predictive --n 6 --l 4 --x 2 --p-lo 0.1 --p-bar 0.4 --out F",
+    "dominance --n 64 --a 0.5 --b 2 --p-bar 0.5 --out F",
+    "dominance --n 40 --a 2 --b 3 --p-lo 0.1 --p-bar 0.3 --out F",
+    "risk-curve --n 900 --a 0.5 --b 3 --p-bar 0.5 --grid 64 --out F",
+    "estimate --n 5000 --p-bar 0.2 --p 0.01",
 )
 
 

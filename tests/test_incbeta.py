@@ -10,12 +10,12 @@ from binrisk.incbeta import (
     BracketOverflowError,
     SingularBoundError,
     bracket_term,
-    eval_I,
     log_beta_measure,
     log_inc_beta_lower,
 )
 
 from conftest import (
+    eval_I,
     eval_I_two_sided,
     eval_J,
     quad_I,

@@ -73,7 +73,7 @@ def test_p_free_row_builders_check_nothing():
     # table set makes its own x = 0..n
     assert _check_calls("dominance.py", {"_j_rows", "_upper_curves", "_row_pass"}) == []
     assert _check_calls("risk.py", {"_mass_logs"}) == []
-    assert _check_calls("predictive.py", {"_masses", "_tables"}) == []
+    assert _check_calls("predictive.py", {"_masses", "bayes_predictive_tables"}) == []
 
 
 def test_p_is_checked_in_one_place():
