@@ -9,8 +9,18 @@ same workload, seed and pair form one pair), the end-to-end "metrics" and
 the output digests. For each workload and seed, and each end-to-end
 metric of BENCHMARK.json, this prints each side's median and quartiles, the
 change over the parent at the median, and the pairs in which the change is
-better (ties count for neither side). The digests are listed as equal when
-every run of both sides wrote the same ones.
+better (ties count for neither side), and a verdict against the metric's
+bound, with s = +1 when higher is better and -1 otherwise:
+
+  WORSE       s (change median - parent median) / parent median < -bound;
+  gain        the change wins at least 9 of 10 pairs and s (change median -
+              parent median) exceeds the parent's q3 - q1;
+  unresolved  (q3 - q1) / median > bound on either side, unless every run
+              of the change is better than every run of the parent;
+  ok          otherwise.
+
+The digests are listed as equal when every run of both sides wrote the
+same ones.
 """
 
 from __future__ import annotations
@@ -42,6 +52,22 @@ def _wins(runs: list[dict], metric: str, higher: bool) -> tuple[int, int]:
     return won, len(both)
 
 
+def _verdict(parent: list[float], change: list[float], won: int, paired: int, spec: dict) -> str:
+    """WORSE, gain, unresolved or ok, as the module docstring defines them."""
+    s = 1.0 if spec["better"] == "higher" else -1.0
+    bound = spec["bound"]
+    p_q1, p_med, p_q3 = _quartiles(parent)
+    c_q1, c_med, c_q3 = _quartiles(change)
+    if s * (c_med - p_med) < -bound * abs(p_med):
+        return "WORSE"
+    if paired and 10 * won >= 9 * paired and s * (c_med - p_med) > p_q3 - p_q1:
+        return "gain"
+    spread = p_q3 - p_q1 > bound * abs(p_med) or c_q3 - c_q1 > bound * abs(c_med)
+    if spread and not min(s * v for v in change) > max(s * v for v in parent):
+        return "unresolved"
+    return "ok"
+
+
 def report(bench: dict, metrics: list[dict]) -> list[str]:
     by_workload = defaultdict(list)
     for run in bench["runs"]:
@@ -51,19 +77,22 @@ def report(bench: dict, metrics: list[dict]) -> list[str]:
         lines.append(f"{workload} (seed {seed})")
         lines.append(
             f"  {'metric':<12} {'parent median [q1, q3]':>30} {'change median [q1, q3]':>30}"
-            f" {'change':>8} {'won':>6}"
+            f" {'change':>8} {'won':>6}  verdict"
         )
         for spec in metrics:
             name, higher = spec["name"], spec["better"] == "higher"
-            cells = []
+            values, cells = [], []
             for side in SIDES:
-                q1, median, q3 = _quartiles([r["metrics"][name] for r in runs if r["side"] == side])
+                values.append([r["metrics"][name] for r in runs if r["side"] == side])
+                q1, median, q3 = _quartiles(values[-1])
                 cells.append((median, f"{median:.4g} [{q1:.4g}, {q3:.4g}]"))
             (parent, parent_text), (change, change_text) = cells
             delta = f"{change / parent - 1.0:+.1%}" if parent else "n/a"
             won, paired = _wins(runs, name, higher)
+            verdict = _verdict(*values, won, paired, spec)
             lines.append(
                 f"  {name:<12} {parent_text:>30} {change_text:>30} {delta:>8} {won:>3}/{paired}"
+                f"  {verdict}"
             )
         for digest in ("values_sha256", "csv_sha256"):
             equal = len({run[digest] for run in runs}) == 1

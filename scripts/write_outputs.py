@@ -7,9 +7,11 @@ compare two such directories value by value.
 OUT_DIR receives the 14 figure CSVs of scripts/make_figure_data.py under
 figures/ and, for each command in COMMANDS, its stdout, stderr and exit
 status (cmdNN.stdout, cmdNN.stderr, cmdNN.exit), the CSV it writes through
---out F (cmdNN.csv) and the command line itself (cmdNN.cmd). Everything runs
-in fresh interpreters against the src/ next to this script, so a copy of the
-script placed in another checkout writes that checkout's outputs.
+--out F (cmdNN.csv) and the command line itself (cmdNN.cmd). outputs()
+returns their texts by file name, and tests/test_golden_outputs.py pins
+their digests. Everything runs in this process against the src/ next to
+this script, so a copy of the script in another checkout writes that
+checkout's outputs.
 
 With --against, each file that differs from its namesake in OTHER_DIR is
 listed with the number of changed values and the largest relative change
@@ -21,17 +23,27 @@ exit status is 1 when any file differs or exists on one side only.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import math
-import os
 import pathlib
 import re
 import shlex
-import subprocess
 import sys
+import tempfile
 
-ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
 
-# "F" stands for the CSV path of --out.
+import binrisk  # noqa: E402
+import make_figure_data  # noqa: E402
+from binrisk import cli  # noqa: E402
+
+if not pathlib.Path(binrisk.__file__).resolve().is_relative_to(SRC):
+    raise ImportError(f"binrisk imported from {binrisk.__file__}, not {SRC}")
+
+# "F" stands for the CSV path of --out. New commands go at the end, so that
+# the cmdNN names of the others keep their numbers.
 COMMANDS = (
     "dominance --n 5 --p-bar 0.3 --grid 128 --out F",
     "dominance --n 3 --p-lo 0.2 --p-bar 0.6 --grid 64",
@@ -68,37 +80,36 @@ COMMANDS = (
     "predictive --n 40 --l 12 --x 40 --p-bar 0.3",
     "predictive --n 8 --l 5 --x 0 --a 0.5 --b 2",
     "predictive --n 60 --l 4 --x 0 --p-lo 0.4 --p-bar 0.6",
+    "poisson-limit --r 2 --s 0.5 --x-tilde 2 --k-grid 10 100 1000 --out F",
+    "estimate --n 50 --p-bar 0.2 --p 0.1 --mc-samples 100 --seed 7",
 )
 
 _TOKEN = re.compile(r"[^\s,()\[\]:=;]+")
 
 
-def _run(argv: list[str]) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
-    return subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=True, env=env
-    )
-
-
-def write_outputs(out_dir: pathlib.Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    figures = _run(
-        [str(ROOT / "scripts" / "make_figure_data.py"), "--outdir", str(out_dir / "figures")]
-    )
-    if figures.returncode != 0:
-        raise SystemExit(f"make_figure_data.py failed:\n{figures.stderr}")
-    for i, command in enumerate(COMMANDS, start=1):
-        stem = out_dir / f"cmd{i:02d}"
-        csv_path = str(stem.with_suffix(".csv"))
-        argv = [csv_path if arg == "F" else arg for arg in shlex.split(command)]
-        result = _run(["-m", "binrisk", *argv])
-        stem.with_suffix(".cmd").write_text(f"binrisk {command}\n")
-        stem.with_suffix(".stdout").write_text(result.stdout)
-        stem.with_suffix(".stderr").write_text(result.stderr)
-        stem.with_suffix(".exit").write_text(f"{result.returncode}\n")
+def outputs() -> dict[str, str]:
+    """Every reviewed output's text by its file name under OUT_DIR."""
+    texts = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        figures = pathlib.Path(tmp) / "figures"
+        with contextlib.redirect_stdout(io.StringIO()):
+            make_figure_data.main(["--outdir", str(figures)])
+        for path in sorted(figures.iterdir()):
+            texts[f"figures/{path.name}"] = path.read_text()
+        for i, command in enumerate(COMMANDS, start=1):
+            stem = f"cmd{i:02d}"
+            csv_path = pathlib.Path(tmp) / f"{stem}.csv"
+            argv = [str(csv_path) if arg == "F" else arg for arg in shlex.split(command)]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                status = cli.main(argv)
+            texts[f"{stem}.cmd"] = f"binrisk {command}\n"
+            texts[f"{stem}.stdout"] = stdout.getvalue()
+            texts[f"{stem}.stderr"] = stderr.getvalue()
+            texts[f"{stem}.exit"] = f"{status}\n"
+            if csv_path.exists():
+                texts[f"{stem}.csv"] = csv_path.read_text()
+    return texts
 
 
 def compare_values(ours: str, theirs: str) -> tuple[int, int, float] | None:
@@ -158,7 +169,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("out_dir", type=pathlib.Path)
     parser.add_argument("--against", type=pathlib.Path, default=None)
     args = parser.parse_args(argv)
-    write_outputs(args.out_dir)
+    for name, text in outputs().items():
+        path = args.out_dir / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
     return 0 if args.against is None else report(args.out_dir, args.against)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .binom import BinomialSetup, PriorSpec, _check_count, _check_shape
 from .estimators import EstimateTable
-from .predictive import bayes_predictive
+from .predictive import _masses
 from .risk import _risk_sum
 
 _TAIL_MASS = 1e-15
@@ -212,8 +212,7 @@ def limit_convergence_report(
 
         # sup over the y range where either side still carries mass
         sup_err = 0.0
-        for y in range(l + 1):
-            binom_mass = bayes_predictive(y, x_tilde, setup, prior)
+        for y, binom_mass in enumerate(_masses(range(l + 1), x_tilde, setup, prior, {})):
             pois_mass = poisson_predictive(y, x_tilde, config)
             sup_err = max(sup_err, abs(binom_mass - pois_mass))
             if y >= 5 and binom_mass < _TAIL_MASS and pois_mass < _TAIL_MASS:

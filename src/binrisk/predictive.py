@@ -14,7 +14,7 @@ building the tables one by one raises.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .binom import BinomialSetup, PriorSpec, _check_count, _log_binom_coeffs, pmf_windows
@@ -23,8 +23,9 @@ from .incbeta import log_beta_measure
 
 def _masses(
     ys: Iterable[int], x: int, setup: BinomialSetup, prior: PriorSpec, log_num: dict[int, float]
-) -> list[float]:
-    """Predictive masses at each y of ys given X = x, over one denominator.
+) -> Iterator[float]:
+    """Predictive masses at each y of ys given X = x, over one denominator,
+    yielded one by one so that a caller can stop early.
 
     log_num maps k = x + y to log M(k+a, n+l-k+b); a numerator it lacks is
     evaluated, after the denominator, and stored in it. x and y are taken
@@ -34,20 +35,18 @@ def _masses(
     lo, hi = prior.support
     log_den = log_beta_measure(x + a, n - x + b, lo, hi)
     log_coeffs = _log_binom_coeffs(l)
-    masses = []
     for y in ys:
         k = x + y
         if k not in log_num:
             log_num[k] = log_beta_measure(k + a, n + l - k + b, lo, hi)
-        masses.append(math.exp(log_coeffs[y] + log_num[k] - log_den))
-    return masses
+        yield math.exp(log_coeffs[y] + log_num[k] - log_den)
 
 
 def bayes_predictive(y: int, x: int, setup: BinomialSetup, prior: PriorSpec) -> float:
     """Posterior expectation of Bin(y | l, p) given X = x."""
     _check_count("y", y, 0, setup.l)
     _check_count("x", x, 0, setup.n)
-    return _masses((y,), x, setup, prior, {})[0]
+    return next(_masses((y,), x, setup, prior, {}))
 
 
 def plug_in_density(y: int, l: int, d: float) -> float:

@@ -5,6 +5,7 @@ import math
 import pytest
 from scipy.special import gammaln
 
+from binrisk import poisson, predictive
 from binrisk.estimators import EstimateTable
 from binrisk.poisson import (
     PoissonConfig,
@@ -157,6 +158,20 @@ class TestLimitCorrespondence:
         cfg = PoissonConfig(r=1.0, s=1.0, a=1.0, lambda_bar=1.0)
         limit_convergence_report([10.0, 300.0], 0.5, cfg, 3)
         assert calls == [10, 300]
+
+    def test_reads_one_predictive_denominator_per_scale(self, monkeypatch):
+        # each y read takes its numerator; the denominator is taken once per K
+        measures, ys_read = [], []
+        measure, pois = predictive.log_beta_measure, poisson.poisson_predictive
+        monkeypatch.setattr(
+            predictive, "log_beta_measure", lambda *args: measures.append(args) or measure(*args)
+        )
+        monkeypatch.setattr(
+            poisson, "poisson_predictive", lambda *args: ys_read.append(args) or pois(*args)
+        )
+        cfg = PoissonConfig(r=1.0, s=1.0, a=1.0, lambda_bar=1.0)
+        limit_convergence_report([10.0, 100.0], 0.5, cfg, 2)
+        assert len(measures) == 2 + len(ys_read)
 
     def test_rejects_unsorted_grid(self):
         cfg = PoissonConfig(r=1.0, a=1.0)
