@@ -1,16 +1,18 @@
 """Command-line front-end.
 
 Subcommands: estimate, predictive, risk-curve, dominance, threshold,
-poisson-limit. Every output is a deterministic function of the flags;
-CSV files carry a header row and 17-significant-digit numbers so reruns
-are byte-for-byte identical. Exit status: 0 success, 1 validation error,
-2 numerical failure (bracket failure, overflow near p_bar -> 1).
+poisson-limit. Every output is a deterministic function of the flags,
+so reruns are byte-for-byte identical. A CSV is comma-separated, with
+newline line ends and one header row; floats are written as %.17g, and a
+cell is empty where its value is undefined (thm32_bound where the Thm 3.2
+bound is undefined or the restriction is an interval). Exit status: 0
+success, 1 validation error, 2 numerical failure (bracket failure,
+overflow near p_bar -> 1).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from collections.abc import Iterable, Sequence
 from functools import cache
@@ -33,21 +35,31 @@ def _fmt(value: float | None) -> str:
 
 
 def _write_csv(out: str | None, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
-    cells = [
-        [f"{v:.17g}" if isinstance(v, float) else "" if v is None else str(v) for v in row]
-        for row in rows
-    ]
+    r"""Write header and rows as CSV to the file out, or to stdout when None.
 
-    def dump(handle) -> None:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(cells)
-
+    A column of floats only goes through a "%.17g" of the row format; any
+    other column is made cells first ("%.17g" % v for a float, "" for None,
+    str(v) otherwise) and goes through a "%s". This is byte for byte what
+    csv.writer(lineterminator="\n") writes of those cells: a %.17g float,
+    an int or a header name never holds ',', '"', '\r' or '\n', so nothing
+    is quoted, and csv's '""' for a row of one empty field cannot arise, as
+    every CSV here has at least two columns.
+    """
+    specs, columns = [], []
+    for column in zip(*rows):
+        if all([isinstance(v, float) for v in column]):
+            specs.append("%.17g")
+        else:
+            specs.append("%s")
+            column = ["%.17g" % v if isinstance(v, float) else "" if v is None else str(v) for v in column]
+        columns.append(column)
+    line = ",".join(specs) + "\n"
+    text = ",".join(header) + "\n" + "".join([line % row for row in zip(*columns)])
     if out is None:
-        dump(sys.stdout)
+        sys.stdout.write(text)
     else:
         with open(out, "w", newline="") as handle:
-            dump(handle)
+            handle.write(text)
 
 
 def _prior_from_args(args: argparse.Namespace) -> PriorSpec:

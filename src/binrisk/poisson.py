@@ -114,16 +114,14 @@ def poisson_predictive(y_tilde: int, x_tilde: int, config: PoissonConfig) -> flo
     _check_count("y_tilde", y_tilde, 0)
     _check_count("x_tilde", x_tilde, 0)
     alpha = x_tilde + config.a
-    log_num = _log_gamma_moment(
-        y_tilde + alpha, config.r + config.s, config.lambda_bar
-    )
     log_den = _log_gamma_moment(alpha, config.r, config.lambda_bar)
-    return math.exp(
-        y_tilde * math.log(config.s)
-        - math.lgamma(y_tilde + 1)
-        + log_num
-        - log_den
-    )
+    return _predictive_mass(y_tilde, alpha, log_den, config)
+
+
+def _predictive_mass(y_tilde: int, alpha: float, log_den: float, config: PoissonConfig) -> float:
+    """The predictive mass at y_tilde, given its denominator's log."""
+    log_num = _log_gamma_moment(y_tilde + alpha, config.r + config.s, config.lambda_bar)
+    return math.exp(y_tilde * math.log(config.s) - math.lgamma(y_tilde + 1) + log_num - log_den)
 
 
 def _poisson_pmf(k: int, mean: float) -> float:
@@ -193,6 +191,11 @@ def limit_convergence_report(
         raise ValueError("K grid must be strictly increasing")
     lam_hat = poisson_posterior_mean(x_tilde, config)
     risk_target = poisson_entropy_risk(config, lam)
+    # the Poisson masses do not depend on K: one denominator, and each y's
+    # mass taken once, the first time some K reads it
+    alpha = x_tilde + config.a
+    log_den = _log_gamma_moment(alpha, config.r, config.lambda_bar)
+    pois_masses: list[float] = []
 
     est_errors = []
     pred_errors = []
@@ -213,7 +216,9 @@ def limit_convergence_report(
         # sup over the y range where either side still carries mass
         sup_err = 0.0
         for y, binom_mass in enumerate(_masses(range(l + 1), x_tilde, setup, prior, {})):
-            pois_mass = poisson_predictive(y, x_tilde, config)
+            if y == len(pois_masses):
+                pois_masses.append(_predictive_mass(y, alpha, log_den, config))
+            pois_mass = pois_masses[y]
             sup_err = max(sup_err, abs(binom_mass - pois_mass))
             if y >= 5 and binom_mass < _TAIL_MASS and pois_mass < _TAIL_MASS:
                 break

@@ -71,7 +71,7 @@ class PredictiveTable:
     @classmethod
     def build(cls, setup: BinomialSetup, prior: PriorSpec, x: int) -> "PredictiveTable":
         _check_count("x", x, 0, setup.n)
-        density = tuple(_masses(range(setup.l + 1), x, setup, prior, {}))
+        density = tuple([*_masses(range(setup.l + 1), x, setup, prior, {})])
         return cls(setup=setup, prior=prior, x=x, density=density)
 
     def __getitem__(self, y: int) -> float:
@@ -94,6 +94,6 @@ def bayes_predictive_tables(setup: BinomialSetup, prior: PriorSpec) -> list[Pred
     built and validated before any measure that only the next one needs."""
     ys, log_num = range(setup.l + 1), {}
     return [
-        PredictiveTable(setup, prior, x, tuple(_masses(ys, x, setup, prior, log_num)))
+        PredictiveTable(setup, prior, x, tuple([*_masses(ys, x, setup, prior, log_num)]))
         for x in range(setup.n + 1)
     ]

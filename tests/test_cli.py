@@ -1,6 +1,7 @@
 """Command-line front-end: CSV contracts, determinism, exit statuses."""
 
 import csv
+import io
 import math
 import os
 import subprocess
@@ -9,7 +10,7 @@ import sys
 import pytest
 
 from binrisk.binom import BinomialSetup, PriorSpec
-from binrisk.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
+from binrisk.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, _write_csv, main
 from binrisk.dominance import threshold_scan
 from binrisk.estimators import EstimateTable
 from binrisk.risk import point_risk
@@ -19,6 +20,46 @@ def read_csv(path):
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))
     return rows[0], rows[1:]
+
+
+class TestCsvWriter:
+    # a column of floats only, one of None only, one of ints and one of
+    # floats with None: each way a column can be written
+    HEADER = ["i", "x", "none", "n", "some"]
+    FLOATS = [0.1, -0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf, 1.0, -2.5e-17]
+
+    def rows(self):
+        return [(i, v, None, 10**i, v if i % 3 else None) for i, v in enumerate(self.FLOATS)]
+
+    @staticmethod
+    def oracle(header, rows):
+        # csv.writer would write a float as its repr, so the oracle gets
+        # the cells formatted as the CLI formats them: what is compared is
+        # the joining, the quoting and the line ends
+        handle = io.StringIO()
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(
+            [f"{v:.17g}" if isinstance(v, float) else "" if v is None else v for v in row]
+            for row in rows
+        )
+        return handle.getvalue().encode()
+
+    def test_file_matches_csv_writer(self, tmp_path):
+        out = tmp_path / "w.csv"
+        _write_csv(str(out), self.HEADER, self.rows())
+        assert out.read_bytes() == self.oracle(self.HEADER, self.rows())
+
+    def test_stdout_matches_csv_writer(self, capsys):
+        _write_csv(None, self.HEADER, iter(self.rows()))
+        assert capsys.readouterr().out.encode() == self.oracle(self.HEADER, self.rows())
+
+    def test_header_only(self, tmp_path, capsys):
+        out = tmp_path / "w.csv"
+        _write_csv(str(out), ["p", "risk"], [])
+        _write_csv(None, ["p", "risk"], iter(()))
+        assert out.read_bytes() == capsys.readouterr().out.encode() == b"p,risk\n"
+        assert out.read_bytes() == self.oracle(["p", "risk"], [])
 
 
 class TestEstimate:

@@ -162,16 +162,54 @@ class TestLimitCorrespondence:
     def test_reads_one_predictive_denominator_per_scale(self, monkeypatch):
         # each y read takes its numerator; the denominator is taken once per K
         measures, ys_read = [], []
-        measure, pois = predictive.log_beta_measure, poisson.poisson_predictive
+        measure, masses = predictive.log_beta_measure, poisson._masses
         monkeypatch.setattr(
             predictive, "log_beta_measure", lambda *args: measures.append(args) or measure(*args)
         )
-        monkeypatch.setattr(
-            poisson, "poisson_predictive", lambda *args: ys_read.append(args) or pois(*args)
-        )
+
+        def counting(*args):
+            for mass in masses(*args):
+                ys_read.append(mass)
+                yield mass
+
+        monkeypatch.setattr(poisson, "_masses", counting)
         cfg = PoissonConfig(r=1.0, s=1.0, a=1.0, lambda_bar=1.0)
         limit_convergence_report([10.0, 100.0], 0.5, cfg, 2)
         assert len(measures) == 2 + len(ys_read)
+
+    def test_takes_each_poisson_mass_once_per_report(self, monkeypatch):
+        # the Poisson target does not depend on K: one denominator
+        # G(1, 1) and one numerator G(y + 1, 2) per y that some K reads
+        # (17 of them); the other 30 are the posterior mean's and the
+        # entropy risk's
+        calls, reads = [], []
+        lower_gamma, pois = poisson._log_lower_gamma, poisson.poisson_predictive
+        monkeypatch.setattr(
+            poisson, "_log_lower_gamma", lambda *args: calls.append(args) or lower_gamma(*args)
+        )
+        monkeypatch.setattr(
+            poisson, "poisson_predictive", lambda *args: reads.append(args) or pois(*args)
+        )
+        cfg = PoissonConfig(r=1.0, s=1.0, a=1.0, lambda_bar=1.0)
+        limit_convergence_report([10.0, 100.0, 1000.0], 0.5, cfg, 0)
+        assert len(calls) == 48
+        assert [c for c in calls if c[1] == 2.0] == [(y + 1.0, 2.0) for y in range(17)]
+        assert reads == []
+
+    def test_shared_masses_equal_the_public_predictive(self, monkeypatch):
+        masses = []
+        mass = poisson._predictive_mass
+        monkeypatch.setattr(
+            poisson,
+            "_predictive_mass",
+            lambda *args: masses.append((args[0], mass(*args))) or masses[-1][1],
+        )
+        cfg = PoissonConfig(r=2.0, s=0.5, a=1.5, lambda_bar=1.5)
+        limit_convergence_report([10.0, 100.0], 0.5, cfg, 2)
+        monkeypatch.undo()
+        assert len(masses) > 5
+        assert [y for y, _ in masses] == list(range(len(masses)))
+        assert all(m == poisson_predictive(y, 2, cfg) for y, m in masses)
 
     def test_rejects_unsorted_grid(self):
         cfg = PoissonConfig(r=1.0, a=1.0)
