@@ -49,7 +49,7 @@ COMMANDS = (
     "dominance --n 3 --p-lo 0.2 --p-bar 0.6 --grid 64",
     "risk-curve --n 30 --a 0.5 --b 3 --p-bar 0.45",
     "risk-curve --n 4 --a 2 --p-lo 0.1 --p-bar 0.5 --grid 64",
-    "estimate --n 50 --p-bar 0.2 --p 0.1 --mc-samples 100",
+    "estimate --n 50 --p-bar 0.2 --p 0.1",
     "predictive --n 6 --l 4 --x 2 --p-lo 0.1 --p-bar 0.4",
     "poisson-limit --lambda-bar 1 --k-grid 10 100 1000",
     "threshold --a 2",
@@ -65,9 +65,9 @@ COMMANDS = (
     "estimate --n 5000 --p-bar 0.2 --p 0.01",
     "risk-curve --n 900 --a 0.5 --b 3 --p-bar 0.5 --grid 64",
     "risk-curve --n 300 --p-lo 0.1 --p-bar 0.3 --grid 64",
-    "estimate --n 3000 --a 0.5 --b 3 --p-bar 0.5 --p 0.3 --mc-samples 100",
-    "estimate --n 100000 --a 0.5 --b 3 --p-bar 0.5 --p 0.3 --mc-samples 100 --out F",
-    "estimate --n 20000 --p-bar 0.05 --p 0.001 --mc-samples 100 --out F",
+    "estimate --n 3000 --a 0.5 --b 3 --p-bar 0.5 --p 0.3",
+    "estimate --n 100000 --a 0.5 --b 3 --p-bar 0.5 --p 0.3 --out F",
+    "estimate --n 20000 --p-bar 0.05 --p 0.001 --out F",
     "threshold --a 2000",
     "threshold --a 10000000",
     "estimate --n 1 --a 200 --b 200 --p-lo 0.0001 --p-bar 0.9999",
@@ -81,7 +81,7 @@ COMMANDS = (
     "predictive --n 8 --l 5 --x 0 --a 0.5 --b 2",
     "predictive --n 60 --l 4 --x 0 --p-lo 0.4 --p-bar 0.6",
     "poisson-limit --r 2 --s 0.5 --x-tilde 2 --k-grid 10 100 1000 --out F",
-    "estimate --n 50 --p-bar 0.2 --p 0.1 --mc-samples 100 --seed 7",
+    "estimate --n 50 --p-bar 0.2 --p 0.1 --out F",
 )
 
 _TOKEN = re.compile(r"[^\s,()\[\]:=;]+")

@@ -23,7 +23,7 @@ from .dominance import DominanceReport, exhaustive_dominance_check, threshold_sc
 from .estimators import EstimateTable
 from .poisson import PoissonConfig, limit_convergence_report
 from .predictive import PredictiveTable
-from .risk import mc_risk, point_risk
+from .risk import point_risk
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -67,17 +67,11 @@ def _prior_from_args(args: argparse.Namespace) -> PriorSpec:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    if args.mc_samples and args.p is None:
-        raise ValueError("--mc-samples requires --p")
     prior = _prior_from_args(args)
     table = EstimateTable.build(BinomialSetup(n=args.n), prior)
     rows = [(x, table[x]) for x in range(args.n + 1)]
     if args.p is not None:
-        mc = ""
-        if args.mc_samples:
-            est, se = mc_risk(table, args.p, args.mc_samples, args.seed)
-            mc = f"; mc ({args.mc_samples} draws, seed {args.seed}): {_fmt(est)} +/- {_fmt(se)}"
-        print(f"# exact risk at p={_fmt(args.p)}: {_fmt(point_risk(table, args.p))}{mc}")
+        print(f"# exact risk at p={_fmt(args.p)}: {_fmt(point_risk(table, args.p))}")
     _write_csv(args.out, ["x", "estimate"], rows)
     return EXIT_OK
 
@@ -177,8 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_est = sub.add_parser("estimate", help="posterior-mean table over x")
     add_common(p_est)
     p_est.add_argument("--p", type=float, default=None, help="risk evaluation point")
-    p_est.add_argument("--mc-samples", type=int, default=0)
-    p_est.add_argument("--seed", type=int, default=0)
     p_est.set_defaults(func=_cmd_estimate)
 
     p_pred = sub.add_parser("predictive", help="Bayesian predictive density")
@@ -233,7 +225,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the help or the usage error
+        return EXIT_VALIDATION if exc.code else EXIT_OK
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

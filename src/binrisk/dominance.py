@@ -199,6 +199,8 @@ def thm33_necessary(n: int, a: float, b: float, p_bar: float) -> bool:
     """Necessary for domination in the upper case: p_bar < (n+a)/(n+a+b)."""
     _check_count("n", n)
     _check_shape(a=a, b=b)
+    if not 0.0 < p_bar < 1.0:
+        raise ValueError(f"p_bar must be in (0, 1), got {p_bar}")
     return p_bar < (n + a) / (n + a + b)
 
 
@@ -206,6 +208,8 @@ def thm34_necessary(n: int, a: float, p_bar: float) -> bool:
     """Necessary condition for domination in the upper case with b = 1."""
     _check_count("n", n)
     _check_shape(a=a)
+    if not 0.0 < p_bar < 1.0:
+        raise ValueError(f"p_bar must be in (0, 1), got {p_bar}")
     lhs = p_bar * math.log1p((1.0 - p_bar) * (a + 1.0) / (p_bar * (n + a + 1.0)))
     rhs = (1.0 - p_bar) * math.log(
         (n + a + 1.0) * (1.0 - p_bar ** (n + 1)) / ((n + 1.0) * (1.0 - p_bar))

@@ -1,9 +1,8 @@
 """Exact risk evaluation under entropy loss and KL.
 
 The sample space is finite, so every risk here is an exact sum over
-outcomes; a seeded Monte Carlo estimator is kept only as an independent
-cross-check. Sums go through math.fsum, which rounds correctly, so that
-1e-9 comparisons downstream are meaningful.
+outcomes; nothing is sampled. Sums go through math.fsum, which rounds
+correctly, so that 1e-9 comparisons downstream are meaningful.
 
 predictive_kl_risk sums over the exact pmf window of (n, p) only: outside
 it every pmf term is exactly 0.0 and every loss finite, so each dropped
@@ -144,32 +143,3 @@ def _connection_tables(n: int, l: int, prior: PriorSpec) -> tuple[EstimateTable,
     small, as in estimators: a predictive sweep of 25 p per configuration
     took 13% longer when each p built its setups and read the table cache."""
     return tuple(EstimateTable.build(BinomialSetup(n=m), prior) for m in range(n, n + l))
-
-
-def mc_risk(
-    estimates: EstimateTable, p: float, sample_count: int, seed: int
-) -> tuple[float, float]:
-    """Monte Carlo estimate of point_risk with its standard error.
-
-    Deterministic given the seed; sample_count = 1 reports an infinite
-    standard error. Its losses are the terms of point_risk at unit weight.
-    """
-    _check_count("sample_count", sample_count)
-    _check_p(p)
-    _check_count("seed", seed, 0)
-    import numpy as np  # only the sampler needs it; the exact sums do not
-
-    n = estimates.setup.n
-    losses = np.array(_losses([1.0] * (n + 1), *estimates._logs[:2], p))  # w * 1.0 is w
-    rng = np.random.default_rng(seed)
-    draws = rng.binomial(n, p, size=sample_count)
-    counts = np.bincount(draws, minlength=n + 1)
-    estimate = float(counts @ losses) / sample_count
-    if sample_count == 1:
-        return estimate, math.inf
-    second_moment = float(counts @ losses**2) / sample_count
-    variance = max(second_moment - estimate**2, 0.0) * sample_count / (
-        sample_count - 1
-    )
-    return estimate, math.sqrt(variance / sample_count)
-

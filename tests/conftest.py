@@ -11,7 +11,8 @@ and two-sided log I, which the kernel tests and the acceptance criteria
 check against quadrature, closed forms and the contiguous relations.
 window_row and unit_losses are not oracles either: they read the
 library's pmf window, padded to x = 0..n, and its loss row at unit
-weight, for tests that need either whole. The full-row sums
+weight, for tests that need either whole. mc_risk, a seeded sampler over
+that loss row, is an oracle of point_risk's sum over x. The full-row sums
 evaluate every risk sum over all x = 0..n, zero pmf terms included, as
 references the windowed library sums must equal bit for bit;
 full_row_kl_risk does the same for the predictive KL risk over every
@@ -24,6 +25,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping, Sequence
 
+import numpy as np
 from scipy.integrate import quad
 
 from binrisk.binom import BinomialSetup, PriorSpec, _log_binom_coeffs, _losses, pmf_windows
@@ -153,6 +155,30 @@ def full_row_risk(estimates: EstimateTable, p: float) -> float:
     pmf = full_pmf_row(estimates.setup.n, p)
     losses = unit_losses(estimates.values, p)
     return math.fsum(w * v for w, v in zip(pmf, losses, strict=True))
+
+
+def mc_risk(
+    estimates: EstimateTable, p: float, sample_count: int, seed: int
+) -> tuple[float, float]:
+    """Monte Carlo estimate of point_risk with its standard error.
+
+    Deterministic given the seed; sample_count = 1 reports an infinite
+    standard error. Its losses are the terms of point_risk at unit weight,
+    so it checks the sum over x, not the losses.
+    """
+    n = estimates.setup.n
+    losses = np.array(_losses([1.0] * (n + 1), *estimates._logs[:2], p))  # w * 1.0 is w
+    rng = np.random.default_rng(seed)
+    draws = rng.binomial(n, p, size=sample_count)
+    counts = np.bincount(draws, minlength=n + 1)
+    estimate = float(counts @ losses) / sample_count
+    if sample_count == 1:
+        return estimate, math.inf
+    second_moment = float(counts @ losses**2) / sample_count
+    variance = max(second_moment - estimate**2, 0.0) * sample_count / (
+        sample_count - 1
+    )
+    return estimate, math.sqrt(variance / sample_count)
 
 
 def full_row_kl_risk(

@@ -30,7 +30,6 @@ from binrisk.predictive import plug_in_density
 from binrisk.risk import (
     bayes_predictive_tables,
     connection_sum,
-    mc_risk,
     point_risk,
     predictive_kl_risk,
 )
@@ -39,6 +38,7 @@ from binrisk.cli import main as cli_main
 from conftest import (
     eval_I,
     eval_I_two_sided,
+    mc_risk,
     quad_beta_measure,
     quad_posterior_mean,
     verify_log_jensen_bound,

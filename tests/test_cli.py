@@ -84,17 +84,6 @@ class TestEstimate:
         assert main(args + ["--out", str(out2)]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_mc_summary_line(self, tmp_path, capsys):
-        out = tmp_path / "est.csv"
-        code = main(
-            ["estimate", "--n", "2", "--p", "0.3", "--mc-samples", "1000",
-             "--seed", "9", "--out", str(out)]
-        )
-        assert code == EXIT_OK
-        captured = capsys.readouterr().out
-        assert "exact risk" in captured and "seed 9" in captured
-
-
     def test_p_alone_prints_the_exact_risk(self, capsys):
         # --p used to be read only together with --mc-samples
         assert main(["estimate", "--n", "3", "--p-bar", "0.2", "--p", "0.1"]) == EXIT_OK
@@ -303,9 +292,34 @@ class TestExitStatuses:
         err = capsys.readouterr().err
         assert f"error: {name} must be finite and positive, got {value}" in err
 
-    def test_mc_samples_without_p_is_a_validation_error(self, capsys):
-        assert main(["estimate", "--n", "3", "--mc-samples", "10"]) == EXIT_VALIDATION
-        assert "error: --mc-samples requires --p" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["estimate", "--n", "abc"], "argument --n: invalid int value: 'abc'"),
+            (["estimate", "--n", "3", "--bogus"], "unrecognized arguments: --bogus"),
+            # the Monte Carlo flags were removed with the sampler
+            (
+                ["estimate", "--n", "3", "--p", "0.1", "--mc-samples", "10", "--seed", "1"],
+                "unrecognized arguments: --mc-samples 10 --seed 1",
+            ),
+        ],
+        ids=["bad-int", "unknown-flag", "removed-mc-flags"],
+    )
+    def test_usage_error_is_a_validation_error(self, argv, message, capsys):
+        # argparse exits 2 on a usage error, which would read as a
+        # numerical failure
+        assert main(argv) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: binrisk")
+        assert f"error: {message}\n" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv", [["--help"], ["estimate", "--help"]], ids=["top", "estimate"]
+    )
+    def test_help_exits_ok(self, argv, capsys):
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: binrisk")
 
     @pytest.mark.parametrize("p", ["1.5", "0", "nan"])
     def test_p_outside_the_open_interval_is_a_validation_error(self, p, capsys):

@@ -64,6 +64,15 @@ class TestNecessaryConditions:
         # both sides shrink to zero approaching the boundary
         assert isinstance(thm34_necessary(2, 1.0, 0.999), bool)
 
+    @pytest.mark.parametrize("p_bar", [-0.2, 0.0, 1.0, 1.5, math.nan])
+    def test_p_bar_outside_the_unit_interval_is_rejected(self, p_bar):
+        # both used to return a flag or raise ZeroDivisionError, which
+        # reads as a numerical failure
+        with pytest.raises(ValueError, match="p_bar must be in \\(0, 1\\)"):
+            thm33_necessary(5, 1.0, 1.0, p_bar)
+        with pytest.raises(ValueError, match="p_bar must be in \\(0, 1\\)"):
+            thm34_necessary(5, 1.0, p_bar)
+
 
 class TestSufficientConditions:
     def test_tiny_upper_bound_satisfies_general(self):

@@ -2,11 +2,15 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).parents[1] / "src" / "binrisk").glob("*.py"))
+import pytest
+
+ROOT = Path(__file__).parents[1]
+SOURCES = sorted((ROOT / "src" / "binrisk").glob("*.py"))
 
 
 def test_sources_found():
@@ -104,6 +108,15 @@ def test_p_is_checked_in_one_place():
     assert _check_calls("binom.py", {"_losses"}) == []
 
 
+def _imported(node: ast.AST) -> list[str]:
+    """The top-level package of each absolute import in node, if it is one."""
+    if isinstance(node, ast.Import):
+        return [alias.name.split(".")[0] for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [(node.module or "").split(".")[0]]
+    return []
+
+
 def _imports(module: str) -> set[tuple[str, str]]:
     """(file, top-level statement) of every import of module or its
     submodules anywhere in the library, function bodies included."""
@@ -111,15 +124,8 @@ def _imports(module: str) -> set[tuple[str, str]]:
     for path in SOURCES:
         for stmt in ast.parse(path.read_text(), filename=str(path)).body:
             owner = getattr(stmt, "name", f"line {stmt.lineno}")
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Import):
-                    names = [alias.name for alias in node.names]
-                elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                    names = [node.module or ""]
-                else:
-                    continue
-                if any(name.split(".")[0] == module for name in names):
-                    found.add((path.name, owner))
+            if any(module in _imported(node) for node in ast.walk(stmt)):
+                found.add((path.name, owner))
     return found
 
 
@@ -129,14 +135,38 @@ def test_no_module_imports_scipy():
     assert _imports("scipy") == set()
 
 
-def test_numpy_is_imported_only_by_the_sampler():
-    assert _imports("numpy") == {("risk.py", "mc_risk")}
+def test_no_module_imports_numpy():
+    # every number is an exact finite sum; the Monte Carlo sampler that
+    # needed numpy is a test oracle in tests/conftest.py
+    assert _imports("numpy") == set()
+
+
+def test_runtime_needs_only_the_standard_library():
+    # the library installs no third-party package, and the test extra
+    # names every one the tests and scripts import
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == []
+    extra = {
+        re.match(r"[\w.-]+", requirement).group().lower().replace("-", "_")
+        for requirement in project["optional-dependencies"]["test"]
+    }
+    local = {"binrisk", "conftest", "write_outputs", "make_figure_data", "bench_compare"}
+    allowed = set(sys.stdlib_module_names) | local | extra
+    outside = {
+        (path.name, name)
+        for path in [*(ROOT / "tests").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for name in _imported(node)
+        if name not in allowed
+    }
+    assert outside == set()
 
 
 def test_cli_import_loads_neither_scipy_nor_numpy():
     # start-up is most of a short CLI run; a fresh interpreter shows what
     # importing the CLI pulls in
-    src = Path(__file__).parents[1] / "src"
+    src = ROOT / "src"
     code = (
         "import sys, binrisk.cli; "
         "print(sorted({'scipy', 'numpy'} & {m.split('.')[0] for m in sys.modules}))"
