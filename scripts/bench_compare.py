@@ -5,8 +5,8 @@
 
 BENCH_FILE holds a list of "runs", each one run of perfbench/run.py with its
 "side" ("parent" or "change"), "workload", "seed", "pair" (runs with the
-same workload, seed and pair form one pair), the end-to-end "metrics" and
-the output digests. For each workload and seed, and each end-to-end
+same workload, seed and pair form one pair), the end-to-end "metrics",
+the uncorrected figures of some of them ("raw") and the output digests. For each workload and seed, and each end-to-end
 metric of BENCHMARK.json, this prints each side's median and quartiles, the
 change over the parent at the median, and the pairs in which the change is
 better (ties count for neither side), and a verdict against the metric's
@@ -19,8 +19,11 @@ bound, with s = +1 when higher is better and -1 otherwise:
               of the change is better than every run of the parent;
   ok          otherwise.
 
-The digests are listed as equal when every run of both sides wrote the
-same ones.
+Under these rows come the same figures and verdicts for the raw metrics
+that every run of the workload stores: perfbench divides job and import
+times by the machine speed it measures, and the raw figures show what
+that correction did. The digests
+are listed as equal when every run of both sides wrote the same ones.
 """
 
 from __future__ import annotations
@@ -42,11 +45,12 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def _wins(runs: list[dict], metric: str, higher: bool) -> tuple[int, int]:
-    """(pairs the change wins, pairs with both sides) for one metric."""
+def _wins(runs: list[dict], source: str, metric: str, higher: bool) -> tuple[int, int]:
+    """(pairs the change wins, pairs with both sides) for one metric of
+    each run's source, "metrics" or "raw"."""
     pairs = defaultdict(dict)
     for run in runs:
-        pairs[run["seed"], run["pair"]][run["side"]] = run["metrics"][metric]
+        pairs[run["seed"], run["pair"]][run["side"]] = run[source][metric]
     both = [p for p in pairs.values() if len(p) == 2]
     won = sum((p["change"] > p["parent"]) if higher else (p["change"] < p["parent"]) for p in both)
     return won, len(both)
@@ -68,6 +72,24 @@ def _verdict(parent: list[float], change: list[float], won: int, paired: int, sp
     return "ok"
 
 
+def _row(runs: list[dict], spec: dict, source: str) -> str:
+    """The line of one metric of each run's source, "metrics" or "raw"."""
+    name = spec["name"]
+    values, cells = [], []
+    for side in SIDES:
+        values.append([r[source][name] for r in runs if r["side"] == side])
+        q1, median, q3 = _quartiles(values[-1])
+        cells.append((median, f"{median:.4g} [{q1:.4g}, {q3:.4g}]"))
+    (parent, parent_text), (change, change_text) = cells
+    delta = f"{change / parent - 1.0:+.1%}" if parent else "n/a"
+    won, paired = _wins(runs, source, name, spec["better"] == "higher")
+    verdict = _verdict(*values, won, paired, spec)
+    return (
+        f"  {name:<12} {parent_text:>30} {change_text:>30} {delta:>8} {won:>3}/{paired}"
+        f"  {verdict}"
+    )
+
+
 def report(bench: dict, metrics: list[dict]) -> list[str]:
     by_workload = defaultdict(list)
     for run in bench["runs"]:
@@ -79,21 +101,11 @@ def report(bench: dict, metrics: list[dict]) -> list[str]:
             f"  {'metric':<12} {'parent median [q1, q3]':>30} {'change median [q1, q3]':>30}"
             f" {'change':>8} {'won':>6}  verdict"
         )
-        for spec in metrics:
-            name, higher = spec["name"], spec["better"] == "higher"
-            values, cells = [], []
-            for side in SIDES:
-                values.append([r["metrics"][name] for r in runs if r["side"] == side])
-                q1, median, q3 = _quartiles(values[-1])
-                cells.append((median, f"{median:.4g} [{q1:.4g}, {q3:.4g}]"))
-            (parent, parent_text), (change, change_text) = cells
-            delta = f"{change / parent - 1.0:+.1%}" if parent else "n/a"
-            won, paired = _wins(runs, name, higher)
-            verdict = _verdict(*values, won, paired, spec)
-            lines.append(
-                f"  {name:<12} {parent_text:>30} {change_text:>30} {delta:>8} {won:>3}/{paired}"
-                f"  {verdict}"
-            )
+        lines += [_row(runs, spec, "metrics") for spec in metrics]
+        raw = [spec for spec in metrics if all(spec["name"] in run["raw"] for run in runs)]
+        if raw:
+            lines.append("  raw, not corrected for machine speed:")
+            lines += [_row(runs, spec, "raw") for spec in raw]
         for digest in ("values_sha256", "csv_sha256"):
             equal = len({run[digest] for run in runs}) == 1
             lines.append(f"  {digest}: {'equal on every run' if equal else 'DIFFER'}")

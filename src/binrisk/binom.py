@@ -10,20 +10,25 @@ each pmf weight times its entropy loss, in one pass. Both take n >= 1 and
 p in (0, 1) as checked: every entry point that takes p checks it once,
 with risk._check_p.
 
-Also holds the two descriptor dataclasses shared across the package:
-the trial-count setup and the (possibly truncated) beta prior, and the
-count and shape checks that guard every entry point taking raw values.
+Also holds the two descriptors shared across the package, the
+trial-count setup and the (possibly truncated) beta prior; the bases of
+the records and the tables; and the count and shape checks that guard
+every entry point taking raw values.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count
 
 from .special import _log_beta_with, _stirling_error
+
+
+# n = 1e6 takes about 8 s and 470 MB in one estimate table and its risk
+MAX_TRIALS = 10**6
 
 
 def _check_count(name: str, value: int, lo: int = 1, hi: int | None = None) -> None:
@@ -35,6 +40,13 @@ def _check_count(name: str, value: int, lo: int = 1, hi: int | None = None) -> N
         raise ValueError(f"{name} must be an integer {span}, got {value}")
 
 
+def _check_trials(name: str, value: int) -> None:
+    """A trial count n or l, in [1, MAX_TRIALS]: a row of its length is built."""
+    _check_count(name, value)
+    if value > MAX_TRIALS:
+        _check_count(name, value, hi=MAX_TRIALS)
+
+
 def _check_shape(**shape: float) -> None:
     """Beta exponents and Poisson parameters must lie in (0, inf); NaN fails too."""
     for name, value in shape.items():
@@ -42,20 +54,56 @@ def _check_shape(**shape: float) -> None:
             raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
-@dataclass(frozen=True)
-class BinomialSetup:
+def _record(name: str, fields: str) -> type:
+    """The named-tuple base of a record: ==, hash and repr over its fields,
+    which cannot be assigned. Its _make, and so _replace, and its pickling
+    and copying build through the record's own __new__, which validates."""
+    base = namedtuple(name, fields)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    base.__reduce__ = lambda self: (type(self), tuple(self))
+    return base
+
+
+class _Table:
+    """The base of the two tables: ==, hash and repr over _fields, which
+    __init__ sets after validating them and which cannot be assigned after;
+    pickling and copying build through __init__. Not a tuple: a table
+    iterates over its entries, through __getitem__, and has no len."""
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._key()
+
+
+class BinomialSetup(_record("BinomialSetup", "n l")):
     """Current and future trial counts."""
 
-    n: int
-    l: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_count("n", self.n)
-        _check_count("l", self.l)
+    def __new__(cls, n: int, l: int = 1) -> BinomialSetup:
+        _check_trials("n", n)
+        _check_trials("l", l)
+        return super().__new__(cls, n, l)
 
 
-@dataclass(frozen=True)
-class PriorSpec:
+class PriorSpec(_record("PriorSpec", "a b p_bar p_lo")):
     """Beta prior p^(a-1) (1-p)^(b-1), optionally truncated.
 
     restriction modes:
@@ -64,21 +112,19 @@ class PriorSpec:
       - both set                    : interval truncation, support [p_lo, p_bar]
     """
 
-    a: float
-    b: float
-    p_bar: float | None = None
-    p_lo: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_shape(a=self.a, b=self.b)
-        if self.p_lo is not None and self.p_bar is None:
+    def __new__(
+        cls, a: float, b: float, p_bar: float | None = None, p_lo: float | None = None
+    ) -> PriorSpec:
+        _check_shape(a=a, b=b)
+        if p_lo is not None and p_bar is None:
             raise ValueError("a lower bound requires an upper bound")
-        if self.p_bar is not None and not 0.0 < self.p_bar < 1.0:
-            raise ValueError(f"p_bar must be in (0, 1), got {self.p_bar}")
-        if self.p_lo is not None and not 0.0 < self.p_lo < self.p_bar:
-            raise ValueError(
-                f"need 0 < p_lo < p_bar, got p_lo={self.p_lo}, p_bar={self.p_bar}"
-            )
+        if p_bar is not None and not 0.0 < p_bar < 1.0:
+            raise ValueError(f"p_bar must be in (0, 1), got {p_bar}")
+        if p_lo is not None and not 0.0 < p_lo < p_bar:
+            raise ValueError(f"need 0 < p_lo < p_bar, got p_lo={p_lo}, p_bar={p_bar}")
+        return super().__new__(cls, a, b, p_bar, p_lo)
 
     @property
     def restriction(self) -> str:

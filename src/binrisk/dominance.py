@@ -15,15 +15,16 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 
 from .binom import (
     BinomialSetup,
     PriorSpec,
     _check_count,
     _check_shape,
+    _check_trials,
     _expectation,
     _log_binom_coeffs,
+    _record,
     pmf_windows,
 )
 from .estimators import EstimateTable, _correction
@@ -141,7 +142,7 @@ def thm32_bound(p: float, n: int, a: float, b: float, p_bar: float) -> float:
     """Upper bound on the standardized risk difference (truncated minus
     untruncated) in the upper-restriction case."""
     _check_shape(a=a, b=b)
-    _check_count("n", n)
+    _check_trials("n", n)
     _, bound = next(_upper_curves(n, a, b, p_bar, [p]))
     if bound is None:
         raise BoundUndefinedError(f"bound undefined at p={p}: log argument <= 0")
@@ -167,7 +168,7 @@ def standardized_risk_difference(
 ) -> float:
     """Exact risk difference divided by J(p) E_p[1/I(X+a, n+a+b+1, p_bar)]."""
     _check_shape(a=a, b=b)
-    _check_count("n", n)
+    _check_trials("n", n)
     scale, _ = next(_upper_curves(n, a, b, p_bar, [p]))
     return risk_difference(p, n, a, b, p_bar) / scale
 
@@ -353,26 +354,13 @@ def dominance_threshold_n1(a: float) -> float:
     return threshold_scan(a)[2]
 
 
-@dataclass(frozen=True)
-class DominanceReport:
-    """Verdict and supporting diagnostics for one prior configuration."""
+class DominanceReport(_record("DominanceReport", """n a b restriction p_lo p_bar p_grid
+        risk_unrestricted risk_truncated risk_difference thm32_bound_curve
+        standardized_diff_curve condition_flags grid_verdict worst_p worst_difference""")):
+    """Verdict and supporting diagnostics for one prior configuration; the
+    two bound curves are None unless the restriction is an upper bound."""
 
-    n: int
-    a: float
-    b: float
-    restriction: str
-    p_lo: float | None
-    p_bar: float
-    p_grid: tuple[float, ...]
-    risk_unrestricted: tuple[float, ...]
-    risk_truncated: tuple[float, ...]
-    risk_difference: tuple[float, ...]
-    thm32_bound_curve: tuple[float | None, ...] | None
-    standardized_diff_curve: tuple[float, ...] | None
-    condition_flags: dict[str, bool | None] = field(default_factory=dict)
-    grid_verdict: str = "inconclusive"
-    worst_p: float = math.nan
-    worst_difference: float = math.nan
+    __slots__ = ()
 
 
 def exhaustive_dominance_check(

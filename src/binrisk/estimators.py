@@ -14,10 +14,9 @@ module alone decides how long a table, and so its rows, is kept.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .binom import BinomialSetup, PriorSpec, _check_count
+from .binom import BinomialSetup, PriorSpec, _check_count, _Table
 from .incbeta import bracket_term, inverse_I_row, log_eval_I
 
 
@@ -28,16 +27,24 @@ def posterior_mean(x: int, prior: PriorSpec, n: int) -> float:
     return EstimateTable.build(setup, prior)[x]
 
 
-@dataclass(frozen=True)
-class EstimateTable:
+class EstimateTable(_Table):
     """Estimates for every observable count x = 0..n under one prior."""
 
-    setup: BinomialSetup
-    prior: PriorSpec
-    values: tuple[float, ...]
+    _fields = ("setup", "prior", "values")
+
+    def __init__(self, setup: BinomialSetup, prior: PriorSpec, values: tuple[float, ...]) -> None:
+        if len(values) != setup.n + 1:
+            raise ValueError("need one estimate per x = 0..n")
+        lo, hi = prior.support
+        for v in values:
+            if not 0.0 < v < 1.0:
+                raise ValueError(f"estimate {v} outside (0, 1)")
+            if not lo <= v <= hi:
+                raise ValueError(f"estimate {v} outside the restriction [{lo}, {hi}]")
+        self.__dict__.update(setup=setup, prior=prior, values=values)
 
     @classmethod
-    def build(cls, setup: BinomialSetup, prior: PriorSpec) -> "EstimateTable":
+    def build(cls, setup: BinomialSetup, prior: PriorSpec) -> EstimateTable:
         cache = _build_table if setup.n + 1 <= _SMALL_TABLE else _build_large_table
         return cache(setup, prior)
 
@@ -56,16 +63,6 @@ class EstimateTable:
         log_ds = [math.log(d) for d in self.values]
         log_es = [math.log1p(-d) for d in self.values]
         return log_ds, log_es, max(-min(log_ds), -min(log_es))
-
-    def __post_init__(self) -> None:
-        if len(self.values) != self.setup.n + 1:
-            raise ValueError("need one estimate per x = 0..n")
-        lo, hi = self.prior.support
-        for v in self.values:
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"estimate {v} outside (0, 1)")
-            if not lo <= v <= hi:
-                raise ValueError(f"estimate {v} outside the restriction [{lo}, {hi}]")
 
 
 def _correction(x: int, s: float, prior: PriorSpec) -> float:

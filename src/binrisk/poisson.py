@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
-from .binom import BinomialSetup, PriorSpec, _check_count, _check_shape
+from .binom import BinomialSetup, PriorSpec, _check_count, _check_shape, _record
 from .estimators import EstimateTable
 from .predictive import _masses
 from .risk import _risk_sum
@@ -25,19 +24,18 @@ _GAMMA_MAX_ITER = 100000
 _FPMIN = 1e-300
 
 
-@dataclass(frozen=True)
-class PoissonConfig:
+class PoissonConfig(_record("PoissonConfig", "r s a lambda_bar")):
     """Exposures, prior exponent, and optional truncation of the rate."""
 
-    r: float
-    s: float = 1.0
-    a: float = 1.0
-    lambda_bar: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_shape(r=self.r, s=self.s, a=self.a)
-        if self.lambda_bar is not None:
-            _check_shape(lambda_bar=self.lambda_bar)
+    def __new__(
+        cls, r: float, s: float = 1.0, a: float = 1.0, lambda_bar: float | None = None
+    ) -> PoissonConfig:
+        _check_shape(r=r, s=s, a=a)
+        if lambda_bar is not None:
+            _check_shape(lambda_bar=lambda_bar)
+        return super().__new__(cls, r, s, a, lambda_bar)
 
 
 def _log_lower_gamma(alpha: float, z: float) -> float:
@@ -152,14 +150,12 @@ def poisson_entropy_risk(config: PoissonConfig, lam: float) -> float:
     return math.fsum(terms)
 
 
-@dataclass(frozen=True)
-class PoissonLimitReport:
+class PoissonLimitReport(
+    _record("PoissonLimitReport", "K_grid estimator_errors predictive_errors risk_errors")
+):
     """Convergence errors of scaled binomial quantities over a K grid."""
 
-    K_grid: tuple[float, ...]
-    estimator_errors: tuple[float, ...]
-    predictive_errors: tuple[float, ...]
-    risk_errors: tuple[float, ...]
+    __slots__ = ()
 
     def monotone_decay(self) -> bool:
         """Every error sequence strictly decreasing over the K grid."""

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 
-from .binom import BinomialSetup, PriorSpec, _check_count, _log_binom_coeffs, pmf_windows
+from .binom import BinomialSetup, PriorSpec, _check_count, _check_trials, _log_binom_coeffs
+from .binom import _Table, pmf_windows
 from .incbeta import log_beta_measure
 
 
@@ -53,40 +53,35 @@ def plug_in_density(y: int, l: int, d: float) -> float:
     """Bin(y | l, d) at a point estimate d of p."""
     if not 0.0 < d < 1.0:
         raise ValueError(f"plug-in estimate d must be in (0, 1), got {d}")
-    _check_count("l", l)
+    _check_trials("l", l)
     _check_count("y", y, 0, l)
     start, terms = pmf_windows(l, d).exact()
     return terms[y - start] if 0 <= y - start < len(terms) else 0.0
 
 
-@dataclass(frozen=True)
-class PredictiveTable:
+class PredictiveTable(_Table):
     """Predictive mass over y = 0..l for one observed count x."""
 
-    setup: BinomialSetup
-    prior: PriorSpec
-    x: int
-    density: tuple[float, ...]
+    _fields = ("setup", "prior", "x", "density")
+
+    def __init__(self, setup: BinomialSetup, prior: PriorSpec, x: int, density: tuple) -> None:
+        if len(density) != setup.l + 1:
+            raise ValueError("need one mass per y = 0..l")
+        # written so that a NaN mass or sum fails them
+        if not all(v > 0.0 for v in density):
+            raise ValueError("predictive masses must be strictly positive")
+        if not abs(math.fsum(density) - 1.0) <= 1e-12:
+            raise ValueError(f"predictive density sums to {math.fsum(density)!r}, not 1")
+        self.__dict__.update(setup=setup, prior=prior, x=x, density=density)
 
     @classmethod
-    def build(cls, setup: BinomialSetup, prior: PriorSpec, x: int) -> "PredictiveTable":
+    def build(cls, setup: BinomialSetup, prior: PriorSpec, x: int) -> PredictiveTable:
         _check_count("x", x, 0, setup.n)
         density = tuple([*_masses(range(setup.l + 1), x, setup, prior, {})])
         return cls(setup=setup, prior=prior, x=x, density=density)
 
     def __getitem__(self, y: int) -> float:
         return self.density[y]
-
-    def __post_init__(self) -> None:
-        if len(self.density) != self.setup.l + 1:
-            raise ValueError("need one mass per y = 0..l")
-        # written so that a NaN mass or sum fails them
-        if not all(v > 0.0 for v in self.density):
-            raise ValueError("predictive masses must be strictly positive")
-        if not abs(math.fsum(self.density) - 1.0) <= 1e-12:
-            raise ValueError(
-                f"predictive density sums to {math.fsum(self.density)!r}, not 1"
-            )
 
 
 def bayes_predictive_tables(setup: BinomialSetup, prior: PriorSpec) -> list[PredictiveTable]:

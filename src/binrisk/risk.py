@@ -27,7 +27,7 @@ import math
 from collections.abc import Sequence
 from functools import lru_cache
 
-from .binom import BinomialSetup, PriorSpec, _check_count, _losses, pmf_windows
+from .binom import BinomialSetup, PriorSpec, _check_trials, _losses, pmf_windows
 from .estimators import _SMALL_TABLE, EstimateTable
 from .predictive import bayes_predictive_tables  # noqa: F401  (re-exported)
 
@@ -130,8 +130,8 @@ def connection_sum(p: float, n: int, l: int, prior: PriorSpec) -> float:
     Equals the exact KL risk of the l-step Bayesian predictive density
     under the same prior.
     """
-    _check_count("n", n)
-    _check_count("l", l)  # l < 1 would sum nothing
+    _check_trials("n", n)
+    _check_trials("l", l)  # l < 1 would sum nothing
     _check_p(p)
     resolve = _connection_tables if n + l <= _SMALL_TABLE else _connection_tables.__wrapped__
     return math.fsum(_risk_sum(table, p) for table in resolve(n, l, prior))

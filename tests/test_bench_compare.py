@@ -23,6 +23,9 @@ def _run(side: str, pair: int) -> dict:
             "noisy": 1.0 + 0.1 * ((pair + change) % 3),
             "flat": 1.0,
         },
+        # uncorrected figures of the first two metrics only, as perfbench
+        # stores them for its timings alone
+        "raw": {"slower": 1.0, "faster": 90.0 + pair if change else 110.0 + pair},
         "values_sha256": "v",
         "csv_sha256": "c",
     }
@@ -33,4 +36,8 @@ def test_each_metric_gets_its_verdict():
     lines = report(bench, METRICS)
     verdicts = {line.split()[0]: line.split()[-1] for line in lines[2:6]}
     assert verdicts == {"slower": "WORSE", "faster": "gain", "noisy": "unresolved", "flat": "ok"}
-    assert lines[6:] == ["  values_sha256: equal on every run", "  csv_sha256: equal on every run"]
+    assert lines[6] == "  raw, not corrected for machine speed:"
+    raw = {line.split()[0]: line.split()[-1] for line in lines[7:9]}
+    assert raw == {"slower": "ok", "faster": "WORSE"}
+    assert lines[9:] == ["  values_sha256: equal on every run", "  csv_sha256: equal on every run"]
+

@@ -1,6 +1,9 @@
-"""Binomial primitives: pmf windows, entropy-loss rows, KL divergence, descriptors."""
+"""Binomial primitives: pmf windows, entropy-loss rows, KL divergence, descriptors
+and the records built on them."""
 
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +16,16 @@ from binrisk.binom import (
     _log_binom_coeffs,
     pmf_windows,
 )
+from binrisk.dominance import (
+    DominanceReport,
+    exhaustive_dominance_check,
+    standardized_risk_difference,
+    thm32_bound,
+)
 from binrisk.estimators import EstimateTable
+from binrisk.poisson import PoissonConfig, limit_convergence_report
+from binrisk.predictive import PredictiveTable, plug_in_density
+from binrisk.risk import connection_sum
 from binrisk.special import log_beta
 
 from conftest import entropy_loss_direct, full_pmf_row, unit_losses, window_row
@@ -228,6 +240,27 @@ class TestDescriptors:
         with pytest.raises(ValueError, match="must be an integer >= 1, got (True|False)"):
             BinomialSetup(n=n, l=l)
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda n: BinomialSetup(n=n),
+            lambda l: BinomialSetup(n=1, l=l),
+            lambda l: plug_in_density(0, l, 0.5),
+            lambda n: connection_sum(0.5, n, 1, PriorSpec(1.0, 1.0)),
+            lambda l: connection_sum(0.5, 1, l, PriorSpec(1.0, 1.0)),
+            lambda n: thm32_bound(0.1, n, 1.0, 1.0, 0.5),
+            lambda n: standardized_risk_difference(0.1, n, 1.0, 1.0, 0.5),
+        ],
+        ids=[
+            "setup-n", "setup-l", "plug-in-l", "connection-n", "connection-l", "thm32", "std-diff"
+        ],
+    )
+    def test_trial_counts_are_capped(self, entry):
+        # each of these would build a row as long as its count
+        assert binom.MAX_TRIALS == 10**6
+        with pytest.raises(ValueError, match=r"an integer in \[1, 1000000\], got 1000001$"):
+            entry(binom.MAX_TRIALS + 1)
+
     def test_prior_modes(self):
         assert PriorSpec(a=1.0, b=1.0).restriction == "none"
         assert PriorSpec(a=1.0, b=1.0, p_bar=0.3).restriction == "upper"
@@ -248,3 +281,101 @@ class TestDescriptors:
     def test_prior_rejects_non_finite_shape(self, a, b):
         with pytest.raises(ValueError):
             PriorSpec(a=a, b=b)
+
+
+# one valid instance of each record, and the name of one of its fields
+RECORDS = {
+    "BinomialSetup": (lambda: BinomialSetup(3, l=2), "n"),
+    "PriorSpec": (lambda: PriorSpec(1.0, 2.0, p_bar=0.4), "p_bar"),
+    "EstimateTable": (
+        lambda: EstimateTable.build(BinomialSetup(4), PriorSpec(1.0, 1.0, 0.4)),
+        "values",
+    ),
+    "PredictiveTable": (
+        lambda: PredictiveTable.build(BinomialSetup(3, 2), PriorSpec(1.0, 1.0), 1),
+        "density",
+    ),
+    "PoissonConfig": (lambda: PoissonConfig(2.0, a=0.5, lambda_bar=1.0), "r"),
+    "PoissonLimitReport": (
+        lambda: limit_convergence_report([10.0, 100.0], 0.5, PoissonConfig(1.0), 0),
+        "risk_errors",
+    ),
+    "DominanceReport": (
+        lambda: exhaustive_dominance_check(3, 1.0, 1.0, 0.4, grid_size=8),
+        "grid_verdict",
+    ),
+}
+
+
+class TestRecords:
+    """The descriptors, tables and reports are immutable values, built and
+    validated by their constructors on every path."""
+
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_values_that_cannot_be_assigned(self, name):
+        make, field = RECORDS[name]
+        record = make()
+        assert type(record).__name__ == name
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(record, protocol)) == record
+        assert copy.copy(record) == record and copy.deepcopy(record) == record
+        assert make() == record and repr(make()) == repr(record)
+        if name != "DominanceReport":  # its condition flags are a dict
+            assert hash(make()) == hash(record)
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    @pytest.mark.parametrize(
+        "name, change, message",
+        [
+            ("BinomialSetup", {"l": 0}, "l must be an integer >= 1, got 0"),
+            ("PriorSpec", {"p_bar": 2.0}, "p_bar must be in (0, 1), got 2.0"),
+            ("PoissonConfig", {"a": -1.0}, "a must be finite and positive, got -1.0"),
+            ("EstimateTable", {"values": (0.5, 0.5)}, "need one estimate per x = 0..n"),
+            (
+                "PredictiveTable",
+                {"density": (0.5, 0.25, 0.5)},
+                "predictive density sums to 1.25, not 1",
+            ),
+        ],
+        ids=["BinomialSetup", "PriorSpec", "PoissonConfig", "EstimateTable", "PredictiveTable"],
+    )
+    def test_every_path_to_an_instance_validates(self, name, change, message):
+        valid = RECORDS[name][0]()
+        cls = type(valid)
+        fields = {field: getattr(valid, field) for field in cls._fields} | change
+        # the same instance, made without its validation
+        if issubclass(cls, tuple):
+            forged = tuple.__new__(cls, fields.values())
+        else:
+            forged = object.__new__(cls)
+            forged.__dict__.update(fields)
+        paths = [
+            lambda: cls(**fields),
+            lambda: pickle.loads(pickle.dumps(forged)),
+            lambda: copy.copy(forged),
+        ]
+        if issubclass(cls, tuple):
+            paths += [lambda: cls._make(fields.values()), lambda: valid._replace(**change)]
+        for path in paths:
+            with pytest.raises(ValueError) as caught:
+                path()
+            assert type(caught.value) is ValueError and str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "name, entries", [("EstimateTable", "values"), ("PredictiveTable", "density")]
+    )
+    def test_a_table_iterates_over_its_entries_and_has_no_len(self, name, entries):
+        table = RECORDS[name][0]()
+        assert list(table) == list(getattr(table, entries))
+        with pytest.raises(TypeError):
+            len(table)
+
+    def test_the_dominance_report_has_no_defaults(self):
+        # its one constructor call passes every field; a default
+        # condition_flags would be one dict shared by every report
+        assert DominanceReport._field_defaults == {}

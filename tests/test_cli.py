@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -14,6 +15,9 @@ from binrisk.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, _write_csv, ma
 from binrisk.dominance import threshold_scan
 from binrisk.estimators import EstimateTable
 from binrisk.risk import point_risk
+
+# a trial count above binom.MAX_TRIALS
+CAPPED = "must be an integer in [1, 1000000]"
 
 
 def read_csv(path):
@@ -320,6 +324,38 @@ class TestExitStatuses:
     def test_help_exits_ok(self, argv, capsys):
         assert main(argv) == EXIT_OK
         assert capsys.readouterr().out.startswith("usage: binrisk")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["poisson-limit", "--k-grid", "1e20"], f"n {CAPPED}, got {10**20}"),
+            (["estimate", "--n", str(10**12)], f"n {CAPPED}, got {10**12}"),
+            (
+                ["predictive", "--n", "3", "--x", "1", "--l", str(10**12)],
+                f"l {CAPPED}, got {10**12}",
+            ),
+        ],
+        ids=["poisson-limit", "estimate", "predictive"],
+    )
+    def test_trial_count_above_the_cap_is_a_validation_error(self, argv, message):
+        # without the cap each run built a row of that length until memory
+        # ran out; the child's address space is limited so that such a run
+        # fails fast instead of taking the machine's memory
+        resource = pytest.importorskip("resource")
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        soft = 600 * 2**20 if hard == resource.RLIM_INFINITY else min(600 * 2**20, hard)
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "binrisk", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (soft, hard)),
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (result.returncode, result.stdout) == (EXIT_VALIDATION, "")
+        assert result.stderr == f"error: {message}\n"
 
     @pytest.mark.parametrize("p", ["1.5", "0", "nan"])
     def test_p_outside_the_open_interval_is_a_validation_error(self, p, capsys):

@@ -141,6 +141,17 @@ def test_no_module_imports_numpy():
     assert _imports("numpy") == set()
 
 
+def test_no_module_imports_dataclasses():
+    # importing dataclasses loads inspect, ast, dis and tokenize, most of
+    # the CLI's start-up; the records are named tuples and two small classes
+    assert _imports("dataclasses") == set()
+
+
+def test_no_module_imports_typing():
+    # a clean interpreter pays about 18 ms to import typing
+    assert _imports("typing") == set()
+
+
 def test_runtime_needs_only_the_standard_library():
     # the library installs no third-party package, and the test extra
     # names every one the tests and scripts import
@@ -165,11 +176,12 @@ def test_runtime_needs_only_the_standard_library():
 
 def test_cli_import_loads_neither_scipy_nor_numpy():
     # start-up is most of a short CLI run; a fresh interpreter shows what
-    # importing the CLI pulls in
+    # importing the CLI pulls in, dataclasses and the inspect it imports too
     src = ROOT / "src"
+    forbidden = {"scipy", "numpy", "dataclasses", "inspect"}
     code = (
         "import sys, binrisk.cli; "
-        "print(sorted({'scipy', 'numpy'} & {m.split('.')[0] for m in sys.modules}))"
+        f"print(sorted({forbidden!r} & {{m.split('.')[0] for m in sys.modules}}))"
     )
     env = {**os.environ, "PYTHONPATH": str(src)}
     result = subprocess.run(
