@@ -3,12 +3,13 @@
 pmf_windows(n, p) holds, in one cache entry, the exact window of (n, p),
 every x whose pmf is not exactly 0.0, and its core window, the x within
 e^-64 of the pmf peak, with a bound on the sum of the terms the core
-leaves out; each term is exponentiated once. Entries sit in two caches by
-row length: up to 1,024 short rows, which sweeps revisit at the same few
-p, and 8 long ones. _losses builds the terms w L(d, p) of a risk sum,
-each pmf weight times its entropy loss, in one pass. Both take n >= 1 and
-p in (0, 1) as checked: every entry point that takes p checks it once,
-with risk._check_p.
+leaves out; each term is exponentiated once. An entry read as the future
+pmf of the predictive KL risk also keeps the logs of its nonzero terms.
+Entries sit in two caches by row length: up to 1,024 short rows, which
+sweeps revisit at the same few p, and 8 long ones. _losses builds the
+terms w L(d, p) of a risk sum, each pmf weight times its entropy loss,
+in one pass. Both take n >= 1 and p in (0, 1) as checked: every entry
+point that takes p checks it once, with risk._check_p.
 
 Also holds the two descriptors shared across the package, the
 trial-count setup and the (possibly truncated) beta prior; the bases of
@@ -29,6 +30,9 @@ from .special import _log_beta_with, _stirling_error
 
 # n = 1e6 takes about 8 s and 470 MB in one estimate table and its risk
 MAX_TRIALS = 10**6
+# 1e6 grid points take about 11 s and 550 MB in a risk curve at n = 3, and
+# 4 s and 155 MB in a threshold scan
+MAX_GRID = 10**6
 
 
 def _check_count(name: str, value: int, lo: int = 1, hi: int | None = None) -> None:
@@ -203,7 +207,7 @@ class PmfWindows:
     extends it on its first call, so no term is exponentiated twice.
     """
 
-    __slots__ = ("core", "tail", "_exact", "_rest")
+    __slots__ = ("core", "tail", "_exact", "_rest", "_logs")
 
     def exact(self) -> tuple[int, tuple[float, ...]]:
         if self._exact is None:
@@ -213,6 +217,19 @@ class PmfWindows:
             right = _exp_terms(row, core_start + len(core), stop)
             self._exact, self._rest = (start, left + core + right), None
         return self._exact
+
+    def exact_logs(self) -> tuple[Sequence[int], tuple[float, ...], tuple[float, ...]]:
+        """(xs, terms, logs) over the exact window's nonzero terms, built on
+        the first call and kept: where no term is 0.0, xs is a range and
+        terms the window's own tuple, so only the logs take new memory."""
+        if self._logs is None:
+            start, terms = self.exact()
+            if 0.0 in terms:
+                xs, terms = zip(*[(x, w) for x, w in enumerate(terms, start) if w != 0.0])
+            else:
+                xs = range(start, start + len(terms))
+            self._logs = xs, terms, tuple([math.log(w) for w in terms])
+        return self._logs
 
 
 def _build_windows(n: int, p: float) -> PmfWindows:
@@ -234,14 +251,16 @@ def _build_windows(n: int, p: float) -> PmfWindows:
     dropped = core_start - start + stop - core_stop
     windows.tail = dropped * math.exp(floor + 1.0) if dropped else 0.0
     windows._exact, windows._rest = (None, (row, start, stop)) if dropped else (windows.core, None)
+    windows._logs = None
     return windows
 
 
 # Sweeps revisit the same few p at many small n (n + l - 1 <= 12 in the
-# predictive acceptance sweep). A row of at most _SHORT_ROW terms takes at
-# most about 970 bytes with both windows, its key and its cache link
-# (tracemalloc, n = 12), so its cache holds at most 1 MB; a long row takes
-# about 32 bytes a term, 0.4 MB at n = 1e5, so only 8 of them are kept.
+# predictive acceptance sweep, whose 75 p give 900 rows). A row of at most
+# _SHORT_ROW terms takes at most about 950 bytes with both windows, its key
+# and its cache link, and 1,510 with the logs of its terms (tracemalloc,
+# n = 12), so its cache holds at most 1.6 MB; a long row takes about 32
+# bytes a term, 0.4 MB at n = 1e5, so only 8 of them are kept.
 _SHORT_ROW = 13
 _short_windows = lru_cache(maxsize=1024)(_build_windows)
 _long_windows = lru_cache(maxsize=8)(_build_windows)

@@ -17,6 +17,7 @@ import math
 from collections.abc import Iterator
 
 from .binom import (
+    MAX_GRID,
     BinomialSetup,
     PriorSpec,
     _check_count,
@@ -50,6 +51,8 @@ def p_grid(p_bar: float, p_lo: float | None, size: int) -> list[float]:
     support is open at 0.
     """
     _check_count("grid size", size, lo=2)
+    if size > MAX_GRID:  # the grid is built in memory
+        _check_count("grid size", size, lo=2, hi=MAX_GRID)
     lo = p_bar / size if p_lo is None else p_lo
     return [lo + (p_bar - lo) * i / (size - 1) for i in range(size - 1)] + [p_bar]
 

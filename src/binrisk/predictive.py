@@ -16,8 +16,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 
-from .binom import BinomialSetup, PriorSpec, _check_count, _check_trials, _log_binom_coeffs
-from .binom import _Table, pmf_windows
+from .binom import BinomialSetup, PriorSpec, _Table, _check_count, _check_trials, _log_binom_coeffs
 from .incbeta import log_beta_measure
 
 
@@ -50,13 +49,19 @@ def bayes_predictive(y: int, x: int, setup: BinomialSetup, prior: PriorSpec) -> 
 
 
 def plug_in_density(y: int, l: int, d: float) -> float:
-    """Bin(y | l, d) at a point estimate d of p."""
+    """Bin(y | l, d) at a point estimate d of p.
+
+    The one term is computed as binom._exp_terms computes the pmf window's,
+    so it equals the window's term bit for bit; outside the exact window
+    its exponent is under -746.2 and exp gives the window's 0.0. No window
+    is built: every estimate d is a new p, which only this term reads.
+    """
     if not 0.0 < d < 1.0:
         raise ValueError(f"plug-in estimate d must be in (0, 1), got {d}")
     _check_trials("l", l)
     _check_count("y", y, 0, l)
-    start, terms = pmf_windows(l, d).exact()
-    return terms[y - start] if 0 <= y - start < len(terms) else 0.0
+    k, m = float(y), float(l)
+    return math.exp(_log_binom_coeffs(l)[y] + k * math.log(d) + (m - k) * math.log1p(-d))
 
 
 class PredictiveTable(_Table):

@@ -14,7 +14,9 @@ Bin(x; n, p) L(d(x), p) come from one pass over log d and log(1-d), which
 do not depend on p and live on the estimate table with the ceiling of its
 losses, so they are kept as long as estimators keeps the table.
 predictive_kl_risk takes the log rows of the predictive masses, and checks
-their shape, once per set of tables, keyed on the masses. connection_sum
+their shape, once per set of tables: it keeps the last two sets' masses
+and recognises a set by comparing them, which costs no hash of every
+mass. The logs of the future pmf live on its window entry. connection_sum
 resolves its l tables once per (n, l, prior) when all are small, so each p
 costs only the l sums. Every risk takes p in (0, 1): _check_p, the
 library's one check of p, runs once per public call, and the sums below
@@ -58,18 +60,26 @@ def _risk_sum(estimates: EstimateTable, p: float) -> float:
     """point_risk at a checked p."""
     windows = pmf_windows(estimates.setup.n, p)
     log_ds, log_es, ceiling = estimates._logs
-    start, weights = windows.core
-    stop = start + len(weights)
-    terms = _losses(weights, log_ds[start:stop], log_es[start:stop], p)
+    terms = _window_losses(windows.core, log_ds, log_es, p)
     terms.sort(reverse=True)  # largest first, as in _expectation
     risk = math.fsum(terms)
     if windows.tail:
         terms.append(windows.tail * (2.0 * ceiling + 1.0))
         if math.fsum(terms) != risk:
-            start, weights = windows.exact()
-            stop = start + len(weights)
-            return math.fsum(_losses(weights, log_ds[start:stop], log_es[start:stop], p))
+            return math.fsum(_window_losses(windows.exact(), log_ds, log_es, p))
     return risk
+
+
+def _window_losses(
+    window: tuple[int, Sequence[float]], log_ds: list[float], log_es: list[float], p: float
+) -> list[float]:
+    """The loss terms over a pmf window (start, weights); a window from
+    x = 0 takes the log rows whole, since _losses stops with the weights."""
+    start, weights = window
+    if start:
+        stop = start + len(weights)
+        log_ds, log_es = log_ds[start:stop], log_es[start:stop]
+    return _losses(weights, log_ds, log_es, p)
 
 
 def predictive_kl_risk(
@@ -79,18 +89,16 @@ def predictive_kl_risk(
 
     tables[x][y] is the estimated mass of Y = y after observing X = x. The
     log rows of the masses do not depend on p; they are taken once per set
-    of tables, keyed on the masses themselves, so a table changed in place
-    is read afresh.
+    of tables (_mass_logs), which is recognised by its masses, so a table
+    changed in place is read afresh. The logs of the future pmf f live on
+    its window entry.
     """
     _check_p(p)
     n, l = setup.n, setup.l
     if len(tables) != n + 1:
         raise ValueError(f"need a table for every x = 0..{n}")
-    # the key is built from a sized list: tuples built from an iterator are
-    # resized, and CPython's free lists kept thousands of them alive
-    log_rows, bad_xs = _mass_logs(tuple([tuple(table) for table in tables]), l)
-    f_start, f = pmf_windows(l, p).exact()
-    ys = [(y, fy, math.log(fy)) for y, fy in enumerate(f, f_start) if fy != 0.0]
+    log_rows, bad_xs = _mass_logs(tables, l)
+    ys = [*zip(*pmf_windows(l, p).exact_logs())]  # (y, f(y), log f(y))
     # every estimated mass the risk would read is checked, also where the
     # pmf of x is exactly 0.0 and its terms are left out of the sum
     for x in bad_xs:
@@ -101,23 +109,46 @@ def predictive_kl_risk(
     return math.fsum(
         [
             wx * fy * (log_fy - logs[y])
-            for wx, logs in zip(weights, log_rows[start:])
+            for wx, logs in zip(weights, log_rows[start:] if start else log_rows)
             for y, fy, log_fy in ys
         ]
     )
 
 
-@lru_cache(maxsize=2)
+# The last two table sets logged, newest first, as (masses, l, log rows)
+_kept_sets: list[tuple] = []
+
+
 def _mass_logs(
-    tables: tuple[tuple[float, ...], ...], l: int
+    tables: Sequence[Sequence[float]], l: int
+) -> tuple[list[list[float]], list[int]]:
+    """_log_rows of tables, for the last two sets logged: a sweep over p
+    alternates the Bayes and the plug-in set. A set is recognised by
+    comparing its masses with a kept copy, not by hashing them: == stops at
+    the first difference, and a mass the caller still holds is the copy's
+    own object, which == passes without comparing floats."""
+    masses = [tuple(table) for table in tables]
+    for kept, kept_l, logs in _kept_sets:
+        if kept_l == l and kept == masses:
+            return logs
+    logs = _log_rows(masses, l)
+    _kept_sets.insert(0, (masses, l, logs))
+    del _kept_sets[2:]
+    return logs
+
+
+_mass_logs.cache_clear = _kept_sets.clear  # as on an lru_cache
+
+
+def _log_rows(
+    tables: list[tuple[float, ...]], l: int
 ) -> tuple[list[list[float]], list[int]]:
     """log of every mass, NaN for a mass that is not positive, and the x,
     in order, of the tables with a mass outside (0, inf), which must be
     searched at each p: the log of a mass in (0, inf) is finite and under
     746 in size, so a row of logs sums to a finite value exactly when its
     table has no such mass. The search raises at any such mass the sum
-    would read, so no non-finite log is summed. A sweep over p alternates
-    the Bayes and the plug-in set, hence 2 entries."""
+    would read, so no non-finite log is summed."""
     if any(len(table) != l + 1 for table in tables):
         raise ValueError(f"need a mass for every y = 0..{l} in every table")
     logs = [[math.log(v) if v > 0.0 else math.nan for v in table] for table in tables]
@@ -134,7 +165,7 @@ def connection_sum(p: float, n: int, l: int, prior: PriorSpec) -> float:
     _check_trials("l", l)  # l < 1 would sum nothing
     _check_p(p)
     resolve = _connection_tables if n + l <= _SMALL_TABLE else _connection_tables.__wrapped__
-    return math.fsum(_risk_sum(table, p) for table in resolve(n, l, prior))
+    return math.fsum([_risk_sum(table, p) for table in resolve(n, l, prior)])
 
 
 @lru_cache(maxsize=4)

@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from binrisk import binom
 from binrisk.binom import BinomialSetup, PriorSpec
 from binrisk.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, _write_csv, main
 from binrisk.dominance import threshold_scan
@@ -281,6 +282,16 @@ class TestExitStatuses:
         code = main([command, *flags, "--grid", grid])
         assert code == EXIT_VALIDATION
         assert "grid size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["risk-curve", "dominance", "threshold"])
+    def test_grid_above_the_cap_is_a_validation_error(self, command, capsys):
+        # the grid is checked before it is built, so no test allocates one
+        # of this size
+        flags = ["--a", "1"] if command == "threshold" else ["--n", "3", "--p-bar", "0.3"]
+        code = main([command, *flags, "--grid", str(binom.MAX_GRID + 1)])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "error: grid size must be an integer in [2, 1000000], got 1000001" in err
 
     @pytest.mark.parametrize("a", ["nan", "inf"])
     def test_non_finite_shape_is_a_validation_error(self, a, capsys):

@@ -13,6 +13,7 @@ from binrisk.dominance import (
     exhaustive_dominance_check,
     max_risk_diff_symmetric_n1,
     max_risk_diff_symmetric_n1_generic,
+    p_grid,
     risk_difference,
     smallpbar_sufficient_conditions,
     standardized_risk_difference,
@@ -20,6 +21,7 @@ from binrisk.dominance import (
     thm33_necessary,
     thm34_necessary,
     thm41_conditions,
+    threshold_scan,
 )
 from binrisk import binom, estimators, incbeta, risk
 from binrisk.binom import BinomialSetup, PriorSpec
@@ -380,6 +382,21 @@ class TestThresholdRoundingBound:
 
 
 class TestExhaustiveCheck:
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda size: p_grid(0.3, None, size),
+            lambda size: exhaustive_dominance_check(3, 1.0, 1.0, 0.3, grid_size=size),
+            lambda size: threshold_scan(1.0, size),
+        ],
+        ids=["p-grid", "dominance", "threshold"],
+    )
+    def test_grid_size_is_capped(self, entry):
+        # each would build a grid of this size; the check comes first
+        assert binom.MAX_GRID == 10**6
+        with pytest.raises(ValueError, match=r"grid size must be an integer in \[2, 1000000\]"):
+            entry(binom.MAX_GRID + 1)
+
     def test_small_upper_bound_dominates(self):
         report = exhaustive_dominance_check(1, 1.0, 1.0, 0.1)
         assert report.grid_verdict == "dominates"

@@ -1,11 +1,12 @@
 """Bayesian predictive densities and plug-in densities."""
 
+import itertools
 import math
 
 import pytest
 from scipy.special import betaln
 
-from binrisk import predictive
+from binrisk import binom, predictive
 from binrisk.binom import BinomialSetup, PriorSpec
 from binrisk.cli import EXIT_VALIDATION, main
 from binrisk.estimators import posterior_mean
@@ -143,14 +144,36 @@ class TestPlugIn:
         total = math.fsum(plug_in_density(y, 6, 0.37) for y in range(7))
         assert total == pytest.approx(1.0, abs=1e-13)
 
-    @pytest.mark.parametrize("l, d", [(1, 0.5), (6, 0.37), (40, 1e-3), (3000, 0.3), (3000, 1e-6)])
+    @pytest.mark.parametrize(
+        "l, d",
+        [
+            (1, 0.5),
+            (6, 0.37),
+            (40, 1e-3),
+            (3000, 0.3),
+            (3000, 1e-6),
+            *itertools.product((1, 12, 2000), (1e-300, 0.3, 1.0 - 1e-16)),
+        ],
+    )
     def test_every_mass_is_the_pmf_row_entry_bit_for_bit(self, l, d):
-        # at l = 3000 the window of d leaves exact zeros on one or both sides
+        # computed apart from the window, each mass is the window's term, and
+        # every y outside the exact window gets its 0.0: at l >= 2000, and at
+        # d = 1e-300 for l > 1, the window leaves exact zeros
         row = window_row(l, d)
         masses = [plug_in_density(y, l, d) for y in range(l + 1)]
         assert [m.hex() for m in masses] == [v.hex() for v in row]
-        if l == 3000:
+        if l >= 2000 or d == 1e-300 and l > 1:
             assert 0.0 in masses
+
+    def test_a_plug_in_sweep_builds_no_pmf_window(self):
+        # every estimate d is a new p: its window would be built for one term
+        caches = (binom._short_windows, binom._long_windows)
+        before = [cache.cache_info() for cache in caches]
+        for l in (1, 5, 12, 2000):
+            for d in (1e-300, 0.01, 0.3, 0.77, 1.0 - 1e-16):
+                for y in range(l + 1):
+                    plug_in_density(y, l, d)
+        assert [cache.cache_info() for cache in caches] == before
 
     def test_domain_error(self):
         with pytest.raises(ValueError):

@@ -236,6 +236,30 @@ class TestWindowCaches:
         long_rows = binom._long_windows.cache_info()
         assert long_rows.misses == 100 and long_rows.currsize <= 8
 
+    def test_a_predictive_sweep_builds_each_window_once(self):
+        # the acceptance sweep's loop at one restriction: 25 p, n <= 8 and
+        # l <= 5, the Bayes and the plug-in set alternating at each p with
+        # the connection sum between them. It reads the windows of (m, p)
+        # for m = 1..12 (n + l - 1 at most), and builds each once; the
+        # plug-in masses build none
+        for cache in (binom._short_windows, binom._long_windows):
+            cache.cache_clear()
+        prior = PriorSpec(a=1.0, b=1.0, p_bar=0.3)
+        ps = [0.3 * i / 25 for i in range(1, 26)]
+        for n in range(1, 9):
+            est = EstimateTable.build(BinomialSetup(n=n), prior)
+            for l in range(1, 6):
+                setup = BinomialSetup(n=n, l=l)
+                bayes = [t.density for t in bayes_predictive_tables(setup, prior)]
+                plug = [[plug_in_density(y, l, d) for y in range(l + 1)] for d in est.values]
+                for p in ps:
+                    predictive_kl_risk(bayes, p, setup)
+                    connection_sum(p, n, l, prior)
+                    predictive_kl_risk(plug, p, setup)
+        short_rows = binom._short_windows.cache_info()
+        assert short_rows.misses == short_rows.currsize == 12 * 25
+        assert binom._long_windows.cache_info().misses == 0
+
 
 class TestPredictiveKlRisk:
     def test_truth_gives_zero(self):
@@ -332,8 +356,8 @@ class TestPredictiveKlRisk:
 
 
 class TestMassLogRows:
-    """predictive_kl_risk takes the log rows of a table set once, keyed on
-    the masses, and each p sums over them."""
+    """predictive_kl_risk takes the log rows of a table set once, recognised
+    by its masses, and each p sums over them."""
 
     PRIORS = [
         PriorSpec(a=1.0, b=1.0),
@@ -357,13 +381,21 @@ class TestMassLogRows:
         assert after == predictive_kl_risk(plug, 0.3, setup) != before
         assert after == full_row_kl_risk(plug, 0.3, setup)
 
-    def test_one_table_set_is_logged_once_for_every_p(self):
+    def test_one_table_set_is_logged_once_for_every_p(self, monkeypatch):
         setup = BinomialSetup(n=6, l=3)
         tables, _ = self.sets(setup, PriorSpec(a=1.0, b=1.0, p_bar=0.5))
+        built = []
+        log_rows = risk_module._log_rows
+
+        def counting(masses, l):
+            built.append(l)
+            return log_rows(masses, l)
+
+        monkeypatch.setattr(risk_module, "_log_rows", counting)
         risk_module._mass_logs.cache_clear()
         for k in range(1, 26):
             predictive_kl_risk(tables, 0.5 * k / 25, setup)
-        assert risk_module._mass_logs.cache_info().misses == 1
+        assert built == [3]
 
     @pytest.mark.parametrize("prior", PRIORS, ids=["none", "upper", "interval"])
     @pytest.mark.parametrize("n, l", [(1, 1), (5, 3), (40, 2)])

@@ -68,6 +68,29 @@ def test_window_builder_checks_nothing():
     assert _check_calls("binom.py", builder) == []
 
 
+def test_plug_in_density_builds_no_cached_row():
+    # each estimate d is a p that only its plug-in term reads, so the term
+    # is computed directly: it builds no pmf window and calls no builder
+    # of a row or table cache (name = lru_cache(...)(builder))
+    cached = {"pmf_windows"}
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            call = getattr(node, "value", None)
+            if isinstance(node, ast.Assign) and isinstance(call, ast.Call):
+                if getattr(getattr(call.func, "func", None), "id", None) == "lru_cache":
+                    cached |= {target.id for target in node.targets}
+                    cached |= {arg.id for arg in call.args}
+    assert {"_short_windows", "_long_windows", "_build_windows", "_build_table"} <= cached
+    tree = ast.parse((SOURCES[0].parent / "predictive.py").read_text())
+    [plug_in] = [stmt for stmt in tree.body if getattr(stmt, "name", None) == "plug_in_density"]
+    called = {
+        getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        for node in ast.walk(plug_in)
+        if isinstance(node, ast.Call)
+    }
+    assert called & cached == set()
+
+
 def test_p_free_row_builders_check_nothing():
     # a, b and n reach the J rows checked, by PriorSpec and BinomialSetup in
     # the grid pass and by the public bound functions at one p; the mass
@@ -76,7 +99,7 @@ def test_p_free_row_builders_check_nothing():
     # as checked by bayes_predictive and PredictiveTable.build, and the
     # table set makes its own x = 0..n
     assert _check_calls("dominance.py", {"_j_rows", "_upper_curves", "_row_pass"}) == []
-    assert _check_calls("risk.py", {"_mass_logs"}) == []
+    assert _check_calls("risk.py", {"_mass_logs", "_log_rows"}) == []
     assert _check_calls("predictive.py", {"_masses", "bayes_predictive_tables"}) == []
 
 
