@@ -44,11 +44,11 @@ def _check_count(name: str, value: int, lo: int = 1, hi: int | None = None) -> N
         raise ValueError(f"{name} must be an integer {span}, got {value}")
 
 
-def _check_trials(name: str, value: int) -> None:
-    """A trial count n or l, in [1, MAX_TRIALS]: a row of its length is built."""
-    _check_count(name, value)
-    if value > MAX_TRIALS:
-        _check_count(name, value, hi=MAX_TRIALS)
+def _check_trials(name: str, value: int, lo: int = 1, cap: int = MAX_TRIALS) -> None:
+    """A count in [lo, cap], by default a trial count n or l: a row of its length is built."""
+    _check_count(name, value, lo)
+    if value > cap:
+        _check_count(name, value, lo, cap)
 
 
 def _check_shape(**shape: float) -> None:
@@ -270,18 +270,6 @@ def pmf_windows(n: int, p: float) -> PmfWindows:
     """The windows of (n, p), built once for every sum at that p. n >= 1 and
     0 < p < 1 are not checked: the callers have checked them."""
     return (_short_windows if n < _SHORT_ROW else _long_windows)(n, p)
-
-
-def _expectation(weights: Sequence[float], values: Sequence[float]) -> float:
-    """sum_x weights[x] values[x], correctly rounded.
-
-    The terms, sorted in place, go to fsum in decreasing order: its result
-    does not depend on their order, but its time does, and small terms
-    first leave it many partial sums to carry through the large ones.
-    """
-    terms = [w * v for w, v in zip(weights, values, strict=True)]
-    terms.sort(reverse=True)
-    return math.fsum(terms)
 
 
 def _losses(

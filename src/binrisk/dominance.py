@@ -5,10 +5,11 @@ the restriction's upper endpoint): the risks themselves are exact, so
 each grid value is trustworthy, but the verdict is a statement at grid
 resolution, not a symbolic proof.
 
-The grid pass of exhaustive_dominance_check goes by rows of x while
-n + 1 <= _BLOCK (_row_pass: the grid in blocks of _BLOCK points, each
-p's whole row summed by fsum) and by one pmf window per p above that,
-where the core window skips most of the row; both give the same floats.
+The grid pass has two engines that yield, per p, each table's risk and
+then each value row's expectation, the same floats: _row_pass, the grid
+in blocks of _BLOCK points summed by rows of x, while n + 1 <= _BLOCK,
+and _window_pass, one pmf window per p, above that and for the scalar
+functions, which read one point of it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .binom import (
     _check_count,
     _check_shape,
     _check_trials,
-    _expectation,
     _log_binom_coeffs,
     _record,
     pmf_windows,
@@ -50,9 +50,7 @@ def p_grid(p_bar: float, p_lo: float | None, size: int) -> list[float]:
     Without a lower bound the grid starts at p_bar / size, since the
     support is open at 0.
     """
-    _check_count("grid size", size, lo=2)
-    if size > MAX_GRID:  # the grid is built in memory
-        _check_count("grid size", size, lo=2, hi=MAX_GRID)
+    _check_trials("grid size", size, lo=2, cap=MAX_GRID)  # the grid is built in memory
     lo = p_bar / size if p_lo is None else p_lo
     return [lo + (p_bar - lo) * i / (size - 1) for i in range(size - 1)] + [p_bar]
 
@@ -80,24 +78,6 @@ def _curve_point(
     gain = p * math.log1p((1.0 + 1.0 / j) / (p_bar * s))
     bound = (1.0 - p) * math.log(arg) + gain if arg > 0.0 else None
     return j * e, bound
-
-
-def _upper_curves(
-    n: int, a: float, b: float, p_bar: float, grid: list[float]
-) -> Iterator[tuple[float, float | None]]:
-    """Yields, for each p of grid, the standardizer J(p) E_p[1/I(X+a,
-    n+a+b+1, p_bar)] of the risk difference and the Thm 3.2 bound (None
-    where its log argument is nonpositive), from rows built once for all p
-    and the pmf window of p."""
-    i_row, inv_row = _j_rows(n, a, b, p_bar)
-    s = n + a + b
-    for p in grid:
-        if not 0.0 < p <= p_bar:
-            raise ValueError(f"p must be in (0, p_bar], got p={p}, p_bar={p_bar}")
-        start, w = pmf_windows(n, p).exact()
-        stop = start + len(w)
-        j = _expectation(w, i_row[start:stop])
-        yield _curve_point(p, j, _expectation(w, inv_row[start:stop]), p_bar, s)
 
 
 def _row_pass(
@@ -141,12 +121,42 @@ def _row_pass(
         yield from zip(*(map(math.fsum, zip(*terms)) for terms in risk_terms + value_terms))
 
 
+def _window_pass(
+    n: int, tables: tuple[EstimateTable, ...], value_rows: tuple[list[float], ...], grid: list[float]
+) -> Iterator[tuple[float, ...]]:
+    """Yields, for each p of grid, what _row_pass yields, from the one pmf
+    window of (n, p): each table's risk by risk._risk_sum, then each value
+    row's expectation over the exact window, which is built only when a
+    value row is given, its terms largest first into fsum as in _risk_sum.
+    """
+    for p in grid:
+        sums = [_risk_sum(table, p) for table in tables]
+        if value_rows:
+            start, weights = pmf_windows(n, p).exact()
+            for values in value_rows:
+                terms = [w * v for w, v in zip(weights, values[start:])]
+                terms.sort(reverse=True)
+                sums.append(math.fsum(terms))
+        yield tuple(sums)
+
+
+def _upper_point(p: float, n: int, a: float, b: float, p_bar: float) -> tuple[float, float | None]:
+    """_curve_point's pair at p, from one point of _window_pass. a and b, n,
+    p_bar (by the J rows) and p are checked in that order, the order of the
+    public bound functions."""
+    _check_shape(a=a, b=b)
+    _check_trials("n", n)
+    value_rows = _j_rows(n, a, b, p_bar)
+    if not 0.0 < p <= p_bar:
+        raise ValueError(f"p must be in (0, p_bar], got p={p}, p_bar={p_bar}")
+    j, e = next(_window_pass(n, (), value_rows, [p]))
+    return _curve_point(p, j, e, p_bar, n + a + b)
+
+
 def thm32_bound(p: float, n: int, a: float, b: float, p_bar: float) -> float:
     """Upper bound on the standardized risk difference (truncated minus
     untruncated) in the upper-restriction case."""
-    _check_shape(a=a, b=b)
-    _check_trials("n", n)
-    _, bound = next(_upper_curves(n, a, b, p_bar, [p]))
+    _, bound = _upper_point(p, n, a, b, p_bar)
     if bound is None:
         raise BoundUndefinedError(f"bound undefined at p={p}: log argument <= 0")
     return bound
@@ -163,16 +173,15 @@ def risk_difference(
         setup, PriorSpec(a=a, b=b, p_bar=p_bar, p_lo=p_lo)
     )
     unres = EstimateTable.build(setup, PriorSpec(a=a, b=b))
-    return _risk_sum(trunc, p) - _risk_sum(unres, p)
+    r_u, r_t = next(_window_pass(n, (unres, trunc), (), [p]))
+    return r_t - r_u
 
 
 def standardized_risk_difference(
     p: float, n: int, a: float, b: float, p_bar: float
 ) -> float:
     """Exact risk difference divided by J(p) E_p[1/I(X+a, n+a+b+1, p_bar)]."""
-    _check_shape(a=a, b=b)
-    _check_trials("n", n)
-    scale, _ = next(_upper_curves(n, a, b, p_bar, [p]))
+    scale, _ = _upper_point(p, n, a, b, p_bar)
     return risk_difference(p, n, a, b, p_bar) / scale
 
 
@@ -401,21 +410,14 @@ def exhaustive_dominance_check(
         c1, c2 = thm41_conditions(n, a, b, p_lo, p_bar)
         flags["thm41_c1"] = c1
         flags["thm41_c2"] = c2
-    if n + 1 <= _BLOCK:
-        s = n + a + b
-        value_rows = _j_rows(n, a, b, p_bar) if upper else ()
-        rows = [
-            (r_u, r_t, *(_curve_point(p, *js, p_bar, s) if upper else (None, None)))
-            for p, (r_u, r_t, *js) in zip(grid, _row_pass(n, (unres, trunc), value_rows, grid))
-        ]
-    else:
-        curves = _upper_curves(n, a, b, p_bar, grid) if upper else [(None, None)] * len(grid)
-        # one pass over p, so both risks and the curves read one pmf window;
-        # p_grid keeps every p on the restriction, inside (0, 1)
-        rows = [
-            (_risk_sum(unres, p), _risk_sum(trunc, p), *curve)
-            for p, curve in zip(grid, curves)
-        ]
+    s = n + a + b
+    value_rows = _j_rows(n, a, b, p_bar) if upper else ()
+    # p_grid keeps every p on the restriction, inside (0, 1)
+    grid_pass = _row_pass if n + 1 <= _BLOCK else _window_pass
+    rows = [
+        (r_u, r_t, *(_curve_point(p, *js, p_bar, s) if upper else (None, None)))
+        for p, (r_u, r_t, *js) in zip(grid, grid_pass(n, (unres, trunc), value_rows, grid))
+    ]
     risk_unres, risk_trunc, scales, bounds = (tuple(col) for col in zip(*rows))
     diffs = tuple(t - u for t, u in zip(risk_trunc, risk_unres))
 

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from itertools import count
 
-from .binom import BinomialSetup, PriorSpec, _check_count, _check_shape, _record
+from .binom import MAX_TRIALS, BinomialSetup, PriorSpec, _check_count, _check_shape, _record
 from .estimators import EstimateTable
 from .predictive import _masses
 from .risk import _risk_sum
 
+# the masses under which the report's predictive sup stops reading y
 _TAIL_MASS = 1e-15
 _GAMMA_TOL = 2.220446049250313e-16
 _GAMMA_MAX_ITER = 100000
@@ -38,6 +40,20 @@ class PoissonConfig(_record("PoissonConfig", "r s a lambda_bar")):
         return super().__new__(cls, r, s, a, lambda_bar)
 
 
+def _gamma_series(alpha: float, z: float) -> float:
+    """sum_k z^k / (alpha (alpha+1) ... (alpha+k)), the lower incomplete
+    gamma over z^alpha e^-z, which converges fast below z = alpha + 1."""
+    term = total = 1.0 / alpha
+    shape = alpha
+    for _ in range(_GAMMA_MAX_ITER):
+        shape += 1.0
+        term *= z / shape
+        total += term
+        if term < total * _GAMMA_TOL:
+            return total
+    raise ArithmeticError(f"incomplete gamma did not converge (alpha={alpha}, z={z})")
+
+
 def _log_lower_gamma(alpha: float, z: float) -> float:
     """log of the unnormalized lower incomplete gamma int_0^z t^(a-1) e^-t dt.
 
@@ -51,15 +67,7 @@ def _log_lower_gamma(alpha: float, z: float) -> float:
         )
     log_front = alpha * math.log(z) - z
     if z < alpha + 1.0:
-        # sum_k z^k / (alpha (alpha+1) ... (alpha+k))
-        term = total = 1.0 / alpha
-        shape = alpha
-        for _ in range(_GAMMA_MAX_ITER):
-            shape += 1.0
-            term *= z / shape
-            total += term
-            if term < total * _GAMMA_TOL:
-                return log_front + math.log(total)
+        return log_front + math.log(_gamma_series(alpha, z))
     else:
         # upper tail e^-z z^alpha / (z+1-alpha- 1(1-alpha)/(z+3-alpha- ...))
         b = z + 1.0 - alpha
@@ -101,6 +109,9 @@ def poisson_posterior_mean(x_tilde: int, config: PoissonConfig) -> float:
     alpha = x_tilde + config.a
     if config.lambda_bar is None:
         return alpha / config.r
+    z = config.r * config.lambda_bar
+    if 0.0 < z < alpha + 1.0:  # a ratio of two series: no two large logs differ
+        return z * _gamma_series(alpha + 1.0, z) / (config.r * _gamma_series(alpha, z))
     return math.exp(
         _log_gamma_moment(alpha + 1.0, config.r, config.lambda_bar)
         - _log_gamma_moment(alpha, config.r, config.lambda_bar)
@@ -122,31 +133,28 @@ def _predictive_mass(y_tilde: int, alpha: float, log_den: float, config: Poisson
     return math.exp(y_tilde * math.log(config.s) - math.lgamma(y_tilde + 1) + log_num - log_den)
 
 
-def _poisson_pmf(k: int, mean: float) -> float:
-    return math.exp(k * math.log(mean) - mean - math.lgamma(k + 1))
-
-
 def poisson_entropy_risk(config: PoissonConfig, lam: float) -> float:
-    """Exact E[lhat - lambda - lambda log(lhat/lambda)], tail-truncated at
-    cumulative mass 1 - 1e-15."""
+    """Exact E[lhat - lambda - lambda log(lhat/lambda)] over every k whose
+    pmf is not exactly 0.0: the log pmf falls past the mean, so the sum
+    stops at the first 0.0 there. A mean r lambda above MAX_TRIALS, about
+    the number of terms, is refused."""
     _check_shape(lam=lam)
     if config.lambda_bar is not None and lam > config.lambda_bar:
         raise ValueError(
             f"lambda={lam} outside the truncated support (0, {config.lambda_bar}]"
         )
     mean = config.r * lam
+    if mean > MAX_TRIALS:
+        raise ValueError(f"the mean r*lam must be at most {MAX_TRIALS}, got {mean}")
+    log_mean = math.log(mean)
     terms = []
-    cum = 0.0
-    k = 0
-    while cum < 1.0 - _TAIL_MASS:
-        w = _poisson_pmf(k, mean)
-        cum += w
-        lhat = poisson_posterior_mean(k, config)
-        loss = lhat - lam - lam * math.log(lhat / lam)
-        terms.append(w * loss)
-        k += 1
-        if k > 100000:
-            raise ArithmeticError("Poisson tail failed to close")
+    for k in count():
+        w = math.exp(k * log_mean - mean - math.lgamma(k + 1))
+        if w:
+            lhat = poisson_posterior_mean(k, config)
+            terms.append(w * (lhat - lam - lam * math.log(lhat / lam)))
+        elif k > mean:
+            break
     return math.fsum(terms)
 
 

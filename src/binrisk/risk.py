@@ -61,7 +61,7 @@ def _risk_sum(estimates: EstimateTable, p: float) -> float:
     windows = pmf_windows(estimates.setup.n, p)
     log_ds, log_es, ceiling = estimates._logs
     terms = _window_losses(windows.core, log_ds, log_es, p)
-    terms.sort(reverse=True)  # largest first, as in _expectation
+    terms.sort(reverse=True)  # largest first, the order fsum sums fastest
     risk = math.fsum(terms)
     if windows.tail:
         terms.append(windows.tail * (2.0 * ceiling + 1.0))
@@ -135,9 +135,6 @@ def _mass_logs(
     _kept_sets.insert(0, (masses, l, logs))
     del _kept_sets[2:]
     return logs
-
-
-_mass_logs.cache_clear = _kept_sets.clear  # as on an lru_cache
 
 
 def _log_rows(

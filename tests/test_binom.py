@@ -12,7 +12,6 @@ from binrisk import binom
 from binrisk.binom import (
     BinomialSetup,
     PriorSpec,
-    _expectation,
     _log_binom_coeffs,
     pmf_windows,
 )
@@ -180,25 +179,6 @@ class TestEntropyLoss:
         vals = unit_losses(grid, p)
         for i in range(1, len(vals) - 1):
             assert vals[i + 1] - 2.0 * vals[i] + vals[i - 1] >= -1e-12
-
-
-class TestExpectation:
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(-1070, 0)
-            ),
-            max_size=60,
-        )
-    )
-    def test_largest_first_is_the_in_order_sum(self, terms):
-        # fsum rounds the exact sum once, so the order it gets the terms in
-        # cannot change its result; the terms span the whole exponent range
-        weights = [math.ldexp(w, e) for w, _, e in terms]
-        values = [v for _, v, _ in terms]
-        in_order = math.fsum(w * v for w, v in zip(weights, values))
-        assert _expectation(weights, values) == in_order
 
 
 class TestKlBinomial:

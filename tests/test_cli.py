@@ -226,6 +226,21 @@ class TestPoissonLimit:
         assert len(rows) == 2
         assert "monotone decay: True" in capsys.readouterr().err
 
+    def test_large_rate_runs(self, capsys):
+        # the Poisson risk stopped at cumulative mass 1 - 1e-15, which
+        # rounding kept it from reaching here, and the run exited 2
+        code = main(
+            ["poisson-limit", "--lam", "50", "--lambda-bar", "60", "--k-grid", "1000", "10000"]
+        )
+        captured = capsys.readouterr()
+        assert code == EXIT_OK, captured.err
+        assert "# monotone decay: True" in captured.err
+
+    def test_rate_whose_mean_exceeds_the_trial_cap_is_a_validation_error(self, capsys):
+        assert main(["poisson-limit", "--lam", "2e6", "--k-grid", "1e7"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "error: the mean r*lam must be at most 1000000, got 2000000.0" in err
+
     def test_upper_tables_at_k_1e5_stay_inside_the_restriction(self, capsys):
         # at K = 1e5 the correction form put an estimate at 1.0000008852539821e-05,
         # above p_bar = 1e-5

@@ -23,7 +23,7 @@ from binrisk.dominance import (
     thm41_conditions,
     threshold_scan,
 )
-from binrisk import binom, estimators, incbeta, risk
+from binrisk import binom, dominance, estimators, incbeta, risk
 from binrisk.binom import BinomialSetup, PriorSpec
 from binrisk.estimators import EstimateTable
 from binrisk.risk import point_risk
@@ -588,3 +588,53 @@ class TestExhaustiveCheck:
         assert (report.n, report.a, report.b, report.restriction, report.p_lo, report.p_bar) == (
             n, a, b, "upper" if upper else "interval", p_lo, p_bar
         )
+
+
+class TestGridEngines:
+    """The row pass and the window pass yield the same tuple per p: each
+    table's risk, then each value row's expectation, correctly rounded."""
+
+    @staticmethod
+    def passes(n, p_lo, with_j, grid_size):
+        a, b, p_bar = (0.5, 2.0, 0.3) if p_lo is None else (2.0, 0.5, 0.3)
+        setup = BinomialSetup(n=n)
+        tables = (
+            EstimateTable.build(setup, PriorSpec(a=a, b=b)),
+            EstimateTable.build(setup, PriorSpec(a=a, b=b, p_bar=p_bar, p_lo=p_lo)),
+        )
+        rows = dominance._j_rows(n, a, b, p_bar) if with_j else ()
+        grid = p_grid(p_bar, p_lo, grid_size)
+        return [
+            [[v.hex() for v in sums] for sums in engine(n, tables, rows, grid)]
+            for engine in (dominance._row_pass, dominance._window_pass)
+        ]
+
+    @pytest.mark.parametrize("grid_size", [2, 64, 65, 512])
+    @pytest.mark.parametrize("with_j", [False, True], ids=["risks", "j-rows"])
+    @pytest.mark.parametrize("p_lo", [None, 0.05], ids=["upper", "interval"])
+    @pytest.mark.parametrize("n", [1, 2, 17, 63, 64, 65, 200, 300])
+    def test_engines_yield_equal_tuples_bit_for_bit(self, n, p_lo, with_j, grid_size):
+        # the row pass sums every x of the row in order, the window pass
+        # the core or the exact window largest first; fsum rounds the exact
+        # sum once, so neither the dropped zeros nor the order may show
+        by_rows, by_windows = self.passes(n, p_lo, with_j, grid_size)
+        assert len(by_rows) == grid_size
+        assert all(len(sums) == 2 + 2 * with_j for sums in by_rows)
+        assert by_windows == by_rows
+
+    def test_scalar_functions_read_one_point_of_the_window_pass_each(self, monkeypatch):
+        points = []
+        window_pass = dominance._window_pass
+
+        def counting(n, tables, value_rows, grid):
+            points.append((len(tables), len(value_rows), len(grid)))
+            return window_pass(n, tables, value_rows, grid)
+
+        monkeypatch.setattr(dominance, "_window_pass", counting)
+        thm32_bound(0.1, 5, 1.0, 1.0, 0.3)
+        risk_difference(0.1, 5, 1.0, 1.0, 0.3)
+        assert points == [(0, 2, 1), (2, 0, 1)]
+        points.clear()
+        standardized_risk_difference(0.1, 5, 1.0, 1.0, 0.3)
+        assert points == [(0, 2, 1), (2, 0, 1)]
+

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 from scipy.special import gammaln
 
@@ -34,6 +35,19 @@ class TestPosteriorMean:
         assert poisson_posterior_mean(3, loose) == pytest.approx(
             poisson_posterior_mean(3, tight), rel=1e-10
         )
+
+    @pytest.mark.parametrize("lambda_bar", [0.75, 2.0])
+    def test_truncated_matches_mpmath_up_to_large_counts(self, lambda_bar):
+        # a ratio of two series below z = alpha + 1; as the difference of
+        # two logs of size about alpha it was 2.1e-14 off at lambda_bar = 2
+        cfg = PoissonConfig(r=1.0, a=0.5, lambda_bar=lambda_bar)
+        with mpmath.workdps(40):
+            for x in range(0, 200, 7):
+                alpha = x + 0.5
+                exact = mpmath.gammainc(alpha + 1, 0, lambda_bar) / mpmath.gammainc(
+                    alpha, 0, lambda_bar
+                )
+                assert abs(poisson_posterior_mean(x, cfg) - exact) <= 2e-15 * exact, x
 
     def test_truncated_mean_below_bound(self):
         cfg = PoissonConfig(r=0.5, a=1.0, lambda_bar=2.0)
@@ -90,6 +104,25 @@ class TestPredictive:
         assert poisson_predictive(0, 2, cfg) == pytest.approx(1.0, abs=1e-6)
 
 
+def entropy_risk_oracle(lam, lambda_bar):
+    """The entropy risk at r = a = 1 in 40 digits, over the counts within 12
+    standard deviations and 40 of the mean, outside which the pmf is under
+    e^-70; the truncated posterior mean is a ratio of two lower incomplete
+    gammas, and each gamma is taken once."""
+    with mpmath.workdps(40):
+        lam = mpmath.mpf(lam)
+        spread = 12 * mpmath.sqrt(lam) + 40
+        ks = range(max(0, int(lam - spread)), int(lam + spread))
+        if lambda_bar is not None:
+            lower = [mpmath.gammainc(k + 1, 0, lambda_bar) for k in range(ks.start, ks.stop + 1)]
+        total = mpmath.mpf(0)
+        for i, k in enumerate(ks):
+            w = mpmath.exp(k * mpmath.log(lam) - lam - mpmath.loggamma(k + 1))
+            lhat = k + 1 if lambda_bar is None else lower[i + 1] / lower[i]
+            total += w * (lhat - lam - lam * mpmath.log(lhat / lam))
+        return total
+
+
 class TestEntropyRisk:
     def test_nonnegative(self):
         for cfg in (
@@ -117,6 +150,25 @@ class TestEntropyRisk:
     def test_rejects_rate_that_is_not_finite_and_positive(self, lam):
         with pytest.raises(ValueError, match="lam must be finite and positive"):
             poisson_entropy_risk(PoissonConfig(r=1.0), lam)
+
+    @pytest.mark.parametrize(
+        "lam, rel", [(0.5, 1e-14), (20.0, 1e-14), (50.0, 1e-14), (1000.0, 1e-12)]
+    )
+    @pytest.mark.parametrize("bar", [None, 1.2], ids=["untruncated", "bar-1.2lam"])
+    def test_matches_a_40_digit_oracle(self, lam, rel, bar):
+        # the sum runs over every k whose pmf is not 0.0; a stop at
+        # cumulative mass 1 - 1e-15, which the rounded running sum need not
+        # reach, raised "Poisson tail failed to close" from lam = 20 on. At
+        # lam = 1000 the lgamma in the pmf limits the error
+        lambda_bar = None if bar is None else bar * lam
+        got = poisson_entropy_risk(PoissonConfig(r=1.0, lambda_bar=lambda_bar), lam)
+        expected = entropy_risk_oracle(lam, lambda_bar)
+        assert abs(got - expected) <= rel * expected
+
+    def test_mean_above_the_trial_cap_is_refused(self):
+        # the sum takes about r lam terms, so the mean is capped as n is
+        with pytest.raises(ValueError, match=r"^the mean r\*lam must be at most 1000000, got "):
+            poisson_entropy_risk(PoissonConfig(r=2.0), 600_000.0)
 
 
 class TestLimitCorrespondence:
@@ -180,8 +232,9 @@ class TestLimitCorrespondence:
     def test_takes_each_poisson_mass_once_per_report(self, monkeypatch):
         # the Poisson target does not depend on K: one denominator
         # G(1, 1) and one numerator G(y + 1, 2) per y that some K reads
-        # (17 of them); the other 30 are the posterior mean's and the
-        # entropy risk's
+        # (17 of them); the posterior means, of the estimate and of the
+        # entropy risk at every k = 0..156, take none, since below
+        # z = alpha + 1 each is a ratio of two series
         calls, reads = [], []
         lower_gamma, pois = poisson._log_lower_gamma, poisson.poisson_predictive
         monkeypatch.setattr(
@@ -192,7 +245,7 @@ class TestLimitCorrespondence:
         )
         cfg = PoissonConfig(r=1.0, s=1.0, a=1.0, lambda_bar=1.0)
         limit_convergence_report([10.0, 100.0, 1000.0], 0.5, cfg, 0)
-        assert len(calls) == 48
+        assert len(calls) == 18
         assert [c for c in calls if c[1] == 2.0] == [(y + 1.0, 2.0) for y in range(17)]
         assert reads == []
 

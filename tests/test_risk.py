@@ -377,7 +377,7 @@ class TestMassLogRows:
         before = predictive_kl_risk(plug, 0.3, setup)
         plug[1][:] = [0.2, 0.5, 0.3]
         after = predictive_kl_risk(plug, 0.3, setup)
-        risk_module._mass_logs.cache_clear()
+        risk_module._kept_sets.clear()
         assert after == predictive_kl_risk(plug, 0.3, setup) != before
         assert after == full_row_kl_risk(plug, 0.3, setup)
 
@@ -392,7 +392,7 @@ class TestMassLogRows:
             return log_rows(masses, l)
 
         monkeypatch.setattr(risk_module, "_log_rows", counting)
-        risk_module._mass_logs.cache_clear()
+        risk_module._kept_sets.clear()
         for k in range(1, 26):
             predictive_kl_risk(tables, 0.5 * k / 25, setup)
         assert built == [3]

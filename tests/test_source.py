@@ -93,20 +93,23 @@ def test_plug_in_density_builds_no_cached_row():
 
 def test_p_free_row_builders_check_nothing():
     # a, b and n reach the J rows checked, by PriorSpec and BinomialSetup in
-    # the grid pass and by the public bound functions at one p; the mass
+    # the grid pass and by the public bound functions at one p, and both
+    # grid engines take the tables, the rows and the grid as built; the mass
     # tables' log rows are built once per table set, after the per-p entry
     # has checked p and the table count; the predictive masses take x and y
     # as checked by bayes_predictive and PredictiveTable.build, and the
     # table set makes its own x = 0..n
-    assert _check_calls("dominance.py", {"_j_rows", "_upper_curves", "_row_pass"}) == []
+    assert _check_calls("dominance.py", {"_j_rows", "_window_pass", "_row_pass"}) == []
     assert _check_calls("risk.py", {"_mass_logs", "_log_rows"}) == []
     assert _check_calls("predictive.py", {"_masses", "bayes_predictive_tables"}) == []
 
 
 def test_p_is_checked_in_one_place():
     # every risk takes p in (0, 1), checked once per public call by
-    # risk._check_p; the risk sum, the window builder and the loss row take
-    # it as checked, with no branch for p outside that range
+    # risk._check_p; the risk sum, the window builder, the loss row and the
+    # grid engines take it as checked, with no branch for p outside that
+    # range (the public bound functions check p <= p_bar before the window
+    # pass reads it)
     owners = [
         path.name
         for path in SOURCES
@@ -115,7 +118,12 @@ def test_p_is_checked_in_one_place():
     ]
     assert owners == ["risk.py"]
     found = []
-    for module, names in (("risk.py", {"_risk_sum"}), ("binom.py", {"_build_windows", "_losses"})):
+    checked = (
+        ("risk.py", {"_risk_sum"}),
+        ("binom.py", {"_build_windows", "_losses"}),
+        ("dominance.py", {"_window_pass", "_row_pass"}),
+    )
+    for module, names in checked:
         tree = ast.parse((SOURCES[0].parent / module).read_text())
         assert names <= {getattr(stmt, "name", None) for stmt in tree.body}
         found += [
@@ -129,6 +137,42 @@ def test_p_is_checked_in_one_place():
     assert found == []
     assert _check_calls("risk.py", {"_risk_sum"}) == []
     assert _check_calls("binom.py", {"_losses"}) == []
+
+
+def _identifiers(node: ast.AST) -> list[str]:
+    """The names node binds or reads, if it is a name, an attribute, a
+    definition or an imported alias."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.alias):
+        return [node.name, node.asname]
+    return []
+
+
+def test_row_pass_is_named_only_at_the_engine_choice():
+    # the two grid engines yield the same tuples; the row pass serves the
+    # grid of exhaustive_dominance_check while n + 1 <= 64, picked against
+    # the window pass in one expression, and every other sum over a grid or
+    # at one p reads the window pass, so a change to a sum is made once per
+    # engine
+    uses, choices = [], []
+    for path in SOURCES:
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            owner = getattr(stmt, "name", f"line {stmt.lineno}")
+            for node in ast.walk(stmt):
+                if "_row_pass" in _identifiers(node):
+                    uses.append((path.name, owner))
+                if isinstance(node, ast.IfExp):
+                    picked = [getattr(node.body, "id", None), getattr(node.orelse, "id", None)]
+                    if picked == ["_row_pass", "_window_pass"]:
+                        choices.append((path.name, owner))
+    engine_choice = ("dominance.py", "exhaustive_dominance_check")
+    assert uses == [("dominance.py", "_row_pass"), engine_choice]
+    assert choices == [engine_choice]
 
 
 def _imported(node: ast.AST) -> list[str]:
