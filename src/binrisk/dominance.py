@@ -211,18 +211,14 @@ def smallpbar_sufficient_conditions(
 def thm33_necessary(n: int, a: float, b: float, p_bar: float) -> bool:
     """Necessary for domination in the upper case: p_bar < (n+a)/(n+a+b)."""
     _check_count("n", n)
-    _check_shape(a=a, b=b)
-    if not 0.0 < p_bar < 1.0:
-        raise ValueError(f"p_bar must be in (0, 1), got {p_bar}")
+    PriorSpec(a=a, b=b, p_bar=p_bar)
     return p_bar < (n + a) / (n + a + b)
 
 
 def thm34_necessary(n: int, a: float, p_bar: float) -> bool:
     """Necessary condition for domination in the upper case with b = 1."""
     _check_count("n", n)
-    _check_shape(a=a)
-    if not 0.0 < p_bar < 1.0:
-        raise ValueError(f"p_bar must be in (0, 1), got {p_bar}")
+    PriorSpec(a=a, b=1.0, p_bar=p_bar)
     lhs = p_bar * math.log1p((1.0 - p_bar) * (a + 1.0) / (p_bar * (n + a + 1.0)))
     rhs = (1.0 - p_bar) * math.log(
         (n + a + 1.0) * (1.0 - p_bar ** (n + 1)) / ((n + 1.0) * (1.0 - p_bar))
@@ -258,72 +254,23 @@ def cor41_conditions(a: float, c_lo: float, c_bar: float) -> bool:
     return c_bar * math.log((c_lo + a + 1.0) / c_bar) + c_bar - c_lo < a
 
 
-def _check_symmetric_p_bar(p_bar: float) -> None:
+def max_risk_diff_symmetric_n1(a: float, p_bar: float) -> float:
+    """Maximum risk difference for n = 1, b = a, p_lo = 1 - p_bar; negative
+    means the interval-truncated estimator dominates everywhere on
+    [1 - p_bar, p_bar].
+
+    It reads the log ratios t_x = -log1p(-c(x)/(x+a)) of the untruncated to
+    the truncated estimate at x = 0, 1 from one interval correction c = c(0),
+    since the symmetry of the prior and the interval gives c(1) = -c(0); no
+    log measures of size about a are subtracted.
+    """
+    _check_shape(a=a)
     if not 0.5 < p_bar < 1.0:
         raise ValueError(f"p_bar must be in (1/2, 1), got {p_bar}")
-
-
-def max_risk_diff_symmetric_n1_generic(a: float, p_bar: float) -> float:
-    """Maximum risk difference for n = 1, b = a, p_lo = 1 - p_bar, from the
-    log ratios t_x = -log1p(-c(x)/(x+a)) of the untruncated to the truncated
-    estimate at x = 0, 1, with c the interval correction; no log measures of
-    size about a are subtracted."""
-    _check_shape(a=a)
-    _check_symmetric_p_bar(p_bar)
     p_lo = 1.0 - p_bar
-    prior = PriorSpec(a=a, b=a, p_lo=p_lo, p_bar=p_bar)
-    t0, t1 = (-math.log1p(-_correction(x, 1.0 + 2.0 * a, prior) / (x + a)) for x in (0, 1))
+    c = _correction(0, 1.0 + 2.0 * a, PriorSpec(a=a, b=a, p_bar=p_bar, p_lo=p_lo))
+    t0, t1 = -math.log1p(-c / a), -math.log1p(c / (1.0 + a))
     return (p_lo**2 + p_bar**2) * t1 + 2.0 * p_lo * p_bar * t0
-
-
-def _max_risk_diff_uniform(p_bar: float) -> float:
-    """Closed form of the n = 1 maximum risk difference for a = b = 1."""
-    p_lo = 1.0 - p_bar
-    q = (p_bar**3 - p_lo**3) / (p_bar**2 - p_lo**2)
-    return -(p_lo**2 + p_bar**2) * math.log(q) - 2.0 * p_lo * p_bar * math.log(
-        3.0 - 2.0 * q
-    )
-
-
-def _max_risk_diff_jeffreys(p_bar: float) -> float:
-    """Closed form of the n = 1 maximum risk difference for a = b = 1/2."""
-    p_lo = 1.0 - p_bar
-    r_lo = p_lo / (1.0 - p_lo)
-    r_bar = p_bar / (1.0 - p_bar)
-
-    def u32(u: float) -> float:
-        return u**1.5 / (1.0 + u) ** 2
-
-    def u12(u: float) -> float:
-        return math.sqrt(u) / (1.0 + u)
-
-    top = u32(r_bar) - u32(r_lo)
-    bottom = (
-        math.atan(math.sqrt(r_bar))
-        - math.atan(math.sqrt(r_lo))
-        - (u12(r_bar) - u12(r_lo))
-    )
-    ratio = top / bottom
-    return -(p_lo**2 + p_bar**2) * math.log1p(-2.0 / 3.0 * ratio) - (
-        2.0 * p_lo * p_bar
-    ) * math.log1p(2.0 * ratio)
-
-
-def max_risk_diff_symmetric_n1(a: float, p_bar: float) -> float:
-    """Maximum risk difference for n = 1, b = a, symmetric interval.
-
-    Negative means the interval-truncated estimator dominates everywhere
-    on [1 - p_bar, p_bar]. The uniform (a = 1) and Jeffreys (a = 1/2)
-    priors use their closed forms; any other a goes through
-    max_risk_diff_symmetric_n1_generic.
-    """
-    if a == 1.0:
-        _check_symmetric_p_bar(p_bar)
-        return _max_risk_diff_uniform(p_bar)
-    if a == 0.5:
-        _check_symmetric_p_bar(p_bar)
-        return _max_risk_diff_jeffreys(p_bar)
-    return max_risk_diff_symmetric_n1_generic(a, p_bar)
 
 
 def threshold_scan(a: float, size: int = 50) -> tuple[tuple[float, ...], tuple[float, ...], float]:

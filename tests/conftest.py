@@ -16,8 +16,11 @@ that loss row, is an oracle of point_risk's sum over x. The full-row sums
 evaluate every risk sum over all x = 0..n, zero pmf terms included, as
 references the windowed library sums must equal bit for bit;
 full_row_kl_risk does the same for the predictive KL risk over every
-(x, y). The two lemma checkers at the end evaluate both sides of an
-identity or inequality the paper's proofs rely on.
+(x, y). max_risk_diff_uniform and max_risk_diff_jeffreys are the closed
+forms of the n = 1 symmetric maximum risk difference for a = 1 and
+a = 1/2, oracles of max_risk_diff_symmetric_n1. The two lemma checkers at
+the end evaluate both sides of an identity or inequality the paper's
+proofs rely on.
 """
 
 from __future__ import annotations
@@ -263,6 +266,39 @@ def entropy_loss_direct(d: float, p: float) -> float:
     if p < 1.0:
         total += (1.0 - p) * math.log((1.0 - p) / (1.0 - d))
     return total
+
+
+def max_risk_diff_uniform(p_bar: float) -> float:
+    """Closed form of the n = 1 maximum risk difference for a = b = 1."""
+    p_lo = 1.0 - p_bar
+    q = (p_bar**3 - p_lo**3) / (p_bar**2 - p_lo**2)
+    return -(p_lo**2 + p_bar**2) * math.log(q) - 2.0 * p_lo * p_bar * math.log(
+        3.0 - 2.0 * q
+    )
+
+
+def max_risk_diff_jeffreys(p_bar: float) -> float:
+    """Closed form of the n = 1 maximum risk difference for a = b = 1/2."""
+    p_lo = 1.0 - p_bar
+    r_lo = p_lo / (1.0 - p_lo)
+    r_bar = p_bar / (1.0 - p_bar)
+
+    def u32(u: float) -> float:
+        return u**1.5 / (1.0 + u) ** 2
+
+    def u12(u: float) -> float:
+        return math.sqrt(u) / (1.0 + u)
+
+    top = u32(r_bar) - u32(r_lo)
+    bottom = (
+        math.atan(math.sqrt(r_bar))
+        - math.atan(math.sqrt(r_lo))
+        - (u12(r_bar) - u12(r_lo))
+    )
+    ratio = top / bottom
+    return -(p_lo**2 + p_bar**2) * math.log1p(-2.0 / 3.0 * ratio) - (
+        2.0 * p_lo * p_bar
+    ) * math.log1p(2.0 * ratio)
 
 
 def verify_second_derivative_identity(

@@ -17,7 +17,6 @@ from binrisk.dominance import (
     dominance_threshold_n1,
     exhaustive_dominance_check,
     max_risk_diff_symmetric_n1,
-    max_risk_diff_symmetric_n1_generic,
     risk_difference,
     standardized_risk_difference,
     thm32_bound,
@@ -38,6 +37,8 @@ from binrisk.cli import main as cli_main
 from conftest import (
     eval_I,
     eval_I_two_sided,
+    max_risk_diff_jeffreys,
+    max_risk_diff_uniform,
     mc_risk,
     quad_beta_measure,
     quad_posterior_mean,
@@ -339,11 +340,10 @@ def test_criterion_09_interval_sufficiency_soundness():
 
 def test_criterion_10_symmetric_max_difference():
     worst_closed = 0.0
-    for a in (1.0, 0.5):
+    for a, closed_form in ((1.0, max_risk_diff_uniform), (0.5, max_risk_diff_jeffreys)):
         for pb in (0.55, 0.65, 0.725, 0.775, 0.85):
-            generic = max_risk_diff_symmetric_n1_generic(a, pb)
-            closed = max_risk_diff_symmetric_n1(a, pb)
-            worst_closed = max(worst_closed, abs(generic - closed))
+            gap = abs(max_risk_diff_symmetric_n1(a, pb) - closed_form(pb))
+            worst_closed = max(worst_closed, gap)
 
     worst_match = 0.0
     min_second_diff = math.inf

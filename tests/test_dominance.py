@@ -12,7 +12,6 @@ from binrisk.dominance import (
     dominance_threshold_n1,
     exhaustive_dominance_check,
     max_risk_diff_symmetric_n1,
-    max_risk_diff_symmetric_n1_generic,
     p_grid,
     risk_difference,
     smallpbar_sufficient_conditions,
@@ -28,7 +27,7 @@ from binrisk.binom import BinomialSetup, PriorSpec
 from binrisk.estimators import EstimateTable
 from binrisk.risk import point_risk
 
-from conftest import eval_J, full_row_dominance
+from conftest import eval_J, full_row_dominance, max_risk_diff_jeffreys, max_risk_diff_uniform
 
 WINDOW_CACHES = (binom._short_windows, binom._long_windows)
 
@@ -186,12 +185,27 @@ class TestBound:
 
 
 class TestSymmetricMaxDifference:
-    def test_closed_forms_match_generic(self):
-        for a in (1.0, 0.5):
+    def test_matches_closed_forms(self):
+        for a, closed_form in ((1.0, max_risk_diff_uniform), (0.5, max_risk_diff_jeffreys)):
             for pb in (0.55, 0.65, 0.725, 0.8, 0.9):
                 assert max_risk_diff_symmetric_n1(a, pb) == pytest.approx(
-                    max_risk_diff_symmetric_n1_generic(a, pb), rel=1e-10, abs=1e-12
+                    closed_form(pb), rel=1e-10, abs=1e-12
                 )
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+    def test_one_beta_measure_per_value(self, a, monkeypatch):
+        # the symmetry gives c(1) = -c(0), so one correction, and with it
+        # one two-sided measure, serves both log ratios at every a
+        calls = []
+        measure = incbeta.log_beta_measure
+
+        def spy(*args):
+            calls.append(args)
+            return measure(*args)
+
+        monkeypatch.setattr(incbeta, "log_beta_measure", spy)
+        max_risk_diff_symmetric_n1(a, 0.7)
+        assert len(calls) == 1
 
     def test_negative_near_center(self):
         # symmetric intervals close to 1/2 always favor the truncated estimator
@@ -215,9 +229,10 @@ class TestSymmetricMaxDifference:
             max_risk_diff_symmetric_n1(1.0, 0.4)
 
     @pytest.mark.parametrize(
-        "a, p_bar", [(10.0, 0.99), (20.0, 0.9), (200.0, 0.7), (1000.0, 0.55)]
+        "a, p_bar",
+        [(10.0, 0.99), (20.0, 0.9), (200.0, 0.7), (1000.0, 0.55), (200.0, 0.5001), (2000.0, 0.5001)],
     )
-    def test_generic_matches_mpmath_betainc(self, a, p_bar):
+    def test_matches_mpmath_betainc(self, a, p_bar):
         # the log ratios of the untruncated to the truncated estimate, with
         # the truncated one a ratio of mpmath beta measures at 80 + a digits,
         # so the oracle keeps its accuracy as the measures shrink with a
@@ -229,12 +244,11 @@ class TestSymmetricMaxDifference:
             r0 = mpmath.log(unres / trunc)
             r1 = mpmath.log((1 - unres) / (1 - trunc))
             oracle = float((pl**2 + pb**2) * r1 + 2 * pl * pb * r0)
-        value = max_risk_diff_symmetric_n1_generic(a, p_bar)
+        value = max_risk_diff_symmetric_n1(a, p_bar)
         assert value == pytest.approx(oracle, rel=1e-11, abs=0.0)
 
     def test_integral_path_returns_a_python_float(self):
-        # the closed forms return float, and so must the integral path; its
-        # complete beta once came from a library that returns numpy.float64
+        # its complete beta once came from a library that returns numpy.float64
         assert type(max_risk_diff_symmetric_n1(200.0, 0.6)) is float
 
 
