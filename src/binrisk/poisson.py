@@ -219,7 +219,7 @@ def limit_convergence_report(
 
         # sup over the y range where either side still carries mass
         sup_err = 0.0
-        for y, binom_mass in enumerate(_masses(range(l + 1), x_tilde, setup, prior, {})):
+        for y, binom_mass in enumerate(_masses(range(l + 1), x_tilde, setup, prior)):
             if y == len(pois_masses):
                 pois_masses.append(_predictive_mass(y, alpha, log_den, config))
             pois_mass = pois_masses[y]

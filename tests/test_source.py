@@ -47,6 +47,21 @@ def test_kernel_is_called_only_by_the_beta_measure():
     assert callers == {("incbeta.py", kernel), ("incbeta.py", "log_beta_measure")}
 
 
+def test_predictive_measures_are_read_through_the_memo():
+    # _log_measure is the predictive module's one reader of the beta
+    # measure, so no mass, table or table set computes a measure that the
+    # memo shared by all configurations already holds
+    tree = ast.parse((SOURCES[0].parent / "predictive.py").read_text())
+    readers = {
+        getattr(stmt, "name", f"line {stmt.lineno}")
+        for stmt in tree.body
+        if not isinstance(stmt, ast.ImportFrom)
+        for node in ast.walk(stmt)
+        if "log_beta_measure" in (getattr(node, "id", None), getattr(node, "attr", None))
+    }
+    assert readers == {"_log_measure"}
+
+
 def _check_calls(module: str, builder: set[str]) -> list[str]:
     """The _check_* calls inside the top-level definitions of module named in builder."""
     tree = ast.parse((SOURCES[0].parent / module).read_text())
