@@ -1,0 +1,160 @@
+#!/usr/bin/env python3
+"""Time the risk layer's calls in CPU time, against another checkout.
+
+    python scripts/time_calls.py --against OTHER_DIR [--pairs 8] [--quick]
+
+Two cases, each timed with time.process_time in a fresh interpreter per
+side, after one untimed round that fills the caches a sweep fills:
+
+  sweep    the three calls of the predictive acceptance sweep at one p
+           (predictive_kl_risk of the Bayes tables, connection_sum and
+           predictive_kl_risk of the plug-in tables), in microseconds per
+           p, over n = 1..8 and l = 1..5 under a = b = 1 on (0, 0.3], 25 p
+           each, the tables built outside the timed region;
+  large-n  point_risk of both tables of a risk-large-n job (untruncated
+           and truncated to (0, 0.3]) at 64 p on (0, 0.3], in milliseconds
+           per job, averaged over n = 300, 533, 949, 1687 and 3000.
+
+A child times each case over several rounds and reports the median round.
+The pairs alternate which side runs first. For each case this prints each
+side's median over the pairs, the change of this checkout over OTHER_DIR,
+and the pairs in which this checkout took less time. CPU time leaves out
+the time the process waits for a core, so it does not follow the machine
+speed the way perfbench's wall-clock figures do. --quick runs one round of
+a few configurations, n = 300 and 8 p, for a smoke test.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+CASES = (("sweep", "us/p", 1e6), ("large-n", "ms/job", 1e3))
+
+
+def _sweep(n_max: int, l_max: int, points: int):
+    """A round of the sweep case, and the number of p it covers."""
+    from binrisk.binom import BinomialSetup, PriorSpec
+    from binrisk.estimators import EstimateTable
+    from binrisk.predictive import plug_in_density
+    from binrisk.risk import bayes_predictive_tables, connection_sum, predictive_kl_risk
+
+    prior = PriorSpec(a=1.0, b=1.0, p_bar=0.3)
+    ps = [0.3 * i / points for i in range(1, points + 1)]
+    configs = []
+    for n in range(1, n_max + 1):
+        est = EstimateTable.build(BinomialSetup(n=n), prior)
+        for l in range(1, l_max + 1):
+            setup = BinomialSetup(n=n, l=l)
+            bayes = [t.density for t in bayes_predictive_tables(setup, prior)]
+            plug = [[plug_in_density(y, l, d) for y in range(l + 1)] for d in est.values]
+            configs.append((n, l, setup, bayes, plug))
+
+    def run() -> None:
+        for n, l, setup, bayes, plug in configs:
+            for p in ps:
+                predictive_kl_risk(bayes, p, setup)
+                connection_sum(p, n, l, prior)
+                predictive_kl_risk(plug, p, setup)
+
+    return run, len(configs) * points
+
+
+def _large_n(ns: list[int], points: int):
+    """A round of the large-n case, and the number of jobs it covers."""
+    from binrisk.binom import BinomialSetup, PriorSpec
+    from binrisk.dominance import p_grid
+    from binrisk.estimators import EstimateTable
+    from binrisk.risk import point_risk
+
+    grid = p_grid(0.3, None, points)
+    priors = (PriorSpec(a=1.0, b=1.0), PriorSpec(a=1.0, b=1.0, p_bar=0.3))
+    jobs = [[EstimateTable.build(BinomialSetup(n=n), prior) for prior in priors] for n in ns]
+
+    def run() -> None:
+        for tables in jobs:
+            for p in grid:
+                for table in tables:
+                    point_risk(table, p)
+
+    return run, len(jobs)
+
+
+def child(src: Path, quick: bool) -> dict[str, float]:
+    """Seconds of CPU time per unit of each case, for the binrisk under src."""
+    sys.path.insert(0, str(src))
+    import binrisk
+
+    if not Path(binrisk.__file__).resolve().is_relative_to(src.resolve()):
+        raise ImportError(f"binrisk imported from {binrisk.__file__}, not {src}")
+    rounds = 1 if quick else 5
+    cases = {
+        "sweep": _sweep(2, 2, 5) if quick else _sweep(8, 5, 25),
+        "large-n": _large_n([300], 8) if quick else _large_n([300, 533, 949, 1687, 3000], 64),
+    }
+    result = {}
+    for name, (run, units) in cases.items():
+        run()  # fills the caches a sweep fills
+        times = []
+        for _ in range(rounds):
+            start = time.process_time()
+            run()
+            times.append((time.process_time() - start) / units)
+        result[name] = statistics.median(times)
+    return result
+
+
+def _side(checkout: Path, quick: bool) -> dict[str, float]:
+    args = [sys.executable, str(Path(__file__).resolve()), "--child", str(checkout / "src")]
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(
+        args + ["--quick"] * quick, capture_output=True, text=True, check=True, env=env
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def report(parent: list[dict], change: list[dict]) -> list[str]:
+    lines = [
+        f"{'case':<8} {'unit':<7} {'parent median':>14} {'change median':>14} {'change':>8}  won"
+    ]
+    for name, unit, scale in CASES:
+        old = statistics.median(run[name] for run in parent) * scale
+        new = statistics.median(run[name] for run in change) * scale
+        won = sum(c[name] < p[name] for p, c in zip(parent, change))
+        lines.append(
+            f"{name:<8} {unit:<7} {old:>14.4g} {new:>14.4g} {new / old - 1.0:>+8.1%}"
+            f"  {won}/{len(parent)}"
+        )
+    return lines
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", type=Path, help="the checkout to compare with")
+    parser.add_argument("--pairs", type=int, default=8, help="alternating pairs of children")
+    parser.add_argument("--quick", action="store_true", help="a smoke-test run")
+    parser.add_argument("--child", type=Path, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child is not None:
+        print(json.dumps(child(args.child, args.quick)))
+        return 0
+    if args.against is None or args.pairs < 1:
+        parser.error("need --against OTHER_DIR and --pairs >= 1")
+    parent, change = [], []
+    for pair in range(args.pairs):
+        sides = [(args.against, parent), (ROOT, change)]
+        for checkout, runs in sides if pair % 2 == 0 else sides[::-1]:
+            runs.append(_side(checkout, args.quick))
+    print("\n".join(report(parent, change)))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -1,15 +1,16 @@
-"""Binomial model primitives: pmf windows and weighted loss terms.
+"""Binomial model primitives: pmf windows.
 
 pmf_windows(n, p) holds, in one cache entry, the exact window of (n, p),
 every x whose pmf is not exactly 0.0, and its core window, the x within
 e^-64 of the pmf peak, with a bound on the sum of the terms the core
 leaves out; each term is exponentiated once. An entry read as the future
-pmf of the predictive KL risk also keeps the logs of its nonzero terms.
-Entries sit in two caches by row length: up to 1,024 short rows, which
-sweeps revisit at the same few p, and 8 long ones. _losses builds the
-terms w L(d, p) of a risk sum, each pmf weight times its entropy loss,
-in one pass. Both take n >= 1 and p in (0, 1) as checked: every entry
-point that takes p checks it once, with risk._check_p.
+pmf of the predictive KL risk also keeps the (y, f(y), log f(y)) triples
+of its nonzero terms, which that risk iterates as they are. Entries sit
+in two caches by row length: up to 1,024 short rows, which sweeps revisit
+at the same few p, and 8 long ones. The builder takes n >= 1 and p in
+(0, 1) as checked: every entry point that takes p checks it once, with
+risk._check_p. The risk sums form their loss terms themselves
+(risk._risk_sums), one log p and log(1-p) for all of a call's tables.
 
 Also holds the two descriptors shared across the package, the
 trial-count setup and the (possibly truncated) beta prior; the bases of
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Sequence
 from functools import lru_cache
 from itertools import count
 
@@ -218,17 +218,13 @@ class PmfWindows:
             self._exact, self._rest = (start, left + core + right), None
         return self._exact
 
-    def exact_logs(self) -> tuple[Sequence[int], tuple[float, ...], tuple[float, ...]]:
-        """(xs, terms, logs) over the exact window's nonzero terms, built on
-        the first call and kept: where no term is 0.0, xs is a range and
-        terms the window's own tuple, so only the logs take new memory."""
+    def exact_logs(self) -> tuple[tuple[int, float, float], ...]:
+        """(x, term, log term) for each nonzero term of the exact window,
+        built on the first call and kept, the rows a sum over the future
+        pmf iterates."""
         if self._logs is None:
             start, terms = self.exact()
-            if 0.0 in terms:
-                xs, terms = zip(*[(x, w) for x, w in enumerate(terms, start) if w != 0.0])
-            else:
-                xs = range(start, start + len(terms))
-            self._logs = xs, terms, tuple([math.log(w) for w in terms])
+            self._logs = tuple([(x, w, math.log(w)) for x, w in enumerate(terms, start) if w])
         return self._logs
 
 
@@ -258,9 +254,10 @@ def _build_windows(n: int, p: float) -> PmfWindows:
 # Sweeps revisit the same few p at many small n (n + l - 1 <= 12 in the
 # predictive acceptance sweep, whose 75 p give 900 rows). A row of at most
 # _SHORT_ROW terms takes at most about 950 bytes with both windows, its key
-# and its cache link, and 1,510 with the logs of its terms (tracemalloc,
-# n = 12), so its cache holds at most 1.6 MB; a long row takes about 32
-# bytes a term, 0.4 MB at n = 1e5, so only 8 of them are kept.
+# and its cache link, and about 2,230 with the (y, f, log f) triples of its
+# terms (tracemalloc, n = 12), so its cache holds at most 2.3 MB; a long
+# row takes about 32 bytes a term, 0.4 MB at n = 1e5, so only 8 of them
+# are kept.
 _SHORT_ROW = 13
 _short_windows = lru_cache(maxsize=1024)(_build_windows)
 _long_windows = lru_cache(maxsize=8)(_build_windows)
@@ -270,18 +267,4 @@ def pmf_windows(n: int, p: float) -> PmfWindows:
     """The windows of (n, p), built once for every sum at that p. n >= 1 and
     0 < p < 1 are not checked: the callers have checked them."""
     return (_short_windows if n < _SHORT_ROW else _long_windows)(n, p)
-
-
-def _losses(
-    weights: Sequence[float], log_ds: Sequence[float], log_es: Sequence[float], p: float
-) -> list[float]:
-    """The terms w L(d, p) of a risk sum, L = p log(p/d) + (1-p) log((1-p)/(1-d)),
-    in one pass over the weights w and log d, log_e = log(1-d) of each d."""
-    log_p, log_q, q = math.log(p), math.log1p(-p), 1.0 - p
-    # tiny negative losses are pure rounding: the loss is a KL divergence.
-    # The clamp is max(v, 0.0) for every float v, -0.0 and NaN included
-    return [
-        w * (0.0 if (v := p * (log_p - log_d) + q * (log_q - log_e)) < 0.0 else v)
-        for w, log_d, log_e in zip(weights, log_ds, log_es)
-    ]
 

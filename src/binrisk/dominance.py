@@ -30,7 +30,7 @@ from .binom import (
 )
 from .estimators import EstimateTable, _correction
 from .incbeta import SingularBoundError, inverse_I_row, log_eval_I
-from .risk import _check_p, _risk_sum
+from .risk import _check_p, _risk_sums
 
 GRID_SLACK = 1e-12
 NOISE_CEILING = 1e-9
@@ -92,7 +92,7 @@ def _row_pass(
     The grid goes in blocks of _BLOCK points. For each x, one comprehension
     over the block forms the pmf terms, by the expression of
     binom._exp_terms, and one more per table and per value row forms the
-    weighted terms, the loss as in binom._losses; each p then sums its
+    weighted terms, the loss as in risk._risk_sums; each p then sums its
     column of the block's rows. The terms are the windowed sums' terms,
     and the rest are exactly 0.0 (pmf terms outside the exact window times
     finite values), so each sum is the windowed one.
@@ -125,12 +125,12 @@ def _window_pass(
     n: int, tables: tuple[EstimateTable, ...], value_rows: tuple[list[float], ...], grid: list[float]
 ) -> Iterator[tuple[float, ...]]:
     """Yields, for each p of grid, what _row_pass yields, from the one pmf
-    window of (n, p): each table's risk by risk._risk_sum, then each value
+    window of (n, p): the tables' risks by risk._risk_sums, then each value
     row's expectation over the exact window, which is built only when a
-    value row is given, its terms largest first into fsum as in _risk_sum.
+    value row is given, its terms largest first into fsum as in _risk_sums.
     """
     for p in grid:
-        sums = [_risk_sum(table, p) for table in tables]
+        sums = _risk_sums(tables, p)
         if value_rows:
             start, weights = pmf_windows(n, p).exact()
             for values in value_rows:

@@ -58,8 +58,8 @@ class EstimateTable(_Table):
         p, so the first risk sum builds them for every later one. Not a
         field, so ==, hash and repr ignore them. log p and log(1-p) round to
         at most 0.0 and IEEE rounding is monotone, so at any p in (0, 1) no
-        loss that binom._losses computes from these rows exceeds the ceiling
-        by more than a few ulps."""
+        loss that risk._risk_sums computes from these rows exceeds the
+        ceiling by more than a few ulps."""
         log_ds = [math.log(d) for d in self.values]
         log_es = [math.log1p(-d) for d in self.values]
         return log_ds, log_es, max(-min(log_ds), -min(log_es))

@@ -17,7 +17,7 @@ from itertools import count
 from .binom import MAX_TRIALS, BinomialSetup, PriorSpec, _check_count, _check_shape, _record
 from .estimators import EstimateTable
 from .predictive import _masses
-from .risk import _risk_sum
+from .risk import _risk_sums
 
 # the masses under which the report's predictive sup stops reading y
 _TAIL_MASS = 1e-15
@@ -229,7 +229,7 @@ def limit_convergence_report(
         pred_errors.append(sup_err)
 
         risk_errors.append(
-            abs(n / config.r * _risk_sum(table, p) - risk_target)
+            abs(n / config.r * _risk_sums((table,), p)[0] - risk_target)
         )
 
     return PoissonLimitReport(

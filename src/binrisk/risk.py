@@ -10,17 +10,19 @@ product is a zero and the correctly rounded sum is the same. point_risk
 sums over the core window, the x within e^-64 of the pmf peak, and
 certifies that the terms it leaves out cannot change the rounded sum;
 where the certificate fails it sums the exact window. Its terms
-Bin(x; n, p) L(d(x), p) come from one pass over log d and log(1-d), which
-do not depend on p and live on the estimate table with the ceiling of its
-losses, so they are kept as long as estimators keeps the table.
+Bin(x; n, p) L(d(x), p) come from one inline pass over log d and
+log(1-d), which do not depend on p and live on the estimate table with
+the ceiling of its losses, so they are kept as long as estimators keeps
+the table; _risk_sums takes log p and log(1-p) once for all the tables
+of one call, the l of connection_sum or the two of a grid point.
 predictive_kl_risk takes the log rows of the predictive masses, and checks
 their shape, once per set of tables: it keeps the last two sets' masses
 and recognises a set by comparing them, which costs no hash of every
-mass. The logs of the future pmf live on its window entry. connection_sum
-resolves its l tables once per (n, l, prior) when all are small, so each p
-costs only the l sums. Every risk takes p in (0, 1): _check_p, the
-library's one check of p, runs once per public call, and the sums below
-it take p as checked.
+mass. The (y, f(y), log f(y)) triples of the future pmf live on its
+window entry. connection_sum resolves its l tables once per (n, l, prior)
+when all are small, so each p costs only the l sums. Every risk takes p
+in (0, 1): _check_p, the library's one check of p, runs once per public
+call, and the sums below it take p as checked.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import math
 from collections.abc import Sequence
 from functools import lru_cache
 
-from .binom import BinomialSetup, PriorSpec, _check_trials, _losses, pmf_windows
+from .binom import BinomialSetup, PriorSpec, _check_trials, pmf_windows
 from .estimators import _SMALL_TABLE, EstimateTable
 from .predictive import bayes_predictive_tables  # noqa: F401  (re-exported)
 
@@ -53,33 +55,42 @@ def point_risk(estimates: EstimateTable, p: float) -> float:
     Where that check fails, the sum runs over the exact window.
     """
     _check_p(p)
-    return _risk_sum(estimates, p)
+    return _risk_sums((estimates,), p)[0]
 
 
-def _risk_sum(estimates: EstimateTable, p: float) -> float:
-    """point_risk at a checked p."""
-    windows = pmf_windows(estimates.setup.n, p)
-    log_ds, log_es, ceiling = estimates._logs
-    terms = _window_losses(windows.core, log_ds, log_es, p)
-    terms.sort(reverse=True)  # largest first, the order fsum sums fastest
-    risk = math.fsum(terms)
-    if windows.tail:
-        terms.append(windows.tail * (2.0 * ceiling + 1.0))
-        if math.fsum(terms) != risk:
-            return math.fsum(_window_losses(windows.exact(), log_ds, log_es, p))
-    return risk
-
-
-def _window_losses(
-    window: tuple[int, Sequence[float]], log_ds: list[float], log_es: list[float], p: float
-) -> list[float]:
-    """The loss terms over a pmf window (start, weights); a window from
-    x = 0 takes the log rows whole, since _losses stops with the weights."""
-    start, weights = window
-    if start:
-        stop = start + len(weights)
-        log_ds, log_es = log_ds[start:stop], log_es[start:stop]
-    return _losses(weights, log_ds, log_es, p)
+def _risk_sums(tables: Sequence[EstimateTable], p: float) -> list[float]:
+    """point_risk of each table at a checked p, with one log p and log(1-p)
+    for all of them. Each loss term is w L(d, p), the loss clamped at 0.0:
+    a negative loss is pure rounding, as the loss is a KL divergence, and
+    the clamp is max(v, 0.0) for every float v, -0.0 and NaN included. A
+    window from x = 0 takes the log rows whole, since zip stops with the
+    weights."""
+    log_p, log_q, q = math.log(p), math.log1p(-p), 1.0 - p
+    sums = []
+    for table in tables:
+        windows = pmf_windows(table.setup.n, p)
+        log_ds, log_es, ceiling = table._logs
+        start, weights = window = windows.core
+        while True:
+            stop = start + len(weights)
+            terms = [
+                w * (0.0 if (v := p * (log_p - log_d) + q * (log_q - log_e)) < 0.0 else v)
+                for w, log_d, log_e in zip(
+                    weights,
+                    log_ds[start:stop] if start else log_ds,
+                    log_es[start:stop] if start else log_es,
+                )
+            ]
+            terms.sort(reverse=True)  # largest first, the order fsum sums fastest
+            risk = math.fsum(terms)
+            if window is not windows.core or not windows.tail:
+                break
+            terms.append(windows.tail * (2.0 * ceiling + 1.0))
+            if math.fsum(terms) == risk:
+                break
+            start, weights = window = windows.exact()  # the certificate failed
+        sums.append(risk)
+    return sums
 
 
 def predictive_kl_risk(
@@ -90,15 +101,15 @@ def predictive_kl_risk(
     tables[x][y] is the estimated mass of Y = y after observing X = x. The
     log rows of the masses do not depend on p; they are taken once per set
     of tables (_mass_logs), which is recognised by its masses, so a table
-    changed in place is read afresh. The logs of the future pmf f live on
-    its window entry.
+    changed in place is read afresh. The (y, f(y), log f(y)) triples of the
+    future pmf f live on its window entry.
     """
     _check_p(p)
     n, l = setup.n, setup.l
     if len(tables) != n + 1:
         raise ValueError(f"need a table for every x = 0..{n}")
     log_rows, bad_xs = _mass_logs(tables, l)
-    ys = [*zip(*pmf_windows(l, p).exact_logs())]  # (y, f(y), log f(y))
+    ys = pmf_windows(l, p).exact_logs()  # (y, f(y), log f(y))
     # every estimated mass the risk would read is checked, also where the
     # pmf of x is exactly 0.0 and its terms are left out of the sum
     for x in bad_xs:
@@ -162,7 +173,7 @@ def connection_sum(p: float, n: int, l: int, prior: PriorSpec) -> float:
     _check_trials("l", l)  # l < 1 would sum nothing
     _check_p(p)
     resolve = _connection_tables if n + l <= _SMALL_TABLE else _connection_tables.__wrapped__
-    return math.fsum([_risk_sum(table, p) for table in resolve(n, l, prior)])
+    return math.fsum(_risk_sums(resolve(n, l, prior), p))
 
 
 @lru_cache(maxsize=4)

@@ -9,9 +9,10 @@ library's own I row, so that tests can check that row against the J
 oracle, and eval_I and eval_I_two_sided exponentiate the library's upper
 and two-sided log I, which the kernel tests and the acceptance criteria
 check against quadrature, closed forms and the contiguous relations.
-window_row and unit_losses are not oracles either: they read the
-library's pmf window, padded to x = 0..n, and its loss row at unit
-weight, for tests that need either whole. mc_risk, a seeded sampler over
+window_row is not an oracle either: it reads the library's pmf window,
+padded to x = 0..n, for tests that need it whole. loss_row is the risk
+sums' loss expression as a function of the weights and the log rows,
+and unit_losses reads it at unit weight. mc_risk, a seeded sampler over
 that loss row, is an oracle of point_risk's sum over x. The full-row sums
 evaluate every risk sum over all x = 0..n, zero pmf terms included, as
 references the windowed library sums must equal bit for bit;
@@ -22,7 +23,8 @@ a = 1/2, oracles of max_risk_diff_symmetric_n1. The two lemma checkers at
 the end evaluate both sides of an identity or inequality the paper's
 proofs rely on. The cold_measures fixture empties the predictive module's
 memo of beta measures, so that a spy on predictive.log_beta_measure sees
-every measure a test computes.
+every measure a test computes; the summed_rows fixture records the term
+rows the risk sums build, through a spy on the risk module's fsum.
 """
 
 from __future__ import annotations
@@ -34,13 +36,43 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from binrisk import predictive
-from binrisk.binom import BinomialSetup, PriorSpec, _log_binom_coeffs, _losses, pmf_windows
+from binrisk import predictive, risk
+from binrisk.binom import BinomialSetup, PriorSpec, _log_binom_coeffs, pmf_windows
 from binrisk.dominance import _j_rows, p_grid
 from binrisk.estimators import EstimateTable
 from binrisk.incbeta import SingularBoundError, log_eval_I
 
 QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-13, limit=200)
+
+
+class _FsumSpy:
+    """Stands in for the math module in binrisk.risk and records, in order,
+    the length of each list its fsum sums the first time it sums it."""
+
+    def __init__(self) -> None:
+        self.rows: list[int] = []
+        self._seen: list[list[float]] = []  # held, so no id is reused
+
+    def __getattr__(self, name: str):
+        return getattr(math, name)
+
+    def fsum(self, terms):
+        if not any(terms is row for row in self._seen):
+            self._seen.append(terms)
+            self.rows.append(len(terms))
+        return math.fsum(terms)
+
+
+@pytest.fixture
+def summed_rows(monkeypatch) -> list[int]:
+    """The lengths of the term rows the risk module sums, one per row: the
+    certificate's second sum of a core row, with its bound appended, is the
+    same list and adds nothing, and a fallback to the exact window adds a
+    row of its length. Sums over other lists count too (connection_sum's
+    sum of its l risks), so tests read it around point risks."""
+    spy = _FsumSpy()
+    monkeypatch.setattr(risk, "math", spy)
+    return spy.rows
 
 
 @pytest.fixture
@@ -149,9 +181,24 @@ def window_row(n: int, p: float) -> list[float]:
     return row
 
 
+def loss_row(
+    weights: Sequence[float], log_ds: Sequence[float], log_es: Sequence[float], p: float
+) -> list[float]:
+    """The terms w L(d, p) of a risk sum, L = p log(p/d) + (1-p) log((1-p)/(1-d)),
+    from the weights w and log d, log_e = log(1-d) of each d, by the
+    expression of risk._risk_sums: the same operands in the same order, and
+    the loss clamped at 0.0 (max(v, 0.0) for every float v, -0.0 and NaN
+    included)."""
+    log_p, log_q, q = math.log(p), math.log1p(-p), 1.0 - p
+    return [
+        w * (0.0 if (v := p * (log_p - log_d) + q * (log_q - log_e)) < 0.0 else v)
+        for w, log_d, log_e in zip(weights, log_ds, log_es)
+    ]
+
+
 def unit_losses(ds: Sequence[float], p: float) -> list[float]:
     """The entropy losses L(d, p) of the risk sums, one per d, at unit weight."""
-    return _losses([1.0] * len(ds), [math.log(d) for d in ds], [math.log1p(-d) for d in ds], p)
+    return loss_row([1.0] * len(ds), [math.log(d) for d in ds], [math.log1p(-d) for d in ds], p)
 
 
 def full_pmf_row(n: int, p: float) -> list[float]:
@@ -181,7 +228,7 @@ def mc_risk(
     so it checks the sum over x, not the losses.
     """
     n = estimates.setup.n
-    losses = np.array(_losses([1.0] * (n + 1), *estimates._logs[:2], p))  # w * 1.0 is w
+    losses = np.array(loss_row([1.0] * (n + 1), *estimates._logs[:2], p))  # w * 1.0 is w
     rng = np.random.default_rng(seed)
     draws = rng.binomial(n, p, size=sample_count)
     counts = np.bincount(draws, minlength=n + 1)

@@ -138,6 +138,29 @@ class TestBinomPmf:
             assert [t.hex() for t in terms] == [t.hex() for t in expected]
         assert windows.tail == 0.0 or len(windows.core[1]) < len(windows.exact()[1])
 
+    @pytest.mark.parametrize("n, p", [(3, 0.3), (12, 0.9), (10_000, 0.3)])
+    def test_exact_logs_are_the_nonzero_terms_with_their_logs(self, n, p):
+        # at n = 1e4 and p = 0.3 the exact window ends in terms that are
+        # exactly 0.0 (exponents in [-746.2, -745.13)), so the ys of the
+        # triples skip them and are not a range
+        binom._short_windows.cache_clear()
+        binom._long_windows.cache_clear()
+        windows = pmf_windows(n, p)
+        start, terms = windows.exact()
+        expected = [(y, f, math.log(f)) for y, f in enumerate(terms, start) if f != 0.0]
+        triples = windows.exact_logs()
+        assert isinstance(triples, tuple)
+        assert [(y, f.hex(), g.hex()) for y, f, g in triples] == [
+            (y, f.hex(), g.hex()) for y, f, g in expected
+        ]
+        ys = [y for y, _, _ in triples]
+        assert (ys == list(range(start, start + len(terms)))) == (0.0 not in terms)
+        if n == 10_000:
+            assert terms[0] == terms[-1] == 0.0 and len(ys) < len(terms)
+        # one entry keeps its triples: every call returns the same tuple
+        assert windows.exact_logs() is triples
+        assert pmf_windows(n, p).exact_logs() is triples
+
 
 class TestEntropyLoss:
     def test_zero_at_truth(self):

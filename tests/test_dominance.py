@@ -22,7 +22,7 @@ from binrisk.dominance import (
     thm41_conditions,
     threshold_scan,
 )
-from binrisk import binom, dominance, estimators, incbeta, risk
+from binrisk import binom, dominance, estimators, incbeta
 from binrisk.binom import BinomialSetup, PriorSpec
 from binrisk.estimators import EstimateTable
 from binrisk.risk import point_risk
@@ -500,24 +500,15 @@ class TestExhaustiveCheck:
         assert counts[0] == counts[1] > 0
 
     @pytest.fixture
-    def rows_built(self, monkeypatch):
+    def rows_built(self, summed_rows):
         """Counts of pmf windows built (misses of their cold caches, one for
-        short rows and one for long ones) and of loss rows built, wherever
-        the loss row is imported."""
+        short rows and one for long ones) and of loss rows built, each
+        seen as a row the risk sums sum."""
         clear_windows()
-        losses = binom._losses
-        loss_rows = [0]
-
-        def counting(*args):
-            loss_rows[0] += 1
-            return losses(*args)
-
-        for module in (binom, risk):
-            monkeypatch.setattr(module, "_losses", counting)
 
         def counts():
             misses = sum(c.cache_info().misses for c in WINDOW_CACHES)
-            return {"pmf": misses, "loss": loss_rows[0]}
+            return {"pmf": misses, "loss": len(summed_rows)}
 
         return counts
 

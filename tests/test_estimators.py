@@ -7,14 +7,14 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from binrisk import binom, estimators, incbeta
+from binrisk import estimators, incbeta
 from binrisk.binom import BinomialSetup, PriorSpec
 from binrisk.dominance import _j_rows
 from binrisk.estimators import EstimateTable, posterior_mean
 from binrisk.incbeta import inverse_I_row, log_eval_I
 from binrisk.risk import point_risk
 
-from conftest import eval_I, quad_posterior_mean
+from conftest import eval_I, loss_row, quad_posterior_mean
 
 A_B_GRID = [0.5, 1.0, 2.0]
 TABLE_CACHES = (estimators._build_table, estimators._build_large_table)
@@ -261,7 +261,7 @@ class TestTableRows:
             "interval": PriorSpec(a, b, p_bar=pb, p_lo=frac * pb),
         }[mode]
         log_ds, log_es, ceiling = EstimateTable.build(BinomialSetup(n=n), prior)._logs
-        losses = binom._losses([1.0] * (n + 1), log_ds, log_es, p)
+        losses = loss_row([1.0] * (n + 1), log_ds, log_es, p)
         assert max(losses) <= 2.0 * ceiling + 1.0
         assert max(losses) <= ceiling * (1.0 + 2.0**-50)
 

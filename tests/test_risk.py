@@ -138,26 +138,28 @@ class TestCoreWindowCertificate:
             risk, expected = point_risk(table, p), full_row_risk(table, p)
             assert risk.hex() == expected.hex()  # the sign bit too
 
-    def test_failed_certificate_falls_back_to_the_exact_window(self, monkeypatch):
+    def test_failed_certificate_falls_back_to_the_exact_window(self, summed_rows, monkeypatch):
         n, p = 10_000, 0.3
         built = EstimateTable.build(BinomialSetup(n=n), PriorSpec(a=1.0, b=1.0))
         # a hand-built copy, so that its rows, edited below, are its own
         table = EstimateTable(built.setup, built.prior, built.values)
-        rows = []
-        losses = risk_module._losses
+        exact = binom.PmfWindows.exact
+        exact_reads = []
 
-        def counting(weights, *rest):
-            rows.append(len(weights))
-            return losses(weights, *rest)
+        def reading(windows):
+            exact_reads.append(windows)
+            return exact(windows)
 
-        monkeypatch.setattr(risk_module, "_losses", counting)
+        monkeypatch.setattr(binom.PmfWindows, "exact", reading)
         expected = full_row_risk(table, p)
         assert point_risk(table, p) == expected
-        assert rows == [1_036]  # the certificate held on the core row
+        assert summed_rows == [1_036]  # the certificate held on the core row
+        assert exact_reads == []
         log_ds, log_es, _ = table._logs
         vars(table)["_logs"] = log_ds, log_es, 1e20  # a ceiling that no sum can absorb
         assert point_risk(table, p) == expected
-        assert rows == [1_036, 1_036, 3_480]
+        assert summed_rows == [1_036, 1_036, 3_480]
+        assert exact_reads == [pmf_windows(n, p)]
 
     # 21 p from 1e-300 to 1 - 1e-12, EDGE_PS among them
     DEPTH_PS = sorted(
@@ -165,25 +167,17 @@ class TestCoreWindowCertificate:
     )
 
     @pytest.mark.parametrize("n", [300, 1_000, 10_000, 100_000])
-    def test_certificate_holds_at_the_core_depth(self, n, monkeypatch):
+    def test_certificate_holds_at_the_core_depth(self, n, summed_rows):
         # each point risk sums its core row once and certifies it, with no
         # exact-window fallback, and is still the full row's sum. At n = 1e5
         # every other p (both ends kept) keeps the full-row sums under 3 s
         ps = self.DEPTH_PS if n < 100_000 else self.DEPTH_PS[::2]
-        rows = []
-        losses = risk_module._losses
-
-        def counting(weights, *rest):
-            rows.append(len(weights))
-            return losses(weights, *rest)
-
-        monkeypatch.setattr(risk_module, "_losses", counting)
         for prior in (PriorSpec(a=1.0, b=1.0), PriorSpec(a=0.5, b=3.0, p_bar=0.3)):
             table = EstimateTable.build(BinomialSetup(n=n), prior)
             for p in ps:
-                rows.clear()
+                summed_rows.clear()
                 risk = point_risk(table, p)
-                assert rows == [len(pmf_windows(n, p).core[1])]
+                assert summed_rows == [len(pmf_windows(n, p).core[1])]
                 assert risk.hex() == full_row_risk(table, p).hex()
 
     def test_zero_core_sum_is_never_certified(self):
@@ -221,6 +215,74 @@ class TestCoreWindowCertificate:
         # the exact window extends the core: each term is exponentiated once
         held = exact[core_start - start : core_start - start + len(core)]
         assert all(a is b for a, b in zip(held, core, strict=True))
+
+
+class TestRiskSums:
+    """_risk_sums takes one log p and log(1-p) for all the tables of a call;
+    each table's sum is still its full row's, bit for bit."""
+
+    PS = (*EDGE_PS, 1e-300, 1e-6, 0.05, 0.2)
+
+    @pytest.fixture(scope="class")
+    def mixed_tables(self):
+        upper = PriorSpec(a=0.5, b=3.0, p_bar=0.3)
+        interval = PriorSpec(a=2.0, b=1.0, p_bar=0.5, p_lo=0.01)
+        tables = [
+            EstimateTable.build(BinomialSetup(n=n), prior)
+            for n in (1, 12, 13, 300)  # 12 and 13 are the last short and first long row
+            for prior in (upper, interval)
+        ]
+        large = [EstimateTable.build(BinomialSetup(n=10_000), PriorSpec(a=1.0, b=1.0))]
+        large.append(EstimateTable.build(BinomialSetup(n=10_000), upper))
+        # a hand-built copy whose ceiling no sum can absorb: at p = 0.3 its
+        # certificate fails and it sums the exact window
+        hand = EstimateTable(large[0].setup, large[0].prior, large[0].values)
+        log_ds, log_es, _ = hand._logs
+        vars(hand)["_logs"] = log_ds, log_es, 1e20
+        return [*tables, *large, hand]
+
+    @pytest.mark.parametrize("p", PS)
+    def test_each_sum_is_the_full_row_sum(self, mixed_tables, p, summed_rows):
+        sums = risk_module._risk_sums(mixed_tables, p)
+        expected = [full_row_risk(table, p) for table in mixed_tables]
+        assert [v.hex() for v in sums] == [v.hex() for v in expected]
+        if p == 0.3:
+            assert summed_rows[-1] == len(pmf_windows(10_000, p).exact()[1]) == 3_480
+
+    def test_connection_sum_over_the_acceptance_sweep(self):
+        # the 1,080 configurations of the acceptance sweep at their 25 p
+        # (tests/test_acceptance.py): each connection sum is the correctly
+        # rounded sum of its l tables' full-row risks
+        sweep = {
+            (None, None): [i / 26 for i in range(1, 26)],
+            (0.3, None): [0.3 * i / 25 for i in range(1, 26)],
+            (0.4, 0.1): [0.1 + (0.4 - 0.1) * i / 24 for i in range(25)],
+        }
+        oracle = {}
+
+        def full_risk(m, prior, p):
+            if (m, prior, p) not in oracle:
+                table = EstimateTable.build(BinomialSetup(n=m), prior)
+                oracle[m, prior, p] = full_row_risk(table, p)
+            return oracle[m, prior, p]
+
+        checked, differ = 0, []
+        for n in range(1, 9):
+            for l in range(1, 6):
+                for a in (0.5, 1.0, 2.0):
+                    for b in (0.5, 1.0, 2.0):
+                        for (p_bar, p_lo), ps in sweep.items():
+                            prior = PriorSpec(a=a, b=b, p_bar=p_bar, p_lo=p_lo)
+                            checked += 1
+                            for p in ps:
+                                risk = connection_sum(p, n, l, prior)
+                                expected = math.fsum(
+                                    [full_risk(m, prior, p) for m in range(n, n + l)]
+                                )
+                                if risk.hex() != expected.hex():
+                                    differ.append((n, l, prior, p))
+        assert checked == 1_080
+        assert differ == []
 
 
 class TestWindowCaches:

@@ -121,8 +121,8 @@ def test_p_free_row_builders_check_nothing():
 
 def test_p_is_checked_in_one_place():
     # every risk takes p in (0, 1), checked once per public call by
-    # risk._check_p; the risk sum, the window builder, the loss row and the
-    # grid engines take it as checked, with no branch for p outside that
+    # risk._check_p; the risk sums with their loss terms, the window builder
+    # and the grid engines take it as checked, with no branch for p outside that
     # range (the public bound functions check p <= p_bar before the window
     # pass reads it)
     owners = [
@@ -134,8 +134,8 @@ def test_p_is_checked_in_one_place():
     assert owners == ["risk.py"]
     found = []
     checked = (
-        ("risk.py", {"_risk_sum"}),
-        ("binom.py", {"_build_windows", "_losses"}),
+        ("risk.py", {"_risk_sums"}),
+        ("binom.py", {"_build_windows"}),
         ("dominance.py", {"_window_pass", "_row_pass"}),
     )
     for module, names in checked:
@@ -150,8 +150,7 @@ def test_p_is_checked_in_one_place():
             and any(getattr(side, "id", None) == "p" for side in (node.left, *node.comparators))
         ]
     assert found == []
-    assert _check_calls("risk.py", {"_risk_sum"}) == []
-    assert _check_calls("binom.py", {"_losses"}) == []
+    assert _check_calls("risk.py", {"_risk_sums"}) == []
 
 
 def _identifiers(node: ast.AST) -> list[str]:
@@ -244,7 +243,9 @@ def test_runtime_needs_only_the_standard_library():
         re.match(r"[\w.-]+", requirement).group().lower().replace("-", "_")
         for requirement in project["optional-dependencies"]["test"]
     }
-    local = {"binrisk", "conftest", "write_outputs", "make_figure_data", "bench_compare"}
+    local = {
+        "binrisk", "conftest", "write_outputs", "make_figure_data", "bench_compare", "time_calls"
+    }
     allowed = set(sys.stdlib_module_names) | local | extra
     outside = {
         (path.name, name)
