@@ -3,7 +3,7 @@
 
     python scripts/time_calls.py --against OTHER_DIR [--pairs 8] [--quick]
 
-Two cases, each timed with time.process_time in a fresh interpreter per
+Three cases, each timed with time.process_time in a fresh interpreter per
 side, after one untimed round that fills the caches a sweep fills:
 
   sweep    the three calls of the predictive acceptance sweep at one p
@@ -13,7 +13,10 @@ side, after one untimed round that fills the caches a sweep fills:
            each, the tables built outside the timed region;
   large-n  point_risk of both tables of a risk-large-n job (untruncated
            and truncated to (0, 0.3]) at 64 p on (0, 0.3], in milliseconds
-           per job, averaged over n = 300, 533, 949, 1687 and 3000.
+           per job, averaged over n = 300, 533, 949, 1687 and 3000;
+  poisson  poisson_entropy_risk at lam = 0.5, the risk target of a
+           risk-large-n Poisson report, in milliseconds per target, over
+           a = 0.5, 1, 2, 3 and lambda_bar = 0.75, 1, 1.37, 2 and unset.
 
 A child times each case over several rounds and reports the median round.
 The pairs alternate which side runs first. For each case this prints each
@@ -21,7 +24,7 @@ side's median over the pairs, the change of this checkout over OTHER_DIR,
 and the pairs in which this checkout took less time. CPU time leaves out
 the time the process waits for a core, so it does not follow the machine
 speed the way perfbench's wall-clock figures do. --quick runs one round of
-a few configurations, n = 300 and 8 p, for a smoke test.
+a few configurations, n = 300, 8 p and two targets, for a smoke test.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-CASES = (("sweep", "us/p", 1e6), ("large-n", "ms/job", 1e3))
+CASES = (("sweep", "us/p", 1e6), ("large-n", "ms/job", 1e3), ("poisson", "ms/tgt", 1e3))
 
 
 def _sweep(n_max: int, l_max: int, points: int):
@@ -87,6 +90,19 @@ def _large_n(ns: list[int], points: int):
     return run, len(jobs)
 
 
+def _poisson(exponents: list[float], bounds: list[float | None]):
+    """A round of the poisson case, and the number of targets it covers."""
+    from binrisk.poisson import PoissonConfig, poisson_entropy_risk
+
+    configs = [PoissonConfig(r=1.0, a=a, lambda_bar=bar) for a in exponents for bar in bounds]
+
+    def run() -> None:
+        for config in configs:
+            poisson_entropy_risk(config, 0.5)
+
+    return run, len(configs)
+
+
 def child(src: Path, quick: bool) -> dict[str, float]:
     """Seconds of CPU time per unit of each case, for the binrisk under src."""
     sys.path.insert(0, str(src))
@@ -98,6 +114,11 @@ def child(src: Path, quick: bool) -> dict[str, float]:
     cases = {
         "sweep": _sweep(2, 2, 5) if quick else _sweep(8, 5, 25),
         "large-n": _large_n([300], 8) if quick else _large_n([300, 533, 949, 1687, 3000], 64),
+        "poisson": (
+            _poisson([1.0], [1.0, None])
+            if quick
+            else _poisson([0.5, 1.0, 2.0, 3.0], [0.75, 1.0, 1.37, 2.0, None])
+        ),
     }
     result = {}
     for name, (run, units) in cases.items():

@@ -18,6 +18,7 @@ from .binom import MAX_TRIALS, BinomialSetup, PriorSpec, _check_count, _check_sh
 from .estimators import EstimateTable
 from .predictive import _masses
 from .risk import _risk_sums
+from .special import _HALF_LOG_2PI, _stirling_error
 
 # the masses under which the report's predictive sup stops reading y
 _TAIL_MASS = 1e-15
@@ -40,34 +41,30 @@ class PoissonConfig(_record("PoissonConfig", "r s a lambda_bar")):
         return super().__new__(cls, r, s, a, lambda_bar)
 
 
-def _gamma_series(alpha: float, z: float) -> float:
-    """sum_k z^k / (alpha (alpha+1) ... (alpha+k)), the lower incomplete
-    gamma over z^alpha e^-z, which converges fast below z = alpha + 1."""
-    term = total = 1.0 / alpha
-    shape = alpha
-    for _ in range(_GAMMA_MAX_ITER):
-        shape += 1.0
-        term *= z / shape
-        total += term
-        if term < total * _GAMMA_TOL:
-            return total
-    raise ArithmeticError(f"incomplete gamma did not converge (alpha={alpha}, z={z})")
+def _lower_gamma_logs(alpha: float, z: float) -> tuple[float, float]:
+    """log gamma(alpha, z) = log int_0^z t^(alpha-1) e^-t dt and log c,
+    c = z^alpha e^-z / gamma(alpha, z), from one pass.
 
-
-def _log_lower_gamma(alpha: float, z: float) -> float:
-    """log of the unnormalized lower incomplete gamma int_0^z t^(a-1) e^-t dt.
-
-    Below z = alpha + 1 its series converges fast; above, the continued
-    fraction for the upper tail does (modified Lentz), and the lower part
-    is the complement (Numerical Recipes, 2nd ed., section 6.2).
-    """
-    if not z > 0.0:
+    Below z = alpha + 1 the series S = sum_k z^k / (alpha (alpha+1) ...
+    (alpha+k)) = 1/c converges fast. Above, the continued fraction h of the
+    upper tail z^alpha e^-z h does (modified Lentz; Numerical Recipes, 2nd
+    ed., section 6.2). There, with Gamma(alpha) z^-alpha e^z = e^E in
+    Stirling's form, c = e^-E / (1 - h e^-E) and gamma = Gamma(alpha) (1 -
+    h e^-E), so no two logs of size lgamma(alpha) are subtracted."""
+    if not 0.0 < z < math.inf:
         raise ArithmeticError(
-            f"lower incomplete gamma underflows at (alpha={alpha}, z={z})"
+            f"lower incomplete gamma underflows or overflows at (alpha={alpha}, z={z})"
         )
-    log_front = alpha * math.log(z) - z
     if z < alpha + 1.0:
-        return log_front + math.log(_gamma_series(alpha, z))
+        term = total = 1.0 / alpha
+        shape = alpha
+        for _ in range(_GAMMA_MAX_ITER):
+            shape += 1.0
+            term *= z / shape
+            total += term
+            if term < total * _GAMMA_TOL:
+                log_s = math.log(total)
+                return alpha * math.log(z) - z + log_s, -log_s
     else:
         # upper tail e^-z z^alpha / (z+1-alpha- 1(1-alpha)/(z+3-alpha- ...))
         b = z + 1.0 - alpha
@@ -87,35 +84,38 @@ def _log_lower_gamma(alpha: float, z: float) -> float:
             delta = d * c
             h *= delta
             if abs(delta - 1.0) <= _GAMMA_TOL:
-                log_complete = math.lgamma(alpha)
-                return log_complete + math.log1p(
-                    -math.exp(log_front + math.log(h) - log_complete)
+                # E = lgamma(alpha) - alpha log z + z with t = (alpha - z)/z; once
+                # t rounds to -1, (1+t) log1p(t) is 0 * -inf and E is z to an ulp
+                t = (alpha - z) / z
+                log_e = z if t == -1.0 else (
+                    z * ((1.0 + t) * math.log1p(t) - t)
+                    + _HALF_LOG_2PI - 0.5 * math.log(alpha) + _stirling_error(alpha)
                 )
-    raise ArithmeticError(
-        f"incomplete gamma did not converge (alpha={alpha}, z={z})"
-    )
+                log_complement = math.log1p(-h * math.exp(-log_e))
+                return math.lgamma(alpha) + log_complement, -log_e - log_complement
+    raise ArithmeticError(f"incomplete gamma did not converge (alpha={alpha}, z={z})")
 
 
 def _log_gamma_moment(alpha: float, rate: float, lambda_bar: float | None) -> float:
     """log of int lambda^(alpha-1) e^(-rate lambda) dlambda over the support."""
     if lambda_bar is None:
         return math.lgamma(alpha) - alpha * math.log(rate)
-    return _log_lower_gamma(alpha, rate * lambda_bar) - alpha * math.log(rate)
+    return _lower_gamma_logs(alpha, rate * lambda_bar)[0] - alpha * math.log(rate)
 
 
 def poisson_posterior_mean(x_tilde: int, config: PoissonConfig) -> float:
-    """Posterior mean of the rate under the (truncated) power prior."""
+    """Posterior mean of the rate under the (truncated) power prior.
+
+    Truncated at z = r lambda_bar it is gamma(alpha+1, z) / (r gamma(alpha, z))
+    = alpha (z / (z + c(alpha+1, z))) / r, as alpha gamma(alpha, z) = gamma(alpha
+    + 1, z) + z^alpha e^-z: one pass, nothing subtracted, nothing to overflow."""
     _check_count("x_tilde", x_tilde, 0)
     alpha = x_tilde + config.a
     if config.lambda_bar is None:
         return alpha / config.r
     z = config.r * config.lambda_bar
-    if 0.0 < z < alpha + 1.0:  # a ratio of two series: no two large logs differ
-        return z * _gamma_series(alpha + 1.0, z) / (config.r * _gamma_series(alpha, z))
-    return math.exp(
-        _log_gamma_moment(alpha + 1.0, config.r, config.lambda_bar)
-        - _log_gamma_moment(alpha, config.r, config.lambda_bar)
-    )
+    c = math.exp(_lower_gamma_logs(alpha + 1.0, z)[1])
+    return alpha * (z / (z + c)) / config.r
 
 
 def poisson_predictive(y_tilde: int, x_tilde: int, config: PoissonConfig) -> float:

@@ -108,6 +108,14 @@ class TestSufficientConditions:
         # a=2, c_lo=0.5, c_bar=1: log(3.5) + 0.5 = 1.75 < 2 holds
         assert cor41_conditions(2.0, 0.5, 1.0) is True
 
+    def test_thm41_rejects_an_empty_interval(self):
+        with pytest.raises(ValueError, match=r"^need 0 < p_lo < p_bar < 1, got \(0\.6, 0\.4\)$"):
+            thm41_conditions(5, 1.0, 1.0, 0.6, 0.4)
+
+    def test_cor41_rejects_an_empty_interval(self):
+        with pytest.raises(ValueError, match=r"^need 0 < c_lo < c_bar, got \(2\.0, 1\.0\)$"):
+            cor41_conditions(1.0, 2.0, 1.0)
+
 
 class TestBound:
     @pytest.mark.parametrize("n", [1, 5, 9])

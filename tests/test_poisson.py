@@ -1,6 +1,7 @@
 """Poisson-side procedures and the binomial-to-Poisson convergence check."""
 
 import math
+import sys
 
 import mpmath
 import pytest
@@ -36,18 +37,50 @@ class TestPosteriorMean:
             poisson_posterior_mean(3, tight), rel=1e-10
         )
 
-    @pytest.mark.parametrize("lambda_bar", [0.75, 2.0])
+    @pytest.mark.parametrize("lambda_bar", [0.75, 2.0, 300.0, 3000.0])
     def test_truncated_matches_mpmath_up_to_large_counts(self, lambda_bar):
-        # a ratio of two series below z = alpha + 1; as the difference of
-        # two logs of size about alpha it was 2.1e-14 off at lambda_bar = 2
+        # one form on both sides of z = alpha + 1; as the difference of two
+        # logs of size about lgamma(alpha) it was 2.1e-14 off at lambda_bar
+        # = 2, and 9.9e-14 and 4.5e-12 just below z = alpha + 1 at 300 and 3000
         cfg = PoissonConfig(r=1.0, a=0.5, lambda_bar=lambda_bar)
+        edge = math.floor(lambda_bar - 0.5)
+        xs = range(0, 200, 7) if lambda_bar < 300 else (0, edge - 1, edge + 1, 2 * edge + 101)
         with mpmath.workdps(40):
-            for x in range(0, 200, 7):
+            for x in xs:
                 alpha = x + 0.5
                 exact = mpmath.gammainc(alpha + 1, 0, lambda_bar) / mpmath.gammainc(
                     alpha, 0, lambda_bar
                 )
                 assert abs(poisson_posterior_mean(x, cfg) - exact) <= 2e-15 * exact, x
+
+    @pytest.mark.parametrize(
+        "x, cfg, mean",
+        [
+            (10**6, PoissonConfig(r=1.0, lambda_bar=1e300), 1000001.0),
+            (10**6, PoissonConfig(r=1.0, lambda_bar=1e303), 1000001.0),
+            (3, PoissonConfig(r=0.5, a=3.0, lambda_bar=1e16), 12.0),
+            (0, PoissonConfig(r=2.0, a=0.5, lambda_bar=7.5e307), 0.25),
+            (5, PoissonConfig(r=2.0, a=0.5, lambda_bar=7.5e307), 2.75),
+        ],
+    )
+    def test_far_truncations_give_the_untruncated_mean_exactly(self, x, cfg, mean):
+        # c(alpha+1, z) underflows to 0.0 once z is far above alpha, and
+        # neither alpha z nor r (z + c) is formed, which overflow here
+        assert poisson_posterior_mean(x, cfg) == mean
+
+    def test_a_tiny_truncation_at_a_huge_exposure_does_not_overflow(self):
+        # z = 1 and c(alpha+1, z) is about alpha, so r (z + c) and r (1 + c / z)
+        # would overflow; the mean is alpha lambda_bar / (alpha + 1) up to 1/alpha^2
+        lam_hat = poisson_posterior_mean(10**10, PoissonConfig(r=1e300, lambda_bar=1e-300))
+        assert lam_hat == pytest.approx(1e-300 * (1e10 + 1) / (1e10 + 2), rel=1e-15)
+
+    @pytest.mark.parametrize("r, lambda_bar", [(1e-200, 1e-200), (1e200, 1e200)])
+    def test_a_truncation_outside_the_double_range_is_an_error(self, r, lambda_bar):
+        # r lambda_bar underflows to 0.0, where the one form would be 0.0,
+        # or overflows to inf, where the continued fraction would be NaN
+        message = r"^lower incomplete gamma underflows or overflows at \(alpha=2\.0, z="
+        with pytest.raises(ArithmeticError, match=message):
+            poisson_posterior_mean(0, PoissonConfig(r=r, lambda_bar=lambda_bar))
 
     def test_truncated_mean_below_bound(self):
         cfg = PoissonConfig(r=0.5, a=1.0, lambda_bar=2.0)
@@ -232,21 +265,27 @@ class TestLimitCorrespondence:
     def test_takes_each_poisson_mass_once_per_report(self, monkeypatch):
         # the Poisson target does not depend on K: one denominator
         # G(1, 1) and one numerator G(y + 1, 2) per y that some K reads
-        # (17 of them); the posterior means, of the estimate and of the
-        # entropy risk at every k = 0..156, take none, since below
-        # z = alpha + 1 each is a ratio of two series
-        calls, reads = [], []
-        lower_gamma, pois = poisson._log_lower_gamma, poisson.poisson_predictive
-        monkeypatch.setattr(
-            poisson, "_log_lower_gamma", lambda *args: calls.append(args) or lower_gamma(*args)
-        )
+        # (17 of them). Each posterior mean, of the estimate and of the
+        # entropy risk at every k = 0..156, is one pass at (k + a + 1, z)
+        # whose log c it reads
+        calls = {"_log_gamma_moment": [], "poisson_posterior_mean": []}
+        reads = []
+        helper, pois = poisson._lower_gamma_logs, poisson.poisson_predictive
+
+        def recording(alpha, z):
+            calls[sys._getframe(1).f_code.co_name].append((alpha, z))
+            return helper(alpha, z)
+
+        monkeypatch.setattr(poisson, "_lower_gamma_logs", recording)
         monkeypatch.setattr(
             poisson, "poisson_predictive", lambda *args: reads.append(args) or pois(*args)
         )
         cfg = PoissonConfig(r=1.0, s=1.0, a=1.0, lambda_bar=1.0)
         limit_convergence_report([10.0, 100.0, 1000.0], 0.5, cfg, 0)
-        assert len(calls) == 18
-        assert [c for c in calls if c[1] == 2.0] == [(y + 1.0, 2.0) for y in range(17)]
+        masses = calls["_log_gamma_moment"]
+        assert len(masses) == 18
+        assert [c for c in masses if c[1] == 2.0] == [(y + 1.0, 2.0) for y in range(17)]
+        assert calls["poisson_posterior_mean"] == [(k + 2.0, 1.0) for k in [0, *range(157)]]
         assert reads == []
 
     def test_shared_masses_equal_the_public_predictive(self, monkeypatch):
@@ -268,3 +307,7 @@ class TestLimitCorrespondence:
         cfg = PoissonConfig(r=1.0, a=1.0)
         with pytest.raises(ValueError):
             limit_convergence_report([100.0, 10.0], 0.5, cfg, 0)
+
+    def test_rejects_a_scale_that_puts_p_outside_the_unit_interval(self):
+        with pytest.raises(ValueError, match=r"^K=0\.25 induces p=2\.0 outside \(0, 1\)$"):
+            limit_convergence_report([0.25, 10.0], 0.5, PoissonConfig(r=1.0), 0)

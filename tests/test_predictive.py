@@ -227,6 +227,12 @@ class TestPredictiveTable:
                 density=(0.0, 1.0),
             )
 
+    def test_rejects_a_density_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match=r"^need one mass per y = 0\.\.l$"):
+            PredictiveTable(
+                setup=BinomialSetup(n=1, l=2), prior=PriorSpec(1.0, 1.0), x=0, density=(0.5, 0.5)
+            )
+
     @pytest.mark.parametrize("density", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)])
     def test_rejects_nan_mass(self, density):
         # every comparison with NaN is False, so only a check that must pass rejects it

@@ -335,6 +335,12 @@ class TestPredictiveKlRisk:
         with pytest.raises(ValueError):
             predictive_kl_risk([[0.0, 1.0], [0.5, 0.5]], 0.5, setup)
 
+    def test_rejects_a_missing_table(self):
+        # n tables for the n + 1 counts x = 0..n
+        tables = [[0.5, 0.5] for _ in range(3)]
+        with pytest.raises(ValueError, match=r"^need a table for every x = 0\.\.3$"):
+            predictive_kl_risk(tables, 0.5, BinomialSetup(n=3, l=1))
+
     def test_rejects_zero_mass_where_the_pmf_underflows(self):
         # Bin(2000; 2000, 1e-3) is exactly 0.0, yet the bad table is an error
         n, p = 2000, 1e-3

@@ -1,7 +1,8 @@
-"""log B, the log C row and the log lower incomplete gamma against mpmath at
-50 digits, with scipy's values on the same points as the bar to meet."""
+"""log B, the log C row, and the log lower incomplete gamma and log c against
+mpmath at 50 digits, with scipy's values on the same points as the bar to meet."""
 
 import math
+import sys
 
 import mpmath
 import pytest
@@ -80,19 +81,20 @@ def test_log_binomial_row_is_no_worse_than_scipy(n):
     assert ours <= max(scipys, 1e-14)
 
 
-def _report_arguments() -> set[tuple[float, float]]:
-    """Every (alpha, z) at which limit_convergence_report evaluates the log
-    lower incomplete gamma, over prior exponents and truncations like those
-    of the CLI's and the benchmark's reports."""
-    seen = set()
-    kernel = poisson._log_lower_gamma
+def _report_arguments() -> dict[str, set[tuple[float, float]]]:
+    """Every (alpha, z) at which limit_convergence_report takes the lower
+    incomplete gamma, by caller: the predictive masses read its log through
+    _log_gamma_moment, the posterior means read log c; over prior exponents
+    and truncations like those of the CLI's and the benchmark's reports."""
+    seen = {"_log_gamma_moment": set(), "poisson_posterior_mean": set()}
+    helper = poisson._lower_gamma_logs
 
-    def recording(alpha: float, z: float) -> float:
-        seen.add((alpha, z))
-        return kernel(alpha, z)
+    def recording(alpha: float, z: float) -> tuple[float, float]:
+        seen[sys._getframe(1).f_code.co_name].add((alpha, z))
+        return helper(alpha, z)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(poisson, "_log_lower_gamma", recording)
+        patch.setattr(poisson, "_lower_gamma_logs", recording)
         for a in (0.5, 1.0, 2.0, 3.0):
             for lambda_bar in (0.75, 1.0, 1.37, 2.0):
                 for x_tilde in (0, 3):
@@ -102,7 +104,8 @@ def _report_arguments() -> set[tuple[float, float]]:
 
 
 def test_log_lower_gamma_on_the_report_arguments():
-    arguments = _report_arguments()
+    # only the masses' arguments: the means read log c, not log gamma
+    arguments = _report_arguments()["_log_gamma_moment"]
     # both branches run: the series below z = alpha + 1, the continued
     # fraction above
     assert any(z < alpha + 1.0 for alpha, z in arguments)
@@ -110,7 +113,7 @@ def test_log_lower_gamma_on_the_report_arguments():
     for alpha, z in arguments:
         exact = mpmath.log(mpmath.gammainc(alpha, 0, z))
         # 1e-14 on the log is 1e-14 relative on the integral
-        assert _error(poisson._log_lower_gamma(alpha, z), exact) <= 1e-14, (alpha, z)
+        assert _error(poisson._lower_gamma_logs(alpha, z)[0], exact) <= 1e-14, (alpha, z)
 
 
 @pytest.mark.parametrize("alpha, z", [(0.5, 30.0), (3.0, 1e-8), (50.0, 49.0), (50.0, 52.0)])
@@ -118,6 +121,32 @@ def test_log_lower_gamma_matches_scipy_beyond_the_report(alpha, z):
     # deep in either branch and on both sides of the switch at alpha + 1
     exact = mpmath.log(mpmath.gammainc(alpha, 0, z))
     scipy_value = float(gammaln(alpha) + math.log(gammainc(alpha, z)))
-    assert _error(poisson._log_lower_gamma(alpha, z), exact) <= max(
+    assert _error(poisson._lower_gamma_logs(alpha, z)[0], exact) <= max(
         _error(scipy_value, exact), 1e-14 * max(1.0, abs(float(exact)))
+    )
+
+
+def _log_c_exact(alpha: float, z: float):
+    return alpha * mpmath.log(z) - z - mpmath.log(mpmath.gammainc(alpha, 0, z))
+
+
+def test_log_c_on_the_means_arguments():
+    # log c = alpha log z - z - log gamma(alpha, z), which the posterior
+    # means read; on the report's arguments every one is a series
+    for alpha, z in _report_arguments()["poisson_posterior_mean"]:
+        exact = _log_c_exact(alpha, z)
+        assert _error(poisson._lower_gamma_logs(alpha, z)[1], exact) <= 2e-15 * max(
+            1.0, abs(float(exact))
+        ), (alpha, z)
+
+
+@pytest.mark.parametrize(
+    "alpha, z", [(0.5, 30.0), (2.0, 3.0), (50.0, 52.0), (3.0, 400.0), (1001.5, 1200.0), (1.5, 1e5)]
+)
+def test_log_c_in_the_continued_fraction(alpha, z):
+    # above z = alpha + 1, where c = e^-E / (1 - h e^-E) with E in
+    # Stirling's form, out to z where log c is about -z
+    exact = _log_c_exact(alpha, z)
+    assert _error(poisson._lower_gamma_logs(alpha, z)[1], exact) <= 2e-15 * max(
+        1.0, abs(float(exact))
     )

@@ -5,20 +5,26 @@ from pathlib import Path
 import time_calls
 
 
-def test_one_quick_pair_reports_both_cases(capsys):
+def test_one_quick_pair_reports_every_case(capsys):
     root = Path(time_calls.__file__).resolve().parents[1]
     assert time_calls.main(["--against", str(root), "--pairs", "1", "--quick"]) == 0
     header, *rows = capsys.readouterr().out.splitlines()
     assert header.split() == "case unit parent median change median change won".split()
-    assert [row.split()[:2] for row in rows] == [["sweep", "us/p"], ["large-n", "ms/job"]]
+    assert [row.split()[:2] for row in rows] == [
+        ["sweep", "us/p"], ["large-n", "ms/job"], ["poisson", "ms/tgt"]
+    ]
     for row in rows:
         parent, change, won = float(row.split()[2]), float(row.split()[3]), row.split()[-1]
         assert parent > 0.0 and change > 0.0 and won in ("0/1", "1/1")
 
 
 def test_pairs_won_count_the_faster_change_runs():
-    parent = [{"sweep": 2e-5, "large-n": 1e-2}, {"sweep": 2e-5, "large-n": 1e-2}]
-    change = [{"sweep": 1e-5, "large-n": 2e-2}, {"sweep": 3e-5, "large-n": 1e-2}]
-    sweep, large = time_calls.report(parent, change)[1:]
+    parent = [{"sweep": 2e-5, "large-n": 1e-2, "poisson": 1e-3}] * 2
+    change = [
+        {"sweep": 1e-5, "large-n": 2e-2, "poisson": 5e-4},
+        {"sweep": 3e-5, "large-n": 1e-2, "poisson": 5e-4},
+    ]
+    sweep, large, pois = time_calls.report(parent, change)[1:]
     assert sweep.split()[2:] == ["20", "20", "+0.0%", "1/2"]
     assert large.split()[2:] == ["10", "15", "+50.0%", "0/2"]
+    assert pois.split()[2:] == ["1", "0.5", "-50.0%", "2/2"]
