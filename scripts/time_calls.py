@@ -3,7 +3,7 @@
 
     python scripts/time_calls.py --against OTHER_DIR [--pairs 8] [--quick]
 
-Three cases, each timed with time.process_time in a fresh interpreter per
+Four cases, each timed with time.process_time in a fresh interpreter per
 side, after one untimed round that fills the caches a sweep fills:
 
   sweep    the three calls of the predictive acceptance sweep at one p
@@ -16,7 +16,11 @@ side, after one untimed round that fills the caches a sweep fills:
            per job, averaged over n = 300, 533, 949, 1687 and 3000;
   poisson  poisson_entropy_risk at lam = 0.5, the risk target of a
            risk-large-n Poisson report, in milliseconds per target, over
-           a = 0.5, 1, 2, 3 and lambda_bar = 0.75, 1, 1.37, 2 and unset.
+           a = 0.5, 1, 2, 3 and lambda_bar = 0.75, 1, 1.37, 2 and unset;
+  tables   cold builds of upper-truncated estimate tables
+           (estimators._estimate_table, past the table caches), in
+           milliseconds per table, over n = 300, 533, 949, 1687 and 3000,
+           (a, b) = (0.5, 3) and (2, 1) and p_bar = 0.05, 0.3 and 0.6.
 
 A child times each case over several rounds and reports the median round.
 The pairs alternate which side runs first. For each case this prints each
@@ -24,7 +28,8 @@ side's median over the pairs, the change of this checkout over OTHER_DIR,
 and the pairs in which this checkout took less time. CPU time leaves out
 the time the process waits for a core, so it does not follow the machine
 speed the way perfbench's wall-clock figures do. --quick runs one round of
-a few configurations, n = 300, 8 p and two targets, for a smoke test.
+a few configurations, n = 300, 8 p, two targets and one table, for a
+smoke test.
 """
 
 from __future__ import annotations
@@ -39,7 +44,12 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-CASES = (("sweep", "us/p", 1e6), ("large-n", "ms/job", 1e3), ("poisson", "ms/tgt", 1e3))
+CASES = (
+    ("sweep", "us/p", 1e6),
+    ("large-n", "ms/job", 1e3),
+    ("poisson", "ms/tgt", 1e3),
+    ("tables", "ms/tbl", 1e3),
+)
 
 
 def _sweep(n_max: int, l_max: int, points: int):
@@ -103,6 +113,25 @@ def _poisson(exponents: list[float], bounds: list[float | None]):
     return run, len(configs)
 
 
+def _tables(ns: list[int], shapes: list[tuple[float, float]], bounds: list[float]):
+    """A round of the tables case, and the number of tables it builds."""
+    from binrisk.binom import BinomialSetup, PriorSpec
+    from binrisk.estimators import _estimate_table
+
+    configs = [
+        (BinomialSetup(n=n), PriorSpec(a=a, b=b, p_bar=bar))
+        for n in ns
+        for a, b in shapes
+        for bar in bounds
+    ]
+
+    def run() -> None:
+        for setup, prior in configs:
+            _estimate_table(setup, prior)
+
+    return run, len(configs)
+
+
 def child(src: Path, quick: bool) -> dict[str, float]:
     """Seconds of CPU time per unit of each case, for the binrisk under src."""
     sys.path.insert(0, str(src))
@@ -118,6 +147,11 @@ def child(src: Path, quick: bool) -> dict[str, float]:
             _poisson([1.0], [1.0, None])
             if quick
             else _poisson([0.5, 1.0, 2.0, 3.0], [0.75, 1.0, 1.37, 2.0, None])
+        ),
+        "tables": (
+            _tables([300], [(0.5, 3.0)], [0.3])
+            if quick
+            else _tables([300, 533, 949, 1687, 3000], [(0.5, 3.0), (2.0, 1.0)], [0.05, 0.3, 0.6])
         ),
     }
     result = {}

@@ -1,14 +1,13 @@
 """Posterior-mean estimators under untruncated and truncated beta priors.
 
-Every estimate is (x+a)/s minus a correction c(x)/s, s = n+a+b: c is 0
-without truncation, 1/I(x+a, s, p_bar) under an upper bound and
-A(x) = bracket / I_two_sided on an interval, never raw quadrature. The
-upper row of c takes one kernel call (inverse_I_row), and its x < n
-entries are read in a form that subtracts nothing. The table over
+With s = n+a+b every estimate is read from the untruncated (x+a)/s, never
+from raw quadrature: under an upper bound as (x+a)/(s + c(x+1)/p_bar) with
+c = 1/I(x+a, s+1, p_bar), one row of one kernel call (inverse_I_row); on an
+interval as (x+a)/s minus A(x)/s, A = bracket / I_two_sided. The table over
 x = 0..n is the primitive; posterior_mean reads one entry of it. A table
 carries the p-free rows log d and log(1-d) and the ceiling of its losses,
-which every risk sum at a p in (0, 1) reads, built on the first sum; this
-module alone decides how long a table, and so its rows, is kept.
+which every risk sum at a p in (0, 1) reads, built on the first sum; the
+caches below and risk's connection tables decide how long a table is kept.
 """
 
 from __future__ import annotations
@@ -77,19 +76,16 @@ def _correction(x: int, s: float, prior: PriorSpec) -> float:
 
 
 def _upper_estimates(n: int, a: float, b: float, p_bar: float) -> list[float]:
-    """The upper-truncated estimates from c = 1/I(x+a, s, p_bar): for x < n
-    the recurrence turns (x+a)/s - c(x)/s into (x+a)/s times
-    p_bar (k + c') / (c' + k p_bar), k = n-x+b-1 and c' = c(x+1), which
-    subtracts nothing and is exactly 1.0 where c' underflows to 0.0, as the
-    correction form gives there; x = n keeps the correction form."""
+    """d(x) = (x+a)/(s + c(x+1)/p_bar), c = 1/I(x+a, s+1, p_bar), for every x.
+    With alpha = x+a, beta = n-x+b, E = p_bar^alpha (1-p_bar)^beta and M the
+    beta measure of [0, p_bar]: integration by parts and M(alpha, beta) =
+    M(alpha+1, beta) + M(alpha, beta+1) give s M(alpha+1, beta) + E =
+    alpha M(alpha, beta), and c(x+1)/p_bar = E / M(alpha+1, beta), so d is
+    M(alpha+1, beta) / M(alpha, beta). Nothing is subtracted, and a c that
+    underflows to 0.0 gives exactly (x+a)/s."""
     s = n + a + b
-    c = inverse_I_row(a, s, p_bar, n)
-    values = []
-    for x in range(n):
-        k, c1 = n - x - 1 + b, c[x + 1]
-        values.append((x + a) / s * (p_bar * (k + c1) / (c1 + k * p_bar)))
-    values.append((n + a) / s - c[n] / s)
-    return values
+    c = inverse_I_row(a, s + 1.0, p_bar, n + 1)
+    return [(x + a) / (s + c[x + 1] / p_bar) for x in range(n + 1)]
 
 
 def _estimate_table(setup: BinomialSetup, prior: PriorSpec) -> EstimateTable:

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from binrisk import binom
+from binrisk import binom, estimators, incbeta
 from binrisk.binom import BinomialSetup, PriorSpec
 from binrisk.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, _write_csv, main
 from binrisk.dominance import threshold_scan
@@ -109,6 +109,20 @@ class TestEstimate:
         assert rows[0] == "x,estimate"
         for row, expected in zip(rows[1:], (200.0 / 401.0, 201.0 / 401.0), strict=True):
             assert abs(float(row.split(",")[1]) - expected) <= math.ulp(expected)
+
+    def test_upper_table_far_below_the_mode(self, capsys):
+        # the correction form gave -1.2e-15 at x = n and the table exited 1
+        assert main(["estimate", "--n", "1", "--p-bar", "1e-20"]) == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[:2] == ["x,estimate", "0,4.9999999999999997e-21"]
+
+    def test_kernel_that_does_not_converge_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(incbeta, "_CF_MAX_ITER", 1)
+        for cache in (estimators._build_table, estimators._build_large_table):
+            cache.cache_clear()
+        argv = ["estimate", "--n", "5", "--b", "2.5", "--p-bar", "0.3"]
+        assert main(argv) == EXIT_NUMERICAL
+        assert "continued fraction did not converge" in capsys.readouterr().err
 
 
 class TestPredictive:

@@ -1,6 +1,7 @@
 """Posterior-mean estimators under the three restriction modes."""
 
 import math
+import random
 from functools import cached_property
 
 import mpmath
@@ -218,8 +219,8 @@ class TestEstimateTable:
 
 
 class TestTableRows:
-    """Each table carries the p-free log rows of its risk sums, and the
-    estimators module alone decides how long a table is kept."""
+    """Each table carries the p-free log rows of its risk sums, kept as
+    long as the table is."""
 
     def test_rows_are_built_once_per_table(self, monkeypatch):
         calls = []
@@ -320,25 +321,57 @@ def _row_case(n, p_bar):
     return a, b, sorted({0, n // 2, int(p_bar * n), n - 1})
 
 
+def upper_error(value, x, n, a, b, p_bar):
+    """The relative error of value as the upper-truncated estimate at x."""
+    with mpmath.workdps(ROW_DPS):
+        alpha, beta = mpmath.mpf(x) + a, mpmath.mpf(n - x) + b
+        exact = mpmath.betainc(alpha + 1, beta, 0, p_bar) / mpmath.betainc(alpha, beta, 0, p_bar)
+        return float(abs(value / exact - 1))
+
+
 class TestUpperRows:
-    """The upper-truncated table and the J rows, both read from one row of
-    1/I built by a kernel call at x = n and a backward recurrence."""
+    """The upper-truncated table and the J rows, both read from the row
+    1/I(x+a, n+a+b+1, p_bar): the table's is built by a kernel call at
+    x = n + 1, the J rows' at x = n, each with a backward recurrence."""
 
     @pytest.mark.parametrize("p_bar", ROW_P_BARS)
     @pytest.mark.parametrize("n", ROW_NS)
     def test_table_matches_mpmath(self, n, p_bar):
         a, b, xs = _row_case(n, p_bar)
         table = EstimateTable.build(BinomialSetup(n=n), PriorSpec(a, b, p_bar=p_bar))
-        with mpmath.workdps(ROW_DPS):
-            for x in xs:
-                alpha, beta = mpmath.mpf(x) + a, mpmath.mpf(n - x) + b
-                exact = mpmath.betainc(alpha + 1, beta, 0, p_bar) / mpmath.betainc(
-                    alpha, beta, 0, p_bar
-                )
-                assert abs(table[x] / exact - 1) < 1e-14, x
-        # x = n has no c(n+1) to read and keeps the correction form
-        s = n + a + b
-        assert table[n] == (n + a) / s - math.exp(-log_eval_I(n + a, s, p_bar)) / s
+        for x in xs:
+            assert upper_error(table[x], x, n, a, b, p_bar) < 1e-14, x
+        # x = n reads c(n+1), the anchor itself, and carries its error
+        assert upper_error(table[n], n, n, a, b, p_bar) < 1e-11
+
+    @pytest.mark.parametrize(
+        "n, a, b, p_bar",
+        [
+            # p_bar far below the posterior mode, where the correction form
+            # (n+a)/s - c(n)/s cancels: 1.8e-7 off, 2.7e-2 off, an estimate
+            # above p_bar, and a silent 35.5% error
+            (3000, 1.0, 1.0, 1e-5),
+            (3000, 0.5, 3.0, 1e-10),
+            (3000, 1.0, 1.0, 1e-10),
+            (2478, 0.047601545651219955, 0.26627709287052237, 2.380150465934854e-11),
+        ],
+    )
+    def test_far_bounds_match_mpmath_at_every_x(self, n, a, b, p_bar):
+        table = EstimateTable.build(BinomialSetup(n=n), PriorSpec(a, b, p_bar=p_bar))
+        for x in (0, n // 2, n - 1):
+            assert upper_error(table[x], x, n, a, b, p_bar) < 1e-14, x
+        # x = n carries the anchor's round-trip error, 1.3e-11 at p_bar = 1e-10
+        assert upper_error(table[n], n, n, a, b, p_bar) < 2e-11
+
+    def test_random_tables_all_build(self):
+        # the correction form at x = n gave 28 of these an estimate outside
+        # (0, p_bar], which the table rejects
+        rng = random.Random(2024)
+        for _ in range(500):
+            n = int(10 ** rng.uniform(0.0, 3.5))
+            a, b = 10 ** rng.uniform(-1.5, 1.5), 10 ** rng.uniform(-1.5, 1.5)
+            p_bar = 10 ** rng.uniform(-12.0, -0.01)
+            estimators._estimate_table(BinomialSetup(n=n), PriorSpec(a, b, p_bar=p_bar))
 
     @pytest.mark.parametrize("p_bar", ROW_P_BARS)
     @pytest.mark.parametrize("n", ROW_NS)
@@ -366,9 +399,9 @@ class TestUpperRows:
     def test_underflowed_row_gives_the_untruncated_estimate(self):
         n, a, b, p_bar = 3000, 1.0, 1.0, 0.95
         s = n + a + b
-        c = inverse_I_row(a, s, p_bar, n)
+        c = inverse_I_row(a, s + 1.0, p_bar, n + 1)
         table = EstimateTable.build(BinomialSetup(n=n), PriorSpec(a, b, p_bar=p_bar))
-        under = [x for x in range(n) if c[x + 1] == 0.0]
+        under = [x for x in range(n + 1) if c[x + 1] == 0.0]
         assert under
         assert all(table[x] == (x + a) / s for x in under)
 
@@ -389,7 +422,8 @@ class TestUpperRows:
             table_calls, calls[0] = calls[0], 0
             _j_rows(n, 1.0, 1.0, 0.3)
             counts.append((table_calls, calls[0]))
-        # the anchor at x = n lies in the kernel's lower-tail branch
+        # each anchor, at x = n + 1 for the table and x = n for the J rows,
+        # lies in the kernel's lower-tail branch
         assert counts == [(1, 1), (1, 1)]
 
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 3.0])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import betainc, betaln
 
+from binrisk import incbeta
 from binrisk.incbeta import (
     BracketOverflowError,
     SingularBoundError,
@@ -103,6 +104,12 @@ class TestIncBetaLower:
         assert math.exp(log_inc_beta_lower(alpha, beta, x1)) < math.exp(
             log_inc_beta_lower(alpha, beta, x2)
         )
+
+    def test_fraction_that_does_not_converge_raises(self, monkeypatch):
+        # with b = 1 the fraction terminates after one step, so b = 2.5
+        monkeypatch.setattr(incbeta, "_CF_MAX_ITER", 1)
+        with pytest.raises(ArithmeticError, match="continued fraction did not converge"):
+            log_inc_beta_lower(2.0, 2.5, 0.3)
 
 
 class TestEvalI:

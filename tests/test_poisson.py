@@ -68,6 +68,13 @@ class TestPosteriorMean:
         # neither alpha z nor r (z + c) is formed, which overflow here
         assert poisson_posterior_mean(x, cfg) == mean
 
+    @pytest.mark.parametrize("alpha, z", [(2.5, 1.0), (2.5, 10.0)])
+    def test_gamma_pass_that_does_not_converge_raises(self, monkeypatch, alpha, z):
+        # the series below z = alpha + 1, the continued fraction above
+        monkeypatch.setattr(poisson, "_GAMMA_MAX_ITER", 1)
+        with pytest.raises(ArithmeticError, match="incomplete gamma did not converge"):
+            poisson._lower_gamma_logs(alpha, z)
+
     def test_a_tiny_truncation_at_a_huge_exposure_does_not_overflow(self):
         # z = 1 and c(alpha+1, z) is about alpha, so r (z + c) and r (1 + c / z)
         # would overflow; the mean is alpha lambda_bar / (alpha + 1) up to 1/alpha^2
