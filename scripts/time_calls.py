@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Time the risk layer's calls in CPU time, against another checkout.
+"""Time the kernel's and the risk layer's calls in CPU time, against another checkout.
 
     python scripts/time_calls.py --against OTHER_DIR [--pairs 8] [--quick]
 
-Four cases, each timed with time.process_time in a fresh interpreter per
+Five cases, each timed with time.process_time in a fresh interpreter per
 side, after one untimed round that fills the caches a sweep fills:
 
   sweep    the three calls of the predictive acceptance sweep at one p
@@ -20,7 +20,13 @@ side, after one untimed round that fills the caches a sweep fills:
   tables   cold builds of upper-truncated estimate tables
            (estimators._estimate_table, past the table caches), in
            milliseconds per table, over n = 300, 533, 949, 1687 and 3000,
-           (a, b) = (0.5, 3) and (2, 1) and p_bar = 0.05, 0.3 and 0.6.
+           (a, b) = (0.5, 3) and (2, 1) and p_bar = 0.05, 0.3 and 0.6;
+  kernel   log_inc_beta_lower, the incomplete-beta kernel (L0), in
+           microseconds per call, over a fixed seeded mix of 400 (alpha,
+           beta, x): alpha and beta from 10^[-2, 3], x uniform on (0, 1)
+           for half of them and between alpha/(alpha+beta) and
+           (alpha+1)/(alpha+beta+2), the kernel's switch region, for the
+           other half.
 
 A child times each case over several rounds and reports the median round.
 The pairs alternate which side runs first. For each case this prints each
@@ -28,8 +34,8 @@ side's median over the pairs, the change of this checkout over OTHER_DIR,
 and the pairs in which this checkout took less time. CPU time leaves out
 the time the process waits for a core, so it does not follow the machine
 speed the way perfbench's wall-clock figures do. --quick runs one round of
-a few configurations, n = 300, 8 p, two targets and one table, for a
-smoke test.
+a few configurations, n = 300, 8 p, two targets, one table and 20
+kernel calls, for a smoke test.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ CASES = (
     ("large-n", "ms/job", 1e3),
     ("poisson", "ms/tgt", 1e3),
     ("tables", "ms/tbl", 1e3),
+    ("kernel", "us/call", 1e6),
 )
 
 
@@ -132,6 +139,26 @@ def _tables(ns: list[int], shapes: list[tuple[float, float]], bounds: list[float
     return run, len(configs)
 
 
+def _kernel(pairs: int):
+    """A round of the kernel case, and the number of calls it makes."""
+    import random
+
+    from binrisk.incbeta import log_inc_beta_lower
+
+    rng = random.Random(35)
+    points = []
+    for _ in range(pairs):
+        a, b = (10 ** rng.uniform(-2.0, 3.0) for _ in range(2))
+        mean, edge = a / (a + b), (a + 1.0) / (a + b + 2.0)
+        points += [(a, b, rng.random()), (a, b, rng.uniform(min(mean, edge), max(mean, edge)))]
+
+    def run() -> None:
+        for a, b, x in points:
+            log_inc_beta_lower(a, b, x)
+
+    return run, len(points)
+
+
 def child(src: Path, quick: bool) -> dict[str, float]:
     """Seconds of CPU time per unit of each case, for the binrisk under src."""
     sys.path.insert(0, str(src))
@@ -153,6 +180,7 @@ def child(src: Path, quick: bool) -> dict[str, float]:
             if quick
             else _tables([300, 533, 949, 1687, 3000], [(0.5, 3.0), (2.0, 1.0)], [0.05, 0.3, 0.6])
         ),
+        "kernel": _kernel(10) if quick else _kernel(200),
     }
     result = {}
     for name, (run, units) in cases.items():

@@ -12,14 +12,14 @@ p = r_bar * t / (1 + r_bar * t), I is the beta measure
 M(alpha, gamma - alpha) of [p_lo, p_bar] rescaled ([0, p_bar] without
 p_lo), so one function, log_eval_I with an optional p_lo, computes both.
 log_beta_measure is the only caller of the kernel, the log of the
-unnormalized incomplete beta
-
-    B(x; a, b) = int_0^x t^(a-1) (1-t)^(b-1) dt,
-
-computed here by a continued fraction (modified Lentz) entirely in log
-space so that large exponents (n up to ~1e5 in the Poisson-limit sweeps)
-never underflow. The row 1/I(x+a, gamma, p_bar) over x = 0..m
-(inverse_I_row) takes one kernel call and a backward recurrence.
+unnormalized incomplete beta B(x; a, b) = int_0^x t^(a-1) (1-t)^(b-1) dt,
+computed by a continued fraction (modified Lentz) in log space, so that
+large exponents never underflow. The fraction runs on the lower tail for
+x <= max(a/(a+b), (a+1)/(a+b+2)) (Numerical Recipes' point, 2nd ed. 6.4,
+or the mean where that is larger), above on B(1-x; b, a), taken from
+B(a, b); a tail that rounds up to B(a, b) raises ArithmeticError. The
+row 1/I(x+a, gamma, p_bar) over x = 0..m (inverse_I_row) takes one kernel
+call and a backward recurrence.
 """
 
 from __future__ import annotations
@@ -91,35 +91,30 @@ def _betacf(a: float, b: float, x: float) -> float:
 
 
 def log_inc_beta_lower(alpha: float, beta: float, x: float) -> float:
-    """log of int_0^x t^(alpha-1) (1-t)^(beta-1) dt (unnormalized).
-
-    Returns -inf at x = 0.  The continued fraction is applied on
-    whichever tail converges; the upper tail goes through the complete
-    beta with a log-space subtraction.
-    """
-    # written so that NaN fails: a NaN exponent or x would otherwise send
-    # the upper-tail branch into endless recursion
+    """log of int_0^x t^(alpha-1) (1-t)^(beta-1) dt (unnormalized); -inf at x = 0."""
+    # written so that a NaN exponent or x fails here, not in the fraction
     if not (0.0 < alpha < math.inf and 0.0 < beta < math.inf):
-        raise ValueError(
-            f"alpha and beta must be finite and positive, got ({alpha}, {beta})"
-        )
+        raise ValueError(f"alpha and beta must be finite and positive, got ({alpha}, {beta})")
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must be in [0, 1], got {x}")
     if x == 0.0:
         return -math.inf
     if x == 1.0:
         return log_beta(alpha, beta)
-    if x <= alpha / (alpha + beta):
+    if x <= max(alpha / (alpha + beta), (alpha + 1.0) / (alpha + beta + 2.0)):
         cf = _betacf(alpha, beta, x)
         return alpha * math.log(x) + beta * math.log1p(-x) - math.log(alpha) + math.log(cf)
-    # upper tail: B(x; a, b) = B(a, b) - B(1-x; b, a)
+    # upper tail: B(x; a, b) = B(a, b) - B(y; b, a), all of B if y rounds to 1
+    y = 1.0 - x
     log_complete = log_beta(alpha, beta)
-    log_tail = log_inc_beta_lower(beta, alpha, 1.0 - x)
-    diff = log_tail - log_complete
+    diff = 0.0 if y == 1.0 else (
+        beta * math.log(y) + alpha * math.log1p(-y) - math.log(beta)
+        + math.log(_betacf(beta, alpha, y)) - log_complete
+    )
     if diff >= 0.0:
-        # tail rounded up to the whole integral; the lower part is lost to
-        # cancellation but is bounded by machine epsilon relatively
-        return log_complete + math.log(2.220446049250313e-16)
+        raise ArithmeticError(
+            f"incomplete beta lost to cancellation at x={x} (alpha={alpha}, beta={beta})"
+        )
     return log_complete + math.log(-math.expm1(diff))
 
 

@@ -66,6 +66,16 @@ def _lower_gamma_logs(alpha: float, z: float) -> tuple[float, float]:
                 log_s = math.log(total)
                 return alpha * math.log(z) - z + log_s, -log_s
     else:
+        # E = lgamma(alpha) - alpha log z + z with t = (alpha - z)/z; once t
+        # rounds to -1, (1+t) log1p(t) is 0 * -inf and E is z to an ulp
+        t = (alpha - z) / z
+        log_e = z if t == -1.0 else (
+            z * ((1.0 + t) * math.log1p(t) - t)
+            + _HALF_LOG_2PI - 0.5 * math.log(alpha) + _stirling_error(alpha)
+        )
+        scale = math.exp(-log_e)
+        if scale == 0.0:  # h e^-E is 0.0 for any h, so the fraction is not run
+            return math.lgamma(alpha), -log_e
         # upper tail e^-z z^alpha / (z+1-alpha- 1(1-alpha)/(z+3-alpha- ...))
         b = z + 1.0 - alpha
         c = 1.0 / _FPMIN
@@ -84,14 +94,7 @@ def _lower_gamma_logs(alpha: float, z: float) -> tuple[float, float]:
             delta = d * c
             h *= delta
             if abs(delta - 1.0) <= _GAMMA_TOL:
-                # E = lgamma(alpha) - alpha log z + z with t = (alpha - z)/z; once
-                # t rounds to -1, (1+t) log1p(t) is 0 * -inf and E is z to an ulp
-                t = (alpha - z) / z
-                log_e = z if t == -1.0 else (
-                    z * ((1.0 + t) * math.log1p(t) - t)
-                    + _HALF_LOG_2PI - 0.5 * math.log(alpha) + _stirling_error(alpha)
-                )
-                log_complement = math.log1p(-h * math.exp(-log_e))
+                log_complement = math.log1p(-h * scale)
                 return math.lgamma(alpha) + log_complement, -log_e - log_complement
     raise ArithmeticError(f"incomplete gamma did not converge (alpha={alpha}, z={z})")
 

@@ -139,6 +139,18 @@ class TestPredictive:
             1.0, abs=1e-12
         )
 
+    def test_tiny_a_above_its_mean_sums_to_one(self, tmp_path):
+        # the predictive measures reach the kernel between the mean and
+        # (alpha+1)/(alpha+beta+2), where it recursed until RecursionError
+        out = tmp_path / "pred.csv"
+        code = main(
+            ["predictive", "--n", "1", "--l", "1", "--x", "0",
+             "--a", "0.0024709450225419197", "--b", "1229.4701602802031",
+             "--p-bar", "2.008126763519731e-06", "--out", str(out)]
+        )
+        assert code == EXIT_OK
+        assert math.fsum(float(r[1]) for r in read_csv(out)[1]) == pytest.approx(1.0, abs=1e-12)
+
 
 class TestRiskCurve:
     def test_columns_and_improvement_regime(self, tmp_path):

@@ -89,6 +89,11 @@ class TestSufficientConditions:
         # turn; the conditions read only their inverses, which are 0.0
         assert smallpbar_sufficient_conditions(n, a, b, p_bar) == (False, False)
 
+    def test_a_tiny_a_reads_the_true_c_bar(self):
+        # c_bar = 1/I(1e-25, 2 + 1e-25, 1e-20) is about 1e-25; the clamped
+        # kernel made it 1.4e-11 and both conditions read as holding
+        assert smallpbar_sufficient_conditions(1, 1e-25, 1.0, 1e-20) == (False, False)
+
     def test_small_variant_requires_pbar_below_inverse_n(self):
         _, cond_small = smallpbar_sufficient_conditions(5, 1.0, 1.0, 0.5)
         assert cond_small is False  # 0.5 > 1/5
@@ -418,6 +423,14 @@ class TestExhaustiveCheck:
         assert binom.MAX_GRID == 10**6
         with pytest.raises(ValueError, match=r"grid size must be an integer in \[2, 1000000\]"):
             entry(binom.MAX_GRID + 1)
+
+    def test_large_n_tiny_a_tiny_bound_gives_a_report(self):
+        # a J-row anchor between the mean and (alpha+1)/(alpha+beta+2) did not
+        # converge in the swapped tail
+        report = exhaustive_dominance_check(
+            3083, 0.04516426319536268, 6.854577320790074, 2.0413247500533756e-05, grid_size=8
+        )
+        assert report.grid_verdict in ("dominates", "dominated_somewhere")
 
     def test_small_upper_bound_dominates(self):
         report = exhaustive_dominance_check(1, 1.0, 1.0, 0.1)

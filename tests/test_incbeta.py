@@ -1,7 +1,9 @@
 """Kernel tests: incomplete beta, the I-integral family, J, and the bracket."""
 
 import math
+import random
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import betainc, betaln
@@ -68,7 +70,7 @@ class TestIncBetaLower:
             (-1.0, 1.0, 0.5),
             (1.0, 0.0, 0.5),
             (1.0, 1.0, 1.5),
-            # non-finite inputs used to recurse without end in the upper branch
+            # non-finite inputs fail here, before either continued fraction
             (math.nan, 1.0, 0.5),
             (1.0, math.nan, 0.5),
             (math.inf, 1.0, 0.5),
@@ -104,6 +106,56 @@ class TestIncBetaLower:
         assert math.exp(log_inc_beta_lower(alpha, beta, x1)) < math.exp(
             log_inc_beta_lower(alpha, beta, x2)
         )
+
+    def test_switch_region_matches_mpmath(self):
+        # alpha < beta with x from an ulp above the mean up to (alpha+1)/(alpha
+        # +beta+2), where the lower fraction converges and the complement of
+        # the upper tail loses digits, cancels or does not converge. The
+        # reference is DLMF 8.17.8, B(x; a, b) = x^a (1-x)^b / a F(a+b, 1;
+        # a+1; x), a series of positive terms, where mpmath's betainc sums an
+        # alternating one and takes seconds at a, b ~ 1e3.
+        rng = random.Random(2024)
+        points = []
+        for _ in range(400):
+            a, b = sorted(10 ** rng.uniform(-3.0, 4.0) for _ in range(2))
+            mean, edge = a / (a + b), (a + 1) / (a + b + 2)
+            points += [(a, b, math.nextafter(mean, 1.0)), (a, b, rng.uniform(mean, edge))]
+        skipped = 0
+        for a, b, x in points:
+            try:
+                with mpmath.workdps(30):
+                    a_, b_, x_ = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(x)
+                    exact = float(
+                        a_ * mpmath.log(x_) + b_ * mpmath.log1p(-x_) - mpmath.log(a_)
+                        + mpmath.log(mpmath.hyp2f1(a_ + b_, 1, a_ + 1, x_))
+                    )
+            except ValueError:  # mpmath's own series did not converge
+                skipped += 1
+                continue
+            got = log_inc_beta_lower(a, b, x)
+            assert abs(got - exact) <= 2e-15 * max(1.0, abs(exact)), (a, b, x)
+        assert skipped <= len(points) // 100
+
+    @pytest.mark.parametrize(
+        "alpha, beta, x, exact",
+        [
+            # the complement cancelled and was clamped to epsilon: 24.99
+            (1e-25, 2.0, 1e-20, 57.5646273248511),
+            # the swapped call ran its fraction at 1 - 1e-9 and did not converge
+            (1e-12, 3.0, 1e-9, 27.6310211159078),
+        ],
+    )
+    def test_small_alpha_above_its_mean_matches_mpmath(self, alpha, beta, x, exact):
+        assert log_inc_beta_lower(alpha, beta, x) == pytest.approx(exact, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "alpha, beta, x",
+        # the upper tail rounds to B(alpha, beta); in the second 1 - x rounds to 1
+        [(0.01, 1e-18, 0.9999999999999999), (1.0, 1e17, 5e-17)],
+    )
+    def test_an_upper_tail_that_is_all_of_b_raises(self, alpha, beta, x):
+        with pytest.raises(ArithmeticError, match="lost to cancellation"):
+            log_inc_beta_lower(alpha, beta, x)
 
     def test_fraction_that_does_not_converge_raises(self, monkeypatch):
         # with b = 1 the fraction terminates after one step, so b = 2.5

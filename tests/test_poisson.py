@@ -68,6 +68,12 @@ class TestPosteriorMean:
         # neither alpha z nor r (z + c) is formed, which overflow here
         assert poisson_posterior_mean(x, cfg) == mean
 
+    def test_a_far_truncation_skips_the_fraction(self):
+        # z = 1.6e308: e^-E is 0.0, so the fraction, whose Lentz ratio stays a
+        # few ulps off 1 once 1/b is subnormal, is not run; it ran 100,000 steps
+        cfg = PoissonConfig(r=2.0, a=0.5, lambda_bar=8e307)
+        assert poisson_posterior_mean(0, cfg) == 0.25
+
     @pytest.mark.parametrize("alpha, z", [(2.5, 1.0), (2.5, 10.0)])
     def test_gamma_pass_that_does_not_converge_raises(self, monkeypatch, alpha, z):
         # the series below z = alpha + 1, the continued fraction above

@@ -11,7 +11,11 @@ def test_one_quick_pair_reports_every_case(capsys):
     header, *rows = capsys.readouterr().out.splitlines()
     assert header.split() == "case unit parent median change median change won".split()
     assert [row.split()[:2] for row in rows] == [
-        ["sweep", "us/p"], ["large-n", "ms/job"], ["poisson", "ms/tgt"], ["tables", "ms/tbl"]
+        ["sweep", "us/p"],
+        ["large-n", "ms/job"],
+        ["poisson", "ms/tgt"],
+        ["tables", "ms/tbl"],
+        ["kernel", "us/call"],
     ]
     for row in rows:
         parent, change, won = float(row.split()[2]), float(row.split()[3]), row.split()[-1]
@@ -19,13 +23,14 @@ def test_one_quick_pair_reports_every_case(capsys):
 
 
 def test_pairs_won_count_the_faster_change_runs():
-    parent = [{"sweep": 2e-5, "large-n": 1e-2, "poisson": 1e-3, "tables": 8e-4}] * 2
+    parent = [{"sweep": 2e-5, "large-n": 1e-2, "poisson": 1e-3, "tables": 8e-4, "kernel": 4e-6}] * 2
     change = [
-        {"sweep": 1e-5, "large-n": 2e-2, "poisson": 5e-4, "tables": 4e-4},
-        {"sweep": 3e-5, "large-n": 1e-2, "poisson": 5e-4, "tables": 9e-4},
+        {"sweep": 1e-5, "large-n": 2e-2, "poisson": 5e-4, "tables": 4e-4, "kernel": 4e-6},
+        {"sweep": 3e-5, "large-n": 1e-2, "poisson": 5e-4, "tables": 9e-4, "kernel": 2e-6},
     ]
-    sweep, large, pois, tables = time_calls.report(parent, change)[1:]
+    sweep, large, pois, tables, kernel = time_calls.report(parent, change)[1:]
     assert sweep.split()[2:] == ["20", "20", "+0.0%", "1/2"]
     assert large.split()[2:] == ["10", "15", "+50.0%", "0/2"]
     assert pois.split()[2:] == ["1", "0.5", "-50.0%", "2/2"]
     assert tables.split()[2:] == ["0.8", "0.65", "-18.8%", "1/2"]
+    assert kernel.split()[2:] == ["4", "3", "-25.0%", "1/2"]
