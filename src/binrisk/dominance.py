@@ -9,7 +9,8 @@ The grid pass has two engines that yield, per p, each table's risk and
 then each value row's expectation, the same floats: _row_pass, the grid
 in blocks of _BLOCK points summed by rows of x, while n + 1 <= _BLOCK,
 and _window_pass, one pmf window per p, above that and for the scalar
-functions, which read one point of it.
+functions, which read one point of it. The value rows of the upper case,
+the J rows, are c(0..n) of the row the upper EstimateTable keeps.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .binom import (
     pmf_windows,
 )
 from .estimators import EstimateTable, _correction
-from .incbeta import SingularBoundError, inverse_I_row, log_eval_I
+from .incbeta import SingularBoundError, log_eval_I
 from .risk import _check_p, _risk_sums
 
 GRID_SLACK = 1e-12
@@ -55,15 +56,15 @@ def p_grid(p_bar: float, p_lo: float | None, size: int) -> list[float]:
     return [lo + (p_bar - lo) * i / (size - 1) for i in range(size - 1)] + [p_bar]
 
 
-def _j_rows(n: int, a: float, b: float, p_bar: float) -> tuple[list[float], list[float]]:
-    """I(x+a, n+a+b+1, p_bar) and its inverse for x = 0..n, a, b and n checked,
-    from inverse_I_row: the rows whose binomial expectations are J(p) and
+def _j_rows(table: EstimateTable) -> tuple[list[float], list[float]]:
+    """I(x+a, n+a+b+1, p_bar) and its inverse c for x = 0..n, c read from the
+    upper table's row: the rows whose binomial expectations are J(p) and
     E_p[1/I]; neither depends on p. An I that overflows is a singular bound."""
-    gamma = n + a + b + 1.0
-    inv_row = inverse_I_row(a, gamma, p_bar, n)
+    inv_row = table._c_row[:-1]
     i_row = [1.0 / c if c else math.inf for c in inv_row]
     if math.inf in i_row:
-        x = i_row.index(math.inf)
+        (a, b, p_bar, _), x = table.prior, i_row.index(math.inf)
+        gamma = table.setup.n + a + b + 1.0
         raise SingularBoundError(f"I({x + a}, {gamma}, {p_bar}) overflows double precision")
     return i_row, inv_row
 
@@ -142,11 +143,10 @@ def _window_pass(
 
 def _upper_point(p: float, n: int, a: float, b: float, p_bar: float) -> tuple[float, float | None]:
     """_curve_point's pair at p, from one point of _window_pass. a and b, n,
-    p_bar (by the J rows) and p are checked in that order, the order of the
-    public bound functions."""
+    p_bar (by the upper table) and p are checked in that order, the order of
+    the public bound functions."""
     _check_shape(a=a, b=b)
-    _check_trials("n", n)
-    value_rows = _j_rows(n, a, b, p_bar)
+    value_rows = _j_rows(EstimateTable.build(BinomialSetup(n=n), PriorSpec(a, b, p_bar=p_bar)))
     if not 0.0 < p <= p_bar:
         raise ValueError(f"p must be in (0, p_bar], got p={p}, p_bar={p_bar}")
     j, e = next(_window_pass(n, (), value_rows, [p]))
@@ -193,13 +193,12 @@ def smallpbar_sufficient_conditions(
     The first is general; the second is the sharper variant valid when
     p_bar <= 1/n. An undefined log argument means the bound chain does
     not apply, which we report as the condition not holding. I enters
-    only as c = exp(-log I), 0.0 where I overflows, and the second
-    condition is multiplied through by c_bar rather than divided by it.
+    only as c = 1/I, 0.0 where I overflows, c0 as c(0) of the upper
+    table's row, and the second condition is multiplied through by c_bar
+    rather than divided by it.
     """
-    _check_count("n", n)
-    _check_shape(a=a, b=b)
+    c0 = EstimateTable.build(BinomialSetup(n=n), PriorSpec(a, b, p_bar=p_bar))._c_row[0]
     s = n + a + b
-    c0 = math.exp(-log_eval_I(a, n + a + b + 1.0, p_bar))
     c_bar = math.exp(-log_eval_I(a, a + b + 1.0, p_bar))
     log_gain = math.log1p((1.0 + c_bar) / (p_bar * s))
     arg = 1.0 - c0 / ((1.0 - p_bar) * s)
@@ -358,7 +357,7 @@ def exhaustive_dominance_check(
         flags["thm41_c1"] = c1
         flags["thm41_c2"] = c2
     s = n + a + b
-    value_rows = _j_rows(n, a, b, p_bar) if upper else ()
+    value_rows = _j_rows(trunc) if upper else ()
     # p_grid keeps every p on the restriction, inside (0, 1)
     grid_pass = _row_pass if n + 1 <= _BLOCK else _window_pass
     rows = [

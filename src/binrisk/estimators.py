@@ -6,8 +6,10 @@ c = 1/I(x+a, s+1, p_bar), one row of one kernel call (inverse_I_row); on an
 interval as (x+a)/s minus A(x)/s, A = bracket / I_two_sided. The table over
 x = 0..n is the primitive; posterior_mean reads one entry of it. A table
 carries the p-free rows log d and log(1-d) and the ceiling of its losses,
-which every risk sum at a p in (0, 1) reads, built on the first sum; the
-caches below and risk's connection tables decide how long a table is kept.
+which every risk sum at a p in (0, 1) reads, built on the first sum; a
+table from build keeps the upper row c(0..n+1) as _c_row (None if not
+upper), which the J rows and the small-p_bar condition read. The caches
+below and risk's connection tables decide how long a table is kept.
 """
 
 from __future__ import annotations
@@ -75,29 +77,27 @@ def _correction(x: int, s: float, prior: PriorSpec) -> float:
     return numer * math.exp(-log_eval_I(x + prior.a, s, prior.p_bar, prior.p_lo))
 
 
-def _upper_estimates(n: int, a: float, b: float, p_bar: float) -> list[float]:
-    """d(x) = (x+a)/(s + c(x+1)/p_bar), c = 1/I(x+a, s+1, p_bar), for every x.
-    With alpha = x+a, beta = n-x+b, E = p_bar^alpha (1-p_bar)^beta and M the
-    beta measure of [0, p_bar]: integration by parts and M(alpha, beta) =
-    M(alpha+1, beta) + M(alpha, beta+1) give s M(alpha+1, beta) + E =
-    alpha M(alpha, beta), and c(x+1)/p_bar = E / M(alpha+1, beta), so d is
-    M(alpha+1, beta) / M(alpha, beta). Nothing is subtracted, and a c that
-    underflows to 0.0 gives exactly (x+a)/s."""
-    s = n + a + b
-    c = inverse_I_row(a, s + 1.0, p_bar, n + 1)
-    return [(x + a) / (s + c[x + 1] / p_bar) for x in range(n + 1)]
-
-
 def _estimate_table(setup: BinomialSetup, prior: PriorSpec) -> EstimateTable:
     n, a = setup.n, prior.a
     s = n + a + prior.b
+    c_row = None
     if prior.restriction == "none":
         values = [(x + a) / s for x in range(n + 1)]
     elif prior.restriction == "upper":
-        values = _upper_estimates(n, a, prior.b, prior.p_bar)
+        # d(x) = (x+a)/(s + c(x+1)/p_bar), c = 1/I(x+a, s+1, p_bar). With
+        # alpha = x+a, beta = n-x+b, E = p_bar^alpha (1-p_bar)^beta and M the
+        # beta measure of [0, p_bar]: integration by parts and M(alpha, beta)
+        # = M(alpha+1, beta) + M(alpha, beta+1) give s M(alpha+1, beta) + E =
+        # alpha M(alpha, beta), and c(x+1)/p_bar = E / M(alpha+1, beta), so d
+        # is M(alpha+1, beta) / M(alpha, beta). Nothing is subtracted, and a
+        # c that underflows to 0.0 gives exactly (x+a)/s.
+        c_row = inverse_I_row(a, s + 1.0, prior.p_bar, n + 1)
+        values = [(x + a) / (s + c_row[x + 1] / prior.p_bar) for x in range(n + 1)]
     else:
         values = [(x + a) / s - _correction(x, s, prior) / s for x in range(n + 1)]
-    return EstimateTable(setup=setup, prior=prior, values=tuple(values))
+    table = EstimateTable(setup=setup, prior=prior, values=tuple(values))
+    table.__dict__["_c_row"] = c_row  # p-free and not a field, like _logs
+    return table
 
 
 # Grid sweeps rebuild the same table for every p, so tables are cached per

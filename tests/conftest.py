@@ -154,7 +154,8 @@ def eval_J(p: float, n: int, a: float, b: float, p_bar: float) -> float:
     if not 0.0 <= p < 1.0:
         raise ValueError(f"p must be in [0, 1), got {p}")
     weights = [1.0] + [0.0] * n if p == 0.0 else window_row(n, p)
-    return math.fsum(w * v for w, v in zip(weights, _j_rows(n, a, b, p_bar)[0]))
+    table = EstimateTable.build(BinomialSetup(n=n), PriorSpec(a, b, p_bar=p_bar))
+    return math.fsum(w * v for w, v in zip(weights, _j_rows(table)[0]))
 
 
 def eval_I(alpha: float, gamma: float, p_bar: float) -> float:
@@ -280,7 +281,7 @@ def full_row_dominance(
         worst_difference=diffs[worst],
     )
     if p_lo is None:
-        i_row, inv_row = _j_rows(n, a, b, p_bar)
+        i_row, inv_row = _j_rows(trunc)
         s = n + a + b
         bounds, std = [], []
         for p, diff in zip(grid, diffs):

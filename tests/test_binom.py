@@ -18,6 +18,7 @@ from binrisk.binom import (
 from binrisk.dominance import (
     DominanceReport,
     exhaustive_dominance_check,
+    smallpbar_sufficient_conditions,
     standardized_risk_difference,
     thm32_bound,
 )
@@ -253,9 +254,11 @@ class TestDescriptors:
             lambda l: connection_sum(0.5, 1, l, PriorSpec(1.0, 1.0)),
             lambda n: thm32_bound(0.1, n, 1.0, 1.0, 0.5),
             lambda n: standardized_risk_difference(0.1, n, 1.0, 1.0, 0.5),
+            lambda n: smallpbar_sufficient_conditions(n, 1.0, 1.0, 0.5),
         ],
         ids=[
-            "setup-n", "setup-l", "plug-in-l", "connection-n", "connection-l", "thm32", "std-diff"
+            "setup-n", "setup-l", "plug-in-l", "connection-n", "connection-l", "thm32", "std-diff",
+            "smallpbar",
         ],
     )
     def test_trial_counts_are_capped(self, entry):

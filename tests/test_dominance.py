@@ -94,6 +94,20 @@ class TestSufficientConditions:
         # kernel made it 1.4e-11 and both conditions read as holding
         assert smallpbar_sufficient_conditions(1, 1e-25, 1.0, 1e-20) == (False, False)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0, 0.0, 1.0, 2.0), "n must be an integer >= 1, got 0"),
+            ((3, 0.0, 1.0, 2.0), "a must be finite and positive, got 0.0"),
+            ((3, 1.0, -1.0, 2.0), "b must be finite and positive, got -1.0"),
+            ((3, 1.0, 1.0, 2.0), "p_bar must be in (0, 1), got 2.0"),
+        ],
+    )
+    def test_arguments_are_checked_n_first(self, args, message):
+        with pytest.raises(ValueError) as caught:
+            smallpbar_sufficient_conditions(*args)
+        assert type(caught.value) is ValueError and str(caught.value) == message
+
     def test_small_variant_requires_pbar_below_inverse_n(self):
         _, cond_small = smallpbar_sufficient_conditions(5, 1.0, 1.0, 0.5)
         assert cond_small is False  # 0.5 > 1/5
@@ -628,7 +642,10 @@ class TestGridEngines:
             EstimateTable.build(setup, PriorSpec(a=a, b=b)),
             EstimateTable.build(setup, PriorSpec(a=a, b=b, p_bar=p_bar, p_lo=p_lo)),
         )
-        rows = dominance._j_rows(n, a, b, p_bar) if with_j else ()
+        # the J rows of the upper table of the same (a, b, p_bar), also in
+        # the interval case
+        upper = EstimateTable.build(setup, PriorSpec(a=a, b=b, p_bar=p_bar))
+        rows = dominance._j_rows(upper) if with_j else ()
         grid = p_grid(p_bar, p_lo, grid_size)
         return [
             [[v.hex() for v in sums] for sums in engine(n, tables, rows, grid)]

@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from binrisk import estimators, incbeta
 from binrisk.binom import BinomialSetup, PriorSpec
-from binrisk.dominance import _j_rows
+from binrisk.dominance import _j_rows, exhaustive_dominance_check
 from binrisk.estimators import EstimateTable, posterior_mean
-from binrisk.incbeta import inverse_I_row, log_eval_I
+from binrisk.incbeta import log_eval_I
 from binrisk.risk import point_risk
 
 from conftest import eval_I, loss_row, quad_posterior_mean
@@ -330,9 +330,9 @@ def upper_error(value, x, n, a, b, p_bar):
 
 
 class TestUpperRows:
-    """The upper-truncated table and the J rows, both read from the row
-    1/I(x+a, n+a+b+1, p_bar): the table's is built by a kernel call at
-    x = n + 1, the J rows' at x = n, each with a backward recurrence."""
+    """The upper-truncated table and the J rows, both read from the one row
+    1/I(x+a, n+a+b+1, p_bar) that the table keeps: a kernel call at
+    x = n + 1 and a backward recurrence."""
 
     @pytest.mark.parametrize("p_bar", ROW_P_BARS)
     @pytest.mark.parametrize("n", ROW_NS)
@@ -378,34 +378,38 @@ class TestUpperRows:
     def test_j_rows_match_mpmath(self, n, p_bar):
         a, b, xs = _row_case(n, p_bar)
         gamma = n + a + b + 1.0
-        inv_row = inverse_I_row(a, gamma, p_bar, n)
+        table = EstimateTable.build(BinomialSetup(n=n), PriorSpec(a, b, p_bar=p_bar))
+        c_row = table._c_row
+        assert len(c_row) == n + 2
         with mpmath.workdps(ROW_DPS):
             q = 1 - mpmath.mpf(p_bar)
-            for x in xs:
+            for x in xs + [n]:
                 alpha = mpmath.mpf(x) + a
                 exact = mpmath.betainc(alpha, gamma - alpha, 0, p_bar) * (q / p_bar) ** alpha / q**gamma
                 if exact < 1e300:
-                    assert abs(1.0 / inv_row[x] / exact - 1) < 1e-12, x
-        # the anchor is the kernel's own value
-        assert inv_row[n] == math.exp(-log_eval_I(n + a, gamma, p_bar))
+                    # x = n is one recurrence step from the anchor at n + 1
+                    assert abs(1.0 / c_row[x] / exact - 1) < (2e-13 if x == n else 1e-13), x
+        # the anchor at x = n + 1 is the kernel's own value
+        assert c_row[n + 1] == math.exp(-log_eval_I(n + 1 + a, gamma, p_bar))
         try:
-            i_row, inv = _j_rows(n, a, b, p_bar)
+            i_row, inv = _j_rows(table)
         except incbeta.SingularBoundError:
-            assert min(inv_row) < 1e-300
+            assert min(c_row[: n + 1]) < 1e-300
         else:
-            assert inv == inv_row
-            assert i_row == [1.0 / c for c in inv_row]
+            # the table's own c(0..n), bit for bit, and their reciprocals
+            assert [c.hex() for c in inv] == [c.hex() for c in c_row[: n + 1]]
+            assert i_row == [1.0 / c for c in inv]
 
     def test_underflowed_row_gives_the_untruncated_estimate(self):
         n, a, b, p_bar = 3000, 1.0, 1.0, 0.95
         s = n + a + b
-        c = inverse_I_row(a, s + 1.0, p_bar, n + 1)
         table = EstimateTable.build(BinomialSetup(n=n), PriorSpec(a, b, p_bar=p_bar))
-        under = [x for x in range(n + 1) if c[x + 1] == 0.0]
+        under = [x for x in range(n + 1) if table._c_row[x + 1] == 0.0]
         assert under
         assert all(table[x] == (x + a) / s for x in under)
 
-    def test_rows_take_one_kernel_call_at_any_n(self, monkeypatch):
+    @staticmethod
+    def count_kernel_calls(monkeypatch):
         kernel = incbeta.log_inc_beta_lower
         calls = [0]
 
@@ -414,17 +418,30 @@ class TestUpperRows:
             return kernel(*args)
 
         monkeypatch.setattr(incbeta, "log_inc_beta_lower", counting)
+        return calls
+
+    def test_rows_take_one_kernel_call_at_any_n(self, monkeypatch):
+        calls = self.count_kernel_calls(monkeypatch)
         counts = []
         for n in (10, 1000):
             clear_tables()
             calls[0] = 0
-            EstimateTable.build(BinomialSetup(n=n), PriorSpec(1.0, 1.0, p_bar=0.3))
+            table = EstimateTable.build(BinomialSetup(n=n), PriorSpec(1.0, 1.0, p_bar=0.3))
             table_calls, calls[0] = calls[0], 0
-            _j_rows(n, 1.0, 1.0, 0.3)
+            _j_rows(table)
             counts.append((table_calls, calls[0]))
-        # each anchor, at x = n + 1 for the table and x = n for the J rows,
-        # lies in the kernel's lower-tail branch
-        assert counts == [(1, 1), (1, 1)]
+        # the anchor at x = n + 1 lies in the kernel's lower-tail branch, and
+        # the J rows read the table's row
+        assert counts == [(1, 0), (1, 0)]
+
+    @pytest.mark.parametrize("n", [10, 200], ids=["row-pass", "window-pass"])
+    def test_upper_check_takes_two_kernel_calls(self, n, monkeypatch):
+        # the table's row gives the estimates, the J rows and c0 of the
+        # small-p_bar condition; c_bar = 1/I(a, a+b+1, p_bar) is the other
+        calls = self.count_kernel_calls(monkeypatch)
+        clear_tables()
+        exhaustive_dominance_check(n, 1.0, 1.0, 0.3)
+        assert calls == [2]
 
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 3.0])
     @pytest.mark.parametrize("lambda_bar", [0.75, 1.5, 2.0])

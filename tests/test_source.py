@@ -29,22 +29,33 @@ def test_no_assert_statements():
     assert found == []
 
 
-def test_kernel_is_called_only_by_the_beta_measure():
-    # log_beta_measure is the one home of the incomplete-beta kernel, and
-    # the kernel does not call itself (its upper tail runs its own fraction),
-    # so a change to how measures are computed is made once, for every caller
-    kernel = "log_inc_beta_lower"
+def _callers(function: str) -> set[tuple[str, str]]:
+    """(module, top-level definition) of every call of function in src/."""
     callers = set()
     for path in SOURCES:
         for stmt in ast.parse(path.read_text(), filename=str(path)).body:
             owner = getattr(stmt, "name", f"line {stmt.lineno}")
             for node in ast.walk(stmt):
-                if isinstance(node, ast.Call) and kernel in (
+                if isinstance(node, ast.Call) and function in (
                     getattr(node.func, "id", None),
                     getattr(node.func, "attr", None),
                 ):
                     callers.add((path.name, owner))
-    assert callers == {("incbeta.py", "log_beta_measure")}
+    return callers
+
+
+def test_kernel_is_called_only_by_the_beta_measure():
+    # log_beta_measure is the one home of the incomplete-beta kernel, and
+    # the kernel does not call itself (its upper tail runs its own fraction),
+    # so a change to how measures are computed is made once, for every caller
+    assert _callers("log_inc_beta_lower") == {("incbeta.py", "log_beta_measure")}
+
+
+def test_the_c_row_is_built_only_by_the_table_builder():
+    # the upper table keeps its row 1/I(x+a, n+a+b+1, p_bar), and the J rows
+    # and the small-p_bar condition read it, so one kernel call per upper
+    # configuration builds it
+    assert _callers("inverse_I_row") == {("estimators.py", "_estimate_table")}
 
 
 def test_predictive_measures_are_read_through_the_memo():
@@ -107,8 +118,8 @@ def test_plug_in_density_builds_no_cached_row():
 
 
 def test_p_free_row_builders_check_nothing():
-    # a, b and n reach the J rows checked, by PriorSpec and BinomialSetup in
-    # the grid pass and by the public bound functions at one p, and both
+    # the J rows read the row of an upper table, built from a PriorSpec and
+    # a BinomialSetup that checked a, b, p_bar and n, and both
     # grid engines take the tables, the rows and the grid as built; the mass
     # tables' log rows are built once per table set, after the per-p entry
     # has checked p and the table count; the predictive masses take x and y
