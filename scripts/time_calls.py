@@ -3,7 +3,7 @@
 
     python scripts/time_calls.py --against OTHER_DIR [--pairs 8] [--quick]
 
-Five cases, each timed with time.process_time in a fresh interpreter per
+Six cases, each timed with time.process_time in a fresh interpreter per
 side, after one untimed round that fills the caches a sweep fills:
 
   sweep    the three calls of the predictive acceptance sweep at one p
@@ -26,7 +26,12 @@ side, after one untimed round that fills the caches a sweep fills:
            beta, x): alpha and beta from 10^[-2, 3], x uniform on (0, 1)
            for half of them and between alpha/(alpha+beta) and
            (alpha+1)/(alpha+beta+2), the kernel's switch region, for the
-           other half.
+           other half;
+  intervals cold builds of interval-truncated estimate tables, in
+           milliseconds per table, over n = 100, 300 and 600 under
+           (a, b) = (2, 2) on [0.05, 0.5] and n = 20 and 60 under (1, 0.5)
+           on [0.4, 0.6], tables that build (at n = 2000 on [0.05, 0.5]
+           the bracket term overflows).
 
 A child times each case over several rounds and reports the median round.
 The pairs alternate which side runs first. For each case this prints each
@@ -34,8 +39,8 @@ side's median over the pairs, the change of this checkout over OTHER_DIR,
 and the pairs in which this checkout took less time. CPU time leaves out
 the time the process waits for a core, so it does not follow the machine
 speed the way perfbench's wall-clock figures do. --quick runs one round of
-a few configurations, n = 300, 8 p, two targets, one table and 20
-kernel calls, for a smoke test.
+a few configurations, n = 300, 8 p, two targets, one table of each
+restriction and 20 kernel calls, for a smoke test.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ CASES = (
     ("poisson", "ms/tgt", 1e3),
     ("tables", "ms/tbl", 1e3),
     ("kernel", "us/call", 1e6),
+    ("intervals", "ms/tbl", 1e3),
 )
 
 
@@ -120,17 +126,13 @@ def _poisson(exponents: list[float], bounds: list[float | None]):
     return run, len(configs)
 
 
-def _tables(ns: list[int], shapes: list[tuple[float, float]], bounds: list[float]):
-    """A round of the tables case, and the number of tables it builds."""
+def _tables(cases: list[tuple[int, float, float, float, float | None]]):
+    """A round of a table case, and the number of tables it builds, one
+    per (n, a, b, p_bar, p_lo) of cases."""
     from binrisk.binom import BinomialSetup, PriorSpec
     from binrisk.estimators import _estimate_table
 
-    configs = [
-        (BinomialSetup(n=n), PriorSpec(a=a, b=b, p_bar=bar))
-        for n in ns
-        for a, b in shapes
-        for bar in bounds
-    ]
+    configs = [(BinomialSetup(n=n), PriorSpec(a, b, bar, lo)) for n, a, b, bar, lo in cases]
 
     def run() -> None:
         for setup, prior in configs:
@@ -175,12 +177,23 @@ def child(src: Path, quick: bool) -> dict[str, float]:
             if quick
             else _poisson([0.5, 1.0, 2.0, 3.0], [0.75, 1.0, 1.37, 2.0, None])
         ),
-        "tables": (
-            _tables([300], [(0.5, 3.0)], [0.3])
+        "tables": _tables(
+            [(300, 0.5, 3.0, 0.3, None)]
             if quick
-            else _tables([300, 533, 949, 1687, 3000], [(0.5, 3.0), (2.0, 1.0)], [0.05, 0.3, 0.6])
+            else [
+                (n, a, b, bar, None)
+                for n in (300, 533, 949, 1687, 3000)
+                for a, b in ((0.5, 3.0), (2.0, 1.0))
+                for bar in (0.05, 0.3, 0.6)
+            ]
         ),
         "kernel": _kernel(10) if quick else _kernel(200),
+        "intervals": _tables(
+            [(100, 2.0, 2.0, 0.5, 0.05)]
+            if quick
+            else [(n, 2.0, 2.0, 0.5, 0.05) for n in (100, 300, 600)]
+            + [(n, 1.0, 0.5, 0.6, 0.4) for n in (20, 60)]
+        ),
     }
     result = {}
     for name, (run, units) in cases.items():
@@ -205,14 +218,14 @@ def _side(checkout: Path, quick: bool) -> dict[str, float]:
 
 def report(parent: list[dict], change: list[dict]) -> list[str]:
     lines = [
-        f"{'case':<8} {'unit':<7} {'parent median':>14} {'change median':>14} {'change':>8}  won"
+        f"{'case':<9} {'unit':<7} {'parent median':>14} {'change median':>14} {'change':>8}  won"
     ]
     for name, unit, scale in CASES:
         old = statistics.median(run[name] for run in parent) * scale
         new = statistics.median(run[name] for run in change) * scale
         won = sum(c[name] < p[name] for p, c in zip(parent, change))
         lines.append(
-            f"{name:<8} {unit:<7} {old:>14.4g} {new:>14.4g} {new / old - 1.0:>+8.1%}"
+            f"{name:<9} {unit:<7} {old:>14.4g} {new:>14.4g} {new / old - 1.0:>+8.1%}"
             f"  {won}/{len(parent)}"
         )
     return lines

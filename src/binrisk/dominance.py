@@ -30,7 +30,7 @@ from .binom import (
     pmf_windows,
 )
 from .estimators import EstimateTable, _correction
-from .incbeta import SingularBoundError, log_eval_I
+from .incbeta import SingularBoundError, _check_p_bar, _log_I
 from .risk import _check_p, _risk_sums
 
 GRID_SLACK = 1e-12
@@ -199,7 +199,7 @@ def smallpbar_sufficient_conditions(
     """
     c0 = EstimateTable.build(BinomialSetup(n=n), PriorSpec(a, b, p_bar=p_bar))._c_row[0]
     s = n + a + b
-    c_bar = math.exp(-log_eval_I(a, a + b + 1.0, p_bar))
+    c_bar = math.exp(-_log_I(a, a + b + 1.0, p_bar))
     log_gain = math.log1p((1.0 + c_bar) / (p_bar * s))
     arg = 1.0 - c0 / ((1.0 - p_bar) * s)
     cond_general = arg > 0.0 and math.log(arg) + p_bar / (1.0 - p_bar) * log_gain < 0.0
@@ -266,6 +266,7 @@ def max_risk_diff_symmetric_n1(a: float, p_bar: float) -> float:
     _check_shape(a=a)
     if not 0.5 < p_bar < 1.0:
         raise ValueError(f"p_bar must be in (1/2, 1), got {p_bar}")
+    _check_p_bar(p_bar)
     p_lo = 1.0 - p_bar
     c = _correction(0, 1.0 + 2.0 * a, PriorSpec(a=a, b=a, p_bar=p_bar, p_lo=p_lo))
     t0, t1 = -math.log1p(-c / a), -math.log1p(c / (1.0 + a))

@@ -2,7 +2,7 @@
 
 With s = n+a+b every estimate is read from the untruncated (x+a)/s, never
 from raw quadrature: under an upper bound as (x+a)/(s + c(x+1)/p_bar) with
-c = 1/I(x+a, s+1, p_bar), one row of one kernel call (inverse_I_row); on an
+c = 1/I(x+a, s+1, p_bar), one row of one kernel call (_inverse_I_row); on an
 interval as (x+a)/s minus A(x)/s, A = bracket / I_two_sided. The table over
 x = 0..n is the primitive; posterior_mean reads one entry of it. A table
 carries the p-free rows log d and log(1-d) and the ceiling of its losses,
@@ -18,7 +18,7 @@ import math
 from functools import cached_property, lru_cache
 
 from .binom import BinomialSetup, PriorSpec, _check_count, _Table
-from .incbeta import bracket_term, inverse_I_row, log_eval_I
+from .incbeta import _bracket, _check_p_bar, _inverse_I_row, _log_I
 
 
 def posterior_mean(x: int, prior: PriorSpec, n: int) -> float:
@@ -71,16 +71,18 @@ def _correction(x: int, s: float, prior: PriorSpec) -> float:
     symmetry point of the interval and of either sign in general. I enters
     as exp(-log I), so an I beyond double range gives a correction that
     underflows towards 0.0 instead of raising."""
-    numer = bracket_term(x + prior.a, s, prior.p_lo, prior.p_bar)
+    numer = _bracket(x + prior.a, s, prior.p_lo, prior.p_bar)
     if numer == 0.0:
         return 0.0
-    return numer * math.exp(-log_eval_I(x + prior.a, s, prior.p_bar, prior.p_lo))
+    return numer * math.exp(-_log_I(x + prior.a, s, prior.p_bar, prior.p_lo))
 
 
 def _estimate_table(setup: BinomialSetup, prior: PriorSpec) -> EstimateTable:
     n, a = setup.n, prior.a
     s = n + a + prior.b
     c_row = None
+    if prior.p_bar is not None:
+        _check_p_bar(prior.p_bar)  # the one ceiling check of a table
     if prior.restriction == "none":
         values = [(x + a) / s for x in range(n + 1)]
     elif prior.restriction == "upper":
@@ -91,7 +93,7 @@ def _estimate_table(setup: BinomialSetup, prior: PriorSpec) -> EstimateTable:
         # alpha M(alpha, beta), and c(x+1)/p_bar = E / M(alpha+1, beta), so d
         # is M(alpha+1, beta) / M(alpha, beta). Nothing is subtracted, and a
         # c that underflows to 0.0 gives exactly (x+a)/s.
-        c_row = inverse_I_row(a, s + 1.0, prior.p_bar, n + 1)
+        c_row = _inverse_I_row(a, s + 1.0, prior.p_bar, n + 1)
         values = [(x + a) / (s + c_row[x + 1] / prior.p_bar) for x in range(n + 1)]
     else:
         values = [(x + a) / s - _correction(x, s, prior) / s for x in range(n + 1)]

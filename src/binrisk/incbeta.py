@@ -7,34 +7,39 @@ risk bounds) reduces to integrals of the form
     I(alpha, gamma, p_lo, p_bar)  = int_rho^1 t^(alpha-1) / {1 - p_bar (1-t)}^gamma dt
 
 with rho = r_lo / r_bar the ratio of odds, plus the bracket term
-[t^alpha / {1 - p_bar (1-t)}^gamma]_rho^1.  After the substitution
-p = r_bar * t / (1 + r_bar * t), I is the beta measure
+[t^alpha / {1 - p_bar (1-t)}^gamma]_rho^1 (_bracket).  After the
+substitution p = r_bar * t / (1 + r_bar * t), I is the beta measure
 M(alpha, gamma - alpha) of [p_lo, p_bar] rescaled ([0, p_bar] without
-p_lo), so one function, log_eval_I with an optional p_lo, computes both.
-log_beta_measure is the only caller of the kernel, the log of the
-unnormalized incomplete beta B(x; a, b) = int_0^x t^(a-1) (1-t)^(b-1) dt,
-computed by a continued fraction (modified Lentz) in log space, so that
-large exponents never underflow. The fraction runs on the lower tail for
-x <= max(a/(a+b), (a+1)/(a+b+2)) (Numerical Recipes' point, 2nd ed. 6.4,
-or the mean where that is larger), above on B(1-x; b, a), taken from
-B(a, b); a tail that rounds up to B(a, b) raises ArithmeticError. The
-row 1/I(x+a, gamma, p_bar) over x = 0..m (inverse_I_row) takes one kernel
-call and a backward recurrence.
+p_lo), so one function, _log_I with an optional p_lo, computes both.
+_log_beta_measure is the only caller of the kernel, log_inc_beta_lower,
+the log of the unnormalized incomplete beta B(x; a, b) = int_0^x t^(a-1)
+(1-t)^(b-1) dt, computed by a continued fraction (modified Lentz) in log
+space, so that large exponents never underflow. The fraction runs on the
+lower tail up to the point _lower_side sets, above on B(1-x; b, a), taken
+from B(a, b); a tail that rounds up to B(a, b) raises ArithmeticError.
+Where the lower fraction runs on [0, p_bar], the upper I is that fraction
+over alpha, which _log_I reads without the kernel. The row
+1/I(x+a, gamma, p_bar), x = 0..m (_inverse_I_row), takes one I and a
+backward recurrence.
+
+The kernel is the one public function and checks its arguments. The four
+cores above check nothing: PriorSpec and BinomialSetup have checked what
+they read. The p_bar ceiling (_check_p_bar) is checked once per table, by
+estimators._estimate_table, and by dominance.max_risk_diff_symmetric_n1,
+which reads a correction without a table; a predictive mass needs none.
 """
 
 from __future__ import annotations
 
 import math
 
-from .binom import _check_shape
 from .special import log_beta
 
 _CF_TOL = 1e-14
 _CF_MAX_ITER = 500
 _FPMIN = 1e-300
 
-# p_bar closer to 1 than this makes I diverge for the parameters we use;
-# fail loudly instead of returning garbage.
+# I diverges as p_bar -> 1; above this, _check_p_bar fails loudly
 _P_BAR_CEIL = 1.0 - 1e-12
 
 
@@ -90,6 +95,12 @@ def _betacf(a: float, b: float, x: float) -> float:
     )
 
 
+def _lower_side(alpha: float, beta: float, x: float) -> bool:
+    """Whether the lower fraction runs at x: up to (alpha+1)/(alpha+beta+2)
+    (Numerical Recipes, 2nd ed. 6.4), or to the mean where that is larger."""
+    return x <= max(alpha / (alpha + beta), (alpha + 1.0) / (alpha + beta + 2.0))
+
+
 def log_inc_beta_lower(alpha: float, beta: float, x: float) -> float:
     """log of int_0^x t^(alpha-1) (1-t)^(beta-1) dt (unnormalized); -inf at x = 0."""
     # written so that a NaN exponent or x fails here, not in the fraction
@@ -101,7 +112,7 @@ def log_inc_beta_lower(alpha: float, beta: float, x: float) -> float:
         return -math.inf
     if x == 1.0:
         return log_beta(alpha, beta)
-    if x <= max(alpha / (alpha + beta), (alpha + 1.0) / (alpha + beta + 2.0)):
+    if _lower_side(alpha, beta, x):
         cf = _betacf(alpha, beta, x)
         return alpha * math.log(x) + beta * math.log1p(-x) - math.log(alpha) + math.log(cf)
     # upper tail: B(x; a, b) = B(a, b) - B(y; b, a), all of B if y rounds to 1
@@ -118,10 +129,8 @@ def log_inc_beta_lower(alpha: float, beta: float, x: float) -> float:
     return log_complete + math.log(-math.expm1(diff))
 
 
-def log_beta_measure(alpha: float, beta: float, lo: float, hi: float) -> float:
+def _log_beta_measure(alpha: float, beta: float, lo: float, hi: float) -> float:
     """log of int_lo^hi t^(alpha-1) (1-t)^(beta-1) dt for 0 <= lo < hi <= 1."""
-    if not 0.0 <= lo < hi <= 1.0:
-        raise ValueError(f"need 0 <= lo < hi <= 1, got ({lo}, {hi})")
     log_upper = log_inc_beta_lower(alpha, beta, hi)
     if lo == 0.0:
         return log_upper
@@ -135,46 +144,32 @@ def log_beta_measure(alpha: float, beta: float, lo: float, hi: float) -> float:
 
 
 def _check_p_bar(p_bar: float) -> None:
-    if not 0.0 < p_bar < 1.0:
-        raise ValueError(f"p_bar must be in (0, 1), got {p_bar}")
+    """The ceiling on a p_bar that PriorSpec has put in (0, 1)."""
     if p_bar > _P_BAR_CEIL:
         raise SingularBoundError(f"p_bar={p_bar} is within 1e-12 of 1; I diverges")
 
 
-def _check_interval(p_lo: float, p_bar: float) -> None:
-    if not 0.0 < p_lo < p_bar:
-        raise ValueError(f"need 0 < p_lo < p_bar, got p_lo={p_lo}, p_bar={p_bar}")
-    _check_p_bar(p_bar)
-
-
-def log_eval_I(
-    alpha: float, gamma: float, p_bar: float, p_lo: float | None = None
-) -> float:
+def _log_I(alpha: float, gamma: float, p_bar: float, p_lo: float | None = None) -> float:
     """log I(alpha, gamma, p_bar), or log I(alpha, gamma, p_lo, p_bar) when
     p_lo is given, for gamma > alpha > 0."""
-    if not gamma > alpha > 0.0:
-        raise ValueError(f"need gamma > alpha > 0, got alpha={alpha}, gamma={gamma}")
-    if p_lo is None:
-        _check_p_bar(p_bar)
-    else:
-        _check_interval(p_lo, p_bar)
-    # I = M(alpha, gamma - alpha) on [p_lo, p_bar] / {r_bar^alpha (1 - p_bar)^gamma}
+    # I = M(alpha, gamma - alpha) on [p_lo, p_bar] / {r_bar^alpha (1 - p_bar)^gamma};
+    # on the lower fraction's side M = p_bar^alpha (1-p_bar)^(gamma-alpha) cf /
+    # alpha (DLMF 8.17.22), so I = cf / alpha, with no alpha |log p_bar| round trip
+    if p_lo is None and _lower_side(alpha, gamma - alpha, p_bar):
+        return math.log(_betacf(alpha, gamma - alpha, p_bar)) - math.log(alpha)
     log_r_bar = math.log(p_bar) - math.log1p(-p_bar)
-    return (
-        log_beta_measure(alpha, gamma - alpha, 0.0 if p_lo is None else p_lo, p_bar)
-        - alpha * log_r_bar
-        - gamma * math.log1p(-p_bar)
-    )
+    log_m = _log_beta_measure(alpha, gamma - alpha, p_lo or 0.0, p_bar)
+    return log_m - alpha * log_r_bar - gamma * math.log1p(-p_bar)
 
 
-def inverse_I_row(a: float, gamma: float, p_bar: float, m: int) -> list[float]:
-    """c = 1/I(x+a, gamma, p_bar) for x = 0..m (gamma > m+a): one kernel
-    call at x = m, then the contiguous relation (DLMF 8.17(iv))
+def _inverse_I_row(a: float, gamma: float, p_bar: float, m: int) -> list[float]:
+    """c = 1/I(x+a, gamma, p_bar) for x = 0..m (gamma > m+a): one I at
+    x = m, then the contiguous relation (DLMF 8.17(iv))
     alpha (1-p_bar) I(alpha) = 1 + (gamma-alpha-1) p_bar I(alpha+1), run
     backward on c. Its terms are positive, and it shrinks the relative
     error carried from c(x+1) by (gamma-alpha-1) p_bar / {c(x+1) +
     (gamma-alpha-1) p_bar} <= 1; a c that underflows to 0.0 stays there."""
-    c = math.exp(-log_eval_I(m + a, gamma, p_bar))
+    c = math.exp(-_log_I(m + a, gamma, p_bar))
     row = [c] * (m + 1)
     q = 1.0 - p_bar
     for x in range(m - 1, -1, -1):
@@ -183,15 +178,13 @@ def inverse_I_row(a: float, gamma: float, p_bar: float, m: int) -> list[float]:
     return row
 
 
-def bracket_term(alpha: float, gamma: float, p_lo: float, p_bar: float) -> float:
+def _bracket(alpha: float, gamma: float, p_lo: float, p_bar: float) -> float:
     """[t^alpha / {1 - p_bar (1-t)}^gamma]_rho^1; sign can be anything.
 
     Simplifies to 1 - (p_lo/p_bar)^alpha {(1-p_lo)/(1-p_bar)}^(gamma-alpha),
     evaluated as 1 - exp(...) with a clean zero when the two endpoint
     values agree to within 1e-14 relatively.
     """
-    _check_shape(alpha=alpha, gamma=gamma)
-    _check_interval(p_lo, p_bar)
     log_lower = alpha * (math.log(p_lo) - math.log(p_bar)) + (gamma - alpha) * (
         math.log1p(-p_lo) - math.log1p(-p_bar)
     )

@@ -20,12 +20,12 @@ from collections.abc import Iterable, Iterator
 from functools import lru_cache
 
 from .binom import BinomialSetup, PriorSpec, _Table, _check_count, _check_trials, _log_binom_coeffs
-from .incbeta import log_beta_measure
+from .incbeta import _log_beta_measure
 
 
 @lru_cache(maxsize=2048, typed=True)
 def _log_measure(alpha: float, beta: float, lo: float, hi: float) -> float:
-    return log_beta_measure(alpha, beta, lo, hi)
+    return _log_beta_measure(alpha, beta, lo, hi)
 
 
 def _masses(ys: Iterable[int], x: int, setup: BinomialSetup, prior: PriorSpec) -> Iterator[float]:

@@ -22,7 +22,7 @@ forms of the n = 1 symmetric maximum risk difference for a = 1 and
 a = 1/2, oracles of max_risk_diff_symmetric_n1. The two lemma checkers at
 the end evaluate both sides of an identity or inequality the paper's
 proofs rely on. The cold_measures fixture empties the predictive module's
-memo of beta measures, so that a spy on predictive.log_beta_measure sees
+memo of beta measures, so that a spy on predictive._log_beta_measure sees
 every measure a test computes; the summed_rows fixture records the term
 rows the risk sums build, through a spy on the risk module's fsum.
 """
@@ -40,7 +40,7 @@ from binrisk import predictive, risk
 from binrisk.binom import BinomialSetup, PriorSpec, _log_binom_coeffs, pmf_windows
 from binrisk.dominance import _j_rows, p_grid
 from binrisk.estimators import EstimateTable
-from binrisk.incbeta import SingularBoundError, log_eval_I
+from binrisk.incbeta import SingularBoundError, _log_I
 
 QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-13, limit=200)
 
@@ -161,7 +161,7 @@ def eval_J(p: float, n: int, a: float, b: float, p_bar: float) -> float:
 def eval_I(alpha: float, gamma: float, p_bar: float) -> float:
     """I(alpha, gamma, p_bar) = int_0^1 t^(alpha-1) / {1 - p_bar (1-t)}^gamma dt,
     with overflow reported as a singular bound."""
-    log_value = log_eval_I(alpha, gamma, p_bar)
+    log_value = _log_I(alpha, gamma, p_bar)
     try:
         return math.exp(log_value)
     except OverflowError as exc:
@@ -171,7 +171,7 @@ def eval_I(alpha: float, gamma: float, p_bar: float) -> float:
 
 def eval_I_two_sided(alpha: float, gamma: float, p_lo: float, p_bar: float) -> float:
     """I(alpha, gamma, p_lo, p_bar) = int_rho^1 t^(alpha-1) / {1 - p_bar (1-t)}^gamma dt."""
-    return math.exp(log_eval_I(alpha, gamma, p_bar, p_lo))
+    return math.exp(_log_I(alpha, gamma, p_bar, p_lo))
 
 
 def window_row(n: int, p: float) -> list[float]:

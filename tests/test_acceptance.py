@@ -23,7 +23,7 @@ from binrisk.dominance import (
     thm41_conditions,
 )
 from binrisk.estimators import EstimateTable, posterior_mean
-from binrisk.incbeta import bracket_term
+from binrisk.incbeta import _bracket
 from binrisk.poisson import PoissonConfig, limit_convergence_report
 from binrisk.predictive import plug_in_density
 from binrisk.risk import (
@@ -190,7 +190,7 @@ def test_criterion_04_integral_identities():
         gamma = alpha + float(rng.uniform(1.2, 4.0))
         pl = float(rng.uniform(0.03, 0.4))
         pb = pl + float(rng.uniform(0.05, 0.5)) * (0.95 - pl)
-        br = bracket_term(alpha, gamma, pl, pb)
+        br = _bracket(alpha, gamma, pl, pb)
         lhs1 = (
             alpha
             / gamma

@@ -282,6 +282,8 @@ class TestDescriptors:
             PriorSpec(a=1.0, b=1.0, p_lo=0.1)  # lower bound without upper
         with pytest.raises(ValueError):
             PriorSpec(a=1.0, b=1.0, p_bar=0.3, p_lo=0.4)
+        with pytest.raises(ValueError):
+            PriorSpec(a=1.0, b=1.0, p_bar=0.5, p_lo=0.5)  # an empty interval
 
     @pytest.mark.parametrize("a,b", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0)])
     def test_prior_rejects_non_finite_shape(self, a, b):

@@ -423,7 +423,9 @@ class TestExitStatuses:
     def test_numerical_failure_near_singular_bound(self, capsys):
         code = main(["estimate", "--n", "3", "--p-bar", "0.9999999999999"])
         assert code == EXIT_NUMERICAL
-        assert "numerical failure" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "numerical failure: p_bar=0.9999999999999 is within 1e-12 of 1; I diverges\n"
+        )
 
     def test_j_overflow_is_a_named_numerical_failure(self, capsys):
         code = main(["risk-curve", "--n", "10000", "--p-bar", "0.3", "--grid", "8"])

@@ -224,13 +224,13 @@ class TestSymmetricMaxDifference:
         # the symmetry gives c(1) = -c(0), so one correction, and with it
         # one two-sided measure, serves both log ratios at every a
         calls = []
-        measure = incbeta.log_beta_measure
+        measure = incbeta._log_beta_measure
 
         def spy(*args):
             calls.append(args)
             return measure(*args)
 
-        monkeypatch.setattr(incbeta, "log_beta_measure", spy)
+        monkeypatch.setattr(incbeta, "_log_beta_measure", spy)
         max_risk_diff_symmetric_n1(a, 0.7)
         assert len(calls) == 1
 
@@ -517,14 +517,16 @@ class TestExhaustiveCheck:
             )
 
     def test_kernel_calls_do_not_grow_with_the_grid(self, monkeypatch):
-        kernel = incbeta.log_inc_beta_lower
+        # counted as continued-fraction passes, which an upper I whose lower
+        # fraction runs takes without a kernel call
+        fraction = incbeta._betacf
         calls = []
 
         def counting(*args):
             calls.append(args)
-            return kernel(*args)
+            return fraction(*args)
 
-        monkeypatch.setattr(incbeta, "log_inc_beta_lower", counting)
+        monkeypatch.setattr(incbeta, "_betacf", counting)
         counts = []
         for grid_size in (16, 512):
             for cache in (estimators._build_table, estimators._build_large_table):

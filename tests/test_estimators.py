@@ -8,11 +8,17 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from binrisk import estimators, incbeta
+from binrisk import dominance, estimators, incbeta
 from binrisk.binom import BinomialSetup, PriorSpec
-from binrisk.dominance import _j_rows, exhaustive_dominance_check
+from binrisk.dominance import (
+    _j_rows,
+    exhaustive_dominance_check,
+    max_risk_diff_symmetric_n1,
+    smallpbar_sufficient_conditions,
+)
 from binrisk.estimators import EstimateTable, posterior_mean
-from binrisk.incbeta import log_eval_I
+from binrisk.incbeta import SingularBoundError, _log_I
+from binrisk.predictive import PredictiveTable
 from binrisk.risk import point_risk
 
 from conftest import eval_I, loss_row, quad_posterior_mean
@@ -341,8 +347,10 @@ class TestUpperRows:
         table = EstimateTable.build(BinomialSetup(n=n), PriorSpec(a, b, p_bar=p_bar))
         for x in xs:
             assert upper_error(table[x], x, n, a, b, p_bar) < 1e-14, x
-        # x = n reads c(n+1), the anchor itself, and carries its error
-        assert upper_error(table[n], n, n, a, b, p_bar) < 1e-11
+        # x = n reads c(n+1), the anchor itself, which is alpha / cf where the
+        # lower fraction runs; exp(log M - alpha log r_bar - gamma log(1-p_bar))
+        # added and took away terms of size alpha |log p_bar|
+        assert upper_error(table[n], n, n, a, b, p_bar) < 2e-15
 
     @pytest.mark.parametrize(
         "n, a, b, p_bar",
@@ -354,14 +362,16 @@ class TestUpperRows:
             (3000, 0.5, 3.0, 1e-10),
             (3000, 1.0, 1.0, 1e-10),
             (2478, 0.047601545651219955, 0.26627709287052237, 2.380150465934854e-11),
+            # x = n was 2.1e-12 off through the anchor's round trip
+            (3000, 2.0, 0.5, 1e-5),
         ],
     )
     def test_far_bounds_match_mpmath_at_every_x(self, n, a, b, p_bar):
         table = EstimateTable.build(BinomialSetup(n=n), PriorSpec(a, b, p_bar=p_bar))
         for x in (0, n // 2, n - 1):
             assert upper_error(table[x], x, n, a, b, p_bar) < 1e-14, x
-        # x = n carries the anchor's round-trip error, 1.3e-11 at p_bar = 1e-10
-        assert upper_error(table[n], n, n, a, b, p_bar) < 2e-11
+        # x = n reads the anchor, 1.3e-11 off at p_bar = 1e-10 by its round trip
+        assert upper_error(table[n], n, n, a, b, p_bar) < 2e-15
 
     def test_random_tables_all_build(self):
         # the correction form at x = n gave 28 of these an estimate outside
@@ -390,7 +400,7 @@ class TestUpperRows:
                     # x = n is one recurrence step from the anchor at n + 1
                     assert abs(1.0 / c_row[x] / exact - 1) < (2e-13 if x == n else 1e-13), x
         # the anchor at x = n + 1 is the kernel's own value
-        assert c_row[n + 1] == math.exp(-log_eval_I(n + 1 + a, gamma, p_bar))
+        assert c_row[n + 1] == math.exp(-_log_I(n + 1 + a, gamma, p_bar))
         try:
             i_row, inv = _j_rows(table)
         except incbeta.SingularBoundError:
@@ -409,19 +419,21 @@ class TestUpperRows:
         assert all(table[x] == (x + a) / s for x in under)
 
     @staticmethod
-    def count_kernel_calls(monkeypatch):
-        kernel = incbeta.log_inc_beta_lower
+    def count_fraction_passes(monkeypatch):
+        """Counts the continued-fraction passes: an upper I whose lower
+        fraction runs takes its pass without a kernel call."""
+        fraction = incbeta._betacf
         calls = [0]
 
         def counting(*args):
             calls[0] += 1
-            return kernel(*args)
+            return fraction(*args)
 
-        monkeypatch.setattr(incbeta, "log_inc_beta_lower", counting)
+        monkeypatch.setattr(incbeta, "_betacf", counting)
         return calls
 
     def test_rows_take_one_kernel_call_at_any_n(self, monkeypatch):
-        calls = self.count_kernel_calls(monkeypatch)
+        calls = self.count_fraction_passes(monkeypatch)
         counts = []
         for n in (10, 1000):
             clear_tables()
@@ -430,15 +442,15 @@ class TestUpperRows:
             table_calls, calls[0] = calls[0], 0
             _j_rows(table)
             counts.append((table_calls, calls[0]))
-        # the anchor at x = n + 1 lies in the kernel's lower-tail branch, and
-        # the J rows read the table's row
+        # the anchor at x = n + 1 lies on the lower fraction's side, and the
+        # J rows read the table's row
         assert counts == [(1, 0), (1, 0)]
 
     @pytest.mark.parametrize("n", [10, 200], ids=["row-pass", "window-pass"])
     def test_upper_check_takes_two_kernel_calls(self, n, monkeypatch):
         # the table's row gives the estimates, the J rows and c0 of the
         # small-p_bar condition; c_bar = 1/I(a, a+b+1, p_bar) is the other
-        calls = self.count_kernel_calls(monkeypatch)
+        calls = self.count_fraction_passes(monkeypatch)
         clear_tables()
         exhaustive_dominance_check(n, 1.0, 1.0, 0.3)
         assert calls == [2]
@@ -451,3 +463,58 @@ class TestUpperRows:
         prior = PriorSpec(a, 1.0, p_bar=lambda_bar / n)
         table = EstimateTable.build(BinomialSetup(n=n), prior)
         assert all(0.0 < v <= prior.p_bar for v in table.values)
+
+
+# within 1e-12 of 1, where I diverges
+SINGULAR = 1.0 - 1e-13
+SINGULAR_MESSAGE = "p_bar=0.9999999999999 is within 1e-12 of 1; I diverges"
+
+
+class TestOneCeilingCheck:
+    """The integral family reads checked values; the one check it needs, the
+    ceiling on p_bar, runs once per table."""
+
+    def test_interval_table_checks_the_ceiling_once(self, monkeypatch):
+        # the bracket term and I at every x checked the prior again: 102
+        # ceiling checks, 102 interval checks and 51 shape checks at n = 50
+        calls, check = [], incbeta._check_p_bar
+        for module in (incbeta, estimators, dominance):
+            monkeypatch.setattr(module, "_check_p_bar", lambda p_bar: calls.append(p_bar) or check(p_bar))
+        estimators._estimate_table(BinomialSetup(n=50), PriorSpec(2.0, 2.0, p_bar=0.5, p_lo=0.05))
+        assert calls == [0.5]
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda: EstimateTable.build(BinomialSetup(n=5), PriorSpec(1.0, 1.0, p_bar=SINGULAR)),
+            lambda: EstimateTable.build(
+                BinomialSetup(n=5), PriorSpec(1.0, 1.0, p_bar=SINGULAR, p_lo=0.3)
+            ),
+            lambda: max_risk_diff_symmetric_n1(1.0, SINGULAR),
+            lambda: smallpbar_sufficient_conditions(5, 1.0, 1.0, SINGULAR),
+        ],
+        ids=["upper-table", "interval-table", "symmetric-n1", "smallpbar"],
+    )
+    def test_entries_raise_the_ceiling_error(self, entry):
+        # thm32_bound's and standardized_risk_difference's are pinned in
+        # tests/test_dominance.py with their other argument checks
+        clear_tables()
+        with pytest.raises(SingularBoundError) as caught:
+            entry()
+        assert str(caught.value) == SINGULAR_MESSAGE
+
+    @pytest.mark.parametrize("p_lo", [None, 0.3])
+    def test_predictive_tables_need_no_ceiling(self, p_lo):
+        # a predictive mass is a ratio of beta measures of the support, finite
+        # for any p_bar < 1; 30-digit mpmath gives each mass
+        n, l, a, b = 3, 2, 1.0, 2.0
+        setup, prior = BinomialSetup(n=n, l=l), PriorSpec(a, b, p_bar=SINGULAR, p_lo=p_lo)
+        lo = 0.0 if p_lo is None else p_lo
+        for x in range(n + 1):
+            table = PredictiveTable.build(setup, prior, x)
+            with mpmath.workdps(30):
+                den = mpmath.betainc(x + a, n - x + b, lo, SINGULAR)
+                for y in range(l + 1):
+                    k = x + y
+                    num = mpmath.binomial(l, y) * mpmath.betainc(k + a, n + l - k + b, lo, SINGULAR)
+                    assert table[y] == pytest.approx(float(num / den), rel=1e-13)

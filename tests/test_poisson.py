@@ -260,9 +260,9 @@ class TestLimitCorrespondence:
     def test_reads_one_predictive_denominator_per_scale(self, monkeypatch, cold_measures):
         # each y read takes its numerator; the denominator is taken once per K
         measures, ys_read = [], []
-        measure, masses = predictive.log_beta_measure, poisson._masses
+        measure, masses = predictive._log_beta_measure, poisson._masses
         monkeypatch.setattr(
-            predictive, "log_beta_measure", lambda *args: measures.append(args) or measure(*args)
+            predictive, "_log_beta_measure", lambda *args: measures.append(args) or measure(*args)
         )
 
         def counting(*args):

@@ -11,7 +11,7 @@ from binrisk import binom, predictive
 from binrisk.binom import BinomialSetup, PriorSpec
 from binrisk.cli import EXIT_VALIDATION, main
 from binrisk.estimators import posterior_mean
-from binrisk.incbeta import log_beta_measure
+from binrisk.incbeta import _log_beta_measure
 from binrisk.predictive import PredictiveTable, bayes_predictive, plug_in_density
 from binrisk.risk import bayes_predictive_tables
 
@@ -201,9 +201,9 @@ class TestPredictiveTable:
 
         def counting(*args):
             calls.append(args)
-            return log_beta_measure(*args)
+            return _log_beta_measure(*args)
 
-        monkeypatch.setattr(predictive, "log_beta_measure", counting)
+        monkeypatch.setattr(predictive, "_log_beta_measure", counting)
         setup, prior = BinomialSetup(n=4, l=5), PriorSpec(a=2.0, b=1.0, p_lo=0.2, p_bar=0.7)
         table = PredictiveTable.build(setup, prior, 3)
         assert len(calls) == setup.l + 2
@@ -396,9 +396,9 @@ class TestTableSet:
 
         def counting(*args):
             calls.append(args)
-            return log_beta_measure(*args)
+            return _log_beta_measure(*args)
 
-        monkeypatch.setattr(predictive, "log_beta_measure", counting)
+        monkeypatch.setattr(predictive, "_log_beta_measure", counting)
         prior = mode(2.0, 0.5)
         bayes_predictive_tables(BinomialSetup(n=n, l=l), prior)
         assert len(calls) == (n + l + 1) + (n + 1)
@@ -412,9 +412,9 @@ class TestTableSet:
         prior = mode(2.0, 0.5)
         lo, hi = prior.support
         bayes_predictive_tables(BinomialSetup(n=3, l=4), prior)
-        calls, measure = [], predictive.log_beta_measure
+        calls, measure = [], predictive._log_beta_measure
         monkeypatch.setattr(
-            predictive, "log_beta_measure", lambda *args: calls.append(args) or measure(*args)
+            predictive, "_log_beta_measure", lambda *args: calls.append(args) or measure(*args)
         )
         warm = bayes_predictive_tables(BinomialSetup(n=4, l=3), prior)
         assert calls == [(x + 2.0, 4 - x + 0.5, lo, hi) for x in range(5)]
@@ -464,9 +464,9 @@ class TestTableSet:
         # first one computed
         prior = PriorSpec(a, 1.0, p_bar, p_lo)
         bayes_predictive_tables(BinomialSetup(n=10, l=20), prior)
-        calls, measure = [], predictive.log_beta_measure
+        calls, measure = [], predictive._log_beta_measure
         monkeypatch.setattr(
-            predictive, "log_beta_measure", lambda *args: calls.append(args) or measure(*args)
+            predictive, "_log_beta_measure", lambda *args: calls.append(args) or measure(*args)
         )
         for computes in (True, False):
             with pytest.raises(error) as caught:

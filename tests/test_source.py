@@ -45,17 +45,26 @@ def _callers(function: str) -> set[tuple[str, str]]:
 
 
 def test_kernel_is_called_only_by_the_beta_measure():
-    # log_beta_measure is the one home of the incomplete-beta kernel, and
+    # _log_beta_measure is the one home of the incomplete-beta kernel, and
     # the kernel does not call itself (its upper tail runs its own fraction),
     # so a change to how measures are computed is made once, for every caller
-    assert _callers("log_inc_beta_lower") == {("incbeta.py", "log_beta_measure")}
+    assert _callers("log_inc_beta_lower") == {("incbeta.py", "_log_beta_measure")}
+
+
+def test_the_fraction_runs_from_the_kernel_and_the_upper_i():
+    # an upper I whose lower fraction runs is cf / alpha, read from the
+    # fraction without the kernel's rescaling; both decide that side by one
+    # rule, so the two cannot disagree on where the fraction converges
+    both = {("incbeta.py", "log_inc_beta_lower"), ("incbeta.py", "_log_I")}
+    assert _callers("_betacf") == both
+    assert _callers("_lower_side") == both
 
 
 def test_the_c_row_is_built_only_by_the_table_builder():
     # the upper table keeps its row 1/I(x+a, n+a+b+1, p_bar), and the J rows
     # and the small-p_bar condition read it, so one kernel call per upper
     # configuration builds it
-    assert _callers("inverse_I_row") == {("estimators.py", "_estimate_table")}
+    assert _callers("_inverse_I_row") == {("estimators.py", "_estimate_table")}
 
 
 def test_predictive_measures_are_read_through_the_memo():
@@ -68,7 +77,7 @@ def test_predictive_measures_are_read_through_the_memo():
         for stmt in tree.body
         if not isinstance(stmt, ast.ImportFrom)
         for node in ast.walk(stmt)
-        if "log_beta_measure" in (getattr(node, "id", None), getattr(node, "attr", None))
+        if "_log_beta_measure" in (getattr(node, "id", None), getattr(node, "attr", None))
     }
     assert readers == {"_log_measure"}
 
@@ -85,6 +94,33 @@ def _check_calls(module: str, builder: set[str]) -> list[str]:
         for node in ast.walk(stmt)
         if isinstance(node, ast.Call) and getattr(node.func, "id", "").startswith("_check")
     ]
+
+
+def test_the_integral_family_checks_nothing():
+    # the kernel is incbeta's one public function and checks its arguments;
+    # the four cores read exponents and bounds that PriorSpec and
+    # BinomialSetup have checked, and the ceiling on p_bar is checked once
+    # per table, and once by the n = 1 maximum difference, which reads one
+    # correction without a table
+    tree = ast.parse((SOURCES[0].parent / "incbeta.py").read_text())
+    functions = {stmt.name: stmt for stmt in tree.body if isinstance(stmt, ast.FunctionDef)}
+    assert [name for name in functions if not name.startswith("_")] == ["log_inc_beta_lower"]
+    cores = {"_log_beta_measure", "_log_I", "_bracket", "_inverse_I_row"}
+    assert _check_calls("incbeta.py", cores) == []
+    raised = [
+        f"{name}:{node.lineno}"
+        for name in cores
+        for node in ast.walk(functions[name])
+        if isinstance(node, ast.Raise)
+        and any(getattr(part, "id", None) == "ValueError" for part in ast.walk(node))
+    ]
+    assert raised == []
+    assert _callers("_check_p_bar") == {
+        ("estimators.py", "_estimate_table"),
+        ("dominance.py", "max_risk_diff_symmetric_n1"),
+    }
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "binom" not in imported
 
 
 def test_window_builder_checks_nothing():

@@ -16,6 +16,7 @@ def test_one_quick_pair_reports_every_case(capsys):
         ["poisson", "ms/tgt"],
         ["tables", "ms/tbl"],
         ["kernel", "us/call"],
+        ["intervals", "ms/tbl"],
     ]
     for row in rows:
         parent, change, won = float(row.split()[2]), float(row.split()[3]), row.split()[-1]
@@ -23,14 +24,20 @@ def test_one_quick_pair_reports_every_case(capsys):
 
 
 def test_pairs_won_count_the_faster_change_runs():
-    parent = [{"sweep": 2e-5, "large-n": 1e-2, "poisson": 1e-3, "tables": 8e-4, "kernel": 4e-6}] * 2
+    parent = [
+        {"sweep": 2e-5, "large-n": 1e-2, "poisson": 1e-3, "tables": 8e-4, "kernel": 4e-6,
+         "intervals": 3e-3}
+    ] * 2
     change = [
-        {"sweep": 1e-5, "large-n": 2e-2, "poisson": 5e-4, "tables": 4e-4, "kernel": 4e-6},
-        {"sweep": 3e-5, "large-n": 1e-2, "poisson": 5e-4, "tables": 9e-4, "kernel": 2e-6},
+        {"sweep": 1e-5, "large-n": 2e-2, "poisson": 5e-4, "tables": 4e-4, "kernel": 4e-6,
+         "intervals": 2e-3},
+        {"sweep": 3e-5, "large-n": 1e-2, "poisson": 5e-4, "tables": 9e-4, "kernel": 2e-6,
+         "intervals": 3e-3},
     ]
-    sweep, large, pois, tables, kernel = time_calls.report(parent, change)[1:]
+    sweep, large, pois, tables, kernel, intervals = time_calls.report(parent, change)[1:]
     assert sweep.split()[2:] == ["20", "20", "+0.0%", "1/2"]
     assert large.split()[2:] == ["10", "15", "+50.0%", "0/2"]
     assert pois.split()[2:] == ["1", "0.5", "-50.0%", "2/2"]
     assert tables.split()[2:] == ["0.8", "0.65", "-18.8%", "1/2"]
     assert kernel.split()[2:] == ["4", "3", "-25.0%", "1/2"]
+    assert intervals.split()[2:] == ["3", "2.5", "-16.7%", "1/2"]
