@@ -3,7 +3,7 @@
 
     python scripts/time_calls.py --against OTHER_DIR [--pairs 8] [--quick]
 
-Six cases, each timed with time.process_time in a fresh interpreter per
+Seven cases, each timed with time.process_time in a fresh interpreter per
 side, after one untimed round that fills the caches a sweep fills:
 
   sweep    the three calls of the predictive acceptance sweep at one p
@@ -31,16 +31,25 @@ side, after one untimed round that fills the caches a sweep fills:
            milliseconds per table, over n = 100, 300 and 600 under
            (a, b) = (2, 2) on [0.05, 0.5] and n = 20 and 60 under (1, 0.5)
            on [0.4, 0.6], tables that build (at n = 2000 on [0.05, 0.5]
-           the bracket term overflows).
+           the bracket term overflows);
+  big-n    cold calls at large n, in milliseconds per call, every cache
+           emptied before each: point_risk at n = 1e5, p = 0.29 of a table
+           under a = b = 1 on (0, 0.3], built outside the timed region, its
+           log rows dropped before each call, and limit_convergence_report
+           with a = 1, lambda_bar = 1 on K = 10, 100, 1000 and 10000.
 
 A child times each case over several rounds and reports the median round.
 The pairs alternate which side runs first. For each case this prints each
 side's median over the pairs, the change of this checkout over OTHER_DIR,
-and the pairs in which this checkout took less time. CPU time leaves out
+the quartiles of the per-pair change (this checkout's time over
+OTHER_DIR's, less 1), and the pairs in which this checkout took less time:
+a median alone moved by 20% between two runs against the same parent on a
+shared machine, where the quartiles show the spread. CPU time leaves out
 the time the process waits for a core, so it does not follow the machine
 speed the way perfbench's wall-clock figures do. --quick runs one round of
 a few configurations, n = 300, 8 p, two targets, one table of each
-restriction and 20 kernel calls, for a smoke test.
+restriction, 20 kernel calls and the big-n risk at n = 1e4 without the
+report, for a smoke test.
 """
 
 from __future__ import annotations
@@ -54,6 +63,8 @@ import sys
 import time
 from pathlib import Path
 
+from bench_compare import _quartiles
+
 ROOT = Path(__file__).resolve().parents[1]
 CASES = (
     ("sweep", "us/p", 1e6),
@@ -62,6 +73,7 @@ CASES = (
     ("tables", "ms/tbl", 1e3),
     ("kernel", "us/call", 1e6),
     ("intervals", "ms/tbl", 1e3),
+    ("big-n", "ms/call", 1e3),
 )
 
 
@@ -161,6 +173,34 @@ def _kernel(pairs: int):
     return run, len(points)
 
 
+def _big_n(n: int, report: bool):
+    """A round of the big-n case, and the number of calls it makes."""
+    from binrisk import binom, estimators, predictive
+    from binrisk.binom import BinomialSetup, PriorSpec
+    from binrisk.estimators import EstimateTable
+    from binrisk.poisson import PoissonConfig, limit_convergence_report
+    from binrisk.risk import point_risk
+
+    caches = (binom._log_binom_coeffs, binom._short_windows, binom._long_windows)
+    caches += (estimators._build_table, estimators._build_large_table, predictive._log_measure)
+    table = EstimateTable.build(BinomialSetup(n=n), PriorSpec(a=1.0, b=1.0, p_bar=0.3))
+    config = PoissonConfig(r=1.0, a=1.0, lambda_bar=1.0)
+
+    def cold() -> None:
+        for cache in caches:
+            cache.cache_clear()
+        vars(table).pop("_logs", None)
+
+    def run() -> None:
+        cold()
+        point_risk(table, 0.29)
+        if report:
+            cold()
+            limit_convergence_report([10.0, 100.0, 1000.0, 10000.0], 0.5, config, 1)
+
+    return run, 1 + report
+
+
 def child(src: Path, quick: bool) -> dict[str, float]:
     """Seconds of CPU time per unit of each case, for the binrisk under src."""
     sys.path.insert(0, str(src))
@@ -194,6 +234,7 @@ def child(src: Path, quick: bool) -> dict[str, float]:
             else [(n, 2.0, 2.0, 0.5, 0.05) for n in (100, 300, 600)]
             + [(n, 1.0, 0.5, 0.6, 0.4) for n in (20, 60)]
         ),
+        "big-n": _big_n(10_000, False) if quick else _big_n(100_000, True),
     }
     result = {}
     for name, (run, units) in cases.items():
@@ -218,15 +259,17 @@ def _side(checkout: Path, quick: bool) -> dict[str, float]:
 
 def report(parent: list[dict], change: list[dict]) -> list[str]:
     lines = [
-        f"{'case':<9} {'unit':<7} {'parent median':>14} {'change median':>14} {'change':>8}  won"
+        f"{'case':<9} {'unit':<7} {'parent median':>14} {'change median':>14} {'change':>8}"
+        f" {'pair q1':>8} {'pair q3':>8}  won"
     ]
     for name, unit, scale in CASES:
         old = statistics.median(run[name] for run in parent) * scale
         new = statistics.median(run[name] for run in change) * scale
+        q1, _, q3 = _quartiles([c[name] / p[name] - 1.0 for p, c in zip(parent, change)])
         won = sum(c[name] < p[name] for p, c in zip(parent, change))
         lines.append(
             f"{name:<9} {unit:<7} {old:>14.4g} {new:>14.4g} {new / old - 1.0:>+8.1%}"
-            f"  {won}/{len(parent)}"
+            f" {q1:>+8.1%} {q3:>+8.1%}  {won}/{len(parent)}"
         )
     return lines
 

@@ -3,14 +3,25 @@
 pmf_windows(n, p) holds, in one cache entry, the exact window of (n, p),
 every x whose pmf is not exactly 0.0, and its core window, the x within
 e^-64 of the pmf peak, with a bound on the sum of the terms the core
-leaves out; each term is exponentiated once. An entry read as the future
-pmf of the predictive KL risk also keeps the (y, f(y), log f(y)) triples
-of its nonzero terms, which that risk iterates as they are. Entries sit
-in two caches by row length: up to 1,024 short rows, which sweeps revisit
-at the same few p, and 8 long ones. The builder takes n >= 1 and p in
-(0, 1) as checked: every entry point that takes p checks it once, with
+leaves out; each term is exponentiated once. Building an entry costs its
+core: the builder searches the core's two edges and bounds the terms past
+each by their geometric decay there; the exact window's edges are
+searched on its first read. An entry read as the future pmf of the
+predictive KL risk also keeps the (y, f(y), log f(y)) triples of its
+nonzero terms, which that risk iterates as they are. Entries sit in two
+caches by row length: up to 1,024 short rows, which sweeps revisit at the
+same few p, and 8 long ones. The builder takes n >= 1 and p in (0, 1) as
+checked: every entry point that takes p checks it once, with
 risk._check_p. The risk sums form their loss terms themselves
 (risk._risk_sums), one log p and log(1-p) for all of a call's tables.
+
+The windows read log C(n, x) from one row per n, _log_binom_coeffs(n):
+a plain list when it has at most _WHOLE_ROW entries, which the row pass
+and the predictive masses at small l read whole, and above that a
+_LazyRow, whose entries are computed where a window, an edge probe or a
+mass first reads them, so a one-shot risk at n = 1e5, p = 0.29 computes
+3,265 of 100,001: its core and 19 probes of its two edge searches. The
+estimate tables keep their log rows the same way.
 
 Also holds the two descriptors shared across the package, the
 trial-count setup and the (possibly truncated) beta prior; the bases of
@@ -22,7 +33,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import count
 
 from .special import _log_beta_with, _stirling_error
@@ -145,16 +156,67 @@ class PriorSpec(_record("PriorSpec", "a b p_bar p_lo")):
         return lo, hi
 
 
+# A row of at most _WHOLE_ROW entries is built whole, as a plain list:
+# the row pass (n < 64) and the predictive masses at small l read all of it
+_WHOLE_ROW = 64
+
+
+class _LazyRow:
+    """A p-free row over x = 0..size-1 whose entries are computed where
+    they are first read, by entries(start, stop), the row's x =
+    start..stop-1. values is the row's list, None where not yet computed.
+    An index x >= 0 reads one entry. span(start, stop) computes a stretch:
+    it grows the one filled stretch [lo, hi) to hold it, so that the
+    windows of a sweep over p, which overlap, compute each entry once."""
+
+    __slots__ = ("values", "_entries", "_lo", "_hi")
+
+    def __init__(self, size: int, entries) -> None:
+        self.values, self._entries, self._lo, self._hi = [None] * size, entries, 0, 0
+
+    def __getitem__(self, x: int) -> float:
+        value = self.values[x]
+        if value is None:
+            value = self.values[x] = self._entries(x, x + 1)[0]
+        return value
+
+    def span(self, start: int, stop: int) -> None:
+        """Computes the entries x = start..stop-1, start < stop."""
+        values, lo, hi = self.values, self._lo, self._hi
+        if lo == hi:
+            values[start:stop] = self._entries(start, stop)
+            self._lo, self._hi = start, stop
+            return
+        if start < lo:
+            values[start:lo] = self._entries(start, lo)
+            self._lo = start
+        if stop > hi:
+            values[hi:stop] = self._entries(hi, stop)
+            self._hi = stop
+
+
+def _coeff_entries(
+    n: int, log_n1: float, log_s: float, d_s: float, start: int, stop: int
+) -> list[float]:
+    """log C(n, x) = -log(n+1) - log B(x+1, n-x+1) for x = start..stop-1,
+    from log_n1 = log(n+1), log_s = log(n+2) and d_s = delta(n+2); each
+    log B also reads delta(x+1) and delta(n-x+1)."""
+    return [
+        -log_n1
+        - _log_beta_with(
+            x + 1, n - x + 1, log_s, _stirling_error(x + 1), _stirling_error(n - x + 1), d_s
+        )
+        for x in range(start, stop)
+    ]
+
+
 @lru_cache(maxsize=256)
-def _log_binom_coeffs(n: int) -> tuple[float, ...]:
-    """log C(n, x) = -log(n+1) - log B(x+1, n-x+1) for x = 0..n, cached per
-    n since risk sums revisit every x; every log B reads one delta(1..n+2) row."""
-    log_n1, log_s = math.log(n + 1), math.log(n + 2)
-    d = [_stirling_error(k) for k in range(1, n + 3)]  # delta(1), ..., delta(n+2)
-    return tuple(
-        -log_n1 - _log_beta_with(x + 1, n - x + 1, log_s, d[x], d[n - x], d[-1])
-        for x in range(n + 1)
-    )
+def _log_binom_coeffs(n: int) -> list[float] | _LazyRow:
+    """The row log C(n, x), x = 0..n, one per n: a plain list when whole,
+    else a _LazyRow that computes an entry the first time a window, an edge
+    probe or a mass reads it."""
+    entries = partial(_coeff_entries, n, math.log(n + 1), math.log(n + 2), _stirling_error(n + 2))
+    return entries(0, n + 1) if n + 1 <= _WHOLE_ROW else _LazyRow(n + 1, entries)
 
 
 # math.exp is exactly 0.0 below about -745.13. Past the first exponent
@@ -167,12 +229,18 @@ _EXP_CUTOFF = -746.2
 _DEPTH = 64.0
 
 
-def _window_edge(row: tuple, mode: int, end: int, floor: float) -> int:
-    """The last x from mode toward end whose pmf exponent is not under
-    floor, by bisection: the log pmf is unimodal, so along the way the test
-    flips once. row is (n, coeffs, log_p, log_q), as for _exp_terms."""
+# Each ratio r of the tail bound is inflated by this factor, which covers
+# its few roundings (under 5e-16 relative)
+_RATIO_SLACK = 1.0 + 2.0**-40
+
+
+def _window_edge(row: tuple, inner: int, end: int, floor: float) -> int:
+    """The last x from inner toward end whose pmf exponent is not under
+    floor, inner's not being under it, by bisection: the log pmf is
+    unimodal, so along the way the test flips once. row is (n, coeffs,
+    log_p, log_q), as for _exp_terms."""
     n, coeffs, log_p, log_q = row
-    inner, outer, x = mode, end, end
+    outer, x = end, end
     while True:
         if coeffs[x] + x * log_p + (n - x) * log_q >= floor:
             inner = x
@@ -185,10 +253,22 @@ def _window_edge(row: tuple, mode: int, end: int, floor: float) -> int:
 
 def _exp_terms(row: tuple, start: int, stop: int) -> tuple[float, ...]:
     """exp(coeffs[x] + x log_p + (n-x) log_q), x = start..stop-1, for row =
-    (n, coeffs, log_p, log_q); x and n-x are floats, exact below 2^53."""
+    (n, coeffs, log_p, log_q); x and n-x are floats, exact below 2^53. A
+    lazy row computes the stretch first."""
     n, coeffs, log_p, log_q = row
+    if coeffs.__class__ is _LazyRow:
+        if start < stop:
+            coeffs.span(start, stop)
+        coeffs = coeffs.values
     m, terms = float(n), zip(coeffs[start:stop], count(float(start)))
     return tuple([math.exp(c + x * log_p + (m - x) * log_q) for c, x in terms])
+
+
+def _tail_ratio(ratio: float) -> float:
+    """1/(1 - r) for the pmf ratio r just past one edge of the core, inflated
+    for rounding; inf where r is not under 1, where no bound holds."""
+    r = ratio * _RATIO_SLACK
+    return 1.0 / (1.0 - r) if r < 1.0 else math.inf
 
 
 class PmfWindows:
@@ -199,22 +279,30 @@ class PmfWindows:
     not exactly 0.0: the log pmf is unimodal, so the window
     runs from the mode out to the last exponent not under _EXP_CUTOFF on
     either side. core is the part of it whose exponents lie within _DEPTH
-    of the exponent at the mode, and tail bounds the sum of the terms that
-    core leaves out of exact() (0.0 when it leaves none): each lies under
-    e^(peak - _DEPTH + 1), where the 1 covers the rounding of the computed
-    exponents, far below 1. Each window is a pair (start, terms) for
-    x = start, start+1, ...; core is built with the entry, and exact()
-    extends it on its first call, so no term is exponentiated twice.
+    of the exponent at the mode, found by searching its two edges alone,
+    and tail bounds the sum of every term core leaves out (0.0 when it
+    leaves none). Past an edge the log pmf is concave, so the terms fall
+    at least as fast as the pmf ratio r just past it: (n-x)/(x+1) p/q for
+    the first x right of the core, x/(n-x+1) q/p for the first x left of
+    it. The first term left out lies under e^(peak - _DEPTH), so a side's
+    terms sum to at most e^(peak - _DEPTH + 1)/(1 - r), where the 1 covers
+    the rounding of the computed exponents, far below 1; where r is not
+    under 1, tail is inf and the sum runs over the exact window. Each
+    window is a pair (start, terms) for x = start, start+1, ...; core is
+    built with the entry, and exact() searches its edges and extends core
+    on its first call, so no term is exponentiated twice.
     """
 
     __slots__ = ("core", "tail", "_exact", "_rest", "_logs")
 
     def exact(self) -> tuple[int, tuple[float, ...]]:
         if self._exact is None:
-            row, start, stop = self._rest
-            core_start, core = self.core
+            row, core_start, core = self._rest, *self.core
+            core_stop = core_start + len(core)
+            start = _window_edge(row, core_start, 0, _EXP_CUTOFF)
+            stop = _window_edge(row, core_stop - 1, row[0], _EXP_CUTOFF) + 1
             left = _exp_terms(row, start, core_start)
-            right = _exp_terms(row, core_start + len(core), stop)
+            right = _exp_terms(row, core_stop, stop)
             self._exact, self._rest = (start, left + core + right), None
         return self._exact
 
@@ -232,21 +320,22 @@ def _build_windows(n: int, p: float) -> PmfWindows:
     """The windows of (n, p) for n >= 1 and 0 < p < 1, unchecked."""
     windows = PmfWindows()
     coeffs = _log_binom_coeffs(n)
-    log_p, log_q = math.log(p), math.log1p(-p)
+    log_p, log_q, q = math.log(p), math.log1p(-p), 1.0 - p
     row = n, coeffs, log_p, log_q
     mode = min(int((n + 1) * p), n)
     floor = coeffs[mode] + mode * log_p + (n - mode) * log_q - _DEPTH
-    if coeffs[0] + n * log_q >= floor and coeffs[n] + n * log_p >= floor:
-        start, stop = core_start, core_stop = 0, n + 1  # the whole row
-    else:
-        start = _window_edge(row, mode, 0, _EXP_CUTOFF)
-        stop = _window_edge(row, mode, n, _EXP_CUTOFF) + 1
-        core_start = _window_edge(row, mode, start, floor)
-        core_stop = _window_edge(row, mode, stop - 1, floor) + 1
+    core_start = _window_edge(row, mode, 0, floor)
+    core_stop = _window_edge(row, mode, n, floor) + 1
     windows.core = core_start, _exp_terms(row, core_start, core_stop)
-    dropped = core_start - start + stop - core_stop
-    windows.tail = dropped * math.exp(floor + 1.0) if dropped else 0.0
-    windows._exact, windows._rest = (None, (row, start, stop)) if dropped else (windows.core, None)
+    bound = 0.0
+    if core_start:
+        x = core_start - 1
+        bound += _tail_ratio(x / (n - x + 1) * (q / p))
+    if core_stop <= n:
+        x = core_stop
+        bound += _tail_ratio((n - x) / (x + 1) * (p / q))
+    windows.tail = math.exp(floor + 1.0) * bound if bound else 0.0
+    windows._exact, windows._rest = (None, row) if bound else (windows.core, None)
     windows._logs = None
     return windows
 

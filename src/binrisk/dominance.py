@@ -7,8 +7,9 @@ resolution, not a symbolic proof.
 
 The grid pass has two engines that yield, per p, each table's risk and
 then each value row's expectation, the same floats: _row_pass, the grid
-in blocks of _BLOCK points summed by rows of x, while n + 1 <= _BLOCK,
-and _window_pass, one pmf window per p, above that and for the scalar
+in blocks of _BLOCK points summed by rows of x, while n + 1 <= _WHOLE_ROW,
+where its coefficient row and its tables' log rows are whole lists, and
+_window_pass, one pmf window per p, above that and for the scalar
 functions, which read one point of it. The value rows of the upper case,
 the J rows, are c(0..n) of the row the upper EstimateTable keeps.
 """
@@ -19,6 +20,7 @@ import math
 from collections.abc import Iterator
 
 from .binom import (
+    _WHOLE_ROW,
     MAX_GRID,
     BinomialSetup,
     PriorSpec,
@@ -37,7 +39,7 @@ GRID_SLACK = 1e-12
 NOISE_CEILING = 1e-9
 THRESHOLD_TOL = 1e-6
 
-# Grid points per block of the row pass, which runs for n + 1 <= _BLOCK
+# Grid points per block of the row pass
 _BLOCK = 64
 
 
@@ -96,7 +98,9 @@ def _row_pass(
     weighted terms, the loss as in risk._risk_sums; each p then sums its
     column of the block's rows. The terms are the windowed sums' terms,
     and the rest are exactly 0.0 (pmf terms outside the exact window times
-    finite values), so each sum is the windowed one.
+    finite values), so each sum is the windowed one. It reads log C(n, x)
+    by index and each table's log rows whole, as they are up to
+    _WHOLE_ROW estimates.
     """
     coeffs = _log_binom_coeffs(n)
     m = float(n)
@@ -105,8 +109,8 @@ def _row_pass(
         block = [(p, 1.0 - p, math.log(p), math.log1p(-p)) for p in grid[lo : lo + _BLOCK]]
         risk_terms = [[] for _ in tables]
         value_terms = [[] for _ in value_rows]
-        for x, c in enumerate(coeffs):
-            fx = float(x)
+        for x in range(n + 1):
+            c, fx = coeffs[x], float(x)
             ws = [math.exp(c + fx * log_p + (m - fx) * log_q) for _, _, log_p, log_q in block]
             for (log_ds, log_es), terms in zip(logs, risk_terms):
                 log_d, log_e = log_ds[x], log_es[x]
@@ -360,7 +364,7 @@ def exhaustive_dominance_check(
     s = n + a + b
     value_rows = _j_rows(trunc) if upper else ()
     # p_grid keeps every p on the restriction, inside (0, 1)
-    grid_pass = _row_pass if n + 1 <= _BLOCK else _window_pass
+    grid_pass = _row_pass if n + 1 <= _WHOLE_ROW else _window_pass
     rows = [
         (r_u, r_t, *(_curve_point(p, *js, p_bar, s) if upper else (None, None)))
         for p, (r_u, r_t, *js) in zip(grid, grid_pass(n, (unres, trunc), value_rows, grid))

@@ -6,7 +6,9 @@ c = 1/I(x+a, s+1, p_bar), one row of one kernel call (_inverse_I_row); on an
 interval as (x+a)/s minus A(x)/s, A = bracket / I_two_sided. The table over
 x = 0..n is the primitive; posterior_mean reads one entry of it. A table
 carries the p-free rows log d and log(1-d) and the ceiling of its losses,
-which every risk sum at a p in (0, 1) reads, built on the first sum; a
+which every risk sum at a p in (0, 1) reads, set up on the first sum: a
+table of more than 64 estimates computes its rows only over the spans its
+sums read, and takes the ceiling from its smallest and largest estimate; a
 table from build keeps the upper row c(0..n+1) as _c_row (None if not
 upper), which the J rows and the small-p_bar condition read. The caches
 below and risk's connection tables decide how long a table is kept.
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 from functools import cached_property, lru_cache
 
-from .binom import BinomialSetup, PriorSpec, _check_count, _Table
+from .binom import _WHOLE_ROW, BinomialSetup, PriorSpec, _check_count, _LazyRow, _Table
 from .incbeta import _bracket, _check_p_bar, _inverse_I_row, _log_I
 
 
@@ -53,17 +55,33 @@ class EstimateTable(_Table):
         return self.values[x]
 
     @cached_property
-    def _logs(self) -> tuple[list[float], list[float], float]:
-        """log d and log(1-d) over the estimates, and the ceiling
-        max(-min log d, -min log(1-d)) of their losses: they do not depend on
-        p, so the first risk sum builds them for every later one. Not a
-        field, so ==, hash and repr ignore them. log p and log(1-p) round to
-        at most 0.0 and IEEE rounding is monotone, so at any p in (0, 1) no
-        loss that risk._risk_sums computes from these rows exceeds the
-        ceiling by more than a few ulps."""
-        log_ds = [math.log(d) for d in self.values]
-        log_es = [math.log1p(-d) for d in self.values]
-        return log_ds, log_es, max(-min(log_ds), -min(log_es))
+    def _logs(self) -> tuple:
+        """(log d, log(1-d), ceiling, fill): the log rows over the estimates,
+        the ceiling max(-log(min d), -log1p(-max d)) of their losses, and
+        None, or for a table of more than _WHOLE_ROW estimates the call
+        fill(start, stop), start < stop, that computes both rows over x =
+        start..stop-1 before a sum reads them there (the rows hold None
+        where no sum has read them), so the risk sums compute only the logs
+        their windows read. They do not depend on p, so the first risk sum
+        sets them up for every later one. Not a field, so ==, hash and repr
+        ignore them. log and log1p are monotone, so the ceiling is -min log d
+        or -min log(1-d) over the whole rows, filled or not; log p and
+        log(1-p) round to at most 0.0 and IEEE rounding is monotone, so at
+        any p in (0, 1) no loss that risk._risk_sums computes from these rows
+        exceeds the ceiling by more than a few ulps."""
+        values = self.values
+        ceiling = max(-math.log(min(values)), -math.log1p(-max(values)))
+        log_es = [None] * len(values)
+
+        def log_ds(start: int, stop: int) -> list[float]:
+            """log d over x = start..stop-1, which fills log(1-d) there too."""
+            log_es[start:stop] = [math.log1p(-d) for d in values[start:stop]]
+            return [math.log(d) for d in values[start:stop]]
+
+        if len(values) <= _WHOLE_ROW:
+            return log_ds(0, len(values)), log_es, ceiling, None
+        row = _LazyRow(len(values), log_ds)
+        return row.values, log_es, ceiling, row.span
 
 
 def _correction(x: int, s: float, prior: PriorSpec) -> float:

@@ -13,8 +13,10 @@ where the certificate fails it sums the exact window. Its terms
 Bin(x; n, p) L(d(x), p) come from one inline pass over log d and
 log(1-d), which do not depend on p and live on the estimate table with
 the ceiling of its losses, so they are kept as long as estimators keeps
-the table; _risk_sums takes log p and log(1-p) once for all the tables
-of one call, the l of connection_sum or the two of a grid point.
+the table; a long table computes them only over the windows summed, each
+filled before its sum. _risk_sums takes log p and log(1-p) once for all
+the tables of one call, the l of connection_sum or the two of a grid
+point.
 predictive_kl_risk takes the log rows of the predictive masses, and checks
 their shape, once per set of tables: it keeps the last two sets' masses
 and recognises a set by comparing them, which costs no hash of every
@@ -63,16 +65,19 @@ def _risk_sums(tables: Sequence[EstimateTable], p: float) -> list[float]:
     for all of them. Each loss term is w L(d, p), the loss clamped at 0.0:
     a negative loss is pure rounding, as the loss is a KL divergence, and
     the clamp is max(v, 0.0) for every float v, -0.0 and NaN included. A
-    window from x = 0 takes the log rows whole, since zip stops with the
+    long table's log rows are filled over each window before it is summed.
+    A window from x = 0 takes the log rows whole, since zip stops with the
     weights."""
     log_p, log_q, q = math.log(p), math.log1p(-p), 1.0 - p
     sums = []
     for table in tables:
         windows = pmf_windows(table.setup.n, p)
-        log_ds, log_es, ceiling = table._logs
+        log_ds, log_es, ceiling, fill = table._logs
         start, weights = window = windows.core
         while True:
             stop = start + len(weights)
+            if fill:
+                fill(start, stop)
             terms = [
                 w * (0.0 if (v := p * (log_p - log_d) + q * (log_q - log_e)) < 0.0 else v)
                 for w, log_d, log_e in zip(

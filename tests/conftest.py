@@ -12,7 +12,9 @@ check against quadrature, closed forms and the contiguous relations.
 window_row is not an oracle either: it reads the library's pmf window,
 padded to x = 0..n, for tests that need it whole. loss_row is the risk
 sums' loss expression as a function of the weights and the log rows,
-and unit_losses reads it at unit weight. mc_risk, a seeded sampler over
+and unit_losses reads it at unit weight; log_rows reads a table's log
+rows whole, and filled counts the entries of a p-free row computed so
+far. mc_risk, a seeded sampler over
 that loss row, is an oracle of point_risk's sum over x. The full-row sums
 evaluate every risk sum over all x = 0..n, zero pmf terms included, as
 references the windowed library sums must equal bit for bit;
@@ -197,6 +199,20 @@ def loss_row(
     ]
 
 
+def log_rows(estimates: EstimateTable) -> tuple[list[float], list[float]]:
+    """The table's log d and log(1-d) rows, every entry computed."""
+    log_ds, log_es, _, fill = estimates._logs
+    if fill:
+        fill(0, estimates.setup.n + 1)
+    return log_ds, log_es
+
+
+def filled(row: Sequence) -> int:
+    """The entries of a p-free row computed so far: a lazy row holds None
+    where it has not been read (its values), a whole row holds none."""
+    return sum(v is not None for v in getattr(row, "values", row))
+
+
 def unit_losses(ds: Sequence[float], p: float) -> list[float]:
     """The entropy losses L(d, p) of the risk sums, one per d, at unit weight."""
     return loss_row([1.0] * len(ds), [math.log(d) for d in ds], [math.log1p(-d) for d in ds], p)
@@ -205,11 +221,8 @@ def unit_losses(ds: Sequence[float], p: float) -> list[float]:
 def full_pmf_row(n: int, p: float) -> list[float]:
     """The pmf at every x = 0..n by the library's per-term expression, with
     no window: the terms that underflow come out as 0.0 here."""
-    log_p, log_q = math.log(p), math.log1p(-p)
-    return [
-        math.exp(c + x * log_p + (n - x) * log_q)
-        for x, c in enumerate(_log_binom_coeffs(n))
-    ]
+    log_p, log_q, coeffs = math.log(p), math.log1p(-p), _log_binom_coeffs(n)
+    return [math.exp(coeffs[x] + x * log_p + (n - x) * log_q) for x in range(n + 1)]
 
 
 def full_row_risk(estimates: EstimateTable, p: float) -> float:
@@ -229,7 +242,7 @@ def mc_risk(
     so it checks the sum over x, not the losses.
     """
     n = estimates.setup.n
-    losses = np.array(loss_row([1.0] * (n + 1), *estimates._logs[:2], p))  # w * 1.0 is w
+    losses = np.array(loss_row([1.0] * (n + 1), *log_rows(estimates), p))  # w * 1.0 is w
     rng = np.random.default_rng(seed)
     draws = rng.binomial(n, p, size=sample_count)
     counts = np.bincount(draws, minlength=n + 1)

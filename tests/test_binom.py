@@ -28,7 +28,7 @@ from binrisk.predictive import PredictiveTable, plug_in_density
 from binrisk.risk import connection_sum
 from binrisk.special import log_beta
 
-from conftest import entropy_loss_direct, full_pmf_row, unit_losses, window_row
+from conftest import entropy_loss_direct, filled, full_pmf_row, unit_losses, window_row
 
 
 def kl_binomial(l, p, q):
@@ -100,6 +100,37 @@ class TestBinomPmf:
         pmf_windows(40, 0.2)
         pmf_windows(40, 0.3)
         assert binom._long_windows.cache_info()[:2] == (1, 2)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 1_000])
+    def test_a_row_of_at_most_64_entries_is_built_whole(self, n):
+        # one row per n: a plain list up to 64 entries, which the row pass
+        # and the predictive masses at small l read whole; above it a lazy
+        # row with nothing computed until it is read
+        binom._log_binom_coeffs.cache_clear()
+        row = _log_binom_coeffs(n)
+        assert row is _log_binom_coeffs(n) and (type(row) is list) == (n + 1 <= 64)
+        assert len(getattr(row, "values", row)) == n + 1
+        assert filled(row) == (n + 1 if n + 1 <= 64 else 0)
+
+    def test_a_lazy_row_computes_what_is_read(self):
+        spans = []
+
+        def entries(start, stop):
+            spans.append((start, stop))
+            return [float(x) for x in range(start, stop)]
+
+        row = binom._LazyRow(100, entries)
+        assert row[7] == 7.0 and row[99] == 99.0 and spans == [(7, 8), (99, 100)]
+        assert binom._exp_terms((99, row, 0.0, 0.0), 40, 40) == () and len(spans) == 2
+        binom._exp_terms((99, row, 0.0, 0.0), 20, 30)
+        assert row[25] == 25.0 and spans[-1] == (20, 30)
+        row.span(50, 60)  # the stretch grows over the gap, once
+        row.span(10, 12)
+        assert spans[2:] == [(20, 30), (30, 60), (10, 20)]
+        assert [x for x, v in enumerate(row.values) if v is not None] == [7, *range(10, 60), 99]
+        assert row.values[20:30] == [float(x) for x in range(20, 30)]
+        with pytest.raises(IndexError):
+            row[100]
 
     def test_log_coeff_cached_values(self):
         assert math.exp(_log_binom_coeffs(9)[3]) == pytest.approx(84.0, rel=1e-12)

@@ -27,7 +27,13 @@ from binrisk.binom import BinomialSetup, PriorSpec
 from binrisk.estimators import EstimateTable
 from binrisk.risk import point_risk
 
-from conftest import eval_J, full_row_dominance, max_risk_diff_jeffreys, max_risk_diff_uniform
+from conftest import (
+    eval_J,
+    full_row_dominance,
+    log_rows,
+    max_risk_diff_jeffreys,
+    max_risk_diff_uniform,
+)
 
 WINDOW_CACHES = (binom._short_windows, binom._long_windows)
 
@@ -649,6 +655,8 @@ class TestGridEngines:
         upper = EstimateTable.build(setup, PriorSpec(a=a, b=b, p_bar=p_bar))
         rows = dominance._j_rows(upper) if with_j else ()
         grid = p_grid(p_bar, p_lo, grid_size)
+        for table in tables:
+            log_rows(table)  # the row pass reads them whole, as they are up to n = 63
         return [
             [[v.hex() for v in sums] for sums in engine(n, tables, rows, grid)]
             for engine in (dominance._row_pass, dominance._window_pass)

@@ -21,7 +21,7 @@ from binrisk.incbeta import SingularBoundError, _log_I
 from binrisk.predictive import PredictiveTable
 from binrisk.risk import point_risk
 
-from conftest import eval_I, loss_row, quad_posterior_mean
+from conftest import eval_I, filled, log_rows, loss_row, quad_posterior_mean
 
 A_B_GRID = [0.5, 1.0, 2.0]
 TABLE_CACHES = (estimators._build_table, estimators._build_large_table)
@@ -246,7 +246,30 @@ class TestTableRows:
             point_risk(table, k / 10)
         assert len(calls) == 1 and calls[0] is values
         log_ds, log_es = [math.log(d) for d in values], [math.log1p(-d) for d in values]
-        assert table._logs == (log_ds, log_es, max(-min(log_ds), -min(log_es)))
+        # a table of 301 estimates fills its rows where the sums read them;
+        # read whole, they are the logs of every estimate
+        rows, ceiling = log_rows(table), table._logs[2]
+        assert rows == (log_ds, log_es) and ceiling == max(-min(log_ds), -min(log_es))
+        assert len(calls) == 1 and table._logs[:2] == rows
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 300])
+    def test_rows_of_at_most_64_estimates_are_whole_lists(self, n):
+        # a short table's rows are built whole, with no fill; a long one's
+        # are lists of the table's length that hold None where no sum has
+        # read them, and its fill computes both over a span
+        table = EstimateTable.build(BinomialSetup(n=n), PriorSpec(a=1.5, b=2.0, p_bar=0.4))
+        log_ds, log_es, ceiling, fill = EstimateTable(table.setup, table.prior, table.values)._logs
+        assert type(log_ds) is type(log_es) is list and len(log_ds) == len(log_es) == n + 1
+        assert ceiling == max(-math.log(min(table.values)), -math.log1p(-max(table.values)))
+        if n + 1 <= 64:
+            assert fill is None and None not in log_ds + log_es
+            return
+        assert filled(log_ds) == filled(log_es) == 0
+        fill(10, 20)
+        fill(40, 50)  # the stretch between the two spans is filled too
+        assert [x for x, v in enumerate(log_ds) if v is not None] == list(range(10, 50))
+        assert log_ds[10:50] == [math.log(d) for d in table.values[10:50]]
+        assert log_es[10:50] == [math.log1p(-d) for d in table.values[10:50]]
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -267,13 +290,14 @@ class TestTableRows:
             "upper": PriorSpec(a, b, p_bar=pb),
             "interval": PriorSpec(a, b, p_bar=pb, p_lo=frac * pb),
         }[mode]
-        log_ds, log_es, ceiling = EstimateTable.build(BinomialSetup(n=n), prior)._logs
+        log_ds, log_es, ceiling, _ = EstimateTable.build(BinomialSetup(n=n), prior)._logs
         losses = loss_row([1.0] * (n + 1), log_ds, log_es, p)
         assert max(losses) <= 2.0 * ceiling + 1.0
         assert max(losses) <= ceiling * (1.0 + 2.0**-50)
 
-    def test_rows_leave_equality_hash_and_repr_alone(self):
-        setup, prior = BinomialSetup(n=12), PriorSpec(a=1.0, b=1.0, p_lo=0.1, p_bar=0.7)
+    @pytest.mark.parametrize("n", [12, 300])
+    def test_rows_leave_equality_hash_and_repr_alone(self, n):
+        setup, prior = BinomialSetup(n=n), PriorSpec(a=1.0, b=1.0, p_lo=0.1, p_bar=0.7)
         table = EstimateTable.build(setup, prior)
         point_risk(table, 0.3)
         assert "_logs" in vars(table)

@@ -7,7 +7,8 @@ import mpmath
 import pytest
 from scipy.special import gammaln
 
-from binrisk import poisson, predictive
+from binrisk import binom, estimators, poisson, predictive
+from binrisk.binom import BinomialSetup
 from binrisk.estimators import EstimateTable
 from binrisk.poisson import (
     PoissonConfig,
@@ -17,6 +18,8 @@ from binrisk.poisson import (
     poisson_posterior_mean,
     poisson_predictive,
 )
+
+from conftest import filled
 
 
 class TestPosteriorMean:
@@ -315,6 +318,20 @@ class TestLimitCorrespondence:
         assert len(masses) > 5
         assert [y for y, _ in masses] == list(range(len(masses)))
         assert all(m == poisson_predictive(y, 2, cfg) for y, m in masses)
+
+    def test_reads_under_a_percent_of_the_largest_rows(self):
+        # at K = 1e4 (n = l = 1e4, p = 5e-5) the masses read the y up to
+        # where both sides fall under 1e-15 and the risk sums a window near
+        # x = 0: log C(1e4, .) and the table's two log rows fill only those
+        # entries, where each was built whole for x = 0..1e4
+        binom._log_binom_coeffs.cache_clear()
+        estimators._build_large_table.cache_clear()
+        cfg = PoissonConfig(r=1.0, s=1.0, a=1.0, lambda_bar=1.0)
+        limit_convergence_report([10.0, 100.0, 1000.0, 10000.0], 0.5, cfg, 1)
+        table = EstimateTable.build(BinomialSetup(n=10_000), induced_binomial_prior(cfg, 1e4))
+        rows = [binom._log_binom_coeffs(10_000).values, *table._logs[:2]]
+        assert all(len(row) == 10_001 for row in rows)
+        assert [filled(row) < 100 for row in rows] == [True] * 3
 
     def test_rejects_unsorted_grid(self):
         cfg = PoissonConfig(r=1.0, a=1.0)

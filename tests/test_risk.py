@@ -2,6 +2,7 @@
 
 import gc
 import math
+import random
 
 import pytest
 
@@ -18,6 +19,7 @@ from binrisk.risk import (
 )
 
 from conftest import (
+    filled,
     full_pmf_row,
     full_row_kl_risk,
     full_row_risk,
@@ -155,8 +157,8 @@ class TestCoreWindowCertificate:
         assert point_risk(table, p) == expected
         assert summed_rows == [1_036]  # the certificate held on the core row
         assert exact_reads == []
-        log_ds, log_es, _ = table._logs
-        vars(table)["_logs"] = log_ds, log_es, 1e20  # a ceiling that no sum can absorb
+        log_ds, log_es, _, fill = table._logs
+        vars(table)["_logs"] = log_ds, log_es, 1e20, fill  # a ceiling no sum can absorb
         assert point_risk(table, p) == expected
         assert summed_rows == [1_036, 1_036, 3_480]
         assert exact_reads == [pmf_windows(n, p)]
@@ -217,6 +219,83 @@ class TestCoreWindowCertificate:
         assert all(a is b for a, b in zip(held, core, strict=True))
 
 
+class TestRowsFilledWhereRead:
+    """The p-free rows are computed only where a window reads them: log C(n,
+    x) over the core and its edge probes, and the table's log rows over the
+    spans summed."""
+
+    def test_one_shot_risk_fills_the_core_and_its_probes(self):
+        n, p = 100_000, 0.29
+        binom._log_binom_coeffs.cache_clear()
+        binom._long_windows.cache_clear()
+        built = EstimateTable.build(BinomialSetup(n=n), PriorSpec(a=1.0, b=1.0, p_bar=0.3))
+        table = EstimateTable(built.setup, built.prior, built.values)  # rows of its own
+        risk = point_risk(table, p)
+        core = len(pmf_windows(n, p).core[1])
+        assert core == 3_246
+        # each edge search probes at most 18 x, which seldom compute an entry
+        assert core <= filled(binom._log_binom_coeffs(n)) <= core + 2 * 18
+        assert [filled(row) for row in table._logs[:2]] == [core, core]
+        assert risk.hex() == full_row_risk(table, p).hex()
+
+    def test_a_grid_fills_the_stretch_its_windows_span(self):
+        # windows at increasing p overlap; the rows grow one filled stretch
+        # from the first window's start to the last one's stop
+        n = 3_000
+        binom._log_binom_coeffs.cache_clear()
+        built = EstimateTable.build(BinomialSetup(n=n), PriorSpec(a=1.0, b=1.0))
+        table = EstimateTable(built.setup, built.prior, built.values)
+        ps = [0.2 + 0.01 * k for k in range(11)]
+        for p in ps:
+            point_risk(table, p)
+        start = pmf_windows(n, ps[0]).core[0]
+        stop_start, last = pmf_windows(n, ps[-1]).core
+        span = list(range(start, stop_start + len(last)))
+        for row in table._logs[:2]:
+            assert [x for x, v in enumerate(row) if v is not None] == span
+        assert filled(binom._log_binom_coeffs(n)) < len(span) + 11 * 2 * 12
+
+    def test_no_ratio_bound_sums_the_exact_window(self, monkeypatch, summed_rows):
+        # a ratio that rounds to 1 or more past an edge leaves the core with
+        # no tail bound: tail is inf and the sum runs over the exact window
+        n, p = 10_000, 0.3
+        monkeypatch.setattr(binom, "_RATIO_SLACK", 1e6)
+        binom._long_windows.cache_clear()
+        table = EstimateTable.build(BinomialSetup(n=n), PriorSpec(a=1.0, b=1.0))
+        assert pmf_windows(n, p).tail == math.inf
+        assert point_risk(table, p).hex() == full_row_risk(table, p).hex()
+        assert summed_rows == [1_036, 3_480]
+        binom._long_windows.cache_clear()
+
+    @pytest.mark.parametrize("n", [300, 1_000, 10_000, 100_000])
+    def test_tail_bounds_the_terms_the_core_leaves_out(self, n):
+        # every term outside the core, summed over the whole row, lies under
+        # the tail: e^(floor + 1) times 1/(1 - r) on each side
+        for p in TestCoreWindowCertificate.DEPTH_PS[:: 1 if n < 100_000 else 3]:
+            windows = pmf_windows(n, p)
+            core_start, core = windows.core
+            row = full_pmf_row(n, p)
+            left_out = row[:core_start] + row[core_start + len(core) :]
+            assert math.fsum(left_out) <= windows.tail
+            assert (windows.tail == 0.0) == (len(core) == n + 1)
+
+    def test_seeded_risks_equal_the_full_row_sums(self):
+        # n log-uniform on [1, 1e5], p log-uniform on [1e-9, 1/2] and
+        # mirrored on half the draws, untruncated or upper-truncated priors
+        rng = random.Random(39)
+        differ = []
+        for _ in range(60):
+            n = int(10 ** rng.uniform(0.0, 5.0))
+            p = 10 ** rng.uniform(-9.0, math.log10(0.5))
+            p = 1.0 - p if rng.random() < 0.5 else p
+            a, b = 10 ** rng.uniform(-1.0, 1.0), 10 ** rng.uniform(-1.0, 1.0)
+            p_bar = rng.choice([None, rng.uniform(0.01, 0.99)])
+            table = EstimateTable.build(BinomialSetup(n=n), PriorSpec(a, b, p_bar=p_bar))
+            if point_risk(table, p).hex() != full_row_risk(table, p).hex():
+                differ.append((n, p, a, b, p_bar))
+        assert differ == []
+
+
 class TestRiskSums:
     """_risk_sums takes one log p and log(1-p) for all the tables of a call;
     each table's sum is still its full row's, bit for bit."""
@@ -237,8 +316,8 @@ class TestRiskSums:
         # a hand-built copy whose ceiling no sum can absorb: at p = 0.3 its
         # certificate fails and it sums the exact window
         hand = EstimateTable(large[0].setup, large[0].prior, large[0].values)
-        log_ds, log_es, _ = hand._logs
-        vars(hand)["_logs"] = log_ds, log_es, 1e20
+        log_ds, log_es, _, fill = hand._logs
+        vars(hand)["_logs"] = log_ds, log_es, 1e20, fill
         return [*tables, *large, hand]
 
     @pytest.mark.parametrize("p", PS)
@@ -247,7 +326,11 @@ class TestRiskSums:
         expected = [full_row_risk(table, p) for table in mixed_tables]
         assert [v.hex() for v in sums] == [v.hex() for v in expected]
         if p == 0.3:
-            assert summed_rows[-1] == len(pmf_windows(10_000, p).exact()[1]) == 3_480
+            # the two built tables at n = 1e4 are certified on the core; the
+            # hand-built copy's certificate fails and it sums the exact window
+            windows = pmf_windows(10_000, p)
+            core, exact = len(windows.core[1]), len(windows.exact()[1])
+            assert summed_rows[-4:] == [core, core, core, exact] == [1_036, 1_036, 1_036, 3_480]
 
     def test_connection_sum_over_the_acceptance_sweep(self):
         # the 1,080 configurations of the acceptance sweep at their 25 p

@@ -125,9 +125,10 @@ def test_the_integral_family_checks_nothing():
 
 def test_window_builder_checks_nothing():
     # n and p are checked at the public entry points; the pmf windows are
-    # built on every cache miss of a sweep and take them as checked
+    # built on every cache miss of a sweep and take them as checked, and so
+    # does the bound on the terms the core leaves out
     builder = {"pmf_windows", "_build_windows", "_window_edge", "_exp_terms", "PmfWindows"}
-    assert _check_calls("binom.py", builder) == []
+    assert _check_calls("binom.py", builder | {"_tail_ratio"}) == []
 
 
 def test_plug_in_density_builds_no_cached_row():
@@ -164,6 +165,25 @@ def test_p_free_row_builders_check_nothing():
     assert _check_calls("dominance.py", {"_j_rows", "_window_pass", "_row_pass"}) == []
     assert _check_calls("risk.py", {"_mass_logs", "_log_rows"}) == []
     assert _check_calls("predictive.py", {"_masses", "bayes_predictive_tables"}) == []
+    # the coefficient row and a table's log rows are filled where a window,
+    # an edge probe or a mass reads them, inside the window builds and the
+    # risk sums: their fillers call no check and raise nothing
+    fillers = [("binom.py", "_log_binom_coeffs"), ("binom.py", "_coeff_entries")]
+    fillers += [("binom.py", "_LazyRow"), ("estimators.py", "EstimateTable._logs")]
+    found = []
+    for module, name in fillers:
+        nodes = ast.parse((SOURCES[0].parent / module).read_text()).body
+        for level in name.split("."):
+            [node] = [stmt for stmt in nodes if getattr(stmt, "name", None) == level]
+            nodes = node.body
+        found += [
+            f"{name}:{part.lineno}"
+            for part in ast.walk(node)
+            if isinstance(part, ast.Raise)
+            or isinstance(part, ast.Call)
+            and getattr(part.func, "id", "").startswith("_check")
+        ]
+    assert found == []
 
 
 def test_p_is_checked_in_one_place():
