@@ -33,9 +33,10 @@ side, after one untimed round that fills the caches a sweep fills:
            on [0.4, 0.6], tables that build (at n = 2000 on [0.05, 0.5]
            the bracket term overflows);
   big-n    cold calls at large n, in milliseconds per call, every cache
-           emptied before each: point_risk at n = 1e5, p = 0.29 of a table
-           under a = b = 1 on (0, 0.3], built outside the timed region, its
-           log rows dropped before each call, and limit_convergence_report
+           of binom, estimators and predictive emptied before each:
+           point_risk at n = 1e5, p = 0.29 of a table under a = b = 1 on
+           (0, 0.3], built outside the timed region, its log rows dropped
+           before each call, and limit_convergence_report
            with a = 1, lambda_bar = 1 on K = 10, 100, 1000 and 10000.
 
 A child times each case over several rounds and reports the median round.
@@ -44,12 +45,16 @@ side's median over the pairs, the change of this checkout over OTHER_DIR,
 the quartiles of the per-pair change (this checkout's time over
 OTHER_DIR's, less 1), and the pairs in which this checkout took less time:
 a median alone moved by 20% between two runs against the same parent on a
-shared machine, where the quartiles show the spread. CPU time leaves out
-the time the process waits for a core, so it does not follow the machine
-speed the way perfbench's wall-clock figures do. --quick runs one round of
-a few configurations, n = 300, 8 p, two targets, one table of each
-restriction, 20 kernel calls and the big-n risk at n = 1e4 without the
-report, for a smoke test.
+shared machine, where the quartiles show the spread. Beside them it prints
+each side's median cold peak in KiB: a child's first round, untimed, runs
+the case cold and fills the caches a sweep fills, under tracemalloc, and
+its peak is the most memory the round held at once beyond what the case's
+set-up holds, an in-process figure for a memory change beside perfbench's
+peak RSS. CPU time leaves out the time the process waits for a core, so it
+does not follow the machine speed the way perfbench's wall-clock figures
+do. --quick runs one round of a few configurations, n = 300, 8 p, two
+targets, one table of each restriction, 20 kernel calls and the big-n risk
+at n = 1e4 without the report, for a smoke test.
 """
 
 from __future__ import annotations
@@ -61,6 +66,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 from bench_compare import _quartiles
@@ -181,8 +187,12 @@ def _big_n(n: int, report: bool):
     from binrisk.poisson import PoissonConfig, limit_convergence_report
     from binrisk.risk import point_risk
 
-    caches = (binom._log_binom_coeffs, binom._short_windows, binom._long_windows)
-    caches += (estimators._build_table, estimators._build_large_table, predictive._log_measure)
+    caches = [
+        cache
+        for module in (binom, estimators, predictive)
+        for cache in vars(module).values()
+        if hasattr(cache, "cache_clear")
+    ]
     table = EstimateTable.build(BinomialSetup(n=n), PriorSpec(a=1.0, b=1.0, p_bar=0.3))
     config = PoissonConfig(r=1.0, a=1.0, lambda_bar=1.0)
 
@@ -201,8 +211,9 @@ def _big_n(n: int, report: bool):
     return run, 1 + report
 
 
-def child(src: Path, quick: bool) -> dict[str, float]:
-    """Seconds of CPU time per unit of each case, for the binrisk under src."""
+def child(src: Path, quick: bool) -> dict[str, list[float]]:
+    """[seconds of CPU time per unit, bytes of the cold round's tracemalloc
+    peak] of each case, for the binrisk under src."""
     sys.path.insert(0, str(src))
     import binrisk
 
@@ -238,17 +249,20 @@ def child(src: Path, quick: bool) -> dict[str, float]:
     }
     result = {}
     for name, (run, units) in cases.items():
-        run()  # fills the caches a sweep fills
+        tracemalloc.start()
+        run()  # cold, and fills the caches a sweep fills
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
         times = []
         for _ in range(rounds):
             start = time.process_time()
             run()
             times.append((time.process_time() - start) / units)
-        result[name] = statistics.median(times)
+        result[name] = [statistics.median(times), peak]
     return result
 
 
-def _side(checkout: Path, quick: bool) -> dict[str, float]:
+def _side(checkout: Path, quick: bool) -> dict[str, list[float]]:
     args = [sys.executable, str(Path(__file__).resolve()), "--child", str(checkout / "src")]
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.run(
@@ -260,16 +274,20 @@ def _side(checkout: Path, quick: bool) -> dict[str, float]:
 def report(parent: list[dict], change: list[dict]) -> list[str]:
     lines = [
         f"{'case':<9} {'unit':<7} {'parent median':>14} {'change median':>14} {'change':>8}"
-        f" {'pair q1':>8} {'pair q3':>8}  won"
+        f" {'pair q1':>8} {'pair q3':>8}  won {'parent KiB':>11} {'change KiB':>11}"
     ]
+    sides = parent, change
     for name, unit, scale in CASES:
-        old = statistics.median(run[name] for run in parent) * scale
-        new = statistics.median(run[name] for run in change) * scale
-        q1, _, q3 = _quartiles([c[name] / p[name] - 1.0 for p, c in zip(parent, change)])
-        won = sum(c[name] < p[name] for p, c in zip(parent, change))
+        old, new = (statistics.median(run[name][0] for run in side) * scale for side in sides)
+        q1, _, q3 = _quartiles([c[name][0] / p[name][0] - 1.0 for p, c in zip(parent, change)])
+        won = sum(c[name][0] < p[name][0] for p, c in zip(parent, change))
+        old_kib, new_kib = (
+            statistics.median(run[name][1] for run in side) / 1024 for side in sides
+        )
         lines.append(
             f"{name:<9} {unit:<7} {old:>14.4g} {new:>14.4g} {new / old - 1.0:>+8.1%}"
             f" {q1:>+8.1%} {q3:>+8.1%}  {won}/{len(parent)}"
+            f" {old_kib:>11.0f} {new_kib:>11.0f}"
         )
     return lines
 

@@ -18,10 +18,12 @@ risk._check_p. The risk sums form their loss terms themselves
 The windows read log C(n, x) from one row per n, _log_binom_coeffs(n):
 a plain list when it has at most _WHOLE_ROW entries, which the row pass
 and the predictive masses at small l read whole, and above that a
-_LazyRow, whose entries are computed where a window, an edge probe or a
-mass first reads them, so a one-shot risk at n = 1e5, p = 0.29 computes
-3,265 of 100,001: its core and 19 probes of its two edge searches. The
-estimate tables keep their log rows the same way.
+_LazyRow, a packed array('d') of 8 bytes an entry that holds NaN where an
+entry is not yet computed; an entry is computed, once, where a window, an
+edge probe or a mass first reads it, so a one-shot risk at n = 1e5, p =
+0.29 computes 3,265 of 100,001: its core and 19 probes of its two edge
+searches. Up to 256 whole rows and 8 lazy ones are kept. The estimate
+tables keep their long log rows the same way.
 
 Also holds the two descriptors shared across the package, the
 trial-count setup and the (possibly truncated) beta prior; the bases of
@@ -32,6 +34,8 @@ every entry point taking raw values.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left, insort
 from collections import namedtuple
 from functools import lru_cache, partial
 from itertools import count
@@ -160,39 +164,57 @@ class PriorSpec(_record("PriorSpec", "a b p_bar p_lo")):
 # the row pass (n < 64) and the predictive masses at small l read all of it
 _WHOLE_ROW = 64
 
+# A packed row of one NaN, the entry not yet computed; no entry of a
+# p-free row is NaN. _UNSET * size is a row of size such entries
+_UNSET = array("d", [math.nan])
+
 
 class _LazyRow:
     """A p-free row over x = 0..size-1 whose entries are computed where
     they are first read, by entries(start, stop), the row's x =
-    start..stop-1. values is the row's list, None where not yet computed.
-    An index x >= 0 reads one entry. span(start, stop) computes a stretch:
-    it grows the one filled stretch [lo, hi) to hold it, so that the
-    windows of a sweep over p, which overlap, compute each entry once."""
+    start..stop-1. values is the row, a packed array('d') that holds NaN
+    where an entry is not yet computed. An index x >= 0 reads one entry;
+    the x of each entry it computes outside the filled stretch is kept, in
+    order, in _singles, a packed array of ints. span(start, stop) computes
+    a stretch: it grows the one filled stretch [lo, hi) to hold it, so
+    that the windows of a sweep over p, which overlap, compute each entry
+    once, and computes the part it adds in runs between the singles there,
+    so that an entry an edge probe computed is not computed again."""
 
-    __slots__ = ("values", "_entries", "_lo", "_hi")
+    __slots__ = ("values", "_entries", "_lo", "_hi", "_singles")
 
     def __init__(self, size: int, entries) -> None:
-        self.values, self._entries, self._lo, self._hi = [None] * size, entries, 0, 0
+        self.values, self._entries, self._lo, self._hi = _UNSET * size, entries, 0, 0
+        self._singles = array("l")
 
     def __getitem__(self, x: int) -> float:
         value = self.values[x]
-        if value is None:
+        if value != value:
             value = self.values[x] = self._entries(x, x + 1)[0]
+            insort(self._singles, x)
         return value
 
     def span(self, start: int, stop: int) -> None:
         """Computes the entries x = start..stop-1, start < stop."""
-        values, lo, hi = self.values, self._lo, self._hi
-        if lo == hi:
-            values[start:stop] = self._entries(start, stop)
-            self._lo, self._hi = start, stop
-            return
-        if start < lo:
-            values[start:lo] = self._entries(start, lo)
+        if self._lo == self._hi:
+            self._lo = self._hi = start
+        if start < self._lo:
+            self._fill(start, self._lo)
             self._lo = start
-        if stop > hi:
-            values[hi:stop] = self._entries(hi, stop)
+        if stop > self._hi:
+            self._fill(self._hi, stop)
             self._hi = stop
+
+    def _fill(self, start: int, stop: int) -> None:
+        """Computes the entries x = start..stop-1 but the singles, one call
+        of entries per run between them; those singles leave _singles."""
+        singles = self._singles
+        i, j = bisect_left(singles, start), bisect_left(singles, stop)
+        done = singles[i:j].tolist()
+        del singles[i:j]
+        for lo, hi in zip([start] + [x + 1 for x in done], done + [stop]):
+            if lo < hi:
+                self.values[lo:hi] = array("d", self._entries(lo, hi))
 
 
 def _coeff_entries(
@@ -210,13 +232,24 @@ def _coeff_entries(
     ]
 
 
-@lru_cache(maxsize=256)
-def _log_binom_coeffs(n: int) -> list[float] | _LazyRow:
-    """The row log C(n, x), x = 0..n, one per n: a plain list when whole,
-    else a _LazyRow that computes an entry the first time a window, an edge
-    probe or a mass reads it."""
+def _coeff_row(n: int) -> list[float] | _LazyRow:
+    """The row log C(n, x), x = 0..n: a plain list when whole, else a
+    _LazyRow that computes an entry the first time a window, an edge probe
+    or a mass reads it."""
     entries = partial(_coeff_entries, n, math.log(n + 1), math.log(n + 2), _stirling_error(n + 2))
     return entries(0, n + 1) if n + 1 <= _WHOLE_ROW else _LazyRow(n + 1, entries)
+
+
+# A whole row takes at most about 2.6 KB with its floats, so 256 are kept;
+# a lazy row takes 8 bytes an entry, computed or not, 8 MB at n = 1e6, so
+# only 8 of them are kept, as many as the long pmf windows
+_whole_coeffs = lru_cache(maxsize=256)(_coeff_row)
+_lazy_coeffs = lru_cache(maxsize=8)(_coeff_row)
+
+
+def _log_binom_coeffs(n: int) -> list[float] | _LazyRow:
+    """The row log C(n, x), x = 0..n, one per n, from the cache of its length."""
+    return (_whole_coeffs if n + 1 <= _WHOLE_ROW else _lazy_coeffs)(n)
 
 
 # math.exp is exactly 0.0 below about -745.13. Past the first exponent

@@ -17,7 +17,7 @@ the J rows, are c(0..n) of the row the upper EstimateTable keeps.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 
 from .binom import (
     _WHOLE_ROW,
@@ -58,7 +58,7 @@ def p_grid(p_bar: float, p_lo: float | None, size: int) -> list[float]:
     return [lo + (p_bar - lo) * i / (size - 1) for i in range(size - 1)] + [p_bar]
 
 
-def _j_rows(table: EstimateTable) -> tuple[list[float], list[float]]:
+def _j_rows(table: EstimateTable) -> tuple[list[float], Sequence[float]]:
     """I(x+a, n+a+b+1, p_bar) and its inverse c for x = 0..n, c read from the
     upper table's row: the rows whose binomial expectations are J(p) and
     E_p[1/I]; neither depends on p. An I that overflows is a singular bound."""

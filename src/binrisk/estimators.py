@@ -7,19 +7,21 @@ interval as (x+a)/s minus A(x)/s, A = bracket / I_two_sided. The table over
 x = 0..n is the primitive; posterior_mean reads one entry of it. A table
 carries the p-free rows log d and log(1-d) and the ceiling of its losses,
 which every risk sum at a p in (0, 1) reads, set up on the first sum: a
-table of more than 64 estimates computes its rows only over the spans its
+table of more than 64 estimates keeps its rows packed, as array('d') with
+NaN where no sum has read them, computes them only over the spans its
 sums read, and takes the ceiling from its smallest and largest estimate; a
-table from build keeps the upper row c(0..n+1) as _c_row (None if not
-upper), which the J rows and the small-p_bar condition read. The caches
-below and risk's connection tables decide how long a table is kept.
+table from build keeps the upper row c(0..n+1), packed, as _c_row (None
+if not upper), which the J rows and the small-p_bar condition read. The
+caches below and risk's connection tables decide how long a table is kept.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from functools import cached_property, lru_cache
 
-from .binom import _WHOLE_ROW, BinomialSetup, PriorSpec, _check_count, _LazyRow, _Table
+from .binom import _UNSET, _WHOLE_ROW, BinomialSetup, PriorSpec, _check_count, _LazyRow, _Table
 from .incbeta import _bracket, _check_p_bar, _inverse_I_row, _log_I
 
 
@@ -60,26 +62,27 @@ class EstimateTable(_Table):
         the ceiling max(-log(min d), -log1p(-max d)) of their losses, and
         None, or for a table of more than _WHOLE_ROW estimates the call
         fill(start, stop), start < stop, that computes both rows over x =
-        start..stop-1 before a sum reads them there (the rows hold None
-        where no sum has read them), so the risk sums compute only the logs
-        their windows read. They do not depend on p, so the first risk sum
-        sets them up for every later one. Not a field, so ==, hash and repr
-        ignore them. log and log1p are monotone, so the ceiling is -min log d
-        or -min log(1-d) over the whole rows, filled or not; log p and
-        log(1-p) round to at most 0.0 and IEEE rounding is monotone, so at
-        any p in (0, 1) no loss that risk._risk_sums computes from these rows
-        exceeds the ceiling by more than a few ulps."""
+        start..stop-1 before a sum reads them there (the rows are then
+        packed, array('d'), and hold NaN where no sum has read them), so
+        the risk sums compute only the logs their windows read. They do
+        not depend on p, so the first risk sum sets them up for every later
+        one. Not a field, so ==, hash and repr ignore them. log and log1p
+        are monotone, so the ceiling is -min log d or -min log(1-d) over the
+        whole rows, filled or not; log p and log(1-p) round to at most 0.0
+        and IEEE rounding is monotone, so at any p in (0, 1) no loss that
+        risk._risk_sums computes from these rows exceeds the ceiling by
+        more than a few ulps."""
         values = self.values
         ceiling = max(-math.log(min(values)), -math.log1p(-max(values)))
-        log_es = [None] * len(values)
+        if len(values) <= _WHOLE_ROW:
+            return [math.log(d) for d in values], [math.log1p(-d) for d in values], ceiling, None
+        log_es = _UNSET * len(values)
 
         def log_ds(start: int, stop: int) -> list[float]:
             """log d over x = start..stop-1, which fills log(1-d) there too."""
-            log_es[start:stop] = [math.log1p(-d) for d in values[start:stop]]
+            log_es[start:stop] = array("d", [math.log1p(-d) for d in values[start:stop]])
             return [math.log(d) for d in values[start:stop]]
 
-        if len(values) <= _WHOLE_ROW:
-            return log_ds(0, len(values)), log_es, ceiling, None
         row = _LazyRow(len(values), log_ds)
         return row.values, log_es, ceiling, row.span
 
@@ -113,6 +116,7 @@ def _estimate_table(setup: BinomialSetup, prior: PriorSpec) -> EstimateTable:
         # c that underflows to 0.0 gives exactly (x+a)/s.
         c_row = _inverse_I_row(a, s + 1.0, prior.p_bar, n + 1)
         values = [(x + a) / (s + c_row[x + 1] / prior.p_bar) for x in range(n + 1)]
+        c_row = array("d", c_row)  # kept packed, read as a list while building
     else:
         values = [(x + a) / s - _correction(x, s, prior) / s for x in range(n + 1)]
     table = EstimateTable(setup=setup, prior=prior, values=tuple(values))
@@ -121,11 +125,13 @@ def _estimate_table(setup: BinomialSetup, prior: PriorSpec) -> EstimateTable:
 
 
 # Grid sweeps rebuild the same table for every p, so tables are cached per
-# (n, prior). A summed table also holds its two log rows, twice the floats
-# of its estimates. With one LRU of 4096, a benchmark risk-large-n pass
-# keeps all 60 tables it sums (n up to 3000, 80,368 estimates) with their
-# rows, and its peak RSS rose from 24.5 to 32.6 MB; so only tables of at
-# most _SMALL_TABLE estimates go to that LRU, and 8 longer ones are kept.
+# (n, prior). With one LRU of 4096, a benchmark risk-large-n pass kept all
+# 60 tables it sums (n up to 3000, 80,368 estimates) with their log rows,
+# then whole lists of float objects, twice the floats of the estimates,
+# and its peak RSS rose from 24.5 to 32.6 MB; so only tables of at most
+# _SMALL_TABLE estimates go to that LRU, and 8 longer ones are kept. A
+# long table's log rows cost 8 bytes an entry, computed or not, and are
+# computed only where its sums read them.
 _SMALL_TABLE = 256
 _build_table = lru_cache(maxsize=4096)(_estimate_table)
 _build_large_table = lru_cache(maxsize=8)(_estimate_table)

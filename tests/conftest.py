@@ -199,7 +199,7 @@ def loss_row(
     ]
 
 
-def log_rows(estimates: EstimateTable) -> tuple[list[float], list[float]]:
+def log_rows(estimates: EstimateTable) -> tuple[Sequence[float], Sequence[float]]:
     """The table's log d and log(1-d) rows, every entry computed."""
     log_ds, log_es, _, fill = estimates._logs
     if fill:
@@ -208,9 +208,9 @@ def log_rows(estimates: EstimateTable) -> tuple[list[float], list[float]]:
 
 
 def filled(row: Sequence) -> int:
-    """The entries of a p-free row computed so far: a lazy row holds None
+    """The entries of a p-free row computed so far: a lazy row holds NaN
     where it has not been read (its values), a whole row holds none."""
-    return sum(v is not None for v in getattr(row, "values", row))
+    return sum(v == v for v in getattr(row, "values", row))
 
 
 def unit_losses(ds: Sequence[float], p: float) -> list[float]:

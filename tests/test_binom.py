@@ -106,7 +106,8 @@ class TestBinomPmf:
         # one row per n: a plain list up to 64 entries, which the row pass
         # and the predictive masses at small l read whole; above it a lazy
         # row with nothing computed until it is read
-        binom._log_binom_coeffs.cache_clear()
+        binom._whole_coeffs.cache_clear()
+        binom._lazy_coeffs.cache_clear()
         row = _log_binom_coeffs(n)
         assert row is _log_binom_coeffs(n) and (type(row) is list) == (n + 1 <= 64)
         assert len(getattr(row, "values", row)) == n + 1
@@ -127,8 +128,12 @@ class TestBinomPmf:
         row.span(50, 60)  # the stretch grows over the gap, once
         row.span(10, 12)
         assert spans[2:] == [(20, 30), (30, 60), (10, 20)]
-        assert [x for x, v in enumerate(row.values) if v is not None] == [7, *range(10, 60), 99]
-        assert row.values[20:30] == [float(x) for x in range(20, 30)]
+        assert [x for x, v in enumerate(row.values) if v == v] == [7, *range(10, 60), 99]
+        assert list(row.values[20:30]) == [float(x) for x in range(20, 30)]
+        # an entry read alone is not computed again by a span over it
+        assert row[70] == 70.0 and spans[-1] == (70, 71)
+        row.span(65, 80)
+        assert spans[-2:] == [(60, 70), (71, 80)] and list(row.values[60:80]) == list(range(60, 80))
         with pytest.raises(IndexError):
             row[100]
 

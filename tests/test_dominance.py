@@ -583,10 +583,10 @@ class TestExhaustiveCheck:
     def test_row_pass_reads_one_coefficient_row_per_configuration(self, rows_built, p_lo):
         # up to n = 63 the grid pass builds no pmf window and no loss row:
         # it forms every term from the one row of log C(n, x)
-        binom._log_binom_coeffs.cache_clear()
+        binom._whole_coeffs.cache_clear()
         for n in (1, 17, 63):
             exhaustive_dominance_check(n, 1.0, 1.0, 0.3, p_lo=p_lo, grid_size=100)
-        info = binom._log_binom_coeffs.cache_info()
+        info = binom._whole_coeffs.cache_info()
         assert (info.misses, info.hits) == (3, 0)
         assert rows_built() == {"pmf": 0, "loss": 0}
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+from array import array
 from functools import cached_property
 
 import mpmath
@@ -249,17 +250,20 @@ class TestTableRows:
         # a table of 301 estimates fills its rows where the sums read them;
         # read whole, they are the logs of every estimate
         rows, ceiling = log_rows(table), table._logs[2]
-        assert rows == (log_ds, log_es) and ceiling == max(-min(log_ds), -min(log_es))
+        assert tuple(map(list, rows)) == (log_ds, log_es) and (
+            ceiling == max(-min(log_ds), -min(log_es))
+        )
         assert len(calls) == 1 and table._logs[:2] == rows
 
     @pytest.mark.parametrize("n", [1, 63, 64, 300])
     def test_rows_of_at_most_64_estimates_are_whole_lists(self, n):
-        # a short table's rows are built whole, with no fill; a long one's
-        # are lists of the table's length that hold None where no sum has
-        # read them, and its fill computes both over a span
+        # a short table's rows are built whole, as lists, with no fill; a
+        # long one's are packed rows of the table's length that hold NaN
+        # where no sum has read them, and its fill computes both over a span
         table = EstimateTable.build(BinomialSetup(n=n), PriorSpec(a=1.5, b=2.0, p_bar=0.4))
         log_ds, log_es, ceiling, fill = EstimateTable(table.setup, table.prior, table.values)._logs
-        assert type(log_ds) is type(log_es) is list and len(log_ds) == len(log_es) == n + 1
+        kind = list if n + 1 <= 64 else array
+        assert type(log_ds) is type(log_es) is kind and len(log_ds) == len(log_es) == n + 1
         assert ceiling == max(-math.log(min(table.values)), -math.log1p(-max(table.values)))
         if n + 1 <= 64:
             assert fill is None and None not in log_ds + log_es
@@ -267,9 +271,9 @@ class TestTableRows:
         assert filled(log_ds) == filled(log_es) == 0
         fill(10, 20)
         fill(40, 50)  # the stretch between the two spans is filled too
-        assert [x for x, v in enumerate(log_ds) if v is not None] == list(range(10, 50))
-        assert log_ds[10:50] == [math.log(d) for d in table.values[10:50]]
-        assert log_es[10:50] == [math.log1p(-d) for d in table.values[10:50]]
+        assert [x for x, v in enumerate(log_ds) if v == v] == list(range(10, 50))
+        assert list(log_ds[10:50]) == [math.log(d) for d in table.values[10:50]]
+        assert list(log_es[10:50]) == [math.log1p(-d) for d in table.values[10:50]]
 
     @settings(max_examples=200, deadline=None)
     @given(

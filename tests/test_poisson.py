@@ -324,7 +324,7 @@ class TestLimitCorrespondence:
         # where both sides fall under 1e-15 and the risk sums a window near
         # x = 0: log C(1e4, .) and the table's two log rows fill only those
         # entries, where each was built whole for x = 0..1e4
-        binom._log_binom_coeffs.cache_clear()
+        binom._lazy_coeffs.cache_clear()
         estimators._build_large_table.cache_clear()
         cfg = PoissonConfig(r=1.0, s=1.0, a=1.0, lambda_bar=1.0)
         limit_convergence_report([10.0, 100.0, 1000.0, 10000.0], 0.5, cfg, 1)

@@ -3,11 +3,12 @@
 import gc
 import math
 import random
+import tracemalloc
 
 import pytest
 
 import binrisk.risk as risk_module
-from binrisk import binom
+from binrisk import binom, estimators
 from binrisk.binom import BinomialSetup, PriorSpec, pmf_windows
 from binrisk.estimators import EstimateTable
 from binrisk.predictive import plug_in_density
@@ -226,7 +227,7 @@ class TestRowsFilledWhereRead:
 
     def test_one_shot_risk_fills_the_core_and_its_probes(self):
         n, p = 100_000, 0.29
-        binom._log_binom_coeffs.cache_clear()
+        binom._lazy_coeffs.cache_clear()
         binom._long_windows.cache_clear()
         built = EstimateTable.build(BinomialSetup(n=n), PriorSpec(a=1.0, b=1.0, p_bar=0.3))
         table = EstimateTable(built.setup, built.prior, built.values)  # rows of its own
@@ -242,7 +243,7 @@ class TestRowsFilledWhereRead:
         # windows at increasing p overlap; the rows grow one filled stretch
         # from the first window's start to the last one's stop
         n = 3_000
-        binom._log_binom_coeffs.cache_clear()
+        binom._lazy_coeffs.cache_clear()
         built = EstimateTable.build(BinomialSetup(n=n), PriorSpec(a=1.0, b=1.0))
         table = EstimateTable(built.setup, built.prior, built.values)
         ps = [0.2 + 0.01 * k for k in range(11)]
@@ -252,8 +253,58 @@ class TestRowsFilledWhereRead:
         stop_start, last = pmf_windows(n, ps[-1]).core
         span = list(range(start, stop_start + len(last)))
         for row in table._logs[:2]:
-            assert [x for x, v in enumerate(row) if v is not None] == span
+            assert [x for x, v in enumerate(row) if v == v] == span
         assert filled(binom._log_binom_coeffs(n)) < len(span) + 11 * 2 * 12
+
+    @pytest.mark.parametrize("n", [300, 1_000, 3_000])
+    def test_a_sweep_computes_each_coefficient_once(self, monkeypatch, n):
+        # the edge probes compute single entries and the spans of the
+        # windows the runs between them: over a 64-p sweep of both tables
+        # of a risk-large-n job no x of log C(n, x) is computed twice
+        computed = []
+        entries = binom._coeff_entries
+
+        def spy(n, log_n1, log_s, d_s, start, stop):
+            computed.extend(range(start, stop))
+            return entries(n, log_n1, log_s, d_s, start, stop)
+
+        monkeypatch.setattr(binom, "_coeff_entries", spy)
+        binom._lazy_coeffs.cache_clear()
+        binom._long_windows.cache_clear()
+        setup = BinomialSetup(n=n)
+        tables = [EstimateTable.build(setup, PriorSpec(1.0, 1.0, p_bar=bar)) for bar in (None, 0.3)]
+        for k in range(1, 65):
+            for table in tables:
+                point_risk(table, 0.3 * k / 64)
+        assert len(computed) == len(set(computed)) == filled(binom._log_binom_coeffs(n))
+        binom._lazy_coeffs.cache_clear()
+        binom._long_windows.cache_clear()
+
+    def test_kept_rows_cost_8_bytes_an_entry(self):
+        # the rows a cold upper table at n = 3000 keeps after a 64-p sweep,
+        # log C(n, x), log d, log(1-d) and c, are packed: dropping them frees
+        # 8 bytes an entry, computed or not, and a few KB of headers and of
+        # the x the edge probes computed alone (99 here), where an entry
+        # held as a float object takes 32 bytes more
+        n = 3_000
+        tracemalloc.start()
+        try:
+            binom._lazy_coeffs.cache_clear()
+            binom._long_windows.cache_clear()
+            table = estimators._estimate_table(BinomialSetup(n=n), PriorSpec(1.0, 1.0, p_bar=0.3))
+            for k in range(1, 65):
+                point_risk(table, 0.3 * k / 64)
+            binom._long_windows.cache_clear()  # its windows hold the coefficient row too
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            del vars(table)["_logs"], vars(table)["_c_row"]
+            binom._lazy_coeffs.cache_clear()
+            gc.collect()
+            held -= tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        entries = 3 * (n + 1) + n + 2
+        assert 8 * entries <= held <= 8 * entries + 4_096
 
     def test_no_ratio_bound_sums_the_exact_window(self, monkeypatch, summed_rows):
         # a ratio that rounds to 1 or more past an edge leaves the core with

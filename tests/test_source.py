@@ -168,7 +168,8 @@ def test_p_free_row_builders_check_nothing():
     # the coefficient row and a table's log rows are filled where a window,
     # an edge probe or a mass reads them, inside the window builds and the
     # risk sums: their fillers call no check and raise nothing
-    fillers = [("binom.py", "_log_binom_coeffs"), ("binom.py", "_coeff_entries")]
+    fillers = [("binom.py", "_log_binom_coeffs"), ("binom.py", "_coeff_row")]
+    fillers += [("binom.py", "_coeff_entries")]
     fillers += [("binom.py", "_LazyRow"), ("estimators.py", "EstimateTable._logs")]
     found = []
     for module, name in fillers:
