@@ -3,7 +3,7 @@
 
     python scripts/time_calls.py --against OTHER_DIR [--pairs 8] [--quick]
 
-Seven cases, each timed with time.process_time in a fresh interpreter per
+Eight cases, each timed with time.process_time in a fresh interpreter per
 side, after one untimed round that fills the caches a sweep fills:
 
   sweep    the three calls of the predictive acceptance sweep at one p
@@ -37,7 +37,11 @@ side, after one untimed round that fills the caches a sweep fills:
            point_risk at n = 1e5, p = 0.29 of a table under a = b = 1 on
            (0, 0.3], built outside the timed region, its log rows dropped
            before each call, and limit_convergence_report
-           with a = 1, lambda_bar = 1 on K = 10, 100, 1000 and 10000.
+           with a = 1, lambda_bar = 1 on K = 10, 100, 1000 and 10000;
+  connection
+           connection_sum over 16 p on (0, 0.3] at n = 300, l = 5 under
+           (a, b) = (1, 2) on (0, 0.3], a configuration of long tables,
+           in milliseconds per p.
 
 A child times each case over several rounds and reports the median round.
 The pairs alternate which side runs first. For each case this prints each
@@ -53,8 +57,9 @@ set-up holds, an in-process figure for a memory change beside perfbench's
 peak RSS. CPU time leaves out the time the process waits for a core, so it
 does not follow the machine speed the way perfbench's wall-clock figures
 do. --quick runs one round of a few configurations, n = 300, 8 p, two
-targets, one table of each restriction, 20 kernel calls and the big-n risk
-at n = 1e4 without the report, for a smoke test.
+targets, one table of each restriction, 20 kernel calls, the big-n risk
+at n = 1e4 without the report and a connection sum at 4 p, for a smoke
+test.
 """
 
 from __future__ import annotations
@@ -80,6 +85,7 @@ CASES = (
     ("kernel", "us/call", 1e6),
     ("intervals", "ms/tbl", 1e3),
     ("big-n", "ms/call", 1e3),
+    ("connection", "ms/p", 1e3),
 )
 
 
@@ -211,6 +217,21 @@ def _big_n(n: int, report: bool):
     return run, 1 + report
 
 
+def _connection(points: int):
+    """A round of the connection case, and the number of p it covers."""
+    from binrisk.binom import PriorSpec
+    from binrisk.risk import connection_sum
+
+    prior = PriorSpec(a=1.0, b=2.0, p_bar=0.3)
+    ps = [0.3 * i / points for i in range(1, points + 1)]
+
+    def run() -> None:
+        for p in ps:
+            connection_sum(p, 300, 5, prior)
+
+    return run, points
+
+
 def child(src: Path, quick: bool) -> dict[str, list[float]]:
     """[seconds of CPU time per unit, bytes of the cold round's tracemalloc
     peak] of each case, for the binrisk under src."""
@@ -246,6 +267,7 @@ def child(src: Path, quick: bool) -> dict[str, list[float]]:
             + [(n, 1.0, 0.5, 0.6, 0.4) for n in (20, 60)]
         ),
         "big-n": _big_n(10_000, False) if quick else _big_n(100_000, True),
+        "connection": _connection(4) if quick else _connection(16),
     }
     result = {}
     for name, (run, units) in cases.items():
@@ -273,7 +295,7 @@ def _side(checkout: Path, quick: bool) -> dict[str, list[float]]:
 
 def report(parent: list[dict], change: list[dict]) -> list[str]:
     lines = [
-        f"{'case':<9} {'unit':<7} {'parent median':>14} {'change median':>14} {'change':>8}"
+        f"{'case':<10} {'unit':<7} {'parent median':>14} {'change median':>14} {'change':>8}"
         f" {'pair q1':>8} {'pair q3':>8}  won {'parent KiB':>11} {'change KiB':>11}"
     ]
     sides = parent, change
@@ -285,7 +307,7 @@ def report(parent: list[dict], change: list[dict]) -> list[str]:
             statistics.median(run[name][1] for run in side) / 1024 for side in sides
         )
         lines.append(
-            f"{name:<9} {unit:<7} {old:>14.4g} {new:>14.4g} {new / old - 1.0:>+8.1%}"
+            f"{name:<10} {unit:<7} {old:>14.4g} {new:>14.4g} {new / old - 1.0:>+8.1%}"
             f" {q1:>+8.1%} {q3:>+8.1%}  {won}/{len(parent)}"
             f" {old_kib:>11.0f} {new_kib:>11.0f}"
         )

@@ -11,8 +11,10 @@ table of more than 64 estimates keeps its rows packed, as array('d') with
 NaN where no sum has read them, computes them only over the spans its
 sums read, and takes the ceiling from its smallest and largest estimate; a
 table from build keeps the upper row c(0..n+1), packed, as _c_row (None
-if not upper), which the J rows and the small-p_bar condition read. The
-caches below and risk's connection tables decide how long a table is kept.
+if not upper), which the J rows and the small-p_bar condition read; it
+is built in the same backward pass as the estimates. The caches below and
+risk's connection tables decide how long a table is kept: tables of at
+most 256 estimates by the thousand, longer ones for one configuration.
 """
 
 from __future__ import annotations
@@ -114,9 +116,7 @@ def _estimate_table(setup: BinomialSetup, prior: PriorSpec) -> EstimateTable:
         # alpha M(alpha, beta), and c(x+1)/p_bar = E / M(alpha+1, beta), so d
         # is M(alpha+1, beta) / M(alpha, beta). Nothing is subtracted, and a
         # c that underflows to 0.0 gives exactly (x+a)/s.
-        c_row = _inverse_I_row(a, s + 1.0, prior.p_bar, n + 1)
-        values = [(x + a) / (s + c_row[x + 1] / prior.p_bar) for x in range(n + 1)]
-        c_row = array("d", c_row)  # kept packed, read as a list while building
+        c_row, values = _inverse_I_row(a, s, prior.p_bar, n)
     else:
         values = [(x + a) / s - _correction(x, s, prior) / s for x in range(n + 1)]
     table = EstimateTable(setup=setup, prior=prior, values=tuple(values))
@@ -129,9 +129,12 @@ def _estimate_table(setup: BinomialSetup, prior: PriorSpec) -> EstimateTable:
 # 60 tables it sums (n up to 3000, 80,368 estimates) with their log rows,
 # then whole lists of float objects, twice the floats of the estimates,
 # and its peak RSS rose from 24.5 to 32.6 MB; so only tables of at most
-# _SMALL_TABLE estimates go to that LRU, and 8 longer ones are kept. A
-# long table's log rows cost 8 bytes an entry, computed or not, and are
-# computed only where its sums read them.
+# _SMALL_TABLE estimates go to that LRU. Longer ones are kept for one
+# configuration: the untruncated and restricted pair that a grid, a CLI
+# command or a scalar risk difference builds, so one job's tables do not
+# outlive it (a connection sum keeps its own l, in risk). A long table's
+# log rows cost 8 bytes an entry, computed or not, and are computed only
+# where its sums read them.
 _SMALL_TABLE = 256
 _build_table = lru_cache(maxsize=4096)(_estimate_table)
-_build_large_table = lru_cache(maxsize=8)(_estimate_table)
+_build_large_table = lru_cache(maxsize=2)(_estimate_table)

@@ -19,8 +19,9 @@ lower tail up to the point _lower_side sets, above on B(1-x; b, a), taken
 from B(a, b); a tail that rounds up to B(a, b) raises ArithmeticError.
 Where the lower fraction runs on [0, p_bar], the upper I is that fraction
 over alpha, which _log_I reads without the kernel. The row
-1/I(x+a, gamma, p_bar), x = 0..m (_inverse_I_row), takes one I and a
-backward recurrence.
+1/I(x+a, s+1, p_bar), x = 0..n+1 (_inverse_I_row), takes one I and one
+backward recurrence, which writes the row packed, as array('d'), and forms
+the upper estimates from it in the same pass.
 
 The kernel is the one public function and checks its arguments. The four
 cores above check nothing: PriorSpec and BinomialSetup have checked what
@@ -32,6 +33,7 @@ which reads a correction without a table; a predictive mass needs none.
 from __future__ import annotations
 
 import math
+from array import array
 
 from .special import log_beta
 
@@ -162,20 +164,26 @@ def _log_I(alpha: float, gamma: float, p_bar: float, p_lo: float | None = None) 
     return log_m - alpha * log_r_bar - gamma * math.log1p(-p_bar)
 
 
-def _inverse_I_row(a: float, gamma: float, p_bar: float, m: int) -> list[float]:
-    """c = 1/I(x+a, gamma, p_bar) for x = 0..m (gamma > m+a): one I at
-    x = m, then the contiguous relation (DLMF 8.17(iv))
-    alpha (1-p_bar) I(alpha) = 1 + (gamma-alpha-1) p_bar I(alpha+1), run
-    backward on c. Its terms are positive, and it shrinks the relative
-    error carried from c(x+1) by (gamma-alpha-1) p_bar / {c(x+1) +
-    (gamma-alpha-1) p_bar} <= 1; a c that underflows to 0.0 stays there."""
-    c = math.exp(-_log_I(m + a, gamma, p_bar))
-    row = [c] * (m + 1)
+def _inverse_I_row(a: float, s: float, p_bar: float, n: int) -> tuple[array, list[float]]:
+    """The upper row and estimates in one backward pass: c = 1/I(x+a,
+    s+1, p_bar) for x = 0..n+1, packed, and d(x) = (x+a)/(s + c(x+1)/p_bar)
+    for x = 0..n (s > 0). One I at x = n+1, then the contiguous relation
+    (DLMF 8.17(iv)) alpha (1-p_bar) I(alpha) = 1 + (gamma-alpha-1) p_bar
+    I(alpha+1), gamma = s+1, run backward on c, each c written to the row
+    and read for d(x) as it is taken. Its terms are positive, and it
+    shrinks the relative error carried from c(x+1) by (gamma-alpha-1) p_bar
+    / {c(x+1) + (gamma-alpha-1) p_bar} <= 1; a c that underflows to 0.0
+    stays there. s is passed, not gamma, since (s+1) - 1 need not be s."""
+    gamma = s + 1.0
+    c = math.exp(-_log_I(n + 1 + a, gamma, p_bar))
+    row = array("d", [c]) * (n + 2)
+    values = [0.0] * (n + 1)
     q = 1.0 - p_bar
-    for x in range(m - 1, -1, -1):
+    for x in range(n, -1, -1):
         alpha = x + a
+        values[x] = alpha / (s + c / p_bar)
         c = row[x] = alpha * q * c / (c + (gamma - alpha - 1.0) * p_bar)
-    return row
+    return row, values
 
 
 def _bracket(alpha: float, gamma: float, p_lo: float, p_bar: float) -> float:

@@ -21,10 +21,10 @@ predictive_kl_risk takes the log rows of the predictive masses, and checks
 their shape, once per set of tables: it keeps the last two sets' masses
 and recognises a set by comparing them, which costs no hash of every
 mass. The (y, f(y), log f(y)) triples of the future pmf live on its
-window entry. connection_sum resolves its l tables once per (n, l, prior)
-when all are small, so each p costs only the l sums. Every risk takes p
-in (0, 1): _check_p, the library's one check of p, runs once per public
-call, and the sums below it take p as checked.
+window entry. connection_sum resolves its l tables once per (n, l, prior),
+four small configurations kept and one long one, so each p costs only the
+l sums. Every risk takes p in (0, 1): _check_p, the library's one check
+of p, runs once per public call, and the sums below it take p as checked.
 """
 
 from __future__ import annotations
@@ -177,13 +177,19 @@ def connection_sum(p: float, n: int, l: int, prior: PriorSpec) -> float:
     _check_trials("n", n)
     _check_trials("l", l)  # l < 1 would sum nothing
     _check_p(p)
-    resolve = _connection_tables if n + l <= _SMALL_TABLE else _connection_tables.__wrapped__
+    resolve = _connection_tables if n + l <= _SMALL_TABLE else _long_connection_tables
     return math.fsum(_risk_sums(resolve(n, l, prior), p))
 
 
-@lru_cache(maxsize=4)
-def _connection_tables(n: int, l: int, prior: PriorSpec) -> tuple[EstimateTable, ...]:
-    """The estimate tables for m = n..n+l-1, kept for every p when all are
-    small, as in estimators: a predictive sweep of 25 p per configuration
-    took 13% longer when each p built its setups and read the table cache."""
+def _tables_for_steps(n: int, l: int, prior: PriorSpec) -> tuple[EstimateTable, ...]:
+    """The estimate tables for m = n..n+l-1, kept for every p: a predictive
+    sweep of 25 p per configuration took 13% longer when each p built its
+    setups and read the table cache. Small configurations are kept by four,
+    as in estimators; a long one alone, since estimators keeps only two
+    long tables and a sweep over p would otherwise rebuild all l at each p
+    (2.5 times the time of a 16-p sweep at n = 300, l = 5)."""
     return tuple(EstimateTable.build(BinomialSetup(n=m), prior) for m in range(n, n + l))
+
+
+_connection_tables = lru_cache(maxsize=4)(_tables_for_steps)
+_long_connection_tables = lru_cache(maxsize=1)(_tables_for_steps)

@@ -14,7 +14,9 @@ padded to x = 0..n, for tests that need it whole. loss_row is the risk
 sums' loss expression as a function of the weights and the log rows,
 and unit_losses reads it at unit weight; log_rows reads a table's log
 rows whole, and filled counts the entries of a p-free row computed so
-far. mc_risk, a seeded sampler over
+far. two_pass_upper_table is the upper table built in two passes, the c
+row as a list and then the estimates from it, against which the one
+packed pass must be bit-identical. mc_risk, a seeded sampler over
 that loss row, is an oracle of point_risk's sum over x. The full-row sums
 evaluate every risk sum over all x = 0..n, zero pmf terms included, as
 references the windowed library sums must equal bit for bit;
@@ -205,6 +207,22 @@ def log_rows(estimates: EstimateTable) -> tuple[Sequence[float], Sequence[float]
     if fill:
         fill(0, estimates.setup.n + 1)
     return log_ds, log_es
+
+
+def two_pass_upper_table(n: int, a: float, b: float, p_bar: float) -> tuple[list, list]:
+    """The upper estimates d(0..n) and the row c(0..n+1) as two passes
+    build them: the backward recurrence on c = 1/I(x+a, s+1, p_bar) into a
+    list, then d(x) = (x+a)/(s + c(x+1)/p_bar) over that list. The same
+    operands in the same order as estimators' one pass, so the two agree
+    bit for bit."""
+    s = n + a + b
+    gamma, m = s + 1.0, n + 1
+    c = math.exp(-_log_I(m + a, gamma, p_bar))
+    row = [c] * (m + 1)
+    for x in range(m - 1, -1, -1):
+        alpha = x + a
+        c = row[x] = alpha * (1.0 - p_bar) * c / (c + (gamma - alpha - 1.0) * p_bar)
+    return [(x + a) / (s + row[x + 1] / p_bar) for x in range(n + 1)], row
 
 
 def filled(row: Sequence) -> int:

@@ -22,7 +22,14 @@ from binrisk.incbeta import SingularBoundError, _log_I
 from binrisk.predictive import PredictiveTable
 from binrisk.risk import point_risk
 
-from conftest import eval_I, filled, log_rows, loss_row, quad_posterior_mean
+from conftest import (
+    eval_I,
+    filled,
+    log_rows,
+    loss_row,
+    quad_posterior_mean,
+    two_pass_upper_table,
+)
 
 A_B_GRID = [0.5, 1.0, 2.0]
 TABLE_CACHES = (estimators._build_table, estimators._build_large_table)
@@ -328,17 +335,26 @@ class TestTableRows:
         assert estimators._build_table.cache_info().currsize == 1
         assert estimators._build_large_table.cache_info().currsize == 1
 
-    def test_at_most_8_long_tables_are_kept(self):
+    def test_at_most_2_long_tables_are_kept(self):
+        # the untruncated and restricted pair of one configuration: a third
+        # long table drops the first, with its rows, and it is built again
         clear_tables()
         setup = BinomialSetup(n=300)
-        priors = [PriorSpec(a=1.0 + k / 10, b=1.0) for k in range(20)]
-        for prior in priors:
-            point_risk(EstimateTable.build(setup, prior), 0.2)
+        priors = [
+            PriorSpec(a=1.0, b=1.0),
+            PriorSpec(a=1.0, b=1.0, p_bar=0.3),
+            PriorSpec(a=2.0, b=1.0),
+        ]
+        first, second = (EstimateTable.build(setup, prior) for prior in priors[:2])
+        for table in (first, second):
+            point_risk(table, 0.2)
+        EstimateTable.build(setup, priors[2])
         long_tables = estimators._build_large_table.cache_info()
-        assert long_tables.misses == 20 and long_tables.currsize <= 8
+        assert long_tables.misses == 3 and long_tables.currsize == 2
         assert estimators._build_table.cache_info().currsize == 0
-        # the first table was dropped with its rows and is built again
-        assert "_logs" not in vars(EstimateTable.build(setup, priors[0]))
+        assert EstimateTable.build(setup, priors[1]) is second
+        rebuilt = EstimateTable.build(setup, priors[0])
+        assert rebuilt is not first and "_logs" not in vars(rebuilt)
 
 
 ROW_NS = [1, 2, 5, 12, 32, 300, 1000, 3000]
@@ -437,6 +453,23 @@ class TestUpperRows:
             # the table's own c(0..n), bit for bit, and their reciprocals
             assert [c.hex() for c in inv] == [c.hex() for c in c_row[: n + 1]]
             assert i_row == [1.0 / c for c in inv]
+
+    @pytest.mark.parametrize(
+        "a, b, p_bar",
+        [(1.0, 1.0, 0.3), (0.5, 3.0, 1e-5), (2.0, 0.5, 0.95), (0.05, 0.3, 0.999), (0.1, 0.2, 0.3)],
+    )
+    @pytest.mark.parametrize("n", [1, 63, 64, 300, 3000])
+    def test_one_pass_equals_the_two_pass_build(self, n, a, b, p_bar):
+        # the row is written packed and each estimate formed from the c it
+        # has just read, with the operands and order of the two-pass build;
+        # under (0.1, 0.2) at n = 1 and 63, (s + 1) - 1 is not s
+        table = estimators._estimate_table(BinomialSetup(n=n), PriorSpec(a, b, p_bar=p_bar))
+        values, c_row = two_pass_upper_table(n, a, b, p_bar)
+        assert isinstance(table._c_row, array) and len(table._c_row) == n + 2
+        assert all(new == old for new, old in zip(table.values, values, strict=True))
+        assert all(new == old for new, old in zip(table._c_row, c_row, strict=True))
+        if (n, p_bar) in ((3000, 0.95), (3000, 0.999)):
+            assert 0.0 in c_row  # c that underflows stays 0.0 in both
 
     def test_underflowed_row_gives_the_untruncated_estimate(self):
         n, a, b, p_bar = 3000, 1.0, 1.0, 0.95

@@ -4,6 +4,7 @@ import gc
 import math
 import random
 import tracemalloc
+from functools import lru_cache
 
 import pytest
 
@@ -690,17 +691,39 @@ class TestConnectionSum:
             ]
             assert connection_sum(p, n, l, prior) == math.fsum(point_risks)
 
-    def test_keeps_only_small_configurations(self):
-        # configurations with a table of more than 256 estimates are not
-        # kept here, so at most the 8 large tables estimators keeps stay alive
-        for a in (0.5, 1.0, 1.5, 2.0):
-            connection_sum(0.3, 3000, 10, PriorSpec(a=a, b=1.0, p_bar=0.5))
+    def test_keeps_only_the_last_long_configuration(self):
+        # a configuration with a table of more than 256 estimates is kept
+        # alone, and estimators keeps two long tables, so after four long
+        # configurations only the last one's l tables stay alive
+        priors = [PriorSpec(a=a, b=1.0, p_bar=0.5) for a in (0.5, 1.0, 1.5, 2.0)]
+        for prior in priors:
+            connection_sum(0.3, 3000, 10, prior)
         gc.collect()
         large = [
             obj for obj in gc.get_objects()
             if isinstance(obj, EstimateTable) and len(obj.values) > 256
         ]
-        assert len(large) <= 8
+        assert sorted((t.setup.n, t.prior) for t in large) == [
+            (m, priors[-1]) for m in range(3000, 3010)
+        ]
+        risk_module._long_connection_tables.cache_clear()
+
+    def test_a_long_sweep_builds_each_table_once(self, monkeypatch):
+        # the long configuration is kept for every p, so a sweep builds its
+        # five tables once, where estimators alone keeps only two of them
+        built = []
+
+        def spy(setup, prior):
+            built.append(setup.n)
+            return estimators._estimate_table(setup, prior)
+
+        size = estimators._build_large_table.cache_info().maxsize
+        monkeypatch.setattr(estimators, "_build_large_table", lru_cache(maxsize=size)(spy))
+        risk_module._long_connection_tables.cache_clear()
+        for k in range(1, 17):
+            connection_sum(0.3 * k / 16, 300, 5, PriorSpec(1.0, 2.0, p_bar=0.3))
+        risk_module._long_connection_tables.cache_clear()
+        assert built == [300, 301, 302, 303, 304]
 
     @pytest.mark.parametrize("p,n,l", [(0.3, 5, 0), (7.0, 5, -2)])
     def test_rejects_invalid_arguments(self, p, n, l):
