@@ -3,7 +3,7 @@
 
     python scripts/time_calls.py --against OTHER_DIR [--pairs 8] [--quick]
 
-Eight cases, each timed with time.process_time in a fresh interpreter per
+Nine cases, each timed with time.process_time in a fresh interpreter per
 side, after one untimed round that fills the caches a sweep fills:
 
   sweep    the three calls of the predictive acceptance sweep at one p
@@ -32,12 +32,14 @@ side, after one untimed round that fills the caches a sweep fills:
            (a, b) = (2, 2) on [0.05, 0.5] and n = 20 and 60 under (1, 0.5)
            on [0.4, 0.6], tables that build (at n = 2000 on [0.05, 0.5]
            the bracket term overflows);
-  big-n    cold calls at large n, in milliseconds per call, every cache
-           of binom, estimators and predictive emptied before each:
-           point_risk at n = 1e5, p = 0.29 of a table under a = b = 1 on
-           (0, 0.3], built outside the timed region, its log rows dropped
-           before each call, and limit_convergence_report
-           with a = 1, lambda_bar = 1 on K = 10, 100, 1000 and 10000;
+  big-n    a cold point_risk at n = 1e5, p = 0.29, in milliseconds per
+           call, of a table under a = b = 1 on (0, 0.3], built outside
+           the timed region, its log rows dropped and every cache of
+           binom, estimators and predictive emptied before each call;
+  limit    a cold limit_convergence_report with a = 1, lambda_bar = 1 on
+           K = 10, 100, 1000 and 10000, in milliseconds per call, the
+           same caches emptied before each call, so its cold peak is the
+           report's own, upper tables to n = 1e4 included;
   connection
            connection_sum over 16 p on (0, 0.3] at n = 300, l = 5 under
            (a, b) = (1, 2) on (0, 0.3], a configuration of long tables,
@@ -58,8 +60,8 @@ peak RSS. CPU time leaves out the time the process waits for a core, so it
 does not follow the machine speed the way perfbench's wall-clock figures
 do. --quick runs one round of a few configurations, n = 300, 8 p, two
 targets, one table of each restriction, 20 kernel calls, the big-n risk
-at n = 1e4 without the report and a connection sum at 4 p, for a smoke
-test.
+at n = 1e4, the limit report on K = 10 and 100 and a connection sum at 4 p,
+for a smoke test.
 """
 
 from __future__ import annotations
@@ -85,6 +87,7 @@ CASES = (
     ("kernel", "us/call", 1e6),
     ("intervals", "ms/tbl", 1e3),
     ("big-n", "ms/call", 1e3),
+    ("limit", "ms/call", 1e3),
     ("connection", "ms/p", 1e3),
 )
 
@@ -185,13 +188,9 @@ def _kernel(pairs: int):
     return run, len(points)
 
 
-def _big_n(n: int, report: bool):
-    """A round of the big-n case, and the number of calls it makes."""
+def _cold_caches():
+    """A call that empties every cache of binom, estimators and predictive."""
     from binrisk import binom, estimators, predictive
-    from binrisk.binom import BinomialSetup, PriorSpec
-    from binrisk.estimators import EstimateTable
-    from binrisk.poisson import PoissonConfig, limit_convergence_report
-    from binrisk.risk import point_risk
 
     caches = [
         cache
@@ -199,22 +198,43 @@ def _big_n(n: int, report: bool):
         for cache in vars(module).values()
         if hasattr(cache, "cache_clear")
     ]
-    table = EstimateTable.build(BinomialSetup(n=n), PriorSpec(a=1.0, b=1.0, p_bar=0.3))
-    config = PoissonConfig(r=1.0, a=1.0, lambda_bar=1.0)
 
     def cold() -> None:
         for cache in caches:
             cache.cache_clear()
-        vars(table).pop("_logs", None)
+
+    return cold
+
+
+def _big_n(n: int):
+    """A round of the big-n case, and the number of calls it makes."""
+    from binrisk.binom import BinomialSetup, PriorSpec
+    from binrisk.estimators import EstimateTable
+    from binrisk.risk import point_risk
+
+    cold = _cold_caches()
+    table = EstimateTable.build(BinomialSetup(n=n), PriorSpec(a=1.0, b=1.0, p_bar=0.3))
 
     def run() -> None:
         cold()
+        vars(table).pop("_logs", None)
         point_risk(table, 0.29)
-        if report:
-            cold()
-            limit_convergence_report([10.0, 100.0, 1000.0, 10000.0], 0.5, config, 1)
 
-    return run, 1 + report
+    return run, 1
+
+
+def _limit(ks: list[float]):
+    """A round of the limit case, and the number of calls it makes."""
+    from binrisk.poisson import PoissonConfig, limit_convergence_report
+
+    cold = _cold_caches()
+    config = PoissonConfig(r=1.0, a=1.0, lambda_bar=1.0)
+
+    def run() -> None:
+        cold()
+        limit_convergence_report(ks, 0.5, config, 1)
+
+    return run, 1
 
 
 def _connection(points: int):
@@ -266,7 +286,8 @@ def child(src: Path, quick: bool) -> dict[str, list[float]]:
             else [(n, 2.0, 2.0, 0.5, 0.05) for n in (100, 300, 600)]
             + [(n, 1.0, 0.5, 0.6, 0.4) for n in (20, 60)]
         ),
-        "big-n": _big_n(10_000, False) if quick else _big_n(100_000, True),
+        "big-n": _big_n(10_000 if quick else 100_000),
+        "limit": _limit([10.0, 100.0] if quick else [10.0, 100.0, 1000.0, 10000.0]),
         "connection": _connection(4) if quick else _connection(16),
     }
     result = {}

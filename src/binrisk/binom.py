@@ -4,9 +4,10 @@ pmf_windows(n, p) holds, in one cache entry, the exact window of (n, p),
 every x whose pmf is not exactly 0.0, and its core window, the x within
 e^-64 of the pmf peak, with a bound on the sum of the terms the core
 leaves out; each term is exponentiated once. Building an entry costs its
-core: the builder searches the core's two edges and bounds the terms past
-each by their geometric decay there; the exact window's edges are
-searched on its first read. An entry read as the future pmf of the
+core: the builder searches the core's two edges in the lgamma form of
+the pmf exponent, which reads no row, and bounds the terms past each by
+their geometric decay there; the exact window's edges are searched the
+same way on its first read. An entry read as the future pmf of the
 predictive KL risk also keeps the (y, f(y), log f(y)) triples of its
 nonzero terms, which that risk iterates as they are. Entries sit in two
 caches by row length: up to 1,024 short rows, which sweeps revisit at the
@@ -19,11 +20,10 @@ The windows read log C(n, x) from one row per n, _log_binom_coeffs(n):
 a plain list when it has at most _WHOLE_ROW entries, which the row pass
 and the predictive masses at small l read whole, and above that a
 _LazyRow, a packed array('d') of 8 bytes an entry that holds NaN where an
-entry is not yet computed; an entry is computed, once, where a window, an
-edge probe or a mass first reads it, so a one-shot risk at n = 1e5, p =
-0.29 computes 3,265 of 100,001: its core and 19 probes of its two edge
-searches. Up to 256 whole rows and 8 lazy ones are kept. The estimate
-tables keep their long log rows the same way.
+entry is not yet computed; an entry is computed where a window's terms or
+a mass first read it, so a one-shot risk at n = 1e5, p = 0.29 computes
+3,246 of 100,001, its core. Up to 256 whole rows and 8 lazy ones are
+kept. The estimate tables keep their long log rows the same way.
 
 Also holds the two descriptors shared across the package, the
 trial-count setup and the (possibly truncated) beta prior; the bases of
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_left, insort
 from collections import namedtuple
 from functools import lru_cache, partial
 from itertools import count
@@ -174,25 +173,21 @@ class _LazyRow:
     """A p-free row over x = 0..size-1 whose entries are computed where
     they are first read, by entries(start, stop), the row's x =
     start..stop-1. values is the row, a packed array('d') that holds NaN
-    where an entry is not yet computed. An index x >= 0 reads one entry;
-    the x of each entry it computes outside the filled stretch is kept, in
-    order, in _singles, a packed array of ints. span(start, stop) computes
-    a stretch: it grows the one filled stretch [lo, hi) to hold it, so
-    that the windows of a sweep over p, which overlap, compute each entry
-    once, and computes the part it adds in runs between the singles there,
-    so that an entry an edge probe computed is not computed again."""
+    where an entry is not yet computed. An index x >= 0 reads one entry,
+    as the predictive masses and the plug-in density do. span(start, stop)
+    computes a stretch: it grows the one filled stretch [lo, hi) to hold
+    it, so that the windows of a sweep over p, which overlap, compute each
+    entry once."""
 
-    __slots__ = ("values", "_entries", "_lo", "_hi", "_singles")
+    __slots__ = ("values", "_entries", "_lo", "_hi")
 
     def __init__(self, size: int, entries) -> None:
         self.values, self._entries, self._lo, self._hi = _UNSET * size, entries, 0, 0
-        self._singles = array("l")
 
     def __getitem__(self, x: int) -> float:
         value = self.values[x]
         if value != value:
             value = self.values[x] = self._entries(x, x + 1)[0]
-            insort(self._singles, x)
         return value
 
     def span(self, start: int, stop: int) -> None:
@@ -200,22 +195,11 @@ class _LazyRow:
         if self._lo == self._hi:
             self._lo = self._hi = start
         if start < self._lo:
-            self._fill(start, self._lo)
+            self.values[start : self._lo] = array("d", self._entries(start, self._lo))
             self._lo = start
         if stop > self._hi:
-            self._fill(self._hi, stop)
+            self.values[self._hi : stop] = array("d", self._entries(self._hi, stop))
             self._hi = stop
-
-    def _fill(self, start: int, stop: int) -> None:
-        """Computes the entries x = start..stop-1 but the singles, one call
-        of entries per run between them; those singles leave _singles."""
-        singles = self._singles
-        i, j = bisect_left(singles, start), bisect_left(singles, stop)
-        done = singles[i:j].tolist()
-        del singles[i:j]
-        for lo, hi in zip([start] + [x + 1 for x in done], done + [stop]):
-            if lo < hi:
-                self.values[lo:hi] = array("d", self._entries(lo, hi))
 
 
 def _coeff_entries(
@@ -235,8 +219,8 @@ def _coeff_entries(
 
 def _coeff_row(n: int) -> list[float] | _LazyRow:
     """The row log C(n, x), x = 0..n: a plain list when whole, else a
-    _LazyRow that computes an entry the first time a window, an edge probe
-    or a mass reads it."""
+    _LazyRow that computes an entry the first time a window's terms or a
+    mass read it."""
     entries = partial(_coeff_entries, n, math.log(n + 1), math.log(n + 2), _stirling_error(n + 2))
     return entries(0, n + 1) if n + 1 <= _WHOLE_ROW else _LazyRow(n + 1, entries)
 
@@ -254,8 +238,10 @@ def _log_binom_coeffs(n: int) -> list[float] | _LazyRow:
 
 
 # math.exp is exactly 0.0 below about -745.13. Past the first exponent
-# under this cutoff, 1 below -745.2, the log pmf only falls, and the
-# rounding of the computed exponents, far below 1, cannot lift one back
+# under this cutoff, 1 below -745.2, the log pmf only falls, and neither
+# the rounding of the computed exponents nor the gap between them and the
+# searched lgamma form (_log_pmf), both far below the 1.07 of margin, can
+# lift one back
 _EXP_CUTOFF = -746.2
 
 # The core window keeps the x whose pmf exponent lies within _DEPTH of the
@@ -268,15 +254,25 @@ _DEPTH = 64.0
 _RATIO_SLACK = 1.0 + 2.0**-40
 
 
+def _log_pmf(n: int, log_p: float, log_q: float, x: int) -> float:
+    """The pmf exponent at x in lgamma form, lgamma(n+1) - lgamma(x+1) -
+    lgamma(n-x+1) + x log_p + (n-x) log_q, which reads no row: within
+    4e-9 of the exponent _exp_terms computes from log C(n, x) for n up to
+    MAX_TRIALS (seeded x), far inside the 1 of the tail bound and the 1.07
+    between _EXP_CUTOFF and exp's zero."""
+    lgamma = math.lgamma
+    return lgamma(n + 1) - lgamma(x + 1) - lgamma(n - x + 1) + x * log_p + (n - x) * log_q
+
+
 def _window_edge(row: tuple, inner: int, end: int, floor: float) -> int:
-    """The last x from inner toward end whose pmf exponent is not under
-    floor, inner's not being under it, by bisection: the log pmf is
-    unimodal, so along the way the test flips once. row is (n, coeffs,
-    log_p, log_q), as for _exp_terms."""
-    n, coeffs, log_p, log_q = row
+    """The last x from inner toward end whose pmf exponent, in lgamma form,
+    is not under floor, inner's not being under it, by bisection: the log
+    pmf is unimodal, so along the way the test flips once. row is (n,
+    coeffs, log_p, log_q), as for _exp_terms; no entry of coeffs is read."""
+    n, _, log_p, log_q = row
     outer, x = end, end
     while True:
-        if coeffs[x] + x * log_p + (n - x) * log_q >= floor:
+        if _log_pmf(n, log_p, log_q, x) >= floor:
             inner = x
         else:
             outer = x
@@ -310,21 +306,24 @@ class PmfWindows:
     pmf_windows.
 
     exact() holds C(n,x) p^x (1-p)^(n-x), in log space, wherever it is
-    not exactly 0.0: the log pmf is unimodal, so the window
-    runs from the mode out to the last exponent not under _EXP_CUTOFF on
-    either side. core is the part of it whose exponents lie within _DEPTH
-    of the exponent at the mode, found by searching its two edges alone,
-    and tail bounds the sum of every term core leaves out (0.0 when it
-    leaves none). Past an edge the log pmf is concave, so the terms fall
-    at least as fast as the pmf ratio r just past it: (n-x)/(x+1) p/q for
-    the first x right of the core, x/(n-x+1) q/p for the first x left of
-    it. The first term left out lies under e^(peak - _DEPTH), so a side's
-    terms sum to at most e^(peak - _DEPTH + 1)/(1 - r), where the 1 covers
-    the rounding of the computed exponents, far below 1; where r is not
-    under 1, tail is inf and the sum runs over the exact window. Each
-    window is a pair (start, terms) for x = start, start+1, ...; core is
-    built with the entry, and exact() searches its edges and extends core
-    on its first call, so no term is exponentiated twice.
+    not exactly 0.0: the log pmf is unimodal, so the window runs from the
+    mode out to the last exponent not under _EXP_CUTOFF on either side.
+    core is the part of it whose exponents lie within _DEPTH of the
+    exponent at the mode, and tail bounds the sum of every term core
+    leaves out (0.0 when it leaves none). The edges of both windows and
+    the exponent at the mode are searched in lgamma form (_log_pmf), so a
+    search reads no entry of the coefficient row and only the terms
+    computed fill it. Past an edge the log pmf is concave, so the terms
+    fall at least as fast as the pmf ratio r just past it: (n-x)/(x+1) p/q
+    for the first x right of the core, x/(n-x+1) q/p for the first x left
+    of it. The first term left out lies under e^(peak - _DEPTH), so a
+    side's terms sum to at most e^(peak - _DEPTH + 1)/(1 - r), where the 1
+    covers the rounding of the computed exponents and their gap to the
+    lgamma form, both far below 1; where r is not under 1, tail is inf and
+    the sum runs over the exact window. Each window is a pair (start,
+    terms) for x = start, start+1, ...; core is built with the entry, and
+    exact() searches its edges and extends core on its first call, so no
+    term is exponentiated twice.
     """
 
     __slots__ = ("core", "tail", "_exact", "_rest", "_logs")
@@ -353,11 +352,10 @@ class PmfWindows:
 def _build_windows(n: int, p: float) -> PmfWindows:
     """The windows of (n, p) for n >= 1 and 0 < p < 1, unchecked."""
     windows = PmfWindows()
-    coeffs = _log_binom_coeffs(n)
     log_p, log_q, q = math.log(p), math.log1p(-p), 1.0 - p
-    row = n, coeffs, log_p, log_q
+    row = n, _log_binom_coeffs(n), log_p, log_q
     mode = min(int((n + 1) * p), n)
-    floor = coeffs[mode] + mode * log_p + (n - mode) * log_q - _DEPTH
+    floor = _log_pmf(n, log_p, log_q, mode) - _DEPTH
     core_start = _window_edge(row, mode, 0, floor)
     core_stop = _window_edge(row, mode, n, floor) + 1
     windows.core = core_start, _exp_terms(row, core_start, core_stop)

@@ -289,7 +289,6 @@ def threshold_scan(a: float, size: int = 50) -> tuple[tuple[float, ...], tuple[f
     change lies within THRESHOLD_TOL of it.
     """
     grid = p_grid(1.0 - 1e-4, 0.5 + 1e-4, size)
-    _check_shape(a=a)
     values = tuple(max_risk_diff_symmetric_n1(a, pb) for pb in grid)
     turn = next((i for i, v in enumerate(values) if v >= 0.0), None)
     if not turn:  # no sign change, or a nonnegative first value

@@ -57,8 +57,9 @@ def plug_in_density(y: int, l: int, d: float) -> float:
 
     The one term is computed as binom._exp_terms computes the pmf window's,
     so it equals the window's term bit for bit; outside the exact window
-    its exponent is under -746.2 and exp gives the window's 0.0. No window
-    is built: every estimate d is a new p, which only this term reads.
+    its exponent lies within 4e-9 of an lgamma form under -746.2, so exp
+    gives the window's 0.0. No window is built: every estimate d is a new
+    p, which only this term reads.
     """
     if not 0.0 < d < 1.0:
         raise ValueError(f"plug-in estimate d must be in (0, 1), got {d}")
@@ -96,8 +97,4 @@ class PredictiveTable(_Table):
 def bayes_predictive_tables(setup: BinomialSetup, prior: PriorSpec) -> list[PredictiveTable]:
     """Bayesian predictive tables for x = 0..n, each built and validated
     before any measure that only the next one needs."""
-    ys = range(setup.l + 1)
-    return [
-        PredictiveTable(setup, prior, x, tuple([*_masses(ys, x, setup, prior)]))
-        for x in range(setup.n + 1)
-    ]
+    return [PredictiveTable.build(setup, prior, x) for x in range(setup.n + 1)]

@@ -4,6 +4,8 @@ and the records built on them."""
 import copy
 import math
 import pickle
+import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +28,7 @@ from binrisk.estimators import EstimateTable
 from binrisk.poisson import PoissonConfig, limit_convergence_report
 from binrisk.predictive import PredictiveTable, plug_in_density
 from binrisk.risk import connection_sum
-from binrisk.special import log_beta
+from binrisk.special import _stirling_error, log_beta
 
 from conftest import entropy_loss_direct, filled, full_pmf_row, unit_losses, window_row
 
@@ -130,10 +132,6 @@ class TestBinomPmf:
         assert spans[2:] == [(20, 30), (30, 60), (10, 20)]
         assert [x for x, v in enumerate(row.values) if v == v] == [7, *range(10, 60), 99]
         assert list(row.values[20:30]) == [float(x) for x in range(20, 30)]
-        # an entry read alone is not computed again by a span over it
-        assert row[70] == 70.0 and spans[-1] == (70, 71)
-        row.span(65, 80)
-        assert spans[-2:] == [(60, 70), (71, 80)] and list(row.values[60:80]) == list(range(60, 80))
         with pytest.raises(IndexError):
             row[100]
 
@@ -150,6 +148,21 @@ class TestBinomPmf:
         row = _log_binom_coeffs(n)
         expected = [(-math.log(n + 1) - log_beta(x + 1, n - x + 1)).hex() for x in xs]
         assert [row[x].hex() for x in xs] == expected
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 1_000, 100_000, binom.MAX_TRIALS])
+    def test_searched_exponent_is_the_rows_within_1e_6(self, n):
+        # the edge searches bisect on the lgamma form of the pmf exponent,
+        # which reads no row; the windows' margins absorb its gap to the
+        # exponent the terms are computed from (4e-9 up to n = 1e6)
+        rng = random.Random(n)
+        entries = partial(
+            binom._coeff_entries, n, math.log(n + 1), math.log(n + 2), _stirling_error(n + 2)
+        )
+        for _ in range(40):
+            x, p = rng.randint(0, n), 10 ** rng.uniform(-12.0, 0.0) * 0.999
+            log_p, log_q = math.log(p), math.log1p(-p)
+            row = entries(x, x + 1)[0] + x * log_p + (n - x) * log_q
+            assert binom._log_pmf(n, log_p, log_q, x) == pytest.approx(row, rel=0.0, abs=1e-6)
 
     @pytest.mark.parametrize(
         "n, p",

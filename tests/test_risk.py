@@ -223,10 +223,32 @@ class TestCoreWindowCertificate:
 
 class TestRowsFilledWhereRead:
     """The p-free rows are computed only where a window reads them: log C(n,
-    x) over the core and its edge probes, and the table's log rows over the
-    spans summed."""
+    x) over the terms a window computes, which the edge searches, done in
+    lgamma form, do not add to, and the table's log rows over the spans
+    summed."""
 
-    def test_one_shot_risk_fills_the_core_and_its_probes(self):
+    def test_a_cold_window_computes_only_its_core(self, monkeypatch):
+        spans = []
+        entries = binom._coeff_entries
+
+        def spy(n, log_n1, log_s, d_s, start, stop):
+            spans.append((start, stop))
+            return entries(n, log_n1, log_s, d_s, start, stop)
+
+        monkeypatch.setattr(binom, "_coeff_entries", spy)
+        binom._lazy_coeffs.cache_clear()
+        binom._long_windows.cache_clear()
+        windows = pmf_windows(100_000, 0.29)
+        core_start, core = windows.core
+        assert spans == [(core_start, core_start + len(core))] and len(core) == 3_246
+        # the exact window's edge searches read no row either: it computes
+        # the stretches it adds on each side of the core
+        start, terms = windows.exact()
+        assert spans[1:] == [(start, core_start), (core_start + len(core), start + len(terms))]
+        binom._lazy_coeffs.cache_clear()
+        binom._long_windows.cache_clear()
+
+    def test_one_shot_risk_fills_only_its_core(self):
         n, p = 100_000, 0.29
         binom._lazy_coeffs.cache_clear()
         binom._long_windows.cache_clear()
@@ -234,15 +256,14 @@ class TestRowsFilledWhereRead:
         table = EstimateTable(built.setup, built.prior, built.values)  # rows of its own
         risk = point_risk(table, p)
         core = len(pmf_windows(n, p).core[1])
-        assert core == 3_246
-        # each edge search probes at most 18 x, which seldom compute an entry
-        assert core <= filled(binom._log_binom_coeffs(n)) <= core + 2 * 18
+        assert core == 3_246 == filled(binom._log_binom_coeffs(n))
         assert [filled(row) for row in table._logs[:2]] == [core, core]
         assert risk.hex() == full_row_risk(table, p).hex()
 
     def test_a_grid_fills_the_stretch_its_windows_span(self):
-        # windows at increasing p overlap; the rows grow one filled stretch
-        # from the first window's start to the last one's stop
+        # windows at increasing p overlap; the rows, log C(n, x) too, grow
+        # one filled stretch from the first window's start to the last one's
+        # stop
         n = 3_000
         binom._lazy_coeffs.cache_clear()
         built = EstimateTable.build(BinomialSetup(n=n), PriorSpec(a=1.0, b=1.0))
@@ -255,13 +276,13 @@ class TestRowsFilledWhereRead:
         span = list(range(start, stop_start + len(last)))
         for row in table._logs[:2]:
             assert [x for x, v in enumerate(row) if v == v] == span
-        assert filled(binom._log_binom_coeffs(n)) < len(span) + 11 * 2 * 12
+        assert filled(binom._log_binom_coeffs(n)) == len(span)
 
     @pytest.mark.parametrize("n", [300, 1_000, 3_000])
     def test_a_sweep_computes_each_coefficient_once(self, monkeypatch, n):
-        # the edge probes compute single entries and the spans of the
-        # windows the runs between them: over a 64-p sweep of both tables
-        # of a risk-large-n job no x of log C(n, x) is computed twice
+        # only the windows' spans compute entries, each growing the one
+        # filled stretch: over a 64-p sweep of both tables of a risk-large-n
+        # job no x of log C(n, x) is computed twice
         computed = []
         entries = binom._coeff_entries
 
@@ -284,9 +305,8 @@ class TestRowsFilledWhereRead:
     def test_kept_rows_cost_8_bytes_an_entry(self):
         # the rows a cold upper table at n = 3000 keeps after a 64-p sweep,
         # log C(n, x), log d, log(1-d) and c, are packed: dropping them frees
-        # 8 bytes an entry, computed or not, and a few KB of headers and of
-        # the x the edge probes computed alone (99 here), where an entry
-        # held as a float object takes 32 bytes more
+        # 8 bytes an entry, computed or not, and a few KB of headers, where
+        # an entry held as a float object takes 32 bytes more
         n = 3_000
         tracemalloc.start()
         try:
@@ -331,19 +351,26 @@ class TestRowsFilledWhereRead:
             assert math.fsum(left_out) <= windows.tail
             assert (windows.tail == 0.0) == (len(core) == n + 1)
 
-    def test_seeded_risks_equal_the_full_row_sums(self):
-        # n log-uniform on [1, 1e5], p log-uniform on [1e-9, 1/2] and
-        # mirrored on half the draws, untruncated or upper-truncated priors
-        rng = random.Random(39)
+    @pytest.mark.parametrize("seed, n_max, p_min", [(39, 1e5, 1e-9), (42, 1e4, 1e-12)])
+    def test_seeded_risks_equal_the_full_row_sums(self, seed, n_max, p_min):
+        # n log-uniform on [1, n_max], p log-uniform on [p_min, 1/2] and
+        # mirrored on half the draws, untruncated or upper-truncated priors.
+        # The edges are searched in lgamma form: the exact window still
+        # reaches the full row's first and last nonzero terms
+        rng = random.Random(seed)
         differ = []
         for _ in range(60):
-            n = int(10 ** rng.uniform(0.0, 5.0))
-            p = 10 ** rng.uniform(-9.0, math.log10(0.5))
+            n = int(10 ** rng.uniform(0.0, math.log10(n_max)))
+            p = 10 ** rng.uniform(math.log10(p_min), math.log10(0.5))
             p = 1.0 - p if rng.random() < 0.5 else p
             a, b = 10 ** rng.uniform(-1.0, 1.0), 10 ** rng.uniform(-1.0, 1.0)
             p_bar = rng.choice([None, rng.uniform(0.01, 0.99)])
             table = EstimateTable.build(BinomialSetup(n=n), PriorSpec(a, b, p_bar=p_bar))
-            if point_risk(table, p).hex() != full_row_risk(table, p).hex():
+            start, terms = pmf_windows(n, p).exact()
+            held = [x for x, w in enumerate(terms, start) if w]
+            nonzero = [x for x, w in enumerate(full_pmf_row(n, p)) if w]
+            window = (held[0], held[-1]) == (nonzero[0], nonzero[-1])
+            if not window or point_risk(table, p).hex() != full_row_risk(table, p).hex():
                 differ.append((n, p, a, b, p_bar))
         assert differ == []
 

@@ -160,14 +160,14 @@ def test_p_free_row_builders_check_nothing():
     # grid engines take the tables, the rows and the grid as built; the mass
     # tables' log rows are built once per table set, after the per-p entry
     # has checked p and the table count; the predictive masses take x and y
-    # as checked by bayes_predictive and PredictiveTable.build, and the
-    # table set makes its own x = 0..n
+    # as checked by bayes_predictive and PredictiveTable.build, through
+    # which the table set builds its own x = 0..n
     assert _check_calls("dominance.py", {"_j_rows", "_window_pass", "_row_pass"}) == []
     assert _check_calls("risk.py", {"_mass_logs", "_log_rows"}) == []
     assert _check_calls("predictive.py", {"_masses", "bayes_predictive_tables"}) == []
-    # the coefficient row and a table's log rows are filled where a window,
-    # an edge probe or a mass reads them, inside the window builds and the
-    # risk sums: their fillers call no check and raise nothing
+    # the coefficient row and a table's log rows are filled where a window's
+    # terms or a mass read them, inside the window builds and the risk
+    # sums: their fillers call no check and raise nothing
     fillers = [("binom.py", "_log_binom_coeffs"), ("binom.py", "_coeff_row")]
     fillers += [("binom.py", "_coeff_entries")]
     fillers += [("binom.py", "_LazyRow"), ("estimators.py", "EstimateTable._logs")]

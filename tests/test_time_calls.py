@@ -20,6 +20,7 @@ def test_one_quick_pair_reports_every_case(capsys):
         ["kernel", "us/call"],
         ["intervals", "ms/tbl"],
         ["big-n", "ms/call"],
+        ["limit", "ms/call"],
         ["connection", "ms/p"],
     ]
     for row in rows:
@@ -32,8 +33,11 @@ def test_one_quick_pair_reports_every_case(capsys):
         # cold round, where its CPU time varies
         parent_kib, change_kib = int(cells[8]), int(cells[9])
         assert 0 <= parent_kib and abs(change_kib - parent_kib) <= 0.1 * parent_kib + 1
-    # the cold risk at n = 1e4 holds a window and the rows it reads
-    assert int(rows[-2].split()[8]) > 100
+    # the cold risk at n = 1e4 holds a window and the rows it reads, and
+    # the cold report its own tables and windows
+    big, limit = rows[-3].split(), rows[-2].split()
+    assert big[0] == "big-n" and int(big[8]) > 100
+    assert limit[0] == "limit" and int(limit[8]) > 0
 
 
 def test_pairs_won_count_the_faster_change_runs():
@@ -43,20 +47,20 @@ def test_pairs_won_count_the_faster_change_runs():
         {"sweep": [2e-5, 4 * kib], "large-n": [1e-2, 900 * kib], "poisson": [1e-3, 16 * kib],
          "tables": [8e-4, 300 * kib], "kernel": [4e-6, 2 * kib],
          "intervals": [3e-3, 80 * kib], "big-n": [2e-1, 3000 * kib],
-         "connection": [6e-4, 500 * kib]}
+         "limit": [4e-2, 800 * kib], "connection": [6e-4, 500 * kib]}
     ] * 2
     change = [
         {"sweep": [1e-5, 4 * kib], "large-n": [2e-2, 600 * kib], "poisson": [5e-4, 16 * kib],
          "tables": [4e-4, 200 * kib], "kernel": [4e-6, 2 * kib],
          "intervals": [2e-3, 80 * kib], "big-n": [8e-2, 2000 * kib],
-         "connection": [6e-4, 400 * kib]},
+         "limit": [4e-2, 700 * kib], "connection": [6e-4, 400 * kib]},
         {"sweep": [3e-5, 6 * kib], "large-n": [1e-2, 700 * kib], "poisson": [5e-4, 16 * kib],
          "tables": [9e-4, 200 * kib], "kernel": [2e-6, 2 * kib],
          "intervals": [3e-3, 80 * kib], "big-n": [1.6e-1, 2000 * kib],
-         "connection": [3e-4, 400 * kib]},
+         "limit": [2e-2, 700 * kib], "connection": [3e-4, 400 * kib]},
     ]
     rows = time_calls.report(parent, change)[1:]
-    sweep, large, pois, tables, kernel, intervals, big, connection = rows
+    sweep, large, pois, tables, kernel, intervals, big, limit, connection = rows
     assert sweep.split()[2:] == ["20", "20", "+0.0%", "-25.0%", "+25.0%", "1/2", "4", "5"]
     assert large.split()[2:] == ["10", "15", "+50.0%", "+25.0%", "+75.0%", "0/2", "900", "650"]
     assert pois.split()[2:] == ["1", "0.5", "-50.0%", "-50.0%", "-50.0%", "2/2", "16", "16"]
@@ -64,6 +68,7 @@ def test_pairs_won_count_the_faster_change_runs():
     assert kernel.split()[2:] == ["4", "3", "-25.0%", "-37.5%", "-12.5%", "1/2", "2", "2"]
     assert intervals.split()[2:] == ["3", "2.5", "-16.7%", "-25.0%", "-8.3%", "1/2", "80", "80"]
     assert big.split()[2:] == ["200", "120", "-40.0%", "-50.0%", "-30.0%", "2/2", "3000", "2000"]
+    assert limit.split()[2:] == ["40", "30", "-25.0%", "-37.5%", "-12.5%", "1/2", "800", "700"]
     assert connection.split()[2:] == [
         "0.6", "0.45", "-25.0%", "-37.5%", "-12.5%", "1/2", "500", "400"
     ]
