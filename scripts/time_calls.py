@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Time the kernel's and the risk layer's calls in CPU time, against another checkout.
+"""Time the kernel's, the risk layer's and the CLI's calls in CPU time, against another checkout.
 
     python scripts/time_calls.py --against OTHER_DIR [--pairs 8] [--quick]
 
-Nine cases, each timed with time.process_time in a fresh interpreter per
-side, after one untimed round that fills the caches a sweep fills:
+Ten cases, each timed in a fresh interpreter per side, after one untimed
+round that fills the caches a sweep fills; the first nine run in process,
+timed with time.process_time:
 
   sweep    the three calls of the predictive acceptance sweep at one p
            (predictive_kl_risk of the Bayes tables, connection_sum and
@@ -43,7 +44,13 @@ side, after one untimed round that fills the caches a sweep fills:
   connection
            connection_sum over 16 p on (0, 0.3] at n = 300, l = 5 under
            (a, b) = (1, 2) on (0, 0.3], a configuration of long tables,
-           in milliseconds per p.
+           in milliseconds per p;
+  cli      each of the six subcommands run as python -m binrisk in a fresh
+           interpreter, one row each (cli-estimate, ...), in milliseconds
+           of CPU time per command, read from the rusage of the children
+           (RUSAGE_CHILDREN), so the command's whole process is counted,
+           start-up included; each run compiles every library module it
+           loads, as in a fresh checkout.
 
 A child times each case over several rounds and reports the median round.
 The pairs alternate which side runs first. For each case this prints each
@@ -56,12 +63,13 @@ each side's median cold peak in KiB: a child's first round, untimed, runs
 the case cold and fills the caches a sweep fills, under tracemalloc, and
 its peak is the most memory the round held at once beyond what the case's
 set-up holds, an in-process figure for a memory change beside perfbench's
-peak RSS. CPU time leaves out the time the process waits for a core, so it
-does not follow the machine speed the way perfbench's wall-clock figures
-do. --quick runs one round of a few configurations, n = 300, 8 p, two
+peak RSS; the cli rows read 0 KiB, as their memory is the commands'. CPU
+time leaves out the time the process waits for a core, so it does not
+follow the machine speed the way perfbench's wall-clock figures do.
+--quick runs one round of a few configurations, n = 300, 8 p, two
 targets, one table of each restriction, 20 kernel calls, the big-n risk
-at n = 1e4, the limit report on K = 10 and 100 and a connection sum at 4 p,
-for a smoke test.
+at n = 1e4, the limit report on K = 10 and 100, a connection sum at 4 p
+and one command, estimate, for a smoke test.
 """
 
 from __future__ import annotations
@@ -69,9 +77,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -90,6 +101,15 @@ CASES = (
     ("limit", "ms/call", 1e3),
     ("connection", "ms/p", 1e3),
 )
+COMMANDS = {
+    "estimate": ["--n", "20", "--p-bar", "0.3"],
+    "predictive": ["--n", "10", "--x", "3", "--l", "5", "--p-bar", "0.3"],
+    "risk-curve": ["--n", "8", "--p-bar", "0.3", "--grid", "64"],
+    "dominance": ["--n", "8", "--p-bar", "0.3", "--grid", "64"],
+    "threshold": ["--a", "1", "--grid", "10"],
+    "poisson-limit": ["--k-grid", "10", "100"],
+}
+CASES += tuple((f"cli-{command}", "ms/cmd", 1e3) for command in COMMANDS)
 
 
 def _sweep(n_max: int, l_max: int, points: int):
@@ -252,6 +272,12 @@ def _connection(points: int):
     return run, points
 
 
+def _children_cpu() -> float:
+    """Seconds of CPU time the children that have ended took, user and system."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def child(src: Path, quick: bool) -> dict[str, list[float]]:
     """[seconds of CPU time per unit, bytes of the cold round's tracemalloc
     peak] of each case, for the binrisk under src."""
@@ -302,6 +328,21 @@ def child(src: Path, quick: bool) -> dict[str, list[float]]:
             run()
             times.append((time.process_time() - start) / units)
         result[name] = [statistics.median(times), peak]
+    with tempfile.TemporaryDirectory() as scratch:
+        # the commands run from a copy of src without __pycache__, so each run
+        # compiles every library module it loads (PYTHONDONTWRITEBYTECODE keeps
+        # it so), as in a fresh checkout, whatever tests or an install left there
+        fresh = Path(scratch) / "src"
+        shutil.copytree(src, fresh, ignore=shutil.ignore_patterns("__pycache__"))
+        env = {**os.environ, "PYTHONPATH": str(fresh)}
+        for command in ["estimate"] if quick else COMMANDS:
+            args = [sys.executable, "-m", "binrisk", command, *COMMANDS[command]]
+            times = []
+            for _ in range(rounds + 1):  # the first run is untimed, as above
+                start = _children_cpu()
+                subprocess.run(args, env=env, stdout=subprocess.DEVNULL, check=True)
+                times.append(_children_cpu() - start)
+            result[f"cli-{command}"] = [statistics.median(times[1:]), 0]
     return result
 
 
@@ -316,11 +357,13 @@ def _side(checkout: Path, quick: bool) -> dict[str, list[float]]:
 
 def report(parent: list[dict], change: list[dict]) -> list[str]:
     lines = [
-        f"{'case':<10} {'unit':<7} {'parent median':>14} {'change median':>14} {'change':>8}"
+        f"{'case':<17} {'unit':<7} {'parent median':>14} {'change median':>14} {'change':>8}"
         f" {'pair q1':>8} {'pair q3':>8}  won {'parent KiB':>11} {'change KiB':>11}"
     ]
     sides = parent, change
     for name, unit, scale in CASES:
+        if name not in parent[0]:  # a --quick run has one cli row
+            continue
         old, new = (statistics.median(run[name][0] for run in side) * scale for side in sides)
         q1, _, q3 = _quartiles([c[name][0] / p[name][0] - 1.0 for p, c in zip(parent, change)])
         won = sum(c[name][0] < p[name][0] for p, c in zip(parent, change))
@@ -328,7 +371,7 @@ def report(parent: list[dict], change: list[dict]) -> list[str]:
             statistics.median(run[name][1] for run in side) / 1024 for side in sides
         )
         lines.append(
-            f"{name:<10} {unit:<7} {old:>14.4g} {new:>14.4g} {new / old - 1.0:>+8.1%}"
+            f"{name:<17} {unit:<7} {old:>14.4g} {new:>14.4g} {new / old - 1.0:>+8.1%}"
             f" {q1:>+8.1%} {q3:>+8.1%}  {won}/{len(parent)}"
             f" {old_kib:>11.0f} {new_kib:>11.0f}"
         )

@@ -4,36 +4,39 @@ dominance certification of truncated versus untruncated beta priors.
 
 The package root exports the descriptors, the two tables, the typed
 numerical errors and the top-level entry points; everything else is
-reached through its module.
+reached through its module. Importing the root loads no submodule: a
+name imports its home module on first use (PEP 562).
 """
 
-from .binom import BinomialSetup, PriorSpec
-from .dominance import (
-    BoundUndefinedError,
-    dominance_threshold_n1,
-    exhaustive_dominance_check,
-)
-from .estimators import EstimateTable, posterior_mean
-from .incbeta import BracketOverflowError, SingularBoundError
-from .poisson import PoissonConfig, limit_convergence_report
-from .predictive import PredictiveTable, bayes_predictive
-from .risk import connection_sum, point_risk, predictive_kl_risk
+from importlib import import_module
 
-__all__ = [
-    "BinomialSetup",
-    "BracketOverflowError",
-    "BoundUndefinedError",
-    "EstimateTable",
-    "PoissonConfig",
-    "PredictiveTable",
-    "PriorSpec",
-    "SingularBoundError",
-    "bayes_predictive",
-    "connection_sum",
-    "dominance_threshold_n1",
-    "exhaustive_dominance_check",
-    "limit_convergence_report",
-    "point_risk",
-    "posterior_mean",
-    "predictive_kl_risk",
-]
+_HOMES = {
+    "BinomialSetup": "binom",
+    "BracketOverflowError": "incbeta",
+    "BoundUndefinedError": "dominance",
+    "EstimateTable": "estimators",
+    "PoissonConfig": "poisson",
+    "PredictiveTable": "predictive",
+    "PriorSpec": "binom",
+    "SingularBoundError": "incbeta",
+    "bayes_predictive": "predictive",
+    "connection_sum": "risk",
+    "dominance_threshold_n1": "dominance",
+    "exhaustive_dominance_check": "dominance",
+    "limit_convergence_report": "poisson",
+    "point_risk": "risk",
+    "posterior_mean": "estimators",
+    "predictive_kl_risk": "risk",
+}
+__all__ = list(_HOMES)
+
+
+def __getattr__(name: str) -> object:
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_HOMES[name]}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

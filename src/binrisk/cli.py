@@ -12,18 +12,13 @@ overflow near p_bar -> 1).
 
 from __future__ import annotations
 
+# the standard library only: each command imports the library modules it
+# runs, so a run loads no module its command does not call, --help none
 import argparse
 import sys
 from collections.abc import Iterable, Sequence
 from functools import cache
 from itertools import repeat
-
-from .binom import BinomialSetup, PriorSpec
-from .dominance import DominanceReport, exhaustive_dominance_check, threshold_scan
-from .estimators import EstimateTable
-from .poisson import PoissonConfig, limit_convergence_report
-from .predictive import PredictiveTable
-from .risk import point_risk
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -62,21 +57,27 @@ def _write_csv(out: str | None, header: Sequence[str], rows: Iterable[Sequence[o
             handle.write(text)
 
 
-def _prior_from_args(args: argparse.Namespace) -> PriorSpec:
+def _prior_from_args(args: argparse.Namespace):
+    from .binom import PriorSpec
     return PriorSpec(a=args.a, b=args.b, p_bar=args.p_bar, p_lo=args.p_lo)
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
+    from .binom import BinomialSetup
+    from .estimators import EstimateTable
     prior = _prior_from_args(args)
     table = EstimateTable.build(BinomialSetup(n=args.n), prior)
     rows = [(x, table[x]) for x in range(args.n + 1)]
     if args.p is not None:
+        from .risk import point_risk
         print(f"# exact risk at p={_fmt(args.p)}: {_fmt(point_risk(table, args.p))}")
     _write_csv(args.out, ["x", "estimate"], rows)
     return EXIT_OK
 
 
 def _cmd_predictive(args: argparse.Namespace) -> int:
+    from .binom import BinomialSetup
+    from .predictive import PredictiveTable
     prior = _prior_from_args(args)
     setup = BinomialSetup(n=args.n, l=args.l)
     table = PredictiveTable.build(setup, prior, args.x)
@@ -85,10 +86,11 @@ def _cmd_predictive(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _dominance_report(args: argparse.Namespace) -> DominanceReport:
+def _dominance_report(args: argparse.Namespace):
     """The one grid pass behind both risk-curve and dominance."""
     if args.p_bar is None:
         raise ValueError(f"{args.command} requires --p-bar")
+    from .dominance import exhaustive_dominance_check
     return exhaustive_dominance_check(
         args.n, args.a, args.b, args.p_bar, p_lo=args.p_lo, grid_size=args.grid
     )
@@ -133,6 +135,7 @@ def _cmd_dominance(args: argparse.Namespace) -> int:
 
 
 def _cmd_threshold(args: argparse.Namespace) -> int:
+    from .dominance import threshold_scan
     grid, values, root = threshold_scan(args.a, args.grid)
     for p_bar, value in zip(grid, values):
         print(f"p_bar={_fmt(p_bar)} max_risk_diff={_fmt(value)}")
@@ -141,6 +144,7 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
 
 
 def _cmd_poisson_limit(args: argparse.Namespace) -> int:
+    from .poisson import PoissonConfig, limit_convergence_report
     config = PoissonConfig(r=args.r, s=args.s, a=args.a, lambda_bar=args.lambda_bar)
     report = limit_convergence_report(args.k_grid, args.lam, config, args.x_tilde)
     _write_csv(

@@ -208,6 +208,7 @@ def limit_convergence_report(
     pred_errors = []
     risk_errors = []
     for K in K_grid:
+        _check_shape(K=K)  # before round, which raises OverflowError on inf
         n = round(config.r * K)
         l = round(config.s * K)
         p = lam / K

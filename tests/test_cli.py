@@ -348,6 +348,14 @@ class TestExitStatuses:
         err = capsys.readouterr().err
         assert f"error: {name} must be finite and positive, got {value}" in err
 
+    @pytest.mark.parametrize("K", ["inf", "nan", "0"])
+    def test_k_that_is_not_finite_and_positive_is_a_validation_error(self, K, capsys):
+        # unchecked, round(inf) raises OverflowError, a numerical failure,
+        # round(nan) a message without K, and K = 0 divides by zero
+        assert main(["poisson-limit", "--k-grid", K]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"error: K must be finite and positive, got {float(K)}" in err
+
     @pytest.mark.parametrize(
         "argv, message",
         [

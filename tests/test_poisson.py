@@ -338,6 +338,14 @@ class TestLimitCorrespondence:
         with pytest.raises(ValueError):
             limit_convergence_report([100.0, 10.0], 0.5, cfg, 0)
 
+    @pytest.mark.parametrize("K", [math.inf, math.nan, 0.0])
+    def test_rejects_a_scale_that_is_not_finite_and_positive(self, K):
+        # checked before K is rounded to n: round(inf) raises OverflowError,
+        # which reads as a numerical failure, round(nan) a ValueError that
+        # does not name K, and K = 0 divides by zero
+        with pytest.raises(ValueError, match=rf"^K must be finite and positive, got {K}$"):
+            limit_convergence_report([K], 0.5, PoissonConfig(r=1.0), 0)
+
     def test_rejects_a_scale_that_puts_p_outside_the_unit_interval(self):
         with pytest.raises(ValueError, match=r"^K=0\.25 induces p=2\.0 outside \(0, 1\)$"):
             limit_convergence_report([0.25, 10.0], 0.5, PoissonConfig(r=1.0), 0)
