@@ -3,8 +3,8 @@
 
     python scripts/time_calls.py --against OTHER_DIR [--pairs 8] [--quick]
 
-Ten cases, each timed in a fresh interpreter per side, after one untimed
-round that fills the caches a sweep fills; the first nine run in process,
+Eleven cases, each timed in a fresh interpreter per side, after one untimed
+round that fills the caches a sweep fills; the first ten run in process,
 timed with time.process_time:
 
   sweep    the three calls of the predictive acceptance sweep at one p
@@ -45,6 +45,9 @@ timed with time.process_time:
            connection_sum over 16 p on (0, 0.3] at n = 300, l = 5 under
            (a, b) = (1, 2) on (0, 0.3], a configuration of long tables,
            in milliseconds per p;
+  connection-12
+           the same at l = 12, more steps than binom keeps long
+           coefficient rows (8), so each p computes them again;
   cli      each of the six subcommands run as python -m binrisk in a fresh
            interpreter, one row each (cli-estimate, ...), in milliseconds
            of CPU time per command, read from the rusage of the children
@@ -68,8 +71,8 @@ time leaves out the time the process waits for a core, so it does not
 follow the machine speed the way perfbench's wall-clock figures do.
 --quick runs one round of a few configurations, n = 300, 8 p, two
 targets, one table of each restriction, 20 kernel calls, the big-n risk
-at n = 1e4, the limit report on K = 10 and 100, a connection sum at 4 p
-and one command, estimate, for a smoke test.
+at n = 1e4, the limit report on K = 10 and 100, each connection sum at
+4 p and one command, estimate, for a smoke test.
 """
 
 from __future__ import annotations
@@ -100,6 +103,7 @@ CASES = (
     ("big-n", "ms/call", 1e3),
     ("limit", "ms/call", 1e3),
     ("connection", "ms/p", 1e3),
+    ("connection-12", "ms/p", 1e3),
 )
 COMMANDS = {
     "estimate": ["--n", "20", "--p-bar", "0.3"],
@@ -257,8 +261,8 @@ def _limit(ks: list[float]):
     return run, 1
 
 
-def _connection(points: int):
-    """A round of the connection case, and the number of p it covers."""
+def _connection(points: int, l: int):
+    """A round of a connection case over l steps, and the number of p it covers."""
     from binrisk.binom import PriorSpec
     from binrisk.risk import connection_sum
 
@@ -267,7 +271,7 @@ def _connection(points: int):
 
     def run() -> None:
         for p in ps:
-            connection_sum(p, 300, 5, prior)
+            connection_sum(p, 300, l, prior)
 
     return run, points
 
@@ -314,7 +318,8 @@ def child(src: Path, quick: bool) -> dict[str, list[float]]:
         ),
         "big-n": _big_n(10_000 if quick else 100_000),
         "limit": _limit([10.0, 100.0] if quick else [10.0, 100.0, 1000.0, 10000.0]),
-        "connection": _connection(4) if quick else _connection(16),
+        "connection": _connection(4 if quick else 16, 5),
+        "connection-12": _connection(4 if quick else 16, 12),
     }
     result = {}
     for name, (run, units) in cases.items():

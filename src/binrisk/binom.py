@@ -23,7 +23,7 @@ _LazyRow, a packed array('d') of 8 bytes an entry that holds NaN where an
 entry is not yet computed; an entry is computed where a window's terms or
 a mass first read it, so a one-shot risk at n = 1e5, p = 0.29 computes
 3,246 of 100,001, its core. Up to 256 whole rows and 8 lazy ones are
-kept. The estimate tables keep their long log rows the same way.
+kept. A long estimate table keeps its two log rows in one _LazyRow.
 
 Also holds the two descriptors shared across the package, the
 trial-count setup and the (possibly truncated) beta prior; the bases of
@@ -161,7 +161,8 @@ class PriorSpec(_record("PriorSpec", "a b p_bar p_lo")):
 
 
 # A row of at most _WHOLE_ROW entries is built whole, as a plain list:
-# the row pass (n < 64) and the predictive masses at small l read all of it
+# the row pass (n < 64) and the predictive masses at small l read all of it;
+# estimators splits its two table caches at the same length
 _WHOLE_ROW = 64
 
 # A packed row of one NaN, the entry not yet computed; no entry of a
@@ -170,36 +171,37 @@ _UNSET = array("d", [math.nan])
 
 
 class _LazyRow:
-    """A p-free row over x = 0..size-1 whose entries are computed where
-    they are first read, by entries(start, stop), the row's x =
-    start..stop-1. values is the row, a packed array('d') that holds NaN
-    where an entry is not yet computed. An index x >= 0 reads one entry,
-    as the predictive masses and the plug-in density do. span(start, stop)
-    computes a stretch: it grows the one filled stretch [lo, hi) to hold
-    it, so that the windows of a sweep over p, which overlap, compute each
-    entry once."""
+    """p-free rows over x = 0..size-1, packed array('d') holding NaN where
+    not yet computed, each by its own entries(start, stop), the row's x =
+    start..stop-1; values is the first row. An index x >= 0 reads x of
+    values, as the predictive masses and the plug-in density do, and
+    computes x in every row; span(start, stop) computes a stretch of every
+    row: it grows the one filled stretch [lo, hi) to hold it, so that the
+    windows of a sweep over p, which overlap, compute each entry once."""
 
-    __slots__ = ("values", "_entries", "_lo", "_hi")
+    __slots__ = ("rows", "values", "_entries", "_lo", "_hi")
 
-    def __init__(self, size: int, entries) -> None:
-        self.values, self._entries, self._lo, self._hi = _UNSET * size, entries, 0, 0
+    def __init__(self, size: int, *entries) -> None:
+        self.rows = tuple([_UNSET * size for _ in entries])
+        self.values, self._entries, self._lo, self._hi = self.rows[0], entries, 0, 0
 
     def __getitem__(self, x: int) -> float:
         value = self.values[x]
         if value != value:
-            value = self.values[x] = self._entries(x, x + 1)[0]
+            for row, entries in zip(self.rows, self._entries):
+                row[x] = entries(x, x + 1)[0]
+            value = self.values[x]
         return value
 
     def span(self, start: int, stop: int) -> None:
         """Computes the entries x = start..stop-1, start < stop."""
-        if self._lo == self._hi:
-            self._lo = self._hi = start
-        if start < self._lo:
-            self.values[start : self._lo] = array("d", self._entries(start, self._lo))
-            self._lo = start
-        if stop > self._hi:
-            self.values[self._hi : stop] = array("d", self._entries(self._hi, stop))
-            self._hi = stop
+        lo, hi = (start, start) if self._lo == self._hi else (self._lo, self._hi)
+        for row, entries in zip(self.rows, self._entries):
+            if start < lo:
+                row[start:lo] = array("d", entries(start, lo))
+            if stop > hi:
+                row[hi:stop] = array("d", entries(hi, stop))
+        self._lo, self._hi = min(start, lo), max(stop, hi)
 
 
 def _coeff_entries(

@@ -7,23 +7,22 @@ interval as (x+a)/s minus A(x)/s, A = bracket / I_two_sided. The table over
 x = 0..n is the primitive; posterior_mean reads one entry of it. A table
 carries the p-free rows log d and log(1-d) and the ceiling of its losses,
 which every risk sum at a p in (0, 1) reads, set up on the first sum: a
-table of more than 64 estimates keeps its rows packed, as array('d') with
+table of more than 64 estimates keeps both in one _LazyRow, packed, with
 NaN where no sum has read them, computes them only over the spans its
 sums read, and takes the ceiling from its smallest and largest estimate; a
 table from build keeps the upper row c(0..n+1), packed, as _c_row (None
 if not upper), which the J rows and the small-p_bar condition read; it
 is built in the same backward pass as the estimates. The caches below and
 risk's connection tables decide how long a table is kept: tables of at
-most 256 estimates by the thousand, longer ones for one configuration.
+most 64 estimates by the thousand, longer ones for one configuration.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
-from .binom import _UNSET, _WHOLE_ROW, BinomialSetup, PriorSpec, _check_count, _LazyRow, _Table
+from .binom import _WHOLE_ROW, BinomialSetup, PriorSpec, _check_count, _LazyRow, _Table
 from .incbeta import _bracket, _check_p_bar, _inverse_I_row, _log_I
 
 
@@ -52,7 +51,7 @@ class EstimateTable(_Table):
 
     @classmethod
     def build(cls, setup: BinomialSetup, prior: PriorSpec) -> EstimateTable:
-        cache = _build_table if setup.n + 1 <= _SMALL_TABLE else _build_large_table
+        cache = _build_table if setup.n + 1 <= _WHOLE_ROW else _build_large_table
         return cache(setup, prior)
 
     def __getitem__(self, x: int) -> float:
@@ -62,31 +61,34 @@ class EstimateTable(_Table):
     def _logs(self) -> tuple:
         """(log d, log(1-d), ceiling, fill): the log rows over the estimates,
         the ceiling max(-log(min d), -log1p(-max d)) of their losses, and
-        None, or for a table of more than _WHOLE_ROW estimates the call
-        fill(start, stop), start < stop, that computes both rows over x =
-        start..stop-1 before a sum reads them there (the rows are then
-        packed, array('d'), and hold NaN where no sum has read them), so
-        the risk sums compute only the logs their windows read. They do
-        not depend on p, so the first risk sum sets them up for every later
-        one. Not a field, so ==, hash and repr ignore them. log and log1p
-        are monotone, so the ceiling is -min log d or -min log(1-d) over the
-        whole rows, filled or not; log p and log(1-p) round to at most 0.0
-        and IEEE rounding is monotone, so at any p in (0, 1) no loss that
-        risk._risk_sums computes from these rows exceeds the ceiling by
-        more than a few ulps."""
+        None, or for a table of more than _WHOLE_ROW estimates the two rows
+        of one _LazyRow and its span as fill(start, stop), start < stop,
+        which computes both over x = start..stop-1 before a sum reads them
+        there (the rows are then packed, array('d'), and hold NaN where no
+        sum has read them), so the risk sums compute only the logs their
+        windows read. They do not depend on p, so the first risk sum sets
+        them up for every later one. Not a field, so ==, hash and repr
+        ignore them. log and log1p are monotone, so the ceiling is -min log
+        d or -min log(1-d) over the whole rows, filled or not; log p and
+        log(1-p) round to at most 0.0 and IEEE rounding is monotone, so at
+        any p in (0, 1) no loss that risk._risk_sums computes from these
+        rows exceeds the ceiling by more than a few ulps."""
         values = self.values
         ceiling = max(-math.log(min(values)), -math.log1p(-max(values)))
+        log_ds, log_es = partial(_log_ds, values), partial(_log_es, values)
         if len(values) <= _WHOLE_ROW:
-            return [math.log(d) for d in values], [math.log1p(-d) for d in values], ceiling, None
-        log_es = _UNSET * len(values)
+            return log_ds(0, len(values)), log_es(0, len(values)), ceiling, None
+        rows = _LazyRow(len(values), log_ds, log_es)
+        return *rows.rows, ceiling, rows.span
 
-        def log_ds(start: int, stop: int) -> list[float]:
-            """log d over x = start..stop-1, which fills log(1-d) there too."""
-            log_es[start:stop] = array("d", [math.log1p(-d) for d in values[start:stop]])
-            return [math.log(d) for d in values[start:stop]]
 
-        row = _LazyRow(len(values), log_ds)
-        return row.values, log_es, ceiling, row.span
+# The entries of the two log rows over x = start..stop-1
+def _log_ds(values: tuple[float, ...], start: int, stop: int) -> list[float]:
+    return [math.log(d) for d in values[start:stop]]
+
+
+def _log_es(values: tuple[float, ...], start: int, stop: int) -> list[float]:
+    return [math.log1p(-d) for d in values[start:stop]]
 
 
 def _correction(x: int, s: float, prior: PriorSpec) -> float:
@@ -125,16 +127,12 @@ def _estimate_table(setup: BinomialSetup, prior: PriorSpec) -> EstimateTable:
 
 
 # Grid sweeps rebuild the same table for every p, so tables are cached per
-# (n, prior). With one LRU of 4096, a benchmark risk-large-n pass kept all
-# 60 tables it sums (n up to 3000, 80,368 estimates) with their log rows,
-# then whole lists of float objects, twice the floats of the estimates,
-# and its peak RSS rose from 24.5 to 32.6 MB; so only tables of at most
-# _SMALL_TABLE estimates go to that LRU. Longer ones are kept for one
-# configuration: the untruncated and restricted pair that a grid, a CLI
-# command or a scalar risk difference builds, so one job's tables do not
-# outlive it (a connection sum keeps its own l, in risk). A long table's
-# log rows cost 8 bytes an entry, computed or not, and are computed only
-# where its sums read them.
-_SMALL_TABLE = 256
+# (n, prior), split where their rows are (_WHOLE_ROW): the sweeps that
+# revisit tables by the thousand build only tables of at most 64 estimates,
+# whose rows are whole lists, and those go to one LRU of 4096. Longer ones
+# are kept for one configuration, the untruncated and restricted pair that
+# a grid, a CLI command or a scalar risk difference builds (a connection
+# sum keeps its own l, in risk): one LRU of 4096 for every table raised a
+# benchmark risk-large-n pass's peak RSS from 24.5 to 32.6 MB.
 _build_table = lru_cache(maxsize=4096)(_estimate_table)
 _build_large_table = lru_cache(maxsize=2)(_estimate_table)

@@ -209,6 +209,8 @@ def limit_convergence_report(
     risk_errors = []
     for K in K_grid:
         _check_shape(K=K)  # before round, which raises OverflowError on inf
+        if max(config.r, config.s) * K > MAX_TRIALS + 0.5:  # n or l rounds above it
+            raise ValueError(f"K={K} gives r*K or s*K above {MAX_TRIALS} trials")
         n = round(config.r * K)
         l = round(config.s * K)
         p = lam / K

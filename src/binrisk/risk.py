@@ -21,9 +21,9 @@ predictive_kl_risk takes the log rows of the predictive masses, and checks
 their shape, once per set of tables: it keeps the last two sets' masses
 and recognises a set by comparing them, which costs no hash of every
 mass. The (y, f(y), log f(y)) triples of the future pmf live on its
-window entry. connection_sum resolves its l tables once per (n, l, prior),
-four small configurations kept and one long one, so each p costs only the
-l sums. Every risk takes p in (0, 1): _check_p, the library's one check
+window entry. connection_sum resolves its l tables once per (n, l, prior)
+and keeps the last configuration, so each p of a sweep costs only the l
+sums. Every risk takes p in (0, 1): _check_p, the library's one check
 of p, runs once per public call, and the sums below it take p as checked.
 """
 
@@ -34,7 +34,7 @@ from collections.abc import Sequence
 from functools import lru_cache
 
 from .binom import BinomialSetup, PriorSpec, _check_trials, pmf_windows
-from .estimators import _SMALL_TABLE, EstimateTable
+from .estimators import EstimateTable
 from .predictive import bayes_predictive_tables  # noqa: F401  (re-exported)
 
 
@@ -177,19 +177,16 @@ def connection_sum(p: float, n: int, l: int, prior: PriorSpec) -> float:
     _check_trials("n", n)
     _check_trials("l", l)  # l < 1 would sum nothing
     _check_p(p)
-    resolve = _connection_tables if n + l <= _SMALL_TABLE else _long_connection_tables
-    return math.fsum(_risk_sums(resolve(n, l, prior), p))
+    return math.fsum(_risk_sums(_connection_tables(n, l, prior), p))
 
 
 def _tables_for_steps(n: int, l: int, prior: PriorSpec) -> tuple[EstimateTable, ...]:
-    """The estimate tables for m = n..n+l-1, kept for every p: a predictive
-    sweep of 25 p per configuration took 13% longer when each p built its
-    setups and read the table cache. Small configurations are kept by four,
-    as in estimators; a long one alone, since estimators keeps only two
-    long tables and a sweep over p would otherwise rebuild all l at each p
-    (2.5 times the time of a 16-p sweep at n = 300, l = 5)."""
+    """The estimate tables for m = n..n+l-1, kept for every p of the last
+    configuration, which every caller sweeps: a predictive sweep of 25 p
+    took 13% longer when each p built its setups and read the table cache,
+    and estimators keeps only two long tables, so a long sweep would
+    rebuild all l at each p (2.5 times the time of 16 p at n = 300, l = 5)."""
     return tuple(EstimateTable.build(BinomialSetup(n=m), prior) for m in range(n, n + l))
 
 
-_connection_tables = lru_cache(maxsize=4)(_tables_for_steps)
-_long_connection_tables = lru_cache(maxsize=1)(_tables_for_steps)
+_connection_tables = lru_cache(maxsize=1)(_tables_for_steps)

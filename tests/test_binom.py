@@ -134,6 +134,26 @@ class TestBinomPmf:
         assert list(row.values[20:30]) == [float(x) for x in range(20, 30)]
         with pytest.raises(IndexError):
             row[100]
+        # two rows, one entries function each: an index and each stretch
+        # compute both rows there, each function called once per stretch
+        spans.clear()
+        down_spans = []
+
+        def down(start, stop):
+            down_spans.append((start, stop))
+            return [-float(x) for x in range(start, stop)]
+
+        row = binom._LazyRow(100, entries, down)
+        ups, downs = row.rows
+        assert row.values is ups and filled(ups) == filled(downs) == 0
+        assert row[7] == 7.0 and downs[7] == -7.0
+        row.span(20, 30)
+        row.span(50, 60)
+        row.span(10, 12)
+        row.span(25, 55)  # inside the filled stretch: nothing is computed
+        assert spans == down_spans == [(7, 8), (20, 30), (30, 60), (10, 20)]
+        assert [x for x, v in enumerate(downs) if v == v] == [7, *range(10, 60)]
+        assert list(downs[10:60]) == [-v for v in ups[10:60]]
 
     def test_log_coeff_cached_values(self):
         assert math.exp(_log_binom_coeffs(9)[3]) == pytest.approx(84.0, rel=1e-12)

@@ -388,19 +388,34 @@ class TestExitStatuses:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["poisson-limit", "--k-grid", "1e20"], f"n {CAPPED}, got {10**20}"),
+            (
+                ["poisson-limit", "--k-grid", "1e20"],
+                f"K=1e+20 gives r*K or s*K above {binom.MAX_TRIALS} trials",
+            ),
+            (
+                ["poisson-limit", "--k-grid", "1e300", "--r", "10"],
+                f"K=1e+300 gives r*K or s*K above {binom.MAX_TRIALS} trials",
+            ),
+            (
+                ["poisson-limit", "--k-grid", "1e308", "--r", "10"],
+                f"K=1e+308 gives r*K or s*K above {binom.MAX_TRIALS} trials",
+            ),
             (["estimate", "--n", str(10**12)], f"n {CAPPED}, got {10**12}"),
             (
                 ["predictive", "--n", "3", "--x", "1", "--l", str(10**12)],
                 f"l {CAPPED}, got {10**12}",
             ),
         ],
-        ids=["poisson-limit", "estimate", "predictive"],
+        ids=["poisson-limit", "poisson-limit-1e300", "poisson-limit-inf", "estimate",
+             "predictive"],
     )
     def test_trial_count_above_the_cap_is_a_validation_error(self, argv, message):
         # without the cap each run built a row of that length until memory
         # ran out; the child's address space is limited so that such a run
-        # fails fast instead of taking the machine's memory
+        # fails fast instead of taking the machine's memory. The Poisson
+        # report checks r*K and s*K before rounding them: r*K = inf raised
+        # OverflowError, a numerical failure, and a finite n past the cap
+        # printed all its digits
         resource = pytest.importorskip("resource")
         hard = resource.getrlimit(resource.RLIMIT_AS)[1]
         soft = 600 * 2**20 if hard == resource.RLIM_INFINITY else min(600 * 2**20, hard)

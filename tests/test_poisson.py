@@ -1,6 +1,7 @@
 """Poisson-side procedures and the binomial-to-Poisson convergence check."""
 
 import math
+import re
 import sys
 
 import mpmath
@@ -345,6 +346,16 @@ class TestLimitCorrespondence:
         # does not name K, and K = 0 divides by zero
         with pytest.raises(ValueError, match=rf"^K must be finite and positive, got {K}$"):
             limit_convergence_report([K], 0.5, PoissonConfig(r=1.0), 0)
+
+    @pytest.mark.parametrize("K, r", [(1e308, 10.0), (1e300, 1.0), (2e6, 0.5)])
+    def test_rejects_a_scale_whose_trial_counts_exceed_the_cap(self, K, r):
+        # checked before r*K and s*K are rounded: r*K = inf raised
+        # OverflowError, a numerical failure, and a finite n past the cap
+        # was reported with all its digits
+        for scale, config in ((K, PoissonConfig(r=r)), (K / r, PoissonConfig(r=1.0, s=r))):
+            message = f"K={scale} gives r*K or s*K above {binom.MAX_TRIALS} trials"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                limit_convergence_report([scale], 0.5, config, 0)
 
     def test_rejects_a_scale_that_puts_p_outside_the_unit_interval(self):
         with pytest.raises(ValueError, match=r"^K=0\.25 induces p=2\.0 outside \(0, 1\)$"):

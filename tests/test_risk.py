@@ -706,11 +706,11 @@ class TestConnectionSum:
         ids=["none", "upper", "interval"],
     )
     @pytest.mark.parametrize("l", [1, 3, 5])
-    @pytest.mark.parametrize("n", [1, 8, 255, 256, 300])
+    @pytest.mark.parametrize("n", [1, 8, 60, 64, 255, 256, 300])
     def test_is_the_sum_of_point_risks_bit_for_bit(self, n, l, prior):
-        # the l tables are resolved once per configuration; from n = 255 on
-        # they run from 256 estimates, the last size whose logs are kept
-        # with the configuration, to larger ones read at each p
+        # the l tables are resolved once per configuration; from n = 60 on
+        # they run over 64 estimates, the last size with whole log rows, to
+        # longer tables whose rows are filled where the sums read them
         for p in (1e-3, 0.03, 0.2, 0.45):
             point_risks = [
                 point_risk(EstimateTable.build(BinomialSetup(n=n + i), prior), p)
@@ -719,21 +719,21 @@ class TestConnectionSum:
             assert connection_sum(p, n, l, prior) == math.fsum(point_risks)
 
     def test_keeps_only_the_last_long_configuration(self):
-        # a configuration with a table of more than 256 estimates is kept
-        # alone, and estimators keeps two long tables, so after four long
-        # configurations only the last one's l tables stay alive
+        # one configuration is kept, and estimators keeps two long tables,
+        # so after four long configurations only the last one's l tables
+        # stay alive
         priors = [PriorSpec(a=a, b=1.0, p_bar=0.5) for a in (0.5, 1.0, 1.5, 2.0)]
         for prior in priors:
             connection_sum(0.3, 3000, 10, prior)
         gc.collect()
         large = [
             obj for obj in gc.get_objects()
-            if isinstance(obj, EstimateTable) and len(obj.values) > 256
+            if isinstance(obj, EstimateTable) and len(obj.values) > 64
         ]
         assert sorted((t.setup.n, t.prior) for t in large) == [
             (m, priors[-1]) for m in range(3000, 3010)
         ]
-        risk_module._long_connection_tables.cache_clear()
+        risk_module._connection_tables.cache_clear()
 
     def test_a_long_sweep_builds_each_table_once(self, monkeypatch):
         # the long configuration is kept for every p, so a sweep builds its
@@ -746,11 +746,22 @@ class TestConnectionSum:
 
         size = estimators._build_large_table.cache_info().maxsize
         monkeypatch.setattr(estimators, "_build_large_table", lru_cache(maxsize=size)(spy))
-        risk_module._long_connection_tables.cache_clear()
+        risk_module._connection_tables.cache_clear()
         for k in range(1, 17):
             connection_sum(0.3 * k / 16, 300, 5, PriorSpec(1.0, 2.0, p_bar=0.3))
-        risk_module._long_connection_tables.cache_clear()
+        risk_module._connection_tables.cache_clear()
         assert built == [300, 301, 302, 303, 304]
+
+    def test_a_sweep_resolves_its_tables_once(self):
+        # every caller sweeps p inside one configuration, so the one kept
+        # configuration serves all but the first p of a predictive job
+        risk_module._connection_tables.cache_clear()
+        prior = PriorSpec(a=1.0, b=1.0, p_bar=0.3)
+        for k in range(1, 26):
+            connection_sum(0.3 * k / 25, 8, 5, prior)
+        info = risk_module._connection_tables.cache_info()
+        risk_module._connection_tables.cache_clear()
+        assert (info.misses, info.hits, info.maxsize) == (1, 24, 1)
 
     @pytest.mark.parametrize("p,n,l", [(0.3, 5, 0), (7.0, 5, -2)])
     def test_rejects_invalid_arguments(self, p, n, l):

@@ -187,6 +187,25 @@ def test_p_free_row_builders_check_nothing():
     assert found == []
 
 
+def test_a_table_fills_its_log_rows_through_one_lazy_row():
+    # a long table's log d and log(1-d) rows are the two rows of one
+    # _LazyRow, each with its own entries function, so no entries call of
+    # one row fills the other: _logs defines no nested fill function, and
+    # estimators builds no packed row of its own
+    tree = ast.parse((SOURCES[0].parent / "estimators.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert imported & {"array", "_UNSET"} == set()
+    [table] = [stmt for stmt in tree.body if getattr(stmt, "name", None) == "EstimateTable"]
+    [logs] = [stmt for stmt in table.body if getattr(stmt, "name", None) == "_logs"]
+    nested = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    assert [node.lineno for node in ast.walk(logs) if isinstance(node, nested)] == [logs.lineno]
+
+
 def test_p_is_checked_in_one_place():
     # every risk takes p in (0, 1), checked once per public call by
     # risk._check_p; the risk sums with their loss terms, the window builder

@@ -22,6 +22,7 @@ def test_one_quick_pair_reports_every_case(capsys):
         ["big-n", "ms/call"],
         ["limit", "ms/call"],
         ["connection", "ms/p"],
+        ["connection-12", "ms/p"],
         ["cli-estimate", "ms/cmd"],
     ]
     for row in rows:
@@ -36,7 +37,7 @@ def test_one_quick_pair_reports_every_case(capsys):
         assert 0 <= parent_kib and abs(change_kib - parent_kib) <= 0.1 * parent_kib + 1
     # the cold risk at n = 1e4 holds a window and the rows it reads, and
     # the cold report its own tables and windows
-    big, limit, cli = rows[-4].split(), rows[-3].split(), rows[-1].split()
+    big, limit, cli = rows[-5].split(), rows[-4].split(), rows[-1].split()
     assert big[0] == "big-n" and int(big[8]) > 100
     assert limit[0] == "limit" and int(limit[8]) > 0
     # a command's CPU time is its whole process, the interpreter's start-up
