@@ -3,9 +3,9 @@
 
     python scripts/time_calls.py --against OTHER_DIR [--pairs 8] [--quick]
 
-Eleven cases, each timed in a fresh interpreter per side, after one untimed
-round that fills the caches a sweep fills; the first ten run in process,
-timed with time.process_time:
+Thirteen cases, each timed in a fresh interpreter per side, after one
+untimed round that fills the caches a sweep fills; the first twelve run in
+process, timed with time.process_time:
 
   sweep    the three calls of the predictive acceptance sweep at one p
            (predictive_kl_risk of the Bayes tables, connection_sum and
@@ -48,6 +48,15 @@ timed with time.process_time:
   connection-12
            the same at l = 12, more steps than binom keeps long
            coefficient rows (8), so each p computes them again;
+  grid-dominance
+           the dominance command through binrisk.cli.main in process,
+           its CSV written by --out to a temporary file, in milliseconds
+           per command, over n = 1, 8, 16 and 32 at grid 512, the row
+           pass, and n = 500 on (0, 0.3] and n = 100 on [0.1, 0.3] at
+           grid 64, the window pass, all under (a, b) = (1, 2) and, but
+           for the interval, p_bar = 0.3;
+  grid-risk-curve
+           the same configurations through the risk-curve command;
   cli      each of the six subcommands run as python -m binrisk in a fresh
            interpreter, one row each (cli-estimate, ...), in milliseconds
            of CPU time per command, read from the rusage of the children
@@ -72,7 +81,8 @@ follow the machine speed the way perfbench's wall-clock figures do.
 --quick runs one round of a few configurations, n = 300, 8 p, two
 targets, one table of each restriction, 20 kernel calls, the big-n risk
 at n = 1e4, the limit report on K = 10 and 100, each connection sum at
-4 p and one command, estimate, for a smoke test.
+4 p, each grid command at n = 8 on grid 64 and one command, estimate,
+for a smoke test.
 """
 
 from __future__ import annotations
@@ -104,6 +114,8 @@ CASES = (
     ("limit", "ms/call", 1e3),
     ("connection", "ms/p", 1e3),
     ("connection-12", "ms/p", 1e3),
+    ("grid-dominance", "ms/cmd", 1e3),
+    ("grid-risk-curve", "ms/cmd", 1e3),
 )
 COMMANDS = {
     "estimate": ["--n", "20", "--p-bar", "0.3"],
@@ -276,6 +288,30 @@ def _connection(points: int, l: int):
     return run, points
 
 
+def _grid_command(command: str, out: Path, configs: list[tuple[int, str, float | None]]):
+    """A round of a grid-command case, and the number of commands it runs,
+    one per (n, grid size, p_lo) of configs, with its CSV written to out."""
+    import contextlib
+    import io
+
+    from binrisk.cli import main
+
+    argvs = [
+        [command, "--n", str(n), "--a", "1", "--b", "2", "--p-bar", "0.3", "--grid", grid]
+        + ([] if p_lo is None else ["--p-lo", str(p_lo)])
+        + ["--out", str(out)]
+        for n, grid, p_lo in configs
+    ]
+
+    def run() -> None:
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in argvs:
+                if main(argv) != 0:
+                    raise RuntimeError(f"binrisk {' '.join(argv)} failed")
+
+    return run, len(argvs)
+
+
 def _children_cpu() -> float:
     """Seconds of CPU time the children that have ended took, user and system."""
     usage = resource.getrusage(resource.RUSAGE_CHILDREN)
@@ -291,6 +327,13 @@ def child(src: Path, quick: bool) -> dict[str, list[float]]:
     if not Path(binrisk.__file__).resolve().is_relative_to(src.resolve()):
         raise ImportError(f"binrisk imported from {binrisk.__file__}, not {src}")
     rounds = 1 if quick else 5
+    scratch = tempfile.TemporaryDirectory()
+    grid_out = Path(scratch.name) / "grid.csv"
+    grid_configs = (
+        [(8, "64", None)]
+        if quick
+        else [(n, "512", None) for n in (1, 8, 16, 32)] + [(500, "64", None), (100, "64", 0.1)]
+    )
     cases = {
         "sweep": _sweep(2, 2, 5) if quick else _sweep(8, 5, 25),
         "large-n": _large_n([300], 8) if quick else _large_n([300, 533, 949, 1687, 3000], 64),
@@ -320,24 +363,26 @@ def child(src: Path, quick: bool) -> dict[str, list[float]]:
         "limit": _limit([10.0, 100.0] if quick else [10.0, 100.0, 1000.0, 10000.0]),
         "connection": _connection(4 if quick else 16, 5),
         "connection-12": _connection(4 if quick else 16, 12),
+        "grid-dominance": _grid_command("dominance", grid_out, grid_configs),
+        "grid-risk-curve": _grid_command("risk-curve", grid_out, grid_configs),
     }
     result = {}
-    for name, (run, units) in cases.items():
-        tracemalloc.start()
-        run()  # cold, and fills the caches a sweep fills
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        times = []
-        for _ in range(rounds):
-            start = time.process_time()
-            run()
-            times.append((time.process_time() - start) / units)
-        result[name] = [statistics.median(times), peak]
-    with tempfile.TemporaryDirectory() as scratch:
+    with scratch:  # removed once the grid commands and the CLI have run
+        for name, (run, units) in cases.items():
+            tracemalloc.start()
+            run()  # cold, and fills the caches a sweep fills
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            times = []
+            for _ in range(rounds):
+                start = time.process_time()
+                run()
+                times.append((time.process_time() - start) / units)
+            result[name] = [statistics.median(times), peak]
         # the commands run from a copy of src without __pycache__, so each run
         # compiles every library module it loads (PYTHONDONTWRITEBYTECODE keeps
         # it so), as in a fresh checkout, whatever tests or an install left there
-        fresh = Path(scratch) / "src"
+        fresh = Path(scratch.name) / "src"
         shutil.copytree(src, fresh, ignore=shutil.ignore_patterns("__pycache__"))
         env = {**os.environ, "PYTHONPATH": str(fresh)}
         for command in ["estimate"] if quick else COMMANDS:

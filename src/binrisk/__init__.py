@@ -18,6 +18,7 @@ _HOMES = {
     "PoissonConfig": "poisson",
     "PredictiveTable": "predictive",
     "PriorSpec": "binom",
+    "RiskCurves": "dominance",
     "SingularBoundError": "incbeta",
     "bayes_predictive": "predictive",
     "connection_sum": "risk",
@@ -27,6 +28,7 @@ _HOMES = {
     "point_risk": "risk",
     "posterior_mean": "estimators",
     "predictive_kl_risk": "risk",
+    "risk_curves": "dominance",
 }
 __all__ = list(_HOMES)
 

@@ -23,7 +23,8 @@ _LazyRow, a packed array('d') of 8 bytes an entry that holds NaN where an
 entry is not yet computed; an entry is computed where a window's terms or
 a mass first read it, so a one-shot risk at n = 1e5, p = 0.29 computes
 3,246 of 100,001, its core. Up to 256 whole rows and 8 lazy ones are
-kept. A long estimate table keeps its two log rows in one _LazyRow.
+kept. A long estimate table keeps its two log rows in one _LazyRow, and
+a long restricted table its difference pair in another.
 
 Also holds the two descriptors shared across the package, the
 trial-count setup and the (possibly truncated) beta prior; the bases of

@@ -86,33 +86,33 @@ def _cmd_predictive(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _dominance_report(args: argparse.Namespace):
-    """The one grid pass behind both risk-curve and dominance."""
+def _grid_sweep(args: argparse.Namespace, name: str):
+    """The grid sweep dominance.name of risk-curve or dominance, run on the flags."""
     if args.p_bar is None:
         raise ValueError(f"{args.command} requires --p-bar")
-    from .dominance import exhaustive_dominance_check
-    return exhaustive_dominance_check(
+    from . import dominance
+    return getattr(dominance, name)(
         args.n, args.a, args.b, args.p_bar, p_lo=args.p_lo, grid_size=args.grid
     )
 
 
 def _cmd_risk_curve(args: argparse.Namespace) -> int:
-    report = _dominance_report(args)
+    curves = _grid_sweep(args, "risk_curves")
     _write_csv(
         args.out,
         ["p", "risk_unrestricted", "risk_truncated", "thm32_bound"],
         zip(
-            report.p_grid,
-            report.risk_unrestricted,
-            report.risk_truncated,
-            report.thm32_bound_curve or repeat(None),
+            curves.p_grid,
+            curves.risk_unrestricted,
+            curves.risk_truncated,
+            curves.thm32_bound_curve or repeat(None),
         ),
     )
     return EXIT_OK
 
 
 def _cmd_dominance(args: argparse.Namespace) -> int:
-    report = _dominance_report(args)
+    report = _grid_sweep(args, "exhaustive_dominance_check")
     for name, flag in sorted(report.condition_flags.items()):
         print(f"{name}: {'n/a' if flag is None else flag}")
     print(f"verdict: {report.grid_verdict}")

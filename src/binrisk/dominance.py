@@ -5,19 +5,26 @@ the restriction's upper endpoint): the risks themselves are exact, so
 each grid value is trustworthy, but the verdict is a statement at grid
 resolution, not a symbolic proof.
 
-The grid pass has two engines that yield, per p, each table's risk and
-then each value row's expectation, the same floats: _row_pass, the grid
-in blocks of _BLOCK points summed by rows of x, while n + 1 <= _WHOLE_ROW,
-where its coefficient row and its tables' log rows are whole lists, and
-_window_pass, one pmf window per p, above that and for the scalar
-functions, which read one point of it. The value rows of the upper case,
-the J rows, are c(0..n) of the row the upper EstimateTable keeps.
+The grid pass has two engines that return the same floats, one column
+over the grid per sum, of three kinds: a table's risk; a risk difference
+D(p), truncated minus untruncated, as one sum over the truncated table's
+difference pair, p alpha_x + q beta_x with the p-free rows alpha_x =
+log(d_u/d_t) and beta_x = log((1-d_u)/(1-d_t)), whose terms do not
+cancel the way the two risks do; and a value row's expectation. _row_pass
+sums the grid in blocks of _BLOCK points by rows of x while n + 1 <=
+_WHOLE_ROW, where its coefficient row and its tables' rows are whole
+lists, and _window_pass one pmf window per p above that and for the
+scalar functions, which read one point of it; _grid_sums picks between
+them. The value rows of the upper case, the J rows, are c(0..n) of the
+row the upper EstimateTable keeps. risk_curves sums the two risks and
+J(p), exhaustive_dominance_check the difference, J(p) and E_p[1/I]: no
+sweep forms a term it does not report.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
 from .binom import (
     _WHOLE_ROW,
@@ -41,6 +48,10 @@ THRESHOLD_TOL = 1e-6
 
 # Grid points per block of the row pass
 _BLOCK = 64
+
+# The tables and the p-free value rows a grid pass sums
+_Tables = tuple[EstimateTable, ...]
+_Rows = tuple[Sequence[float], ...]
 
 
 class BoundUndefinedError(ArithmeticError):
@@ -71,90 +82,155 @@ def _j_rows(table: EstimateTable) -> tuple[list[float], Sequence[float]]:
     return i_row, inv_row
 
 
-def _curve_point(
-    p: float, j: float, e: float, p_bar: float, s: float
-) -> tuple[float, float | None]:
-    """The standardizer J(p) E_p[1/I] and the Thm 3.2 bound (None where its
-    log argument is nonpositive) at p, from the sums j = J(p) and e = E_p[1/I];
-    s = n + a + b."""
+def _bound(p: float, j: float, p_bar: float, s: float) -> float | None:
+    """The Thm 3.2 bound at p from the sum j = J(p), None where its log
+    argument is nonpositive; s = n + a + b."""
     arg = 1.0 - 1.0 / ((1.0 - p_bar) * s * j)
     gain = p * math.log1p((1.0 + 1.0 / j) / (p_bar * s))
-    bound = (1.0 - p) * math.log(arg) + gain if arg > 0.0 else None
-    return j * e, bound
+    return (1.0 - p) * math.log(arg) + gain if arg > 0.0 else None
 
 
 def _row_pass(
-    n: int,
-    tables: tuple[EstimateTable, ...],
-    value_rows: tuple[list[float], ...],
-    grid: list[float],
-) -> Iterator[tuple[float, ...]]:
-    """Yields, for each p of grid, each table's risk and then each value
-    row's expectation, every one a correctly rounded sum over x = 0..n.
+    n: int, grid: list[float], tables: _Tables = (), pairs: _Tables = (), rows: _Rows = ()
+) -> list[list[float]]:
+    """One column over grid per sum: each table's risk, then each
+    restricted table's risk difference D(p) from its difference pair, then
+    each value row's expectation, every one a correctly rounded sum over x
+    = 0..n.
 
     The grid goes in blocks of _BLOCK points. For each x, one comprehension
     over the block forms the pmf terms, by the expression of
-    binom._exp_terms, and one more per table and per value row forms the
-    weighted terms, the loss as in risk._risk_sums; each p then sums its
-    column of the block's rows. The terms are the windowed sums' terms,
-    and the rest are exactly 0.0 (pmf terms outside the exact window times
-    finite values), so each sum is the windowed one. It reads log C(n, x)
-    by index and each table's log rows whole, as they are up to
-    _WHOLE_ROW estimates.
+    binom._exp_terms, and one more per sum forms the weighted terms: the
+    loss as in risk._risk_sums, p alpha + q beta for a pair, the value for
+    a row; each p then sums its column of the block's rows. The terms are
+    the windowed sums' terms, and the rest are exactly 0.0 (pmf terms
+    outside the exact window times finite values), so each sum is the
+    windowed one. It reads log C(n, x) by index and the tables' p-free
+    rows whole, as they are up to _WHOLE_ROW estimates.
     """
     coeffs = _log_binom_coeffs(n)
     m = float(n)
     logs = [table._logs[:2] for table in tables]
+    diffs = [table._pair[:2] for table in pairs]
+    columns = [[] for _ in (*logs, *diffs, *rows)]
     for lo in range(0, len(grid), _BLOCK):
         block = [(p, 1.0 - p, math.log(p), math.log1p(-p)) for p in grid[lo : lo + _BLOCK]]
-        risk_terms = [[] for _ in tables]
-        value_terms = [[] for _ in value_rows]
+        loss_terms, pair_terms = [[] for _ in logs], [[] for _ in diffs]
+        value_terms = [[] for _ in rows]
         for x in range(n + 1):
             c, fx = coeffs[x], float(x)
             ws = [math.exp(c + fx * log_p + (m - fx) * log_q) for _, _, log_p, log_q in block]
-            for (log_ds, log_es), terms in zip(logs, risk_terms):
+            for (log_ds, log_es), x_terms in zip(logs, loss_terms):
                 log_d, log_e = log_ds[x], log_es[x]
-                terms.append(
+                x_terms.append(
                     [
                         w * (0.0 if (v := p * (log_p - log_d) + q * (log_q - log_e)) < 0.0 else v)
                         for w, (p, q, log_p, log_q) in zip(ws, block)
                     ]
                 )
-            for values, terms in zip(value_rows, value_terms):
+            for (alphas, betas), x_terms in zip(diffs, pair_terms):
+                al, be = alphas[x], betas[x]
+                x_terms.append([w * (p * al + q * be) for w, (p, q, _, _) in zip(ws, block)])
+            for values, x_terms in zip(rows, value_terms):
                 value = values[x]
-                terms.append([w * value for w in ws])
-        yield from zip(*(map(math.fsum, zip(*terms)) for terms in risk_terms + value_terms))
+                x_terms.append([w * value for w in ws])
+        for column, x_terms in zip(columns, loss_terms + pair_terms + value_terms):
+            column += map(math.fsum, zip(*x_terms))
+    return columns
 
 
 def _window_pass(
-    n: int, tables: tuple[EstimateTable, ...], value_rows: tuple[list[float], ...], grid: list[float]
-) -> Iterator[tuple[float, ...]]:
-    """Yields, for each p of grid, what _row_pass yields, from the one pmf
-    window of (n, p): the tables' risks by risk._risk_sums, then each value
-    row's expectation over the exact window, which is built only when a
-    value row is given, its terms largest first into fsum as in _risk_sums.
+    n: int, grid: list[float], tables: _Tables = (), pairs: _Tables = (), rows: _Rows = ()
+) -> list[list[float]]:
+    """The columns of _row_pass from the one pmf window of (n, p) per p:
+    the tables' risks by risk._risk_sums, the pairs' differences by
+    _pair_sums, then each value row's expectation over the exact window,
+    which is built only when a value row is given, its terms largest first
+    into fsum as in _risk_sums.
     """
+    points = []
     for p in grid:
-        sums = _risk_sums(tables, p)
-        if value_rows:
+        sums = _risk_sums(tables, p) + _pair_sums(pairs, p)
+        if rows:
             start, weights = pmf_windows(n, p).exact()
-            for values in value_rows:
+            for values in rows:
                 terms = [w * v for w, v in zip(weights, values[start:])]
                 terms.sort(reverse=True)
                 sums.append(math.fsum(terms))
-        yield tuple(sums)
+        points.append(sums)
+    return [list(column) for column in zip(*points)]
+
+
+def _pair_sums(tables: _Tables, p: float) -> list[float]:
+    """D(p) = sum_x Bin(x; n, p) (p alpha_x + q beta_x) of each restricted
+    table's difference pair at a checked p, correctly rounded over every x.
+
+    It sums the core window of (n, p) and certifies the terms left out as
+    risk._risk_sums does, on both sides, since they have either sign: their
+    weights sum to at most the window's tail and |p alpha + q beta| is at
+    most the pair's ceiling, so their sum lies in [-b, b] for b = tail (2
+    ceiling + 1), and fsum(terms + [-b]) == fsum(terms) == fsum(terms +
+    [b]) proves that the full sum rounds to the same float. Where that
+    check fails, the terms of the exact window outside the core join the
+    core's, and fsum, exact whatever the order, sums them all.
+    """
+    q = 1.0 - p
+    sums = []
+    for table in tables:
+        windows = pmf_windows(table.setup.n, p)
+        pair = table._pair
+        start, core = windows.core
+        terms = _pair_terms(pair, p, q, start, core)
+        diff = math.fsum(terms)
+        if windows.tail:
+            bound = windows.tail * (2.0 * pair[2] + 1.0)  # pair[2] is its ceiling
+            terms.append(bound)
+            certified = math.fsum(terms) == diff
+            terms[-1] = -bound
+            if not (certified and math.fsum(terms) == diff):  # the certificate failed
+                first, exact = windows.exact()
+                stop = start + len(core)
+                terms[-1:] = _pair_terms(pair, p, q, first, exact[: start - first])
+                terms += _pair_terms(pair, p, q, stop, exact[stop - first :])
+                diff = math.fsum(terms)
+        sums.append(diff)
+    return sums
+
+
+def _pair_terms(
+    pair: tuple, p: float, q: float, start: int, weights: Sequence[float]
+) -> list[float]:
+    """The terms w (p alpha + q beta) of a difference pair over x = start,
+    start+1, ... with pmf weights w, filling a long table's pair there first."""
+    alphas, betas, _, fill = pair
+    stop = start + len(weights)
+    if fill and start < stop:
+        fill(start, stop)
+    return [
+        w * (p * al + q * be)
+        for w, al, be in zip(weights, alphas[start:stop], betas[start:stop])
+    ]
+
+
+def _grid_sums(
+    n: int, grid: list[float], tables: _Tables = (), pairs: _Tables = (), rows: _Rows = ()
+) -> list[list[float]]:
+    """The columns of the grid pass: the row pass while n + 1 <= _WHOLE_ROW,
+    where its rows are whole lists, the window pass above that."""
+    grid_pass = _row_pass if n + 1 <= _WHOLE_ROW else _window_pass
+    return grid_pass(n, grid, tables, pairs, rows)
 
 
 def _upper_point(p: float, n: int, a: float, b: float, p_bar: float) -> tuple[float, float | None]:
-    """_curve_point's pair at p, from one point of _window_pass. a and b, n,
-    p_bar (by the upper table) and p are checked in that order, the order of
-    the public bound functions."""
+    """The standardizer J(p) E_p[1/I] and the Thm 3.2 bound at p, from one
+    point of _window_pass. a and b, n, p_bar (by the upper table) and p are
+    checked in that order, the order of the public bound functions."""
     _check_shape(a=a, b=b)
-    value_rows = _j_rows(EstimateTable.build(BinomialSetup(n=n), PriorSpec(a, b, p_bar=p_bar)))
+    rows = _j_rows(EstimateTable.build(BinomialSetup(n=n), PriorSpec(a, b, p_bar=p_bar)))
     if not 0.0 < p <= p_bar:
         raise ValueError(f"p must be in (0, p_bar], got p={p}, p_bar={p_bar}")
-    j, e = next(_window_pass(n, (), value_rows, [p]))
-    return _curve_point(p, j, e, p_bar, n + a + b)
+    [j], [e] = _window_pass(n, [p], rows=rows)
+    return j * e, _bound(p, j, p_bar, n + a + b)
 
 
 def thm32_bound(p: float, n: int, a: float, b: float, p_bar: float) -> float:
@@ -170,15 +246,12 @@ def risk_difference(
     p: float, n: int, a: float, b: float, p_bar: float, p_lo: float | None = None
 ) -> float:
     """Exact risk difference: truncated to (0, p_bar], or to [p_lo, p_bar]
-    when p_lo is given, minus untruncated."""
+    when p_lo is given, minus untruncated, as one sum D(p) over the
+    truncated table's difference pair."""
     _check_p(p)
-    setup = BinomialSetup(n=n)
-    trunc = EstimateTable.build(
-        setup, PriorSpec(a=a, b=b, p_bar=p_bar, p_lo=p_lo)
-    )
-    unres = EstimateTable.build(setup, PriorSpec(a=a, b=b))
-    r_u, r_t = next(_window_pass(n, (unres, trunc), (), [p]))
-    return r_t - r_u
+    trunc = EstimateTable.build(BinomialSetup(n=n), PriorSpec(a=a, b=b, p_bar=p_bar, p_lo=p_lo))
+    [[diff]] = _window_pass(n, [p], pairs=(trunc,))
+    return diff
 
 
 def standardized_risk_difference(
@@ -317,12 +390,50 @@ def dominance_threshold_n1(a: float) -> float:
 
 
 class DominanceReport(_record("DominanceReport", """n a b restriction p_lo p_bar p_grid
-        risk_unrestricted risk_truncated risk_difference thm32_bound_curve
-        standardized_diff_curve condition_flags grid_verdict worst_p worst_difference""")):
-    """Verdict and supporting diagnostics for one prior configuration; the
+        risk_difference thm32_bound_curve standardized_diff_curve condition_flags
+        grid_verdict worst_p worst_difference""")):
+    """Verdict and supporting diagnostics for one prior configuration: the
+    risk difference D(p) over the grid, truncated minus untruncated; the
     two bound curves are None unless the restriction is an upper bound."""
 
     __slots__ = ()
+
+
+class RiskCurves(_record("RiskCurves", """n a b restriction p_lo p_bar p_grid
+        risk_unrestricted risk_truncated thm32_bound_curve""")):
+    """The untruncated and truncated risk over a grid on the restriction;
+    the bound curve is None unless the restriction is an upper bound."""
+
+    __slots__ = ()
+
+
+def risk_curves(
+    n: int,
+    a: float,
+    b: float,
+    p_bar: float,
+    p_lo: float | None = None,
+    grid_size: int = 512,
+) -> RiskCurves:
+    """Exact risks of the untruncated and the truncated estimator over a
+    uniform grid on the restriction, and the Thm 3.2 bound under an upper
+    bound, which reads J(p) alone."""
+    setup = BinomialSetup(n=n)
+    prior = PriorSpec(a=a, b=b, p_bar=p_bar, p_lo=p_lo)
+    grid = p_grid(p_bar, p_lo, grid_size)
+    unres = EstimateTable.build(setup, PriorSpec(a=a, b=b))
+    trunc = EstimateTable.build(setup, prior)
+    upper = prior.restriction == "upper"
+    # p_grid keeps every p on the restriction, inside (0, 1)
+    risk_unres, risk_trunc, *js = _grid_sums(
+        n, grid, tables=(unres, trunc), rows=_j_rows(trunc)[:1] if upper else ()
+    )
+    bounds = tuple(_bound(p, j, p_bar, n + a + b) for p, j in zip(grid, *js)) if upper else None
+    return RiskCurves(
+        n=n, a=a, b=b, restriction=prior.restriction, p_lo=p_lo, p_bar=p_bar,
+        p_grid=tuple(grid), risk_unrestricted=tuple(risk_unres),
+        risk_truncated=tuple(risk_trunc), thm32_bound_curve=bounds,
+    )
 
 
 def exhaustive_dominance_check(
@@ -333,17 +444,17 @@ def exhaustive_dominance_check(
     p_lo: float | None = None,
     grid_size: int = 512,
 ) -> DominanceReport:
-    """Exact risk differences over a uniform grid on the restriction.
+    """Exact risk differences D(p) over a uniform grid on the restriction,
+    each one sum over the truncated table's difference pair, and under an
+    upper bound D/(J E_p[1/I]) and the Thm 3.2 bound.
 
     Verdict: 'dominates' when every difference is <= 1e-12, and
     'dominated_somewhere' when the worst difference clears the numerical
     noise ceiling of 1e-9; anything in between is 'inconclusive'.
     """
-    setup = BinomialSetup(n=n)
     prior = PriorSpec(a=a, b=b, p_bar=p_bar, p_lo=p_lo)
     grid = p_grid(p_bar, p_lo, grid_size)
-    unres = EstimateTable.build(setup, PriorSpec(a=a, b=b))
-    trunc = EstimateTable.build(setup, prior)
+    trunc = EstimateTable.build(BinomialSetup(n=n), prior)
     upper = prior.restriction == "upper"
 
     flags: dict[str, bool | None] = {
@@ -360,16 +471,9 @@ def exhaustive_dominance_check(
         c1, c2 = thm41_conditions(n, a, b, p_lo, p_bar)
         flags["thm41_c1"] = c1
         flags["thm41_c2"] = c2
-    s = n + a + b
-    value_rows = _j_rows(trunc) if upper else ()
     # p_grid keeps every p on the restriction, inside (0, 1)
-    grid_pass = _row_pass if n + 1 <= _WHOLE_ROW else _window_pass
-    rows = [
-        (r_u, r_t, *(_curve_point(p, *js, p_bar, s) if upper else (None, None)))
-        for p, (r_u, r_t, *js) in zip(grid, grid_pass(n, (unres, trunc), value_rows, grid))
-    ]
-    risk_unres, risk_trunc, scales, bounds = (tuple(col) for col in zip(*rows))
-    diffs = tuple(t - u for t, u in zip(risk_trunc, risk_unres))
+    diffs, *js = _grid_sums(n, grid, pairs=(trunc,), rows=_j_rows(trunc) if upper else ())
+    diffs = tuple(diffs)
 
     worst_idx = max(range(len(grid)), key=lambda i: diffs[i])
     worst = diffs[worst_idx]
@@ -380,6 +484,7 @@ def exhaustive_dominance_check(
     else:
         verdict = "inconclusive"
 
+    s = n + a + b
     return DominanceReport(
         n=n,
         a=a,
@@ -388,11 +493,13 @@ def exhaustive_dominance_check(
         p_lo=p_lo,
         p_bar=p_bar,
         p_grid=tuple(grid),
-        risk_unrestricted=risk_unres,
-        risk_truncated=risk_trunc,
         risk_difference=diffs,
-        thm32_bound_curve=bounds if upper else None,
-        standardized_diff_curve=tuple(d / c for d, c in zip(diffs, scales)) if upper else None,
+        thm32_bound_curve=(
+            tuple(_bound(p, j, p_bar, s) for p, j, _ in zip(grid, *js)) if upper else None
+        ),
+        standardized_diff_curve=(
+            tuple(d / (j * e) for d, j, e in zip(diffs, *js)) if upper else None
+        ),
         condition_flags=flags,
         grid_verdict=verdict,
         worst_p=grid[worst_idx],

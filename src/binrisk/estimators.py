@@ -9,10 +9,17 @@ carries the p-free rows log d and log(1-d) and the ceiling of its losses,
 which every risk sum at a p in (0, 1) reads, set up on the first sum: a
 table of more than 64 estimates keeps both in one _LazyRow, packed, with
 NaN where no sum has read them, computes them only over the spans its
-sums read, and takes the ceiling from its smallest and largest estimate; a
-table from build keeps the upper row c(0..n+1), packed, as _c_row (None
-if not upper), which the J rows and the small-p_bar condition read; it
-is built in the same backward pass as the estimates. The caches below and
+sums read, and takes the ceiling from its smallest and largest estimate. A
+restricted table also carries, set up on the first risk difference, the
+difference pair: the p-free rows alpha = log(d_u/d_t) and beta =
+log((1-d_u)/(1-d_t)) against its untruncated twin d_u, so that the loss
+difference at p is p alpha + (1-p) beta, kept whole or lazily like the
+log rows. A table from build keeps the upper row c(0..n+1), packed, as
+_c_row (None if not upper), which the J rows and the small-p_bar
+condition read; it is built in the same backward pass as the estimates.
+An estimate the builder computes outside the support raises
+OutOfSupportError, a numerical failure, where a table constructed with
+such values raises ValueError. The caches below and
 risk's connection tables decide how long a table is kept: tables of at
 most 64 estimates by the thousand, longer ones for one configuration.
 """
@@ -24,6 +31,10 @@ from functools import cached_property, lru_cache, partial
 
 from .binom import _WHOLE_ROW, BinomialSetup, PriorSpec, _check_count, _LazyRow, _Table
 from .incbeta import _bracket, _check_p_bar, _inverse_I_row, _log_I
+
+
+class OutOfSupportError(ArithmeticError):
+    """Raised when the builder computes an estimate outside the prior's support."""
 
 
 def posterior_mean(x: int, prior: PriorSpec, n: int) -> float:
@@ -74,12 +85,39 @@ class EstimateTable(_Table):
         any p in (0, 1) no loss that risk._risk_sums computes from these
         rows exceeds the ceiling by more than a few ulps."""
         values = self.values
-        ceiling = max(-math.log(min(values)), -math.log1p(-max(values)))
         log_ds, log_es = partial(_log_ds, values), partial(_log_es, values)
-        if len(values) <= _WHOLE_ROW:
-            return log_ds(0, len(values)), log_es(0, len(values)), ceiling, None
-        rows = _LazyRow(len(values), log_ds, log_es)
-        return *rows.rows, ceiling, rows.span
+        return _rows(len(values), log_ds, log_es, _ceiling(values))
+
+    @cached_property
+    def _pair(self) -> tuple:
+        """(alpha, beta, ceiling, fill), as _logs: the difference pair of
+        this restricted table against its untruncated twin, whose estimates
+        d_u are (x+a)/s; with g = d_u - d, alpha = -log1p(-g/d_u) and beta
+        = -log1p(g/(1-d_u)), each exact to a few ulps while |g| is at most
+        half of d_u, or of 1-d_u, and else the difference of the two logs,
+        which is then at least log 1.5 in size. Both are differences of two
+        logs of the same sign, so |alpha| + |beta| is at most twice the
+        larger of the two tables' loss ceilings, the ceiling kept here."""
+        prior, values = self.prior, self.values
+        twin = EstimateTable.build(self.setup, PriorSpec(prior.a, prior.b)).values
+        ceiling = 2.0 * max(_ceiling(twin), _ceiling(values))
+        alphas, betas = partial(_alphas, twin, values), partial(_betas, twin, values)
+        return _rows(len(values), alphas, betas, ceiling)
+
+
+def _ceiling(values: tuple[float, ...]) -> float:
+    """The loss ceiling max(-log(min d), -log1p(-max d)) of the estimates."""
+    return max(-math.log(min(values)), -math.log1p(-max(values)))
+
+
+def _rows(size: int, first, second, ceiling: float) -> tuple:
+    """(first row, second row, ceiling, fill) over x = 0..size-1 from the
+    entries functions first and second: whole lists and fill None up to
+    _WHOLE_ROW entries, else the rows of one _LazyRow and its span."""
+    if size <= _WHOLE_ROW:
+        return first(0, size), second(0, size), ceiling, None
+    rows = _LazyRow(size, first, second)
+    return *rows.rows, ceiling, rows.span
 
 
 # The entries of the two log rows over x = start..stop-1
@@ -89,6 +127,23 @@ def _log_ds(values: tuple[float, ...], start: int, stop: int) -> list[float]:
 
 def _log_es(values: tuple[float, ...], start: int, stop: int) -> list[float]:
     return [math.log1p(-d) for d in values[start:stop]]
+
+
+# The entries of the difference pair over x = start..stop-1, from the
+# untruncated estimates us and the restricted ones ts
+def _alphas(us: tuple[float, ...], ts: tuple[float, ...], start: int, stop: int) -> list[float]:
+    return [
+        -math.log1p(-g / u) if abs(g := u - t) <= 0.5 * u else math.log(u) - math.log(t)
+        for u, t in zip(us[start:stop], ts[start:stop])
+    ]
+
+
+def _betas(us: tuple[float, ...], ts: tuple[float, ...], start: int, stop: int) -> list[float]:
+    return [
+        -math.log1p(g / v) if abs(g := u - t) <= 0.5 * (v := 1.0 - u)
+        else math.log1p(-u) - math.log1p(-t)
+        for u, t in zip(us[start:stop], ts[start:stop])
+    ]
 
 
 def _correction(x: int, s: float, prior: PriorSpec) -> float:
@@ -121,7 +176,10 @@ def _estimate_table(setup: BinomialSetup, prior: PriorSpec) -> EstimateTable:
         c_row, values = _inverse_I_row(a, s, prior.p_bar, n)
     else:
         values = [(x + a) / s - _correction(x, s, prior) / s for x in range(n + 1)]
-    table = EstimateTable(setup=setup, prior=prior, values=tuple(values))
+    try:
+        table = EstimateTable(setup=setup, prior=prior, values=tuple(values))
+    except ValueError as exc:  # every input was valid: the numerics failed
+        raise OutOfSupportError(str(exc)) from None
     table.__dict__["_c_row"] = c_row  # p-free and not a field, like _logs
     return table
 

@@ -13,13 +13,15 @@ window_row is not an oracle either: it reads the library's pmf window,
 padded to x = 0..n, for tests that need it whole. loss_row is the risk
 sums' loss expression as a function of the weights and the log rows,
 and unit_losses reads it at unit weight; log_rows reads a table's log
-rows whole, and filled counts the entries of a p-free row computed so
-far. two_pass_upper_table is the upper table built in two passes, the c
-row as a list and then the estimates from it, against which the one
-packed pass must be bit-identical. mc_risk, a seeded sampler over
+rows whole, pair_rows a restricted table's difference pair whole, and
+filled counts the entries of a p-free row computed so far.
+two_pass_upper_table is the upper table built in two passes, the c row
+as a list and then the estimates from it, against which the one packed
+pass must be bit-identical. mc_risk, a seeded sampler over
 that loss row, is an oracle of point_risk's sum over x. The full-row sums
-evaluate every risk sum over all x = 0..n, zero pmf terms included, as
-references the windowed library sums must equal bit for bit;
+evaluate every risk sum and risk difference over all x = 0..n, zero pmf
+terms included, as references the windowed library sums must equal bit
+for bit;
 full_row_kl_risk does the same for the predictive KL risk over every
 (x, y). max_risk_diff_uniform and max_risk_diff_jeffreys are the closed
 forms of the n = 1 symmetric maximum risk difference for a = 1 and
@@ -209,6 +211,14 @@ def log_rows(estimates: EstimateTable) -> tuple[Sequence[float], Sequence[float]
     return log_ds, log_es
 
 
+def pair_rows(trunc: EstimateTable) -> tuple[Sequence[float], Sequence[float]]:
+    """The restricted table's difference pair alpha and beta, every entry computed."""
+    alphas, betas, _, fill = trunc._pair
+    if fill:
+        fill(0, trunc.setup.n + 1)
+    return alphas, betas
+
+
 def two_pass_upper_table(n: int, a: float, b: float, p_bar: float) -> tuple[list, list]:
     """The upper estimates d(0..n) and the row c(0..n+1) as two passes
     build them: the backward recurrence on c = 1/I(x+a, s+1, p_bar) into a
@@ -288,28 +298,41 @@ def full_row_kl_risk(
     )
 
 
+def full_row_difference(trunc: EstimateTable, p: float) -> float:
+    """D(p) over every x = 0..n, correctly rounded: the pmf times p alpha +
+    (1-p) beta, by the expression of the grid passes, over the truncated
+    table's difference pair whole."""
+    alphas, betas = pair_rows(trunc)
+    pmf, q = full_pmf_row(trunc.setup.n, p), 1.0 - p
+    return math.fsum(w * (p * al + q * be) for w, al, be in zip(pmf, alphas, betas, strict=True))
+
+
 def full_row_dominance(
     n: int, a: float, b: float, p_bar: float, p_lo: float | None, grid_size: int
-) -> dict:
-    """The fields of exhaustive_dominance_check's report that its sums feed,
-    from full-row risks, J(p) and E_p[1/I] sums and the Thm 3.2 bound."""
+) -> tuple[dict, dict]:
+    """The fields of exhaustive_dominance_check's report and of risk_curves'
+    curves that their sums feed: the differences D from full-row pair sums,
+    the risks from full-row risks, and J(p) and E_p[1/I] sums with the Thm
+    3.2 bound."""
     setup = BinomialSetup(n=n)
     unres = EstimateTable.build(setup, PriorSpec(a=a, b=b))
     trunc = EstimateTable.build(setup, PriorSpec(a=a, b=b, p_bar=p_bar, p_lo=p_lo))
     grid = tuple(p_grid(p_bar, p_lo, grid_size))
-    risk_unres = tuple(full_row_risk(unres, p) for p in grid)
-    risk_trunc = tuple(full_row_risk(trunc, p) for p in grid)
-    diffs = tuple(t - u for t, u in zip(risk_trunc, risk_unres))
+    diffs = tuple(full_row_difference(trunc, p) for p in grid)
     worst = max(range(grid_size), key=lambda i: diffs[i])
-    fields = dict(
+    report = dict(
         p_grid=grid,
-        risk_unrestricted=risk_unres,
-        risk_truncated=risk_trunc,
         risk_difference=diffs,
         thm32_bound_curve=None,
         standardized_diff_curve=None,
         worst_p=grid[worst],
         worst_difference=diffs[worst],
+    )
+    curves = dict(
+        p_grid=grid,
+        risk_unrestricted=tuple(full_row_risk(unres, p) for p in grid),
+        risk_truncated=tuple(full_row_risk(trunc, p) for p in grid),
+        thm32_bound_curve=None,
     )
     if p_lo is None:
         i_row, inv_row = _j_rows(trunc)
@@ -322,8 +345,9 @@ def full_row_dominance(
             arg = 1.0 - 1.0 / ((1.0 - p_bar) * s * j)
             gain = p * math.log1p((1.0 + 1.0 / j) / (p_bar * s))
             bounds.append((1.0 - p) * math.log(arg) + gain if arg > 0.0 else None)
-        fields.update(thm32_bound_curve=tuple(bounds), standardized_diff_curve=tuple(std))
-    return fields
+        report.update(thm32_bound_curve=tuple(bounds), standardized_diff_curve=tuple(std))
+        curves.update(thm32_bound_curve=tuple(bounds))
+    return report, curves
 
 
 def quad_beta_measure(alpha: float, beta: float, lo: float, hi: float) -> float:

@@ -205,7 +205,9 @@ class TestCurvePathsAgree:
         [["--n", "5", "--p-bar", "0.3"],
          ["--n", "9", "--a", "0.5", "--b", "3", "--p-bar", "0.4"]],
     )
-    def test_risk_curve_and_dominance_share_one_curve(self, tmp_path, flags):
+    def test_risk_curve_and_dominance_share_the_grid_and_the_bound(self, tmp_path, flags):
+        # dominance sums the difference itself, which the difference of the
+        # two risk columns matches to the rounding of the risks
         curve, dom = tmp_path / "curve.csv", tmp_path / "dom.csv"
         grid = ["--grid", "64"]
         assert main(["risk-curve", *flags, *grid, "--out", str(curve)]) == EXIT_OK
@@ -214,7 +216,8 @@ class TestCurvePathsAgree:
         _, dom_rows = read_csv(dom)
         assert [(r[0], r[3]) for r in curve_rows] == [(r[0], r[3]) for r in dom_rows]
         for (_, unres, trunc, _), (_, diff, _, _) in zip(curve_rows, dom_rows):
-            assert float(trunc) - float(unres) == float(diff)
+            t, u = float(trunc), float(unres)
+            assert abs(float(diff) - (t - u)) <= 1e-14 * max(t, u)
 
 
 class TestThreshold:
@@ -449,6 +452,30 @@ class TestExitStatuses:
         assert capsys.readouterr().err == (
             "numerical failure: p_bar=0.9999999999999 is within 1e-12 of 1; I diverges\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv, estimate",
+        [
+            (["estimate", "--n", "3", "--p-bar", "5e-324"], "0.0 outside (0, 1)"),
+            (["dominance", "--n", "3", "--p-bar", "5e-324", "--grid", "4"], "0.0 outside (0, 1)"),
+            (
+                ["estimate", "--n", "65", "--p-lo", "0.4", "--p-bar", "0.6"],
+                "0.3521274011913633 outside the restriction [0.4, 0.6]",
+            ),
+            (
+                ["estimate", "--n", "10", "--p-lo", "0.3", "--p-bar", "0.300000001"],
+                "0.29999989368638025 outside the restriction [0.3, 0.300000001]",
+            ),
+        ],
+        ids=["underflow", "dominance-underflow", "interval", "narrow-interval"],
+    )
+    def test_estimate_built_outside_the_support_is_a_numerical_failure(
+        self, argv, estimate, capsys
+    ):
+        # every flag is valid, so an estimate the builder computes outside
+        # the support is the numerics failing, not a usage error
+        assert main(argv) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == f"numerical failure: estimate {estimate}\n"
 
     def test_j_overflow_is_a_named_numerical_failure(self, capsys):
         code = main(["risk-curve", "--n", "10000", "--p-bar", "0.3", "--grid", "8"])

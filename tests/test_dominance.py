@@ -13,6 +13,7 @@ from binrisk.dominance import (
     exhaustive_dominance_check,
     max_risk_diff_symmetric_n1,
     p_grid,
+    risk_curves,
     risk_difference,
     smallpbar_sufficient_conditions,
     standardized_risk_difference,
@@ -29,8 +30,11 @@ from binrisk.risk import point_risk
 
 from conftest import (
     eval_J,
+    filled,
+    full_row_difference,
     full_row_dominance,
     log_rows,
+    pair_rows,
     max_risk_diff_jeffreys,
     max_risk_diff_uniform,
 )
@@ -518,9 +522,6 @@ class TestExhaustiveCheck:
                     p, n, a, b, pb
                 )
             assert report.risk_difference[i] == risk_difference(p, n, a, b, pb, p_lo)
-            assert report.risk_difference[i] == (
-                report.risk_truncated[i] - report.risk_unrestricted[i]
-            )
 
     def test_kernel_calls_do_not_grow_with_the_grid(self, monkeypatch):
         # counted as continued-fraction passes, which an upper I whose lower
@@ -611,11 +612,14 @@ class TestExhaustiveCheck:
     )
     def test_report_equals_the_full_row_sums(self, n, a, b, p_bar, p_lo, grid_size):
         # the windows drop only pmf terms that are exactly 0.0, and the row
-        # pass keeps them
+        # pass keeps them; the same holds for the risk curves
         report = exhaustive_dominance_check(n, a, b, p_bar, p_lo=p_lo, grid_size=grid_size)
-        expected = full_row_dominance(n, a, b, p_bar, p_lo, grid_size)
+        curves = risk_curves(n, a, b, p_bar, p_lo=p_lo, grid_size=grid_size)
+        expected, expected_curves = full_row_dominance(n, a, b, p_bar, p_lo, grid_size)
         for name, value in expected.items():
             assert getattr(report, name) == value, name
+        for name, value in expected_curves.items():
+            assert getattr(curves, name) == value, name
         upper = p_lo is None
         c1, c2 = (None, None) if upper else thm41_conditions(n, a, b, p_lo, p_bar)
         assert report.condition_flags == {
@@ -633,61 +637,165 @@ class TestExhaustiveCheck:
             else "dominated_somewhere" if worst > 1e-9
             else "inconclusive"
         )
-        assert (report.n, report.a, report.b, report.restriction, report.p_lo, report.p_bar) == (
-            n, a, b, "upper" if upper else "interval", p_lo, p_bar
-        )
+        for record in (report, curves):
+            assert (record.n, record.a, record.b, record.restriction, record.p_lo,
+                    record.p_bar) == (n, a, b, "upper" if upper else "interval", p_lo, p_bar)
 
 
 class TestGridEngines:
-    """The row pass and the window pass yield the same tuple per p: each
-    table's risk, then each value row's expectation, correctly rounded."""
+    """The row pass and the window pass return the same columns: each
+    table's risk, then each pair's difference, then each value row's
+    expectation, correctly rounded."""
 
     @staticmethod
-    def passes(n, p_lo, with_j, grid_size):
+    def passes(n, p_lo, sums, grid_size):
         a, b, p_bar = (0.5, 2.0, 0.3) if p_lo is None else (2.0, 0.5, 0.3)
         setup = BinomialSetup(n=n)
-        tables = (
-            EstimateTable.build(setup, PriorSpec(a=a, b=b)),
-            EstimateTable.build(setup, PriorSpec(a=a, b=b, p_bar=p_bar, p_lo=p_lo)),
-        )
+        unres = EstimateTable.build(setup, PriorSpec(a=a, b=b))
+        trunc = EstimateTable.build(setup, PriorSpec(a=a, b=b, p_bar=p_bar, p_lo=p_lo))
+        tables = (unres, trunc) if sums in ("risks", "all") else ()
+        pairs = (trunc,) if sums in ("pair", "all") else ()
         # the J rows of the upper table of the same (a, b, p_bar), also in
         # the interval case
         upper = EstimateTable.build(setup, PriorSpec(a=a, b=b, p_bar=p_bar))
-        rows = dominance._j_rows(upper) if with_j else ()
+        rows = dominance._j_rows(upper) if sums == "all" else ()
         grid = p_grid(p_bar, p_lo, grid_size)
         for table in tables:
             log_rows(table)  # the row pass reads them whole, as they are up to n = 63
+        if pairs:
+            pair_rows(trunc)
         return [
-            [[v.hex() for v in sums] for sums in engine(n, tables, rows, grid)]
+            [[v.hex() for v in column] for column in engine(n, grid, tables, pairs, rows)]
             for engine in (dominance._row_pass, dominance._window_pass)
         ]
 
     @pytest.mark.parametrize("grid_size", [2, 64, 65, 512])
-    @pytest.mark.parametrize("with_j", [False, True], ids=["risks", "j-rows"])
+    @pytest.mark.parametrize("sums", ["risks", "pair", "all"])
     @pytest.mark.parametrize("p_lo", [None, 0.05], ids=["upper", "interval"])
-    @pytest.mark.parametrize("n", [1, 2, 17, 63, 64, 65, 200, 300])
-    def test_engines_yield_equal_tuples_bit_for_bit(self, n, p_lo, with_j, grid_size):
+    @pytest.mark.parametrize("n", [1, 2, 17, 40, 63, 64, 65, 200, 300])
+    def test_engines_return_equal_columns_bit_for_bit(self, n, p_lo, sums, grid_size):
         # the row pass sums every x of the row in order, the window pass
-        # the core or the exact window largest first; fsum rounds the exact
-        # sum once, so neither the dropped zeros nor the order may show
-        by_rows, by_windows = self.passes(n, p_lo, with_j, grid_size)
-        assert len(by_rows) == grid_size
-        assert all(len(sums) == 2 + 2 * with_j for sums in by_rows)
+        # the core or the exact window; fsum rounds the exact sum once, so
+        # neither the dropped zeros nor the order may show
+        by_rows, by_windows = self.passes(n, p_lo, sums, grid_size)
+        assert len(by_rows) == {"risks": 2, "pair": 1, "all": 5}[sums]
+        assert all(len(column) == grid_size for column in by_rows)
         assert by_windows == by_rows
 
     def test_scalar_functions_read_one_point_of_the_window_pass_each(self, monkeypatch):
         points = []
         window_pass = dominance._window_pass
 
-        def counting(n, tables, value_rows, grid):
-            points.append((len(tables), len(value_rows), len(grid)))
-            return window_pass(n, tables, value_rows, grid)
+        def counting(n, grid, tables=(), pairs=(), rows=()):
+            points.append((len(tables), len(pairs), len(rows), len(grid)))
+            return window_pass(n, grid, tables, pairs, rows)
 
         monkeypatch.setattr(dominance, "_window_pass", counting)
         thm32_bound(0.1, 5, 1.0, 1.0, 0.3)
         risk_difference(0.1, 5, 1.0, 1.0, 0.3)
-        assert points == [(0, 2, 1), (2, 0, 1)]
+        assert points == [(0, 0, 2, 1), (0, 1, 0, 1)]
         points.clear()
         standardized_risk_difference(0.1, 5, 1.0, 1.0, 0.3)
-        assert points == [(0, 2, 1), (2, 0, 1)]
+        assert points == [(0, 0, 2, 1), (0, 1, 0, 1)]
 
+
+def _oracle_difference(n, a, b, p_bar, p_lo, p):
+    """D(p) in 60-digit mpmath over the stored estimates of both tables,
+    with its scale p E|alpha| + q E|beta|, alpha = log(d_u/d_t) and beta =
+    log((1-d_u)/(1-d_t))."""
+    setup = BinomialSetup(n=n)
+    us = EstimateTable.build(setup, PriorSpec(a=a, b=b)).values
+    ts = EstimateTable.build(setup, PriorSpec(a=a, b=b, p_bar=p_bar, p_lo=p_lo)).values
+    with mpmath.workdps(60):
+        mp, total, scale = mpmath.mpf(p), mpmath.mpf(0), mpmath.mpf(0)
+        mq = 1 - mp
+        for x, (u, t) in enumerate(zip(us, ts)):
+            w = mpmath.binomial(n, x) * mp**x * mq ** (n - x)
+            u, t = mpmath.mpf(u), mpmath.mpf(t)
+            al, be = mpmath.log(u / t), mpmath.log((1 - u) / (1 - t))
+            total += w * (mp * al + mq * be)
+            scale += w * (mp * abs(al) + mq * abs(be))
+        return float(total), float(scale)
+
+
+class TestDifferenceSum:
+    """D(p) is one sum over the truncated table's difference pair, held to
+    1e-13 of its scale p E|alpha| + q E|beta| against mpmath."""
+
+    def test_matches_mpmath_on_a_seeded_sweep(self):
+        # n <= 300: the library's pmf terms lose accuracy as n grows, which
+        # no form of the difference can mend
+        rng = numpy.random.default_rng(46)
+        classes = ((0.4, 0.6), (0.2, 0.8), (0.1, 0.3), (0.05, 0.5))
+        checked = 0
+        for draw in range(60):
+            n = int(round(10 ** rng.uniform(0.0, 2.5)))
+            a, b = (float(v) for v in rng.choice([0.5, 1.0, 2.0, 3.0], size=2))
+            if draw % 2:
+                p_lo, p_bar = classes[draw // 2 % 4]
+            else:
+                p_lo, p_bar = None, float(10 ** rng.uniform(-8.0, -0.05))
+            try:
+                EstimateTable.build(BinomialSetup(n=n), PriorSpec(a, b, p_bar=p_bar, p_lo=p_lo))
+            except ArithmeticError:
+                continue  # a table that does not build has no difference
+            lo = p_bar / 64 if p_lo is None else p_lo
+            for p in (lo, float(rng.uniform(lo, p_bar)), p_bar):
+                oracle, scale = _oracle_difference(n, a, b, p_bar, p_lo, p)
+                value = risk_difference(p, n, a, b, p_bar, p_lo)
+                assert abs(value - oracle) <= 1e-13 * scale, (n, a, b, p_bar, p_lo, p)
+                checked += 1
+        assert checked >= 120
+
+    @pytest.mark.parametrize(
+        "p, oracle", [(1 / 512, -4.4852259703102143e-20), (0.0029296875, -1.8952031409573851e-19)]
+    )
+    def test_differences_far_below_the_risks(self, p, oracle):
+        # dominance --n 64 --a 0.5 --b 2 --p-bar 0.5 at its second and third
+        # grid points: t - u of the two risks read 0.0 and -8.67e-19 here
+        assert oracle == pytest.approx(_oracle_difference(64, 0.5, 2.0, 0.5, None, p)[0], rel=1e-14)
+        report = exhaustive_dominance_check(64, 0.5, 2.0, 0.5)
+        assert report.p_grid[1:3] == (1 / 512, 0.0029296875)
+        value = risk_difference(p, 64, 0.5, 2.0, 0.5)
+        assert value == pytest.approx(oracle, rel=1e-13)
+        assert report.risk_difference[report.p_grid.index(p)] == value
+
+    def test_tiny_upper_bound_keeps_its_difference(self):
+        # d_t is 1e-20 of d_u here, so -log1p(-g/d_u) would read log1p(-1)
+        for p in (1e-21, 5e-21, 1e-20):
+            oracle, scale = _oracle_difference(3, 1.0, 1.0, 1e-20, None, p)
+            assert abs(risk_difference(p, 3, 1.0, 1.0, 1e-20) - oracle) <= 1e-13 * scale
+
+    @pytest.mark.parametrize(
+        "n, a, b, p_bar, p",
+        [(64, 0.5, 2.0, 0.5, 0.04), (64, 0.5, 2.0, 0.5, 0.01), (80, 2.0, 1.0, 0.4, 0.00625)],
+    )
+    def test_a_failed_certificate_sums_the_exact_window(self, n, a, b, p_bar, p, monkeypatch):
+        # the terms the core leaves out could move the rounded sum here, so
+        # the sum runs over the exact window, and equals the full-row sum
+        clear_windows()
+        reads = []
+        exact = binom.PmfWindows.exact
+
+        def counting(self):
+            reads.append(self)
+            return exact(self)
+
+        monkeypatch.setattr(binom.PmfWindows, "exact", counting)
+        value = risk_difference(p, n, a, b, p_bar)
+        assert len(reads) == 1
+        trunc = EstimateTable.build(BinomialSetup(n=n), PriorSpec(a=a, b=b, p_bar=p_bar))
+        assert value == full_row_difference(trunc, p)
+
+    def test_a_long_table_fills_its_pair_only_over_the_window_read(self):
+        n, p = 100_000, 0.29
+        prior = PriorSpec(a=1.0, b=1.0, p_bar=0.3)
+        trunc = EstimateTable.build(BinomialSetup(n=n), prior)
+        vars(trunc).pop("_pair", None)
+        clear_windows()
+        risk_difference(p, n, 1.0, 1.0, 0.3)
+        alphas, betas, _, fill = trunc._pair
+        assert fill is not None
+        start, core = binom.pmf_windows(n, p).core
+        assert filled(alphas) == filled(betas) == len(core) < n // 10
+        assert all(v == v for v in alphas[start : start + len(core)])

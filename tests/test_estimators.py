@@ -218,10 +218,11 @@ class TestEstimateTable:
 
     def test_scalar_reads_the_validated_table(self):
         # the correction form gives 0.352 at x = 0, outside [0.4, 0.6]; the
-        # table rejects it, and with it every x of the table
+        # table rejects it, and with it every x of the table, as a numerical
+        # failure, since the prior and n are valid
         prior = PriorSpec(1.0, 1.0, p_lo=0.4, p_bar=0.6)
         for x in (0, 30):
-            with pytest.raises(ValueError, match="outside the restriction"):
+            with pytest.raises(estimators.OutOfSupportError, match="outside the restriction"):
                 posterior_mean(x, prior, 65)
 
     def test_scalar_calls_build_one_table(self):

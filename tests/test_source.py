@@ -171,6 +171,8 @@ def test_p_free_row_builders_check_nothing():
     fillers = [("binom.py", "_log_binom_coeffs"), ("binom.py", "_coeff_row")]
     fillers += [("binom.py", "_coeff_entries")]
     fillers += [("binom.py", "_LazyRow"), ("estimators.py", "EstimateTable._logs")]
+    fillers += [("estimators.py", "EstimateTable._pair"), ("estimators.py", "_alphas")]
+    fillers += [("estimators.py", "_betas")]
     found = []
     for module, name in fillers:
         nodes = ast.parse((SOURCES[0].parent / module).read_text()).body
@@ -223,7 +225,7 @@ def test_p_is_checked_in_one_place():
     checked = (
         ("risk.py", {"_risk_sums"}),
         ("binom.py", {"_build_windows"}),
-        ("dominance.py", {"_window_pass", "_row_pass"}),
+        ("dominance.py", {"_window_pass", "_row_pass", "_pair_sums", "_grid_sums"}),
     )
     for module, names in checked:
         tree = ast.parse((SOURCES[0].parent / module).read_text())
@@ -255,11 +257,11 @@ def _identifiers(node: ast.AST) -> list[str]:
 
 
 def test_row_pass_is_named_only_at_the_engine_choice():
-    # the two grid engines yield the same tuples; the row pass serves the
-    # grid of exhaustive_dominance_check while n + 1 <= 64, picked against
-    # the window pass in one expression, and every other sum over a grid or
-    # at one p reads the window pass, so a change to a sum is made once per
-    # engine
+    # the two grid engines return the same columns; the row pass serves the
+    # grids of both sweeps while n + 1 <= 64, picked against the window
+    # pass in one expression of _grid_sums, which both sweeps call, and
+    # every sum at one p reads the window pass, so a change to a sum is
+    # made once per engine
     uses, choices = [], []
     for path in SOURCES:
         for stmt in ast.parse(path.read_text(), filename=str(path)).body:
@@ -271,9 +273,44 @@ def test_row_pass_is_named_only_at_the_engine_choice():
                     picked = [getattr(node.body, "id", None), getattr(node.orelse, "id", None)]
                     if picked == ["_row_pass", "_window_pass"]:
                         choices.append((path.name, owner))
-    engine_choice = ("dominance.py", "exhaustive_dominance_check")
+    engine_choice = ("dominance.py", "_grid_sums")
     assert uses == [("dominance.py", "_row_pass"), engine_choice]
     assert choices == [engine_choice]
+    assert _callers("_grid_sums") == {
+        ("dominance.py", "exhaustive_dominance_check"), ("dominance.py", "risk_curves")
+    }
+
+
+def _grid_sum_calls(function: str) -> list[dict[str, ast.AST]]:
+    """The keyword arguments of each _grid_sums call in dominance.function,
+    which passes n and the grid alone by position."""
+    tree = ast.parse((SOURCES[0].parent / "dominance.py").read_text())
+    [body] = [stmt for stmt in tree.body if getattr(stmt, "name", None) == function]
+    calls = [
+        node
+        for node in ast.walk(body)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_grid_sums"
+    ]
+    assert calls and all(len(call.args) == 2 for call in calls)
+    return [{keyword.arg: keyword.value for keyword in call.keywords} for call in calls]
+
+
+def test_each_sweep_sums_only_what_it_reports():
+    # exhaustive_dominance_check reports the difference, which it sums as
+    # one pair sum, so it passes no table to a loss sum; risk_curves
+    # reports the two risks and the bound, which reads J(p) alone, so it
+    # passes no pair and only the first of the J rows, not E_p[1/I]'s
+    for keywords in _grid_sum_calls("exhaustive_dominance_check"):
+        assert "tables" not in keywords and "pairs" in keywords
+    for keywords in _grid_sum_calls("risk_curves"):
+        assert "pairs" not in keywords and "tables" in keywords
+        rows = keywords["rows"]
+        assert isinstance(rows, ast.IfExp) and ast.unparse(rows.orelse) == "()"
+        assert ast.unparse(rows.body) == "_j_rows(trunc)[:1]"
+    for function in ("exhaustive_dominance_check", "risk_curves"):
+        assert not {("dominance.py", function)} & (
+            _callers("_risk_sums") | _callers("point_risk") | _callers("_window_pass")
+        )
 
 
 def _imported(node: ast.AST) -> list[str]:
@@ -426,16 +463,17 @@ def test_package_root_and_cli_import_no_library_module_at_module_level():
 
 EXPORTS = {
     "BinomialSetup", "BracketOverflowError", "BoundUndefinedError", "EstimateTable",
-    "PoissonConfig", "PredictiveTable", "PriorSpec", "SingularBoundError", "bayes_predictive",
-    "connection_sum", "dominance_threshold_n1", "exhaustive_dominance_check",
+    "PoissonConfig", "PredictiveTable", "PriorSpec", "RiskCurves", "SingularBoundError",
+    "bayes_predictive", "connection_sum", "dominance_threshold_n1", "exhaustive_dominance_check",
     "limit_convergence_report", "point_risk", "posterior_mean", "predictive_kl_risk",
+    "risk_curves",
 }
 
 
 def test_package_root_resolves_each_export_to_its_home_object():
     import binrisk
 
-    assert len(binrisk.__all__) == 16 and set(binrisk.__all__) == EXPORTS
+    assert len(binrisk.__all__) == 18 and set(binrisk.__all__) == EXPORTS
     assert EXPORTS <= set(dir(binrisk))
     namespace: dict[str, object] = {}
     exec("from binrisk import *", namespace)

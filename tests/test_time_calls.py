@@ -23,6 +23,8 @@ def test_one_quick_pair_reports_every_case(capsys):
         ["limit", "ms/call"],
         ["connection", "ms/p"],
         ["connection-12", "ms/p"],
+        ["grid-dominance", "ms/cmd"],
+        ["grid-risk-curve", "ms/cmd"],
         ["cli-estimate", "ms/cmd"],
     ]
     for row in rows:
@@ -37,7 +39,7 @@ def test_one_quick_pair_reports_every_case(capsys):
         assert 0 <= parent_kib and abs(change_kib - parent_kib) <= 0.1 * parent_kib + 1
     # the cold risk at n = 1e4 holds a window and the rows it reads, and
     # the cold report its own tables and windows
-    big, limit, cli = rows[-5].split(), rows[-4].split(), rows[-1].split()
+    big, limit, cli = rows[-7].split(), rows[-6].split(), rows[-1].split()
     assert big[0] == "big-n" and int(big[8]) > 100
     assert limit[0] == "limit" and int(limit[8]) > 0
     # a command's CPU time is its whole process, the interpreter's start-up
