@@ -3,8 +3,8 @@
 
     python scripts/time_calls.py --against OTHER_DIR [--pairs 8] [--quick]
 
-Thirteen cases, each timed in a fresh interpreter per side, after one
-untimed round that fills the caches a sweep fills; the first twelve run in
+Fourteen cases, each timed in a fresh interpreter per side, after one
+untimed round that fills the caches a sweep fills; the first thirteen run in
 process, timed with time.process_time:
 
   sweep    the three calls of the predictive acceptance sweep at one p
@@ -37,6 +37,11 @@ process, timed with time.process_time:
            call, of a table under a = b = 1 on (0, 0.3], built outside
            the timed region, its log rows dropped and every cache of
            binom, estimators and predictive emptied before each call;
+  cold-difference
+           a cold risk_difference at n = 1e5, p = 0.29, under a = b = 1
+           truncated to (0, 0.3], in milliseconds per call, the same
+           caches emptied before each call, so each call builds its
+           truncated table;
   limit    a cold limit_convergence_report with a = 1, lambda_bar = 1 on
            K = 10, 100, 1000 and 10000, in milliseconds per call, the
            same caches emptied before each call, so its cold peak is the
@@ -80,9 +85,9 @@ time leaves out the time the process waits for a core, so it does not
 follow the machine speed the way perfbench's wall-clock figures do.
 --quick runs one round of a few configurations, n = 300, 8 p, two
 targets, one table of each restriction, 20 kernel calls, the big-n risk
-at n = 1e4, the limit report on K = 10 and 100, each connection sum at
-4 p, each grid command at n = 8 on grid 64 and one command, estimate,
-for a smoke test.
+and the cold difference at n = 1e4, the limit report on K = 10 and 100,
+each connection sum at 4 p, each grid command at n = 8 on grid 64 and
+one command, estimate, for a smoke test.
 """
 
 from __future__ import annotations
@@ -111,6 +116,7 @@ CASES = (
     ("kernel", "us/call", 1e6),
     ("intervals", "ms/tbl", 1e3),
     ("big-n", "ms/call", 1e3),
+    ("cold-difference", "ms/call", 1e3),
     ("limit", "ms/call", 1e3),
     ("connection", "ms/p", 1e3),
     ("connection-12", "ms/p", 1e3),
@@ -259,6 +265,19 @@ def _big_n(n: int):
     return run, 1
 
 
+def _cold_difference(n: int):
+    """A round of the cold-difference case, and the number of calls it makes."""
+    from binrisk.dominance import risk_difference
+
+    cold = _cold_caches()
+
+    def run() -> None:
+        cold()
+        risk_difference(0.29, n, 1.0, 1.0, 0.3)
+
+    return run, 1
+
+
 def _limit(ks: list[float]):
     """A round of the limit case, and the number of calls it makes."""
     from binrisk.poisson import PoissonConfig, limit_convergence_report
@@ -360,6 +379,7 @@ def child(src: Path, quick: bool) -> dict[str, list[float]]:
             + [(n, 1.0, 0.5, 0.6, 0.4) for n in (20, 60)]
         ),
         "big-n": _big_n(10_000 if quick else 100_000),
+        "cold-difference": _cold_difference(10_000 if quick else 100_000),
         "limit": _limit([10.0, 100.0] if quick else [10.0, 100.0, 1000.0, 10000.0]),
         "connection": _connection(4 if quick else 16, 5),
         "connection-12": _connection(4 if quick else 16, 12),

@@ -32,21 +32,22 @@ def _fmt(value: float | None) -> str:
 def _write_csv(out: str | None, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
     r"""Write header and rows as CSV to the file out, or to stdout when None.
 
-    A column of floats only goes through a "%.17g" of the row format; any
-    other column is made cells first ("%.17g" % v for a float, "" for None,
-    str(v) otherwise) and goes through a "%s". This is byte for byte what
-    csv.writer(lineterminator="\n") writes of those cells: a %.17g float,
-    an int or a header name never holds ',', '"', '\r' or '\n', so nothing
-    is quoted, and csv's '""' for a row of one empty field cannot arise, as
-    every CSV here has at least two columns.
+    A column that holds None is made cells first, "" for None and "%.17g" %
+    v otherwise, and goes through a "%s"; every other column goes through a
+    "%.17g" of the row format, ints included: "%.17g" % x == str(x) for
+    every int x below 1e17, and no count here exceeds MAX_TRIALS. This is
+    byte for byte what csv.writer(lineterminator="\n") writes of those
+    cells: a %.17g float, an int or a header name never holds ',', '"', '\r'
+    or '\n', so nothing is quoted, and csv's '""' for a row of one empty
+    field cannot arise, as every CSV here has at least two columns.
     """
     specs, columns = [], []
     for column in zip(*rows):
-        if all([isinstance(v, float) for v in column]):
-            specs.append("%.17g")
-        else:
+        if None in column:
             specs.append("%s")
-            column = ["%.17g" % v if isinstance(v, float) else "" if v is None else str(v) for v in column]
+            column = ["" if v is None else "%.17g" % v for v in column]
+        else:
+            specs.append("%.17g")
         columns.append(column)
     line = ",".join(specs) + "\n"
     text = ",".join(header) + "\n" + "".join([line % row for row in zip(*columns)])

@@ -10,15 +10,16 @@ over the grid per sum, of three kinds: a table's risk; a risk difference
 D(p), truncated minus untruncated, as one sum over the truncated table's
 difference pair, p alpha_x + q beta_x with the p-free rows alpha_x =
 log(d_u/d_t) and beta_x = log((1-d_u)/(1-d_t)), whose terms do not
-cancel the way the two risks do; and a value row's expectation. _row_pass
-sums the grid in blocks of _BLOCK points by rows of x while n + 1 <=
-_WHOLE_ROW, where its coefficient row and its tables' rows are whole
-lists, and _window_pass one pmf window per p above that and for the
-scalar functions, which read one point of it; _grid_sums picks between
-them. The value rows of the upper case, the J rows, are c(0..n) of the
-row the upper EstimateTable keeps. risk_curves sums the two risks and
-J(p), exhaustive_dominance_check the difference, J(p) and E_p[1/I]: no
-sweep forms a term it does not report.
+cancel the way the two risks do; and a value row's expectation.
+_row_pass sums the grid in blocks of _BLOCK points by rows of x while
+n + 1 <= _WHOLE_ROW, where its coefficient row and its tables' rows are
+whole lists, and _window_pass one pmf window per p above that and for
+the scalar functions, which read one point of it; _grid_sums picks
+between them; the window pass reads each risk and difference from
+risk's certified core-window sums. The value rows of the upper case, the
+J rows, are c(0..n) of the row the upper EstimateTable keeps.
+risk_curves sums the two risks and J(p), exhaustive_dominance_check the
+difference, J(p) and E_p[1/I]: no sweep forms a term it does not report.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .binom import (
 )
 from .estimators import EstimateTable, _correction
 from .incbeta import SingularBoundError, _check_p_bar, _log_I
-from .risk import _check_p, _risk_sums
+from .risk import _check_p, _pair_sums, _risk_sums
 
 GRID_SLACK = 1e-12
 NOISE_CEILING = 1e-9
@@ -144,9 +145,9 @@ def _window_pass(
 ) -> list[list[float]]:
     """The columns of _row_pass from the one pmf window of (n, p) per p:
     the tables' risks by risk._risk_sums, the pairs' differences by
-    _pair_sums, then each value row's expectation over the exact window,
-    which is built only when a value row is given, its terms largest first
-    into fsum as in _risk_sums.
+    risk._pair_sums, each on its certified core window, then each value
+    row's expectation over the exact window, which is built only when a
+    value row is given, its terms largest first into fsum as in _risk_sums.
     """
     points = []
     for p in grid:
@@ -159,57 +160,6 @@ def _window_pass(
                 sums.append(math.fsum(terms))
         points.append(sums)
     return [list(column) for column in zip(*points)]
-
-
-def _pair_sums(tables: _Tables, p: float) -> list[float]:
-    """D(p) = sum_x Bin(x; n, p) (p alpha_x + q beta_x) of each restricted
-    table's difference pair at a checked p, correctly rounded over every x.
-
-    It sums the core window of (n, p) and certifies the terms left out as
-    risk._risk_sums does, on both sides, since they have either sign: their
-    weights sum to at most the window's tail and |p alpha + q beta| is at
-    most the pair's ceiling, so their sum lies in [-b, b] for b = tail (2
-    ceiling + 1), and fsum(terms + [-b]) == fsum(terms) == fsum(terms +
-    [b]) proves that the full sum rounds to the same float. Where that
-    check fails, the terms of the exact window outside the core join the
-    core's, and fsum, exact whatever the order, sums them all.
-    """
-    q = 1.0 - p
-    sums = []
-    for table in tables:
-        windows = pmf_windows(table.setup.n, p)
-        pair = table._pair
-        start, core = windows.core
-        terms = _pair_terms(pair, p, q, start, core)
-        diff = math.fsum(terms)
-        if windows.tail:
-            bound = windows.tail * (2.0 * pair[2] + 1.0)  # pair[2] is its ceiling
-            terms.append(bound)
-            certified = math.fsum(terms) == diff
-            terms[-1] = -bound
-            if not (certified and math.fsum(terms) == diff):  # the certificate failed
-                first, exact = windows.exact()
-                stop = start + len(core)
-                terms[-1:] = _pair_terms(pair, p, q, first, exact[: start - first])
-                terms += _pair_terms(pair, p, q, stop, exact[stop - first :])
-                diff = math.fsum(terms)
-        sums.append(diff)
-    return sums
-
-
-def _pair_terms(
-    pair: tuple, p: float, q: float, start: int, weights: Sequence[float]
-) -> list[float]:
-    """The terms w (p alpha + q beta) of a difference pair over x = start,
-    start+1, ... with pmf weights w, filling a long table's pair there first."""
-    alphas, betas, _, fill = pair
-    stop = start + len(weights)
-    if fill and start < stop:
-        fill(start, stop)
-    return [
-        w * (p * al + q * be)
-        for w, al, be in zip(weights, alphas[start:stop], betas[start:stop])
-    ]
 
 
 def _grid_sums(

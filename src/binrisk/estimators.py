@@ -12,11 +12,12 @@ NaN where no sum has read them, computes them only over the spans its
 sums read, and takes the ceiling from its smallest and largest estimate. A
 restricted table also carries, set up on the first risk difference, the
 difference pair: the p-free rows alpha = log(d_u/d_t) and beta =
-log((1-d_u)/(1-d_t)) against its untruncated twin d_u, so that the loss
-difference at p is p alpha + (1-p) beta, kept whole or lazily like the
-log rows. A table from build keeps the upper row c(0..n+1), packed, as
-_c_row (None if not upper), which the J rows and the small-p_bar
-condition read; it is built in the same backward pass as the estimates.
+log((1-d_u)/(1-d_t)) against the untruncated d_u = (x+a)/s, read entry by
+entry with no untruncated table built, so that the loss difference at p
+is p alpha + (1-p) beta, kept whole or lazily like the log rows. A table
+from build keeps the upper row c(0..n+1), packed, as _c_row (None if not
+upper), which the J rows and the small-p_bar condition read; it is built
+in the same backward pass as the estimates.
 An estimate the builder computes outside the support raises
 OutOfSupportError, a numerical failure, where a table constructed with
 such values raises ValueError. The caches below and
@@ -91,17 +92,19 @@ class EstimateTable(_Table):
     @cached_property
     def _pair(self) -> tuple:
         """(alpha, beta, ceiling, fill), as _logs: the difference pair of
-        this restricted table against its untruncated twin, whose estimates
-        d_u are (x+a)/s; with g = d_u - d, alpha = -log1p(-g/d_u) and beta
-        = -log1p(g/(1-d_u)), each exact to a few ulps while |g| is at most
-        half of d_u, or of 1-d_u, and else the difference of the two logs,
-        which is then at least log 1.5 in size. Both are differences of two
-        logs of the same sign, so |alpha| + |beta| is at most twice the
-        larger of the two tables' loss ceilings, the ceiling kept here."""
-        prior, values = self.prior, self.values
-        twin = EstimateTable.build(self.setup, PriorSpec(prior.a, prior.b)).values
-        ceiling = 2.0 * max(_ceiling(twin), _ceiling(values))
-        alphas, betas = partial(_alphas, twin, values), partial(_betas, twin, values)
+        this restricted table against the untruncated estimates d_u =
+        (x+a)/s, s = n+a+b, each read by _estimate_table's expression, so no
+        untruncated table is built; with g = d_u - d, alpha = -log1p(-g/d_u)
+        and beta = -log1p(g/(1-d_u)), each exact to a few ulps while |g| is
+        at most half of d_u, or of 1-d_u, and else the difference of the two
+        logs, which is then at least log 1.5 in size. Both are differences
+        of two logs of the same sign, so |alpha| + |beta| is at most twice
+        the larger of the two loss ceilings, the ceiling kept here; d_u
+        rises with x, so its ceiling is read from a/s and (n+a)/s."""
+        (a, b, _, _), values, n = self.prior, self.values, self.setup.n
+        s = n + a + b
+        ceiling = 2.0 * max(_ceiling((a / s, (n + a) / s)), _ceiling(values))
+        alphas, betas = partial(_alphas, a, s, values), partial(_betas, a, s, values)
         return _rows(len(values), alphas, betas, ceiling)
 
 
@@ -130,19 +133,19 @@ def _log_es(values: tuple[float, ...], start: int, stop: int) -> list[float]:
 
 
 # The entries of the difference pair over x = start..stop-1, from the
-# untruncated estimates us and the restricted ones ts
-def _alphas(us: tuple[float, ...], ts: tuple[float, ...], start: int, stop: int) -> list[float]:
+# untruncated estimates (x+a)/s and the restricted ones ts
+def _alphas(a: float, s: float, ts: tuple[float, ...], start: int, stop: int) -> list[float]:
     return [
         -math.log1p(-g / u) if abs(g := u - t) <= 0.5 * u else math.log(u) - math.log(t)
-        for u, t in zip(us[start:stop], ts[start:stop])
+        for u, t in zip([(x + a) / s for x in range(start, stop)], ts[start:stop])
     ]
 
 
-def _betas(us: tuple[float, ...], ts: tuple[float, ...], start: int, stop: int) -> list[float]:
+def _betas(a: float, s: float, ts: tuple[float, ...], start: int, stop: int) -> list[float]:
     return [
         -math.log1p(g / v) if abs(g := u - t) <= 0.5 * (v := 1.0 - u)
         else math.log1p(-u) - math.log1p(-t)
-        for u, t in zip(us[start:stop], ts[start:stop])
+        for u, t in zip([(x + a) / s for x in range(start, stop)], ts[start:stop])
     ]
 
 

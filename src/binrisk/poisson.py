@@ -17,7 +17,7 @@ from itertools import count
 from .binom import MAX_TRIALS, BinomialSetup, PriorSpec, _check_count, _check_shape, _record
 from .estimators import EstimateTable
 from .predictive import _masses
-from .risk import _risk_sums
+from .risk import point_risk
 from .special import _HALF_LOG_2PI, _stirling_error
 
 # the masses under which the report's predictive sup stops reading y
@@ -234,9 +234,7 @@ def limit_convergence_report(
                 break
         pred_errors.append(sup_err)
 
-        risk_errors.append(
-            abs(n / config.r * _risk_sums((table,), p)[0] - risk_target)
-        )
+        risk_errors.append(abs(n / config.r * point_risk(table, p) - risk_target))
 
     return PoissonLimitReport(
         K_grid=tuple(float(K) for K in K_grid),

@@ -6,14 +6,15 @@ correctly, so that 1e-9 comparisons downstream are meaningful.
 
 predictive_kl_risk sums over the exact pmf window of (n, p) only: outside
 it every pmf term is exactly 0.0 and every loss finite, so each dropped
-product is a zero and the correctly rounded sum is the same. point_risk
-sums over the core window, the x within e^-64 of the pmf peak, and
-certifies that the terms it leaves out cannot change the rounded sum;
-where the certificate fails it sums the exact window. Its terms
-Bin(x; n, p) L(d(x), p) come from one inline pass over log d and
-log(1-d), which do not depend on p and live on the estimate table with
-the ceiling of its losses, so they are kept as long as estimators keeps
-the table; a long table computes them only over the windows summed, each
+product is a zero and the correctly rounded sum is the same. The risk
+sums (_risk_sums) and the risk differences of dominance (_pair_sums) sum
+over the core window, the x within e^-64 of the pmf peak, and one
+certificate, _certified, proves that the terms left out cannot change the
+rounded sum; where it fails they sum the exact window. Each forms its
+terms in its own inline pass over p-free rows that live on the estimate
+table with their ceiling, log d and log(1-d) for a loss, the difference
+pair for a difference, so they are kept as long as estimators keeps the
+table; a long table computes them only over the windows summed, each
 filled before its sum. _risk_sums takes log p and log(1-p) once for all
 the tables of one call, the l of connection_sum or the two of a grid
 point.
@@ -33,7 +34,7 @@ import math
 from collections.abc import Sequence
 from functools import lru_cache
 
-from .binom import BinomialSetup, PriorSpec, _check_trials, pmf_windows
+from .binom import BinomialSetup, PmfWindows, PriorSpec, _check_trials, pmf_windows
 from .estimators import EstimateTable
 from .predictive import bayes_predictive_tables  # noqa: F401  (re-exported)
 
@@ -47,14 +48,10 @@ def point_risk(estimates: EstimateTable, p: float) -> float:
     """Exact entropy-loss risk sum_x Bin(x; n, p) L(delta(x), p), correctly
     rounded over every x = 0..n.
 
-    It sums the core window of (n, p) and certifies that the terms left out
-    cannot change the rounded sum: their weights sum to at most the
-    window's tail and no loss exceeds the table's ceiling by more than a few
-    ulps (EstimateTable._logs), so their sum lies in [0, bound] for bound =
-    tail (2 ceiling + 1), which leaves room for every rounding on the way.
-    fsum rounds correctly and rounding is monotone, so fsum(terms) ==
-    fsum(terms + [bound]) proves that the full sum rounds to the same float.
-    Where that check fails, the sum runs over the exact window.
+    It sums the core window of (n, p), and the exact window where _certified
+    cannot prove that the terms left out leave the rounded sum as it is: no
+    loss is negative or exceeds the table's ceiling by more than a few ulps
+    (EstimateTable._logs), so one side of the check suffices.
     """
     _check_p(p)
     return _risk_sums((estimates,), p)[0]
@@ -88,14 +85,62 @@ def _risk_sums(tables: Sequence[EstimateTable], p: float) -> list[float]:
             ]
             terms.sort(reverse=True)  # largest first, the order fsum sums fastest
             risk = math.fsum(terms)
-            if window is not windows.core or not windows.tail:
+            if _certified(windows, window, terms, risk, ceiling, 0.0):
                 break
-            terms.append(windows.tail * (2.0 * ceiling + 1.0))
-            if math.fsum(terms) == risk:
-                break
-            start, weights = window = windows.exact()  # the certificate failed
+            start, weights = window = windows.exact()
         sums.append(risk)
     return sums
+
+
+def _pair_sums(tables: Sequence[EstimateTable], p: float) -> list[float]:
+    """D(p) = sum_x Bin(x; n, p) (p alpha_x + q beta_x) of each restricted
+    table's difference pair (EstimateTable._pair) at a checked p, correctly
+    rounded over every x, certified as _risk_sums certifies a risk but on
+    both sides, since the terms have either sign. Unsorted: fsum sums these
+    terms faster in their own order."""
+    q = 1.0 - p
+    sums = []
+    for table in tables:
+        windows = pmf_windows(table.setup.n, p)
+        alphas, betas, ceiling, fill = table._pair
+        start, weights = window = windows.core
+        while True:
+            stop = start + len(weights)
+            if fill:
+                fill(start, stop)
+            terms = [
+                w * (p * al + q * be)
+                for w, al, be in zip(weights, alphas[start:stop], betas[start:stop])
+            ]
+            diff = math.fsum(terms)
+            if _certified(windows, window, terms, diff, ceiling, -1.0):
+                break
+            start, weights = window = windows.exact()
+        sums.append(diff)
+    return sums
+
+
+def _certified(
+    windows: PmfWindows, window: tuple, terms: list, total: float, ceiling: float, low: float
+) -> bool:
+    """Whether total, the fsum of terms w v over the window (start, weights)
+    of windows, is the correctly rounded sum over every x, where no |v|
+    exceeds the ceiling by more than a few ulps and, unless low is -1.0, no
+    v is negative; it appends its bound to terms. It holds on the exact
+    window, and where the core leaves out nothing (tail 0). Else the weights
+    left out sum to at most the tail, so the terms left out sum to within
+    [low b, b], b = tail (2 ceiling + 1), with room for every rounding on
+    the way; fsum rounds correctly (Shewchuk 1997) and rounding is monotone,
+    so fsum(terms + [b]) == total, and fsum(terms + [low b]) == total unless
+    low is 0.0, prove that the full sum rounds to total."""
+    if window is not windows.core or not windows.tail:
+        return True
+    bound = windows.tail * (2.0 * ceiling + 1.0)
+    terms.append(bound)
+    if math.fsum(terms) != total:
+        return False
+    terms[-1] = low * bound
+    return not low or math.fsum(terms) == total
 
 
 def predictive_kl_risk(

@@ -27,6 +27,7 @@ from conftest import (
     filled,
     log_rows,
     loss_row,
+    pair_rows,
     quad_posterior_mean,
     two_pass_upper_table,
 )
@@ -325,6 +326,34 @@ class TestTableRows:
         copy = EstimateTable(setup=BinomialSetup(n=n), prior=prior, values=built.values)
         for p in (1e-9, 0.01, 0.3, 0.45, 0.9):
             assert point_risk(copy, p).hex() == point_risk(built, p).hex()
+
+    @pytest.mark.parametrize("n", [10, 100])
+    def test_the_pair_builds_no_untruncated_table(self, n):
+        # a restricted table reads its untruncated estimates entry by entry,
+        # as the builder's (x+a)/s, so its pair builds and holds no table of
+        # them, and equals the pair read from that table
+        clear_tables()
+        setup, prior = BinomialSetup(n=n), PriorSpec(a=1.5, b=2.0, p_bar=0.4)
+        table = EstimateTable.build(setup, prior)
+        misses = [cache.cache_info().misses for cache in TABLE_CACHES]
+        _, _, ceiling, fill = table._pair
+        alphas, betas = pair_rows(table)
+        assert [cache.cache_info().misses for cache in TABLE_CACHES] == misses
+        if fill is not None:
+            held = [arg for entries in fill.__self__._entries for arg in entries.args]
+            assert [arg for arg in held if isinstance(arg, tuple)] == [table.values] * 2
+        # the pair as read from the untruncated table itself
+        twin = EstimateTable.build(setup, PriorSpec(a=1.5, b=2.0)).values
+        assert list(alphas) == [
+            -math.log1p(-g / u) if abs(g := u - t) <= 0.5 * u else math.log(u) - math.log(t)
+            for u, t in zip(twin, table.values)
+        ]
+        assert list(betas) == [
+            -math.log1p(g / v) if abs(g := u - t) <= 0.5 * (v := 1.0 - u)
+            else math.log1p(-u) - math.log1p(-t)
+            for u, t in zip(twin, table.values)
+        ]
+        assert ceiling == 2.0 * max(estimators._ceiling(twin), estimators._ceiling(table.values))
 
     def test_only_tables_of_at_most_64_estimates_go_to_the_4096_cache(self):
         # the caches split where the log rows do: whole rows by the thousand

@@ -5,6 +5,7 @@ import math
 import random
 import tracemalloc
 from functools import lru_cache
+from types import SimpleNamespace
 
 import pytest
 
@@ -183,6 +184,29 @@ class TestCoreWindowCertificate:
                 risk = point_risk(table, p)
                 assert summed_rows == [len(pmf_windows(n, p).core[1])]
                 assert risk.hex() == full_row_risk(table, p).hex()
+
+    def test_the_certificate_checks_the_low_side_only_for_signed_terms(self):
+        # the terms left out sum to within [low b, b], b = tail (2 ceiling
+        # + 1): here b = 0.75 ulp(1)/2, so 1 + b rounds to 1.0 and 1 - b
+        # does not, and only terms of either sign (low = -1.0) read that
+        core = (0, (0.5, 0.5))
+        half_ulp = 2.0**-53
+        windows = SimpleNamespace(core=core, tail=0.75 * half_ulp)
+        assert risk_module._certified(windows, core, [0.5, 0.5], 1.0, 0.0, 0.0)
+        assert not risk_module._certified(windows, core, [0.5, 0.5], 1.0, 0.0, -1.0)
+        # a bound that moves 1 + b fails on both sides
+        wide = SimpleNamespace(core=core, tail=4.0 * half_ulp)
+        for low in (0.0, -1.0):
+            assert not risk_module._certified(wide, core, [0.5, 0.5], 1.0, 0.0, low)
+        # the exact window, and a core that leaves nothing out, hold outright,
+        # whatever the sum, and sum nothing more
+        exact = (0, (0.25, 0.5, 0.25))
+        full = SimpleNamespace(core=core, tail=0.0)
+        for low in (0.0, -1.0):
+            terms = [0.5, 0.5]
+            assert risk_module._certified(wide, exact, terms, 2.0, 1e300, low)
+            assert risk_module._certified(full, core, terms, 2.0, 1e300, low)
+            assert terms == [0.5, 0.5]
 
     def test_zero_core_sum_is_never_certified(self):
         # d = p on the core window and 0.5 off it: the core terms are all

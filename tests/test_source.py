@@ -223,9 +223,9 @@ def test_p_is_checked_in_one_place():
     assert owners == ["risk.py"]
     found = []
     checked = (
-        ("risk.py", {"_risk_sums"}),
+        ("risk.py", {"_risk_sums", "_pair_sums", "_certified"}),
         ("binom.py", {"_build_windows"}),
-        ("dominance.py", {"_window_pass", "_row_pass", "_pair_sums", "_grid_sums"}),
+        ("dominance.py", {"_window_pass", "_row_pass", "_grid_sums"}),
     )
     for module, names in checked:
         tree = ast.parse((SOURCES[0].parent / module).read_text())
@@ -239,7 +239,47 @@ def test_p_is_checked_in_one_place():
             and any(getattr(side, "id", None) == "p" for side in (node.left, *node.comparators))
         ]
     assert found == []
-    assert _check_calls("risk.py", {"_risk_sums"}) == []
+    assert _check_calls("risk.py", {"_risk_sums", "_pair_sums", "_certified"}) == []
+
+
+def test_the_core_window_is_certified_in_one_place():
+    # the bound on the terms a core window leaves out is formed in one
+    # function, risk._certified, which both core-window sums call; dominance
+    # sums its differences through risk and reads no window's tail; a
+    # restricted table reads its untruncated estimates as (x+a)/s and
+    # builds no table for them
+    owners, tails = [], []
+    for path in SOURCES:
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            owner = getattr(stmt, "name", f"line {stmt.lineno}")
+            for node in ast.walk(stmt):
+                # a product with a window's tail, as in tail (2 ceiling + 1)
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+                    if any("tail" in _identifiers(side) for side in (node.left, node.right)):
+                        owners.append((path.name, owner))
+                if isinstance(node, ast.Attribute) and node.attr == "tail":
+                    tails.append((path.name, owner))
+    assert owners == [("risk.py", "_certified")]
+    [formed] = [
+        node
+        for node in ast.walk(ast.parse((SOURCES[0].parent / "risk.py").read_text()))
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "bound"
+    ]
+    assert ast.unparse(formed.value) == "windows.tail * (2.0 * ceiling + 1.0)"
+    assert [owner for owner in tails if owner[0] == "dominance.py"] == []
+    assert _callers("_certified") == {("risk.py", "_risk_sums"), ("risk.py", "_pair_sums")}
+    assert {caller for caller in _callers("_pair_sums") if caller[0] != "risk.py"} == {
+        ("dominance.py", "_window_pass")
+    }
+    tree = ast.parse((SOURCES[0].parent / "estimators.py").read_text())
+    [table] = [stmt for stmt in tree.body if getattr(stmt, "name", None) == "EstimateTable"]
+    [pair] = [stmt for stmt in table.body if getattr(stmt, "name", None) == "_pair"]
+    called = {
+        getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        for node in ast.walk(pair)
+        if isinstance(node, ast.Call)
+    }
+    assert called & {"build", "_build_table", "_build_large_table", "_estimate_table"} == set()
 
 
 def _identifiers(node: ast.AST) -> list[str]:

@@ -20,6 +20,7 @@ def test_one_quick_pair_reports_every_case(capsys):
         ["kernel", "us/call"],
         ["intervals", "ms/tbl"],
         ["big-n", "ms/call"],
+        ["cold-difference", "ms/call"],
         ["limit", "ms/call"],
         ["connection", "ms/p"],
         ["connection-12", "ms/p"],
@@ -37,10 +38,12 @@ def test_one_quick_pair_reports_every_case(capsys):
         # cold round, where its CPU time varies
         parent_kib, change_kib = int(cells[8]), int(cells[9])
         assert 0 <= parent_kib and abs(change_kib - parent_kib) <= 0.1 * parent_kib + 1
-    # the cold risk at n = 1e4 holds a window and the rows it reads, and
-    # the cold report its own tables and windows
-    big, limit, cli = rows[-7].split(), rows[-6].split(), rows[-1].split()
+    # the cold risk and difference at n = 1e4 hold a window and the rows
+    # they read, and the cold report its own tables and windows
+    big, difference = rows[-8].split(), rows[-7].split()
+    limit, cli = rows[-6].split(), rows[-1].split()
     assert big[0] == "big-n" and int(big[8]) > 100
+    assert difference[0] == "cold-difference" and int(difference[8]) > 100
     assert limit[0] == "limit" and int(limit[8]) > 0
     # a command's CPU time is its whole process, the interpreter's start-up
     # of some milliseconds included, and its memory is not the child's
