@@ -12,12 +12,12 @@ NaN where no sum has read them, computes them only over the spans its
 sums read, and takes the ceiling from its smallest and largest estimate. A
 restricted table also carries, set up on the first risk difference, the
 difference pair: the p-free rows alpha = log(d_u/d_t) and beta =
-log((1-d_u)/(1-d_t)) against the untruncated d_u = (x+a)/s, read entry by
-entry with no untruncated table built, so that the loss difference at p
-is p alpha + (1-p) beta, kept whole or lazily like the log rows. A table
-from build keeps the upper row c(0..n+1), packed, as _c_row (None if not
-upper), which the J rows and the small-p_bar condition read; it is built
-in the same backward pass as the estimates.
+log((1-d_u)/(1-d_t)) against the untruncated d_u = (x+a)/s, so that the
+loss difference at p is p alpha + (1-p) beta, kept like the log rows. A
+table from build keeps the upper row c(0..n+1), packed, as _c_row (None if
+not upper), which the J rows and the small-p_bar condition read, and the
+entries of rho = d_u/d_t - 1, from which the pair is read with no
+untruncated table built, as _rhos(start, stop) (None if unrestricted).
 An estimate the builder computes outside the support raises
 OutOfSupportError, a numerical failure, where a table constructed with
 such values raises ValueError. The caches below and
@@ -92,19 +92,17 @@ class EstimateTable(_Table):
     @cached_property
     def _pair(self) -> tuple:
         """(alpha, beta, ceiling, fill), as _logs: the difference pair of
-        this restricted table against the untruncated estimates d_u =
-        (x+a)/s, s = n+a+b, each read by _estimate_table's expression, so no
-        untruncated table is built; with g = d_u - d, alpha = -log1p(-g/d_u)
-        and beta = -log1p(g/(1-d_u)), each exact to a few ulps while |g| is
-        at most half of d_u, or of 1-d_u, and else the difference of the two
-        logs, which is then at least log 1.5 in size. Both are differences
-        of two logs of the same sign, so |alpha| + |beta| is at most twice
-        the larger of the two loss ceilings, the ceiling kept here; d_u
-        rises with x, so its ceiling is read from a/s and (n+a)/s."""
+        this restricted table against d_u = (x+a)/s, s = n+a+b, read from
+        rho = d_u/d - 1 (_rhos): alpha = log1p(rho) and, as 1 - d_u =
+        (n-x+b)/s, beta = -log1p(rho s d/(n-x+b)), each exact to a few ulps,
+        as neither subtracts two estimates. Both are differences of two logs
+        of the same sign, so |alpha| + |beta| is at most twice the larger of
+        the two loss ceilings, the ceiling kept here; d_u rises with x, so
+        its ceiling is read from a/s and (n+a)/s."""
         (a, b, _, _), values, n = self.prior, self.values, self.setup.n
         s = n + a + b
         ceiling = 2.0 * max(_ceiling((a / s, (n + a) / s)), _ceiling(values))
-        alphas, betas = partial(_alphas, a, s, values), partial(_betas, a, s, values)
+        alphas, betas = partial(_alphas, self._rhos), partial(_betas, self._rhos, n, b, s, values)
         return _rows(len(values), alphas, betas, ceiling)
 
 
@@ -132,21 +130,22 @@ def _log_es(values: tuple[float, ...], start: int, stop: int) -> list[float]:
     return [math.log1p(-d) for d in values[start:stop]]
 
 
-# The entries of the difference pair over x = start..stop-1, from the
-# untruncated estimates (x+a)/s and the restricted ones ts
-def _alphas(a: float, s: float, ts: tuple[float, ...], start: int, stop: int) -> list[float]:
-    return [
-        -math.log1p(-g / u) if abs(g := u - t) <= 0.5 * u else math.log(u) - math.log(t)
-        for u, t in zip([(x + a) / s for x in range(start, stop)], ts[start:stop])
-    ]
+# Entries over x = start..stop-1: rho from c or from A, then alpha and beta
+def _upper_rhos(c_row, p_bar: float, s: float, start: int, stop: int) -> list[float]:
+    return [c / p_bar / s for c in c_row[start + 1 : stop + 1]]
 
 
-def _betas(a: float, s: float, ts: tuple[float, ...], start: int, stop: int) -> list[float]:
-    return [
-        -math.log1p(g / v) if abs(g := u - t) <= 0.5 * (v := 1.0 - u)
-        else math.log1p(-u) - math.log1p(-t)
-        for u, t in zip([(x + a) / s for x in range(start, stop)], ts[start:stop])
-    ]
+def _interval_rhos(corrections, s: float, ds, start: int, stop: int) -> list[float]:
+    return [A / (s * d) for A, d in zip(corrections[start:stop], ds[start:stop])]
+
+
+def _alphas(rhos, start: int, stop: int) -> list[float]:
+    return [math.log1p(rho) for rho in rhos(start, stop)]
+
+
+def _betas(rhos, n: int, b: float, s: float, ds, start: int, stop: int) -> list[float]:
+    entries = zip(range(start, stop), rhos(start, stop), ds[start:stop])
+    return [-math.log1p(rho * (s * d) / (n - x + b)) for x, rho, d in entries]
 
 
 def _correction(x: int, s: float, prior: PriorSpec) -> float:
@@ -163,7 +162,7 @@ def _correction(x: int, s: float, prior: PriorSpec) -> float:
 def _estimate_table(setup: BinomialSetup, prior: PriorSpec) -> EstimateTable:
     n, a = setup.n, prior.a
     s = n + a + prior.b
-    c_row = None
+    c_row = rhos = None
     if prior.p_bar is not None:
         _check_p_bar(prior.p_bar)  # the one ceiling check of a table
     if prior.restriction == "none":
@@ -177,13 +176,16 @@ def _estimate_table(setup: BinomialSetup, prior: PriorSpec) -> EstimateTable:
         # is M(alpha+1, beta) / M(alpha, beta). Nothing is subtracted, and a
         # c that underflows to 0.0 gives exactly (x+a)/s.
         c_row, values = _inverse_I_row(a, s, prior.p_bar, n)
+        rhos = partial(_upper_rhos, c_row, prior.p_bar, s)
     else:
-        values = [(x + a) / s - _correction(x, s, prior) / s for x in range(n + 1)]
-    try:
+        corrections = tuple([_correction(x, s, prior) for x in range(n + 1)])
+        values = tuple([(x + a) / s - A / s for x, A in enumerate(corrections)])
+        rhos = partial(_interval_rhos, corrections, s, values)
+    try:  # tuple(values) is values itself when values is a tuple
         table = EstimateTable(setup=setup, prior=prior, values=tuple(values))
     except ValueError as exc:  # every input was valid: the numerics failed
         raise OutOfSupportError(str(exc)) from None
-    table.__dict__["_c_row"] = c_row  # p-free and not a field, like _logs
+    table.__dict__.update(_c_row=c_row, _rhos=rhos)  # p-free, not fields, like _logs
     return table
 
 

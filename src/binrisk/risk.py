@@ -96,8 +96,7 @@ def _pair_sums(tables: Sequence[EstimateTable], p: float) -> list[float]:
     """D(p) = sum_x Bin(x; n, p) (p alpha_x + q beta_x) of each restricted
     table's difference pair (EstimateTable._pair) at a checked p, correctly
     rounded over every x, certified as _risk_sums certifies a risk but on
-    both sides, since the terms have either sign. Unsorted: fsum sums these
-    terms faster in their own order."""
+    both sides, since the terms have either sign."""
     q = 1.0 - p
     sums = []
     for table in tables:
@@ -112,6 +111,7 @@ def _pair_sums(tables: Sequence[EstimateTable], p: float) -> list[float]:
                 w * (p * al + q * be)
                 for w, al, be in zip(weights, alphas[start:stop], betas[start:stop])
             ]
+            terms.sort(key=abs, reverse=True)  # largest in size first, as in _risk_sums
             diff = math.fsum(terms)
             if _certified(windows, window, terms, diff, ceiling, -1.0):
                 break

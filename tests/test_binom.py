@@ -41,7 +41,7 @@ def kl_binomial(l, p, q):
 
 class TestBinomPmf:
     def test_simple_value(self):
-        assert window_row(2, 0.5)[1] == pytest.approx(0.5, rel=1e-14)
+        assert window_row(2, 0.5)[1] == pytest.approx(0.5, rel=1e-14, abs=0)
 
     def test_direct_product_oracle(self):
         # C(9,3) 0.3^3 0.7^6 multiplied out factor by factor
@@ -50,7 +50,7 @@ class TestBinomPmf:
             expected *= 0.3
         for _ in range(6):
             expected *= 0.7
-        assert window_row(9, 0.3)[3] == pytest.approx(expected, rel=1e-13)
+        assert window_row(9, 0.3)[3] == pytest.approx(expected, rel=1e-13, abs=0)
 
     @settings(max_examples=80, deadline=None)
     @given(n=st.integers(1, 50), p=st.floats(0.001, 0.999))
@@ -238,7 +238,7 @@ class TestEntropyLoss:
 
     def test_direct_arithmetic(self):
         expected = 0.4 * math.log(2.0) + 0.6 * math.log(0.75)
-        assert unit_losses([0.2], 0.4)[0] == pytest.approx(expected, rel=1e-13)
+        assert unit_losses([0.2], 0.4)[0] == pytest.approx(expected, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("d", [0.0, 1.0, -0.2, 1.2, math.nan])
     def test_every_estimate_is_checked(self, d):
@@ -280,12 +280,12 @@ class TestKlBinomial:
 
     def test_single_trial_identity(self):
         assert kl_binomial(1, 0.2, 0.4) == pytest.approx(
-            unit_losses([0.4], 0.2)[0], rel=1e-15
+            unit_losses([0.4], 0.2)[0], rel=1e-15, abs=0
         )
 
     def test_scales_linearly(self):
         assert kl_binomial(3, 0.2, 0.4) == pytest.approx(
-            3.0 * unit_losses([0.4], 0.2)[0], rel=1e-15
+            3.0 * unit_losses([0.4], 0.2)[0], rel=1e-15, abs=0
         )
 
     @pytest.mark.parametrize("l", [1, 2, 3, 5, 10])

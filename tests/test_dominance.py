@@ -1,5 +1,6 @@
 """Dominance conditions, risk-difference bounds, thresholds, grid verdicts."""
 
+import functools
 import math
 import time
 
@@ -699,44 +700,62 @@ class TestGridEngines:
         assert points == [(0, 0, 2, 1), (0, 1, 0, 1)]
 
 
+@functools.lru_cache(maxsize=None)
+def _exact_pair(n, a, b, p_bar, p_lo, dps):
+    """The pair alpha = log(d_u/d_t), beta = log((1-d_u)/(1-d_t)) over x =
+    0..n in dps-digit mpmath, over the exact estimates: d_u = (x+a)/s and
+    d_t a ratio of mpmath beta measures over the restriction."""
+    with mpmath.workdps(dps):
+        lo, hi = mpmath.mpf(0 if p_lo is None else p_lo), mpmath.mpf(p_bar)
+        s = n + mpmath.mpf(a) + mpmath.mpf(b)
+        pair = []
+        for x in range(n + 1):
+            al, be = x + mpmath.mpf(a), n - x + mpmath.mpf(b)
+            t = mpmath.betainc(al + 1, be, lo, hi) / mpmath.betainc(al, be, lo, hi)
+            pair.append((mpmath.log(al / s / t), mpmath.log(be / s / (1 - t))))
+        return pair
+
+
 def _oracle_difference(n, a, b, p_bar, p_lo, p):
-    """D(p) in 60-digit mpmath over the stored estimates of both tables,
-    with its scale p E|alpha| + q E|beta|, alpha = log(d_u/d_t) and beta =
-    log((1-d_u)/(1-d_t))."""
-    setup = BinomialSetup(n=n)
-    us = EstimateTable.build(setup, PriorSpec(a=a, b=b)).values
-    ts = EstimateTable.build(setup, PriorSpec(a=a, b=b, p_bar=p_bar, p_lo=p_lo)).values
-    with mpmath.workdps(60):
-        mp, total, scale = mpmath.mpf(p), mpmath.mpf(0), mpmath.mpf(0)
-        mq = 1 - mp
-        for x, (u, t) in enumerate(zip(us, ts)):
-            w = mpmath.binomial(n, x) * mp**x * mq ** (n - x)
-            u, t = mpmath.mpf(u), mpmath.mpf(t)
-            al, be = mpmath.log(u / t), mpmath.log((1 - u) / (1 - t))
-            total += w * (mp * al + mq * be)
-            scale += w * (mp * abs(al) + mq * abs(be))
-        return float(total), float(scale)
+    """D(p) over the exact estimates, with its scale p E|alpha| + q E|beta|:
+    the sum in mpmath at 50 digits and then 30 more at a time, until two
+    precisions agree to 1e-20 of the scale."""
+    last = None
+    for dps in range(50, 231, 30):
+        with mpmath.workdps(dps):
+            mp = mpmath.mpf(p)
+            mq, total, scale = 1 - mp, mpmath.mpf(0), mpmath.mpf(0)
+            for x, (al, be) in enumerate(_exact_pair(n, a, b, p_bar, p_lo, dps)):
+                w = mpmath.binomial(n, x) * mp**x * mq ** (n - x)
+                total += w * (mp * al + mq * be)
+                scale += w * (mp * abs(al) + mq * abs(be))
+            if last is not None and abs(total - last) <= 1e-20 * scale:
+                return float(total), float(scale)
+            last = total
+    raise AssertionError(f"no two precisions agree at {(n, a, b, p_bar, p_lo, p)}")
 
 
 class TestDifferenceSum:
     """D(p) is one sum over the truncated table's difference pair, held to
-    1e-13 of its scale p E|alpha| + q E|beta| against mpmath."""
+    1e-13 of its scale p E|alpha| + q E|beta| against mpmath over the exact
+    estimates."""
 
     def test_matches_mpmath_on_a_seeded_sweep(self):
-        # n <= 300: the library's pmf terms lose accuracy as n grows, which
-        # no form of the difference can mend
-        rng = numpy.random.default_rng(46)
+        # n <= 158 under both restrictions: the library's pmf terms lose
+        # accuracy as n grows, which no form of the difference can mend
+        rng = numpy.random.default_rng(52)
         classes = ((0.4, 0.6), (0.2, 0.8), (0.1, 0.3), (0.05, 0.5))
-        checked = 0
-        for draw in range(60):
-            n = int(round(10 ** rng.uniform(0.0, 2.5)))
+        checked = {"upper": 0, "interval": 0}
+        for draw in range(40):
+            n = int(round(10 ** rng.uniform(0.0, math.log10(158.0))))
             a, b = (float(v) for v in rng.choice([0.5, 1.0, 2.0, 3.0], size=2))
             if draw % 2:
                 p_lo, p_bar = classes[draw // 2 % 4]
             else:
                 p_lo, p_bar = None, float(10 ** rng.uniform(-8.0, -0.05))
+            prior = PriorSpec(a, b, p_bar=p_bar, p_lo=p_lo)
             try:
-                EstimateTable.build(BinomialSetup(n=n), PriorSpec(a, b, p_bar=p_bar, p_lo=p_lo))
+                EstimateTable.build(BinomialSetup(n=n), prior)
             except ArithmeticError:
                 continue  # a table that does not build has no difference
             lo = p_bar / 64 if p_lo is None else p_lo
@@ -744,27 +763,50 @@ class TestDifferenceSum:
                 oracle, scale = _oracle_difference(n, a, b, p_bar, p_lo, p)
                 value = risk_difference(p, n, a, b, p_bar, p_lo)
                 assert abs(value - oracle) <= 1e-13 * scale, (n, a, b, p_bar, p_lo, p)
-                checked += 1
-        assert checked >= 120
+                checked[prior.restriction] += 1
+        assert checked["upper"] >= 60 and checked["interval"] >= 54
 
     @pytest.mark.parametrize(
-        "p, oracle", [(1 / 512, -4.4852259703102143e-20), (0.0029296875, -1.8952031409573851e-19)]
+        "n, a, b, p_bar, p, oracle",
+        [
+            (40, 1.0, 1.0, 0.9, 0.01, -1.125903648464177e-33),
+            (40, 1.0, 1.0, 0.9, 0.05, -2.4044846114660804e-25),
+            (40, 1.0, 1.0, 0.9, 0.1, -2.2603291797948518e-20),
+            (64, 0.5, 2.0, 0.5, 1 / 1024, -1.6770122537609693e-20),
+            (64, 0.5, 2.0, 0.5, 1 / 512, -7.929660150300283e-20),
+            (64, 0.5, 2.0, 0.5, 3 / 1024, -2.543409561979604e-19),
+        ],
     )
-    def test_differences_far_below_the_risks(self, p, oracle):
-        # dominance --n 64 --a 0.5 --b 2 --p-bar 0.5 at its second and third
-        # grid points: t - u of the two risks read 0.0 and -8.67e-19 here
-        assert oracle == pytest.approx(_oracle_difference(64, 0.5, 2.0, 0.5, None, p)[0], rel=1e-14)
+    def test_differences_far_below_the_risks(self, n, a, b, p_bar, p, oracle):
+        # D is far below the rounding of the estimates here: at n = 64, the
+        # first three grid points of dominance --n 64 --a 0.5 --b 2 --p-bar
+        # 0.5, t - u of the two risks reads 0.0, 0.0 and -8.67e-19
+        exact, scale = _oracle_difference(n, a, b, p_bar, None, p)
+        assert exact == pytest.approx(oracle, rel=1e-15, abs=0)
+        assert abs(risk_difference(p, n, a, b, p_bar) - oracle) <= 1e-13 * scale
+
+    def test_the_grid_reads_the_scalar_difference(self):
         report = exhaustive_dominance_check(64, 0.5, 2.0, 0.5)
-        assert report.p_grid[1:3] == (1 / 512, 0.0029296875)
-        value = risk_difference(p, 64, 0.5, 2.0, 0.5)
-        assert value == pytest.approx(oracle, rel=1e-13)
-        assert report.risk_difference[report.p_grid.index(p)] == value
+        assert report.p_grid[:3] == (1 / 1024, 1 / 512, 3 / 1024)
+        for p, value in zip(report.p_grid[:3], report.risk_difference):
+            assert value == risk_difference(p, 64, 0.5, 2.0, 0.5)
 
     def test_tiny_upper_bound_keeps_its_difference(self):
-        # d_t is 1e-20 of d_u here, so -log1p(-g/d_u) would read log1p(-1)
+        # d_t is 1e-20 of d_u here, so rho is about 1e20
         for p in (1e-21, 5e-21, 1e-20):
             oracle, scale = _oracle_difference(3, 1.0, 1.0, 1e-20, None, p)
             assert abs(risk_difference(p, 3, 1.0, 1.0, 1e-20) - oracle) <= 1e-13 * scale
+
+    def test_a_worst_difference_in_the_noise_band_is_inconclusive(self):
+        # p_bar bisected across the dominance boundary at n = 3, a = b = 1:
+        # the worst difference, at p = p_bar, lies between the grid slack
+        # 1e-12 and the noise ceiling 1e-9, by the exact estimates too
+        report = exhaustive_dominance_check(3, 1.0, 1.0, 0.379164, grid_size=16)
+        assert report.grid_verdict == "inconclusive"
+        assert report.worst_p == 0.379164
+        oracle, scale = _oracle_difference(3, 1.0, 1.0, 0.379164, None, 0.379164)
+        assert abs(report.worst_difference - oracle) <= 1e-13 * scale
+        assert 1e-12 < oracle <= 1e-9 and 1e-12 < report.worst_difference <= 1e-9
 
     @pytest.mark.parametrize(
         "n, a, b, p_bar, p",

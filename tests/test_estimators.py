@@ -69,7 +69,7 @@ class TestUpperTruncated:
     def test_exact_rational_value(self):
         # x=0, n=1, a=b=1, p_bar=1/2: ratio of polynomial integrals = 2/9
         assert posterior_mean(0, PriorSpec(1.0, 1.0, p_bar=0.5), 1) == pytest.approx(
-            2.0 / 9.0, rel=1e-12
+            2.0 / 9.0, rel=1e-12, abs=0
         )
 
     def test_stays_inside_restriction(self):
@@ -118,7 +118,7 @@ class TestATerm:
         num = 0.5 * 0.25 - 0.25 * 0.5625
         den = (0.5 - 0.5**2 / 2.0) - (0.25 - 0.25**2 / 2.0)
         assert self.a_term(0, 1, 1.0, 1.0, 0.25, 0.5) == pytest.approx(
-            num / den, rel=1e-12
+            num / den, rel=1e-12, abs=0
         )
 
     def test_small_lower_bound_matches_upper_correction(self):
@@ -329,31 +329,37 @@ class TestTableRows:
 
     @pytest.mark.parametrize("n", [10, 100])
     def test_the_pair_builds_no_untruncated_table(self, n):
-        # a restricted table reads its untruncated estimates entry by entry,
-        # as the builder's (x+a)/s, so its pair builds and holds no table of
-        # them, and equals the pair read from that table
-        clear_tables()
-        setup, prior = BinomialSetup(n=n), PriorSpec(a=1.5, b=2.0, p_bar=0.4)
-        table = EstimateTable.build(setup, prior)
-        misses = [cache.cache_info().misses for cache in TABLE_CACHES]
-        _, _, ceiling, fill = table._pair
-        alphas, betas = pair_rows(table)
-        assert [cache.cache_info().misses for cache in TABLE_CACHES] == misses
-        if fill is not None:
-            held = [arg for entries in fill.__self__._entries for arg in entries.args]
-            assert [arg for arg in held if isinstance(arg, tuple)] == [table.values] * 2
-        # the pair as read from the untruncated table itself
-        twin = EstimateTable.build(setup, PriorSpec(a=1.5, b=2.0)).values
-        assert list(alphas) == [
-            -math.log1p(-g / u) if abs(g := u - t) <= 0.5 * u else math.log(u) - math.log(t)
-            for u, t in zip(twin, table.values)
-        ]
-        assert list(betas) == [
-            -math.log1p(g / v) if abs(g := u - t) <= 0.5 * (v := 1.0 - u)
-            else math.log1p(-u) - math.log1p(-t)
-            for u, t in zip(twin, table.values)
-        ]
-        assert ceiling == 2.0 * max(estimators._ceiling(twin), estimators._ceiling(table.values))
+        # a restricted table reads its pair from rho = d_u/d - 1, which its
+        # builder kept: c(x+1)/(p_bar s) from the upper row, A(x)/(s d) from
+        # the interval's corrections; so the pair builds and holds no table
+        # of untruncated estimates, and its ceiling equals the one read from
+        # that table
+        setup = BinomialSetup(n=n)
+        for p_lo in (None, 0.2):
+            clear_tables()
+            prior = PriorSpec(a=1.5, b=2.0, p_bar=0.4 if p_lo is None else 0.8, p_lo=p_lo)
+            table = EstimateTable.build(setup, prior)
+            misses = [cache.cache_info().misses for cache in TABLE_CACHES]
+            _, _, ceiling, fill = table._pair
+            alphas, betas = pair_rows(table)
+            assert [cache.cache_info().misses for cache in TABLE_CACHES] == misses
+            s, ds = n + 3.5, table.values
+            if p_lo is None:
+                kept, rhos = [], [c / 0.4 / s for c in table._c_row[1:]]
+            else:
+                kept = [tuple(estimators._correction(x, s, prior) for x in range(n + 1))]
+                rhos = [A / (s * d) for A, d in zip(kept[0], ds)]
+            if fill is not None:  # the rows' and rho's entries hold d and the corrections
+                entries = (*fill.__self__._entries, table._rhos)
+                held = [arg for part in entries for arg in part.args if isinstance(arg, tuple)]
+                assert [arg for arg in held if arg is not ds] == kept
+            assert list(alphas) == [math.log1p(rho) for rho in rhos]
+            assert list(betas) == [
+                -math.log1p(rho * (s * d) / (n - x + 2.0))
+                for x, (rho, d) in enumerate(zip(rhos, ds))
+            ]
+            twin = EstimateTable.build(setup, PriorSpec(a=1.5, b=2.0)).values
+            assert ceiling == 2.0 * max(estimators._ceiling(twin), estimators._ceiling(ds))
 
     def test_only_tables_of_at_most_64_estimates_go_to_the_4096_cache(self):
         # the caches split where the log rows do: whole rows by the thousand
@@ -609,4 +615,4 @@ class TestOneCeilingCheck:
                 for y in range(l + 1):
                     k = x + y
                     num = mpmath.binomial(l, y) * mpmath.betainc(k + a, n + l - k + b, lo, SINGULAR)
-                    assert table[y] == pytest.approx(float(num / den), rel=1e-13)
+                    assert table[y] == pytest.approx(float(num / den), rel=1e-13, abs=0)

@@ -34,12 +34,12 @@ GAP_GRID = [0.5, 1.0, 3.0]
 class TestIncBetaLower:
     def test_uniform_density(self):
         assert math.exp(log_inc_beta_lower(1.0, 1.0, 0.3)) == pytest.approx(
-            0.3, rel=1e-12
+            0.3, rel=1e-12, abs=0
         )
 
     def test_complete_beta_2_1(self):
         assert math.exp(log_inc_beta_lower(2.0, 1.0, 1.0)) == pytest.approx(
-            0.5, rel=1e-12
+            0.5, rel=1e-12, abs=0
         )
 
     def test_arcsine_half(self):
@@ -91,7 +91,7 @@ class TestIncBetaLower:
         # scipy's betainc is an entirely separate implementation
         ref = float(betainc(alpha, beta, x)) * math.exp(betaln(alpha, beta))
         assert math.exp(log_inc_beta_lower(alpha, beta, x)) == pytest.approx(
-            ref, rel=1e-10
+            ref, rel=1e-10, abs=0
         )
 
     @settings(max_examples=40, deadline=None)
@@ -145,7 +145,7 @@ class TestIncBetaLower:
         ],
     )
     def test_small_alpha_above_its_mean_matches_mpmath(self, alpha, beta, x, exact):
-        assert log_inc_beta_lower(alpha, beta, x) == pytest.approx(exact, rel=1e-15)
+        assert log_inc_beta_lower(alpha, beta, x) == pytest.approx(exact, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize(
         "alpha, beta, x",
@@ -316,9 +316,9 @@ class TestBracketTerm:
         rho = (0.25 / 0.75) / (0.5 / 0.5)
         expected = 1.0 - rho / (1.0 - 0.5 * (1.0 - rho)) ** 2
         assert _bracket(1.0, 2.0, 0.25, 0.5) == pytest.approx(
-            expected, rel=1e-12
+            expected, rel=1e-12, abs=0
         )
-        assert expected == pytest.approx(0.25, rel=1e-12)
+        assert expected == pytest.approx(0.25, rel=1e-12, abs=0)
 
     def test_symmetric_midpoint_is_exact_zero(self):
         # alpha = gamma/2 with a symmetric interval: both endpoint values agree

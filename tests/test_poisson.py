@@ -32,7 +32,7 @@ class TestPosteriorMean:
         # a=1, r=1, bound 1, count 0: (1 - 2/e) / (1 - 1/e)
         cfg = PoissonConfig(r=1.0, a=1.0, lambda_bar=1.0)
         expected = (1.0 - 2.0 * math.exp(-1.0)) / (1.0 - math.exp(-1.0))
-        assert poisson_posterior_mean(0, cfg) == pytest.approx(expected, rel=1e-12)
+        assert poisson_posterior_mean(0, cfg) == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_loose_truncation_recovers_untruncated(self):
         loose = PoissonConfig(r=1.5, a=2.0, lambda_bar=200.0)
@@ -139,7 +139,7 @@ class TestPredictive:
                 + y * math.log(1.0 - q)
             )
             assert poisson_predictive(y, x, cfg) == pytest.approx(
-                closed, rel=1e-12
+                closed, rel=1e-12, abs=0
             )
 
     def test_domain_errors_name_the_count(self):
@@ -189,7 +189,7 @@ class TestEntropyRisk:
             w = math.exp(k * math.log(lam) - lam - float(gammaln(k + 1)))
             lhat = (k + 1.0) / 1.0
             brute += w * (lhat - lam - lam * math.log(lhat / lam))
-        assert poisson_entropy_risk(cfg, lam) == pytest.approx(brute, rel=1e-12)
+        assert poisson_entropy_risk(cfg, lam) == pytest.approx(brute, rel=1e-12, abs=0)
 
     def test_rejects_rate_outside_truncation(self):
         cfg = PoissonConfig(r=1.0, a=1.0, lambda_bar=1.0)

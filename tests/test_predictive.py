@@ -23,10 +23,10 @@ class TestBayesPredictive:
         setup = BinomialSetup(n=1, l=1)
         prior = PriorSpec(a=1.0, b=1.0)
         assert bayes_predictive(1, 1, setup, prior) == pytest.approx(
-            2.0 / 3.0, rel=1e-13
+            2.0 / 3.0, rel=1e-13, abs=0
         )
         assert bayes_predictive(0, 1, setup, prior) == pytest.approx(
-            1.0 / 3.0, rel=1e-13
+            1.0 / 3.0, rel=1e-13, abs=0
         )
 
     @pytest.mark.parametrize(
@@ -61,7 +61,7 @@ class TestBayesPredictive:
                     - betaln(x + a, n - x + b)
                 )
                 assert bayes_predictive(y, x, setup, prior) == pytest.approx(
-                    closed, rel=1e-12
+                    closed, rel=1e-12, abs=0
                 )
 
     def test_truncated_matches_quadrature(self):
@@ -85,7 +85,7 @@ class TestBayesPredictive:
             setup = BinomialSetup(n=n, l=1)
             for x in range(n + 1):
                 assert bayes_predictive(1, x, setup, prior) == pytest.approx(
-                    posterior_mean(x, prior, n), rel=1e-12
+                    posterior_mean(x, prior, n), rel=1e-12, abs=0
                 )
 
     def test_not_a_binomial_family_member_for_two_steps(self):
@@ -139,7 +139,7 @@ class TestValidationAtTheBoundary:
 class TestPlugIn:
     def test_examples(self):
         assert plug_in_density(0, 1, 0.5) == pytest.approx(0.5)
-        assert plug_in_density(2, 2, 0.3) == pytest.approx(0.09, rel=1e-13)
+        assert plug_in_density(2, 2, 0.3) == pytest.approx(0.09, rel=1e-13, abs=0)
 
     def test_normalization(self):
         total = math.fsum(plug_in_density(y, 6, 0.37) for y in range(7))

@@ -52,7 +52,7 @@ class TestPointRisk:
         table = EstimateTable.build(BinomialSetup(n=1), PriorSpec(a=1.0, b=1.0))
         lo, hi = unit_losses([1.0 / 3.0, 2.0 / 3.0], 0.5)
         expected = 0.5 * lo + 0.5 * hi
-        assert point_risk(table, 0.5) == pytest.approx(expected, rel=1e-13)
+        assert point_risk(table, 0.5) == pytest.approx(expected, rel=1e-13, abs=0)
 
     def test_domain_error(self):
         table = EstimateTable.build(BinomialSetup(n=1), PriorSpec(a=1.0, b=1.0))
@@ -328,9 +328,10 @@ class TestRowsFilledWhereRead:
 
     def test_kept_rows_cost_8_bytes_an_entry(self):
         # the rows a cold upper table at n = 3000 keeps after a 64-p sweep,
-        # log C(n, x), log d, log(1-d) and c, are packed: dropping them frees
-        # 8 bytes an entry, computed or not, and a few KB of headers, where
-        # an entry held as a float object takes 32 bytes more
+        # log C(n, x), log d, log(1-d) and c, are packed: dropping them, c with
+        # the entries of rho that read it, frees 8 bytes an entry, computed
+        # or not, and a few KB of headers, where an entry held as a float
+        # object takes 32 bytes more
         n = 3_000
         tracemalloc.start()
         try:
@@ -342,7 +343,7 @@ class TestRowsFilledWhereRead:
             binom._long_windows.cache_clear()  # its windows hold the coefficient row too
             gc.collect()
             held = tracemalloc.get_traced_memory()[0]
-            del vars(table)["_logs"], vars(table)["_c_row"]
+            del vars(table)["_logs"], vars(table)["_c_row"], vars(table)["_rhos"]
             binom._lazy_coeffs.cache_clear()
             gc.collect()
             held -= tracemalloc.get_traced_memory()[0]
@@ -691,7 +692,7 @@ class TestConnectionSum:
         prior = PriorSpec(a=1.0, b=1.0)
         table = EstimateTable.build(BinomialSetup(n=2), prior)
         assert connection_sum(0.3, 2, 1, prior) == pytest.approx(
-            point_risk(table, 0.3), rel=1e-14
+            point_risk(table, 0.3), rel=1e-14, abs=0
         )
 
     @pytest.mark.parametrize(
@@ -867,9 +868,9 @@ class TestLogJensenBound:
         lhs, rhs = verify_log_jensen_bound({0.2: 0.5, 0.4: 0.5})
         mu, var = 0.3, 0.01
         assert lhs == pytest.approx(
-            0.5 * math.log(0.8) + 0.5 * math.log(0.6), rel=1e-14
+            0.5 * math.log(0.8) + 0.5 * math.log(0.6), rel=1e-14, abs=0
         )
-        assert rhs == pytest.approx(math.log(1.0 - mu) - var / 2.0, rel=1e-14)
+        assert rhs == pytest.approx(math.log(1.0 - mu) - var / 2.0, rel=1e-14, abs=0)
         assert lhs <= rhs
 
     def test_small_variance_gap_shrinks(self):

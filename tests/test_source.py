@@ -172,7 +172,8 @@ def test_p_free_row_builders_check_nothing():
     fillers += [("binom.py", "_coeff_entries")]
     fillers += [("binom.py", "_LazyRow"), ("estimators.py", "EstimateTable._logs")]
     fillers += [("estimators.py", "EstimateTable._pair"), ("estimators.py", "_alphas")]
-    fillers += [("estimators.py", "_betas")]
+    fillers += [("estimators.py", "_betas"), ("estimators.py", "_upper_rhos")]
+    fillers += [("estimators.py", "_interval_rhos")]
     found = []
     for module, name in fillers:
         nodes = ast.parse((SOURCES[0].parent / module).read_text()).body
@@ -187,6 +188,26 @@ def test_p_free_row_builders_check_nothing():
             and getattr(part.func, "id", "").startswith("_check")
         ]
     assert found == []
+
+
+def test_the_difference_pair_has_one_form_per_row():
+    # alpha = log1p(rho) and beta = -log1p(rho s d/(n-x+b)) read rho, which
+    # the builder keeps: no entries function of the pair switches between
+    # forms or forms the untruncated (x+a)/s again, and _pair does not
+    # branch on the restriction, on which the builder already branched
+    tree = ast.parse((SOURCES[0].parent / "estimators.py").read_text())
+    defs = {getattr(stmt, "name", None): stmt for stmt in tree.body}
+    table = defs["EstimateTable"].body
+    [pair] = [stmt for stmt in table if getattr(stmt, "name", None) == "_pair"]
+    for node in (defs["_alphas"], defs["_betas"], pair):
+        branches = (ast.If, ast.IfExp, ast.Match, ast.BoolOp)
+        assert [part.lineno for part in ast.walk(node) if isinstance(part, branches)] == []
+        assert [
+            part.lineno
+            for part in ast.walk(node)
+            if isinstance(part, ast.BinOp) and ast.unparse(part) == "(x + a) / s"
+        ] == []
+    assert "restriction" not in ast.unparse(pair)
 
 
 def test_a_table_fills_its_log_rows_through_one_lazy_row():
