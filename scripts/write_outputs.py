@@ -82,6 +82,8 @@ COMMANDS = (
     "predictive --n 60 --l 4 --x 0 --p-lo 0.4 --p-bar 0.6",
     "poisson-limit --r 2 --s 0.5 --x-tilde 2 --k-grid 10 100 1000 --out F",
     "estimate --n 50 --p-bar 0.2 --p 0.1 --out F",
+    "dominance --n 3 --a 2 --b 3 --p-bar 0.99999 --grid 64",
+    "dominance --n 10 --a 1 --b 3 --p-bar 0.9999 --grid 64",
 )
 
 _TOKEN = re.compile(r"[^\s,()\[\]:=;]+")

@@ -1,9 +1,9 @@
 """Dominance conditions, risk-difference bounds, and grid certification.
 
 "Dominates" is certified on a finite grid (default 512 points including
-the restriction's upper endpoint): the risks themselves are exact, so
-each grid value is trustworthy, but the verdict is a statement at grid
-resolution, not a symbolic proof.
+the restriction's upper endpoint): the verdict is the sign of the largest
+grid difference D, which is exact to rounding, so it holds at grid
+resolution, not as a symbolic proof.
 
 The grid pass has two engines that return the same floats, one column
 over the grid per sum, of three kinds: a table's risk; a risk difference
@@ -43,8 +43,6 @@ from .estimators import EstimateTable, _correction
 from .incbeta import SingularBoundError, _check_p_bar, _log_I
 from .risk import _check_p, _pair_sums, _risk_sums
 
-GRID_SLACK = 1e-12
-NOISE_CEILING = 1e-9
 THRESHOLD_TOL = 1e-6
 
 # Grid points per block of the row pass
@@ -344,7 +342,9 @@ class DominanceReport(_record("DominanceReport", """n a b restriction p_lo p_bar
         grid_verdict worst_p worst_difference""")):
     """Verdict and supporting diagnostics for one prior configuration: the
     risk difference D(p) over the grid, truncated minus untruncated; the
-    two bound curves are None unless the restriction is an upper bound."""
+    two bound curves are None unless the restriction is an upper bound.
+    grid_verdict is 'dominated_somewhere' when some grid D is above 0.0
+    and 'dominates' otherwise."""
 
     __slots__ = ()
 
@@ -398,9 +398,11 @@ def exhaustive_dominance_check(
     each one sum over the truncated table's difference pair, and under an
     upper bound D/(J E_p[1/I]) and the Thm 3.2 bound.
 
-    Verdict: 'dominates' when every difference is <= 1e-12, and
-    'dominated_somewhere' when the worst difference clears the numerical
-    noise ceiling of 1e-9; anything in between is 'inconclusive'.
+    Verdict: the sign of the largest difference, 'dominated_somewhere'
+    when it is above 0.0 and 'dominates' otherwise. Each D is exact to
+    about 1e-13 of its scale p E|alpha| + q E|beta|, so the sign can be
+    wrong only where D lies that close to 0, and the report prints that D
+    as worst_difference; no slack on its value is needed.
     """
     prior = PriorSpec(a=a, b=b, p_bar=p_bar, p_lo=p_lo)
     grid = p_grid(p_bar, p_lo, grid_size)
@@ -427,12 +429,6 @@ def exhaustive_dominance_check(
 
     worst_idx = max(range(len(grid)), key=lambda i: diffs[i])
     worst = diffs[worst_idx]
-    if worst <= GRID_SLACK:
-        verdict = "dominates"
-    elif worst > NOISE_CEILING:
-        verdict = "dominated_somewhere"
-    else:
-        verdict = "inconclusive"
 
     s = n + a + b
     return DominanceReport(
@@ -451,7 +447,7 @@ def exhaustive_dominance_check(
             tuple(d / (j * e) for d, j, e in zip(diffs, *js)) if upper else None
         ),
         condition_flags=flags,
-        grid_verdict=verdict,
+        grid_verdict="dominates" if worst <= 0.0 else "dominated_somewhere",
         worst_p=grid[worst_idx],
         worst_difference=worst,
     )

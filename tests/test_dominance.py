@@ -2,6 +2,7 @@
 
 import functools
 import math
+import random
 import time
 
 import mpmath
@@ -479,7 +480,7 @@ class TestExhaustiveCheck:
     def test_verdict_implies_every_point(self):
         report = exhaustive_dominance_check(2, 2.0, 1.0, 0.15, grid_size=128)
         if report.grid_verdict == "dominates":
-            assert all(d <= 1e-12 for d in report.risk_difference)
+            assert all(d <= 0.0 for d in report.risk_difference)
 
     def test_bound_curve_dominates_standardized_curve(self):
         report = exhaustive_dominance_check(1, 1.0, 1.0, 0.3, grid_size=64)
@@ -633,14 +634,50 @@ class TestExhaustiveCheck:
             ),
         }
         worst = expected["worst_difference"]
-        assert report.grid_verdict == (
-            "dominates" if worst <= 1e-12
-            else "dominated_somewhere" if worst > 1e-9
-            else "inconclusive"
-        )
+        assert report.grid_verdict == ("dominates" if worst <= 0.0 else "dominated_somewhere")
         for record in (report, curves):
             assert (record.n, record.a, record.b, record.restriction, record.p_lo,
                     record.p_bar) == (n, a, b, "upper" if upper else "interval", p_lo, p_bar)
+
+
+class TestVerdictAgreesWithTheConditions:
+    """The grid verdict never contradicts the paper's conditions: Thm 3.3
+    is necessary for domination, and the small-p_bar condition and Thm
+    4.1's c1 and c2 are sufficient."""
+
+    @pytest.mark.parametrize("seed", [49, 50])
+    def test_seeded_sweep(self, seed):
+        rng = random.Random(seed)
+        shapes = (0.5, 1.0, 2.0, 3.0)
+        checked = {"necessary": 0, "sufficient": 0, "thm41": 0}
+        for draw in range(200):
+            n, a, b = rng.randint(1, 63), rng.choice(shapes), rng.choice(shapes)
+            p_lo, kind = None, draw % 4
+            if kind == 0:
+                p_bar = rng.uniform(0.01, 0.95)
+            elif kind == 1:  # truncation barely binds: D at p_bar is tiny
+                p_bar = 1.0 - 10 ** rng.uniform(-7.0, -1.0)
+            elif kind == 2:  # small p_bar, where the sufficient condition holds
+                p_bar = 10 ** rng.uniform(-6.0, -1.0) / n
+            else:  # an interval under Thm 4.1's c1 bound (a+1)/(n+a+b+1)
+                p_bar = rng.uniform(0.02, 1.0) * (a + 1.0) / (n + a + b + 1.0)
+                p_lo = p_bar * rng.uniform(0.05, 0.95)
+            try:
+                report = exhaustive_dominance_check(n, a, b, p_bar, p_lo=p_lo, grid_size=32)
+            except ArithmeticError:
+                continue  # no report where the table or the J row does not build
+            flags, case = report.condition_flags, (n, a, b, p_lo, p_bar)
+            if flags["thm33_necessary"] is False:
+                assert report.grid_verdict == "dominated_somewhere", case
+                checked["necessary"] += 1
+            if flags["smallpbar_sufficient"]:
+                assert report.grid_verdict == "dominates", case
+                checked["sufficient"] += 1
+            if flags["thm41_c1"] and flags["thm41_c2"]:
+                assert report.grid_verdict == "dominates", case
+                checked["thm41"] += 1
+        assert checked["necessary"] >= 40 and checked["sufficient"] >= 40
+        assert checked["thm41"] >= 15
 
 
 class TestGridEngines:
@@ -797,16 +834,29 @@ class TestDifferenceSum:
             oracle, scale = _oracle_difference(3, 1.0, 1.0, 1e-20, None, p)
             assert abs(risk_difference(p, 3, 1.0, 1.0, 1e-20) - oracle) <= 1e-13 * scale
 
-    def test_a_worst_difference_in_the_noise_band_is_inconclusive(self):
+    def test_a_worst_difference_near_the_boundary_keeps_its_sign(self):
         # p_bar bisected across the dominance boundary at n = 3, a = b = 1:
-        # the worst difference, at p = p_bar, lies between the grid slack
-        # 1e-12 and the noise ceiling 1e-9, by the exact estimates too
+        # the worst difference, at p = p_bar, is about 1e-10 against a scale
+        # near 0.44, a positive D resolved far beyond its accuracy
         report = exhaustive_dominance_check(3, 1.0, 1.0, 0.379164, grid_size=16)
-        assert report.grid_verdict == "inconclusive"
+        assert report.grid_verdict == "dominated_somewhere"
         assert report.worst_p == 0.379164
         oracle, scale = _oracle_difference(3, 1.0, 1.0, 0.379164, None, 0.379164)
         assert abs(report.worst_difference - oracle) <= 1e-13 * scale
-        assert 1e-12 < oracle <= 1e-9 and 1e-12 < report.worst_difference <= 1e-9
+        assert oracle > 0.0 and report.worst_difference > 0.0
+
+    @pytest.mark.parametrize(
+        "n, a, b, p_bar", [(3, 2.0, 3.0, 0.99999), (10, 1.0, 3.0, 0.9999), (20, 2.0, 3.0, 0.9999)]
+    )
+    def test_a_tiny_positive_worst_difference_is_dominated_somewhere(self, n, a, b, p_bar):
+        # truncation barely binds: D at p_bar is 2.1e-14 to 2.7e-10, exact to
+        # its last digits, and Thm 3.3's necessary condition fails
+        report = exhaustive_dominance_check(n, a, b, p_bar, grid_size=64)
+        assert report.condition_flags["thm33_necessary"] is False
+        assert report.grid_verdict == "dominated_somewhere"
+        assert report.worst_p == p_bar
+        oracle, scale = _oracle_difference(n, a, b, p_bar, None, p_bar)
+        assert oracle > 0.0 and abs(report.worst_difference - oracle) <= 1e-13 * scale
 
     @pytest.mark.parametrize(
         "n, a, b, p_bar, p",
