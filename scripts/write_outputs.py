@@ -84,6 +84,8 @@ COMMANDS = (
     "estimate --n 50 --p-bar 0.2 --p 0.1 --out F",
     "dominance --n 3 --a 2 --b 3 --p-bar 0.99999 --grid 64",
     "dominance --n 10 --a 1 --b 3 --p-bar 0.9999 --grid 64",
+    "dominance --n 400 --p-bar 0.9 --grid 64 --out F",
+    "dominance --n 40 --p-bar 0.99999999 --grid 32 --out F",
 )
 
 _TOKEN = re.compile(r"[^\s,()\[\]:=;]+")

@@ -17,7 +17,7 @@ whole lists, and _window_pass one pmf window per p above that and for
 the scalar functions, which read one point of it; _grid_sums picks
 between them; the window pass reads each risk and difference from
 risk's certified core-window sums. The value rows of the upper case, the
-J rows, are c(0..n) of the row the upper EstimateTable keeps.
+J rows, are c(0..n) of the upper EstimateTable's row, none where a 1/c overflows.
 risk_curves sums the two risks and J(p), exhaustive_dominance_check the
 difference, J(p) and E_p[1/I]: no sweep forms a term it does not report.
 """
@@ -40,7 +40,7 @@ from .binom import (
     pmf_windows,
 )
 from .estimators import EstimateTable, _correction
-from .incbeta import SingularBoundError, _check_p_bar, _log_I
+from .incbeta import _check_p_bar, _log_I
 from .risk import _check_p, _pair_sums, _risk_sums
 
 THRESHOLD_TOL = 1e-6
@@ -54,7 +54,7 @@ _Rows = tuple[Sequence[float], ...]
 
 
 class BoundUndefinedError(ArithmeticError):
-    """The log argument of the risk-difference bound is nonpositive."""
+    """The bound's log argument is nonpositive, or J(p) has an I beyond double range."""
 
 
 def p_grid(p_bar: float, p_lo: float | None, size: int) -> list[float]:
@@ -68,17 +68,14 @@ def p_grid(p_bar: float, p_lo: float | None, size: int) -> list[float]:
     return [lo + (p_bar - lo) * i / (size - 1) for i in range(size - 1)] + [p_bar]
 
 
-def _j_rows(table: EstimateTable) -> tuple[list[float], Sequence[float]]:
+def _j_rows(table: EstimateTable) -> tuple[list[float], Sequence[float]] | None:
     """I(x+a, n+a+b+1, p_bar) and its inverse c for x = 0..n, c read from the
     upper table's row: the rows whose binomial expectations are J(p) and
-    E_p[1/I]; neither depends on p. An I that overflows is a singular bound."""
+    E_p[1/I]; neither depends on p. None where some I is beyond double
+    range (c = 0.0, or 1/c overflows), as J is then."""
     inv_row = table._c_row[:-1]
     i_row = [1.0 / c if c else math.inf for c in inv_row]
-    if math.inf in i_row:
-        (a, b, p_bar, _), x = table.prior, i_row.index(math.inf)
-        gamma = table.setup.n + a + b + 1.0
-        raise SingularBoundError(f"I({x + a}, {gamma}, {p_bar}) overflows double precision")
-    return i_row, inv_row
+    return None if math.inf in i_row else (i_row, inv_row)
 
 
 def _bound(p: float, j: float, p_bar: float, s: float) -> float | None:
@@ -172,18 +169,20 @@ def _grid_sums(
 def _upper_point(p: float, n: int, a: float, b: float, p_bar: float) -> tuple[float, float | None]:
     """The standardizer J(p) E_p[1/I] and the Thm 3.2 bound at p, from one
     point of _window_pass. a and b, n, p_bar (by the upper table) and p are
-    checked in that order, the order of the public bound functions."""
+    checked in that order, the order of the public bound functions, then J's row."""
     _check_shape(a=a, b=b)
     rows = _j_rows(EstimateTable.build(BinomialSetup(n=n), PriorSpec(a, b, p_bar=p_bar)))
     if not 0.0 < p <= p_bar:
         raise ValueError(f"p must be in (0, p_bar], got p={p}, p_bar={p_bar}")
+    if rows is None:
+        raise BoundUndefinedError(f"J({p}) undefined: I(x+a, {n + a + b + 1.0}, {p_bar}) overflows")
     [j], [e] = _window_pass(n, [p], rows=rows)
     return j * e, _bound(p, j, p_bar, n + a + b)
 
 
 def thm32_bound(p: float, n: int, a: float, b: float, p_bar: float) -> float:
     """Upper bound on the standardized risk difference (truncated minus
-    untruncated) in the upper-restriction case."""
+    untruncated) in the upper case; BoundUndefinedError where it has none."""
     _, bound = _upper_point(p, n, a, b, p_bar)
     if bound is None:
         raise BoundUndefinedError(f"bound undefined at p={p}: log argument <= 0")
@@ -342,17 +341,17 @@ class DominanceReport(_record("DominanceReport", """n a b restriction p_lo p_bar
         grid_verdict worst_p worst_difference""")):
     """Verdict and supporting diagnostics for one prior configuration: the
     risk difference D(p) over the grid, truncated minus untruncated; the
-    two bound curves are None unless the restriction is an upper bound.
-    grid_verdict is 'dominated_somewhere' when some grid D is above 0.0
-    and 'dominates' otherwise."""
+    two bound curves are None unless the restriction is an upper bound
+    whose J row is finite. grid_verdict is 'dominated_somewhere' when some
+    grid D is above 0.0 and 'dominates' otherwise."""
 
     __slots__ = ()
 
 
 class RiskCurves(_record("RiskCurves", """n a b restriction p_lo p_bar p_grid
         risk_unrestricted risk_truncated thm32_bound_curve""")):
-    """The untruncated and truncated risk over a grid on the restriction;
-    the bound curve is None unless the restriction is an upper bound."""
+    """The untruncated and truncated risk over a grid on the restriction; the
+    bound curve is None unless it is an upper bound whose J row is finite."""
 
     __slots__ = ()
 
@@ -373,12 +372,12 @@ def risk_curves(
     grid = p_grid(p_bar, p_lo, grid_size)
     unres = EstimateTable.build(setup, PriorSpec(a=a, b=b))
     trunc = EstimateTable.build(setup, prior)
-    upper = prior.restriction == "upper"
+    rows = _j_rows(trunc) if prior.restriction == "upper" else None
     # p_grid keeps every p on the restriction, inside (0, 1)
     risk_unres, risk_trunc, *js = _grid_sums(
-        n, grid, tables=(unres, trunc), rows=_j_rows(trunc)[:1] if upper else ()
+        n, grid, tables=(unres, trunc), rows=rows[:1] if rows else ()
     )
-    bounds = tuple(_bound(p, j, p_bar, n + a + b) for p, j in zip(grid, *js)) if upper else None
+    bounds = tuple(_bound(p, j, p_bar, n + a + b) for p, j in zip(grid, *js)) if rows else None
     return RiskCurves(
         n=n, a=a, b=b, restriction=prior.restriction, p_lo=p_lo, p_bar=p_bar,
         p_grid=tuple(grid), risk_unrestricted=tuple(risk_unres),
@@ -407,7 +406,7 @@ def exhaustive_dominance_check(
     prior = PriorSpec(a=a, b=b, p_bar=p_bar, p_lo=p_lo)
     grid = p_grid(p_bar, p_lo, grid_size)
     trunc = EstimateTable.build(BinomialSetup(n=n), prior)
-    upper = prior.restriction == "upper"
+    rows = _j_rows(trunc) if prior.restriction == "upper" else None
 
     flags: dict[str, bool | None] = {
         "thm33_necessary": thm33_necessary(n, a, b, p_bar),
@@ -416,7 +415,7 @@ def exhaustive_dominance_check(
         "thm41_c2": None,
         "smallpbar_sufficient": None,
     }
-    if upper:
+    if prior.restriction == "upper":
         cond_general, _ = smallpbar_sufficient_conditions(n, a, b, p_bar)
         flags["smallpbar_sufficient"] = cond_general
     else:
@@ -424,7 +423,7 @@ def exhaustive_dominance_check(
         flags["thm41_c1"] = c1
         flags["thm41_c2"] = c2
     # p_grid keeps every p on the restriction, inside (0, 1)
-    diffs, *js = _grid_sums(n, grid, pairs=(trunc,), rows=_j_rows(trunc) if upper else ())
+    diffs, *js = _grid_sums(n, grid, pairs=(trunc,), rows=rows or ())
     diffs = tuple(diffs)
 
     worst_idx = max(range(len(grid)), key=lambda i: diffs[i])
@@ -441,10 +440,10 @@ def exhaustive_dominance_check(
         p_grid=tuple(grid),
         risk_difference=diffs,
         thm32_bound_curve=(
-            tuple(_bound(p, j, p_bar, s) for p, j, _ in zip(grid, *js)) if upper else None
+            tuple(_bound(p, j, p_bar, s) for p, j, _ in zip(grid, *js)) if rows else None
         ),
         standardized_diff_curve=(
-            tuple(d / (j * e) for d, j, e in zip(diffs, *js)) if upper else None
+            tuple(d / (j * e) for d, j, e in zip(diffs, *js)) if rows else None
         ),
         condition_flags=flags,
         grid_verdict="dominates" if worst <= 0.0 else "dominated_somewhere",

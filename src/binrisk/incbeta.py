@@ -9,8 +9,8 @@ risk bounds) reduces to integrals of the form
 with rho = r_lo / r_bar the ratio of odds, plus the bracket term
 [t^alpha / {1 - p_bar (1-t)}^gamma]_rho^1 (_bracket).  After the
 substitution p = r_bar * t / (1 + r_bar * t), I is the beta measure
-M(alpha, gamma - alpha) of [p_lo, p_bar] rescaled ([0, p_bar] without
-p_lo), so one function, _log_I with an optional p_lo, computes both.
+M(alpha, gamma - alpha) of [p_lo, p_bar] ([0, p_bar] without p_lo) over
+p_bar^alpha (1 - p_bar)^(gamma - alpha), so _log_I computes both.
 _log_beta_measure is the only caller of the kernel, log_inc_beta_lower,
 the log of the unnormalized incomplete beta B(x; a, b) = int_0^x t^(a-1)
 (1-t)^(b-1) dt, computed by a continued fraction (modified Lentz) in log
@@ -154,14 +154,14 @@ def _check_p_bar(p_bar: float) -> None:
 def _log_I(alpha: float, gamma: float, p_bar: float, p_lo: float | None = None) -> float:
     """log I(alpha, gamma, p_bar), or log I(alpha, gamma, p_lo, p_bar) when
     p_lo is given, for gamma > alpha > 0."""
-    # I = M(alpha, gamma - alpha) on [p_lo, p_bar] / {r_bar^alpha (1 - p_bar)^gamma};
-    # on the lower fraction's side M = p_bar^alpha (1-p_bar)^(gamma-alpha) cf /
-    # alpha (DLMF 8.17.22), so I = cf / alpha, with no alpha |log p_bar| round trip
-    if p_lo is None and _lower_side(alpha, gamma - alpha, p_bar):
-        return math.log(_betacf(alpha, gamma - alpha, p_bar)) - math.log(alpha)
-    log_r_bar = math.log(p_bar) - math.log1p(-p_bar)
-    log_m = _log_beta_measure(alpha, gamma - alpha, p_lo or 0.0, p_bar)
-    return log_m - alpha * log_r_bar - gamma * math.log1p(-p_bar)
+    # I = M(alpha, beta) on [p_lo, p_bar] / {p_bar^alpha (1-p_bar)^beta}, beta = gamma
+    # - alpha, with no gamma log(1-p_bar) terms to cancel; on the lower fraction's side
+    # M = p_bar^alpha (1-p_bar)^beta cf / alpha (DLMF 8.17.22), so I = cf / alpha
+    beta = gamma - alpha
+    if p_lo is None and _lower_side(alpha, beta, p_bar):
+        return math.log(_betacf(alpha, beta, p_bar)) - math.log(alpha)
+    log_m = _log_beta_measure(alpha, beta, p_lo or 0.0, p_bar)
+    return log_m - alpha * math.log(p_bar) - beta * math.log1p(-p_bar)
 
 
 def _inverse_I_row(a: float, s: float, p_bar: float, n: int) -> tuple[array, list[float]]:

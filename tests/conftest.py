@@ -313,7 +313,7 @@ def full_row_dominance(
     """The fields of exhaustive_dominance_check's report and of risk_curves'
     curves that their sums feed: the differences D from full-row pair sums,
     the risks from full-row risks, and J(p) and E_p[1/I] sums with the Thm
-    3.2 bound."""
+    3.2 bound, which are absent where the J row is."""
     setup = BinomialSetup(n=n)
     unres = EstimateTable.build(setup, PriorSpec(a=a, b=b))
     trunc = EstimateTable.build(setup, PriorSpec(a=a, b=b, p_bar=p_bar, p_lo=p_lo))
@@ -334,8 +334,9 @@ def full_row_dominance(
         risk_truncated=tuple(full_row_risk(trunc, p) for p in grid),
         thm32_bound_curve=None,
     )
-    if p_lo is None:
-        i_row, inv_row = _j_rows(trunc)
+    rows = _j_rows(trunc) if p_lo is None else None
+    if rows is not None:
+        i_row, inv_row = rows
         s = n + a + b
         bounds, std = [], []
         for p, diff in zip(grid, diffs):

@@ -13,7 +13,7 @@ import pytest
 from binrisk import binom, estimators, incbeta
 from binrisk.binom import BinomialSetup, PriorSpec
 from binrisk.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, _write_csv, main
-from binrisk.dominance import threshold_scan
+from binrisk.dominance import risk_difference, threshold_scan
 from binrisk.estimators import EstimateTable
 from binrisk.risk import point_risk
 
@@ -477,11 +477,38 @@ class TestExitStatuses:
         assert main(argv) == EXIT_NUMERICAL
         assert capsys.readouterr().err == f"numerical failure: estimate {estimate}\n"
 
-    def test_j_overflow_is_a_named_numerical_failure(self, capsys):
-        code = main(["risk-curve", "--n", "10000", "--p-bar", "0.3", "--grid", "8"])
-        assert code == EXIT_NUMERICAL
-        err = capsys.readouterr().err
-        assert "I(1.0, 10003.0, 0.3) overflows double precision" in err
+    def test_j_overflow_leaves_the_bound_column_empty(self, tmp_path):
+        # I(1.0, 10003.0, 0.3) is beyond double range, so J(p) is too: the
+        # run exited 2 on it, though the risks need no J
+        out = tmp_path / "curve.csv"
+        argv = ["risk-curve", "--n", "10000", "--p-bar", "0.3", "--grid", "8"]
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        header, rows = read_csv(out)
+        assert header == ["p", "risk_unrestricted", "risk_truncated", "thm32_bound"]
+        setup = BinomialSetup(n=10000)
+        unres = EstimateTable.build(setup, PriorSpec(1.0, 1.0))
+        trunc = EstimateTable.build(setup, PriorSpec(1.0, 1.0, p_bar=0.3))
+        assert len(rows) == 8
+        for p, u, t, bound in rows:
+            assert float(u).hex() == point_risk(unres, float(p)).hex()
+            assert float(t).hex() == point_risk(trunc, float(p)).hex()
+            assert bound == ""
+
+    @pytest.mark.parametrize("n, p_bar, grid", [("400", "0.9", "64"), ("40", "0.99999999", "32")])
+    def test_j_overflow_leaves_the_dominance_curves_empty(self, n, p_bar, grid, tmp_path, capsys):
+        # the verdict reads D alone; the J row of either has an I beyond
+        # double range, and the run exited 2 on it
+        out = tmp_path / "dom.csv"
+        argv = ["dominance", "--n", n, "--p-bar", p_bar, "--grid", grid, "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        text = capsys.readouterr().out
+        assert "verdict: dominated_somewhere" in text
+        header, rows = read_csv(out)
+        assert header == ["p", "risk_difference", "standardized_difference", "thm32_bound"]
+        assert len(rows) == int(grid)
+        assert all(std == bound == "" and math.isfinite(float(d)) for _, d, std, bound in rows)
+        expected = risk_difference(float(p_bar), int(n), 1.0, 1.0, float(p_bar))
+        assert f"worst p: {float(p_bar):.17g} (risk difference {expected:.17g})" in text
 
     def test_bracket_overflow_is_a_named_numerical_failure(self, capsys):
         code = main(["estimate", "--n", "2000", "--p-lo", "0.05", "--p-bar", "0.5"])

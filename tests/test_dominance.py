@@ -3,6 +3,7 @@
 import functools
 import math
 import random
+import sys
 import time
 
 import mpmath
@@ -10,6 +11,7 @@ import numpy
 import pytest
 
 from binrisk.dominance import (
+    BoundUndefinedError,
     cor41_conditions,
     dominance_threshold_n1,
     exhaustive_dominance_check,
@@ -177,6 +179,14 @@ class TestBound:
 
     def test_wide_bound_makes_difference_vanish(self):
         assert abs(risk_difference(0.3, 2, 1.0, 1.0, 1.0 - 1e-6)) < 1e-4
+
+    @pytest.mark.parametrize("entry", [thm32_bound, standardized_risk_difference])
+    def test_a_j_row_beyond_double_range_leaves_the_bound_undefined(self, entry):
+        # I(1, 403, 0.9) is about 3e399: J(p) has no double value, while D does
+        with pytest.raises(BoundUndefinedError) as caught:
+            entry(0.5, 400, 1.0, 1.0, 0.9)
+        assert str(caught.value) == "J(0.5) undefined: I(x+a, 403.0, 0.9) overflows"
+        assert math.isfinite(risk_difference(0.5, 400, 1.0, 1.0, 0.9))
 
     def test_domain_error_p_outside(self):
         with pytest.raises(ValueError):
@@ -458,6 +468,63 @@ class TestExhaustiveCheck:
         )
         assert report.grid_verdict in ("dominates", "dominated_somewhere")
 
+    @pytest.mark.parametrize(
+        "n, p_bar, curves",
+        [
+            (10000, 0.05, True),
+            (13964, 0.05, False),
+            (2000, 0.3, True),
+            (10000, 0.3, False),
+            (400, 0.5, True),
+            (2000, 0.5, False),
+            (400, 0.9, False),
+            (400, 0.99, False),
+        ],
+    )
+    def test_large_n_reports_return_with_or_without_curves(self, n, p_bar, curves):
+        # of n in {400, 2000, 10000, 13964}, the first at which some I of the
+        # J row is beyond double range and the one below it; the J row raised
+        # at the first, and the report with it
+        report = exhaustive_dominance_check(n, 1.0, 1.0, p_bar, grid_size=64)
+        assert (report.thm32_bound_curve is not None) is curves
+        assert (report.standardized_diff_curve is not None) is curves
+        assert report.worst_difference == risk_difference(report.worst_p, n, 1.0, 1.0, p_bar)
+        if (n, p_bar) == (13964, 0.05):
+            # c(0) is positive but below 1/DBL_MAX: a test of c > 0 alone
+            # would let an infinite I into J
+            table = EstimateTable.build(BinomialSetup(n=n), PriorSpec(1.0, 1.0, p_bar=p_bar))
+            assert 0.0 < min(table._c_row) < 1.0 / sys.float_info.max
+
+    def test_seeded_sweep_returns_every_upper_report(self):
+        rng = random.Random(50)
+        absent = 0
+        for draw in range(120):
+            n = round(10 ** rng.uniform(0.0, 2.5))
+            a, b = rng.choice((0.5, 1.0, 2.0, 3.0)), rng.choice((0.5, 1.0, 2.0, 3.0))
+            p_bar = 1.0 - 10 ** rng.uniform(-9.0, -1.0) if draw % 2 else rng.uniform(0.3, 0.95)
+            report = exhaustive_dominance_check(n, a, b, p_bar, grid_size=16)
+            curves = risk_curves(n, a, b, p_bar, grid_size=16)
+            table = EstimateTable.build(BinomialSetup(n=n), PriorSpec(a, b, p_bar=p_bar))
+            beyond = any(not c or 1.0 / c == math.inf for c in table._c_row[:-1])
+            case = (n, a, b, p_bar)
+            assert (report.thm32_bound_curve is None) is beyond, case
+            assert (report.standardized_diff_curve is None) is beyond, case
+            assert (curves.thm32_bound_curve is None) is beyond, case
+            absent += beyond
+        # 16 of these raised on the J row
+        assert absent >= 10
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("b", [0.5, 1.0, 2.0, 3.0])
+    def test_benchmark_box_keeps_its_curves(self, a, b):
+        # the dominance jobs of perfbench's dominance-upper workload (n <= 32,
+        # p_bar < 0.6) read every standardized difference as a float; c falls
+        # with n and p_bar, so its far corner has the smallest, 1.23e-14 at
+        # (a, b) = (0.5, 3)
+        table = EstimateTable.build(BinomialSetup(n=32), PriorSpec(a, b, p_bar=0.6))
+        assert dominance._j_rows(table) is not None
+        assert min(table._c_row) > 1e-14
+
     def test_small_upper_bound_dominates(self):
         report = exhaustive_dominance_check(1, 1.0, 1.0, 0.1)
         assert report.grid_verdict == "dominates"
@@ -610,6 +677,9 @@ class TestExhaustiveCheck:
             # p_lo sits 1.2e-8 under the estimate 1/4 at x = 0, where the
             # loss rounds below 0.0 and only its clamp keeps the sum
             (2, 1.0, 1.0, 0.3, 0.249999997, 2),
+            # an I of the J row beyond double range: no curves, by each engine
+            (40, 1.0, 1.0, 0.99999999, None, 32),
+            (400, 1.0, 1.0, 0.9, None, 16),
         ],
     )
     def test_report_equals_the_full_row_sums(self, n, a, b, p_bar, p_lo, grid_size):
@@ -665,7 +735,7 @@ class TestVerdictAgreesWithTheConditions:
             try:
                 report = exhaustive_dominance_check(n, a, b, p_bar, p_lo=p_lo, grid_size=32)
             except ArithmeticError:
-                continue  # no report where the table or the J row does not build
+                continue  # no report where the table does not build
             flags, case = report.condition_flags, (n, a, b, p_lo, p_bar)
             if flags["thm33_necessary"] is False:
                 assert report.grid_verdict == "dominated_somewhere", case
@@ -802,6 +872,35 @@ class TestDifferenceSum:
                 assert abs(value - oracle) <= 1e-13 * scale, (n, a, b, p_bar, p_lo, p)
                 checked[prior.restriction] += 1
         assert checked["upper"] >= 60 and checked["interval"] >= 54
+
+    def test_matches_mpmath_near_one(self):
+        # p_bar = 1 - 10^U(-7, -2), at p_bar and in its upper half: the I of
+        # the table's anchor was rescaled by terms of size gamma |log(1-p_bar)|
+        # that cancel, and 4 of these 24 differences were over 1e-13 of their
+        # scale, 4.3e-13 at worst
+        rng = numpy.random.default_rng(53)
+        for _ in range(12):
+            n = int(round(10 ** rng.uniform(0.0, math.log10(158.0))))
+            a, b = (float(v) for v in rng.choice([0.5, 1.0, 2.0, 3.0], size=2))
+            p_bar = 1.0 - float(10 ** rng.uniform(-7.0, -2.0))
+            for p in (p_bar * float(rng.uniform(0.5, 1.0)), p_bar):
+                oracle, scale = _oracle_difference(n, a, b, p_bar, None, p)
+                value = risk_difference(p, n, a, b, p_bar)
+                assert abs(value - oracle) <= 1e-13 * scale, (n, a, b, p_bar, p)
+
+    @pytest.mark.parametrize(
+        "n, a, b, p_bar",
+        [
+            (59, 3.0, 3.0, 0.9999441630457291),
+            (85, 21.252592230150274, 19.995494057980203, 0.9980617869662416),
+            (27, 3.0, 3.0, 0.9999999344576226),
+        ],
+    )
+    def test_matches_mpmath_at_p_bar_near_one(self, n, a, b, p_bar):
+        # points of a seeded verdict sweep: 1.56e-13, 1.41e-13 and 1.02e-13 of
+        # the scale under the rescale by r_bar^alpha (1-p_bar)^gamma
+        oracle, scale = _oracle_difference(n, a, b, p_bar, None, p_bar)
+        assert abs(risk_difference(p_bar, n, a, b, p_bar) - oracle) <= 1e-13 * scale
 
     @pytest.mark.parametrize(
         "n, a, b, p_bar, p, oracle",

@@ -482,14 +482,32 @@ class TestUpperRows:
                     assert abs(1.0 / c_row[x] / exact - 1) < (2e-13 if x == n else 1e-13), x
         # the anchor at x = n + 1 is the kernel's own value
         assert c_row[n + 1] == math.exp(-_log_I(n + 1 + a, gamma, p_bar))
-        try:
-            i_row, inv = _j_rows(table)
-        except incbeta.SingularBoundError:
-            assert min(c_row[: n + 1]) < 1e-300
-        else:
+        rows = _j_rows(table)
+        # no rows exactly where some I = 1/c(x) is beyond double range,
+        # c = 0.0 included
+        assert (rows is None) == any(not c or 1.0 / c == math.inf for c in c_row[: n + 1])
+        if rows is not None:
             # the table's own c(0..n), bit for bit, and their reciprocals
+            i_row, inv = rows
             assert [c.hex() for c in inv] == [c.hex() for c in c_row[: n + 1]]
             assert i_row == [1.0 / c for c in inv]
+
+    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (3.0, 3.0), (0.5, 2.0)])
+    @pytest.mark.parametrize("n", [10, 59, 300, 3000])
+    @pytest.mark.parametrize("p_bar", [0.9999, 1.0 - 1e-6, 1.0 - 1e-9])
+    def test_last_two_c_match_mpmath_near_one(self, p_bar, n, a, b):
+        # the anchor I(n+1+a, gamma, p_bar) is rescaled by p_bar^alpha
+        # (1-p_bar)^beta; its rescale as r_bar^alpha (1-p_bar)^gamma took
+        # terms of size gamma |log(1-p_bar)| that cancel to beta |log(1-p_bar)|,
+        # and left 30 of these 72 values more than 2e-13 off, 4.1e-12 at worst
+        table = EstimateTable.build(BinomialSetup(n=n), PriorSpec(a, b, p_bar=p_bar))
+        gamma = n + a + b + 1.0
+        with mpmath.workdps(ROW_DPS):
+            q = 1 - mpmath.mpf(p_bar)
+            for x in (n - 1, n):
+                alpha = mpmath.mpf(x) + a
+                exact = mpmath.betainc(alpha, gamma - alpha, 0, p_bar) * (q / p_bar) ** alpha / q**gamma
+                assert abs(table._c_row[x] * exact - 1) < 2e-13, x
 
     @pytest.mark.parametrize(
         "a, b, p_bar",

@@ -360,18 +360,37 @@ def test_each_sweep_sums_only_what_it_reports():
     # exhaustive_dominance_check reports the difference, which it sums as
     # one pair sum, so it passes no table to a loss sum; risk_curves
     # reports the two risks and the bound, which reads J(p) alone, so it
-    # passes no pair and only the first of the J rows, not E_p[1/I]'s
+    # passes no pair and only the first of the J rows (rows = _j_rows(trunc)
+    # or None), not E_p[1/I]'s
     for keywords in _grid_sum_calls("exhaustive_dominance_check"):
         assert "tables" not in keywords and "pairs" in keywords
     for keywords in _grid_sum_calls("risk_curves"):
         assert "pairs" not in keywords and "tables" in keywords
         rows = keywords["rows"]
         assert isinstance(rows, ast.IfExp) and ast.unparse(rows.orelse) == "()"
-        assert ast.unparse(rows.body) == "_j_rows(trunc)[:1]"
+        assert ast.unparse(rows.body) == "rows[:1]"
     for function in ("exhaustive_dominance_check", "risk_curves"):
         assert not {("dominance.py", function)} & (
             _callers("_risk_sums") | _callers("point_risk") | _callers("_window_pass")
         )
+
+
+def test_the_singular_bound_is_only_the_p_bar_ceiling():
+    # a J row with an I beyond double range leaves the bound curves absent
+    # and the scalar bound undefined; SingularBoundError means p_bar within
+    # 1e-12 of 1 alone
+    def names(node):
+        return {name for sub in ast.walk(node) for name in _identifiers(sub)}
+
+    raised = set()
+    for path in SOURCES:
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Raise) and "SingularBoundError" in names(node):
+                    raised.add((path.name, getattr(stmt, "name", None)))
+    assert raised == {("incbeta.py", "_check_p_bar")}
+    dominance = ast.parse((SOURCES[0].parent / "dominance.py").read_text())
+    assert "SingularBoundError" not in names(dominance)
 
 
 def _imported(node: ast.AST) -> list[str]:
