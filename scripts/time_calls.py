@@ -51,8 +51,9 @@ process, timed with time.process_time:
            (a, b) = (1, 2) on (0, 0.3], a configuration of long tables,
            in milliseconds per p;
   connection-12
-           the same at l = 12, more steps than binom keeps long
-           coefficient rows (8), so each p computes them again;
+           the same at l = 12, more steps than binom keeps long pmf
+           windows (8), whose kept coefficient rows once evicted one
+           another, so that each p computed them again;
   grid-dominance
            the dominance command through binrisk.cli.main in process,
            its CSV written by --out to a temporary file, in milliseconds

@@ -3,28 +3,21 @@
 pmf_windows(n, p) holds, in one cache entry, the exact window of (n, p),
 every x whose pmf is not exactly 0.0, and its core window, the x within
 e^-64 of the pmf peak, with a bound on the sum of the terms the core
-leaves out; each term is exponentiated once. Building an entry costs its
-core: the builder searches the core's two edges in the lgamma form of
-the pmf exponent, which reads no row, and bounds the terms past each by
-their geometric decay there; the exact window's edges are searched the
-same way on its first read. An entry read as the future pmf of the
-predictive KL risk also keeps the (y, f(y), log f(y)) triples of its
-nonzero terms, which that risk iterates as they are. Entries sit in two
-caches by row length: up to 1,024 short rows, which sweeps revisit at the
-same few p, and 8 long ones. The builder takes n >= 1 and p in (0, 1) as
-checked: every entry point that takes p checks it once, with
-risk._check_p. The risk sums form their loss terms themselves
-(risk._risk_sums), one log p and log(1-p) for all of a call's tables.
-
-The windows read log C(n, x) from one row per n, _log_binom_coeffs(n):
-a plain list when it has at most _WHOLE_ROW entries, which the row pass
-and the predictive masses at small l read whole, and above that a
-_LazyRow, a packed array('d') of 8 bytes an entry that holds NaN where an
-entry is not yet computed; an entry is computed where a window's terms or
-a mass first read it, so a one-shot risk at n = 1e5, p = 0.29 computes
-3,246 of 100,001, its core. Up to 256 whole rows and 8 lazy ones are
-kept. A long estimate table keeps its two log rows in one _LazyRow, and
-a long restricted table its difference pair in another.
+leaves out. Building an entry costs its core: the builder searches the
+core's two edges in the lgamma form of the pmf exponent, and bounds the
+terms past each by their geometric decay there; the exact window's edges
+are searched the same way on its first read. A row of at most 64 terms is
+exponentiated term by term from the whole row of log C(n, x), one list
+per n, which the row pass and the predictive masses at small l also read.
+A longer one keeps no row: one term at the mode, in Loader's saddle-point
+form, is walked out by the pmf ratio, which holds the core within 4e-14
+of mpmath at n = 1e6. An entry read as the future pmf of the predictive
+KL risk also keeps the (y, f(y), log f(y)) triples of its nonzero terms.
+Entries sit in two caches by row length: up to 1,024 short rows, which
+sweeps revisit at the same few p, and 8 long ones. The builder takes n >=
+1 and p in (0, 1) as checked: every entry point that takes p checks it
+once, with risk._check_p. A long estimate table keeps its two log rows in
+one _LazyRow, and a long restricted table its difference pair in another.
 
 Also holds the two descriptors shared across the package, the
 trial-count setup and the (possibly truncated) beta prior; the bases of
@@ -37,14 +30,15 @@ from __future__ import annotations
 import math
 from array import array
 from collections import namedtuple
-from functools import lru_cache, partial
-from itertools import count
+from functools import lru_cache
+from itertools import accumulate, count, islice
+from operator import mul, truediv
 
-from .special import _log_beta_with, _stirling_error
+from .special import _bd0, _log_beta_with, _stirling_error
 
 
-# n = 1e6 takes about 0.6 s and 85 MB peak RSS in one upper estimate table
-# and its risk, and a Poisson report up to K = 1e6 about 0.5 s and 91 MB
+# n = 1e6 takes about 0.4 s and 76 MB peak RSS in one upper estimate table
+# and its risk, and a Poisson report up to K = 1e6 about 0.4 s and 82 MB
 MAX_TRIALS = 10**6
 # 1e6 grid points take about 11 s and 550 MB in a risk curve at n = 3, and
 # 4 s and 155 MB in a threshold scan
@@ -162,37 +156,24 @@ class PriorSpec(_record("PriorSpec", "a b p_bar p_lo")):
 
 
 # A row of at most _WHOLE_ROW entries is built whole, as a plain list:
-# the row pass (n < 64) and the predictive masses at small l read all of it;
-# estimators splits its two table caches at the same length
+# the row pass (n < 64), the short pmf windows and the predictive masses at
+# small l read all of it; estimators splits its two table caches at the
+# same length
 _WHOLE_ROW = 64
-
-# A packed row of one NaN, the entry not yet computed; no entry of a
-# p-free row is NaN. _UNSET * size is a row of size such entries
-_UNSET = array("d", [math.nan])
 
 
 class _LazyRow:
     """p-free rows over x = 0..size-1, packed array('d') holding NaN where
     not yet computed, each by its own entries(start, stop), the row's x =
-    start..stop-1; values is the first row. An index x >= 0 reads x of
-    values, as the predictive masses and the plug-in density do, and
-    computes x in every row; span(start, stop) computes a stretch of every
-    row: it grows the one filled stretch [lo, hi) to hold it, so that the
-    windows of a sweep over p, which overlap, compute each entry once."""
+    start..stop-1. span(start, stop) computes a stretch of every row: it
+    grows the one filled stretch [lo, hi) to hold it, so that the windows of
+    a sweep over p, which overlap, compute each entry once."""
 
-    __slots__ = ("rows", "values", "_entries", "_lo", "_hi")
+    __slots__ = ("rows", "_entries", "_lo", "_hi")
 
     def __init__(self, size: int, *entries) -> None:
-        self.rows = tuple([_UNSET * size for _ in entries])
-        self.values, self._entries, self._lo, self._hi = self.rows[0], entries, 0, 0
-
-    def __getitem__(self, x: int) -> float:
-        value = self.values[x]
-        if value != value:
-            for row, entries in zip(self.rows, self._entries):
-                row[x] = entries(x, x + 1)[0]
-            value = self.values[x]
-        return value
+        self.rows = tuple([array("d", [math.nan]) * size for _ in entries])
+        self._entries, self._lo, self._hi = entries, 0, 0
 
     def span(self, start: int, stop: int) -> None:
         """Computes the entries x = start..stop-1, start < stop."""
@@ -205,12 +186,10 @@ class _LazyRow:
         self._lo, self._hi = min(start, lo), max(stop, hi)
 
 
-def _coeff_entries(
-    n: int, log_n1: float, log_s: float, d_s: float, start: int, stop: int
-) -> list[float]:
-    """log C(n, x) = -log(n+1) - log B(x+1, n-x+1) for x = start..stop-1,
-    from log_n1 = log(n+1), log_s = log(n+2) and d_s = delta(n+2); each
-    log B also reads delta(x+1) and delta(n-x+1)."""
+def _coeff_entries(n: int, start: int, stop: int) -> list[float]:
+    """log C(n, x) = -log(n+1) - log B(x+1, n-x+1) for x = start..stop-1;
+    each log B reads delta(x+1), delta(n-x+1) and delta(n+2)."""
+    log_n1, log_s, d_s = math.log(n + 1), math.log(n + 2), _stirling_error(n + 2)
     return [
         -log_n1
         - _log_beta_with(
@@ -220,31 +199,29 @@ def _coeff_entries(
     ]
 
 
-def _coeff_row(n: int) -> list[float] | _LazyRow:
-    """The row log C(n, x), x = 0..n: a plain list when whole, else a
-    _LazyRow that computes an entry the first time a window's terms or a
-    mass read it."""
-    entries = partial(_coeff_entries, n, math.log(n + 1), math.log(n + 2), _stirling_error(n + 2))
-    return entries(0, n + 1) if n + 1 <= _WHOLE_ROW else _LazyRow(n + 1, entries)
+@lru_cache(maxsize=256)  # a row takes at most about 2.6 KB with its floats
+def _log_binom_coeffs(n: int) -> list[float]:
+    """The row log C(n, x), x = 0..n, for n + 1 <= _WHOLE_ROW."""
+    return _coeff_entries(n, 0, n + 1)
 
 
-# A whole row takes at most about 2.6 KB with its floats, so 256 are kept;
-# a lazy row takes 8 bytes an entry, computed or not, 8 MB at n = 1e6, so
-# only 8 of them are kept, as many as the long pmf windows
-_whole_coeffs = lru_cache(maxsize=256)(_coeff_row)
-_lazy_coeffs = lru_cache(maxsize=8)(_coeff_row)
-
-
-def _log_binom_coeffs(n: int) -> list[float] | _LazyRow:
-    """The row log C(n, x), x = 0..n, one per n, from the cache of its length."""
-    return (_whole_coeffs if n + 1 <= _WHOLE_ROW else _lazy_coeffs)(n)
+def _saddle_log_pmf(n: int, p: float, log_p: float, log_q: float, x: int) -> float:
+    """log Bin(x; n, p) in Loader's saddle-point form (C. Loader, "Fast and
+    Accurate Computation of Binomial Probabilities", 2000), in which no
+    large terms cancel: delta(n) - delta(x) - delta(n-x) - bd0(x, np) -
+    bd0(n-x, nq) - log(2 pi x (n-x)/n)/2, delta the Stirling error; n log q
+    at x = 0 and n log p at x = n."""
+    if x == 0 or x == n:
+        return n * (log_q if x == 0 else log_p)
+    delta = _stirling_error
+    saddle = delta(n) - delta(x) - delta(n - x) - _bd0(x, n * p) - _bd0(n - x, n * (1.0 - p))
+    return saddle - 0.5 * math.log(math.tau * x * (n - x) / n)
 
 
 # math.exp is exactly 0.0 below about -745.13. Past the first exponent
 # under this cutoff, 1 below -745.2, the log pmf only falls, and neither
-# the rounding of the computed exponents nor the gap between them and the
-# searched lgamma form (_log_pmf), both far below the 1.07 of margin, can
-# lift one back
+# the rounding of the terms nor their gap to the searched lgamma form
+# (_log_pmf), both far below the 1.07 of margin, can lift one back
 _EXP_CUTOFF = -746.2
 
 # The core window keeps the x whose pmf exponent lies within _DEPTH of the
@@ -259,10 +236,9 @@ _RATIO_SLACK = 1.0 + 2.0**-40
 
 def _log_pmf(n: int, log_p: float, log_q: float, x: int) -> float:
     """The pmf exponent at x in lgamma form, lgamma(n+1) - lgamma(x+1) -
-    lgamma(n-x+1) + x log_p + (n-x) log_q, which reads no row: within
-    4e-9 of the exponent _exp_terms computes from log C(n, x) for n up to
-    MAX_TRIALS (seeded x), far inside the 1 of the tail bound and the 1.07
-    between _EXP_CUTOFF and exp's zero."""
+    lgamma(n-x+1) + x log_p + (n-x) log_q: within 4e-9 of the log of the
+    window's term at x up to n = MAX_TRIALS (seeded x), far inside the 1 of
+    the tail bound and the 1.07 between _EXP_CUTOFF and exp's zero."""
     lgamma = math.lgamma
     return lgamma(n + 1) - lgamma(x + 1) - lgamma(n - x + 1) + x * log_p + (n - x) * log_q
 
@@ -270,8 +246,7 @@ def _log_pmf(n: int, log_p: float, log_q: float, x: int) -> float:
 def _window_edge(row: tuple, inner: int, end: int, floor: float) -> int:
     """The last x from inner toward end whose pmf exponent, in lgamma form,
     is not under floor, inner's not being under it, by bisection: the log
-    pmf is unimodal, so along the way the test flips once. row is (n,
-    coeffs, log_p, log_q), as for _exp_terms; no entry of coeffs is read."""
+    pmf is unimodal, so along the way the test flips once."""
     n, _, log_p, log_q = row
     outer, x = end, end
     while True:
@@ -284,16 +259,34 @@ def _window_edge(row: tuple, inner: int, end: int, floor: float) -> int:
         x = (inner + outer) // 2
 
 
+def _walk(row: tuple, w: float, x: int, start: int, stop: int) -> tuple[float, ...]:
+    """The terms y = start..stop-1 from w, the term at x, start <= x < stop,
+    for row = (n, p, log_p, log_q), by the pmf ratio w(y+1)/w(y) = (n-y)/(y+1)
+    r, r = p/q: multiplied up from x, divided down. r is rounded once, from
+    p's integer ratio, and its relative error e, the same at every step,
+    would pile up (1.3e-16 a step at n = 1e5, p = 0.3), so every 64th ratio
+    also takes 1 - 64 e, which leaves about 1e-18 a step."""
+    n, p, _, _ = row
+    num, den = p.as_integer_ratio()
+    den -= num
+    r = num / den
+    a, b = r.as_integer_ratio()
+    fix = 1.0 + 64 * (num * b - a * den) / (a * den)
+    steps = map(truediv, range(n - start, n - stop + 1, -1), range(start + 1, stop))
+    ratios = [t * r for t in steps]
+    ratios[63::64] = [v * fix for v in ratios[63::64]]
+    terms = list(accumulate(reversed(ratios[: x - start]), truediv, initial=w))
+    terms.reverse()
+    terms += islice(accumulate(ratios[x - start :], mul, initial=w), 1, None)
+    return tuple(terms)
+
+
 def _exp_terms(row: tuple, start: int, stop: int) -> tuple[float, ...]:
-    """exp(coeffs[x] + x log_p + (n-x) log_q), x = start..stop-1, for row =
-    (n, coeffs, log_p, log_q); x and n-x are floats, exact below 2^53. A
-    lazy row computes the stretch first."""
-    n, coeffs, log_p, log_q = row
-    if coeffs.__class__ is _LazyRow:
-        if start < stop:
-            coeffs.span(start, stop)
-        coeffs = coeffs.values
-    m, terms = float(n), zip(coeffs[start:stop], count(float(start)))
+    """exp(log C(n, x) + x log_p + (n-x) log_q), x = start..stop-1, for row
+    = (n, p, log_p, log_q) with n + 1 <= _WHOLE_ROW, from the whole row of
+    log C(n, x); x and n-x are floats, exact below 2^53."""
+    n, _, log_p, log_q = row
+    m, terms = float(n), zip(_log_binom_coeffs(n)[start:stop], count(float(start)))
     return tuple([math.exp(c + x * log_p + (m - x) * log_q) for c, x in terms])
 
 
@@ -308,25 +301,24 @@ class PmfWindows:
     """The two pmf windows of one (n, p), which share their terms; built by
     pmf_windows.
 
-    exact() holds C(n,x) p^x (1-p)^(n-x), in log space, wherever it is
-    not exactly 0.0: the log pmf is unimodal, so the window runs from the
-    mode out to the last exponent not under _EXP_CUTOFF on either side.
-    core is the part of it whose exponents lie within _DEPTH of the
-    exponent at the mode, and tail bounds the sum of every term core
-    leaves out (0.0 when it leaves none). The edges of both windows and
-    the exponent at the mode are searched in lgamma form (_log_pmf), so a
-    search reads no entry of the coefficient row and only the terms
-    computed fill it. Past an edge the log pmf is concave, so the terms
-    fall at least as fast as the pmf ratio r just past it: (n-x)/(x+1) p/q
-    for the first x right of the core, x/(n-x+1) q/p for the first x left
-    of it. The first term left out lies under e^(peak - _DEPTH), so a
-    side's terms sum to at most e^(peak - _DEPTH + 1)/(1 - r), where the 1
-    covers the rounding of the computed exponents and their gap to the
-    lgamma form, both far below 1; where r is not under 1, tail is inf and
-    the sum runs over the exact window. Each window is a pair (start,
-    terms) for x = start, start+1, ...; core is built with the entry, and
-    exact() searches its edges and extends core on its first call, so no
-    term is exponentiated twice.
+    exact() holds C(n,x) p^x (1-p)^(n-x) wherever it is not exactly 0.0:
+    the log pmf is unimodal, so the window runs from the mode out to the
+    last exponent not under _EXP_CUTOFF on either side. core is the part
+    of it whose exponents lie within _DEPTH of the exponent at the mode,
+    and tail bounds the sum of every term core leaves out (0.0 when it
+    leaves none). Edges are searched in lgamma form (_log_pmf). Up to
+    _WHOLE_ROW terms each term is exponentiated from the whole row of log
+    C(n, x) (_exp_terms); above that the terms are walked (_walk) from the
+    mode's, in Loader's form (_saddle_log_pmf), and no row is kept. Past
+    an edge the log pmf is concave, so the terms fall at least as fast as
+    the pmf ratio r just past it: (n-x)/(x+1) p/q right of the core,
+    x/(n-x+1) q/p left of it. The first term left out lies under e^(peak -
+    _DEPTH), so a side's terms sum to at most e^(peak - _DEPTH + 1)/(1 -
+    r), the 1 covering the terms' rounding and their gap to the lgamma
+    form; where r is not under 1, tail is inf and the sum runs over the
+    exact window. Each window is a pair (start, terms) for x = start,
+    start+1, ...; exact() searches its edges and walks on from the core's
+    edge terms on its first call, so no term is computed twice.
     """
 
     __slots__ = ("core", "tail", "_exact", "_rest", "_logs")
@@ -337,8 +329,11 @@ class PmfWindows:
             core_stop = core_start + len(core)
             start = _window_edge(row, core_start, 0, _EXP_CUTOFF)
             stop = _window_edge(row, core_stop - 1, row[0], _EXP_CUTOFF) + 1
-            left = _exp_terms(row, start, core_start)
-            right = _exp_terms(row, core_stop, stop)
+            if row[0] + 1 <= _WHOLE_ROW:
+                left, right = _exp_terms(row, start, core_start), _exp_terms(row, core_stop, stop)
+            else:
+                left = _walk(row, core[0], core_start, start, core_start + 1)[:-1]
+                right = _walk(row, core[-1], core_stop - 1, core_stop - 1, stop)[1:]
             self._exact, self._rest = (start, left + core + right), None
         return self._exact
 
@@ -356,12 +351,16 @@ def _build_windows(n: int, p: float) -> PmfWindows:
     """The windows of (n, p) for n >= 1 and 0 < p < 1, unchecked."""
     windows = PmfWindows()
     log_p, log_q, q = math.log(p), math.log1p(-p), 1.0 - p
-    row = n, _log_binom_coeffs(n), log_p, log_q
+    row = n, p, log_p, log_q
     mode = min(int((n + 1) * p), n)
     floor = _log_pmf(n, log_p, log_q, mode) - _DEPTH
     core_start = _window_edge(row, mode, 0, floor)
     core_stop = _window_edge(row, mode, n, floor) + 1
-    windows.core = core_start, _exp_terms(row, core_start, core_stop)
+    if n + 1 <= _WHOLE_ROW:
+        windows.core = core_start, _exp_terms(row, core_start, core_stop)
+    else:
+        w = math.exp(_saddle_log_pmf(*row, mode))
+        windows.core = core_start, _walk(row, w, mode, core_start, core_stop)
     bound = 0.0
     if core_start:
         x = core_start - 1
@@ -391,4 +390,3 @@ def pmf_windows(n: int, p: float) -> PmfWindows:
     """The windows of (n, p), built once for every sum at that p. n >= 1 and
     0 < p < 1 are not checked: the callers have checked them."""
     return (_short_windows if n < _SHORT_ROW else _long_windows)(n, p)
-

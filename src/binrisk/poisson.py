@@ -41,9 +41,10 @@ class PoissonConfig(_record("PoissonConfig", "r s a lambda_bar")):
         return super().__new__(cls, r, s, a, lambda_bar)
 
 
-def _lower_gamma_logs(alpha: float, z: float) -> tuple[float, float]:
-    """log gamma(alpha, z) = log int_0^z t^(alpha-1) e^-t dt and log c,
-    c = z^alpha e^-z / gamma(alpha, z), from one pass.
+def _lower_gamma_logs(alpha: float, z: float) -> tuple[float, float, float]:
+    """log gamma(alpha, z) = log int_0^z t^(alpha-1) e^-t dt, log c and c,
+    c = z^alpha e^-z / gamma(alpha, z), from one pass; c is formed as it
+    is, not read back from its log, which would cost eps |log c| of it.
 
     Below z = alpha + 1 the series S = sum_k z^k / (alpha (alpha+1) ...
     (alpha+k)) = 1/c converges fast. Above, the continued fraction h of the
@@ -64,7 +65,7 @@ def _lower_gamma_logs(alpha: float, z: float) -> tuple[float, float]:
             total += term
             if term < total * _GAMMA_TOL:
                 log_s = math.log(total)
-                return alpha * math.log(z) - z + log_s, -log_s
+                return alpha * math.log(z) - z + log_s, -log_s, 1.0 / total
     else:
         # E = lgamma(alpha) - alpha log z + z with t = (alpha - z)/z; once t
         # rounds to -1, (1+t) log1p(t) is 0 * -inf and E is z to an ulp
@@ -75,7 +76,7 @@ def _lower_gamma_logs(alpha: float, z: float) -> tuple[float, float]:
         )
         scale = math.exp(-log_e)
         if scale == 0.0:  # h e^-E is 0.0 for any h, so the fraction is not run
-            return math.lgamma(alpha), -log_e
+            return math.lgamma(alpha), -log_e, scale
         # upper tail e^-z z^alpha / (z+1-alpha- 1(1-alpha)/(z+3-alpha- ...))
         b = z + 1.0 - alpha
         c = 1.0 / _FPMIN
@@ -95,7 +96,8 @@ def _lower_gamma_logs(alpha: float, z: float) -> tuple[float, float]:
             h *= delta
             if abs(delta - 1.0) <= _GAMMA_TOL:
                 log_complement = math.log1p(-h * scale)
-                return math.lgamma(alpha) + log_complement, -log_e - log_complement
+                c = scale / (1.0 - h * scale)
+                return math.lgamma(alpha) + log_complement, -log_e - log_complement, c
     raise ArithmeticError(f"incomplete gamma did not converge (alpha={alpha}, z={z})")
 
 
@@ -117,7 +119,7 @@ def poisson_posterior_mean(x_tilde: int, config: PoissonConfig) -> float:
     if config.lambda_bar is None:
         return alpha / config.r
     z = config.r * config.lambda_bar
-    c = math.exp(_lower_gamma_logs(alpha + 1.0, z)[1])
+    c = _lower_gamma_logs(alpha + 1.0, z)[2]
     return alpha * (z / (z + c)) / config.r
 
 

@@ -11,8 +11,9 @@ enough for all 1,419 of the predictive acceptance sweep, which computed
 typed (an int is not its equal float) and errors are not stored, so no
 hit or eviction changes a value or the first error of a failing
 configuration: each table is validated before the next one's measures.
-The masses read log C(l, y) one y at a time from binom's row for l, which
-at l above 63 computes only the entries read.
+The masses read log C(l, y) one y at a time: from binom's whole row for l
+up to 63, and above that each entry alone, by the row's own expression,
+so that a caller that stops early computes only the entries it read.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import math
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
 
-from .binom import BinomialSetup, PriorSpec, _Table, _check_count, _check_trials, _log_binom_coeffs
+from .binom import _WHOLE_ROW, BinomialSetup, PriorSpec, _Table, _check_count, _check_trials
+from .binom import _coeff_entries, _log_binom_coeffs, _saddle_log_pmf
 from .incbeta import _log_beta_measure
 
 
@@ -34,15 +36,15 @@ def _masses(ys: Iterable[int], x: int, setup: BinomialSetup, prior: PriorSpec) -
     """Predictive masses at each y of ys given X = x, over one denominator
     read first, yielded one by one so that a caller can stop early. x and
     y are taken as checked. log C(l, y) is read per y, so a caller that
-    stops early computes only the entries of a long row it read (the
-    Poisson report's row at l = 1e4 fills about 20 of 10,001)."""
+    stops early computes only the entries it read (the Poisson report at
+    l = 1e4 computes about 20 of 10,001)."""
     n, l, a, b = setup.n, setup.l, prior.a, prior.b
     lo, hi = prior.support
     log_den = _log_measure(x + a, n - x + b, lo, hi)
-    log_coeffs = _log_binom_coeffs(l)
+    row = _log_binom_coeffs(l) if l + 1 <= _WHOLE_ROW else None
     for y in ys:
-        k = x + y
-        yield math.exp(log_coeffs[y] + _log_measure(k + a, n + l - k + b, lo, hi) - log_den)
+        k, log_coeff = x + y, row[y] if row else _coeff_entries(l, y, y + 1)[0]
+        yield math.exp(log_coeff + _log_measure(k + a, n + l - k + b, lo, hi) - log_den)
 
 
 def bayes_predictive(y: int, x: int, setup: BinomialSetup, prior: PriorSpec) -> float:
@@ -55,18 +57,23 @@ def bayes_predictive(y: int, x: int, setup: BinomialSetup, prior: PriorSpec) -> 
 def plug_in_density(y: int, l: int, d: float) -> float:
     """Bin(y | l, d) at a point estimate d of p.
 
-    The one term is computed as binom._exp_terms computes the pmf window's,
-    so it equals the window's term bit for bit; outside the exact window
-    its exponent lies within 4e-9 of an lgamma form under -746.2, so exp
-    gives the window's 0.0. No window is built: every estimate d is a new
-    p, which only this term reads.
+    Up to l = 63 the one term is computed as binom._exp_terms computes the
+    pmf window's, so it equals the window's term bit for bit; above that
+    it is exp of Loader's form (binom._saddle_log_pmf), whose log holds to
+    a few ulps of its size. Outside the exact window its exponent lies
+    within 4e-9 of an lgamma form under -746.2, so exp gives the window's
+    0.0. No window is built: every estimate d is a new p, which only this
+    term reads.
     """
     if not 0.0 < d < 1.0:
         raise ValueError(f"plug-in estimate d must be in (0, 1), got {d}")
     _check_trials("l", l)
     _check_count("y", y, 0, l)
+    log_d, log_e = math.log(d), math.log1p(-d)
+    if l + 1 > _WHOLE_ROW:
+        return math.exp(_saddle_log_pmf(l, d, log_d, log_e, y))
     k, m = float(y), float(l)
-    return math.exp(_log_binom_coeffs(l)[y] + k * math.log(d) + (m - k) * math.log1p(-d))
+    return math.exp(_log_binom_coeffs(l)[y] + k * log_d + (m - k) * log_e)
 
 
 class PredictiveTable(_Table):

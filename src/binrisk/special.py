@@ -14,6 +14,9 @@ Algorithm 708, 1992, betaln and bcorr), and, with s = a + b,
 
 where log(a/s) = log1p(-b/s). The smaller argument's ratio goes to log, the
 larger one's to log1p, so that neither loses digits to 1 - (ratio).
+
+delta and bd0 are also the two parts of Loader's saddle-point form of the
+binomial pmf (binom._saddle_log_pmf).
 """
 
 from __future__ import annotations
@@ -37,6 +40,20 @@ def _stirling_error(x: float) -> float:
     return (
         _S1 + r2 * (_S2 + r2 * (_S3 + r2 * (_S4 + r2 * (_S5 + r2 * (_S6 + r2 * (_S7 + r2 * _S8))))))
     ) / x
+
+
+def _bd0(x: float, m: float) -> float:
+    """x log(x/m) + m - x for x, m > 0; near x = m, where that cancels, the
+    series 2x sum_j v^(2j+1)/(2j+1) - (x-m) v, v = (x-m)/(x+m), j >= 1."""
+    if abs(x - m) < 0.1 * (x + m):
+        v = (x - m) / (x + m)
+        s, term, v2, j = (x - m) * v, 2.0 * x * v, v * v, 3.0
+        while True:
+            term *= v2
+            s, last, j = s + term / j, s, j + 2.0
+            if s == last:
+                return s
+    return x * math.log(x / m) + m - x
 
 
 def log_beta(a: float, b: float) -> float:

@@ -30,7 +30,8 @@ the end evaluate both sides of an identity or inequality the paper's
 proofs rely on. The cold_measures fixture empties the predictive module's
 memo of beta measures, so that a spy on predictive._log_beta_measure sees
 every measure a test computes; the summed_rows fixture records the term
-rows the risk sums build, through a spy on the risk module's fsum.
+rows the risk sums build, through a spy on the risk module's fsum, and
+the coeff_entries fixture the entries of log C(n, x) computed.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from binrisk import predictive, risk
+from binrisk import binom, predictive, risk
 from binrisk.binom import BinomialSetup, PriorSpec, _log_binom_coeffs, pmf_windows
 from binrisk.dominance import _j_rows, p_grid
 from binrisk.estimators import EstimateTable
@@ -79,6 +80,23 @@ def summed_rows(monkeypatch) -> list[int]:
     spy = _FsumSpy()
     monkeypatch.setattr(risk, "math", spy)
     return spy.rows
+
+
+@pytest.fixture
+def coeff_entries(monkeypatch) -> list[tuple[int, int, int]]:
+    """(n, start, stop) of each stretch of log C(n, x) computed, through a
+    spy on binom._coeff_entries, which the short rows and the long
+    predictive masses call, one y at a time."""
+    computed = []
+    entries = binom._coeff_entries
+
+    def spy(n: int, start: int, stop: int) -> list[float]:
+        computed.append((n, start, stop))
+        return entries(n, start, stop)
+
+    monkeypatch.setattr(binom, "_coeff_entries", spy)
+    monkeypatch.setattr(predictive, "_coeff_entries", spy)
+    return computed
 
 
 @pytest.fixture
@@ -236,9 +254,9 @@ def two_pass_upper_table(n: int, a: float, b: float, p_bar: float) -> tuple[list
 
 
 def filled(row: Sequence) -> int:
-    """The entries of a p-free row computed so far: a lazy row holds NaN
-    where it has not been read (its values), a whole row holds none."""
-    return sum(v == v for v in getattr(row, "values", row))
+    """The entries of a p-free row computed so far: a row of a lazy row holds
+    NaN where it has not been read, a whole row holds none."""
+    return sum(v == v for v in row)
 
 
 def unit_losses(ds: Sequence[float], p: float) -> list[float]:
@@ -247,8 +265,13 @@ def unit_losses(ds: Sequence[float], p: float) -> list[float]:
 
 
 def full_pmf_row(n: int, p: float) -> list[float]:
-    """The pmf at every x = 0..n by the library's per-term expression, with
-    no window: the terms that underflow come out as 0.0 here."""
+    """The pmf at every x = 0..n by the library's terms: up to n = 63 by
+    their per-term expression, with no window, so the terms that underflow
+    come out as 0.0 here; above that the ratio walk's terms, which only the
+    window computes (window_row), pinned to mpmath in test_binom and by the
+    L3 sweep of test_domain_sweep."""
+    if n + 1 > 64:
+        return window_row(n, p)
     log_p, log_q, coeffs = math.log(p), math.log1p(-p), _log_binom_coeffs(n)
     return [math.exp(coeffs[x] + x * log_p + (n - x) * log_q) for x in range(n + 1)]
 

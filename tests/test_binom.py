@@ -5,8 +5,8 @@ import copy
 import math
 import pickle
 import random
-from functools import partial
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -28,7 +28,7 @@ from binrisk.estimators import EstimateTable
 from binrisk.poisson import PoissonConfig, limit_convergence_report
 from binrisk.predictive import PredictiveTable, plug_in_density
 from binrisk.risk import connection_sum
-from binrisk.special import _stirling_error, log_beta
+from binrisk.special import log_beta
 
 from conftest import entropy_loss_direct, filled, full_pmf_row, unit_losses, window_row
 
@@ -104,40 +104,34 @@ class TestBinomPmf:
         assert binom._long_windows.cache_info()[:2] == (1, 2)
 
     @pytest.mark.parametrize("n", [1, 63, 64, 1_000])
-    def test_a_row_of_at_most_64_entries_is_built_whole(self, n):
-        # one row per n: a plain list up to 64 entries, which the row pass
-        # and the predictive masses at small l read whole; above it a lazy
-        # row with nothing computed until it is read
-        binom._whole_coeffs.cache_clear()
-        binom._lazy_coeffs.cache_clear()
-        row = _log_binom_coeffs(n)
-        assert row is _log_binom_coeffs(n) and (type(row) is list) == (n + 1 <= 64)
-        assert len(getattr(row, "values", row)) == n + 1
-        assert filled(row) == (n + 1 if n + 1 <= 64 else 0)
+    def test_a_row_of_at_most_64_entries_is_built_whole(self, n, monkeypatch):
+        # one row per n up to 64 entries, a plain list, which the short
+        # windows, the row pass and the predictive masses at small l read
+        # whole; a longer window walks its terms and computes no entry
+        computed = []
+        entries = binom._coeff_entries
 
-    def test_a_lazy_row_computes_what_is_read(self):
-        spans = []
+        def spy(n, start, stop):
+            computed.append((start, stop))
+            return entries(n, start, stop)
+
+        monkeypatch.setattr(binom, "_coeff_entries", spy)
+        for cache in (binom._log_binom_coeffs, binom._short_windows, binom._long_windows):
+            cache.cache_clear()
+        pmf_windows(n, 0.3).exact()
+        assert computed == ([(0, n + 1)] if n + 1 <= 64 else [])
+        if n + 1 <= 64:
+            row = _log_binom_coeffs(n)
+            assert type(row) is list and len(row) == n + 1 and row is _log_binom_coeffs(n)
+
+    def test_a_lazy_row_computes_each_stretch_once(self):
+        # two rows, one entries function each: each stretch computes both
+        # rows there, each function called once per stretch
+        spans, down_spans = [], []
 
         def entries(start, stop):
             spans.append((start, stop))
             return [float(x) for x in range(start, stop)]
-
-        row = binom._LazyRow(100, entries)
-        assert row[7] == 7.0 and row[99] == 99.0 and spans == [(7, 8), (99, 100)]
-        assert binom._exp_terms((99, row, 0.0, 0.0), 40, 40) == () and len(spans) == 2
-        binom._exp_terms((99, row, 0.0, 0.0), 20, 30)
-        assert row[25] == 25.0 and spans[-1] == (20, 30)
-        row.span(50, 60)  # the stretch grows over the gap, once
-        row.span(10, 12)
-        assert spans[2:] == [(20, 30), (30, 60), (10, 20)]
-        assert [x for x, v in enumerate(row.values) if v == v] == [7, *range(10, 60), 99]
-        assert list(row.values[20:30]) == [float(x) for x in range(20, 30)]
-        with pytest.raises(IndexError):
-            row[100]
-        # two rows, one entries function each: an index and each stretch
-        # compute both rows there, each function called once per stretch
-        spans.clear()
-        down_spans = []
 
         def down(start, stop):
             down_spans.append((start, stop))
@@ -145,14 +139,14 @@ class TestBinomPmf:
 
         row = binom._LazyRow(100, entries, down)
         ups, downs = row.rows
-        assert row.values is ups and filled(ups) == filled(downs) == 0
-        assert row[7] == 7.0 and downs[7] == -7.0
+        assert filled(ups) == filled(downs) == 0
         row.span(20, 30)
-        row.span(50, 60)
+        row.span(50, 60)  # the stretch grows over the gap, once
         row.span(10, 12)
         row.span(25, 55)  # inside the filled stretch: nothing is computed
-        assert spans == down_spans == [(7, 8), (20, 30), (30, 60), (10, 20)]
-        assert [x for x, v in enumerate(downs) if v == v] == [7, *range(10, 60)]
+        assert spans == down_spans == [(20, 30), (30, 60), (10, 20)]
+        assert [x for x, v in enumerate(downs) if v == v] == list(range(10, 60))
+        assert list(ups[10:60]) == [float(x) for x in range(10, 60)]
         assert list(downs[10:60]) == [-v for v in ups[10:60]]
 
     def test_log_coeff_cached_values(self):
@@ -161,13 +155,16 @@ class TestBinomPmf:
 
     @pytest.mark.parametrize("n", [1, 8, 9, 10, 11, 300, 3000, 100_000])
     def test_log_coeff_row_is_log_beta_bit_for_bit(self, n):
-        # the row shares one delta per argument; log_beta takes its own
+        # the entries share one delta per argument; log_beta takes its own
         # three. Stirling's series serves the arguments from 10 on, so the
-        # x of n = 1e5 reach both branches of delta
+        # x of n = 1e5 reach both branches of delta. Above 63 the entries
+        # are the ones the long predictive masses compute one at a time
         xs = range(n + 1) if n <= 3000 else (0, 9, 10, n // 2, n - 1, n)
-        row = _log_binom_coeffs(n)
         expected = [(-math.log(n + 1) - log_beta(x + 1, n - x + 1)).hex() for x in xs]
-        assert [row[x].hex() for x in xs] == expected
+        if n + 1 <= 64:
+            row = _log_binom_coeffs(n)
+            assert [row[x].hex() for x in xs] == expected
+        assert [binom._coeff_entries(n, x, x + 1)[0].hex() for x in xs] == expected
 
     @pytest.mark.parametrize("n", [1, 63, 64, 1_000, 100_000, binom.MAX_TRIALS])
     def test_searched_exponent_is_the_rows_within_1e_6(self, n):
@@ -175,29 +172,19 @@ class TestBinomPmf:
         # which reads no row; the windows' margins absorb its gap to the
         # exponent the terms are computed from (4e-9 up to n = 1e6)
         rng = random.Random(n)
-        entries = partial(
-            binom._coeff_entries, n, math.log(n + 1), math.log(n + 2), _stirling_error(n + 2)
-        )
         for _ in range(40):
             x, p = rng.randint(0, n), 10 ** rng.uniform(-12.0, 0.0) * 0.999
             log_p, log_q = math.log(p), math.log1p(-p)
-            row = entries(x, x + 1)[0] + x * log_p + (n - x) * log_q
-            assert binom._log_pmf(n, log_p, log_q, x) == pytest.approx(row, rel=0.0, abs=1e-6)
+            row = binom._coeff_entries(n, x, x + 1)[0] + x * log_p + (n - x) * log_q
+            saddle = binom._saddle_log_pmf(n, p, log_p, log_q, x)
+            for exponent in (row, saddle):
+                searched = binom._log_pmf(n, log_p, log_q, x)
+                assert searched == pytest.approx(exponent, rel=0.0, abs=1e-6)
 
-    @pytest.mark.parametrize(
-        "n, p",
-        [
-            (9, 0.3),
-            (300, 1e-300),
-            (1_000, 0.3),
-            (10_000, 1e-6),
-            (10_000, 0.5),
-            (100_000, 1.0 - 1e-6),
-        ],
-    )
+    @pytest.mark.parametrize("n, p", [(9, 0.3), (40, 1e-300), (63, 0.5), (63, 1.0 - 1e-6)])
     def test_window_terms_are_the_per_term_formula_bit_for_bit(self, n, p):
-        # the windows count x and n - x as floats; each exponent must be the
-        # one the int arithmetic gives
+        # up to 64 terms the windows count x and n - x as floats; each
+        # exponent must be the one the int arithmetic gives
         coeffs, log_p, log_q = _log_binom_coeffs(n), math.log(p), math.log1p(-p)
         windows = pmf_windows(n, p)
         for start, terms in (windows.core, windows.exact()):
@@ -206,7 +193,55 @@ class TestBinomPmf:
                 for x in range(start, start + len(terms))
             ]
             assert [t.hex() for t in terms] == [t.hex() for t in expected]
-        assert windows.tail == 0.0 or len(windows.core[1]) < len(windows.exact()[1])
+
+    @pytest.mark.parametrize(
+        "n, p, tol",
+        [
+            (64, 0.3, 1e-14),
+            (1_000, 0.3, 1e-14),
+            (100_000, 1e-7, 3e-13),
+            (100_000, 0.001, 3e-13),
+            (100_000, 0.3, 3e-13),
+            (100_000, 0.77, 3e-13),
+            (100_000, 1.0 - 1e-7, 3e-13),
+            (1_000_000, 1e-7, 1e-12),
+            (1_000_000, 3e-6, 1e-12),
+            (1_000_000, 0.3, 1e-12),
+            (1_000_000, 0.77, 1e-12),
+            (1_000_000, 1.0 - 1e-7, 1e-12),
+        ],
+    )
+    def test_long_window_terms_match_mpmath(self, n, p, tol):
+        # above 64 terms the core is walked by the pmf ratio from one term
+        # at the mode in Loader's form: the mode is x = 0 at p = 1e-7 and
+        # x = n at 1 - 1e-7, the anchors n log q and n log p. Every core term
+        # is held within tol of the pmf at 40 digits (worst measured: 1.1e-14
+        # at n = 1e5, 3.7e-14 at n = 1e6), sampled at about 200 x and both
+        # edges
+        windows = pmf_windows(n, p)
+        start, terms = windows.core
+        mode = min(int((n + 1) * p), n)
+        assert start <= mode < start + len(terms)
+        if p < 1e-6 or p > 1.0 - 1e-6:
+            assert mode in (0, n) and terms[mode - start] == max(terms)
+        step = max(1, len(terms) // 200)
+        xs = sorted({*range(start, start + len(terms), step), start + len(terms) - 1, mode})
+        with mpmath.workdps(40):
+            mp, log_n = mpmath.mpf(p), mpmath.loggamma(n + 1)
+            log_p, log_q = mpmath.log(mp), mpmath.log1p(-mp)
+            for x in xs:
+                exact = mpmath.exp(
+                    log_n
+                    - mpmath.loggamma(x + 1)
+                    - mpmath.loggamma(n - x + 1)
+                    + x * log_p
+                    + (n - x) * log_q
+                )
+                assert abs(terms[x - start] / exact - 1) <= tol, x
+        # the exact window walks on from the core's edge terms
+        exact_start, exact_terms = windows.exact()
+        held = exact_terms[start - exact_start : start - exact_start + len(terms)]
+        assert all(a is b for a, b in zip(held, terms, strict=True))
 
     @pytest.mark.parametrize("n, p", [(3, 0.3), (12, 0.9), (10_000, 0.3)])
     def test_exact_logs_are_the_nonzero_terms_with_their_logs(self, n, p):

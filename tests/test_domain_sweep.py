@@ -21,17 +21,38 @@ l log-uniform on [1, 300], a and b from 10^[-1, 1], and checks the table
 of each x above at y = 0, 1, l/2, l-1 and l. Its oracle is C(l, y) B(x+y+a,
 n+l-x-y+b) / B(x+a, n-x+b) at 40 digits; its tolerance is 1e-11 relative.
 A row of log C(l, y) above 64 entries is read one y at a time.
+
+The risk slice (L3) checks point_risk and connection_sum: n log-uniform on
+[64, 3000], every fifth draw on [1, 63] instead, a and b from {0.5, 1, 2,
+3}, untruncated and upper priors in turn with p_bar from 10^[-2, -0.05],
+p uniform on (0, p_bar] and l uniform on 1..12, past the 8 long windows
+binom keeps. point_risk is read at p_bar (untruncated: at a p uniform on
+[0.5, 1)), connection_sum at the uniform p. The oracle sums Bin(x; n, p)
+L(d_x, p) over the exact window of (n, p) with the table's own estimates
+d_x, the pmf by its ratio recurrence from an lgamma anchor, at mpmath
+precisions of 20, 30, 45 and 60 digits until two agree to 1e-18. Its
+tolerance is 1e-12 relative: point_risk's error grows with n, from the
+loss p log(p/d) + q log(q/(1-d)), whose halves cancel near d = p, 9.0e-14
+at n = 1e3 and 7.8e-13 at n = 1e4 (measured against mpmath before the
+long windows were walked, 1.6e-14 and 5.5e-13 after). BINRISK_LONG_SWEEP=1
+runs a profile of the slice with n up to 1e5, a tolerance of 3e-11 (1.3e-11
+and 7.5e-12 at n = 1e5), which takes about 10 s:
+
+    BINRISK_LONG_SWEEP=1 python -m pytest tests/test_domain_sweep.py -k risk
 """
 
 import math
+import os
 import random
 
 import mpmath
 import pytest
 
-from binrisk.binom import BinomialSetup, PriorSpec
+from binrisk import binom, risk
+from binrisk.binom import BinomialSetup, PriorSpec, pmf_windows
 from binrisk.estimators import EstimateTable
 from binrisk.predictive import PredictiveTable
+from binrisk.risk import connection_sum, point_risk
 
 UPPER_SEED = 41
 UPPER_DRAWS = 40
@@ -40,6 +61,11 @@ ORACLE_DPS = (80, 160, 400, 1000)
 PREDICTIVE_SEED = 42
 PREDICTIVE_DRAWS = 60
 PREDICTIVE_TOL = 1e-11
+RISK_SEED = 54
+RISK_DRAWS = 10
+RISK_DPS = (20, 30, 45, 60)
+# the opt-in profile: (largest n, tolerance)
+RISK_PROFILE = (10**5, 3e-11) if os.environ.get("BINRISK_LONG_SWEEP") == "1" else (3000, 1e-12)
 
 
 def upper_draws(seed: int, count: int) -> list[tuple[int, float, float, float]]:
@@ -210,3 +236,111 @@ def test_a_1e_9_perturbation_of_one_mass_is_caught(where):
         return tuple(masses)
 
     assert classify_predictive(draw, perturbed) == "silent"
+
+
+def risk_draws(seed: int, count: int, n_max: int) -> list[tuple]:
+    """(n, a, b, p_bar, p, p_point, l) of the risk slice."""
+    rng = random.Random(seed)
+    draws = []
+    for i in range(count):
+        if i % 5 == 4:
+            n = rng.randint(1, 63)
+        else:
+            n = round(10 ** rng.uniform(math.log10(64), math.log10(n_max)))
+        a, b = rng.choice([0.5, 1.0, 2.0, 3.0]), rng.choice([0.5, 1.0, 2.0, 3.0])
+        p_bar = None if i % 2 else 10 ** rng.uniform(-2.0, -0.05)
+        p = (1.0 if p_bar is None else p_bar) * rng.uniform(0.0, 1.0)
+        p_point = p_bar if p_bar is not None else rng.uniform(0.5, 1.0)
+        draws.append((n, a, b, p_bar, p, p_point, rng.randint(1, 12)))
+    return draws
+
+
+def window_risk(n: int, p: float, values, dps: int):
+    """sum_x Bin(x; n, p) L(d_x, p) over the exact window of (n, p) at dps digits."""
+    start, terms = pmf_windows(n, p).exact()
+    with mpmath.workdps(dps):
+        mp = mpmath.mpf(p)
+        q = 1 - mp
+        log_p, log_q, ratio = mpmath.log(mp), mpmath.log(q), mp / q
+        w = mpmath.exp(
+            mpmath.loggamma(n + 1)
+            - mpmath.loggamma(start + 1)
+            - mpmath.loggamma(n - start + 1)
+            + start * log_p
+            + (n - start) * log_q
+        )
+        total = mpmath.mpf(0)
+        for x in range(start, start + len(terms)):
+            d = mpmath.mpf(values[x])
+            total += w * (mp * (log_p - mpmath.log(d)) + q * (log_q - mpmath.log(1 - d)))
+            w = w * (n - x) / (x + 1) * ratio
+        return +total
+
+
+def risk_oracle(sums: list[tuple]):
+    """The sum of window_risk over sums, (n, p, estimates) each, once two
+    precisions agree to 1e-18, else None."""
+    previous = None
+    for dps in RISK_DPS:
+        value = sum(window_risk(n, p, values, dps) for n, p, values in sums)
+        if previous is not None and abs(value / previous - 1) < mpmath.mpf(10) ** -18:
+            return value
+        previous = value
+    return None
+
+
+def classify_risks(draw, tol: float) -> tuple[str, int]:
+    """The class of one risk draw, "ok" or "silent", and the number of its
+    two sums the oracle skipped."""
+    n, a, b, p_bar, p, p_point, l = draw
+    prior = PriorSpec(a, b, p_bar=p_bar)
+    tables = [EstimateTable.build(BinomialSetup(n=m), prior) for m in range(n, n + l)]
+    checks = [
+        (point_risk(tables[0], p_point), [(n, p_point, tables[0].values)]),
+        (connection_sum(p, n, l, prior), [(n + k, p, t.values) for k, t in enumerate(tables)]),
+    ]
+    skipped, silent = 0, False
+    for value, sums in checks:
+        exact = risk_oracle(sums)
+        if exact is None:
+            skipped += 1
+        elif abs(value / exact - 1) > tol:
+            silent = True
+    return ("silent" if silent else "ok"), skipped
+
+
+def test_risk_slice_has_no_silent_draw():
+    n_max, tol = RISK_PROFILE
+    draws = risk_draws(RISK_SEED, RISK_DRAWS, n_max)
+    classes = [classify_risks(draw, tol) for draw in draws]
+    assert [draw for draw, (kind, _) in zip(draws, classes) if kind == "silent"] == []
+    assert classes == [("ok", 0)] * RISK_DRAWS
+    # the draws reach both sides of 64 trials and more than 8 steps
+    assert min(d[0] for d in draws) < 64 <= max(d[0] for d in draws)
+    assert max(d[6] for d in draws) > 8
+
+
+def test_a_1e_9_perturbation_of_one_pmf_term_is_caught(monkeypatch):
+    # one term of every window the risk sums read, core and exact window
+    # alike, is 1e-9 off: the term a standard deviation above the mode, as
+    # the loss at the mode, where d is near p, is near 0
+    n_max, tol = RISK_PROFILE
+    draw = next(d for d in risk_draws(RISK_SEED, RISK_DRAWS, n_max) if 64 <= d[0] < 1000)
+    assert classify_risks(draw, tol) == ("ok", 0)
+
+    def perturbed(n, p):
+        windows = pmf_windows(n, p)
+        (core_start, core), (start, terms) = windows.core, windows.exact()
+        mode = core_start + max(range(len(core)), key=core.__getitem__)
+        x = min(mode + max(1, round(math.sqrt(n * p * (1.0 - p)))), core_start + len(core) - 1)
+        bumped = binom.PmfWindows()
+        bumped.tail, bumped._rest, bumped._logs = windows.tail, None, None
+        for window in ("core", "_exact"):
+            first, values = getattr(windows, window) if window == "core" else (start, terms)
+            values = list(values)
+            values[x - first] *= 1.0 + 1e-9
+            setattr(bumped, window, (first, tuple(values)))
+        return bumped
+
+    monkeypatch.setattr(risk, "pmf_windows", perturbed)
+    assert classify_risks(draw, tol)[0] == "silent"

@@ -35,8 +35,10 @@ from binrisk.risk import point_risk
 from conftest import (
     eval_J,
     filled,
+    full_pmf_row,
     full_row_difference,
     full_row_dominance,
+    full_row_risk,
     log_rows,
     pair_rows,
     max_risk_diff_jeffreys,
@@ -653,10 +655,10 @@ class TestExhaustiveCheck:
     def test_row_pass_reads_one_coefficient_row_per_configuration(self, rows_built, p_lo):
         # up to n = 63 the grid pass builds no pmf window and no loss row:
         # it forms every term from the one row of log C(n, x)
-        binom._whole_coeffs.cache_clear()
+        binom._log_binom_coeffs.cache_clear()
         for n in (1, 17, 63):
             exhaustive_dominance_check(n, 1.0, 1.0, 0.3, p_lo=p_lo, grid_size=100)
-        info = binom._whole_coeffs.cache_info()
+        info = binom._log_binom_coeffs.cache_info()
         assert (info.misses, info.hits) == (3, 0)
         assert rows_built() == {"pmf": 0, "loss": 0}
 
@@ -750,10 +752,23 @@ class TestVerdictAgreesWithTheConditions:
         assert checked["thm41"] >= 15
 
 
+def _full_row_pass(n, grid, tables=(), pairs=(), rows=()):
+    """The columns of the row pass from conftest's full-row sums over every
+    x = 0..n, with the windows' own pmf terms: the row pass's reference
+    above n = 63, where the windows walk their terms and no row of log C(n,
+    x) is kept."""
+    columns = [[full_row_risk(table, p) for p in grid] for table in tables]
+    columns += [[full_row_difference(trunc, p) for p in grid] for trunc in pairs]
+    for values in rows:
+        columns.append([math.fsum(w * v for w, v in zip(full_pmf_row(n, p), values)) for p in grid])
+    return columns
+
+
 class TestGridEngines:
     """The row pass and the window pass return the same columns: each
     table's risk, then each pair's difference, then each value row's
-    expectation, correctly rounded."""
+    expectation, correctly rounded. Above n = 63 the row pass's reference
+    is the full-row sums over the windows' terms."""
 
     @staticmethod
     def passes(n, p_lo, sums, grid_size):
@@ -772,9 +787,10 @@ class TestGridEngines:
             log_rows(table)  # the row pass reads them whole, as they are up to n = 63
         if pairs:
             pair_rows(trunc)
+        reference = dominance._row_pass if n + 1 <= 64 else _full_row_pass
         return [
             [[v.hex() for v in column] for column in engine(n, grid, tables, pairs, rows)]
-            for engine in (dominance._row_pass, dominance._window_pass)
+            for engine in (reference, dominance._window_pass)
         ]
 
     @pytest.mark.parametrize("grid_size", [2, 64, 65, 512])

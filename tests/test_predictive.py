@@ -4,11 +4,12 @@ import itertools
 import math
 import random
 
+import mpmath
 import pytest
 from scipy.special import betaln
 
 from binrisk import binom, predictive
-from binrisk.binom import BinomialSetup, PriorSpec
+from binrisk.binom import BinomialSetup, PriorSpec, pmf_windows
 from binrisk.cli import EXIT_VALIDATION, main
 from binrisk.estimators import posterior_mean
 from binrisk.incbeta import _log_beta_measure
@@ -151,19 +152,54 @@ class TestPlugIn:
             (1, 0.5),
             (6, 0.37),
             (40, 1e-3),
-            (3000, 0.3),
-            (3000, 1e-6),
-            *itertools.product((1, 12, 2000), (1e-300, 0.3, 1.0 - 1e-16)),
+            *itertools.product((1, 12, 63), (1e-300, 0.3, 1.0 - 1e-16)),
         ],
     )
     def test_every_mass_is_the_pmf_row_entry_bit_for_bit(self, l, d):
-        # computed apart from the window, each mass is the window's term, and
-        # every y outside the exact window gets its 0.0: at l >= 2000, and at
-        # d = 1e-300 for l > 1, the window leaves exact zeros
+        # up to l = 63, computed apart from the window, each mass is the
+        # window's term, and every y outside the exact window gets its 0.0:
+        # at d = 1e-300 for l > 1 the window leaves exact zeros
         row = window_row(l, d)
         masses = [plug_in_density(y, l, d) for y in range(l + 1)]
         assert [m.hex() for m in masses] == [v.hex() for v in row]
-        if l >= 2000 or d == 1e-300 and l > 1:
+        if d == 1e-300 and l > 1:
+            assert 0.0 in masses
+
+    @pytest.mark.parametrize(
+        "l, d",
+        [
+            (64, 0.3),
+            (3000, 0.3),
+            (3000, 1e-6),
+            *itertools.product((2000,), (1e-300, 0.3, 1.0 - 1e-16)),
+        ],
+    )
+    def test_long_masses_and_window_terms_match_mpmath(self, l, d):
+        # above l = 63 the mass is Loader's form and the window's term is
+        # walked by the pmf ratio, so they differ by rounding: each is held
+        # within 1e-12 of the pmf at 30 digits, or, for the subnormal terms
+        # at the window's far edges, within 2^-1022. Far from the mode the
+        # closed form of Loader's bd0, x log(x/np) + np - x, cancels parts of
+        # size up to about 1,000 here, so a mass keeps only about eps times
+        # that (worst measured: 6.7e-13 at y = 1837 of l = 3000; 7.1e-15 for
+        # a walked term). Outside the exact window both are 0.0
+        row = window_row(l, d)
+        masses = [plug_in_density(y, l, d) for y in range(l + 1)]
+        start, terms = pmf_windows(l, d).exact()
+        assert row[:start] == masses[:start] == [0.0] * start
+        stop = start + len(terms)
+        assert row[stop:] == masses[stop:] == [0.0] * (l + 1 - stop)
+        with mpmath.workdps(30):
+            log_d, log_e = mpmath.log(mpmath.mpf(d)), mpmath.log1p(-mpmath.mpf(d))
+            log_fact = [mpmath.mpf(0)]
+            for k in range(1, l + 1):
+                log_fact.append(log_fact[-1] + mpmath.log(k))
+            for y in range(start, stop):
+                log_f = log_fact[l] - log_fact[y] - log_fact[l - y] + y * log_d + (l - y) * log_e
+                exact = float(mpmath.exp(log_f))
+                for value in (masses[y], row[y]):
+                    assert abs(value - exact) <= 1e-12 * exact + 2.0**-1022, (y, value, exact)
+        if l >= 2000:
             assert 0.0 in masses
 
     def test_a_plug_in_sweep_builds_no_pmf_window(self):

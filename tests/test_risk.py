@@ -148,6 +148,7 @@ class TestCoreWindowCertificate:
         built = EstimateTable.build(BinomialSetup(n=n), PriorSpec(a=1.0, b=1.0))
         # a hand-built copy, so that its rows, edited below, are its own
         table = EstimateTable(built.setup, built.prior, built.values)
+        expected = full_row_risk(table, p)  # reads the exact window, before the spy
         exact = binom.PmfWindows.exact
         exact_reads = []
 
@@ -156,7 +157,6 @@ class TestCoreWindowCertificate:
             return exact(windows)
 
         monkeypatch.setattr(binom.PmfWindows, "exact", reading)
-        expected = full_row_risk(table, p)
         assert point_risk(table, p) == expected
         assert summed_rows == [1_036]  # the certificate held on the core row
         assert exact_reads == []
@@ -246,50 +246,33 @@ class TestCoreWindowCertificate:
 
 
 class TestRowsFilledWhereRead:
-    """The p-free rows are computed only where a window reads them: log C(n,
-    x) over the terms a window computes, which the edge searches, done in
-    lgamma form, do not add to, and the table's log rows over the spans
-    summed."""
+    """The p-free rows are computed only where a window reads them: the
+    table's log rows over the spans summed. A window above 64 terms walks
+    its terms and computes no log C(n, x), nor do its edge searches, done in
+    lgamma form."""
 
-    def test_a_cold_window_computes_only_its_core(self, monkeypatch):
-        spans = []
-        entries = binom._coeff_entries
-
-        def spy(n, log_n1, log_s, d_s, start, stop):
-            spans.append((start, stop))
-            return entries(n, log_n1, log_s, d_s, start, stop)
-
-        monkeypatch.setattr(binom, "_coeff_entries", spy)
-        binom._lazy_coeffs.cache_clear()
+    def test_a_cold_window_computes_no_coefficient(self, coeff_entries):
         binom._long_windows.cache_clear()
         windows = pmf_windows(100_000, 0.29)
-        core_start, core = windows.core
-        assert spans == [(core_start, core_start + len(core))] and len(core) == 3_246
-        # the exact window's edge searches read no row either: it computes
-        # the stretches it adds on each side of the core
-        start, terms = windows.exact()
-        assert spans[1:] == [(start, core_start), (core_start + len(core), start + len(terms))]
-        binom._lazy_coeffs.cache_clear()
-        binom._long_windows.cache_clear()
+        assert len(windows.core[1]) == 3_246
+        windows.exact()
+        assert coeff_entries == []
 
-    def test_one_shot_risk_fills_only_its_core(self):
+    def test_one_shot_risk_fills_only_its_core(self, coeff_entries):
         n, p = 100_000, 0.29
-        binom._lazy_coeffs.cache_clear()
         binom._long_windows.cache_clear()
         built = EstimateTable.build(BinomialSetup(n=n), PriorSpec(a=1.0, b=1.0, p_bar=0.3))
         table = EstimateTable(built.setup, built.prior, built.values)  # rows of its own
         risk = point_risk(table, p)
         core = len(pmf_windows(n, p).core[1])
-        assert core == 3_246 == filled(binom._log_binom_coeffs(n))
+        assert core == 3_246 and coeff_entries == []
         assert [filled(row) for row in table._logs[:2]] == [core, core]
         assert risk.hex() == full_row_risk(table, p).hex()
 
     def test_a_grid_fills_the_stretch_its_windows_span(self):
-        # windows at increasing p overlap; the rows, log C(n, x) too, grow
-        # one filled stretch from the first window's start to the last one's
-        # stop
+        # windows at increasing p overlap; the rows grow one filled stretch
+        # from the first window's start to the last one's stop
         n = 3_000
-        binom._lazy_coeffs.cache_clear()
         built = EstimateTable.build(BinomialSetup(n=n), PriorSpec(a=1.0, b=1.0))
         table = EstimateTable(built.setup, built.prior, built.values)
         ps = [0.2 + 0.01 * k for k in range(11)]
@@ -300,56 +283,68 @@ class TestRowsFilledWhereRead:
         span = list(range(start, stop_start + len(last)))
         for row in table._logs[:2]:
             assert [x for x, v in enumerate(row) if v == v] == span
-        assert filled(binom._log_binom_coeffs(n)) == len(span)
 
     @pytest.mark.parametrize("n", [300, 1_000, 3_000])
-    def test_a_sweep_computes_each_coefficient_once(self, monkeypatch, n):
-        # only the windows' spans compute entries, each growing the one
-        # filled stretch: over a 64-p sweep of both tables of a risk-large-n
-        # job no x of log C(n, x) is computed twice
-        computed = []
-        entries = binom._coeff_entries
-
-        def spy(n, log_n1, log_s, d_s, start, stop):
-            computed.extend(range(start, stop))
-            return entries(n, log_n1, log_s, d_s, start, stop)
-
-        monkeypatch.setattr(binom, "_coeff_entries", spy)
-        binom._lazy_coeffs.cache_clear()
+    def test_a_sweep_computes_no_coefficient(self, coeff_entries, n):
+        # over a 64-p sweep of both tables of a risk-large-n job no log C(n,
+        # x) is computed: the windows walk their terms
         binom._long_windows.cache_clear()
         setup = BinomialSetup(n=n)
         tables = [EstimateTable.build(setup, PriorSpec(1.0, 1.0, p_bar=bar)) for bar in (None, 0.3)]
         for k in range(1, 65):
             for table in tables:
                 point_risk(table, 0.3 * k / 64)
-        assert len(computed) == len(set(computed)) == filled(binom._log_binom_coeffs(n))
-        binom._lazy_coeffs.cache_clear()
-        binom._long_windows.cache_clear()
+        assert coeff_entries == []
+
+    def test_a_connection_sum_past_8_steps_computes_no_coefficient_after_its_first_p(
+        self, monkeypatch
+    ):
+        # l = 12 steps at n = 300 under (1, 2) on (0, 0.3]: each p reads 12
+        # long windows, more than the 8 long entries binom's caches keep, so
+        # kept rows of log C(m, x) would evict one another and every p would
+        # compute all 12 again. The spy takes any arguments and counts the
+        # entries of each stretch, the last two arguments
+        computed = []
+        entries = binom._coeff_entries
+
+        def spy(*args):
+            computed.append(args[-1] - args[-2])
+            return entries(*args)
+
+        monkeypatch.setattr(binom, "_coeff_entries", spy)
+        for cache in vars(binom).values():
+            if hasattr(cache, "cache_clear"):
+                cache.cache_clear()
+        prior = PriorSpec(1.0, 2.0, p_bar=0.3)
+        ps = [0.3 * k / 16 for k in range(1, 17)]
+        connection_sum(ps[0], 300, 12, prior)
+        computed.clear()
+        for p in ps[1:]:
+            connection_sum(p, 300, 12, prior)
+        assert sum(computed) == 0
 
     def test_kept_rows_cost_8_bytes_an_entry(self):
         # the rows a cold upper table at n = 3000 keeps after a 64-p sweep,
-        # log C(n, x), log d, log(1-d) and c, are packed: dropping them, c with
-        # the entries of rho that read it, frees 8 bytes an entry, computed
-        # or not, and a few KB of headers, where an entry held as a float
-        # object takes 32 bytes more
+        # log d, log(1-d) and c, are packed: dropping them, c with the
+        # entries of rho that read it, frees 8 bytes an entry, computed or
+        # not, and a few KB of headers, where an entry held as a float object
+        # takes 32 bytes more; the windows keep no row of log C(n, x)
         n = 3_000
         tracemalloc.start()
         try:
-            binom._lazy_coeffs.cache_clear()
             binom._long_windows.cache_clear()
             table = estimators._estimate_table(BinomialSetup(n=n), PriorSpec(1.0, 1.0, p_bar=0.3))
             for k in range(1, 65):
                 point_risk(table, 0.3 * k / 64)
-            binom._long_windows.cache_clear()  # its windows hold the coefficient row too
+            binom._long_windows.cache_clear()
             gc.collect()
             held = tracemalloc.get_traced_memory()[0]
             del vars(table)["_logs"], vars(table)["_c_row"], vars(table)["_rhos"]
-            binom._lazy_coeffs.cache_clear()
             gc.collect()
             held -= tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        entries = 3 * (n + 1) + n + 2
+        entries = 2 * (n + 1) + n + 2
         assert 8 * entries <= held <= 8 * entries + 4_096
 
     def test_no_ratio_bound_sums_the_exact_window(self, monkeypatch, summed_rows):

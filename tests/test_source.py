@@ -127,8 +127,8 @@ def test_window_builder_checks_nothing():
     # n and p are checked at the public entry points; the pmf windows are
     # built on every cache miss of a sweep and take them as checked, and so
     # does the bound on the terms the core leaves out
-    builder = {"pmf_windows", "_build_windows", "_window_edge", "_exp_terms", "PmfWindows"}
-    assert _check_calls("binom.py", builder | {"_tail_ratio"}) == []
+    builder = {"pmf_windows", "_build_windows", "_window_edge", "_exp_terms", "_walk", "PmfWindows"}
+    assert _check_calls("binom.py", builder | {"_saddle_log_pmf", "_tail_ratio"}) == []
 
 
 def test_plug_in_density_builds_no_cached_row():
@@ -165,11 +165,10 @@ def test_p_free_row_builders_check_nothing():
     assert _check_calls("dominance.py", {"_j_rows", "_window_pass", "_row_pass"}) == []
     assert _check_calls("risk.py", {"_mass_logs", "_log_rows"}) == []
     assert _check_calls("predictive.py", {"_masses", "bayes_predictive_tables"}) == []
-    # the coefficient row and a table's log rows are filled where a window's
-    # terms or a mass read them, inside the window builds and the risk
+    # the coefficient entries are computed where a short window's terms or
+    # a mass read them, and a table's log rows are filled inside the risk
     # sums: their fillers call no check and raise nothing
-    fillers = [("binom.py", "_log_binom_coeffs"), ("binom.py", "_coeff_row")]
-    fillers += [("binom.py", "_coeff_entries")]
+    fillers = [("binom.py", "_log_binom_coeffs"), ("binom.py", "_coeff_entries")]
     fillers += [("binom.py", "_LazyRow"), ("estimators.py", "EstimateTable._logs")]
     fillers += [("estimators.py", "EstimateTable._pair"), ("estimators.py", "_alphas")]
     fillers += [("estimators.py", "_betas"), ("estimators.py", "_upper_rhos")]

@@ -9,7 +9,7 @@ import pytest
 from scipy.special import betaln, gammainc, gammaln
 
 from binrisk import poisson
-from binrisk.binom import _log_binom_coeffs
+from binrisk.binom import _coeff_entries
 from binrisk.special import log_beta
 
 # a + b in every decade from 1 to 1e5, split evenly and unevenly, and a
@@ -66,10 +66,11 @@ def test_log_beta_rejects_shapes_outside_the_domain(a, b):
 
 @pytest.mark.parametrize("n", [10, 1000, 100_000])
 def test_log_binomial_row_is_no_worse_than_scipy(n):
-    # the row every pmf window and risk sum is built from; the worst error
-    # over the row (every 97th x at n = 1e5, plus both ends and the middle)
-    row = _log_binom_coeffs(n)
+    # log C(n, x), the row of every short pmf window and the entries of the
+    # long predictive masses; the worst error over the row (every 97th x at
+    # n = 1e5, plus both ends and the middle)
     xs = sorted(set(range(0, n + 1, 1 if n <= 1000 else 97)) | {1, n // 2, n - 1, n})
+    row = {x: _coeff_entries(n, x, x + 1)[0] for x in xs}
     lg_n = mpmath.loggamma(n + 1)
     ours = scipys = 0.0
     for x in xs:
