@@ -1,23 +1,20 @@
 """Binomial model primitives: pmf windows.
 
 pmf_windows(n, p) holds, in one cache entry, the exact window of (n, p),
-every x whose pmf is not exactly 0.0, and its core window, the x within
-e^-64 of the pmf peak, with a bound on the sum of the terms the core
-leaves out. Building an entry costs its core: the builder searches the
-core's two edges in the lgamma form of the pmf exponent, and bounds the
-terms past each by their geometric decay there; the exact window's edges
-are searched the same way on its first read. A row of at most 64 terms is
-exponentiated term by term from the whole row of log C(n, x), one list
-per n, which the row pass and the predictive masses at small l also read.
-A longer one keeps no row: one term at the mode, in Loader's saddle-point
-form, is walked out by the pmf ratio, which holds the core within 4e-14
-of mpmath at n = 1e6. An entry read as the future pmf of the predictive
-KL risk also keeps the (y, f(y), log f(y)) triples of its nonzero terms.
-Entries sit in two caches by row length: up to 1,024 short rows, which
-sweeps revisit at the same few p, and 8 long ones. The builder takes n >=
-1 and p in (0, 1) as checked: every entry point that takes p checks it
-once, with risk._check_p. A long estimate table keeps its two log rows in
-one _LazyRow, and a long restricted table its difference pair in another.
+every x whose pmf is not exactly 0.0, and its core window, the x whose
+terms are at least e^-64 times the mode's, with a bound on the sum of the
+terms the core leaves out. Each window ends where its own terms do: a row
+of at most 64 terms is exponentiated whole from the row of log C(n, x),
+one list per n, which the row pass and the predictive masses at small l
+also read, and its 0.0 ends trimmed; a longer one keeps no row, and walks
+one term at the mode, in Loader's form, out by the pmf ratio. An entry
+read as the future pmf of the predictive KL risk also keeps the (y, f(y),
+log f(y)) triples of its nonzero terms. Entries sit in two caches by row
+length: up to 1,024 short rows, which sweeps revisit at the same few p,
+and 8 long ones. The builder takes n >= 1 and p in (0, 1) as checked:
+every entry point that takes p checks it once, with risk._check_p. A long
+estimate table keeps its two log rows in one _LazyRow, and a long
+restricted table its difference pair in another.
 
 Also holds the two descriptors shared across the package, the
 trial-count setup and the (possibly truncated) beta prior; the bases of
@@ -28,11 +25,13 @@ every entry point taking raw values.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
+from bisect import bisect
 from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate, count, islice
-from operator import mul, truediv
+from operator import mul, neg, truediv
 
 from .special import _bd0, _log_beta_with, _stirling_error
 
@@ -218,81 +217,85 @@ def _saddle_log_pmf(n: int, p: float, log_p: float, log_q: float, x: int) -> flo
     return saddle - 0.5 * math.log(math.tau * x * (n - x) / n)
 
 
-# math.exp is exactly 0.0 below about -745.13. Past the first exponent
-# under this cutoff, 1 below -745.2, the log pmf only falls, and neither
-# the rounding of the terms nor their gap to the searched lgamma form
-# (_log_pmf), both far below the 1.07 of margin, can lift one back
-_EXP_CUTOFF = -746.2
-
-# The core window keeps the x whose pmf exponent lies within _DEPTH of the
-# mode's: about ±11 standard deviations, where the exact window runs to ±38
+# The core window keeps the terms at least e^-_DEPTH times the mode's: about
+# ±11 standard deviations, where the exact window runs to ±38
 _DEPTH = 64.0
-
 
 # Each ratio r of the tail bound is inflated by this factor, which covers
 # its few roundings (under 5e-16 relative)
 _RATIO_SLACK = 1.0 + 2.0**-40
 
-
-def _log_pmf(n: int, log_p: float, log_q: float, x: int) -> float:
-    """The pmf exponent at x in lgamma form, lgamma(n+1) - lgamma(x+1) -
-    lgamma(n-x+1) + x log_p + (n-x) log_q: within 4e-9 of the log of the
-    window's term at x up to n = MAX_TRIALS (seeded x), far inside the 1 of
-    the tail bound and the 1.07 between _EXP_CUTOFF and exp's zero."""
-    lgamma = math.lgamma
-    return lgamma(n + 1) - lgamma(x + 1) - lgamma(n - x + 1) + x * log_p + (n - x) * log_q
+# The exact window's subnormal terms are walked at 2^64 times their size,
+# normal down to 2^-1075, where they round to 0.0 when scaled back once
+_LIFT = 2.0**64
 
 
-def _window_edge(row: tuple, inner: int, end: int, floor: float) -> int:
-    """The last x from inner toward end whose pmf exponent, in lgamma form,
-    is not under floor, inner's not being under it, by bisection: the log
-    pmf is unimodal, so along the way the test flips once."""
-    n, _, log_p, log_q = row
-    outer, x = end, end
-    while True:
-        if _log_pmf(n, log_p, log_q, x) >= floor:
-            inner = x
-        else:
-            outer = x
-        if abs(outer - inner) <= 1:
-            return inner
-        x = (inner + outer) // 2
-
-
-def _walk(row: tuple, w: float, x: int, start: int, stop: int) -> tuple[float, ...]:
-    """The terms y = start..stop-1 from w, the term at x, start <= x < stop,
-    for row = (n, p, log_p, log_q), by the pmf ratio w(y+1)/w(y) = (n-y)/(y+1)
-    r, r = p/q: multiplied up from x, divided down. r is rounded once, from
-    p's integer ratio, and its relative error e, the same at every step,
-    would pile up (1.3e-16 a step at n = 1e5, p = 0.3), so every 64th ratio
-    also takes 1 - 64 e, which leaves about 1e-18 a step."""
-    n, p, _, _ = row
-    num, den = p.as_integer_ratio()
-    den -= num
-    r = num / den
-    a, b = r.as_integer_ratio()
-    fix = 1.0 + 64 * (num * b - a * den) / (a * den)
-    steps = map(truediv, range(n - start, n - stop + 1, -1), range(start + 1, stop))
-    ratios = [t * r for t in steps]
-    ratios[63::64] = [v * fix for v in ratios[63::64]]
-    terms = list(accumulate(reversed(ratios[: x - start]), truediv, initial=w))
-    terms.reverse()
-    terms += islice(accumulate(ratios[x - start :], mul, initial=w), 1, None)
-    return tuple(terms)
-
-
-def _exp_terms(row: tuple, start: int, stop: int) -> tuple[float, ...]:
-    """exp(log C(n, x) + x log_p + (n-x) log_q), x = start..stop-1, for row
-    = (n, p, log_p, log_q) with n + 1 <= _WHOLE_ROW, from the whole row of
-    log C(n, x); x and n-x are floats, exact below 2^53."""
-    n, _, log_p, log_q = row
-    m, terms = float(n), zip(_log_binom_coeffs(n)[start:stop], count(float(start)))
+def _exp_terms(n: int, log_p: float, log_q: float) -> tuple[float, ...]:
+    """exp(log C(n, x) + x log_p + (n-x) log_q), x = 0..n, for n + 1 <=
+    _WHOLE_ROW, from the whole row of log C(n, x); x and n-x are floats,
+    exact below 2^53."""
+    m, terms = float(n), zip(_log_binom_coeffs(n), count(0.0))
     return tuple([math.exp(c + x * log_p + (m - x) * log_q) for c, x in terms])
 
 
+def _side(rest: tuple, w: float, x: int, end: int, size: int, floor: float, lift: float) -> tuple:
+    """The terms from w, the term at x, toward end while they are not under
+    floor, outward, and the pmf ratio into the first term left out (None
+    where end is reached), for rest = (n, r, fix): walked at lift times
+    their size, in a first stretch of size terms, then 64 at a time, by
+    w(k+1)/w(k) = (n-k)/(k+1) r, r = p/q. r is rounded once, from p's
+    integer ratio, and its relative error e would pile up (1.3e-16 a step
+    at n = 1e5, p = 0.3), so the ratio at every k = 63 mod 64 also takes
+    fix = 1 - 64 e, which leaves about 1e-18 a step: a term's bits depend
+    on (n, p, x) alone. The terms fall outward from the mode, so bisect
+    finds the edge inside the last stretch."""
+    (n, r, fix), kept, w, up = rest, [], w * lift, end > x
+    while x != end:
+        lo = x if up else max(x - size, end)
+        size = min(x + size, end) - x if up else x - lo
+        steps = map(truediv, range(n - lo, n - lo - size, -1), range(lo + 1, lo + size + 1))
+        ratios = [t * r for t in steps]
+        k = (63 - lo) % 64
+        ratios[k::64] = [v * fix for v in ratios[k::64]]
+        if not up:
+            ratios.reverse()
+        lifted = list(islice(accumulate(ratios, mul if up else truediv, initial=w), 1, None))
+        terms = lifted if lift == 1.0 else [t / lift for t in lifted]
+        i = bisect(terms, -floor, key=neg)
+        kept += terms[:i]
+        if i < size:
+            return kept, ratios[i] if up else 1.0 / ratios[i]
+        x, w, size = x + size if up else lo, lifted[-1], 64
+    return kept, None
+
+
+def _side_to_zero(rest: tuple, w: float, x: int, end: int, size: int) -> list[float]:
+    """The terms from w, the term at x, toward end up to the first 0.0: the
+    normal ones, then the subnormal ones at _LIFT times their size. These
+    fall by at least the ratio r into the first of them, so log(2^-53)/
+    log(r) terms, 2 more, reach 2^-1075 times the last normal one."""
+    terms, ratio = _side(rest, w, x, end, size, sys.float_info.min, 1.0)
+    if ratio is None:
+        return terms
+    x, w = x + len(terms) if end > x else x - len(terms), terms[-1] if terms else w
+    size = int(math.log(2.0**-53, ratio)) + 2
+    return terms + _side(rest, w, x, end, size, math.ulp(0.0), _LIFT)[0]
+
+
+def _reach(n: int, p: float, q: float, depth: float) -> tuple[int, int]:
+    """The x the terms need, left and right of the mode, to fall to e^-depth
+    of the mode's, 4 more: d^2/2 - g d^3/6 = depth, g = (q - p)/sd the
+    skewness, gives d = sqrt(2 depth) ± g depth/3 standard deviations: 2 to
+    18 terms past the core's edges over 400 seeded (n, p), and past the
+    exact window's last normal terms."""
+    reach, skew = math.sqrt(2.0 * depth * n * p * q), (q - p) * depth / 3.0
+    return max(int(reach - skew), 0) + 4, max(int(reach + skew), 0) + 4
+
+
 def _tail_ratio(ratio: float) -> float:
-    """1/(1 - r) for the pmf ratio r just past one edge of the core, inflated
-    for rounding; inf where r is not under 1, where no bound holds."""
+    """1/(1 - r) for the pmf ratio r into the first term past one edge of
+    the core, inflated for rounding; inf where r is not under 1, where no
+    bound holds."""
     r = ratio * _RATIO_SLACK
     return 1.0 / (1.0 - r) if r < 1.0 else math.inf
 
@@ -301,40 +304,31 @@ class PmfWindows:
     """The two pmf windows of one (n, p), which share their terms; built by
     pmf_windows.
 
-    exact() holds C(n,x) p^x (1-p)^(n-x) wherever it is not exactly 0.0:
-    the log pmf is unimodal, so the window runs from the mode out to the
-    last exponent not under _EXP_CUTOFF on either side. core is the part
-    of it whose exponents lie within _DEPTH of the exponent at the mode,
-    and tail bounds the sum of every term core leaves out (0.0 when it
-    leaves none). Edges are searched in lgamma form (_log_pmf). Up to
-    _WHOLE_ROW terms each term is exponentiated from the whole row of log
-    C(n, x) (_exp_terms); above that the terms are walked (_walk) from the
-    mode's, in Loader's form (_saddle_log_pmf), and no row is kept. Past
-    an edge the log pmf is concave, so the terms fall at least as fast as
-    the pmf ratio r just past it: (n-x)/(x+1) p/q right of the core,
-    x/(n-x+1) q/p left of it. The first term left out lies under e^(peak -
-    _DEPTH), so a side's terms sum to at most e^(peak - _DEPTH + 1)/(1 -
-    r), the 1 covering the terms' rounding and their gap to the lgamma
-    form; where r is not under 1, tail is inf and the sum runs over the
-    exact window. Each window is a pair (start, terms) for x = start,
-    start+1, ...; exact() searches its edges and walks on from the core's
-    edge terms on its first call, so no term is computed twice.
+    exact() holds C(n,x) p^x (1-p)^(n-x) wherever it is not exactly 0.0,
+    and core the part of it at least e^-_DEPTH times the mode's term, each
+    a pair (start, terms) for x = start, start+1, ...; tail bounds the sum
+    of every term core leaves out. Up to _WHOLE_ROW terms both are the
+    row's nonzero span (_exp_terms) and tail is 0.0. Above that the mode's
+    term, in Loader's form, is walked out (_side) to the core's edges and,
+    on exact()'s first call, on to the first 0.0. Past an edge the walked
+    ratios only fall, and _RATIO_SLACK covers the fix and the roundings of
+    each step, so a side's terms left out sum to at most the first one,
+    under the floor e^-_DEPTH w(mode), over 1 - r, r the ratio into it
+    (_tail_ratio): tail is e times the floor times that sum over the two
+    sides, the e covering the terms under 2^-1022, each rounded by up to
+    2^-1075 when scaled back. Where r is not under 1, tail is inf and the
+    sums run over the exact window.
     """
 
     __slots__ = ("core", "tail", "_exact", "_rest", "_logs")
 
     def exact(self) -> tuple[int, tuple[float, ...]]:
         if self._exact is None:
-            row, core_start, core = self._rest, *self.core
-            core_stop = core_start + len(core)
-            start = _window_edge(row, core_start, 0, _EXP_CUTOFF)
-            stop = _window_edge(row, core_stop - 1, row[0], _EXP_CUTOFF) + 1
-            if row[0] + 1 <= _WHOLE_ROW:
-                left, right = _exp_terms(row, start, core_start), _exp_terms(row, core_stop, stop)
-            else:
-                left = _walk(row, core[0], core_start, start, core_start + 1)[:-1]
-                right = _walk(row, core[-1], core_stop - 1, core_stop - 1, stop)[1:]
-            self._exact, self._rest = (start, left + core + right), None
+            (rest, left_size, right_size), start, core = self._rest, *self.core
+            left = _side_to_zero(rest, core[0], start, 0, left_size)
+            right = _side_to_zero(rest, core[-1], start + len(core) - 1, rest[0], right_size)
+            self._exact = start - len(left), (*reversed(left), *core, *right)
+            self._rest = None
         return self._exact
 
     def exact_logs(self) -> tuple[tuple[int, float, float], ...]:
@@ -350,27 +344,31 @@ class PmfWindows:
 def _build_windows(n: int, p: float) -> PmfWindows:
     """The windows of (n, p) for n >= 1 and 0 < p < 1, unchecked."""
     windows = PmfWindows()
-    log_p, log_q, q = math.log(p), math.log1p(-p), 1.0 - p
-    row = n, p, log_p, log_q
-    mode = min(int((n + 1) * p), n)
-    floor = _log_pmf(n, log_p, log_q, mode) - _DEPTH
-    core_start = _window_edge(row, mode, 0, floor)
-    core_stop = _window_edge(row, mode, n, floor) + 1
-    if n + 1 <= _WHOLE_ROW:
-        windows.core = core_start, _exp_terms(row, core_start, core_stop)
-    else:
-        w = math.exp(_saddle_log_pmf(*row, mode))
-        windows.core = core_start, _walk(row, w, mode, core_start, core_stop)
-    bound = 0.0
-    if core_start:
-        x = core_start - 1
-        bound += _tail_ratio(x / (n - x + 1) * (q / p))
-    if core_stop <= n:
-        x = core_stop
-        bound += _tail_ratio((n - x) / (x + 1) * (p / q))
-    windows.tail = math.exp(floor + 1.0) * bound if bound else 0.0
-    windows._exact, windows._rest = (None, row) if bound else (windows.core, None)
     windows._logs = None
+    log_p, log_q, q = math.log(p), math.log1p(-p), 1.0 - p
+    if n + 1 <= _WHOLE_ROW:
+        terms = _exp_terms(n, log_p, log_q)
+        held = [x for x, w in enumerate(terms) if w]
+        windows.core = windows._exact = held[0], terms[held[0] : held[-1] + 1]
+        windows.tail, windows._rest = 0.0, None
+        return windows
+    num, den = p.as_integer_ratio()
+    den -= num
+    r = num / den
+    a, b = r.as_integer_ratio()
+    rest = n, r, 1.0 + 64 * (num * b - a * den) / (a * den)
+    mode = min(int((n + 1) * p), n)
+    w = math.exp(_saddle_log_pmf(n, p, log_p, log_q, mode))
+    floor = w * math.exp(-_DEPTH)
+    reach = _reach(n, p, q, _DEPTH)
+    left, left_ratio = _side(rest, w, mode, 0, reach[0], floor, 1.0)
+    right, right_ratio = _side(rest, w, mode, n, reach[1], floor, 1.0)
+    windows.core = mode - len(left), (*reversed(left), w, *right)
+    bound = sum([_tail_ratio(v) for v in (left_ratio, right_ratio) if v is not None])
+    windows.tail = floor * math.e * bound
+    far = _reach(n, p, q, math.log(w / sys.float_info.min))  # to the last normal term
+    windows._rest = rest, max(far[0] - len(left), 1), max(far[1] - len(right), 1)
+    windows._exact = None if bound else windows.core
     return windows
 
 

@@ -60,10 +60,11 @@ def plug_in_density(y: int, l: int, d: float) -> float:
     Up to l = 63 the one term is computed as binom._exp_terms computes the
     pmf window's, so it equals the window's term bit for bit; above that
     it is exp of Loader's form (binom._saddle_log_pmf), whose log holds to
-    a few ulps of its size. Outside the exact window its exponent lies
-    within 4e-9 of an lgamma form under -746.2, so exp gives the window's
-    0.0. No window is built: every estimate d is a new p, which only this
-    term reads.
+    a few ulps of its size. The exact window ends where its walked term
+    rounds to 0.0, so outside it exp gives the window's 0.0 as well, but
+    where the pmf lies within the two forms' errors (under 1e-12 relative)
+    of 2^-1075, the rounding threshold. No window is built: every estimate
+    d is a new p, which only this term reads.
     """
     if not 0.0 < d < 1.0:
         raise ValueError(f"plug-in estimate d must be in (0, 1), got {d}")

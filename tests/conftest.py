@@ -31,7 +31,9 @@ proofs rely on. The cold_measures fixture empties the predictive module's
 memo of beta measures, so that a spy on predictive._log_beta_measure sees
 every measure a test computes; the summed_rows fixture records the term
 rows the risk sums build, through a spy on the risk module's fsum, and
-the coeff_entries fixture the entries of log C(n, x) computed.
+the coeff_entries fixture the entries of log C(n, x) computed. The
+hypothesis profile loaded here draws every @given test's examples
+deterministically and keeps no example database.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy.integrate import quad
 
 from binrisk import binom, predictive, risk
@@ -50,6 +53,11 @@ from binrisk.estimators import EstimateTable
 from binrisk.incbeta import SingularBoundError, _log_I
 
 QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-13, limit=200)
+
+# Every @given test draws the same examples on every run, from its own
+# source, and no example database is read or written
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 class _FsumSpy:

@@ -166,21 +166,6 @@ class TestBinomPmf:
             assert [row[x].hex() for x in xs] == expected
         assert [binom._coeff_entries(n, x, x + 1)[0].hex() for x in xs] == expected
 
-    @pytest.mark.parametrize("n", [1, 63, 64, 1_000, 100_000, binom.MAX_TRIALS])
-    def test_searched_exponent_is_the_rows_within_1e_6(self, n):
-        # the edge searches bisect on the lgamma form of the pmf exponent,
-        # which reads no row; the windows' margins absorb its gap to the
-        # exponent the terms are computed from (4e-9 up to n = 1e6)
-        rng = random.Random(n)
-        for _ in range(40):
-            x, p = rng.randint(0, n), 10 ** rng.uniform(-12.0, 0.0) * 0.999
-            log_p, log_q = math.log(p), math.log1p(-p)
-            row = binom._coeff_entries(n, x, x + 1)[0] + x * log_p + (n - x) * log_q
-            saddle = binom._saddle_log_pmf(n, p, log_p, log_q, x)
-            for exponent in (row, saddle):
-                searched = binom._log_pmf(n, log_p, log_q, x)
-                assert searched == pytest.approx(exponent, rel=0.0, abs=1e-6)
-
     @pytest.mark.parametrize("n, p", [(9, 0.3), (40, 1e-300), (63, 0.5), (63, 1.0 - 1e-6)])
     def test_window_terms_are_the_per_term_formula_bit_for_bit(self, n, p):
         # up to 64 terms the windows count x and n - x as floats; each
@@ -245,9 +230,9 @@ class TestBinomPmf:
 
     @pytest.mark.parametrize("n, p", [(3, 0.3), (12, 0.9), (10_000, 0.3)])
     def test_exact_logs_are_the_nonzero_terms_with_their_logs(self, n, p):
-        # at n = 1e4 and p = 0.3 the exact window ends in terms that are
-        # exactly 0.0 (exponents in [-746.2, -745.13)), so the ys of the
-        # triples skip them and are not a range
+        # the exact window ends at its last nonzero term on each side, so
+        # the ys of the triples are its range; at n = 1e4 and p = 0.3 its
+        # edge terms are subnormal
         binom._short_windows.cache_clear()
         binom._long_windows.cache_clear()
         windows = pmf_windows(n, p)
@@ -258,13 +243,72 @@ class TestBinomPmf:
         assert [(y, f.hex(), g.hex()) for y, f, g in triples] == [
             (y, f.hex(), g.hex()) for y, f, g in expected
         ]
-        ys = [y for y, _, _ in triples]
-        assert (ys == list(range(start, start + len(terms)))) == (0.0 not in terms)
+        assert [y for y, _, _ in triples] == list(range(start, start + len(terms)))
         if n == 10_000:
-            assert terms[0] == terms[-1] == 0.0 and len(ys) < len(terms)
+            assert 0.0 < terms[0] < 2.0**-1022 and 0.0 < terms[-1] < 2.0**-1022
         # one entry keeps its triples: every call returns the same tuple
         assert windows.exact_logs() is triples
         assert pmf_windows(n, p).exact_logs() is triples
+
+
+class TestWindowPremises:
+    """What the risk sums take from a window without checking it: the tail
+    bounds the terms the core leaves out, and the exact window holds every
+    nonzero term."""
+
+    @staticmethod
+    def true_pmf(n, p, x):
+        with mpmath.workdps(40):
+            mp = mpmath.mpf(p)
+            return mpmath.exp(
+                mpmath.loggamma(n + 1)
+                - mpmath.loggamma(x + 1)
+                - mpmath.loggamma(n - x + 1)
+                + x * mpmath.log(mp)
+                + (n - x) * mpmath.log1p(-mp)
+            )
+
+    def test_tail_and_edges_hold_on_seeded_draws(self):
+        # n log-uniform on [64, 1e6]; p from 10^U(-300, 0) on even draws,
+        # from 1 - 10^U(-15, 0) on odd ones. Past each edge of the exact
+        # window the pmf at 40 digits rounds to 0.0, and at each edge it
+        # does not, both to within 1e-12 of 2^-1075, half the smallest
+        # subnormal
+        rng, half_tiny = random.Random(2026), mpmath.mpf(2) ** -1075
+        for i in range(200):
+            n = round(10 ** rng.uniform(math.log10(64), 6.0))
+            if i % 2 == 0:
+                p = 10 ** rng.uniform(-300.0, 0.0)
+            else:
+                p = 1.0 - 10 ** rng.uniform(-15.0, 0.0)
+            assert 0.0 < p < 1.0
+            windows = pmf_windows(n, p)
+            (core_start, core), (start, terms) = windows.core, windows.exact()
+            core_stop, stop = core_start + len(core), start + len(terms)
+            left_out = terms[: core_start - start] + terms[core_stop - start :]
+            assert math.fsum(left_out) <= windows.tail, (n, p)
+            floor = max(core) * math.exp(-64.0)
+            for x in (core_start - 1, core_stop):
+                if start <= x < stop:
+                    assert terms[x - start] < floor, (n, p, x)
+            assert 0.0 not in terms
+            for edge, past in ((start, start - 1), (stop - 1, stop)):
+                assert self.true_pmf(n, p, edge) >= half_tiny * (1 - 1e-12), (n, p, edge)
+                if 0 <= past <= n:
+                    assert self.true_pmf(n, p, past) <= half_tiny * (1 + 1e-12), (n, p, past)
+
+    @pytest.mark.parametrize("n", [1, 2, 12, 13, 40, 63])
+    @pytest.mark.parametrize("p", [1e-300, 1e-9, 0.3, 1.0 - 1e-9])
+    def test_a_short_window_is_its_nonzero_terms(self, n, p):
+        # up to 64 terms the core is the exact window, which leaves out only
+        # the row's terms that are exactly 0.0, and bounds nothing
+        windows = pmf_windows(n, p)
+        assert windows.exact() is windows.core and windows.tail == 0.0
+        start, terms = windows.core
+        row = full_pmf_row(n, p)
+        held = [x for x, w in enumerate(row) if w]
+        assert (start, start + len(terms) - 1) == (held[0], held[-1])
+        assert list(terms) == row[start : start + len(terms)]
 
 
 class TestEntropyLoss:

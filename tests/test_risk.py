@@ -163,7 +163,7 @@ class TestCoreWindowCertificate:
         log_ds, log_es, _, fill = table._logs
         vars(table)["_logs"] = log_ds, log_es, 1e20, fill  # a ceiling no sum can absorb
         assert point_risk(table, p) == expected
-        assert summed_rows == [1_036, 1_036, 3_480]
+        assert summed_rows == [1_036, 1_036, 3_476]
         assert exact_reads == [pmf_windows(n, p)]
 
     # 21 p from 1e-300 to 1 - 1e-12, EDGE_PS among them
@@ -236,10 +236,10 @@ class TestCoreWindowCertificate:
         core_start, core = windows.core
         start, exact = windows.exact()
         assert len(core) == sum(v >= peak - 64.0 for v in log_pmf) == 1_036
-        # the exact window also holds 4 exponents in [-746.2, -745.13),
-        # where exp is already 0.0
-        assert len(exact) == 3_480
-        assert sum(w != 0.0 for w in exact) == sum(w != 0.0 for w in full_pmf_row(n, p))
+        # the exact window holds the nonzero terms and no 0.0: exp is 0.0
+        # below -745.13, and 3,476 exponents lie above it
+        assert len(exact) == sum(v > -745.13 for v in log_pmf) == 3_476
+        assert 0.0 not in exact
         # the exact window extends the core: each term is exponentiated once
         held = exact[core_start - start : core_start - start + len(core)]
         assert all(a is b for a, b in zip(held, core, strict=True))
@@ -248,8 +248,8 @@ class TestCoreWindowCertificate:
 class TestRowsFilledWhereRead:
     """The p-free rows are computed only where a window reads them: the
     table's log rows over the spans summed. A window above 64 terms walks
-    its terms and computes no log C(n, x), nor do its edge searches, done in
-    lgamma form."""
+    its terms, and finds its edges among them: it computes no log C(n,
+    x)."""
 
     def test_a_cold_window_computes_no_coefficient(self, coeff_entries):
         binom._long_windows.cache_clear()
@@ -356,13 +356,13 @@ class TestRowsFilledWhereRead:
         table = EstimateTable.build(BinomialSetup(n=n), PriorSpec(a=1.0, b=1.0))
         assert pmf_windows(n, p).tail == math.inf
         assert point_risk(table, p).hex() == full_row_risk(table, p).hex()
-        assert summed_rows == [1_036, 3_480]
+        assert summed_rows == [1_036, 3_476]
         binom._long_windows.cache_clear()
 
     @pytest.mark.parametrize("n", [300, 1_000, 10_000, 100_000])
     def test_tail_bounds_the_terms_the_core_leaves_out(self, n):
         # every term outside the core, summed over the whole row, lies under
-        # the tail: e^(floor + 1) times 1/(1 - r) on each side
+        # the tail: e times the floor times 1/(1 - r) on each side
         for p in TestCoreWindowCertificate.DEPTH_PS[:: 1 if n < 100_000 else 3]:
             windows = pmf_windows(n, p)
             core_start, core = windows.core
@@ -375,8 +375,8 @@ class TestRowsFilledWhereRead:
     def test_seeded_risks_equal_the_full_row_sums(self, seed, n_max, p_min):
         # n log-uniform on [1, n_max], p log-uniform on [p_min, 1/2] and
         # mirrored on half the draws, untruncated or upper-truncated priors.
-        # The edges are searched in lgamma form: the exact window still
-        # reaches the full row's first and last nonzero terms
+        # The exact window reaches the full row's first and last nonzero
+        # terms
         rng = random.Random(seed)
         differ = []
         for _ in range(60):
@@ -429,7 +429,7 @@ class TestRiskSums:
             # hand-built copy's certificate fails and it sums the exact window
             windows = pmf_windows(10_000, p)
             core, exact = len(windows.core[1]), len(windows.exact()[1])
-            assert summed_rows[-4:] == [core, core, core, exact] == [1_036, 1_036, 1_036, 3_480]
+            assert summed_rows[-4:] == [core, core, core, exact] == [1_036, 1_036, 1_036, 3_476]
 
     def test_connection_sum_over_the_acceptance_sweep(self):
         # the 1,080 configurations of the acceptance sweep at their 25 p

@@ -127,8 +127,8 @@ def test_window_builder_checks_nothing():
     # n and p are checked at the public entry points; the pmf windows are
     # built on every cache miss of a sweep and take them as checked, and so
     # does the bound on the terms the core leaves out
-    builder = {"pmf_windows", "_build_windows", "_window_edge", "_exp_terms", "_walk", "PmfWindows"}
-    assert _check_calls("binom.py", builder | {"_saddle_log_pmf", "_tail_ratio"}) == []
+    builder = {"pmf_windows", "_build_windows", "_exp_terms", "_side", "_side_to_zero", "PmfWindows"}
+    assert _check_calls("binom.py", builder | {"_reach", "_saddle_log_pmf", "_tail_ratio"}) == []
 
 
 def test_plug_in_density_builds_no_cached_row():
