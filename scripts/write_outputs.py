@@ -86,6 +86,8 @@ COMMANDS = (
     "dominance --n 10 --a 1 --b 3 --p-bar 0.9999 --grid 64",
     "dominance --n 400 --p-bar 0.9 --grid 64 --out F",
     "dominance --n 40 --p-bar 0.99999999 --grid 32 --out F",
+    "poisson-limit --a 0.5 --lambda-bar 2 --lam 1.5 --x-tilde 3"
+    " --k-grid 100 1000 10000 100000 --out F",
 )
 
 _TOKEN = re.compile(r"[^\s,()\[\]:=;]+")

@@ -9,12 +9,13 @@ one list per n, which the row pass and the predictive masses at small l
 also read, and its 0.0 ends trimmed; a longer one keeps no row, and walks
 one term at the mode, in Loader's form, out by the pmf ratio. An entry
 read as the future pmf of the predictive KL risk also keeps the (y, f(y),
-log f(y)) triples of its nonzero terms. Entries sit in two caches by row
-length: up to 1,024 short rows, which sweeps revisit at the same few p,
-and 8 long ones. The builder takes n >= 1 and p in (0, 1) as checked:
-every entry point that takes p checks it once, with risk._check_p. A long
-estimate table keeps its two log rows in one _LazyRow, and a long
-restricted table its difference pair in another.
+log f(y)) triples of its nonzero terms. Entries sit in two caches split
+where rows stop being whole: up to 1,024 whole-row windows, which sweeps
+revisit at the same few p, and 8 walked ones. The builder takes n >= 1
+and p in (0, 1) as checked: every entry point that takes p checks it
+once, with risk._check_p. A long estimate table keeps its two log rows
+in one _LazyRow, and a long restricted table its difference pair in
+another.
 
 Also holds the two descriptors shared across the package, the
 trial-count setup and the (possibly truncated) beta prior; the bases of
@@ -156,8 +157,8 @@ class PriorSpec(_record("PriorSpec", "a b p_bar p_lo")):
 
 # A row of at most _WHOLE_ROW entries is built whole, as a plain list:
 # the row pass (n < 64), the short pmf windows and the predictive masses at
-# small l read all of it; estimators splits its two table caches at the
-# same length
+# small l read all of it; pmf_windows splits its two window caches, and
+# estimators its two table caches, at the same length
 _WHOLE_ROW = 64
 
 
@@ -372,14 +373,11 @@ def _build_windows(n: int, p: float) -> PmfWindows:
     return windows
 
 
-# Sweeps revisit the same few p at many small n (n + l - 1 <= 12 in the
-# predictive acceptance sweep, whose 75 p give 900 rows). A row of at most
-# _SHORT_ROW terms takes at most about 950 bytes with both windows, its key
-# and its cache link, and about 2,230 with the (y, f, log f) triples of its
-# terms (tracemalloc, n = 12), so its cache holds at most 2.3 MB; a long
-# row takes about 32 bytes a term, 0.4 MB at n = 1e5, so only 8 of them
-# are kept.
-_SHORT_ROW = 13
+# Sweeps revisit the same few p at many small n (the predictive acceptance
+# sweep reads 900 windows). 1,024 whole-row windows take at most 2.4 MB at
+# n = 63, or 8.8 MB with the (y, f, log f) triples of their terms
+# (tracemalloc); a walked window takes about 32 bytes a term, 0.4 MB at
+# n = 1e5, so only 8 of them are kept.
 _short_windows = lru_cache(maxsize=1024)(_build_windows)
 _long_windows = lru_cache(maxsize=8)(_build_windows)
 
@@ -387,4 +385,4 @@ _long_windows = lru_cache(maxsize=8)(_build_windows)
 def pmf_windows(n: int, p: float) -> PmfWindows:
     """The windows of (n, p), built once for every sum at that p. n >= 1 and
     0 < p < 1 are not checked: the callers have checked them."""
-    return (_short_windows if n < _SHORT_ROW else _long_windows)(n, p)
+    return (_short_windows if n < _WHOLE_ROW else _long_windows)(n, p)

@@ -20,8 +20,6 @@ from .predictive import _masses
 from .risk import point_risk
 from .special import _HALF_LOG_2PI, _stirling_error
 
-# the masses under which the report's predictive sup stops reading y
-_TAIL_MASS = 1e-15
 _GAMMA_TOL = 2.220446049250313e-16
 _GAMMA_MAX_ITER = 100000
 _FPMIN = 1e-300
@@ -41,10 +39,10 @@ class PoissonConfig(_record("PoissonConfig", "r s a lambda_bar")):
         return super().__new__(cls, r, s, a, lambda_bar)
 
 
-def _lower_gamma_logs(alpha: float, z: float) -> tuple[float, float, float]:
-    """log gamma(alpha, z) = log int_0^z t^(alpha-1) e^-t dt, log c and c,
-    c = z^alpha e^-z / gamma(alpha, z), from one pass; c is formed as it
-    is, not read back from its log, which would cost eps |log c| of it.
+def _lower_gamma_logs(alpha: float, z: float) -> tuple[float, float]:
+    """log gamma(alpha, z) = log int_0^z t^(alpha-1) e^-t dt and c = z^alpha
+    e^-z / gamma(alpha, z), from one pass; c is formed as it is, not read
+    back from a log, which would cost eps |log c| of it.
 
     Below z = alpha + 1 the series S = sum_k z^k / (alpha (alpha+1) ...
     (alpha+k)) = 1/c converges fast. Above, the continued fraction h of the
@@ -64,8 +62,7 @@ def _lower_gamma_logs(alpha: float, z: float) -> tuple[float, float, float]:
             term *= z / shape
             total += term
             if term < total * _GAMMA_TOL:
-                log_s = math.log(total)
-                return alpha * math.log(z) - z + log_s, -log_s, 1.0 / total
+                return alpha * math.log(z) - z + math.log(total), 1.0 / total
     else:
         # E = lgamma(alpha) - alpha log z + z with t = (alpha - z)/z; once t
         # rounds to -1, (1+t) log1p(t) is 0 * -inf and E is z to an ulp
@@ -76,7 +73,7 @@ def _lower_gamma_logs(alpha: float, z: float) -> tuple[float, float, float]:
         )
         scale = math.exp(-log_e)
         if scale == 0.0:  # h e^-E is 0.0 for any h, so the fraction is not run
-            return math.lgamma(alpha), -log_e, scale
+            return math.lgamma(alpha), scale
         # upper tail e^-z z^alpha / (z+1-alpha- 1(1-alpha)/(z+3-alpha- ...))
         b = z + 1.0 - alpha
         c = 1.0 / _FPMIN
@@ -95,9 +92,7 @@ def _lower_gamma_logs(alpha: float, z: float) -> tuple[float, float, float]:
             delta = d * c
             h *= delta
             if abs(delta - 1.0) <= _GAMMA_TOL:
-                log_complement = math.log1p(-h * scale)
-                c = scale / (1.0 - h * scale)
-                return math.lgamma(alpha) + log_complement, -log_e - log_complement, c
+                return math.lgamma(alpha) + math.log1p(-h * scale), scale / (1.0 - h * scale)
     raise ArithmeticError(f"incomplete gamma did not converge (alpha={alpha}, z={z})")
 
 
@@ -119,7 +114,7 @@ def poisson_posterior_mean(x_tilde: int, config: PoissonConfig) -> float:
     if config.lambda_bar is None:
         return alpha / config.r
     z = config.r * config.lambda_bar
-    c = _lower_gamma_logs(alpha + 1.0, z)[2]
+    c = _lower_gamma_logs(alpha + 1.0, z)[1]
     return alpha * (z / (z + c)) / config.r
 
 
@@ -195,7 +190,13 @@ def limit_convergence_report(
     x_tilde: int,
 ) -> PoissonLimitReport:
     """Per-K errors of the scaled binomial estimator, predictive density,
-    and risk against their Poisson limits."""
+    and risk against their Poisson limits.
+
+    The predictive error, the sup over y = 0..l of |b_y - q_y| between the
+    binomial and Poisson masses, stops at the first y where the mass unread
+    on both sides, max(1 - sum b, 1 - sum q), is at most the sup: a later
+    gap is at most max(b_y, q_y). The rests are running differences, so
+    this holds up to each side's miss of a total of 1, and an ulp a term."""
     if any(b <= a for a, b in zip(K_grid, K_grid[1:])):
         raise ValueError("K grid must be strictly increasing")
     lam_hat = poisson_posterior_mean(x_tilde, config)
@@ -225,14 +226,15 @@ def limit_convergence_report(
         table = EstimateTable.build(BinomialSetup(n=n), prior)
         est_errors.append(abs(n * table[x_tilde] / config.r - lam_hat))
 
-        # sup over the y range where either side still carries mass
-        sup_err = 0.0
+        sup_err, binom_rest, pois_rest = 0.0, 1.0, 1.0
         for y, binom_mass in enumerate(_masses(range(l + 1), x_tilde, setup, prior)):
             if y == len(pois_masses):
                 pois_masses.append(_predictive_mass(y, alpha, log_den, config))
             pois_mass = pois_masses[y]
             sup_err = max(sup_err, abs(binom_mass - pois_mass))
-            if y >= 5 and binom_mass < _TAIL_MASS and pois_mass < _TAIL_MASS:
+            binom_rest -= binom_mass
+            pois_rest -= pois_mass
+            if max(binom_rest, pois_rest) <= sup_err:
                 break
         pred_errors.append(sup_err)
 

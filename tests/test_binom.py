@@ -96,11 +96,15 @@ class TestBinomPmf:
         assert len(terms) < 4_000
 
     def test_window_is_cached_per_n_and_p(self):
-        # a row of n + 1 = 41 terms is long: it goes to the long-row cache
-        binom._long_windows.cache_clear()
-        pmf_windows(40, 0.2)
-        pmf_windows(40, 0.2)
-        pmf_windows(40, 0.3)
+        # the caches split where rows stop being whole: n = 63, a row of 64
+        # terms, goes to the whole-row cache, n = 64 to the walked one
+        for cache in (binom._short_windows, binom._long_windows):
+            cache.cache_clear()
+        for n in (63, 64):
+            pmf_windows(n, 0.2)
+            pmf_windows(n, 0.2)
+            pmf_windows(n, 0.3)
+        assert binom._short_windows.cache_info()[:2] == (1, 2)
         assert binom._long_windows.cache_info()[:2] == (1, 2)
 
     @pytest.mark.parametrize("n", [1, 63, 64, 1_000])

@@ -353,6 +353,23 @@ class TestThreshold:
         with pytest.raises(ArithmeticError, match="no sign change"):
             dominance_threshold_n1(a)
 
+    def test_a_root_whose_neighbours_do_not_change_sign_raises(self, monkeypatch):
+        # a planted crossing at 0.7 whose values are NaN within 2
+        # THRESHOLD_TOL of it: the bisection closes on the NaN band's lower
+        # edge, where the value THRESHOLD_TOL above the midpoint is NaN
+        tol = dominance.THRESHOLD_TOL
+        monkeypatch.setattr(
+            dominance,
+            "max_risk_diff_symmetric_n1",
+            lambda a, p_bar: math.nan if abs(p_bar - 0.7) < 2.0 * tol else p_bar - 0.7,
+        )
+        message = (
+            r"^root near 0\.69999\d+ for a=1\.0 not resolved to 1e-06: the values "
+            r"-2\.6\d+e-06 and nan around it do not change sign$"
+        )
+        with pytest.raises(ArithmeticError, match=message):
+            threshold_scan(1.0)
+
     @pytest.mark.parametrize("a", [20.0, 200.0])
     def test_root_matches_mpmath_oracle(self, a):
         # for n = 1 the risk difference is quadratic in p,

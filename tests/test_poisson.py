@@ -1,8 +1,10 @@
 """Poisson-side procedures and the binomial-to-Poisson convergence check."""
 
 import math
+import random
 import re
 import sys
+from itertools import accumulate
 
 import mpmath
 import pytest
@@ -284,9 +286,10 @@ class TestLimitCorrespondence:
     def test_takes_each_poisson_mass_once_per_report(self, monkeypatch):
         # the Poisson target does not depend on K: one denominator
         # G(1, 1) and one numerator G(y + 1, 2) per y that some K reads
-        # (17 of them). Each posterior mean, of the estimate and of the
-        # entropy risk at every k = 0..156, is one pass at (k + a + 1, z)
-        # whose log c it reads
+        # (6 of them: the sups at K = 10, 100 and 1000 read 4, 5 and 6
+        # masses). Each posterior mean, of the estimate and of the entropy
+        # risk at every k = 0..156, is one pass at (k + a + 1, z) whose c
+        # it reads
         calls = {"_log_gamma_moment": [], "poisson_posterior_mean": []}
         reads = []
         helper, pois = poisson._lower_gamma_logs, poisson.poisson_predictive
@@ -302,8 +305,8 @@ class TestLimitCorrespondence:
         cfg = PoissonConfig(r=1.0, s=1.0, a=1.0, lambda_bar=1.0)
         limit_convergence_report([10.0, 100.0, 1000.0], 0.5, cfg, 0)
         masses = calls["_log_gamma_moment"]
-        assert len(masses) == 18
-        assert [c for c in masses if c[1] == 2.0] == [(y + 1.0, 2.0) for y in range(17)]
+        assert len(masses) == 7
+        assert [c for c in masses if c[1] == 2.0] == [(y + 1.0, 2.0) for y in range(6)]
         assert calls["poisson_posterior_mean"] == [(k + 2.0, 1.0) for k in [0, *range(157)]]
         assert reads == []
 
@@ -315,20 +318,57 @@ class TestLimitCorrespondence:
             "_predictive_mass",
             lambda *args: masses.append((args[0], mass(*args))) or masses[-1][1],
         )
-        cfg = PoissonConfig(r=2.0, s=0.5, a=1.5, lambda_bar=1.5)
+        # s = 2 spreads the predictive masses: the sup at K = 100 reads 9
+        cfg = PoissonConfig(r=2.0, s=2.0, a=1.5, lambda_bar=1.5)
         limit_convergence_report([10.0, 100.0], 0.5, cfg, 2)
         monkeypatch.undo()
-        assert len(masses) > 5
+        assert len(masses) == 9
         assert [y for y, _ in masses] == list(range(len(masses)))
         assert all(m == poisson_predictive(y, 2, cfg) for y, m in masses)
 
+    def test_predictive_sup_equals_a_full_scan(self, monkeypatch):
+        # seeded draws of the prior, the truncation, the exposures, x and
+        # lambda, at one K each from 3 up to l = 2,000: the sup equals, bit
+        # for bit, the sup over every y = 0..l, and it reads y up to the
+        # first where the mass unread on both sides, max(1 - sum b, 1 -
+        # sum q), is at most the sup so far
+        read, masses = [], poisson._masses
+
+        def counting(*args):
+            read.append(0)
+            for mass in masses(*args):
+                read[-1] += 1
+                yield mass
+
+        monkeypatch.setattr(poisson, "_masses", counting)
+        rng = random.Random(55)
+        for _ in range(40):
+            a, r, s = 10.0 ** rng.uniform(-1.0, 1.0), rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+            lambda_bar = rng.choice([None, 10.0 ** rng.uniform(-0.5, 1.0)])
+            low = math.log10(max(3.0, 1.2 * (lambda_bar or 0.0)))
+            K = 10.0 ** rng.uniform(low, math.log10(2_000.0 / max(r, s)))
+            lam = min(lambda_bar or 10.0, 0.9 * K) * rng.uniform(0.01, 1.0)
+            setup = BinomialSetup(n=round(r * K), l=round(s * K))
+            cfg = PoissonConfig(r=r, s=s, a=a, lambda_bar=lambda_bar)
+            x = min(rng.randrange(10), setup.n)
+            draw = (a, r, s, lambda_bar, lam, K, x)
+            found = limit_convergence_report([K], lam, cfg, x).predictive_errors[0]
+            ys = range(setup.l + 1)
+            bs = [*masses(ys, x, setup, induced_binomial_prior(cfg, K))]
+            qs = [poisson_predictive(y, x, cfg) for y in ys]
+            sups = [*accumulate([abs(b - q) for b, q in zip(bs, qs)], max)]
+            assert found == sups[-1], draw
+            unread = [max(1.0 - u, 1.0 - v) for u, v in zip(accumulate(bs), accumulate(qs))]
+            stop = next((y for y in ys if unread[y] <= sups[y]), setup.l)
+            assert read[-1] == stop + 1, draw
+
     def test_reads_under_a_percent_of_the_largest_rows(self, coeff_entries):
         # at K = 1e4 (n = l = 1e4, p = 5e-5) the masses read the y up to
-        # where both sides fall under 1e-15 and the risk sums a window near
-        # x = 0: log C(1e4, y) is computed one y at a time for the masses
-        # alone, as the window walks its terms, and the table's two log rows
-        # fill only the window's entries, where each was built whole for x =
-        # 0..1e4
+        # where the unread mass is at most the sup (8 of them) and the risk
+        # sums a window near x = 0: log C(1e4, y) is computed one y at a
+        # time for the masses alone, as the window walks its terms, and the
+        # table's two log rows fill only the window's entries, where each
+        # was built whole for x = 0..1e4
         estimators._build_large_table.cache_clear()
         cfg = PoissonConfig(r=1.0, s=1.0, a=1.0, lambda_bar=1.0)
         limit_convergence_report([10.0, 100.0, 1000.0, 10000.0], 0.5, cfg, 1)

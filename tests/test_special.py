@@ -1,4 +1,4 @@
-"""log B, the log C row, and the log lower incomplete gamma and log c against
+"""log B, the log C row, and the log lower incomplete gamma and c against
 mpmath at 50 digits, with scipy's values on the same points as the bar to meet."""
 
 import math
@@ -85,7 +85,7 @@ def test_log_binomial_row_is_no_worse_than_scipy(n):
 def _report_arguments() -> dict[str, set[tuple[float, float]]]:
     """Every (alpha, z) at which limit_convergence_report takes the lower
     incomplete gamma, by caller: the predictive masses read its log through
-    _log_gamma_moment, the posterior means read log c; over prior exponents
+    _log_gamma_moment, the posterior means read c; over prior exponents
     and truncations like those of the CLI's and the benchmark's reports."""
     seen = {"_log_gamma_moment": set(), "poisson_posterior_mean": set()}
     helper = poisson._lower_gamma_logs
@@ -105,7 +105,7 @@ def _report_arguments() -> dict[str, set[tuple[float, float]]]:
 
 
 def test_log_lower_gamma_on_the_report_arguments():
-    # only the masses' arguments: the means read log c, not log gamma
+    # only the masses' arguments: the means read c, not log gamma
     arguments = _report_arguments()["_log_gamma_moment"]
     # both branches run: the series below z = alpha + 1, the continued
     # fraction above
@@ -127,27 +127,31 @@ def test_log_lower_gamma_matches_scipy_beyond_the_report(alpha, z):
     )
 
 
-def _log_c_exact(alpha: float, z: float):
-    return alpha * mpmath.log(z) - z - mpmath.log(mpmath.gammainc(alpha, 0, z))
+def _check_c(alpha: float, z: float) -> None:
+    """c = z^alpha e^-z / gamma(alpha, z) as the helper returns it: where it
+    is normal, its log within 2e-15 max(1, |log c|) of the exact one; where
+    log c < -745.13, under half the least subnormal, 0.0."""
+    exact = alpha * mpmath.log(z) - z - mpmath.log(mpmath.gammainc(alpha, 0, z))
+    c = poisson._lower_gamma_logs(alpha, z)[1]
+    if exact < -1075 * math.log(2.0):
+        assert c == 0.0, (alpha, z)
+    else:
+        assert c >= sys.float_info.min, (alpha, z)
+        assert _error(math.log(c), exact) <= 2e-15 * max(1.0, abs(float(exact))), (alpha, z)
 
 
-def test_log_c_on_the_means_arguments():
-    # log c = alpha log z - z - log gamma(alpha, z), which the posterior
-    # means read; on the report's arguments every one is a series
+def test_c_on_the_means_arguments():
+    # the posterior means read c; on the report's arguments every one is a
+    # series
     for alpha, z in _report_arguments()["poisson_posterior_mean"]:
-        exact = _log_c_exact(alpha, z)
-        assert _error(poisson._lower_gamma_logs(alpha, z)[1], exact) <= 2e-15 * max(
-            1.0, abs(float(exact))
-        ), (alpha, z)
+        _check_c(alpha, z)
 
 
 @pytest.mark.parametrize(
     "alpha, z", [(0.5, 30.0), (2.0, 3.0), (50.0, 52.0), (3.0, 400.0), (1001.5, 1200.0), (1.5, 1e5)]
 )
-def test_log_c_in_the_continued_fraction(alpha, z):
+def test_c_in_the_continued_fraction(alpha, z):
     # above z = alpha + 1, where c = e^-E / (1 - h e^-E) with E in
-    # Stirling's form, out to z where log c is about -z
-    exact = _log_c_exact(alpha, z)
-    assert _error(poisson._lower_gamma_logs(alpha, z)[1], exact) <= 2e-15 * max(
-        1.0, abs(float(exact))
-    )
+    # Stirling's form, out to z where log c is about -z: at (1.5, 1e5) c
+    # is 0.0
+    _check_c(alpha, z)
