@@ -88,6 +88,9 @@ COMMANDS = (
     "dominance --n 40 --p-bar 0.99999999 --grid 32 --out F",
     "poisson-limit --a 0.5 --lambda-bar 2 --lam 1.5 --x-tilde 3"
     " --k-grid 100 1000 10000 100000 --out F",
+    "estimate --n 40 --a 2 --b 3 --p-bar 0.9999999999999 --p 0.5",
+    "dominance --n 5 --a 2 --b 3 --p-bar 0.99999999999999989 --grid 64 --out F",
+    "risk-curve --n 300 --p-bar 0.9999999999999999 --grid 8",
 )
 
 _TOKEN = re.compile(r"[^\s,()\[\]:=;]+")

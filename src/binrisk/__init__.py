@@ -19,7 +19,6 @@ _HOMES = {
     "PredictiveTable": "predictive",
     "PriorSpec": "binom",
     "RiskCurves": "dominance",
-    "SingularBoundError": "incbeta",
     "bayes_predictive": "predictive",
     "connection_sum": "risk",
     "dominance_threshold_n1": "dominance",

@@ -6,8 +6,9 @@ so reruns are byte-for-byte identical. A CSV is comma-separated, with
 newline line ends and one header row; floats are written as %.17g, and a
 cell is empty where its value is undefined (thm32_bound where the Thm 3.2
 bound is undefined or the restriction is an interval). Exit status: 0
-success, 1 validation error, 2 numerical failure (bracket failure,
-overflow near p_bar -> 1).
+success, 1 validation error, 2 numerical failure (a bracket term beyond
+double range, an estimate outside the prior's support, predictive masses
+that do not sum to 1).
 """
 
 from __future__ import annotations

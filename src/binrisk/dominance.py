@@ -39,8 +39,8 @@ from .binom import (
     _record,
     pmf_windows,
 )
-from .estimators import EstimateTable, _correction
-from .incbeta import _check_p_bar, _log_I
+from .estimators import EstimateTable, OutOfSupportError, _correction
+from .incbeta import _log_I
 from .risk import _check_p, _pair_sums, _risk_sums
 
 THRESHOLD_TOL = 1e-6
@@ -255,9 +255,7 @@ def thm41_conditions(
     """Sufficient pair for interval-restriction domination; both true
     certifies that the interval-truncated estimator dominates."""
     _check_count("n", n)
-    _check_shape(a=a, b=b)
-    if not 0.0 < p_lo < p_bar < 1.0:
-        raise ValueError(f"need 0 < p_lo < p_bar < 1, got ({p_lo}, {p_bar})")
+    PriorSpec(a, b, p_bar, p_lo)
     c1 = p_bar <= (a + 1.0) / (n + a + b + 1.0)
     c2 = (
         p_bar / (1.0 - p_bar) * math.log((p_lo * n + a + 1.0) / (p_bar * (n + a + b)))
@@ -285,14 +283,18 @@ def max_risk_diff_symmetric_n1(a: float, p_bar: float) -> float:
     It reads the log ratios t_x = -log1p(-c(x)/(x+a)) of the untruncated to
     the truncated estimate at x = 0, 1 from one interval correction c = c(0),
     since the symmetry of the prior and the interval gives c(1) = -c(0); no
-    log measures of size about a are subtracted.
+    log measures of size about a are subtracted. An estimate outside the
+    interval raises OutOfSupportError, as the table builder does.
     """
     _check_shape(a=a)
     if not 0.5 < p_bar < 1.0:
         raise ValueError(f"p_bar must be in (1/2, 1), got {p_bar}")
-    _check_p_bar(p_bar)
     p_lo = 1.0 - p_bar
-    c = _correction(0, 1.0 + 2.0 * a, PriorSpec(a=a, b=a, p_bar=p_bar, p_lo=p_lo))
+    s = 1.0 + 2.0 * a
+    c = _correction(0, s, PriorSpec(a=a, b=a, p_bar=p_bar, p_lo=p_lo))
+    d0 = (a - c) / s  # and d1 = 1 - d0: both in the interval or neither
+    if not p_lo <= d0 <= p_bar:
+        raise OutOfSupportError(f"estimate {d0} outside the restriction [{p_lo}, {p_bar}]")
     t0, t1 = -math.log1p(-c / a), -math.log1p(c / (1.0 + a))
     return (p_lo**2 + p_bar**2) * t1 + 2.0 * p_lo * p_bar * t0
 

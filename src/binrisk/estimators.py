@@ -31,7 +31,7 @@ import math
 from functools import cached_property, lru_cache, partial
 
 from .binom import _WHOLE_ROW, BinomialSetup, PriorSpec, _check_count, _LazyRow, _Table
-from .incbeta import _bracket, _check_p_bar, _inverse_I_row, _log_I
+from .incbeta import _bracket, _inverse_I_row, _log_I
 
 
 class OutOfSupportError(ArithmeticError):
@@ -163,8 +163,6 @@ def _estimate_table(setup: BinomialSetup, prior: PriorSpec) -> EstimateTable:
     n, a = setup.n, prior.a
     s = n + a + prior.b
     c_row = rhos = None
-    if prior.p_bar is not None:
-        _check_p_bar(prior.p_bar)  # the one ceiling check of a table
     if prior.restriction == "none":
         values = [(x + a) / s for x in range(n + 1)]
     elif prior.restriction == "upper":

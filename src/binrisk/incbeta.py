@@ -25,9 +25,8 @@ the upper estimates from it in the same pass.
 
 The kernel is the one public function and checks its arguments. The four
 cores above check nothing: PriorSpec and BinomialSetup have checked what
-they read. The p_bar ceiling (_check_p_bar) is checked once per table, by
-estimators._estimate_table, and by dominance.max_risk_diff_symmetric_n1,
-which reads a correction without a table; a predictive mass needs none.
+they read, p_bar anywhere in (0, 1): I is finite for every p_bar < 1, and
+nothing here forms it outside log space or the c = 1/I of the row.
 """
 
 from __future__ import annotations
@@ -40,13 +39,6 @@ from .special import log_beta
 _CF_TOL = 1e-14
 _CF_MAX_ITER = 500
 _FPMIN = 1e-300
-
-# I diverges as p_bar -> 1; above this, _check_p_bar fails loudly
-_P_BAR_CEIL = 1.0 - 1e-12
-
-
-class SingularBoundError(OverflowError):
-    """Raised when p_bar is too close to 1 for I to be representable."""
 
 
 class BracketOverflowError(ArithmeticError):
@@ -143,12 +135,6 @@ def _log_beta_measure(alpha: float, beta: float, lo: float, hi: float) -> float:
             f"(alpha={alpha}, beta={beta})"
         )
     return log_upper + math.log(-math.expm1(diff))
-
-
-def _check_p_bar(p_bar: float) -> None:
-    """The ceiling on a p_bar that PriorSpec has put in (0, 1)."""
-    if p_bar > _P_BAR_CEIL:
-        raise SingularBoundError(f"p_bar={p_bar} is within 1e-12 of 1; I diverges")
 
 
 def _log_I(alpha: float, gamma: float, p_bar: float, p_lo: float | None = None) -> float:

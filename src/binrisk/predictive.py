@@ -78,7 +78,9 @@ def plug_in_density(y: int, l: int, d: float) -> float:
 
 
 class PredictiveTable(_Table):
-    """Predictive mass over y = 0..l for one observed count x."""
+    """Predictive mass over y = 0..l for one observed count x. Masses that
+    build computes and that fail the table's check raise ArithmeticError, a
+    numerical failure, where a table constructed with them raises ValueError."""
 
     _fields = ("setup", "prior", "x", "density")
 
@@ -96,7 +98,10 @@ class PredictiveTable(_Table):
     def build(cls, setup: BinomialSetup, prior: PriorSpec, x: int) -> PredictiveTable:
         _check_count("x", x, 0, setup.n)
         density = tuple([*_masses(range(setup.l + 1), x, setup, prior)])
-        return cls(setup=setup, prior=prior, x=x, density=density)
+        try:
+            return cls(setup=setup, prior=prior, x=x, density=density)
+        except ValueError as exc:  # every input was valid: the numerics failed
+            raise ArithmeticError(str(exc)) from None
 
     def __getitem__(self, y: int) -> float:
         return self.density[y]

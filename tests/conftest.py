@@ -50,7 +50,7 @@ from binrisk import binom, predictive, risk
 from binrisk.binom import BinomialSetup, PriorSpec, _log_binom_coeffs, pmf_windows
 from binrisk.dominance import _j_rows, p_grid
 from binrisk.estimators import EstimateTable
-from binrisk.incbeta import SingularBoundError, _log_I
+from binrisk.incbeta import _log_I
 
 QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-13, limit=200)
 
@@ -191,14 +191,8 @@ def eval_J(p: float, n: int, a: float, b: float, p_bar: float) -> float:
 
 
 def eval_I(alpha: float, gamma: float, p_bar: float) -> float:
-    """I(alpha, gamma, p_bar) = int_0^1 t^(alpha-1) / {1 - p_bar (1-t)}^gamma dt,
-    with overflow reported as a singular bound."""
-    log_value = _log_I(alpha, gamma, p_bar)
-    try:
-        return math.exp(log_value)
-    except OverflowError as exc:
-        message = f"I({alpha}, {gamma}, {p_bar}) overflows double precision"
-        raise SingularBoundError(message) from exc
+    """I(alpha, gamma, p_bar) = int_0^1 t^(alpha-1) / {1 - p_bar (1-t)}^gamma dt."""
+    return math.exp(_log_I(alpha, gamma, p_bar))
 
 
 def eval_I_two_sided(alpha: float, gamma: float, p_lo: float, p_bar: float) -> float:

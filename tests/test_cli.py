@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 
+import mpmath
 import pytest
 
 from binrisk import binom, estimators, incbeta
@@ -446,11 +447,45 @@ class TestExitStatuses:
         assert main(["threshold", "--a", "10000000"]) == EXIT_NUMERICAL
         assert "numerical failure: no sign change" in capsys.readouterr().err
 
-    def test_numerical_failure_near_singular_bound(self, capsys):
-        code = main(["estimate", "--n", "3", "--p-bar", "0.9999999999999"])
-        assert code == EXIT_NUMERICAL
+    def test_p_bar_within_1e_12_of_1_is_served(self, capsys):
+        # it exited 2 as "within 1e-12 of 1; I diverges", though I is finite
+        # for every p_bar < 1; each estimate is within 1e-13 of mpmath
+        p_bar = 0.9999999999999
+        assert main(["estimate", "--n", "3", "--p-bar", str(p_bar)]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "x,estimate" and len(out) == 5
+        with mpmath.workdps(60):
+            for x, row in enumerate(out[1:]):
+                alpha, beta = mpmath.mpf(x) + 1, mpmath.mpf(3 - x) + 1
+                exact = mpmath.betainc(alpha + 1, beta, 0, p_bar) / mpmath.betainc(
+                    alpha, beta, 0, p_bar
+                )
+                assert abs(float(row.split(",")[1]) / exact - 1) < 1e-13, x
+
+    def test_n1_estimate_outside_the_interval_is_a_numerical_failure(self, capsys):
+        # the scan read d(0) = 0.28 on [0.4999, 0.5001] at its first point and
+        # printed a threshold of 0.996 with exit 0
+        assert main(["threshold", "--a", "1e-11"]) == EXIT_NUMERICAL
+        assert capsys.readouterr() == (
+            "",
+            "numerical failure: estimate 0.2814749767130136 outside the restriction"
+            " [0.4999, 0.5001]\n",
+        )
+
+    @pytest.mark.parametrize(
+        "argv, total",
+        [
+            (["--n", "30", "--x", "0", "--p-lo", "0.4", "--p-bar", "0.6"], "1.0000000005862981"),
+            (["--n", "3000", "--x", "3000", "--p-bar", "1e-5"], "1.0000000000056375"),
+        ],
+        ids=["interval", "upper"],
+    )
+    def test_predictive_table_failing_its_check_is_a_numerical_failure(self, argv, total, capsys):
+        # every flag is valid, so masses that miss 1 are the numerics
+        # failing; they exited 1, the status of a usage error
+        assert main(["predictive", "--l", "10", *argv]) == EXIT_NUMERICAL
         assert capsys.readouterr().err == (
-            "numerical failure: p_bar=0.9999999999999 is within 1e-12 of 1; I diverges\n"
+            f"numerical failure: predictive density sums to {total}, not 1\n"
         )
 
     @pytest.mark.parametrize(

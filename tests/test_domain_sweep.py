@@ -14,7 +14,10 @@ precision, 80, 160, 400 and 1,000 digits, until two precisions agree to
 1e-30; a point where no two agree is skipped and counted. It guards the
 one backward pass that builds the upper row and its estimates with an
 oracle that shares no code with it. The untruncated slice reads the same
-draws without p_bar; its oracle is (x+a)/(n+a+b) in mpmath.
+draws without p_bar; its oracle is (x+a)/(n+a+b) in mpmath. The upper
+slice near 1 draws n log-uniform on [1, 1000], a and b from 10^[-1, 1]
+and 1 - p_bar from 10^[-16, -12], down to 1 - 2^-53, where p_bar was
+once refused as within 1e-12 of 1, with the same oracle and tolerance.
 
 The predictive slice draws untruncated masses: n log-uniform on [1, 3000],
 l log-uniform on [1, 300], a and b from 10^[-1, 1], and checks the table
@@ -58,6 +61,8 @@ UPPER_SEED = 41
 UPPER_DRAWS = 40
 UPPER_TOL = 1e-13
 ORACLE_DPS = (80, 160, 400, 1000)
+NEAR_ONE_SEED = 55
+NEAR_ONE_DRAWS = 20
 PREDICTIVE_SEED = 42
 PREDICTIVE_DRAWS = 60
 PREDICTIVE_TOL = 1e-11
@@ -76,6 +81,17 @@ def upper_draws(seed: int, count: int) -> list[tuple[int, float, float, float]]:
         n = round(10 ** rng.uniform(0.0, 4.0))
         a, b = 10 ** rng.uniform(-1.5, 1.5), 10 ** rng.uniform(-1.5, 1.5)
         draws.append((n, a, b, 10 ** rng.uniform(-6.0, -0.002)))
+    return draws
+
+
+def near_one_draws(seed: int, count: int) -> list[tuple[int, float, float, float]]:
+    """(n, a, b, p_bar) of the upper slice near 1."""
+    rng = random.Random(seed)
+    draws = []
+    for _ in range(count):
+        n = round(10 ** rng.uniform(0.0, 3.0))
+        a, b = 10 ** rng.uniform(-1.0, 1.0), 10 ** rng.uniform(-1.0, 1.0)
+        draws.append((n, a, b, min(1.0 - 10 ** rng.uniform(-16.0, -12.0), 1.0 - 2.0**-53)))
     return draws
 
 
@@ -151,6 +167,13 @@ def test_estimate_slice_has_no_silent_draw(mode):
     # almost everywhere, so the sweep is not passed by skipping
     assert sum(kind == "ok" for kind, _ in classes.values()) == UPPER_DRAWS
     assert sum(skipped for _, skipped in classes.values()) <= UPPER_DRAWS // 10
+
+
+def test_upper_slice_near_one_has_no_silent_draw():
+    draws = near_one_draws(NEAR_ONE_SEED, NEAR_ONE_DRAWS)
+    classes = [classify(draw, upper_values, upper_oracle) for draw in draws]
+    assert [kind for kind, _ in classes] == ["ok"] * NEAR_ONE_DRAWS
+    assert sum(skipped for _, skipped in classes) <= NEAR_ONE_DRAWS // 10
 
 
 @pytest.mark.parametrize("mode", MODES)

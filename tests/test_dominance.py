@@ -143,9 +143,21 @@ class TestSufficientConditions:
         # a=2, c_lo=0.5, c_bar=1: log(3.5) + 0.5 = 1.75 < 2 holds
         assert cor41_conditions(2.0, 0.5, 1.0) is True
 
-    def test_thm41_rejects_an_empty_interval(self):
-        with pytest.raises(ValueError, match=r"^need 0 < p_lo < p_bar < 1, got \(0\.6, 0\.4\)$"):
-            thm41_conditions(5, 1.0, 1.0, 0.6, 0.4)
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0, 1.0, 1.0, 0.1, 0.4), "n must be an integer >= 1, got 0"),
+            ((5, 0.0, 1.0, 0.1, 0.4), "a must be finite and positive, got 0.0"),
+            ((5, 1.0, 1.0, 0.1, 1.0), "p_bar must be in (0, 1), got 1.0"),
+            ((5, 1.0, 1.0, 0.6, 0.4), "need 0 < p_lo < p_bar, got p_lo=0.6, p_bar=0.4"),
+        ],
+    )
+    def test_thm41_checks_n_then_its_prior(self, args, message):
+        # after the count, PriorSpec checks the shape and the interval, as
+        # for the two necessary conditions
+        with pytest.raises(ValueError) as caught:
+            thm41_conditions(*args)
+        assert type(caught.value) is ValueError and str(caught.value) == message
 
     def test_cor41_rejects_an_empty_interval(self):
         with pytest.raises(ValueError, match=r"^need 0 < c_lo < c_bar, got \(2\.0, 1\.0\)$"):
@@ -205,11 +217,6 @@ class TestBound:
             ((0.1, 2.0, 1.0, 1.0, 0.5), ValueError, "n must be an integer >= 1, got 2.0"),
             ((0.1, 3, 1.0, 1.0, 0.0), ValueError, "p_bar must be in (0, 1), got 0.0"),
             ((0.1, 3, 1.0, 1.0, 1.0), ValueError, "p_bar must be in (0, 1), got 1.0"),
-            (
-                (0.1, 3, 1.0, 1.0, 1.0 - 1e-13),
-                incbeta.SingularBoundError,
-                "p_bar=0.9999999999999 is within 1e-12 of 1; I diverges",
-            ),
             ((0.6, 3, 1.0, 1.0, 0.5), ValueError, "p must be in (0, p_bar], got p=0.6, p_bar=0.5"),
             ((0.0, 3, 1.0, 1.0, 0.5), ValueError, "p must be in (0, p_bar], got p=0.0, p_bar=0.5"),
             # several bad arguments: shape, then n, then p_bar, then p
@@ -226,6 +233,30 @@ class TestBound:
         with pytest.raises(error) as caught:
             entry(*args)
         assert type(caught.value) is error and str(caught.value) == message
+
+    def test_bound_functions_match_mpmath_near_one(self):
+        # p_bar = 1 - 1e-13 was refused as "within 1e-12 of 1; I diverges";
+        # J(p) and E_p[1/I] from 60-digit I(x+a, n+a+b+1, p_bar), D from the
+        # exact estimates
+        p, n, a, b, p_bar = 0.1, 3, 1.0, 1.0, 1.0 - 1e-13
+        s = n + a + b
+        with mpmath.workdps(60):
+            mp, pb = mpmath.mpf(p), mpmath.mpf(p_bar)
+            q = 1 - pb
+            j = e = mpmath.mpf(0)
+            for x in range(n + 1):
+                alpha = x + mpmath.mpf(a)
+                i = mpmath.betainc(alpha, s + 1 - alpha, 0, pb) * (q / pb) ** alpha / q ** (s + 1)
+                w = mpmath.binomial(n, x) * mp**x * (1 - mp) ** (n - x)
+                j, e = j + w * i, e + w / i
+            bound = (1 - mp) * mpmath.log(1 - 1 / (q * s * j)) + mp * mpmath.log1p(
+                (1 + 1 / j) / (pb * s)
+            )
+            scale = float(j * e)
+        assert thm32_bound(p, n, a, b, p_bar) == pytest.approx(float(bound), rel=1e-13, abs=0)
+        difference, size = _oracle_difference(n, a, b, p_bar, None, p)
+        standardized = standardized_risk_difference(p, n, a, b, p_bar)
+        assert abs(standardized * scale - difference) <= 1e-13 * size
 
     def test_odds_weighted_j_monotone_for_small_bound(self):
         # {p/(1-p)} J(p) is nondecreasing on (0, p_bar] when p_bar <= 1/n
@@ -278,6 +309,15 @@ class TestSymmetricMaxDifference:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             max_risk_diff_symmetric_n1(1.0, 0.4)
+
+    def test_an_estimate_outside_the_interval_raises(self):
+        # d(0) = (a - c(0))/(1 + 2a) and d(1) = 1 - d(0) lie outside [0.4999,
+        # 0.5001] here, and the value read from them was -11.87
+        with pytest.raises(estimators.OutOfSupportError) as caught:
+            max_risk_diff_symmetric_n1(1e-11, 0.5001)
+        assert str(caught.value) == (
+            "estimate 0.2814749767130136 outside the restriction [0.4999, 0.5001]"
+        )
 
     @pytest.mark.parametrize(
         "a, p_bar",
@@ -907,15 +947,16 @@ class TestDifferenceSum:
         assert checked["upper"] >= 60 and checked["interval"] >= 54
 
     def test_matches_mpmath_near_one(self):
-        # p_bar = 1 - 10^U(-7, -2), at p_bar and in its upper half: the I of
-        # the table's anchor was rescaled by terms of size gamma |log(1-p_bar)|
-        # that cancel, and 4 of these 24 differences were over 1e-13 of their
-        # scale, 4.3e-13 at worst
+        # p_bar = 1 - 10^U(-16, -2), at p_bar and in its upper half, down to
+        # 1 - 2^-53: the I of the table's anchor was rescaled by terms of size
+        # gamma |log(1-p_bar)| that cancel, and 4 of 24 such differences with
+        # 1 - p_bar above 1e-7 were over 1e-13 of their scale, 4.3e-13 at
+        # worst; a p_bar within 1e-12 of 1 was refused
         rng = numpy.random.default_rng(53)
         for _ in range(12):
             n = int(round(10 ** rng.uniform(0.0, math.log10(158.0))))
             a, b = (float(v) for v in rng.choice([0.5, 1.0, 2.0, 3.0], size=2))
-            p_bar = 1.0 - float(10 ** rng.uniform(-7.0, -2.0))
+            p_bar = min(1.0 - float(10 ** rng.uniform(-16.0, -2.0)), 1.0 - 2.0**-53)
             for p in (p_bar * float(rng.uniform(0.5, 1.0)), p_bar):
                 oracle, scale = _oracle_difference(n, a, b, p_bar, None, p)
                 value = risk_difference(p, n, a, b, p_bar)

@@ -9,7 +9,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from binrisk import dominance, estimators, incbeta
+from binrisk import estimators, incbeta
 from binrisk.binom import BinomialSetup, PriorSpec
 from binrisk.dominance import (
     _j_rows,
@@ -18,7 +18,7 @@ from binrisk.dominance import (
     smallpbar_sufficient_conditions,
 )
 from binrisk.estimators import EstimateTable, posterior_mean
-from binrisk.incbeta import SingularBoundError, _log_I
+from binrisk.incbeta import _log_I
 from binrisk.predictive import PredictiveTable
 from binrisk.risk import point_risk
 
@@ -581,56 +581,75 @@ class TestUpperRows:
         assert all(0.0 < v <= prior.p_bar for v in table.values)
 
 
-# within 1e-12 of 1, where I diverges
-SINGULAR = 1.0 - 1e-13
-SINGULAR_MESSAGE = "p_bar=0.9999999999999 is within 1e-12 of 1; I diverges"
+# 1e-13 from 1: until p_bar was checked only by PriorSpec, every entry
+# below refused it as "within 1e-12 of 1; I diverges"
+NEAR_ONE = 1.0 - 1e-13
 
 
-class TestOneCeilingCheck:
-    """The integral family reads checked values; the one check it needs, the
-    ceiling on p_bar, runs once per table."""
+def exact_mean(x, n, a, b, p_lo, p_bar):
+    """The posterior mean at x truncated to [p_lo, p_bar], a ratio of
+    60-digit mpmath beta measures."""
+    with mpmath.workdps(60):
+        alpha, beta = mpmath.mpf(x) + a, mpmath.mpf(n - x) + b
+        lo = p_lo or 0
+        return mpmath.betainc(alpha + 1, beta, lo, p_bar) / mpmath.betainc(alpha, beta, lo, p_bar)
 
-    def test_interval_table_checks_the_ceiling_once(self, monkeypatch):
-        # the bracket term and I at every x checked the prior again: 102
-        # ceiling checks, 102 interval checks and 51 shape checks at n = 50
-        calls, check = [], incbeta._check_p_bar
-        for module in (incbeta, estimators, dominance):
-            monkeypatch.setattr(module, "_check_p_bar", lambda p_bar: calls.append(p_bar) or check(p_bar))
-        estimators._estimate_table(BinomialSetup(n=50), PriorSpec(2.0, 2.0, p_bar=0.5, p_lo=0.05))
-        assert calls == [0.5]
 
-    @pytest.mark.parametrize(
-        "entry",
-        [
-            lambda: EstimateTable.build(BinomialSetup(n=5), PriorSpec(1.0, 1.0, p_bar=SINGULAR)),
-            lambda: EstimateTable.build(
-                BinomialSetup(n=5), PriorSpec(1.0, 1.0, p_bar=SINGULAR, p_lo=0.3)
-            ),
-            lambda: max_risk_diff_symmetric_n1(1.0, SINGULAR),
-            lambda: smallpbar_sufficient_conditions(5, 1.0, 1.0, SINGULAR),
-        ],
-        ids=["upper-table", "interval-table", "symmetric-n1", "smallpbar"],
-    )
-    def test_entries_raise_the_ceiling_error(self, entry):
-        # thm32_bound's and standardized_risk_difference's are pinned in
-        # tests/test_dominance.py with their other argument checks
+class TestPBarNearOne:
+    """p_bar is checked once, by PriorSpec on (0, 1): I is finite for every
+    p_bar < 1, and the entries that refused a p_bar within 1e-12 of 1
+    return what mpmath gives there."""
+
+    @pytest.mark.parametrize("p_lo", [None, 0.3], ids=["upper-table", "interval-table"])
+    def test_tables_match_mpmath(self, p_lo):
+        # 2.2e-16 and 1.4e-14 at worst
         clear_tables()
-        with pytest.raises(SingularBoundError) as caught:
-            entry()
-        assert str(caught.value) == SINGULAR_MESSAGE
+        prior = PriorSpec(1.0, 1.0, p_bar=NEAR_ONE, p_lo=p_lo)
+        table = EstimateTable.build(BinomialSetup(n=5), prior)
+        for x, value in enumerate(table.values):
+            assert abs(value / exact_mean(x, 5, 1.0, 1.0, p_lo, NEAR_ONE) - 1) < 1e-13, x
+
+    def test_symmetric_n1_matches_mpmath(self):
+        # the log ratios of the untruncated to the truncated estimate, as in
+        # tests/test_dominance.py; 2.6e-16 off
+        with mpmath.workdps(60):
+            d_u, d_t = mpmath.mpf(1) / 3, exact_mean(0, 1, 1.0, 1.0, 1.0 - NEAR_ONE, NEAR_ONE)
+            p_bar = mpmath.mpf(NEAR_ONE)
+            p_lo = 1 - p_bar
+            r0, r1 = mpmath.log(d_u / d_t), mpmath.log((1 - d_u) / (1 - d_t))
+            oracle = float((p_lo**2 + p_bar**2) * r1 + 2 * p_lo * p_bar * r0)
+        assert max_risk_diff_symmetric_n1(1.0, NEAR_ONE) == pytest.approx(oracle, rel=1e-13, abs=0)
+
+    def test_smallpbar_conditions_match_mpmath(self):
+        # both conditions from 60-digit c0 = 1/I(a, n+a+b+1, p_bar) and
+        # c_bar = 1/I(a, a+b+1, p_bar); neither is near its boundary
+        n, a, b = 5, 1.0, 1.0
+        with mpmath.workdps(60):
+            p_bar = mpmath.mpf(NEAR_ONE)
+            q, s = 1 - p_bar, n + a + b
+
+            def inverse_i(gamma):
+                return q**gamma * (p_bar / q) ** a / mpmath.betainc(a, gamma - a, 0, p_bar)
+
+            c0, c_bar = inverse_i(s + 1), inverse_i(a + b + 1)
+            log_gain = mpmath.log1p((1 + c_bar) / (p_bar * s))
+            arg = 1 - c0 / (q * s)
+            general = arg > 0 and mpmath.log(arg) + p_bar / q * log_gain < 0
+            small = p_bar <= mpmath.mpf(1) / n and p_bar * s * log_gain < c_bar
+        assert smallpbar_sufficient_conditions(n, a, b, NEAR_ONE) == (general, small)
 
     @pytest.mark.parametrize("p_lo", [None, 0.3])
     def test_predictive_tables_need_no_ceiling(self, p_lo):
         # a predictive mass is a ratio of beta measures of the support, finite
         # for any p_bar < 1; 30-digit mpmath gives each mass
         n, l, a, b = 3, 2, 1.0, 2.0
-        setup, prior = BinomialSetup(n=n, l=l), PriorSpec(a, b, p_bar=SINGULAR, p_lo=p_lo)
+        setup, prior = BinomialSetup(n=n, l=l), PriorSpec(a, b, p_bar=NEAR_ONE, p_lo=p_lo)
         lo = 0.0 if p_lo is None else p_lo
         for x in range(n + 1):
             table = PredictiveTable.build(setup, prior, x)
             with mpmath.workdps(30):
-                den = mpmath.betainc(x + a, n - x + b, lo, SINGULAR)
+                den = mpmath.betainc(x + a, n - x + b, lo, NEAR_ONE)
                 for y in range(l + 1):
                     k = x + y
-                    num = mpmath.binomial(l, y) * mpmath.betainc(k + a, n + l - k + b, lo, SINGULAR)
+                    num = mpmath.binomial(l, y) * mpmath.betainc(k + a, n + l - k + b, lo, NEAR_ONE)
                     assert table[y] == pytest.approx(float(num / den), rel=1e-13, abs=0)

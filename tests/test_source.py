@@ -99,9 +99,9 @@ def _check_calls(module: str, builder: set[str]) -> list[str]:
 def test_the_integral_family_checks_nothing():
     # the kernel is incbeta's one public function and checks its arguments;
     # the four cores read exponents and bounds that PriorSpec and
-    # BinomialSetup have checked, and the ceiling on p_bar is checked once
-    # per table, and once by the n = 1 maximum difference, which reads one
-    # correction without a table
+    # BinomialSetup have checked, p_bar on (0, 1) with no ceiling below 1,
+    # since I is finite for every p_bar < 1; the table builder that calls
+    # them checks nothing either
     tree = ast.parse((SOURCES[0].parent / "incbeta.py").read_text())
     functions = {stmt.name: stmt for stmt in tree.body if isinstance(stmt, ast.FunctionDef)}
     assert [name for name in functions if not name.startswith("_")] == ["log_inc_beta_lower"]
@@ -115,10 +115,7 @@ def test_the_integral_family_checks_nothing():
         and any(getattr(part, "id", None) == "ValueError" for part in ast.walk(node))
     ]
     assert raised == []
-    assert _callers("_check_p_bar") == {
-        ("estimators.py", "_estimate_table"),
-        ("dominance.py", "max_risk_diff_symmetric_n1"),
-    }
+    assert _check_calls("estimators.py", {"_estimate_table"}) == []
     imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert "binom" not in imported
 
@@ -374,24 +371,6 @@ def test_each_sweep_sums_only_what_it_reports():
         )
 
 
-def test_the_singular_bound_is_only_the_p_bar_ceiling():
-    # a J row with an I beyond double range leaves the bound curves absent
-    # and the scalar bound undefined; SingularBoundError means p_bar within
-    # 1e-12 of 1 alone
-    def names(node):
-        return {name for sub in ast.walk(node) for name in _identifiers(sub)}
-
-    raised = set()
-    for path in SOURCES:
-        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Raise) and "SingularBoundError" in names(node):
-                    raised.add((path.name, getattr(stmt, "name", None)))
-    assert raised == {("incbeta.py", "_check_p_bar")}
-    dominance = ast.parse((SOURCES[0].parent / "dominance.py").read_text())
-    assert "SingularBoundError" not in names(dominance)
-
-
 def _imported(node: ast.AST) -> list[str]:
     """The top-level package of each absolute import in node, if it is one."""
     if isinstance(node, ast.Import):
@@ -542,8 +521,8 @@ def test_package_root_and_cli_import_no_library_module_at_module_level():
 
 EXPORTS = {
     "BinomialSetup", "BracketOverflowError", "BoundUndefinedError", "EstimateTable",
-    "PoissonConfig", "PredictiveTable", "PriorSpec", "RiskCurves", "SingularBoundError",
-    "bayes_predictive", "connection_sum", "dominance_threshold_n1", "exhaustive_dominance_check",
+    "PoissonConfig", "PredictiveTable", "PriorSpec", "RiskCurves", "bayes_predictive",
+    "connection_sum", "dominance_threshold_n1", "exhaustive_dominance_check",
     "limit_convergence_report", "point_risk", "posterior_mean", "predictive_kl_risk",
     "risk_curves",
 }
@@ -552,7 +531,7 @@ EXPORTS = {
 def test_package_root_resolves_each_export_to_its_home_object():
     import binrisk
 
-    assert len(binrisk.__all__) == 18 and set(binrisk.__all__) == EXPORTS
+    assert len(binrisk.__all__) == 17 and set(binrisk.__all__) == EXPORTS
     assert EXPORTS <= set(dir(binrisk))
     namespace: dict[str, object] = {}
     exec("from binrisk import *", namespace)
